@@ -48,6 +48,7 @@ from .verify import (
     check_generation,
     check_lemma51,
     check_lemma52,
+    check_surface_point,
     corollary_identity_residuals,
     hilbert_class_poly,
     minpoly,

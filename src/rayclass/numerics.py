@@ -1,11 +1,13 @@
 """Precision bookkeeping and the arbitrary-precision arithmetic contract.
 
-All evaluators in this package compute with mpmath numbers inside a
+All evaluators in this package take and return mpmath numbers inside a
 :class:`PrecisionContext`: ``bits`` is the working mantissa precision and
-``eps`` the absolute error the *final* results are aimed at.  The gap between
-``2^-bits`` and ``eps`` (at least 16 bits, enforced) absorbs rounding and
-truncation noise, which is validated by precision-doubling tests rather than
-by interval arithmetic.
+``eps`` the absolute error the *final* results are aimed at.  The q-series
+loops inside them run in Python-integer fixed point at ``bits + FX_GUARD``
+bits and round back to ``bits`` (contract in :mod:`rayclass.qseries`).  The
+gap between ``2^-bits`` and ``eps`` (at least 16 bits, enforced) absorbs
+rounding and truncation noise, which is validated by precision-doubling
+tests and reference loops rather than by interval arithmetic.
 
 Truncation of every q-series/product is governed by :func:`truncation_terms`:
 the smallest M with |q|^M < eps * 2^-16, where |q| = exp(-2*pi*Im(tau)).  All
@@ -13,9 +15,10 @@ series used downstream converge at least geometrically in |q| once polynomial
 coefficient growth is absorbed (the evaluators extend adaptively past M when
 needed, keeping determinism).
 
-Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them is
-deterministic given (bits, operands).  Helpers :func:`safe_div` and
-:func:`principal_root` implement the near-zero guard of the contract.
+Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them,
+fixed-point loops included, is deterministic given (bits, operands).
+Helpers :func:`safe_div` and :func:`principal_root` implement the near-zero
+guard of the contract.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ MIN_IM = 0.05
 
 # Tail guard: series tails are pushed below eps * 2^-GUARD_BITS.
 GUARD_BITS = 16
+
+# Fixed-point guard: q-series loops run on integers scaled by 2^W with
+# W = bits + FX_GUARD (see the qseries module docstring for the error budget).
+FX_GUARD = 32
 
 
 def _to_mpf(x) -> mp.mpf:

@@ -3,16 +3,38 @@
 Conventions fixed across the package:
 
 * ``eta`` carries the sqrt(2*pi)*zeta_8 prefactor, so that eta(tau)^24 equals
-  the discriminant ``delta`` (computed from its own product) with no stray
-  powers of 2*pi.  Every stored value follows this normalization; the curve
-  coordinates u, v, x, y below are ratios in which it matters.
+  the discriminant ``delta`` (both built from the one Euler product cached on
+  the point) with no stray powers of 2*pi.  Every stored value follows this
+  normalization; the curve coordinates u, v, x, y below are ratios in which
+  it matters.
 * Fractional powers of q are evaluated as exp of the matching multiple of
   2*pi*i*tau -- principal branch straight from tau, never as roots of q.
 * Index bookkeeping is exact: Siegel indices are Fractions, Bernoulli values
   and fractional parts are computed in rational arithmetic, and reduction of
   an index into [0,1)^2 multiplies the value by the exact quasi-periodicity
-  root of unity of the underlying Klein form.  Floating point enters only
-  when a series is summed.
+  root of unity of the underlying Klein form.
+
+Fixed-point contract.  Every loop over n -- the Euler product, the Siegel
+product, the sigma_3/sigma_5 series and the wp series -- runs on pairs
+(re, im) of Python integers that stand for (re + i*im) * 2^-W, with
+W = bits + FX_GUARD.  Values enter by ``to_fixed`` (q exactly, since it
+carries only ``bits`` bits) and leave by ``ldexp``, rounded to ``bits``; all
+prefactors, exponentials and the final quotients stay in mpmath, as does the
+one wp term that can be near its pole (see ``wp``).  The
+truncation index M = ``terms()``, the tail test |term| < eps * 2^-GUARD_BITS
+(compared as squared integers) and the runaway guards are those of the
+term-by-term loops that the tests keep as reference.
+
+Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
+than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
+modulus below 1, so their error stays below 1/(1 - |q|) <= 4 units, and an
+M-term loop adds a few units per step: about 2^14 units for M ~ 3000 (1536
+bits at Im tau = 0.05).  The remaining 18 guard bits let the result's
+modulus fall to 2^-18 before that error reaches its last bit at ``bits``.
+Measured against the same truncated series at 2*bits, the kernels are as
+accurate as the mpmath loops (256 and 1536 bits, Im tau from 0.05 to 3.1).
+The sigma series is the exception: sigma_5(n) ~ n^5 multiplies the error of
+q^n, so ``eisenstein`` widens W by 6 bits per bit of 2M (see there).
 """
 
 from __future__ import annotations
@@ -20,17 +42,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import DegenerateIndex, ImTooSmall, OnLattice
-from .numerics import MIN_IM, GUARD_BITS, PrecisionContext, safe_div, truncation_terms
+from .numerics import (
+    FX_GUARD,
+    GUARD_BITS,
+    MIN_IM,
+    PrecisionContext,
+    safe_div,
+    truncation_terms,
+)
 
 
 @dataclass(frozen=True)
 class ModularPoint:
-    """A point tau in the upper half-plane with q = exp(2*pi*i*tau) cached."""
+    """A point tau in the upper half-plane with q = exp(2*pi*i*tau) cached.
+
+    The truncation index, the fixed-point image of q and the truncated Euler
+    product are computed on first use and kept on the point, so eta and
+    delta share one product.
+    """
 
     tau: mp.mpc
     q: mp.mpc
@@ -65,7 +101,36 @@ class ModularPoint:
 
     def terms(self) -> int:
         """Truncation index for q-products/series at this point."""
+        return self._terms
+
+    @cached_property
+    def _terms(self) -> int:
         return truncation_terms(self.im, self.ctx.eps)
+
+    @property
+    def width(self) -> int:
+        """Fixed-point width W = bits + FX_GUARD of the series loops."""
+        return self.ctx.bits + FX_GUARD
+
+    @cached_property
+    def qfx(self) -> tuple[int, int]:
+        """q as fixed-point integers (re, im) at width W (exact)."""
+        return _fx(self.q, self.width)
+
+    @cached_property
+    def euler(self) -> mp.mpc:
+        """The truncated Euler product prod_{n=1..M} (1 - q^n), M = terms()."""
+        w = self.width
+        one = 1 << w
+        qr, qi = self.qfx
+        nr, ni = one, 0  # q^n
+        ar, ai = one, 0
+        for _ in range(self.terms()):
+            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
+            fr = one - nr
+            ar, ai = (ar * fr + ai * ni) >> w, (ai * fr - ar * ni) >> w
+        with self.ctx.work():
+            return _mpc(ar, ai, w)
 
 
 @dataclass(frozen=True)
@@ -132,6 +197,32 @@ class CuspData:
                 raise ValueError("transporter does not map infinity to the cusp")
 
 
+def _fx(z: mp.mpc, w: int) -> tuple[int, int]:
+    """z as fixed-point integers (re, im) = floor(z * 2^w)."""
+    re, im = z._mpc_
+    return to_fixed(re, w), to_fixed(im, w)
+
+
+def _mpc(re: int, im: int, w: int) -> mp.mpc:
+    """(re + i*im) * 2^-w rounded to the working precision."""
+    return mp.mpc(mp.ldexp(re, -w), mp.ldexp(im, -w))
+
+
+def _cut_squared(ctx: PrecisionContext, w: int) -> int:
+    """Square of the tail cut eps * 2^-GUARD_BITS at width w."""
+    with ctx.work():
+        return to_fixed((ctx.eps * mp.mpf(2) ** (-GUARD_BITS))._mpf_, w) ** 2
+
+
+def _fx_lambert(ar: int, ai: int, w: int) -> tuple[int, int]:
+    """a / (1 - a)^2 at width w.  (1 - a)^2 is truncated to w bits, so
+    |1 - a| must stay away from 0."""
+    dr, di = (1 << w) - ar, -ai
+    er, ei = (dr * dr - di * di) >> w, (dr * di) >> (w - 1)
+    den = er * er + ei * ei
+    return ((ar * er + ai * ei) << w) // den, ((ai * er - ar * ei) << w) // den
+
+
 def bernoulli2(x) -> Fraction:
     """Second Bernoulli polynomial X^2 - X + 1/6, exact."""
     x = Fraction(x)
@@ -155,26 +246,38 @@ def _unit_phase(e: Fraction) -> mp.mpc:
 def eta(pt: ModularPoint) -> mp.mpc:
     """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
     with pt.ctx.work():
-        acc = mp.mpc(1)
-        qn = mp.mpc(1)
-        for _ in range(pt.terms()):
-            qn *= pt.q
-            acc *= 1 - qn
         pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
-        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * acc
+        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * pt.euler
 
 
-def _sigma35(n: int) -> tuple[int, int]:
-    s3 = s5 = 0
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            e = n // d
-            s3 += d**3
-            s5 += d**5
-            if e != d:
-                s3 += e**3
-                s5 += e**5
-    return s3, s5
+class _DivisorSums:
+    """Tables of sigma_3(n) and sigma_5(n) for 0 <= n < len, built by a
+    divisor sieve.  A table only grows, doubling from the largest n a series
+    has asked for, and its entries never change, so sharing one instance
+    changes no result."""
+
+    def __init__(self):
+        self.s3, self.s5 = [0], [0]
+
+    def upto(self, n: int) -> tuple[list[int], list[int]]:
+        """Tables with at least n + 1 entries."""
+        lo = len(self.s3)
+        if n < lo:
+            return self.s3, self.s5
+        hi = max(n + 1, 2 * lo)
+        s3 = self.s3 + [0] * (hi - lo)
+        s5 = self.s5 + [0] * (hi - lo)
+        for d in range(1, hi):
+            d3 = d**3
+            d5 = d3 * d * d
+            for k in range(max(d, -(-lo // d) * d), hi, d):
+                s3[k] += d3
+                s5[k] += d5
+        self.s3, self.s5 = s3, s5
+        return s3, s5
+
+
+_SIGMA = _DivisorSums()
 
 
 def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
@@ -182,38 +285,45 @@ def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
     (2*pi)^4/12 and (2*pi)^6/216."""
     with pt.ctx.work():
         m = pt.terms()
-        cut = pt.ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
-        qn = mp.mpc(1)
-        s3 = mp.mpc(0)
-        s5 = mp.mpc(0)
+        # sigma_5(n) <= 1.04 n^5 multiplies the few-unit error of q^n; summed
+        # up to the last term, typically n < 2M, that is under (2M)^6 units.
+        # Widening by as many bits keeps the sum, and the tail test on terms
+        # near eps * 2^-GUARD_BITS >= 2^-bits, clear of the rounding floor
+        # (at W alone the series would not settle when eps is near 2^-bits).
+        extra = 6 * (2 * m).bit_length()
+        w = pt.width + extra
+        qr, qi = (x << extra for x in pt.qfx)
+        cut2 = _cut_squared(pt.ctx, w)
+        sig3, sig5 = _SIGMA.upto(m)
+        nr, ni = 1 << w, 0  # q^n
+        s3r = s3i = s5r = s5i = 0
         n = 0
         while True:
             n += 1
-            qn *= pt.q
-            sig3, sig5 = _sigma35(n)
-            t5 = sig5 * qn
-            s3 += sig3 * qn
-            s5 += t5
+            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
+            if n == len(sig5):
+                sig3, sig5 = _SIGMA.upto(n)
+            c3, c5 = sig3[n], sig5[n]
+            t5r, t5i = c5 * nr, c5 * ni
+            s3r += c3 * nr
+            s3i += c3 * ni
+            s5r += t5r
+            s5i += t5i
             # sigma_5(n) >= sigma_3(n), so t5 controls both tails
-            if n >= m and abs(t5) < cut:
+            if n >= m and t5r * t5r + t5i * t5i < cut2:
                 break
             if n > 100 * m + 1000:  # pragma: no cover
                 raise RuntimeError("eisenstein series failed to settle")
         twopi = 2 * mp.pi
-        g2 = twopi**4 / 12 * (1 + 240 * s3)
-        g3 = twopi**6 / 216 * (1 - 504 * s5)
+        g2 = twopi**4 / 12 * (1 + 240 * _mpc(s3r, s3i, w))
+        g3 = twopi**6 / 216 * (1 - 504 * _mpc(s5r, s5i, w))
         return g2, g3
 
 
 def delta(pt: ModularPoint) -> mp.mpc:
     """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
     with pt.ctx.work():
-        acc = mp.mpc(1)
-        qn = mp.mpc(1)
-        for _ in range(pt.terms()):
-            qn *= pt.q
-            acc *= 1 - qn
-        return (2j * mp.pi) ** 12 * pt.q * acc**24
+        return (2j * mp.pi) ** 12 * pt.q * pt.euler**24
 
 
 def j_invariant(pt: ModularPoint) -> mp.mpc:
@@ -236,12 +346,19 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
         a1, a2 = r.r1 - s1, r.r2 - s2
         w = mp.exp(2j * mp.pi * (pt.tau * mp.mpf(a1.numerator) / a1.denominator
                                  + mp.mpf(a2.numerator) / a2.denominator))
-        winv = 1 / w
-        core = 1 - w
-        qn = mp.mpc(1)
+        wd = pt.width
+        one = 1 << wd
+        qr, qi = pt.qfx
+        ar, ai = _fx(pt.q * w, wd)  # q^n w
+        br, bi = _fx(pt.q / w, wd)  # q^n / w
+        cr, ci = _fx(1 - w, wd)
         for _ in range(pt.terms()):
-            qn *= pt.q
-            core *= (1 - qn * w) * (1 - qn * winv)
+            ur, vr = one - ar, one - br
+            fr, fi = (ur * vr - ai * bi) >> wd, -(ur * bi + ai * vr) >> wd
+            cr, ci = (cr * fr - ci * fi) >> wd, (cr * fi + ci * fr) >> wd
+            ar, ai = (ar * qr - ai * qi) >> wd, (ar * qi + ai * qr) >> wd
+            br, bi = (br * qr - bi * qi) >> wd, (br * qi + bi * qr) >> wd
+        core = _mpc(cr, ci, wd)
         val = -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
         if (s1, s2) != (0, 0):
             sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
@@ -294,22 +411,36 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
         if dist < mp.sqrt(ctx.eps):
             raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
         u = mp.exp(2j * mp.pi * (y * pt.tau + x))
-        cut = ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
-        total = mp.mpf(1) / 12 + u / (1 - u) ** 2
+        w = pt.width
+        cut2 = _cut_squared(ctx, w)
+        qr, qi = nr, ni = pt.qfx  # q^n
+        ar, ai = _fx(pt.q * u, w)  # q^n u
+        b = pt.q / u
+        br, bi = _fx(b, w)  # q^n / u
+        # q/u is the one ratio that can come close to 1 (z near tau modulo
+        # the lattice); q^n u, q^n and q^(n+1)/u have modulus <= |q|.  The
+        # fixed-point square of a small 1 - q/u would lose the bits that
+        # floating point keeps, so this one term enters from mpmath.
+        tbr, tbi = _fx(b / (1 - b) ** 2, w)
+        sr = si = 0
         m = pt.terms()
-        qn = mp.mpc(1)
         n = 0
         while True:
             n += 1
-            qn *= pt.q
-            a = qn * u
-            b = qn / u
-            term = a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
-            total += term
-            if n >= m and abs(term) < cut:
+            tar, tai = _fx_lambert(ar, ai, w)
+            tqr, tqi = _fx_lambert(nr, ni, w)
+            tr, ti = tar + tbr - 2 * tqr, tai + tbi - 2 * tqi
+            sr += tr
+            si += ti
+            if n >= m and tr * tr + ti * ti < cut2:
                 break
             if n > 100 * m + 1000:  # pragma: no cover
                 raise RuntimeError("wp series failed to settle")
+            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
+            ar, ai = (ar * qr - ai * qi) >> w, (ar * qi + ai * qr) >> w
+            br, bi = (br * qr - bi * qi) >> w, (br * qi + bi * qr) >> w
+            tbr, tbi = _fx_lambert(br, bi, w)
+        total = mp.mpf(1) / 12 + u / (1 - u) ** 2 + _mpc(sr, si, w)
         return (2j * mp.pi) ** 2 * total
 
 

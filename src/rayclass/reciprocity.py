@@ -174,7 +174,8 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
             label = GaloisLabel(alpha, q, beta)
             r1, r2 = _transformed_indices(label, n)
             with ctx.work():
-                ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)
+                if descriptor != "x":
+                    ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)
                 if descriptor == "y12N":
                     val = ratio ** (12 * n)
                 elif descriptor == "y4":

@@ -1,14 +1,28 @@
-"""Slow, independent lattice-sum oracles used only by the tests.
+"""Slow, independent oracles used only by the tests.
 
-Everything here works from the defining lattice sums/products at float64,
-summing symmetric +-omega pairs so the tails fall off like 1/R^2.  Accuracy
-is truncation-limited (~1e-5 at the default radii), which is exactly what
-these are for: catching wrong prefactors, branches and signs in the fast
-q-series paths, not validating eps-level accuracy (precision doubling and
-the transformation laws take care of that).
+Two kinds live here:
+
+* Lattice sums.  They work from the defining lattice sums/products at
+  float64, summing symmetric +-omega pairs so the tails fall off like 1/R^2.
+  Accuracy is truncation-limited (~1e-5 at the default radii), which is
+  exactly what these are for: catching wrong prefactors, branches and signs
+  in the fast q-series paths, not validating eps-level accuracy (precision
+  doubling and the transformation laws take care of that).
+* Reference q-series loops (``*_loop``).  They sum the same truncated
+  products and series as the fixed-point kernels of ``rayclass.qseries``,
+  term by term in mpmath at the working precision, with the same truncation
+  index, tail test and trial-division divisor sums.  They pin the kernels to
+  eps * 2^-GUARD_BITS.
 """
 
+import math
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
+
+from rayclass.numerics import GUARD_BITS
+from rayclass.qseries import _qpow, _reduce_mod_lattice, _unit_phase, bernoulli2
 
 
 def _half_lattice(tau: complex, radius: int) -> np.ndarray:
@@ -51,3 +65,107 @@ def klein_lattice(r1: float, r2: float, tau: complex, radius: int = 400) -> comp
 def g2g3_lattice(tau: complex, radius: int = 400) -> tuple[complex, complex]:
     w = _half_lattice(tau, radius)
     return 120 * np.sum(w**-4.0), 280 * np.sum(w**-6.0)
+
+
+# ------------------------------------------------- reference q-series loops ---
+
+def euler_loop(pt) -> mp.mpc:
+    """prod_{n=1..M} (1 - q^n), M = pt.terms()."""
+    acc = mp.mpc(1)
+    qn = mp.mpc(1)
+    for _ in range(pt.terms()):
+        qn *= pt.q
+        acc *= 1 - qn
+    return acc
+
+
+def eta_loop(pt) -> mp.mpc:
+    with pt.ctx.work():
+        pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
+        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * euler_loop(pt)
+
+
+def delta_loop(pt) -> mp.mpc:
+    with pt.ctx.work():
+        return (2j * mp.pi) ** 12 * pt.q * euler_loop(pt) ** 24
+
+
+def sigma35(n: int) -> tuple[int, int]:
+    """(sigma_3(n), sigma_5(n)) by trial division."""
+    s3 = s5 = 0
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            e = n // d
+            s3 += d**3
+            s5 += d**5
+            if e != d:
+                s3 += e**3
+                s5 += e**5
+    return s3, s5
+
+
+def eisenstein_loop(pt) -> tuple[mp.mpc, mp.mpc]:
+    with pt.ctx.work():
+        m = pt.terms()
+        cut = pt.ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
+        qn = mp.mpc(1)
+        s3 = mp.mpc(0)
+        s5 = mp.mpc(0)
+        n = 0
+        while True:
+            n += 1
+            qn *= pt.q
+            sig3, sig5 = sigma35(n)
+            t5 = sig5 * qn
+            s3 += sig3 * qn
+            s5 += t5
+            if n >= m and abs(t5) < cut:
+                break
+            if n > 100 * m + 1000:
+                raise RuntimeError("eisenstein series failed to settle")
+        twopi = 2 * mp.pi
+        return twopi**4 / 12 * (1 + 240 * s3), twopi**6 / 216 * (1 - 504 * s5)
+
+
+def siegel_loop(r, pt) -> mp.mpc:
+    with pt.ctx.work():
+        s1, s2 = math.floor(r.r1), math.floor(r.r2)
+        a1, a2 = r.r1 - s1, r.r2 - s2
+        w = mp.exp(2j * mp.pi * (pt.tau * mp.mpf(a1.numerator) / a1.denominator
+                                 + mp.mpf(a2.numerator) / a2.denominator))
+        winv = 1 / w
+        core = 1 - w
+        qn = mp.mpc(1)
+        for _ in range(pt.terms()):
+            qn *= pt.q
+            core *= (1 - qn * w) * (1 - qn * winv)
+        val = -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
+        if (s1, s2) != (0, 0):
+            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
+            val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))
+        return val
+
+
+def wp_loop(z, pt) -> mp.mpc:
+    """wp(z; [tau, 1]) by the exponential-coordinate series (no lattice
+    distance check)."""
+    with pt.ctx.work():
+        y, x = _reduce_mod_lattice(mp.mpc(z), pt)
+        u = mp.exp(2j * mp.pi * (y * pt.tau + x))
+        cut = pt.ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
+        total = mp.mpf(1) / 12 + u / (1 - u) ** 2
+        m = pt.terms()
+        qn = mp.mpc(1)
+        n = 0
+        while True:
+            n += 1
+            qn *= pt.q
+            a = qn * u
+            b = qn / u
+            term = a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
+            total += term
+            if n >= m and abs(term) < cut:
+                break
+            if n > 100 * m + 1000:
+                raise RuntimeError("wp series failed to settle")
+        return (2j * mp.pi) ** 2 * total

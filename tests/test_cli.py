@@ -180,6 +180,15 @@ def test_check_missing_args_exit_two(capsys):
     assert "--tau" in err
 
 
+def test_check_surface_passes(capsys):
+    code, out, _ = run_cli(
+        ["check", "surface", "--tau", "0.1,1.2", "--level", "4"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["level"] == 4
+
+
 def test_bad_eps_exit_two(capsys):
     code, _, err = run_cli(["--bits", "64", "--eps", "1e-40",
                             "field", "--dk", "-7"], capsys)

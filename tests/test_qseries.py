@@ -27,6 +27,10 @@ from rayclass import (
     y_value,
 )
 
+from rayclass.qseries import _DivisorSums
+
+from oracles import eisenstein_loop, sigma35
+
 
 def _pt(re, im, ctx):
     return ModularPoint.from_complex((re, im), ctx)
@@ -94,22 +98,27 @@ def test_eta24_shift_invariance(ctx256):
 
 def test_eta_truncation_doubling(ctx256):
     """Doubling the truncation index moves eta(theta) by far less than eps
-    at theta of discriminant -39."""
+    at theta of discriminant -39, and eta truncates its product at m: it
+    matches the m-term product evaluated at twice the bits to 2^-(bits-4)."""
+    pt = ModularPoint.from_quadratic(1, 1, -39, ctx256)
+    m = pt.terms()
+
+    def eta_with_terms(k):
+        acc = mp.mpc(1)
+        qn = mp.mpc(1)
+        q = mp.exp(2j * mp.pi * pt.tau)
+        for _ in range(k):
+            qn *= q
+            acc *= 1 - qn
+        pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
+        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * acc
+
     with ctx256.work():
-        pt = ModularPoint.from_quadratic(1, 1, -39, ctx256)
-        m = pt.terms()
-
-        def eta_with_terms(k):
-            acc = mp.mpc(1)
-            qn = mp.mpc(1)
-            for _ in range(k):
-                qn *= pt.q
-                acc *= 1 - qn
-            pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
-            return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * acc
-
         assert abs(eta_with_terms(m) - eta_with_terms(2 * m)) < ctx256.eps
-        assert abs(eta(pt) - eta_with_terms(m)) == 0
+        value = eta(pt)
+    with mp.workprec(2 * ctx256.bits):
+        ref = eta_with_terms(m)
+        assert abs(value - ref) <= mp.mpf(2) ** (4 - ctx256.bits) * abs(ref)
 
 
 # ------------------------------------------------------------- eisenstein ---
@@ -125,6 +134,29 @@ def test_g3_vanishes_at_i(ctx256):
     with ctx256.work():
         _, g3 = eisenstein(_pt(0, 1, ctx256))
         assert abs(g3) < ctx256.eps
+
+
+def test_divisor_sieve_grows_to_trial_division_values():
+    sums = _DivisorSums()
+    for n in (1, 2, 7, 40, 41, 300):
+        s3, s5 = sums.upto(n)
+        assert len(s3) == len(s5) > n
+    assert [(s3[n], s5[n]) for n in range(1, len(s3))] == \
+        [sigma35(n) for n in range(1, len(s3))]
+
+
+@pytest.mark.parametrize("im", [0.05, 0.3])
+def test_eisenstein_settles_without_spare_guard_bits(im):
+    """At the smallest eps the context allows, 2^(16-bits), the sigma series
+    still settles and matches the same truncated series at twice the bits."""
+    ctx = PrecisionContext(256, mp.mpf(2) ** -240)
+    pt = _pt(0.1234, im, ctx)
+    g2, g3 = eisenstein(pt)
+    hi = PrecisionContext(512, ctx.eps)
+    with hi.work():
+        ref = eisenstein_loop(ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        for new, old in zip((g2, g3), ref):
+            assert abs(new - old) <= mp.mpf(2) ** (4 - ctx.bits) * max(1, abs(old))
 
 
 def test_discriminant_relation(ctx256):

@@ -1,8 +1,10 @@
-"""Cross-checks of the fast q-series paths against truncated lattice sums.
+"""Cross-checks of the fast q-series paths against the oracles.
 
-The oracles (tests/oracles.py) evaluate the defining sums/products directly
-at float64; radii are fixed and a radius-doubling consistency check guards
-their own truncation level.  Tolerances here are oracle-limited, not eps.
+The lattice-sum oracles (tests/oracles.py) evaluate the defining
+sums/products directly at float64; radii are fixed and a radius-doubling
+consistency check guards their own truncation level.  Tolerances against
+them are oracle-limited, not eps.  The reference loops sum the q-series term
+by term in mpmath; the fixed-point kernels must match them to eps.
 """
 
 from fractions import Fraction as F
@@ -10,9 +12,29 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from rayclass import FractionPair, ModularPoint, delta, eisenstein, eta, siegel, wp
+from rayclass import (
+    FractionPair,
+    ModularPoint,
+    PrecisionContext,
+    delta,
+    eisenstein,
+    eta,
+    siegel,
+    wp,
+)
+from rayclass.numerics import GUARD_BITS
 
-from oracles import g2g3_lattice, klein_lattice, quasi_periods, wp_lattice
+from oracles import (
+    delta_loop,
+    eisenstein_loop,
+    eta_loop,
+    g2g3_lattice,
+    klein_lattice,
+    quasi_periods,
+    siegel_loop,
+    wp_lattice,
+    wp_loop,
+)
 
 TAU = complex(0.23, 1.31)
 
@@ -75,3 +97,70 @@ def test_siegel_against_klein_sigma_route(ctx256, r1, r2, tau):
         k = klein_lattice(float(r1), float(r2), tau, 500)
         slow = k * complex(eta(pt)) ** 2
         assert abs(fast - slow) / abs(fast) < 1e-4
+
+
+# ------------------------------------------ fixed-point kernels vs loops ---
+
+AGREEMENT_CTX = {
+    "256": PrecisionContext(256, "1e-40"),
+    "1536": PrecisionContext(1536, "1e-400"),
+}
+AGREEMENT_TAUS = [(re, im) for im in (0.05, 0.06, 0.3, 0.866, 2.0)
+                  for re in (-0.5, 0.1234, 0.5)]
+SIEGEL_REDUCED = FractionPair(F(7, 8), F(1, 3))
+SIEGEL_SHIFTED = FractionPair(F(-9, 8), F(4, 3))  # same reduced index
+
+
+def _near_lattice(pt):
+    """tau minus a step of 1e-10, so that q^n / u is close to 1 at n = 1.
+    (Any evaluation there keeps only 2^-bits / 1e-10 relative accuracy, as
+    1 - q/u cancels; nearer points would test that loss, not the kernel.)"""
+    return pt.tau - mp.mpc(0.6, 0.8) * mp.mpf("1e-10")
+
+
+AGREEMENT_CASES = {
+    "eta": (eta, eta_loop),
+    "delta": (delta, delta_loop),
+    "g2": (lambda pt: eisenstein(pt)[0], lambda pt: eisenstein_loop(pt)[0]),
+    "g3": (lambda pt: eisenstein(pt)[1], lambda pt: eisenstein_loop(pt)[1]),
+    "siegel_reduced": (lambda pt: siegel(SIEGEL_REDUCED, pt),
+                       lambda pt: siegel_loop(SIEGEL_REDUCED, pt)),
+    "siegel_shifted": (lambda pt: siegel(SIEGEL_SHIFTED, pt),
+                       lambda pt: siegel_loop(SIEGEL_SHIFTED, pt)),
+    "wp_far": (lambda pt: wp(0.37 * pt.tau + 0.61, pt),
+               lambda pt: wp_loop(0.37 * pt.tau + 0.61, pt)),
+    "wp_near": (lambda pt: wp(_near_lattice(pt), pt),
+                lambda pt: wp_loop(_near_lattice(pt), pt)),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("tau", AGREEMENT_TAUS, ids="{0[0]},{0[1]}".format)
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_fixed_point_kernels_match_reference_loops(name, tau, prec):
+    """Each fixed-point kernel agrees with the term-by-term mpmath loop to
+    eps * 2^-GUARD_BITS, relative to the value once it exceeds 1."""
+    ctx = AGREEMENT_CTX[prec]
+    kernel, loop = AGREEMENT_CASES[name]
+    pt = ModularPoint.from_complex(tau, ctx)
+    with ctx.work():
+        new, ref = kernel(pt), loop(pt)
+        bound = ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
+        assert abs(new - ref) <= bound
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+def test_wp_at_the_lattice_guard_keeps_the_loop_accuracy(prec):
+    """At 2^10 sqrt(eps) from tau only about 2^-bits / distance of relative
+    accuracy is left, as 1 - q/u cancels; the kernel keeps that much, as
+    the term-by-term loop does, against the same series at twice the bits."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_complex((0.1234, 0.866), ctx)
+    with ctx.work():
+        dist = 1024 * mp.sqrt(ctx.eps)
+        z = pt.tau - mp.mpc(0.6, 0.8) * dist
+        new = wp(z, pt)
+    hi = PrecisionContext(2 * ctx.bits, ctx.eps)
+    with hi.work():
+        ref = wp_loop(z, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) / dist * abs(ref)

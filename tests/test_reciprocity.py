@@ -16,7 +16,9 @@ from rayclass import (
     siegel,
     siegel_ramachandra_unit,
     w_group,
+    x_value,
 )
+from rayclass import reciprocity
 from rayclass.classfield import mat_mul
 from rayclass.verify import min_pairwise_distance
 
@@ -209,3 +211,25 @@ def test_pair_orbit_distinct_for_main_case(ctx256):
     with ctx256.work():
         dmin, _ = min_pairwise_distance(values)
         assert dmin > 1000 * ctx256.eps
+
+
+def test_x_orbit_makes_no_siegel_calls(ctx256, monkeypatch):
+    """Descriptor x evaluates no Siegel ratio; its values are still the x
+    coordinates of the pair orbit and x_value at each label's index."""
+    f = make_field(-39)
+    n = 8
+    pair = conjugate_values(f, n, "pair", ctx256)
+    calls = []
+
+    def counted(r, pt):
+        calls.append(r)
+        return siegel(r, pt)
+
+    monkeypatch.setattr(reciprocity, "siegel", counted)
+    conj = conjugate_values(f, n, "x", ctx256)
+    assert calls == []
+    assert [lbl for lbl, _ in conj] == [lbl for lbl, _ in pair]
+    for (lbl, v), (_, (x, _)) in zip(conj, pair):
+        r1 = act_index(FractionPair.from_parts(0, 1, n), lbl.composite(n))
+        pt = ModularPoint.from_quadratic(lbl.form.a, lbl.form.b, f.d, ctx256)
+        assert v == x == x_value(pt, r1)
