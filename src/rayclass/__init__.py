@@ -87,6 +87,5 @@ from .verify import (
     hilbert_class_poly,
     min_pairwise_distance,
     minpoly,
-    surface_residual_at,
     t_majorant,
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -142,20 +141,6 @@ def _ctx_from(args) -> PrecisionContext:
         raise InputError(str(exc)) from exc
 
 
-def _threads_from(args) -> int:
-    raw = args.threads or os.environ.get("RAYCLASS_THREADS", "auto")
-    if raw == "auto":
-        return 1
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise InputError("--threads must be an integer or 'auto'") from exc
-    if t < 1:
-        raise InputError("--threads must be >= 1")
-    # evaluation is sequential; the setting is validated and echoed only
-    return t
-
-
 EVAL_NEEDS_R = {"siegel", "wp", "wp-prime", "x", "y"}
 
 
@@ -180,9 +165,7 @@ def _cmd_eval(args) -> int:
         elif fn == "siegel":
             val = siegel(r, pt)
         elif fn == "wp":
-            z = pt.tau * mp.mpf(r.r1.numerator) / r.r1.denominator \
-                + mp.mpf(r.r2.numerator) / r.r2.denominator
-            val = wp(z, pt)
+            val = wp(pt.at(r), pt)
         elif fn == "wp-prime":
             val = wp_prime(r, pt)
         elif fn == "u":
@@ -243,7 +226,6 @@ def _cmd_degree(args) -> int:
 
 def _cmd_conjugates(args) -> int:
     ctx = _ctx_from(args)
-    _threads_from(args)
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     items = []
@@ -317,7 +299,6 @@ _CHECK_NEEDS = {
 
 def _cmd_check(args) -> int:
     ctx = _ctx_from(args)
-    _threads_from(args)
     which = args.which
     missing = [k for k in _CHECK_NEEDS[which] if getattr(args, k) is None]
     if missing:
@@ -383,7 +364,6 @@ def _add_global_flags(p, suppress: bool):
     p.add_argument("--eps", default=d("1e-40"), help="target absolute error")
     p.add_argument("--den-max", dest="den_max", type=int, default=d(48))
     p.add_argument("--recog-tol", dest="recog_tol", default=d("1e-10"))
-    p.add_argument("--threads", default=d(None), help="int or 'auto'")
     p.add_argument("--output", choices=("json", "text"), default=d("json"))
 
 

@@ -30,9 +30,9 @@ import mpmath as mp
 
 from .errors import ImTooSmall, NearZero
 
-# Floor for Im(tau).  Low enough to cover every point the verification layer
-# evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).
-MIN_IM = 0.05
+# Floor for Im(tau), exact.  Low enough to cover every point the verification
+# layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).
+MIN_IM = Fraction(1, 20)
 
 # Tail guard: series tails are pushed below eps * 2^-GUARD_BITS.
 GUARD_BITS = 16
@@ -46,8 +46,6 @@ def _to_mpf(x) -> mp.mpf:
     """Convert ints, floats, decimal strings, Fractions at current precision."""
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, str):
-        return mp.mpf(x)
     return mp.mpf(x)
 
 
@@ -93,6 +91,15 @@ class PrecisionContext:
             return mp.mpc(_to_mpf(re), _to_mpf(im))
 
 
+def check_im_floor(im) -> None:
+    """Raise ImTooSmall when im < MIN_IM, with the floor rounded to the
+    current precision like im itself (so Im(tau) = 0.05 passes)."""
+    floor = _to_mpf(MIN_IM)
+    if not im >= floor:
+        raise ImTooSmall(
+            f"Im(tau)={mp.nstr(im, 8)} below floor {mp.nstr(floor, 8)}")
+
+
 def truncation_terms(im_tau, eps) -> int:
     """Smallest M with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*im_tau).
 
@@ -101,8 +108,7 @@ def truncation_terms(im_tau, eps) -> int:
     """
     with mp.workprec(80):
         im = _to_mpf(im_tau)
-        if not im >= MIN_IM:
-            raise ImTooSmall(f"Im(tau)={mp.nstr(im, 8)} below floor {MIN_IM}")
+        check_im_floor(im)
         e = _to_mpf(eps)
         if not e > 0:
             raise ValueError("eps must be positive")

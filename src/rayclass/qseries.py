@@ -48,12 +48,12 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import DegenerateIndex, ImTooSmall, OnLattice
+from .errors import DegenerateIndex, OnLattice
 from .numerics import (
     FX_GUARD,
     GUARD_BITS,
-    MIN_IM,
     PrecisionContext,
+    check_im_floor,
     safe_div,
     truncation_terms,
 )
@@ -63,9 +63,16 @@ from .numerics import (
 class ModularPoint:
     """A point tau in the upper half-plane with q = exp(2*pi*i*tau) cached.
 
-    The truncation index, the fixed-point image of q and the truncated Euler
-    product are computed on first use and kept on the point, so eta and
-    delta share one product.
+    It owns the values that depend on the point alone.  Each is computed on
+    first use and kept, so every evaluator and caller shares one copy:
+
+    * ``terms()``, the truncation index M;
+    * ``qfx``, q in fixed point;
+    * ``euler``, the M-term Euler product, shared by eta and delta;
+    * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
+      evaluators of the same names return.
+
+    ``at(r)`` is the one conversion of an index r to z = r1*tau + r2.
     """
 
     tau: mp.mpc
@@ -79,10 +86,7 @@ class ModularPoint:
                 tau = ctx.mpc(*tau)
             else:
                 tau = mp.mpc(tau)
-            if not mp.im(tau) >= MIN_IM:
-                raise ImTooSmall(
-                    f"Im(tau)={mp.nstr(mp.im(tau), 8)} below floor {MIN_IM}"
-                )
+            check_im_floor(mp.im(tau))
             q = mp.exp(2j * mp.pi * tau)
         return cls(tau, q, ctx)
 
@@ -131,6 +135,66 @@ class ModularPoint:
             ar, ai = (ar * fr + ai * ni) >> w, (ai * fr - ar * ni) >> w
         with self.ctx.work():
             return _mpc(ar, ai, w)
+
+    @cached_property
+    def eta(self) -> mp.mpc:
+        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
+        with self.ctx.work():
+            pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
+            return pref * mp.exp(mp.mpc(0, mp.pi) * self.tau / 12) * self.euler
+
+    @cached_property
+    def delta(self) -> mp.mpc:
+        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
+        with self.ctx.work():
+            return (2j * mp.pi) ** 12 * self.q * self.euler**24
+
+    @cached_property
+    def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
+        """(g2, g3) from the sigma_3 / sigma_5 Fourier series, with prefactors
+        (2*pi)^4/12 and (2*pi)^6/216."""
+        with self.ctx.work():
+            m = self.terms()
+            # sigma_5(n) <= 1.04 n^5 multiplies the few-unit error of q^n;
+            # summed up to the last term, typically n < 2M, that is under
+            # (2M)^6 units.  Widening by as many bits keeps the sum, and the
+            # tail test on terms near eps * 2^-GUARD_BITS >= 2^-bits, clear of
+            # the rounding floor (at W alone the series would not settle when
+            # eps is near 2^-bits).
+            extra = 6 * (2 * m).bit_length()
+            w = self.width + extra
+            qr, qi = (x << extra for x in self.qfx)
+            cut2 = _cut_squared(self.ctx, w)
+            sig3, sig5 = _SIGMA.upto(m)
+            nr, ni = 1 << w, 0  # q^n
+            s3r = s3i = s5r = s5i = 0
+            n = 0
+            while True:
+                n += 1
+                nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
+                if n == len(sig5):
+                    sig3, sig5 = _SIGMA.upto(n)
+                c3, c5 = sig3[n], sig5[n]
+                t5r, t5i = c5 * nr, c5 * ni
+                s3r += c3 * nr
+                s3i += c3 * ni
+                s5r += t5r
+                s5i += t5i
+                # sigma_5(n) >= sigma_3(n), so t5 controls both tails
+                if n >= m and t5r * t5r + t5i * t5i < cut2:
+                    break
+                if n > 100 * m + 1000:  # pragma: no cover
+                    raise RuntimeError("eisenstein series failed to settle")
+            twopi = 2 * mp.pi
+            g2 = twopi**4 / 12 * (1 + 240 * _mpc(s3r, s3i, w))
+            g3 = twopi**6 / 216 * (1 - 504 * _mpc(s5r, s5i, w))
+            return g2, g3
+
+    def at(self, r: "FractionPair") -> mp.mpc:
+        """z = r1*tau + r2, the point of C/[tau, 1] that the index r names."""
+        with self.ctx.work():
+            return self.tau * mp.mpf(r.r1.numerator) / r.r1.denominator \
+                + mp.mpf(r.r2.numerator) / r.r2.denominator
 
 
 @dataclass(frozen=True)
@@ -244,10 +308,9 @@ def _unit_phase(e: Fraction) -> mp.mpc:
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
-    """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
-    with pt.ctx.work():
-        pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
-        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * pt.euler
+    """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
+    Computed once per point."""
+    return pt.eta
 
 
 class _DivisorSums:
@@ -282,48 +345,14 @@ _SIGMA = _DivisorSums()
 
 def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
     """(g2, g3) from the sigma_3 / sigma_5 Fourier series, with prefactors
-    (2*pi)^4/12 and (2*pi)^6/216."""
-    with pt.ctx.work():
-        m = pt.terms()
-        # sigma_5(n) <= 1.04 n^5 multiplies the few-unit error of q^n; summed
-        # up to the last term, typically n < 2M, that is under (2M)^6 units.
-        # Widening by as many bits keeps the sum, and the tail test on terms
-        # near eps * 2^-GUARD_BITS >= 2^-bits, clear of the rounding floor
-        # (at W alone the series would not settle when eps is near 2^-bits).
-        extra = 6 * (2 * m).bit_length()
-        w = pt.width + extra
-        qr, qi = (x << extra for x in pt.qfx)
-        cut2 = _cut_squared(pt.ctx, w)
-        sig3, sig5 = _SIGMA.upto(m)
-        nr, ni = 1 << w, 0  # q^n
-        s3r = s3i = s5r = s5i = 0
-        n = 0
-        while True:
-            n += 1
-            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
-            if n == len(sig5):
-                sig3, sig5 = _SIGMA.upto(n)
-            c3, c5 = sig3[n], sig5[n]
-            t5r, t5i = c5 * nr, c5 * ni
-            s3r += c3 * nr
-            s3i += c3 * ni
-            s5r += t5r
-            s5i += t5i
-            # sigma_5(n) >= sigma_3(n), so t5 controls both tails
-            if n >= m and t5r * t5r + t5i * t5i < cut2:
-                break
-            if n > 100 * m + 1000:  # pragma: no cover
-                raise RuntimeError("eisenstein series failed to settle")
-        twopi = 2 * mp.pi
-        g2 = twopi**4 / 12 * (1 + 240 * _mpc(s3r, s3i, w))
-        g3 = twopi**6 / 216 * (1 - 504 * _mpc(s5r, s5i, w))
-        return g2, g3
+    (2*pi)^4/12 and (2*pi)^6/216; summed once per point."""
+    return pt.eisenstein
 
 
 def delta(pt: ModularPoint) -> mp.mpc:
-    """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
-    with pt.ctx.work():
-        return (2j * mp.pi) ** 12 * pt.q * pt.euler**24
+    """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H.
+    Computed once per point."""
+    return pt.delta
 
 
 def j_invariant(pt: ModularPoint) -> mp.mpc:
@@ -471,7 +500,8 @@ def u_value(pt: ModularPoint) -> mp.mpc:
     """u = g2^3 / eta^24."""
     with pt.ctx.work():
         g2, _ = eisenstein(pt)
-        return safe_div(g2**3, eta(pt) ** 24, pt.ctx)
+        e12 = eta(pt) ** 12
+        return safe_div(g2**3, e12 * e12, pt.ctx)
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:
@@ -485,9 +515,7 @@ def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     """x = g2 * g3 * wp(r1*tau + r2) / delta (Fricke function over -2^7 3^5)."""
     with pt.ctx.work():
         g2, g3 = eisenstein(pt)
-        z = pt.tau * mp.mpf(r.r1.numerator) / r.r1.denominator \
-            + mp.mpf(r.r2.numerator) / r.r2.denominator
-        return safe_div(g2 * g3 * wp(z, pt), delta(pt), pt.ctx)
+        return safe_div(g2 * g3 * wp(pt.at(r), pt), delta(pt), pt.ctx)
 
 
 def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
@@ -502,22 +530,10 @@ def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
 def normalized(pt: ModularPoint, r: FractionPair) -> CurveCoords:
     """Normalized curve data (u, v, x, y) at tau for index r.
 
-    Shares eta/Eisenstein/delta evaluations; satisfies u - 27 v^2 = 1 and
-    u v^3 y^2 = 4 x^3 - u v^2 x - u v^4 identically in tau.
+    Composes ``u_value``, ``v_value``, ``x_value`` and ``y_value``; eta, delta
+    and (g2, g3) are computed once on the point and shared.  Satisfies
+    u - 27 v^2 = 1 and u v^3 y^2 = 4 x^3 - u v^2 x - u v^4 identically in tau.
     """
-    d = r.doubled()
-    if d is None:
+    if r.doubled() is None:
         raise DegenerateIndex("normalized coordinates need 2r outside Z^2")
-    ctx = pt.ctx
-    with ctx.work():
-        g2, g3 = eisenstein(pt)
-        et = eta(pt)
-        e12 = et**12
-        dl = delta(pt)
-        u = safe_div(g2**3, e12 * e12, ctx)
-        v = safe_div(g3, e12, ctx)
-        z = pt.tau * mp.mpf(r.r1.numerator) / r.r1.denominator \
-            + mp.mpf(r.r2.numerator) / r.r2.denominator
-        x = safe_div(g2 * g3 * wp(z, pt), dl, ctx)
-        y = -safe_div(siegel(d, pt), siegel(r, pt) ** 4, ctx)
-        return CurveCoords(u, v, x, y)
+    return CurveCoords(u_value(pt), v_value(pt), x_value(pt, r), y_value(pt, r))

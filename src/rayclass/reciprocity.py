@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -27,15 +26,13 @@ from .classfield import (
     mat_mul,
     ray_class_degree,
 )
-from .errors import DegenerateIndex, UnsupportedDiscriminant
+from .errors import UnsupportedDiscriminant
 from .numerics import PrecisionContext, safe_div
 from .qseries import (
     FractionPair,
     ModularPoint,
-    delta,
-    eisenstein,
     siegel,
-    wp,
+    x_value,
 )
 
 DESCRIPTORS = ("y12N", "y4", "x", "pair")
@@ -124,13 +121,8 @@ def _y_power_exponent(n: int) -> int:
 
 def _transformed_indices(label: GaloisLabel, n: int) -> tuple[FractionPair, FractionPair]:
     m = label.composite(n)
-    base1 = FractionPair.from_parts(0, 1, n)
-    base2 = FractionPair(Fraction(0), Fraction(2, n)) if n != 2 else None
-    if base2 is None:
-        raise DegenerateIndex("doubled index degenerates at N = 2")
-    r1 = act_index(base1, m)
-    r2 = act_index(base2, m)
-    return r1, r2
+    return (act_index(FractionPair.from_parts(0, 1, n), m),
+            act_index(FractionPair.from_parts(0, 2, n), m))
 
 
 def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContext):
@@ -160,35 +152,26 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     if n < 3:
         raise ValueError("descriptor evaluation needs N >= 3")
     epow = _y_power_exponent(n)
-    group = w_group(field, n)
-    out = []
+    points = {}
     for q in field.forms:
-        beta = beta_lift(q, field.d, n)
         theta_q = cm_point(q, field.d)
-        pt = ModularPoint.from_quadratic(theta_q.a, theta_q.b, theta_q.d, ctx)
+        points[q] = ModularPoint.from_quadratic(theta_q.a, theta_q.b, theta_q.d, ctx)
+    out = []
+    for label in labels(field, n):
+        pt = points[label.form]
+        r1, r2 = _transformed_indices(label, n)
         with ctx.work():
-            if descriptor in ("x", "pair"):
-                g2, g3 = eisenstein(pt)
-                dl = delta(pt)
-        for alpha in group:
-            label = GaloisLabel(alpha, q, beta)
-            r1, r2 = _transformed_indices(label, n)
-            with ctx.work():
-                if descriptor != "x":
-                    ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)
-                if descriptor == "y12N":
-                    val = ratio ** (12 * n)
-                elif descriptor == "y4":
-                    val = (-ratio) ** epow
-                else:
-                    z = pt.tau * mp.mpf(r1.r1.numerator) / r1.r1.denominator \
-                        + mp.mpf(r1.r2.numerator) / r1.r2.denominator
-                    xval = safe_div(g2 * g3 * wp(z, pt), dl, ctx)
-                    if descriptor == "x":
-                        val = xval
-                    else:
-                        val = (xval, (-ratio) ** epow)
-            out.append((label, val))
+            if descriptor != "x":
+                ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)
+            if descriptor == "y12N":
+                val = ratio ** (12 * n)
+            elif descriptor == "y4":
+                val = (-ratio) ** epow
+            elif descriptor == "x":
+                val = x_value(pt, r1)
+            else:
+                val = (x_value(pt, r1), (-ratio) ** epow)
+        out.append((label, val))
     expected = ray_class_degree(field, n)
     assert len(out) == expected, f"orbit size {len(out)} != degree {expected}"
     return out

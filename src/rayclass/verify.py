@@ -141,12 +141,6 @@ def _surface_residual(v, x, y, z):
     return abs(lhs - rhs) / scale
 
 
-def surface_residual_at(v, x, y, z, ctx: PrecisionContext):
-    """Public wrapper used to demonstrate scale invariance of the residual."""
-    with ctx.work():
-        return _surface_residual(mp.mpc(v), mp.mpc(x), mp.mpc(y), mp.mpc(z))
-
-
 def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
     """Strict inequality 1/(1 - A^(X/a)) < 1 + A^(X/(1.03 a)) with
     A = exp(-pi sqrt(-d)), for 1 <= a <= sqrt(-d/3) and X >= 1/2.

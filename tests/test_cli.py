@@ -171,6 +171,30 @@ def test_numerical_exit_three(capsys):
     assert "ImTooSmall" in err
 
 
+def test_im_floor_is_inclusive(capsys):
+    code, out, _ = run_cli(["eval", "eta", "--tau", "0,0.05"], capsys)
+    assert code == 0
+    assert json.loads(out)["fn"] == "eta"
+    code, _, err = run_cli(["eval", "eta", "--tau", "0,0.0499"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "ImTooSmall"
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--dk", "-7", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("RAYCLASS_THREADS", "0")
+    code, out, _ = run_cli(
+        ["conjugates", "--dk", "-7", "--level", "3", "--descriptor", "y4"], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 4
+
+
 def test_check_missing_args_exit_two(capsys):
     code, _, err = run_cli(["check", "curve"], capsys)
     assert code == 2

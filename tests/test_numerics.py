@@ -37,6 +37,14 @@ def test_truncation_rejects_small_im():
         truncation_terms(0.01, "1e-40")
 
 
+def test_truncation_accepts_the_floor_itself():
+    """0.05 parsed at 80 bits is the floor 1/20 at 80 bits, not below it."""
+    m = truncation_terms("0.05", "1e-40")
+    assert m == truncation_terms(mp.mpf(1) / 20, "1e-40") > 1
+    with pytest.raises(ImTooSmall):
+        truncation_terms("0.0499", "1e-40")
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(32, "1e-10")

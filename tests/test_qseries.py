@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from rayclass import (
+    CurveCoords,
     CuspData,
     DegenerateIndex,
     FractionPair,
@@ -21,8 +22,10 @@ from rayclass import (
     siegel,
     siegel_order,
     u_value,
+    v_value,
     wp,
     wp_prime,
+    x_value,
     y_cusp_order,
     y_value,
 )
@@ -49,6 +52,36 @@ def _random_taus(n, seed=20240601, im_range=(0.9, 3.0)):
 def test_modular_point_rejects_low_im(ctx256):
     with pytest.raises(ImTooSmall):
         _pt(0, 0.01, ctx256)
+
+
+@pytest.mark.parametrize("bits, eps", [(256, "1e-40"), (1536, "1e-400")])
+def test_modular_point_accepts_the_floor_itself(bits, eps):
+    """Im(tau) = 0.05 written as a decimal is the floor 1/20, not below it."""
+    ctx = PrecisionContext(bits, eps)
+    pt = ModularPoint.from_complex(("0", "0.05"), ctx)
+    assert pt.terms() > 1
+    with pytest.raises(ImTooSmall):
+        ModularPoint.from_complex(("0", "0.0499"), ctx)
+
+
+def test_per_point_values_are_computed_once(ctx256, point_value_runs):
+    sums = point_value_runs("eisenstein")
+    etas = point_value_runs("eta")
+    deltas = point_value_runs("delta")
+    pt = _pt(0.1234, 0.3, ctx256)
+    r = FractionPair.from_parts(0, 1, 8)
+    coords = normalized(pt, r)
+    j = j_invariant(pt)
+    assert u_value(pt) == coords.u
+    assert eisenstein(pt) is eisenstein(pt)
+    assert eta(pt) is eta(pt) and delta(pt) is delta(pt)
+    assert [id(p) for p in sums] == [id(pt)]
+    assert [id(p) for p in etas] == [id(pt)]
+    assert [id(p) for p in deltas] == [id(pt)]
+    # a second point sums its own series
+    other = _pt(0.1234, 0.31, ctx256)
+    assert j_invariant(other) != j
+    assert len(sums) == 2
 
 
 def test_fraction_pair_rejects_integral():
@@ -422,6 +455,17 @@ def test_u_is_j_over_1728(ctx256):
     with ctx256.work():
         pt = _pt(-0.4, 2.2, ctx256)
         assert abs(u_value(pt) - j_invariant(pt) / 1728) < ctx256.eps * abs(u_value(pt))
+
+
+def test_normalized_composes_the_four_evaluators(ctx256):
+    rng = random.Random(7)
+    indices = [FractionPair.from_parts(0, 1, 8), FractionPair(F(1, 8), F(3, 8)),
+               FractionPair(F(2, 7), F(-3, 7)), FractionPair(F(1, 5), F(0))]
+    for re, im in _random_taus(6, seed=31, im_range=(0.06, 2.0)):
+        pt = _pt(re, im, ctx256)
+        r = rng.choice(indices)
+        assert normalized(pt, r) == CurveCoords(
+            u_value(pt), v_value(pt), x_value(pt, r), y_value(pt, r))
 
 
 def test_normalized_rejects_two_torsion(ctx256):

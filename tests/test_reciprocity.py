@@ -233,3 +233,12 @@ def test_x_orbit_makes_no_siegel_calls(ctx256, monkeypatch):
         r1 = act_index(FractionPair.from_parts(0, 1, n), lbl.composite(n))
         pt = ModularPoint.from_quadratic(lbl.form.a, lbl.form.b, f.d, ctx256)
         assert v == x == x_value(pt, r1)
+
+
+def test_x_orbit_sums_each_point_once(ctx256, point_value_runs):
+    """One sigma-series summation per CM point, i.e. h for a whole orbit."""
+    f = make_field(-39)
+    runs = point_value_runs("eisenstein")
+    conj = conjugate_values(f, 8, "x", ctx256)
+    assert len(conj) == ray_class_degree(f, 8) > f.h
+    assert len(runs) == f.h == len({p.tau for p in runs})

@@ -22,10 +22,10 @@ from rayclass import (
     make_field,
     minpoly,
     normalized,
-    surface_residual_at,
     t_majorant,
     y_value,
 )
+from rayclass.verify import _surface_residual
 
 
 # ------------------------------------------------------------------ curve ---
@@ -71,8 +71,8 @@ def test_surface_scale_invariance(ctx256):
     with ctx256.work():
         pt = ModularPoint.from_complex(("0.3", "1.7"), ctx256)
         u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, 4))
-        base = surface_residual_at(v, x, y, 1, ctx256)
-        scaled = surface_residual_at(2 * v, 2 * x, 2 * y, 2, ctx256)
+        base = _surface_residual(v, x, y, mp.mpc(1))
+        scaled = _surface_residual(2 * v, 2 * x, 2 * y, mp.mpc(2))
         assert base < ctx256.eps and scaled < ctx256.eps
 
 
