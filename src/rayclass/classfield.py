@@ -20,8 +20,6 @@ from .numerics import PrecisionContext
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY: Mat = ((1, 0), (0, 1))
-
 
 def mat_mod(m: Mat, n: int) -> Mat:
     return tuple(tuple(e % n for e in row) for row in m)

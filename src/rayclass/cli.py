@@ -120,18 +120,35 @@ def _jsonable(v, ctx):
     return v
 
 
+def _parse_real(s: str, flag: str, ctx: PrecisionContext) -> mp.mpf:
+    """A decimal or p/q string as a finite number at the working precision."""
+    s = s.strip()
+    try:
+        x = ctx.mpf(s)
+    except ZeroDivisionError:
+        raise InputError(f"{flag}: zero denominator in {s!r}") from None
+    if not mp.isfinite(x):
+        raise InputError(f"{flag}: {s!r} is not a finite number")
+    return x
+
+
 def _parse_tau(s: str, ctx: PrecisionContext) -> ModularPoint:
     parts = s.split(",")
     if len(parts) != 2:
         raise InputError("--tau expects 're,im' decimal strings")
-    return ModularPoint.from_complex((parts[0].strip(), parts[1].strip()), ctx)
+    re, im = (_parse_real(p, "--tau", ctx) for p in parts)
+    return ModularPoint.from_complex((re, im), ctx)
 
 
 def _parse_r(s: str) -> FractionPair:
     parts = s.split(",")
     if len(parts) != 2:
         raise InputError("--r expects 'p1/N,p2/N'")
-    return FractionPair(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    try:
+        r1, r2 = (Fraction(p.strip()) for p in parts)
+    except ZeroDivisionError:
+        raise InputError(f"--r: zero denominator in {s!r}") from None
+    return FractionPair(r1, r2)
 
 
 def _ctx_from(args) -> PrecisionContext:
@@ -264,8 +281,6 @@ def _poly_body(poly, ctx) -> dict:
 def _cmd_minpoly(args) -> int:
     ctx = _ctx_from(args)
     f = make_field(args.dk)
-    if args.descriptor == "pair":
-        raise InputError("minpoly needs a scalar descriptor (y12N, y4 or x)")
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
                    den_max=args.den_max, recog_tol=args.recog_tol)
@@ -314,7 +329,8 @@ def _cmd_check(args) -> int:
         rep = check_surface_point(pt.tau, args.level, ctx)
         cfg = {"level": args.level}
     elif which == "lemma51":
-        rep = check_lemma51(args.dk, args.a, args.x, ctx)
+        rep = check_lemma51(args.dk, _parse_real(args.a, "--a", ctx),
+                            _parse_real(args.x, "--x", ctx), ctx)
         cfg = {"dk": args.dk}
     elif which == "lemma52":
         f = make_field(args.dk)

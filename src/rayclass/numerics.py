@@ -17,8 +17,7 @@ needed, keeping determinism).
 
 Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them,
 fixed-point loops included, is deterministic given (bits, operands).
-Helpers :func:`safe_div` and :func:`principal_root` implement the near-zero
-guard of the contract.
+:func:`safe_div` implements the near-zero guard of the contract.
 """
 
 from __future__ import annotations
@@ -123,14 +122,3 @@ def safe_div(num, den, ctx: PrecisionContext):
         if abs(den) < ctx.eps:
             raise NearZero(f"division by |z|={mp.nstr(abs(den), 8)} < eps")
         return num / den
-
-
-def principal_root(z, n: int, ctx: PrecisionContext):
-    """Principal n-th root exp(log(z)/n); rejects |z| < ctx.eps."""
-    if n < 1:
-        raise ValueError("root order must be a positive integer")
-    with ctx.work():
-        z = mp.mpc(z)
-        if abs(z) < ctx.eps:
-            raise NearZero(f"root of |z|={mp.nstr(abs(z), 8)} < eps")
-        return mp.exp(mp.log(z) / n)

@@ -48,6 +48,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
+from .classfield import CMPoint
 from .errors import DegenerateIndex, OnLattice
 from .numerics import (
     FX_GUARD,
@@ -86,6 +87,8 @@ class ModularPoint:
                 tau = ctx.mpc(*tau)
             else:
                 tau = mp.mpc(tau)
+            if not mp.isfinite(tau):
+                raise ValueError(f"tau={mp.nstr(tau, 8)} is not finite")
             check_im_floor(mp.im(tau))
             q = mp.exp(2j * mp.pi * tau)
         return cls(tau, q, ctx)
@@ -95,9 +98,7 @@ class ModularPoint:
         """The root (-b + sqrt(d))/(2a) of a X^2 + b X + c, d = b^2 - 4ac < 0."""
         if d >= 0 or a <= 0:
             raise ValueError("expected a > 0 and negative discriminant")
-        with ctx.work():
-            tau = (mp.mpf(-b) + mp.sqrt(mp.mpf(-d)) * mp.mpc(0, 1)) / (2 * a)
-        return cls.from_complex(tau, ctx)
+        return cls.from_complex(CMPoint(a, b, d).to_mpc(ctx), ctx)
 
     @property
     def im(self) -> mp.mpf:
@@ -227,10 +228,6 @@ class FractionPair:
         if a.denominator == 1 and b.denominator == 1:
             return None
         return FractionPair(a, b)
-
-    def reduced(self) -> "FractionPair":
-        """Fractional-part representative in [0,1)^2."""
-        return FractionPair(self.r1 - math.floor(self.r1), self.r2 - math.floor(self.r2))
 
     def negated(self) -> "FractionPair":
         return FractionPair(-self.r1, -self.r2)
@@ -474,19 +471,16 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
 
 
 def wp_prime(r: FractionPair, pt: ModularPoint) -> mp.mpc:
-    """wp'(r1*tau + r2) as the Siegel quotient -g_{2r} * eta^6 / g_r^4.
+    """wp'(r1*tau + r2) = y * eta^6, with y = -g_{2r} / g_r^4 from ``y_value``.
 
     The quasi-period exponentials of the Klein forms cancel exactly in
     sigma(2z)/sigma(z)^4, leaving this ratio.  At 2-torsion (2r in Z^2) the
     derivative vanishes identically and exact 0 is returned.
     """
-    ctx = pt.ctx
-    d = r.doubled()
-    if d is None:
-        return ctx.mpc(0)
-    with ctx.work():
-        num = siegel(d, pt) * eta(pt) ** 6
-        return -safe_div(num, siegel(r, pt) ** 4, ctx)
+    if r.doubled() is None:
+        return pt.ctx.mpc(0)
+    with pt.ctx.work():
+        return y_value(pt, r) * eta(pt) ** 6
 
 
 class CurveCoords(NamedTuple):

@@ -21,7 +21,6 @@ from .classfield import (
     Mat,
     ReducedForm,
     beta_lift,
-    cm_point,
     mat_det,
     mat_mul,
     ray_class_degree,
@@ -152,10 +151,8 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     if n < 3:
         raise ValueError("descriptor evaluation needs N >= 3")
     epow = _y_power_exponent(n)
-    points = {}
-    for q in field.forms:
-        theta_q = cm_point(q, field.d)
-        points[q] = ModularPoint.from_quadratic(theta_q.a, theta_q.b, theta_q.d, ctx)
+    points = {q: ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+              for q in field.forms}
     out = []
     for label in labels(field, n):
         pt = points[label.form]
@@ -185,7 +182,7 @@ def siegel_ramachandra_unit(field: Field, n: int, ctx: PrecisionContext) -> mp.m
     """
     if n < 2:
         raise ValueError("level must be >= 2")
-    theta = field.theta
-    pt = ModularPoint.from_quadratic(theta.a, theta.b, theta.d, ctx)
+    q = field.principal
+    pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
         return siegel(FractionPair.from_parts(0, 1, n), pt) ** (12 * n)

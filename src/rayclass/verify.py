@@ -2,10 +2,10 @@
 witnesses, and minimal-polynomial reconstruction with algebraic recognition.
 
 Every check returns a :class:`CheckReport`.  Residuals are *signed
-violations*: a report passes iff every residual is strictly below its
-tolerance (0 unless stated), so a negative residual's magnitude is the
-margin.  The natural quantities behind each residual (raw equation residual,
-worst ratio, minimum orbit distance, ...) are kept in ``details``.
+violations*: a report passes iff every residual is strictly negative, so
+a negative residual's magnitude is the margin.  The natural quantities
+behind each residual (raw equation residual, worst ratio, minimum orbit
+distance, ...) are kept in ``details``.
 
 Equation residuals are scaled by the largest monomial magnitude so that a
 single eps is meaningful across wildly different value scales.  Distinctness
@@ -52,22 +52,17 @@ class CheckReport:
     details: dict = dc_field(default_factory=dict)
 
 
-def _finish(name, inputs, residuals, tol, t0, details=None) -> CheckReport:
-    passed = all(r < tol for r in residuals.values())
+def _finish(name, inputs, residuals, t0, details=None) -> CheckReport:
+    passed = all(r < 0 for r in residuals.values())
     return CheckReport(
         name=name,
         inputs=inputs,
         residuals=residuals,
-        tolerance=tol,
+        tolerance=0.0,
         passed=passed,
         elapsed=time.perf_counter() - t0,
         details=details or {},
     )
-
-
-def _point(field: Field, q, ctx) -> ModularPoint:
-    cm = cm_point(q, field.d)
-    return ModularPoint.from_quadratic(cm.a, cm.b, cm.d, ctx)
 
 
 def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
@@ -86,7 +81,8 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
         if field.d > -39 or n < 8 or n % 4:
             raise ValueError("strict mode needs d_K <= -39, N >= 8, 4 | N")
     tol = ctx.eps if tol is None else ctx.mpf(tol)
-    pt = _point(field, field.principal, ctx)
+    q = field.principal
+    pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
         u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
         lhs = u * v**3 * y**2
@@ -98,7 +94,6 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
         "curve_point",
         {"dk": field.d, "level": n, "relaxed": relaxed},
         {"curve": res_curve - tol, "unit_relation": res_unit - tol},
-        0.0,
         t0,
         {"curve_residual": res_curve, "unit_residual": res_unit, "tol": tol},
     )
@@ -123,7 +118,6 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
         "surface_point",
         {"tau": mp.nstr(pt.tau, 17), "level": n},
         {"surface": res - tol},
-        0.0,
         t0,
         {"surface_residual": res, "tol": tol},
     )
@@ -169,14 +163,9 @@ def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
         "lemma51",
         {"dk": d, "a": mp.nstr(a, 10), "X": mp.nstr(x, 10)},
         {"inequality": lhs - s},
-        0.0,
         t0,
         {"lhs_minus_1": lhs, "rhs_minus_1": s, "margin": margin},
     )
-
-
-def _abs_y_ratio(pt: ModularPoint, num: FractionPair, den: FractionPair, ctx):
-    return abs(safe_div(siegel(num, pt), siegel(den, pt) ** 4, ctx))
 
 
 def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
@@ -187,28 +176,22 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
     with ctx.work():
-        pt0 = _point(field, field.principal, ctx)
-        rhs = _abs_y_ratio(
-            pt0, FractionPair(Fraction(0), Fraction(2, n)),
-            FractionPair.from_parts(0, 1, n), ctx,
-        )
+        q = field.principal
+        pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+        rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
         worst = -mp.inf
         worst_at = None
         count = 0
         for q in field.forms:
             if q.a < 2:
                 continue
-            pt = _point(field, q, ctx)
+            pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
             for s in range(n):
                 for t in range(n):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
-                    lhs = _abs_y_ratio(
-                        pt,
-                        FractionPair(Fraction(2 * s, n), Fraction(2 * t, n)),
-                        FractionPair(Fraction(s, n), Fraction(t, n)),
-                        ctx,
-                    )
+                    r = FractionPair(Fraction(s, n), Fraction(t, n))
+                    lhs = abs(y_value(pt, r))
                     count += 1
                     ratio = lhs / rhs
                     if ratio > worst:
@@ -219,7 +202,6 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         "lemma52",
         {"dk": field.d, "level": n},
         {"max_ratio_minus_1": residual},
-        0.0,
         t0,
         {"pairs_checked": count, "worst_ratio": worst if count else None,
          "worst_at": worst_at, "rhs_abs": rhs},
@@ -280,7 +262,6 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
         "t_bound",
         {"dk": field.d, "level": n, "majorant_range": list(majorant_range)},
         residuals,
-        0.0,
         t0,
         {"max_T_s0": max_s0 if count else None,
          "max_T_s_nonzero": max_s1 if count else None,
@@ -316,6 +297,16 @@ def min_pairwise_distance(values):
     return best, at
 
 
+def _distinctness(values, ctx: PrecisionContext):
+    """(min distance, closest pair, threshold) of the one distinctness test:
+    values count as distinct when every pairwise distance exceeds
+    DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|)."""
+    with ctx.work():
+        threshold = DISTINCTNESS_FACTOR * ctx.eps * _scale_of(values)
+        dmin, at = min_pairwise_distance(values)
+    return dmin, at, threshold
+
+
 def check_generation(field: Field, n: int, descriptor: str,
                      ctx: PrecisionContext) -> CheckReport:
     """Numerical generation witness: the descriptor's orbit has exactly
@@ -326,10 +317,8 @@ def check_generation(field: Field, n: int, descriptor: str,
     conj = conjugate_values(field, n, descriptor, ctx)
     values = [v for _, v in conj]
     degree = ray_class_degree(field, n)
+    dmin, at, threshold = _distinctness(values, ctx)
     with ctx.work():
-        scale = _scale_of(values)
-        threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
-        dmin, at = min_pairwise_distance(values)
         residuals = {
             "orbit_size_mismatch": mp.mpf(abs(len(values) - degree)) - mp.mpf("0.5"),
             "threshold_minus_min_distance": threshold - dmin,
@@ -338,7 +327,6 @@ def check_generation(field: Field, n: int, descriptor: str,
         "generation",
         {"dk": field.d, "level": n, "descriptor": descriptor},
         residuals,
-        0.0,
         t0,
         {"orbit_size": len(values), "degree": degree,
          "min_distance": dmin, "closest_pair": at,
@@ -373,25 +361,20 @@ def elliptic4_points(ctx: PrecisionContext) -> list[mp.mpc]:
         return pts
 
 
-def check_elliptic_points(ctx: PrecisionContext, n: int = 4) -> CheckReport:
+def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
     """Distinctness of y_{(0,1/4)} at the 20 level-4 elliptic-orbit points."""
     t0 = time.perf_counter()
-    if n != 4:
-        raise ValueError("the tabulated point list is for N = 4")
     r = FractionPair.from_parts(0, 1, 4)
     with ctx.work():
         values = [
             y_value(ModularPoint.from_complex(tau, ctx), r)
             for tau in elliptic4_points(ctx)
         ]
-        scale = _scale_of(values)
-        threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
-        dmin, at = min_pairwise_distance(values)
+    dmin, at, threshold = _distinctness(values, ctx)
     return _finish(
         "elliptic4",
         {"level": 4, "points": len(values)},
         {"threshold_minus_min_distance": threshold - dmin},
-        0.0,
         t0,
         {"min_distance": dmin, "closest_pair": at, "threshold": threshold},
     )
@@ -415,8 +398,8 @@ def corollary_identity_residuals(field: Field, n: int, ctx: PrecisionContext):
     doubling = [w for w in w_group(field, n) if (w.t, w.s) in
                 ((2 % n, 0), ((-2) % n, 0))]
     assert doubling, "2*I must be invertible mod odd N"
-    theta = field.theta
-    pt = ModularPoint.from_quadratic(theta.a, theta.b, theta.d, ctx)
+    q = field.principal
+    pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
         base = FractionPair.from_parts(0, 1, n)
         g1 = siegel(base, pt)
@@ -490,13 +473,11 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
         raise ValueError("need at least one value")
     with ctx.work():
         tol = ctx.mpf(recog_tol)
-        dmin, at = min_pairwise_distance(list(values))
-        if len(values) > 1:
-            threshold = DISTINCTNESS_FACTOR * ctx.eps * _scale_of(list(values))
-            if dmin <= threshold:
-                raise DuplicateValues(
-                    f"values {at} coincide at distance {mp.nstr(dmin, 5)}"
-                )
+        dmin, at, threshold = _distinctness(list(values), ctx)
+        if dmin <= threshold:
+            raise DuplicateValues(
+                f"values {at} coincide at distance {mp.nstr(dmin, 5)}"
+            )
         coeffs = [mp.mpc(1)]
         for v in values:
             v = mp.mpc(v)
@@ -528,6 +509,6 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
     (X - j(theta_Q)); coefficients recognize as rational integers."""
     values = []
     for q in field.forms:
-        pt = _point(field, q, ctx)
+        pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
         values.append(j_invariant(pt))
     return minpoly(values, field, ctx, den_max=den_max, recog_tol=recog_tol)

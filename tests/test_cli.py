@@ -226,6 +226,27 @@ def test_degenerate_index_exit_three(capsys):
     assert "DegenerateIndex" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "siegel", "--tau", "0,1", "--r", "1/0,1/2"],
+    ["check", "lemma51", "--dk", "-39", "--a", "1/0", "--x", "1"],
+    ["eval", "eta", "--tau", "0,inf"],
+    ["eval", "eta", "--tau", "nan,1"],
+    ["eval", "eta", "--tau", "0,nan"],
+])
+def test_malformed_numbers_exit_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_minpoly_rejects_pair_descriptor(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "pair"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'pair'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ determinism ---
 
 @pytest.mark.parametrize("argv", [

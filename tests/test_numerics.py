@@ -7,7 +7,6 @@ from rayclass import (
     ImTooSmall,
     NearZero,
     PrecisionContext,
-    principal_root,
     safe_div,
     truncation_terms,
 )
@@ -60,17 +59,6 @@ def test_safe_div_guard(ctx256):
     with pytest.raises(NearZero):
         safe_div(1, ctx256.mpf("1e-60"), ctx256)
     assert safe_div(1, 4, ctx256) == 0.25
-
-
-def test_principal_root(ctx256):
-    with ctx256.work():
-        z = ctx256.mpc(0, 8)
-        r = principal_root(z, 3, ctx256)
-        assert abs(r**3 - z) < ctx256.eps
-        # principal branch: argument of root is arg(z)/3
-        assert abs(mp.arg(r) - mp.arg(z) / 3) < ctx256.eps
-    with pytest.raises(NearZero):
-        principal_root(0, 2, ctx256)
 
 
 def test_abs_exp_consistency(ctx256):

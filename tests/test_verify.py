@@ -16,6 +16,7 @@ from rayclass import (
     check_lemma51,
     check_lemma52,
     check_surface_point,
+    conjugate_values,
     corollary_identity_residuals,
     elliptic4_points,
     hilbert_class_poly,
@@ -117,8 +118,13 @@ def test_lemma51_domain_validation(ctx256):
 
 def test_lemma52_main_cases(ctx256):
     for d, n in ((-39, 8), (-43, 9), (-56, 8)):
-        rep = check_lemma52(make_field(d), n, ctx256)
+        f = make_field(d)
+        rep = check_lemma52(f, n, ctx256)
         assert rep.passed
+        theta = ModularPoint.from_quadratic(f.principal.a, f.principal.b, d, ctx256)
+        with ctx256.work():
+            rhs = abs(y_value(theta, FractionPair.from_parts(0, 1, n)))
+        assert rep.details["rhs_abs"] == rhs
         if d == -43:  # class number 1: no forms with a >= 2, vacuous sweep
             assert rep.details["pairs_checked"] == 0
         else:
@@ -217,8 +223,13 @@ def test_generation_reports_failure_at_absurd_eps():
     from rayclass import PrecisionContext
 
     coarse = PrecisionContext(256, "1e-2")
-    rep = check_generation(make_field(-7), 3, "y4", coarse)
+    f = make_field(-7)
+    rep = check_generation(f, 3, "y4", coarse)
     assert not rep.passed
+    # minpoly applies the same distinctness test to the same orbit
+    values = [v for _, v in conjugate_values(f, 3, "y4", coarse)]
+    with pytest.raises(DuplicateValues):
+        minpoly(values, f, coarse)
 
 
 def test_corollary_identity_log_space(ctx256):
