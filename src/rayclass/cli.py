@@ -151,6 +151,15 @@ def _parse_r(s: str) -> FractionPair:
     return FractionPair(r1, r2)
 
 
+def _check_recognition(args, ctx: PrecisionContext) -> None:
+    """Reject --den-max and --recog-tol values under which no coefficient,
+    or every coefficient, would count as recognized."""
+    if args.den_max < 1:
+        raise InputError(f"--den-max must be >= 1, got {args.den_max}")
+    if not _parse_real(args.recog_tol, "--recog-tol", ctx) > 0:
+        raise InputError(f"--recog-tol must be positive, got {args.recog_tol!r}")
+
+
 def _ctx_from(args) -> PrecisionContext:
     try:
         return PrecisionContext(args.bits, args.eps)
@@ -280,6 +289,7 @@ def _poly_body(poly, ctx) -> dict:
 
 def _cmd_minpoly(args) -> int:
     ctx = _ctx_from(args)
+    _check_recognition(args, ctx)
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
@@ -292,6 +302,7 @@ def _cmd_minpoly(args) -> int:
 
 def _cmd_hcp(args) -> int:
     ctx = _ctx_from(args)
+    _check_recognition(args, ctx)
     f = make_field(args.dk)
     poly = hilbert_class_poly(f, ctx, den_max=args.den_max,
                               recog_tol=args.recog_tol)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
@@ -71,7 +71,10 @@ class ModularPoint:
     * ``qfx``, q in fixed point;
     * ``euler``, the M-term Euler product, shared by eta and delta;
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
-      evaluators of the same names return.
+      evaluators of the same names return;
+    * ``_siegel``, the Siegel values by reduced index (a1, a2) in [0,1)^2,
+      and ``_qpowers``, the powers q^e by exact exponent, both filled by
+      ``siegel`` as it meets new keys.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2.
     """
@@ -191,6 +194,14 @@ class ModularPoint:
             g3 = twopi**6 / 216 * (1 - 504 * _mpc(s5r, s5i, w))
             return g2, g3
 
+    @cached_property
+    def _siegel(self) -> dict:
+        return {}
+
+    @cached_property
+    def _qpowers(self) -> dict:
+        return {}
+
     def at(self, r: "FractionPair") -> mp.mpc:
         """z = r1*tau + r2, the point of C/[tau, 1] that the index r names."""
         with self.ctx.work():
@@ -295,13 +306,25 @@ def _frac(x: Fraction) -> Fraction:
 
 
 def _qpow(pt: ModularPoint, e: Fraction) -> mp.mpc:
-    """q^e as exp(2*pi*i*tau*e), principal branch from tau."""
-    return mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
+    """q^e as exp(2*pi*i*tau*e), principal branch from tau; computed once
+    per point and exponent."""
+    val = pt._qpowers.get(e)
+    if val is None:
+        with pt.ctx.work():
+            val = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
+        pt._qpowers[e] = val
+    return val
 
 
 def _unit_phase(e: Fraction) -> mp.mpc:
-    """exp(pi*i*e) for an exact rational e."""
-    return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
+    """exp(pi*i*e) for an exact rational e, at the working precision."""
+    return _unit_phase_at(e, mp.mp.prec)
+
+
+@lru_cache(maxsize=4096)
+def _unit_phase_at(e: Fraction, prec: int) -> mp.mpc:
+    with mp.workprec(prec):
+        return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
@@ -362,14 +385,27 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
-    The product is evaluated on the reduced index in [0,1)^2; for shifted
-    indices the value is corrected by the exact quasi-periodicity root of
-    unity (-1)^(s1*s2+s1+s2) * exp(-pi*i*(s1*a2 - s2*a1)) of the Klein form,
-    where (a1, a2) is the reduced index and (s1, s2) the integer shift.
+    The product is evaluated on the reduced index in [0,1)^2, once per point
+    (kept in ``pt._siegel``); for shifted indices the value is corrected by
+    the exact quasi-periodicity root of unity
+    (-1)^(s1*s2+s1+s2) * exp(-pi*i*(s1*a2 - s2*a1)) of the Klein form, where
+    (a1, a2) is the reduced index and (s1, s2) the integer shift.
     """
+    s1, s2 = math.floor(r.r1), math.floor(r.r2)
+    a1, a2 = r.r1 - s1, r.r2 - s2
+    val = pt._siegel.get((a1, a2))
+    if val is None:
+        val = pt._siegel[a1, a2] = _siegel_reduced(pt, a1, a2)
+    if (s1, s2) != (0, 0):
+        with pt.ctx.work():
+            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
+            val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))
+    return val
+
+
+def _siegel_reduced(pt: ModularPoint, a1: Fraction, a2: Fraction) -> mp.mpc:
+    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) in [0,1)^2."""
     with pt.ctx.work():
-        s1, s2 = math.floor(r.r1), math.floor(r.r2)
-        a1, a2 = r.r1 - s1, r.r2 - s2
         w = mp.exp(2j * mp.pi * (pt.tau * mp.mpf(a1.numerator) / a1.denominator
                                  + mp.mpf(a2.numerator) / a2.denominator))
         wd = pt.width
@@ -385,11 +421,7 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
             ar, ai = (ar * qr - ai * qi) >> wd, (ar * qi + ai * qr) >> wd
             br, bi = (br * qr - bi * qi) >> wd, (br * qi + bi * qr) >> wd
         core = _mpc(cr, ci, wd)
-        val = -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
-        if (s1, s2) != (0, 0):
-            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
-            val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))
-        return val
+        return -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
 
 
 def siegel_order(r: FractionPair) -> Fraction:

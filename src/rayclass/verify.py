@@ -286,14 +286,31 @@ def _scale_of(values):
 
 
 def min_pairwise_distance(values):
+    """(d, (i, j)): the smallest ``_pair_distance(values[i], values[j])`` over
+    i < j and the first pair (in (i, j) order) attaining it; (inf, None) for
+    fewer than two values.  Values are mpmath numbers or tuples of them.
+
+    Sorted sweep: indices go in order of the real part (of the first
+    component for tuples), and the scan from i stops once that gap strictly
+    exceeds the best distance so far.  No pair attaining the minimum is
+    skipped, because the rounded gap is the rounded |Re| of the difference
+    the distance is taken of, and abs of a complex number is never below its
+    real part; so the result is the double loop's, bit for bit.
+    """
+    re = [mp.re(v[0] if isinstance(v, tuple) else v) for v in values]
+    order = sorted((k for k in range(len(values)) if not mp.isnan(re[k])),
+                   key=re.__getitem__)
     best = mp.inf
     at = None
-    for i in range(len(values)):
-        for jj in range(i + 1, len(values)):
-            d = _pair_distance(values[i], values[jj])
-            if d < best:
+    for a, i in enumerate(order):
+        for j in order[a + 1:]:
+            if re[j] - re[i] > best:
+                break
+            pair = (i, j) if i < j else (j, i)
+            d = _pair_distance(values[pair[0]], values[pair[1]])
+            if d < best or (d == best and at is not None and pair < at):
                 best = d
-                at = (i, jj)
+                at = pair
     return best, at
 
 
@@ -390,6 +407,11 @@ def corollary_identity_residuals(field: Field, n: int, ctx: PrecisionContext):
     log-moduli and arguments mod 2 pi; the two sides are compared there.
 
     Returns (relative log-modulus residual, argument residual mod 2 pi).
+
+    This is a consistency check of the 12N / 48N exponent bookkeeping, not an
+    independent test of the corollary: y is built from the same g_{(0,1/N)}
+    and g_{(0,2/N)} it is then compared with, so the residuals stay at the
+    rounding level whatever those two Siegel values are.
     """
     from .reciprocity import act_index, w_group
 
@@ -462,17 +484,29 @@ def _recognize_coeff(c, theta, den_max: int, tol):
     return None
 
 
+def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
+    """recog_tol at the working precision, after rejecting settings that can
+    recognize no coefficient (den_max < 1, tol <= 0 or nan) or any (tol inf)."""
+    if den_max < 1:
+        raise ValueError(f"den_max must be >= 1, got {den_max}")
+    tol = ctx.mpf(recog_tol)
+    if not (mp.isfinite(tol) and tol > 0):
+        raise ValueError(f"recog_tol must be finite and positive, got {recog_tol}")
+    return tol
+
+
 def minpoly(values, field: Field, ctx: PrecisionContext,
             den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Expand prod (X - v_i) and recognize coefficients in (1/den) * O_K.
 
     Values must be pairwise distinct at the generation threshold; recognition
-    failures are recorded (coefficient left complex), never raised.
+    failures are recorded (coefficient left complex), never raised.  Raises
+    ValueError when den_max < 1 or recog_tol is not finite and positive.
     """
     if not values:
         raise ValueError("need at least one value")
+    tol = _recognition_tol(den_max, recog_tol, ctx)
     with ctx.work():
-        tol = ctx.mpf(recog_tol)
         dmin, at, threshold = _distinctness(list(values), ctx)
         if dmin <= threshold:
             raise DuplicateValues(
@@ -507,6 +541,7 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
                        den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Minimal polynomial of j(theta): prod over reduced forms of
     (X - j(theta_Q)); coefficients recognize as rational integers."""
+    _recognition_tol(den_max, recog_tol, ctx)  # reject before the h series sums
     values = []
     for q in field.forms:
         pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)

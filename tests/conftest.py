@@ -1,6 +1,6 @@
 import pytest
 
-from rayclass import ModularPoint, PrecisionContext
+from rayclass import ModularPoint, PrecisionContext, qseries
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,18 @@ def point_value_runs(monkeypatch):
         return seen
 
     return runs
+
+
+@pytest.fixture
+def siegel_product_runs(monkeypatch):
+    """A list that records (point, reduced index) each time the Siegel
+    q-product runs for the rest of the test."""
+    body = qseries._siegel_reduced
+    seen = []
+
+    def counted(pt, a1, a2):
+        seen.append((pt, (a1, a2)))
+        return body(pt, a1, a2)
+
+    monkeypatch.setattr(qseries, "_siegel_reduced", counted)
+    return seen

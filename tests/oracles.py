@@ -8,11 +8,12 @@ Two kinds live here:
   exactly what these are for: catching wrong prefactors, branches and signs
   in the fast q-series paths, not validating eps-level accuracy (precision
   doubling and the transformation laws take care of that).
-* Reference q-series loops (``*_loop``).  They sum the same truncated
+* Reference loops (``*_loop``).  They sum the same truncated
   products and series as the fixed-point kernels of ``rayclass.qseries``,
   term by term in mpmath at the working precision, with the same truncation
   index, tail test and trial-division divisor sums.  They pin the kernels to
-  eps * 2^-GUARD_BITS.
+  eps * 2^-GUARD_BITS.  ``min_pairwise_distance_loop`` is the double loop
+  over all pairs that the sorted sweep of ``rayclass.verify`` must match.
 """
 
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 from rayclass.numerics import GUARD_BITS
 from rayclass.qseries import _qpow, _reduce_mod_lattice, _unit_phase, bernoulli2
+from rayclass.verify import _pair_distance
 
 
 def _half_lattice(tau: complex, radius: int) -> np.ndarray:
@@ -169,3 +171,17 @@ def wp_loop(z, pt) -> mp.mpc:
             if n > 100 * m + 1000:
                 raise RuntimeError("wp series failed to settle")
         return (2j * mp.pi) ** 2 * total
+
+
+def min_pairwise_distance_loop(values):
+    """(smallest distance, first pair (i, j), i < j, attaining it) over all
+    n(n-1)/2 pairs; (inf, None) for fewer than two values."""
+    best = mp.inf
+    at = None
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            d = _pair_distance(values[i], values[j])
+            if d < best:
+                best = d
+                at = (i, j)
+    return best, at

@@ -240,6 +240,22 @@ def test_malformed_numbers_exit_two(argv, capsys):
     assert json.loads(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hcp", "--dk", "-7", "--den-max", "0"],
+    ["hcp", "--dk", "-7", "--den-max", "-5"],
+    ["hcp", "--dk", "-7", "--recog-tol", "0"],
+    ["hcp", "--dk", "-7", "--recog-tol", "-1"],
+    ["hcp", "--dk", "-7", "--recog-tol", "nan"],
+    ["hcp", "--dk", "-7", "--recog-tol", "inf"],
+    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--den-max", "0"],
+])
+def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_minpoly_rejects_pair_descriptor(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "pair"])

@@ -30,7 +30,7 @@ from rayclass import (
     y_value,
 )
 
-from rayclass.qseries import _DivisorSums
+from rayclass.qseries import _DivisorSums, _unit_phase_at
 
 from oracles import eisenstein_loop, sigma35
 
@@ -316,6 +316,35 @@ def test_siegel_nonvanishing(ctx256):
             assert abs(siegel(FractionPair.from_parts(0, 1, 5), pt)) > 0
             assert abs(eta(pt)) > 0
             assert abs(delta(pt)) > 0
+
+
+SIEGEL_MEMO_INDICES = [
+    FractionPair(F(1, 8), F(3, 8)), FractionPair(F(9, 8), F(-5, 8)),
+    FractionPair(F(-1, 8), F(3, 8)), FractionPair(F(-7, 5), F(-2, 5)),
+    FractionPair(F(0), F(1, 7)), FractionPair(F(3), F(-6, 7)),
+    FractionPair(F(1, 2), F(0)), FractionPair(F(-3, 2), F(-1)),
+]
+
+
+def test_siegel_memo_returns_the_fresh_value(ctx256):
+    """On a point whose memo already holds the reduced value, siegel returns
+    what a fresh point with cold caches computes, bit for bit."""
+    warm = _pt(0.1234, 0.9, ctx256)
+    for r in SIEGEL_MEMO_INDICES:
+        siegel(r, warm)
+    assert len(warm._siegel) < len(SIEGEL_MEMO_INDICES)  # shared reduced keys
+    for r in SIEGEL_MEMO_INDICES:
+        _unit_phase_at.cache_clear()
+        assert siegel(r, warm) == siegel(r, _pt(0.1234, 0.9, ctx256))
+
+
+def test_siegel_product_runs_once_per_reduced_index(ctx256, siegel_product_runs):
+    pt = _pt(-0.3, 1.1, ctx256)
+    for _ in range(2):
+        for r in SIEGEL_MEMO_INDICES:
+            siegel(r, pt)
+    reduced = {(r.r1 % 1, r.r2 % 1) for r in SIEGEL_MEMO_INDICES}
+    assert sorted(k for _, k in siegel_product_runs) == sorted(reduced)
 
 
 def test_siegel_order_examples():

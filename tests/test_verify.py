@@ -26,7 +26,9 @@ from rayclass import (
     t_majorant,
     y_value,
 )
-from rayclass.verify import _surface_residual
+from rayclass.verify import _surface_residual, min_pairwise_distance
+
+from oracles import min_pairwise_distance_loop
 
 
 # ------------------------------------------------------------------ curve ---
@@ -130,6 +132,24 @@ def test_lemma52_main_cases(ctx256):
         else:
             assert rep.details["pairs_checked"] > 0
             assert rep.details["worst_ratio"] < 1
+
+
+def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
+    f, n = make_field(-39), 8
+    rep = check_lemma52(f, n, ctx256)
+    keys = [(id(pt), k) for pt, k in siegel_product_runs]
+    assert len(keys) == len(set(keys))
+    expected = 2  # (0, 1/N) and (0, 2/N) at theta
+    for q in f.forms:
+        if q.a < 2:
+            continue
+        seen = set()
+        for s in range(n):
+            for t in range(n):
+                if (2 * s) % n or (2 * t) % n:
+                    seen |= {(F(s, n), F(t, n)), (F(2 * s % n, n), F(2 * t % n, n))}
+        expected += len(seen)
+    assert len(keys) == expected < 2 * rep.details["pairs_checked"] + 2
 
 
 def test_lemma52_symmetry_equal_moduli(ctx256):
@@ -270,6 +290,45 @@ def test_elliptic4_translation_relation(ctx256):
 
 # ---------------------------------------------------------------- minpoly ---
 
+# ---------------------------------------------------------- closest pair ---
+
+def _random_mpc(rng, spread=1.0):
+    return mp.mpc(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+
+
+def _closest_pair_cases(ctx):
+    rng = random.Random(5)
+    with ctx.work():
+        for n in (3, 10, 40, 128):
+            yield [_random_mpc(rng) * mp.exp(mp.mpf(rng.random())) for _ in range(n)]
+        base = [_random_mpc(rng) for _ in range(12)]
+        yield base + base[3:7]  # exact duplicates
+        yield [mp.mpc(k % 5, k // 5) for k in range(20)]  # ties on a grid
+        yield [mp.mpc(9 - k) for k in range(10)]  # ties, reversed order
+        yield [mp.mpc(0), mp.mpc(1), mp.mpc(0, 1), mp.mpc(1, 1)]
+        yield [mp.mpc(mp.mpf(1) / 3, rng.random()) for _ in range(30)]  # equal Re
+        yield [(_random_mpc(rng), _random_mpc(rng)) for _ in range(40)]
+        firsts = [_random_mpc(rng) for _ in range(6)]
+        yield [(firsts[k % 6], _random_mpc(rng)) for k in range(36)]  # pair ties
+        yield [mp.mpc(1) + mp.mpc(rng.random(), rng.random()) * mp.mpf(2) ** -200
+               for _ in range(50)]  # gaps at the last bits
+        yield []
+        yield [_random_mpc(rng)]
+        yield [_random_mpc(rng), _random_mpc(rng)]
+
+
+@pytest.mark.parametrize("bits", [256, 24])
+def test_min_pairwise_distance_matches_the_double_loop(ctx256, bits):
+    """The sorted sweep returns the double loop's (distance, pair) exactly,
+    also when arithmetic rounds at fewer bits than the values carry."""
+    for values in _closest_pair_cases(ctx256):
+        with mp.workprec(bits):
+            got = min_pairwise_distance(values)
+            want = min_pairwise_distance_loop(values)
+        assert got == want
+        assert (got[1] is None) == (len(values) < 2)
+
+
 def test_minpoly_single_value(ctx256):
     f = make_field(-7)
     with ctx256.work():
@@ -366,6 +425,18 @@ def test_minpoly_x_orbit_has_rational_coefficients(ctx300):
 
 
 # -------------------------------------------------------------------- hcp ---
+
+@pytest.mark.parametrize("setting", [
+    {"den_max": 0}, {"den_max": -5}, {"recog_tol": "0"}, {"recog_tol": "-1"},
+    {"recog_tol": "nan"}, {"recog_tol": "inf"},
+])
+def test_recognition_rejects_settings_that_cannot_work(ctx256, setting):
+    f = make_field(-7)
+    with pytest.raises(ValueError):
+        minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, **setting)
+    with pytest.raises(ValueError):
+        hilbert_class_poly(f, ctx256, **setting)
+
 
 def test_hcp_class_number_one_values(ctx300):
     """j(theta) for the small one-class fields: classical integers."""
