@@ -170,7 +170,7 @@ def cm_point(q: ReducedForm, d: int) -> CMPoint:
     return CMPoint(q.a, q.b, d)
 
 
-def kronecker(d: int, p: int) -> int:
+def _kronecker(d: int, p: int) -> int:
     """Kronecker symbol (d|p) for prime p."""
     if d % p == 0:
         return 0
@@ -184,7 +184,7 @@ def splitting(p: int, d: int) -> str:
     """'ramified' iff p | d, else 'split'/'inert' by the Kronecker symbol."""
     if d % p == 0:
         return "ramified"
-    return "split" if kronecker(d, p) == 1 else "inert"
+    return "split" if _kronecker(d, p) == 1 else "inert"
 
 
 @dataclass(frozen=True)

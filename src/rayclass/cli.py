@@ -13,6 +13,7 @@ Timing is reported only in text mode; JSON stays reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -191,7 +192,7 @@ def _cmd_eval(args) -> int:
         elif fn == "siegel":
             val = siegel(r, pt)
         elif fn == "wp":
-            val = wp(pt.at(r), pt)
+            val = wp(r, pt)
         elif fn == "wp-prime":
             val = wp_prime(r, pt)
         elif fn == "u":
@@ -394,7 +395,10 @@ def _add_global_flags(p, suppress: bool):
     p.add_argument("--output", choices=("json", "text"), default=d("json"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="rayclass",
         description="Modular units, CM points and ray class invariants "

@@ -7,8 +7,10 @@ Conventions fixed across the package:
   the point) with no stray powers of 2*pi.  Every stored value follows this
   normalization; the curve coordinates u, v, x, y below are ratios in which
   it matters.
-* Fractional powers of q are evaluated as exp of the matching multiple of
-  2*pi*i*tau -- principal branch straight from tau, never as roots of q.
+* Fractional powers of q are taken on the principal branch straight from
+  tau, never as roots of q.  At an index of level N they are integer powers
+  of q^(1/L) = exp(2*pi*i*tau/L), L = 12 N^2, read from the point's level-N
+  table (below).
 * Index bookkeeping is exact: Siegel indices are Fractions, Bernoulli values
   and fractional parts are computed in rational arithmetic, and reduction of
   an index into [0,1)^2 multiplies the value by the exact quasi-periodicity
@@ -18,12 +20,13 @@ Fixed-point contract.  Every loop over n -- the Euler product, the Siegel
 product, the sigma_3/sigma_5 series and the wp series -- runs on pairs
 (re, im) of Python integers that stand for (re + i*im) * 2^-W, with
 W = bits + FX_GUARD.  Values enter by ``to_fixed`` (q exactly, since it
-carries only ``bits`` bits) and leave by ``ldexp``, rounded to ``bits``; all
-prefactors, exponentials and the final quotients stay in mpmath, as does the
-one wp term that can be near its pole (see ``wp``).  The
-truncation index M = ``terms()``, the tail test |term| < eps * 2^-GUARD_BITS
-(compared as squared integers) and the runaway guards are those of the
-term-by-term loops that the tests keep as reference.
+carries only ``bits`` bits) and leave by ``ldexp``, rounded to ``bits``.
+The Siegel prefactor is applied in fixed point too (level-N tables, below);
+the eta and Eisenstein prefactors, the exponentials and the final quotients
+stay in mpmath, as do the wp terms that can be near their pole (see
+``wp``).  The truncation index M = ``terms()``, the tail test
+|term| < eps * 2^-GUARD_BITS (compared as squared integers) and the runaway
+guards are those of the term-by-term loops that the tests keep as reference.
 
 Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
 than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
@@ -35,6 +38,25 @@ Measured against the same truncated series at 2*bits, the kernels are as
 accurate as the mpmath loops (256 and 1536 bits, Im tau from 0.05 to 3.1).
 The sigma series is the exception: sigma_5(n) ~ n^5 multiplies the error of
 q^n, so ``eisenstein`` widens W by 6 bits per bit of 2M (see there).
+
+Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N the lcm of its
+denominators, needs w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor
+q^(B2(s/N)/2) and exp(pi*i*t*(s-N)/N^2).  With L = 12 N^2 each is an integer
+power, of exponent at most L, of rho = q^(1/L) or xi = exp(2*pi*i/L).  The
+point keeps one table per N: the two exponentials, computed once, and the
+powers asked for so far, made by binary powering from squares that are
+themselves made only as far as an exponent needs them (one key costs
+O(log N) products, never O(N)).  Powers of xi are held at width
+W_xi = W + bitlen(L) + 2 and powers of rho at W_rho = W_xi + ceil(Im(tau) *
+pi / (6 ln 2)).  A k-th power of a base of modulus <= 1 carrying one unit
+of error carries at most k + 2 bitlen(k) < 2^(bitlen(L) + 1) units, which
+the bitlen(L) + 2 extra bits bring below one unit at W: the series loops
+start from inputs as accurate as before.  The prefactor has modulus
+>= |q|^(1/12) = 2^-(Im(tau) pi / (6 ln 2)), and the extra bits of W_rho
+keep its relative error below 2^-W too (a negative exponent is the
+reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
+exact integer product of the loop result at W and the prefactor at W_rho,
+rounded once to ``bits``.
 """
 
 from __future__ import annotations
@@ -73,8 +95,11 @@ class ModularPoint:
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
     * ``_siegel``, the Siegel values by reduced index (a1, a2) in [0,1)^2,
-      and ``_qpowers``, the powers q^e by exact exponent, both filled by
-      ``siegel`` as it meets new keys.
+      filled by ``siegel`` as it meets new keys;
+    * ``_tables``, the level-N tables by N, each made by ``_table(n)`` on
+      the first index of level N that ``siegel`` or ``wp`` meets, and
+      filled lazily with the powers of q^(1/(12 N^2)) and
+      exp(2*pi*i/(12 N^2)) its keys need (module docstring).
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2.
     """
@@ -199,8 +224,14 @@ class ModularPoint:
         return {}
 
     @cached_property
-    def _qpowers(self) -> dict:
+    def _tables(self) -> dict:
         return {}
+
+    def _table(self, n: int) -> "_LevelTable":
+        tab = self._tables.get(n)
+        if tab is None:
+            tab = self._tables[n] = _LevelTable(self, n)
+        return tab
 
     def at(self, r: "FractionPair") -> mp.mpc:
         """z = r1*tau + r2, the point of C/[tau, 1] that the index r names."""
@@ -295,6 +326,102 @@ def _fx_lambert(ar: int, ai: int, w: int) -> tuple[int, int]:
     return ((ar * er + ai * ei) << w) // den, ((ai * er - ar * ei) << w) // den
 
 
+# bits in |q|^(-1/12) per unit of Im(tau): 2*pi / (12 ln 2)
+_BITS_PER_IM = math.pi / (6 * math.log(2))
+
+
+@lru_cache(maxsize=256)
+def _unit_root_fx(level: int, w: int) -> tuple[int, int]:
+    """exp(2*pi*i/level) as fixed-point integers at width w, within one unit."""
+    with mp.workprec(w + 4):
+        return _fx(mp.exp(2j * mp.pi / level), w)
+
+
+class _Powers:
+    """x^k at width w for integers k, from x at width w: binary powering over
+    the squares x^(2^j), made only as far as a k needs them.  Each k asked
+    for is kept; a negative k is the reciprocal of x^-k."""
+
+    def __init__(self, x: tuple[int, int], w: int):
+        self.w = w
+        self.squares = [x]
+        self.values = {}
+
+    def __call__(self, k: int) -> tuple[int, int]:
+        val = self.values.get(k)
+        if val is not None:
+            return val
+        w = self.w
+        if k < 0:
+            xr, xi = self(-k)
+            den = xr * xr + xi * xi
+            val = (xr << 2 * w) // den, (-xi << 2 * w) // den
+        else:
+            sq = self.squares
+            val = (1 << w, 0)
+            j, rest = 0, k
+            while rest:
+                if j == len(sq):
+                    sr, si = sq[-1]
+                    sq.append(((sr * sr - si * si) >> w, (sr * si) >> (w - 1)))
+                if rest & 1:
+                    (vr, vi), (sr, si) = val, sq[j]
+                    val = (vr * sr - vi * si) >> w, (vr * si + vi * sr) >> w
+                j, rest = j + 1, rest >> 1
+        self.values[k] = val
+        return val
+
+
+class _LevelTable:
+    """Powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, at one
+    point: every fractional power of q and root of unity that a Siegel value
+    or wp at an index (s/N, t/N) needs.  Widths and error budget are in the
+    module docstring."""
+
+    def __init__(self, pt: ModularPoint, n: int):
+        level = 12 * n * n
+        self.n = n
+        self.width = pt.width
+        self.qfx = pt.qfx
+        self.zwidth = pt.width + level.bit_length() + 2
+        self.qwidth = self.zwidth + math.ceil(float(pt.im) * _BITS_PER_IM)
+        self._shift = self.qwidth + self.zwidth - pt.width
+        with mp.workprec(self.qwidth + 4):
+            rho = mp.exp(2j * mp.pi * pt.tau / level)
+        self.q = _Powers(_fx(rho, self.qwidth), self.qwidth)
+        self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
+
+    def _at_width(self, a, b) -> tuple[int, int]:
+        """a * b at width W, a a power of rho and b a power of xi."""
+        (ar, ai), (br, bi) = a, b
+        sh = self._shift
+        return (ar * br - ai * bi) >> sh, (ar * bi + ai * br) >> sh
+
+    def w_terms(self, s: int, t: int):
+        """(w, q*w, q/w) at width W, w = q^(s/N) zeta_N^t =
+        exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t."""
+        n, wd = self.n, self.width
+        zr, zi = self.z(12 * n * t)
+        wr, wi = self._at_width(self.q(12 * n * s), (zr, zi))
+        qr, qi = self.qfx
+        qw = (wr * qr - wi * qi) >> wd, (wr * qi + wi * qr) >> wd
+        return (wr, wi), qw, self._at_width(self.q(12 * n * (n - s)), (zr, -zi))
+
+    def prefactor(self, s: int, t: int) -> tuple[int, int]:
+        """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) at width W_rho, for 0 <= s < N."""
+        n = self.n
+        ar, ai = self.q(6 * s * s - 6 * s * n + n * n)
+        br, bi = self.z(6 * t * (n - s))  # conjugated below
+        zw = self.zwidth
+        return (ar * br + ai * bi) >> zw, (ai * br - ar * bi) >> zw
+
+
+def _level_key(a1: Fraction, a2: Fraction) -> tuple[int, int, int]:
+    """(N, s, t) with (a1, a2) = (s/N, t/N) and N the lcm of the denominators."""
+    n = math.lcm(a1.denominator, a2.denominator)
+    return n, a1.numerator * (n // a1.denominator), a2.numerator * (n // a2.denominator)
+
+
 def bernoulli2(x) -> Fraction:
     """Second Bernoulli polynomial X^2 - X + 1/6, exact."""
     x = Fraction(x)
@@ -303,17 +430,6 @@ def bernoulli2(x) -> Fraction:
 
 def _frac(x: Fraction) -> Fraction:
     return x - math.floor(x)
-
-
-def _qpow(pt: ModularPoint, e: Fraction) -> mp.mpc:
-    """q^e as exp(2*pi*i*tau*e), principal branch from tau; computed once
-    per point and exponent."""
-    val = pt._qpowers.get(e)
-    if val is None:
-        with pt.ctx.work():
-            val = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
-        pt._qpowers[e] = val
-    return val
 
 
 def _unit_phase(e: Fraction) -> mp.mpc:
@@ -404,24 +520,26 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
 
 
 def _siegel_reduced(pt: ModularPoint, a1: Fraction, a2: Fraction) -> mp.mpc:
-    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) in [0,1)^2."""
+    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) in [0,1)^2:
+    -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) (1-w) prod_n (1-q^n w)(1-q^n/w) with
+    w = exp(2*pi*i*(a1*tau + a2)); w, q/w and the prefactor come from the
+    point's level-N table."""
+    n, s, t = _level_key(a1, a2)
+    tab = pt._table(n)
+    wd = pt.width
+    one = 1 << wd
+    qr, qi = pt.qfx
+    (wr, wi), (ar, ai), (br, bi) = tab.w_terms(s, t)  # w, q^n w, q^n / w
+    cr, ci = one - wr, -wi
+    for _ in range(pt.terms()):
+        ur, vr = one - ar, one - br
+        fr, fi = (ur * vr - ai * bi) >> wd, -(ur * bi + ai * vr) >> wd
+        cr, ci = (cr * fr - ci * fi) >> wd, (cr * fi + ci * fr) >> wd
+        ar, ai = (ar * qr - ai * qi) >> wd, (ar * qi + ai * qr) >> wd
+        br, bi = (br * qr - bi * qi) >> wd, (br * qi + bi * qr) >> wd
+    pr, pi_ = tab.prefactor(s, t)
     with pt.ctx.work():
-        w = mp.exp(2j * mp.pi * (pt.tau * mp.mpf(a1.numerator) / a1.denominator
-                                 + mp.mpf(a2.numerator) / a2.denominator))
-        wd = pt.width
-        one = 1 << wd
-        qr, qi = pt.qfx
-        ar, ai = _fx(pt.q * w, wd)  # q^n w
-        br, bi = _fx(pt.q / w, wd)  # q^n / w
-        cr, ci = _fx(1 - w, wd)
-        for _ in range(pt.terms()):
-            ur, vr = one - ar, one - br
-            fr, fi = (ur * vr - ai * bi) >> wd, -(ur * bi + ai * vr) >> wd
-            cr, ci = (cr * fr - ci * fi) >> wd, (cr * fi + ci * fr) >> wd
-            ar, ai = (ar * qr - ai * qi) >> wd, (ar * qi + ai * qr) >> wd
-            br, bi = (br * qr - bi * qi) >> wd, (br * qi + bi * qr) >> wd
-        core = _mpc(cr, ci, wd)
-        return -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
+        return _mpc(pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth)
 
 
 def siegel_order(r: FractionPair) -> Fraction:
@@ -452,29 +570,53 @@ def _reduce_mod_lattice(z: mp.mpc, pt: ModularPoint) -> tuple[mp.mpf, mp.mpf]:
     return y - mp.floor(y), x - mp.floor(x)
 
 
+def _check_off_lattice(pt: ModularPoint, y, x) -> None:
+    """Raise OnLattice when y*tau + x, (y, x) in [0,1)^2, lies within
+    sqrt(eps) of a lattice point."""
+    dist = min(
+        abs((y - dy) * pt.tau + (x - dx)) for dy in (0, 1) for dx in (0, 1)
+    )
+    if dist < mp.sqrt(pt.ctx.eps):
+        raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
+
+
 def wp(z, pt: ModularPoint) -> mp.mpc:
     """Weierstrass wp(z; [tau, 1]) via the exponential-coordinate series.
 
-    z may be any complex number at distance >= sqrt(eps) from the lattice.
-    The direct lattice sum survives in the test oracles only; this series is
-    the production path.
+    z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
+    complex number, at distance >= sqrt(eps) from the lattice.  For an index
+    the reduced coordinates are exact, and u = exp(2*pi*i*z) and q/u are
+    read from the point's level-N table; for a complex z they are computed
+    from z.  Both run the same series.  The direct lattice sum survives in
+    the test oracles only; this series is the production path.
     """
     ctx = pt.ctx
+    w = pt.width
     with ctx.work():
-        z = mp.mpc(z)
-        y, x = _reduce_mod_lattice(z, pt)
-        dist = min(
-            abs((y - dy) * pt.tau + (x - dx)) for dy in (0, 1) for dx in (0, 1)
-        )
-        if dist < mp.sqrt(ctx.eps):
-            raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
-        u = mp.exp(2j * mp.pi * (y * pt.tau + x))
+        if isinstance(z, FractionPair):
+            a1, a2 = _frac(z.r1), _frac(z.r2)
+            _check_off_lattice(pt, mp.mpf(a1.numerator) / a1.denominator,
+                               mp.mpf(a2.numerator) / a2.denominator)
+            n, s, t = _level_key(a1, a2)
+            (ur, ui), (ar, ai), (br, bi) = pt._table(n).w_terms(s, t)
+            u, b = _mpc(ur, ui, w), _mpc(br, bi, w)
+        else:
+            y, x = _reduce_mod_lattice(mp.mpc(z), pt)
+            _check_off_lattice(pt, y, x)
+            u = mp.exp(2j * mp.pi * (y * pt.tau + x))
+            ar, ai = _fx(pt.q * u, w)
+            b = pt.q / u
+            br, bi = _fx(b, w)
+        return _wp_series(pt, u, b, ar, ai, br, bi)
+
+
+def _wp_series(pt: ModularPoint, u, b, ar: int, ai: int, br: int, bi: int) -> mp.mpc:
+    """wp from u = exp(2*pi*i*z) and b = q/u, with q*u = (ar, ai) and q/u =
+    (br, bi) in fixed point at width W."""
+    with pt.ctx.work():
         w = pt.width
-        cut2 = _cut_squared(ctx, w)
+        cut2 = _cut_squared(pt.ctx, w)
         qr, qi = nr, ni = pt.qfx  # q^n
-        ar, ai = _fx(pt.q * u, w)  # q^n u
-        b = pt.q / u
-        br, bi = _fx(b, w)  # q^n / u
         # q/u is the one ratio that can come close to 1 (z near tau modulo
         # the lattice); q^n u, q^n and q^(n+1)/u have modulus <= |q|.  The
         # fixed-point square of a small 1 - q/u would lose the bits that
@@ -541,7 +683,7 @@ def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     """x = g2 * g3 * wp(r1*tau + r2) / delta (Fricke function over -2^7 3^5)."""
     with pt.ctx.work():
         g2, g3 = eisenstein(pt)
-        return safe_div(g2 * g3 * wp(pt.at(r), pt), delta(pt), pt.ctx)
+        return safe_div(g2 * g3 * wp(r, pt), delta(pt), pt.ctx)
 
 
 def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:

@@ -119,9 +119,12 @@ def _y_power_exponent(n: int) -> int:
 
 
 def _transformed_indices(label: GaloisLabel, n: int) -> tuple[FractionPair, FractionPair]:
-    m = label.composite(n)
-    return (act_index(FractionPair.from_parts(0, 1, n), m),
-            act_index(FractionPair.from_parts(0, 2, n), m))
+    """(0, 1/N) m and (0, 2/N) m reduced mod 1, m = label.composite(n): the
+    index (0, k/N) m is (k m10 mod N, k m11 mod N) / N, as ``act_index``
+    gives it, computed on the integer residues."""
+    m10, m11 = label.composite(n)[1]
+    return (FractionPair.from_parts(m10 % n, m11 % n, n),
+            FractionPair.from_parts(2 * m10 % n, 2 * m11 % n, n))
 
 
 def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContext):

@@ -462,12 +462,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative_at(self, x):
-        acc = mp.mpc(0)
-        for k in range(self.degree, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
-
     def all_recognized(self) -> bool:
         return all(r is not None for r in self.recognized)
 

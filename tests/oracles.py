@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from rayclass.numerics import GUARD_BITS
-from rayclass.qseries import _qpow, _reduce_mod_lattice, _unit_phase, bernoulli2
+from rayclass.qseries import _reduce_mod_lattice, _unit_phase, bernoulli2
 from rayclass.verify import _pair_distance
 
 
@@ -141,7 +141,9 @@ def siegel_loop(r, pt) -> mp.mpc:
         for _ in range(pt.terms()):
             qn *= pt.q
             core *= (1 - qn * w) * (1 - qn * winv)
-        val = -_qpow(pt, bernoulli2(a1) / 2) * _unit_phase(a2 * (a1 - 1)) * core
+        e = bernoulli2(a1) / 2
+        qpow = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
+        val = -qpow * _unit_phase(a2 * (a1 - 1)) * core
         if (s1, s2) != (0, 0):
             sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
             val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))

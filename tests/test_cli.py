@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rayclass import cli
 from rayclass.cli import main
 
 
@@ -155,6 +156,30 @@ def test_global_flags_after_subcommand(capsys):
         ["--bits", "320", "degree", "--dk", "-7", "--level", "3"], capsys)
     assert code == 0
     assert json.loads(out)["precision_bits"] == 320
+
+
+PARSER_SEQUENCE = [
+    ["check", "generation", "--dk", "-7", "--level", "3"],
+    ["conjugates", "--dk", "-7", "--level", "3", "--bits", "320"],
+    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"],
+    ["minpoly", "--dk", "-7", "--level", "3"],
+    ["check", "generation", "--dk", "-7", "--level", "3", "--descriptor", "x"],
+    ["conjugates", "--dk", "-7", "--level", "3"],
+    ["check", "generation", "--dk", "-7", "--level", "3"],
+]
+
+
+def test_shared_parser_keeps_each_subcommands_defaults(capsys, monkeypatch):
+    """main reuses one parser; a run of subcommands with and without
+    --descriptor and --bits prints what a fresh parser per call gives."""
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli(argv, capsys) for argv in PARSER_SEQUENCE]
+    docs = [json.loads(out) for _, out, _ in shared]
+    assert [doc.get("descriptor") or doc["inputs"]["descriptor"] for doc in docs] == [
+        "pair", "y12N", "x", "y4", "x", "y12N", "pair"]
+    assert [doc["precision_bits"] for doc in docs] == [256, 320] + [256] * 5
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run_cli(argv, capsys) for argv in PARSER_SEQUENCE] == shared
 
 
 # ------------------------------------------------------------ error paths ---

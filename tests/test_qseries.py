@@ -30,7 +30,7 @@ from rayclass import (
     y_value,
 )
 
-from rayclass.qseries import _DivisorSums, _unit_phase_at
+from rayclass.qseries import _DivisorSums, _unit_phase_at, _unit_root_fx
 
 from oracles import eisenstein_loop, sigma35
 
@@ -345,6 +345,42 @@ def test_siegel_product_runs_once_per_reduced_index(ctx256, siegel_product_runs)
             siegel(r, pt)
     reduced = {(r.r1 % 1, r.r2 % 1) for r in SIEGEL_MEMO_INDICES}
     assert sorted(k for _, k in siegel_product_runs) == sorted(reduced)
+
+
+def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
+    """siegel and wp at every index in (1/12)Z^2 make one table per level of
+    the reduced index, each from two exponentials, and a second sweep
+    builds no table and takes no exponential."""
+    pt = _pt(0.1234, 0.9, ctx256)
+    exps = []
+    real_exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda z: exps.append(z) or real_exp(z))
+    _unit_root_fx.cache_clear()
+    indices = [FractionPair.from_parts(s, t, 12)
+               for s in range(12) for t in range(12) if (s, t) != (0, 0)]
+    for r in indices:
+        siegel(r, pt)
+        wp(r, pt)
+    tables = dict(pt._tables)
+    assert sorted(tables) == [2, 3, 4, 6, 12]
+    assert len(exps) == 2 * len(tables)
+    for r in indices:
+        siegel(r, pt)
+        wp(r, pt)
+    assert len(exps) == 2 * len(tables)
+    assert all(pt._tables[n] is tab for n, tab in tables.items())
+    assert len(pt._tables) == len(tables)
+
+
+def test_level_table_fills_only_what_a_key_needs(ctx256):
+    """One key at N = 100003 makes O(log N) table entries, not O(N)."""
+    n = 100003
+    pt = _pt(0.1, 0.9, ctx256)
+    siegel(FractionPair.from_parts(1, 5, n), pt)
+    wp(FractionPair.from_parts(1, 5, n), pt)
+    tab = pt._tables[n]
+    entries = sum(len(p.squares) + len(p.values) for p in (tab.q, tab.z))
+    assert entries <= 4 * (12 * n * n).bit_length()
 
 
 def test_siegel_order_examples():

@@ -7,6 +7,7 @@ them are oracle-limited, not eps.  The reference loops sum the q-series term
 by term in mpmath; the fixed-point kernels must match them to eps.
 """
 
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -164,3 +165,80 @@ def test_wp_at_the_lattice_guard_keeps_the_loop_accuracy(prec):
     with hi.work():
         ref = wp_loop(z, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
         assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) / dist * abs(ref)
+
+
+# ------------------------------------- level-N tables vs reference loops ---
+
+TABLE_TAUS = [(0.1234, im) for im in (0.05, 0.3, 0.866, 2.0)]
+TABLE_SAMPLED = {0.05: 8, 0.3: 3}  # Im(tau) -> check one index in this many
+
+
+def _reduced_indices(n):
+    """Every index (s/N, t/N) in [0,1)^2 except (0, 0)."""
+    return [FractionPair.from_parts(s, t, n)
+            for s in range(n) for t in range(n) if (s, t) != (0, 0)]
+
+
+def _agrees(new, ref, ctx):
+    return abs(new - ref) <= ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("tau", TABLE_TAUS, ids="{0[1]}".format)
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_table_values_match_reference_loops(n, tau):
+    """siegel and wp at every reduced index of level dividing N agree with
+    the reference loops (which take w and u from mpmath exponentials), and
+    so does siegel at the index shifted by (-2, 1) and at its negative.
+    The loops run ~330 mpmath terms at Im 0.05, ~55 at Im 0.3 and ~19 at
+    Im 0.866, so the shifts are checked at Im 2, and below Im 0.866 a seeded
+    share of the indices (TABLE_SAMPLED)."""
+    ctx = AGREEMENT_CTX["256"]
+    pt = ModularPoint.from_complex(tau, ctx)
+    indices = _reduced_indices(n)
+    if tau[1] in TABLE_SAMPLED:
+        k = len(indices) // TABLE_SAMPLED[tau[1]] + 1
+        indices = random.Random(n).sample(indices, k)
+    with ctx.work():
+        for r in indices:
+            others = [FractionPair(r.r1 - 2, r.r2 + 1), r.negated()] if tau[1] > 1 else []
+            for idx in [r, *others]:
+                assert _agrees(siegel(idx, pt), siegel_loop(idx, pt), ctx), idx
+            assert _agrees(wp(r, pt), wp_loop(pt.at(r), pt), ctx), r
+
+
+def _sampled_indices(seed, count, nmax):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, nmax)
+        s, t = rng.randrange(-2 * n, 2 * n), rng.randrange(-2 * n, 2 * n)
+        if s % n or t % n:
+            out.append(FractionPair.from_parts(s, t, n))
+    return out
+
+
+@pytest.mark.parametrize("tau", TABLE_TAUS[2:], ids="{0[1]}".format)
+def test_table_values_match_reference_loops_at_1536_bits(tau):
+    """A seeded sample of indices of level up to 97, reduced and not."""
+    ctx = AGREEMENT_CTX["1536"]
+    pt = ModularPoint.from_complex(tau, ctx)
+    with ctx.work():
+        for r in _sampled_indices(97, 4, 97):
+            assert _agrees(siegel(r, pt), siegel_loop(r, pt), ctx), r
+            assert _agrees(wp(r, pt), wp_loop(pt.at(r), pt), ctx), r
+
+
+@pytest.mark.parametrize("r", [FractionPair(F(0), F(1, 5)), FractionPair(F(1, 7), F(2, 7)),
+                               FractionPair(F(13, 14), F(-1, 3))], ids=str)
+def test_siegel_keeps_relative_accuracy_at_large_im(r):
+    """At Im(tau) = 100 the Siegel values are as small as |q|^(1/12) ~ 2^-75;
+    the fixed-point prefactor still leaves them within a few units of their
+    last bit, against the reference loop at twice the bits."""
+    ctx = AGREEMENT_CTX["256"]
+    pt = ModularPoint.from_complex((0.1234, 100), ctx)
+    with ctx.work():
+        new = siegel(r, pt)
+    hi = PrecisionContext(2 * ctx.bits, ctx.eps)
+    with hi.work():
+        ref = siegel_loop(r, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) * abs(ref)

@@ -83,6 +83,17 @@ def test_act_index_exactness():
     assert out.r2 == (F(3, 7) * -4 + F(5, 7) * 2) % 1
 
 
+@pytest.mark.parametrize("d, n", [(-95, 16), (-84, 9), (-7, 3), (-40, 12)])
+def test_transformed_indices_match_act_index(d, n):
+    """The residue arithmetic of _transformed_indices gives the two
+    act_index results for every label."""
+    for label in labels(make_field(d), n):
+        m = label.composite(n)
+        assert reciprocity._transformed_indices(label, n) == (
+            act_index(FractionPair.from_parts(0, 1, n), m),
+            act_index(FractionPair.from_parts(0, 2, n), m))
+
+
 # ------------------------------------------------------------- conjugates ---
 
 def test_orbit_size_equals_degree(ctx256):

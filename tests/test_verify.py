@@ -365,21 +365,6 @@ def test_minpoly_recognition_round_trip(ctx256):
         assert poly.residual < ctx256.mpf("1e-10")
 
 
-def test_minpoly_newton_round_trip(ctx256):
-    """Newton refinement from each input root stays at the root."""
-    f = make_field(-7)
-    rng = random.Random(42)
-    with ctx256.work():
-        values = [ctx256.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                  for _ in range(6)]
-        poly = minpoly(values, f, ctx256, den_max=1, recog_tol="1e-30")
-        for v in values:
-            z = v
-            for _ in range(3):
-                z = z - poly(z) / poly.derivative_at(z)
-            assert abs(z - v) < 10 * ctx256.eps
-
-
 def test_minpoly_conjugation_consistency(ctx256):
     """A conjugation-closed orbit yields real (n = 0) recognized parts."""
     f = make_field(-7)
