@@ -11,7 +11,6 @@ import mpmath as mp
 from rayclass import (
     PrecisionContext,
     conjugate_values,
-    corollary_identity_residuals,
     make_field,
     minpoly,
     ray_class_degree,
@@ -42,14 +41,10 @@ with ctx.work():
     for k, c in enumerate(poly.coeffs):
         print(f"   X^{k}: {mp.nstr(c, 12)}")
 
-print("\n== unit-class invariant and the doubling-class identity ==")
+print("\n== unit-class invariant ==")
 with ctx.work():
     unit = siegel_ramachandra_unit(f, n, ctx)
     print("   g_f(C0) =", mp.nstr(unit, 15))
-log_res, arg_res = corollary_identity_residuals(f, n, ctx)
-with ctx.work():
-    print("   y^{12N} = g_f(C')/g_f(C0)^4 residuals:",
-          mp.nstr(log_res, 4), "(log-modulus),", mp.nstr(arg_res, 4), "(argument)")
 
 print("\n== a bigger orbit: d_K = -39, N = 8, (x, y) pairs ==")
 f39 = make_field(-39)

@@ -82,7 +82,6 @@ from .verify import (
     check_lemma51,
     check_lemma52,
     check_surface_point,
-    corollary_identity_residuals,
     elliptic4_points,
     hilbert_class_poly,
     min_pairwise_distance,

@@ -49,7 +49,6 @@ from .verify import (
     check_lemma51,
     check_lemma52,
     check_surface_point,
-    corollary_identity_residuals,
     hilbert_class_poly,
     minpoly,
 )
@@ -363,25 +362,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_corollary(args) -> int:
-    ctx = _ctx_from(args)
-    f = make_field(args.dk)
-    log_res, arg_res = corollary_identity_residuals(f, args.level, ctx)
-    tol = ctx.mpf("1e-20")
-    ok = bool(log_res < tol and arg_res < tol)
-    body = {
-        "check": "doubling_class_identity",
-        "pass": ok,
-        "residuals": {
-            "log_modulus": _fmt_real(log_res, ctx),
-            "argument": _fmt_real(arg_res, ctx),
-        },
-        "tolerance": _fmt_real(tol, ctx),
-    }
-    _emit(_payload({"dk": f.d, "level": args.level}, ctx, body), args)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
 def _add_global_flags(p, suppress: bool):
     # The same flags hang off the main parser (with real defaults) and off
     # every subparser (defaulting to SUPPRESS so prefix placement survives);
@@ -467,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--relaxed", action="store_true")
     pk.add_argument("--descriptor", choices=DESCRIPTORS, default="pair")
     pk.set_defaults(run=_cmd_check)
-
-    po = sub.add_parser("corollary", help="doubling-class identity (odd N)",
-                        parents=[common])
-    po.add_argument("--dk", type=int, required=True)
-    po.add_argument("--level", type=int, required=True)
-    po.set_defaults(run=_cmd_corollary)
 
     return p
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
 
 from .errors import ImTooSmall, NearZero
 
@@ -116,9 +117,15 @@ def truncation_terms(im_tau, eps) -> int:
 
 
 def safe_div(num, den, ctx: PrecisionContext):
-    """num / den, rejecting denominators with |den| < ctx.eps."""
+    """num / den, rejecting denominators with |den| < ctx.eps.
+
+    The guard compares re^2 + im^2 < eps^2 on mpmath's raw values at
+    ``bits``, so no square root is taken; abs(den) is computed only for
+    the error message."""
     with ctx.work():
         den = mp.mpc(den)
-        if abs(den) < ctx.eps:
+        re, im = den._mpc_
+        e, p = ctx.eps._mpf_, ctx.bits
+        if mpf_lt(mpf_add(mpf_mul(re, re, p), mpf_mul(im, im, p), p), mpf_mul(e, e, p)):
             raise NearZero(f"division by |z|={mp.nstr(abs(den), 8)} < eps")
         return num / den

@@ -11,10 +11,12 @@ Conventions fixed across the package:
   tau, never as roots of q.  At an index of level N they are integer powers
   of q^(1/L) = exp(2*pi*i*tau/L), L = 12 N^2, read from the point's level-N
   table (below).
-* Index bookkeeping is exact: Siegel indices are Fractions, Bernoulli values
-  and fractional parts are computed in rational arithmetic, and reduction of
-  an index into [0,1)^2 multiplies the value by the exact quasi-periodicity
-  root of unity of the underlying Klein form.
+* Index bookkeeping is exact integer arithmetic.  An index is held as
+  residues over its level, (r1, r2) = (p1/N, p2/N) with N the lcm of the
+  denominators and gcd(p1, p2, N) = 1 (``FractionPair``).  Its reduction
+  into [0,1)^2 is (s, t) = (p1 mod N, p2 mod N) at the same level, and it
+  multiplies the value by the exact quasi-periodicity root of unity of the
+  underlying Klein form, whose exponent is an integer over N.
 
 Fixed-point contract.  Every loop over n -- the Euler product, the Siegel
 product, the sigma_3/sigma_5 series and the wp series -- runs on pairs
@@ -39,9 +41,9 @@ accurate as the mpmath loops (256 and 1536 bits, Im tau from 0.05 to 3.1).
 The sigma series is the exception: sigma_5(n) ~ n^5 multiplies the error of
 q^n, so ``eisenstein`` widens W by 6 bits per bit of 2M (see there).
 
-Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N the lcm of its
-denominators, needs w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor
-q^(B2(s/N)/2) and exp(pi*i*t*(s-N)/N^2).  With L = 12 N^2 each is an integer
+Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
+w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
+exp(pi*i*t*(s-N)/N^2).  With L = 12 N^2 each is an integer
 power, of exponent at most L, of rho = q^(1/L) or xi = exp(2*pi*i/L).  The
 point keeps one table per N: the two exponentials, computed once, and the
 powers asked for so far, made by binary powering from squares that are
@@ -94,8 +96,8 @@ class ModularPoint:
     * ``euler``, the M-term Euler product, shared by eta and delta;
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
-    * ``_siegel``, the Siegel values by reduced index (a1, a2) in [0,1)^2,
-      filled by ``siegel`` as it meets new keys;
+    * ``_siegel``, the Siegel values by reduced index (s/N, t/N) in
+      [0,1)^2, keyed (N, s, t) and filled by ``siegel`` as it meets new keys;
     * ``_tables``, the level-N tables by N, each made by ``_table(n)`` on
       the first index of level N that ``siegel`` or ``wp`` meets, and
       filled lazily with the powers of q^(1/(12 N^2)) and
@@ -236,43 +238,68 @@ class ModularPoint:
     def at(self, r: "FractionPair") -> mp.mpc:
         """z = r1*tau + r2, the point of C/[tau, 1] that the index r names."""
         with self.ctx.work():
-            return self.tau * mp.mpf(r.r1.numerator) / r.r1.denominator \
-                + mp.mpf(r.r2.numerator) / r.r2.denominator
+            return (self.tau * r.p1 + r.p2) / r.level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FractionPair:
-    """An index (r1, r2) in Q^2 \\ Z^2 labelling Siegel/Fricke functions."""
+    """An index (r1, r2) in Q^2 \\ Z^2 labelling Siegel/Fricke functions.
 
-    r1: Fraction
-    r2: Fraction
+    Stored in normal form as integers (p1, p2, level) with r1 = p1/level and
+    r2 = p2/level: the level N is the lcm of the denominators of r1 and r2,
+    so gcd(p1, p2, N) = 1, and N >= 2.  The shift is kept (p1, p2 are not
+    reduced mod N), and equal indices have equal normal forms however they
+    were spelled.  The residues (p1 mod N, p2 mod N) name the reduced index
+    in [0,1)^2, at the same level.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "r1", Fraction(self.r1))
-        object.__setattr__(self, "r2", Fraction(self.r2))
-        if self.r1.denominator == 1 and self.r2.denominator == 1:
-            raise DegenerateIndex(f"index ({self.r1}, {self.r2}) lies in Z^2")
+    p1: int
+    p2: int
+    level: int
+
+    def __init__(self, r1, r2):
+        r1, r2 = Fraction(r1), Fraction(r2)
+        n = math.lcm(r1.denominator, r2.denominator)
+        _set_index(self, r1.numerator * (n // r1.denominator),
+                   r2.numerator * (n // r2.denominator), n)
 
     @classmethod
     def from_parts(cls, p1: int, p2: int, n: int) -> "FractionPair":
+        """(p1/n, p2/n), brought to normal form."""
         if n < 2:
             raise ValueError("denominator must be >= 2")
-        return cls(Fraction(p1, n), Fraction(p2, n))
+        g = math.gcd(p1, p2, n)
+        r = object.__new__(cls)
+        _set_index(r, p1 // g, p2 // g, n // g)
+        return r
 
     @property
-    def level(self) -> int:
-        """lcm of the two denominators."""
-        return math.lcm(self.r1.denominator, self.r2.denominator)
+    def r1(self) -> Fraction:
+        return Fraction(self.p1, self.level)
+
+    @property
+    def r2(self) -> Fraction:
+        return Fraction(self.p2, self.level)
+
+    def __repr__(self) -> str:
+        return f"FractionPair(r1={self.r1!r}, r2={self.r2!r})"
 
     def doubled(self):
-        """(2 r1, 2 r2), or None when it degenerates into Z^2."""
-        a, b = 2 * self.r1, 2 * self.r2
-        if a.denominator == 1 and b.denominator == 1:
+        """(2 r1, 2 r2), or None when it degenerates into Z^2 (level 2)."""
+        if self.level == 2:
             return None
-        return FractionPair(a, b)
+        return FractionPair.from_parts(2 * self.p1, 2 * self.p2, self.level)
 
     def negated(self) -> "FractionPair":
-        return FractionPair(-self.r1, -self.r2)
+        return FractionPair.from_parts(-self.p1, -self.p2, self.level)
+
+
+def _set_index(r: FractionPair, p1: int, p2: int, n: int) -> None:
+    if n == 1:
+        raise DegenerateIndex(f"index ({p1}, {p2}) lies in Z^2")
+    object.__setattr__(r, "p1", p1)
+    object.__setattr__(r, "p2", p2)
+    object.__setattr__(r, "level", n)
 
 
 @dataclass(frozen=True)
@@ -416,31 +443,22 @@ class _LevelTable:
         return (ar * br + ai * bi) >> zw, (ai * br - ar * bi) >> zw
 
 
-def _level_key(a1: Fraction, a2: Fraction) -> tuple[int, int, int]:
-    """(N, s, t) with (a1, a2) = (s/N, t/N) and N the lcm of the denominators."""
-    n = math.lcm(a1.denominator, a2.denominator)
-    return n, a1.numerator * (n // a1.denominator), a2.numerator * (n // a2.denominator)
-
-
 def bernoulli2(x) -> Fraction:
     """Second Bernoulli polynomial X^2 - X + 1/6, exact."""
     x = Fraction(x)
     return x * x - x + Fraction(1, 6)
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
-def _unit_phase(e: Fraction) -> mp.mpc:
-    """exp(pi*i*e) for an exact rational e, at the working precision."""
-    return _unit_phase_at(e, mp.mp.prec)
+def _unit_phase(num: int, den: int) -> mp.mpc:
+    """exp(pi*i*num/den) for integers num, den > 0 in lowest terms, at the
+    working precision."""
+    return _unit_phase_at(num, den, mp.mp.prec)
 
 
 @lru_cache(maxsize=4096)
-def _unit_phase_at(e: Fraction, prec: int) -> mp.mpc:
+def _unit_phase_at(num: int, den: int, prec: int) -> mp.mpc:
     with mp.workprec(prec):
-        return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
+        return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(num) / den)
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
@@ -501,30 +519,33 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
-    The product is evaluated on the reduced index in [0,1)^2, once per point
-    (kept in ``pt._siegel``); for shifted indices the value is corrected by
-    the exact quasi-periodicity root of unity
-    (-1)^(s1*s2+s1+s2) * exp(-pi*i*(s1*a2 - s2*a1)) of the Klein form, where
-    (a1, a2) is the reduced index and (s1, s2) the integer shift.
+    The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
+    (s1, s2) = divmod of the residues by the level N, once per point (kept
+    in ``pt._siegel`` under (N, s, t)); for shifted indices the value is
+    corrected by the exact quasi-periodicity root of unity
+    (-1)^(s1*s2+s1+s2) * exp(pi*i*(s2*s - s1*t)/N) of the Klein form.
     """
-    s1, s2 = math.floor(r.r1), math.floor(r.r2)
-    a1, a2 = r.r1 - s1, r.r2 - s2
-    val = pt._siegel.get((a1, a2))
+    n = r.level
+    s1, s = divmod(r.p1, n)
+    s2, t = divmod(r.p2, n)
+    key = (n, s, t)
+    val = pt._siegel.get(key)
     if val is None:
-        val = pt._siegel[a1, a2] = _siegel_reduced(pt, a1, a2)
-    if (s1, s2) != (0, 0):
+        val = pt._siegel[key] = _siegel_reduced(pt, n, s, t)
+    if s1 or s2:
         with pt.ctx.work():
             sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
-            val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))
+            e = s2 * s - s1 * t
+            g = math.gcd(e, n)
+            val *= sign * _unit_phase(e // g, n // g)
     return val
 
 
-def _siegel_reduced(pt: ModularPoint, a1: Fraction, a2: Fraction) -> mp.mpc:
-    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) in [0,1)^2:
-    -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) (1-w) prod_n (1-q^n w)(1-q^n/w) with
+def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> mp.mpc:
+    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) = (s/n, t/n) in [0,1)^2
+    of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) (1-w) prod_n (1-q^n w)(1-q^n/w) with
     w = exp(2*pi*i*(a1*tau + a2)); w, q/w and the prefactor come from the
     point's level-N table."""
-    n, s, t = _level_key(a1, a2)
     tab = pt._table(n)
     wd = pt.width
     one = 1 << wd
@@ -544,7 +565,7 @@ def _siegel_reduced(pt: ModularPoint, a1: Fraction, a2: Fraction) -> mp.mpc:
 
 def siegel_order(r: FractionPair) -> Fraction:
     """q-order of g_r: (1/2) B2(<r1>), exact."""
-    return bernoulli2(_frac(r.r1)) / 2
+    return bernoulli2(Fraction(r.p1 % r.level, r.level)) / 2
 
 
 def y_cusp_order(r: FractionPair, cusp: CuspData) -> Fraction:
@@ -553,11 +574,11 @@ def y_cusp_order(r: FractionPair, cusp: CuspData) -> Fraction:
     Equals w*(<c/N> - 1/4) when <c/N> < 1/2 and w*(-<c/N> + 3/4) otherwise,
     c the lower-left transporter entry.  Requires r = (0, 1/N) with N > 2.
     """
-    n = r.r2.denominator
-    if r.r1 != 0 or r.r2 != Fraction(1, n) or n <= 2:
+    n = r.level
+    if (r.p1, r.p2) != (0, 1) or n <= 2:
         raise ValueError("cusp-order formula applies to r = (0, 1/N) with N > 2")
     c = cusp.transporter[1][0]
-    x = _frac(Fraction(c, n))
+    x = Fraction(c % n, n)
     if x < Fraction(1, 2):
         return cusp.width * (x - Fraction(1, 4))
     return cusp.width * (-x + Fraction(3, 4))
@@ -594,10 +615,9 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     w = pt.width
     with ctx.work():
         if isinstance(z, FractionPair):
-            a1, a2 = _frac(z.r1), _frac(z.r2)
-            _check_off_lattice(pt, mp.mpf(a1.numerator) / a1.denominator,
-                               mp.mpf(a2.numerator) / a2.denominator)
-            n, s, t = _level_key(a1, a2)
+            n = z.level
+            s, t = z.p1 % n, z.p2 % n
+            _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
             (ur, ui), (ar, ai), (br, bi) = pt._table(n).w_terms(s, t)
             u, b = _mpc(ur, ui, w), _mpc(br, bi, w)
         else:

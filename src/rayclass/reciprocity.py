@@ -85,10 +85,11 @@ def w_group(field: Field, n: int) -> list[WElement]:
 
 
 def act_index(r: FractionPair, m: Mat) -> FractionPair:
-    """Row-vector action (r1, r2) * m, reduced to fractional parts, exact."""
-    r1 = r.r1 * m[0][0] + r.r2 * m[1][0]
-    r2 = r.r1 * m[0][1] + r.r2 * m[1][1]
-    return FractionPair(r1 - math.floor(r1), r2 - math.floor(r2))
+    """Row-vector action (r1, r2) * m, reduced to fractional parts: the
+    residues (p1, p2) * m mod N over the level N of r, exact."""
+    n = r.level
+    return FractionPair.from_parts((r.p1 * m[0][0] + r.p2 * m[1][0]) % n,
+                                   (r.p1 * m[0][1] + r.p2 * m[1][1]) % n, n)
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,6 @@ def labels(field: Field, n: int) -> list[GaloisLabel]:
 
 def _y_power_exponent(n: int) -> int:
     return 4 // math.gcd(4, n)
-
-
-def _transformed_indices(label: GaloisLabel, n: int) -> tuple[FractionPair, FractionPair]:
-    """(0, 1/N) m and (0, 2/N) m reduced mod 1, m = label.composite(n): the
-    index (0, k/N) m is (k m10 mod N, k m11 mod N) / N, as ``act_index``
-    gives it, computed on the integer residues."""
-    m10, m11 = label.composite(n)[1]
-    return (FractionPair.from_parts(m10 % n, m11 % n, n),
-            FractionPair.from_parts(2 * m10 % n, 2 * m11 % n, n))
 
 
 def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContext):
@@ -156,10 +148,15 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     epow = _y_power_exponent(n)
     points = {q: ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
               for q in field.forms}
+    # (0, 2/N) m, not the double of (0, 1/N) m: the doubled index keeps its
+    # shift, and siegel would multiply in its root of unity
+    base1 = FractionPair.from_parts(0, 1, n)
+    base2 = FractionPair.from_parts(0, 2, n)
     out = []
     for label in labels(field, n):
         pt = points[label.form]
-        r1, r2 = _transformed_indices(label, n)
+        m = label.composite(n)
+        r1, r2 = act_index(base1, m), act_index(base2, m)
         with ctx.work():
             if descriptor != "x":
                 ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)

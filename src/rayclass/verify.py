@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import mpmath as mp
 
 from .classfield import Field, cm_point, ray_class_degree
 from .errors import DuplicateValues
-from .numerics import PrecisionContext, safe_div
+from .numerics import PrecisionContext
 from .qseries import (
     FractionPair,
     ModularPoint,
     j_invariant,
     normalized,
-    siegel,
+    siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
     y_value,
 )
 from .reciprocity import conjugate_values
@@ -190,7 +189,7 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                 for t in range(n):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
-                    r = FractionPair(Fraction(s, n), Fraction(t, n))
+                    r = FractionPair.from_parts(s, t, n)
                     lhs = abs(y_value(pt, r))
                     count += 1
                     ratio = lhs / rhs
@@ -395,48 +394,6 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
         t0,
         {"min_distance": dmin, "closest_pair": at, "threshold": threshold},
     )
-
-
-def corollary_identity_residuals(field: Field, n: int, ctx: PrecisionContext):
-    """Log-space residuals of y(theta)^{12N} = g_f(C') / g_f(C_0)^4.
-
-    g_f(C_0) = g_{(0,1/N)}(theta)^{12N} is the unit-class invariant; for odd
-    N the doubling matrix 2*I lies in W_{N,theta} and conjugates it to
-    g_f(C') = g_{(0,1/N)*2I}(theta)^{12N}.  The 12N-th and 48N-th powers
-    overflow no matter what through exact integer exponent bookkeeping on
-    log-moduli and arguments mod 2 pi; the two sides are compared there.
-
-    Returns (relative log-modulus residual, argument residual mod 2 pi).
-
-    This is a consistency check of the 12N / 48N exponent bookkeeping, not an
-    independent test of the corollary: y is built from the same g_{(0,1/N)}
-    and g_{(0,2/N)} it is then compared with, so the residuals stay at the
-    rounding level whatever those two Siegel values are.
-    """
-    from .reciprocity import act_index, w_group
-
-    if n % 2 == 0 or n < 3:
-        raise ValueError("doubling-class identity needs odd N >= 3")
-    doubling = [w for w in w_group(field, n) if (w.t, w.s) in
-                ((2 % n, 0), ((-2) % n, 0))]
-    assert doubling, "2*I must be invertible mod odd N"
-    q = field.principal
-    pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
-    with ctx.work():
-        base = FractionPair.from_parts(0, 1, n)
-        g1 = siegel(base, pt)
-        g2 = siegel(act_index(base, ((2, 0), (0, 2))), pt)
-        y = -safe_div(g2, g1 ** 4, ctx)
-        # lhs = y^{12N}; rhs = g2^{12N} / (g1^{12N})^4, combined in log space
-        twopi = 2 * mp.pi
-        log_lhs = 12 * n * mp.log(abs(y))
-        arg_lhs = 12 * n * mp.arg(y)
-        log_rhs = 12 * n * mp.log(abs(g2)) - 48 * n * mp.log(abs(g1))
-        arg_rhs = 12 * n * mp.arg(g2) - 48 * n * mp.arg(g1)
-        log_res = abs(log_lhs - log_rhs) / max(mp.mpf(1), abs(log_lhs))
-        darg = arg_lhs - arg_rhs
-        darg -= twopi * mp.nint(darg / twopi)
-        return log_res, abs(darg)
 
 
 @dataclass

@@ -40,14 +40,14 @@ def point_value_runs(monkeypatch):
 
 @pytest.fixture
 def siegel_product_runs(monkeypatch):
-    """A list that records (point, reduced index) each time the Siegel
-    q-product runs for the rest of the test."""
+    """A list that records (point, (N, s, t)) each time the Siegel q-product
+    runs on the reduced index (s/N, t/N) for the rest of the test."""
     body = qseries._siegel_reduced
     seen = []
 
-    def counted(pt, a1, a2):
-        seen.append((pt, (a1, a2)))
-        return body(pt, a1, a2)
+    def counted(pt, n, s, t):
+        seen.append((pt, (n, s, t)))
+        return body(pt, n, s, t)
 
     monkeypatch.setattr(qseries, "_siegel_reduced", counted)
     return seen

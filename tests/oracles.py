@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from rayclass.numerics import GUARD_BITS
-from rayclass.qseries import _reduce_mod_lattice, _unit_phase, bernoulli2
+from rayclass.qseries import _reduce_mod_lattice, bernoulli2
 from rayclass.verify import _pair_distance
 
 
@@ -129,6 +129,11 @@ def eisenstein_loop(pt) -> tuple[mp.mpc, mp.mpc]:
         return twopi**4 / 12 * (1 + 240 * s3), twopi**6 / 216 * (1 - 504 * s5)
 
 
+def _phase(e: Fraction) -> mp.mpc:
+    """exp(pi*i*e) for a rational e, at the working precision."""
+    return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
+
+
 def siegel_loop(r, pt) -> mp.mpc:
     with pt.ctx.work():
         s1, s2 = math.floor(r.r1), math.floor(r.r2)
@@ -143,10 +148,10 @@ def siegel_loop(r, pt) -> mp.mpc:
             core *= (1 - qn * w) * (1 - qn * winv)
         e = bernoulli2(a1) / 2
         qpow = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
-        val = -qpow * _unit_phase(a2 * (a1 - 1)) * core
+        val = -qpow * _phase(a2 * (a1 - 1)) * core
         if (s1, s2) != (0, 0):
             sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
-            val *= sign * _unit_phase(Fraction(-(s1 * a2 - s2 * a1)))
+            val *= sign * _phase(Fraction(-(s1 * a2 - s2 * a1)))
         return val
 
 

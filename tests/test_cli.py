@@ -115,13 +115,6 @@ def test_check_elliptic4(capsys):
     assert doc["pass"] is True and doc["level"] == 4
 
 
-def test_corollary_identity(capsys):
-    code, out, _ = run_cli(["corollary", "--dk", "-7", "--level", "3"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-
-
 def test_hcp_payload(capsys):
     code, out, _ = run_cli(["hcp", "--dk", "-7"], capsys)
     assert code == 0

@@ -61,6 +61,20 @@ def test_safe_div_guard(ctx256):
     assert safe_div(1, 4, ctx256) == 0.25
 
 
+@pytest.mark.parametrize("phase", ["0", "0.3", "1.5707963267948966", "2.5", "-1.2"])
+def test_safe_div_guard_edge(ctx256, phase):
+    """|den| = eps * (1 + 2^-20) divides, with the plain quotient;
+    |den| = eps * (1 - 2^-20) is rejected, in every direction."""
+    with ctx256.work():
+        unit = mp.expj(mp.mpf(phase))
+        num = mp.mpc("0.7", "-1.9")
+        above = ctx256.eps * (1 + mp.mpf(2) ** -20) * unit
+        below = ctx256.eps * (1 - mp.mpf(2) ** -20) * unit
+        assert safe_div(num, above, ctx256) == num / above
+    with pytest.raises(NearZero, match="< eps"):
+        safe_div(num, below, ctx256)
+
+
 def test_abs_exp_consistency(ctx256):
     import random
 

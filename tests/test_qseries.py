@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -97,6 +98,64 @@ def test_fraction_pair_rejects_integral():
     assert r.level == 8
     assert r.doubled() == FractionPair(F(0), F(1, 4))
     assert FractionPair(F(1, 2), F(0)).doubled() is None
+
+
+def _reference_key(r1: F, r2: F) -> tuple[int, int, int]:
+    """(p1, p2, N) with (r1, r2) = (p1/N, p2/N), N the lcm of the
+    denominators, by Fraction arithmetic."""
+    n = math.lcm(r1.denominator, r2.denominator)
+    return int(r1 * n), int(r2 * n), n
+
+
+def _integral(a: F, b: F) -> bool:
+    return a.denominator == 1 and b.denominator == 1
+
+
+def test_integer_index_matches_fraction_reference():
+    """from_parts and the Fraction constructor give one normal form, and
+    level, r1/r2, doubled and negated agree with Fraction arithmetic, over
+    seeded negative and shifted residues, mostly not in lowest terms."""
+    rng = random.Random(7701)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(2, 60)
+        p1, p2 = rng.randint(-3 * n, 3 * n), rng.randint(-3 * n, 3 * n)
+        r1, r2 = F(p1, n), F(p2, n)
+        if _integral(r1, r2):
+            with pytest.raises(DegenerateIndex):
+                FractionPair.from_parts(p1, p2, n)
+            with pytest.raises(DegenerateIndex):
+                FractionPair(r1, r2)
+            continue
+        r = FractionPair.from_parts(p1, p2, n)
+        assert r == FractionPair(r1, r2) and hash(r) == hash(FractionPair(r1, r2))
+        assert (r.p1, r.p2, r.level) == _reference_key(r1, r2)
+        assert math.gcd(r.p1, r.p2, r.level) == 1
+        assert (r.r1, r.r2) == (r1, r2)
+        assert r.level == math.lcm(r1.denominator, r2.denominator)
+        neg = r.negated()
+        assert (neg.p1, neg.p2, neg.level) == _reference_key(-r1, -r2)
+        dbl = r.doubled()
+        if _integral(2 * r1, 2 * r2):
+            assert dbl is None
+        else:
+            assert (dbl.p1, dbl.p2, dbl.level) == _reference_key(2 * r1, 2 * r2)
+            assert (dbl.r1, dbl.r2) == (2 * r1, 2 * r2)
+        checked += 1
+    assert checked > 500
+
+
+def test_integer_index_spellings_share_one_normal_form():
+    assert FractionPair(F(1, 2), F(0)) == FractionPair.from_parts(2, 0, 4)
+    assert FractionPair("-9/8", "4/3") == FractionPair.from_parts(-27, 32, 24)
+    assert FractionPair.from_parts(6, 3, 12) == FractionPair.from_parts(2, 1, 4)
+    assert repr(FractionPair.from_parts(6, -3, 12)) == \
+        "FractionPair(r1=Fraction(1, 2), r2=Fraction(-1, 4))"
+    assert len({FractionPair.from_parts(k, 2 * k, 6 * k) for k in (1, 2, 5, 9)}) == 1
+    with pytest.raises(ValueError):
+        FractionPair.from_parts(1, 0, 1)
+    with pytest.raises(DegenerateIndex):
+        FractionPair.from_parts(4, -6, 2)
 
 
 # ------------------------------------------------------------------- eta ---
@@ -343,8 +402,30 @@ def test_siegel_product_runs_once_per_reduced_index(ctx256, siegel_product_runs)
     for _ in range(2):
         for r in SIEGEL_MEMO_INDICES:
             siegel(r, pt)
-    reduced = {(r.r1 % 1, r.r2 % 1) for r in SIEGEL_MEMO_INDICES}
+    reduced = set()
+    for r in SIEGEL_MEMO_INDICES:
+        a1, a2 = r.r1 % 1, r.r2 % 1
+        s, t, n = _reference_key(a1, a2)
+        reduced.add((n, s, t))
     assert sorted(k for _, k in siegel_product_runs) == sorted(reduced)
+
+
+@pytest.mark.parametrize("one, other", [
+    (FractionPair(F(1, 2), F(1, 4)), FractionPair.from_parts(6, 3, 12)),
+    (FractionPair(F(-9, 8), F(4, 3)), FractionPair.from_parts(-54, 64, 48)),
+    (FractionPair(F(5, 7), F(-3, 7)), FractionPair.from_parts(20, -12, 28)),
+    (FractionPair(F(3, 2), F(9, 4)), FractionPair("6/4", "18/8")),
+], ids=["reduced", "shifted", "negative", "shifted-both"])
+def test_index_spellings_hit_one_memo_entry(ctx256, siegel_product_runs, one, other):
+    """Two spellings of one index run the Siegel product once and return
+    identical values; so does wp."""
+    pt = _pt(0.1234, 0.9, ctx256)
+    assert siegel(one, pt) == siegel(other, pt)
+    assert len(siegel_product_runs) == 1
+    a1, a2 = one.r1 % 1, one.r2 % 1
+    s, t, n = _reference_key(a1, a2)
+    assert siegel_product_runs[0][1] == (n, s, t)
+    assert wp(one, pt) == wp(other, pt)
 
 
 def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):

@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
 from rayclass import (
+    DegenerateIndex,
     FractionPair,
     ModularPoint,
     UnsupportedDiscriminant,
@@ -83,15 +86,50 @@ def test_act_index_exactness():
     assert out.r2 == (F(3, 7) * -4 + F(5, 7) * 2) % 1
 
 
-@pytest.mark.parametrize("d, n", [(-95, 16), (-84, 9), (-7, 3), (-40, 12)])
-def test_transformed_indices_match_act_index(d, n):
-    """The residue arithmetic of _transformed_indices gives the two
-    act_index results for every label."""
-    for label in labels(make_field(d), n):
-        m = label.composite(n)
-        assert reciprocity._transformed_indices(label, n) == (
-            act_index(FractionPair.from_parts(0, 1, n), m),
-            act_index(FractionPair.from_parts(0, 2, n), m))
+def test_act_index_matches_fraction_reference():
+    """On seeded indices (negative, shifted, not in lowest terms) and
+    matrices, act_index equals the row-vector action computed in Fractions
+    and reduced mod 1."""
+    rng = random.Random(7702)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(2, 60)
+        p1, p2 = rng.randint(-3 * n, 3 * n), rng.randint(-3 * n, 3 * n)
+        r1, r2 = F(p1, n), F(p2, n)
+        if r1.denominator == 1 and r2.denominator == 1:
+            continue
+        m = tuple(tuple(rng.randint(-50, 50) for _ in range(2)) for _ in range(2))
+        a1 = (r1 * m[0][0] + r2 * m[1][0]) % 1
+        a2 = (r1 * m[0][1] + r2 * m[1][1]) % 1
+        r = FractionPair.from_parts(p1, p2, n)
+        if a1 == 0 and a2 == 0:
+            with pytest.raises(DegenerateIndex):
+                act_index(r, m)
+            continue
+        out = act_index(r, m)
+        assert (out.r1, out.r2) == (a1, a2)
+        assert out == FractionPair(a1, a2)
+        assert out.level == math.lcm(a1.denominator, a2.denominator)
+        checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("d", [-7, -15, -23, -39, -40, -84, -95, -184])
+def test_doubling_label_sends_base_index_to_twice_it(d):
+    """For odd N the doubling label (t, s) = (+-2, 0) at the principal form
+    maps (0, 1/N) to (0, +-2/N): beta_lift of the principal form fixes
+    (0, k/N), so the doubling class sends g_(0,1/N)(theta) to the Siegel
+    value at (0, +-2/N) that y is built from.  (At N = 3, 2 = -1 and the
+    label is the identity.)"""
+    f = make_field(d)
+    for n in (3, 5, 7, 9, 11, 15):
+        base = FractionPair.from_parts(0, 1, n)
+        doubling = [lbl for lbl in labels(f, n) if lbl.form == f.principal
+                    and (lbl.alpha.t, lbl.alpha.s) in ((2, 0), (n - 2, 0))]
+        assert len(doubling) == 1, (d, n)
+        image = act_index(base, doubling[0].composite(n))
+        assert image in (FractionPair.from_parts(0, 2, n),
+                         FractionPair.from_parts(0, n - 2, n)), (d, n, image)
 
 
 # ------------------------------------------------------------- conjugates ---

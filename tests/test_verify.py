@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,6 @@ from rayclass import (
     check_lemma52,
     check_surface_point,
     conjugate_values,
-    corollary_identity_residuals,
     elliptic4_points,
     hilbert_class_poly,
     make_field,
@@ -134,6 +134,13 @@ def test_lemma52_main_cases(ctx256):
             assert rep.details["worst_ratio"] < 1
 
 
+def _reduced_key(a1, a2):
+    """(N, s, t) of a reduced index (a1, a2) = (s/N, t/N), N the lcm of the
+    denominators."""
+    n = math.lcm(a1.denominator, a2.denominator)
+    return n, int(a1 * n), int(a2 * n)
+
+
 def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
     f, n = make_field(-39), 8
     rep = check_lemma52(f, n, ctx256)
@@ -147,7 +154,8 @@ def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs
         for s in range(n):
             for t in range(n):
                 if (2 * s) % n or (2 * t) % n:
-                    seen |= {(F(s, n), F(t, n)), (F(2 * s % n, n), F(2 * t % n, n))}
+                    seen |= {_reduced_key(F(s, n), F(t, n)),
+                             _reduced_key(F(2 * s, n) % 1, F(2 * t, n) % 1)}
         expected += len(seen)
     assert len(keys) == expected < 2 * rep.details["pairs_checked"] + 2
 
@@ -250,15 +258,6 @@ def test_generation_reports_failure_at_absurd_eps():
     values = [v for _, v in conjugate_values(f, 3, "y4", coarse)]
     with pytest.raises(DuplicateValues):
         minpoly(values, f, coarse)
-
-
-def test_corollary_identity_log_space(ctx256):
-    for d, n in ((-7, 3), (-7, 9), (-39, 3)):
-        log_res, arg_res = corollary_identity_residuals(make_field(d), n, ctx256)
-        assert log_res < mp.mpf("1e-20")
-        assert arg_res < mp.mpf("1e-20")
-    with pytest.raises(ValueError):
-        corollary_identity_residuals(make_field(-7), 4, ctx256)
 
 
 # -------------------------------------------------------- elliptic points ---
