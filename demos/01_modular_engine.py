@@ -28,6 +28,11 @@ for im in ("0.9", "1.5", "3"):
     print(f"Im(tau) = {im:>4}: products truncate at M =",
           truncation_terms(im, ctx.eps), "terms")
 
+print("\n== reduction into the fundamental domain ==")
+low = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
+print("tau = 0.1234 + 0.06i is summed at tau' =", mp.nstr(low.reduced.tau, 12),
+      f"= A^-1 tau, A = {low.word}, with M = {low.terms()} terms")
+
 print("\n== eta at the square lattice point ==")
 pt_i = ModularPoint.from_complex((0, 1), ctx)
 with ctx.work():

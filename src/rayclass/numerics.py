@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
@@ -31,7 +32,11 @@ from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
 from .errors import ImTooSmall, NearZero
 
 # Floor for Im(tau), exact.  Low enough to cover every point the verification
-# layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).
+# layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).  The
+# series are summed at the point's image in the fundamental domain, so the
+# floor bounds the reduction (|c tau' + d|^2 = Im tau' / Im tau, hence the
+# size of the word and of its weight factors), not the length of the tail.
+# Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
 
 # Tail guard: series tails are pushed below eps * 2^-GUARD_BITS.
@@ -104,16 +109,27 @@ def truncation_terms(im_tau, eps) -> int:
     """Smallest M with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*im_tau).
 
     Downstream products/sums truncate at index M.  Raises ImTooSmall below
-    the Im(tau) floor, where the geometric tail heuristic degrades.
+    the Im(tau) floor.  The q-series evaluators call it only at points of
+    the fundamental domain (Im >= sqrt(3)/2, see ``ModularPoint``), so
+    there the floor no longer bounds the tail: it bounds how far a point is
+    carried by the reduction, and with it the weight factors and the
+    precision of the reduced point.
     """
     with mp.workprec(80):
         im = _to_mpf(im_tau)
         check_im_floor(im)
+        x = _tail_log(eps) / (2 * mp.pi * im)
+        return max(1, int(mp.floor(x)) + 1)
+
+
+@lru_cache(maxsize=64)
+def _tail_log(eps) -> mp.mpf:
+    """-log(eps) + GUARD_BITS * log 2 at 80 bits, once per eps."""
+    with mp.workprec(80):
         e = _to_mpf(eps)
         if not e > 0:
             raise ValueError("eps must be positive")
-        x = (-mp.log(e) + GUARD_BITS * mp.log(2)) / (2 * mp.pi * im)
-        return max(1, int(mp.floor(x)) + 1)
+        return -mp.log(e) + GUARD_BITS * mp.log(2)
 
 
 def safe_div(num, den, ctx: PrecisionContext):

@@ -18,6 +18,34 @@ Conventions fixed across the package:
   multiplies the value by the exact quasi-periodicity root of unity of the
   underlying Klein form, whose exponent is an integer over N.
 
+Reduction into the fundamental domain.  ``ModularPoint.from_complex`` finds
+M in SL2(Z) with tau' = M tau in the standard fundamental domain F
+(|Re tau'| <= 1/2, |tau'| >= 1, up to margins of 2^-20 that keep boundary
+points in place), and every series is summed at tau', where Im tau' >=
+sqrt(3)/2 caps the truncation index (19 terms at eps 1e-40, 172 at
+1e-400).  With A = M^-1 = (a, b, c, d), normalized to c > 0 or c = 0 < d,
+and J = c tau' + d, the values at tau = A tau' are carried back exactly:
+
+* eta(tau) = zeta_A sqrt(J) eta(tau'), principal square root, with the
+  Dedekind eta multiplier zeta_A = exp(pi*i*((a + d)/(12 c) - s(d, c) -
+  1/4)) for c > 0 and exp(pi*i*b/12) for c = 0, a 24th root of unity whose
+  exponent ``eta_multiplier`` computes exactly from the Dedekind sum s(d, c);
+* delta, g2 and g3 have weights 12, 4 and 6: J^12, J^4 and J^6;
+* g_r(tau) = zeta_A^2 g_{rA}(tau'), rA = (r1 a + r2 c, r1 b + r2 d) on the
+  integer residues (Kubert-Lang, Modular Units, ch. 1-2), so the Klein form
+  of weight -1 and eta^2 of weight 1 leave no power of J;
+* wp(z; tau) = J^2 wp(J z; tau'), and J z is the index rA when z is the
+  index r;
+* j, u, v, x, y and wp' are composed from these as at any point.
+
+A tau already in F (every CM point of a reduced form) is summed as it is.
+Error budget of tau': it is computed at ``bits`` + REDUCE_GUARD (``_reduce``
+bounds the loss) and rounded to ``bits``, and J is computed from it, so a
+carried value is the exact law applied at the point A tau'.  Reduction
+never lowers Im, so |J|^2 = Im tau' / Im tau >= 1, and A tau' lies within
+|tau' - M tau| / |J|^2, about 2^-bits |tau'|, of tau: the size of the
+rounding of tau itself.
+
 Fixed-point contract.  Every loop over n -- the Euler product, the Siegel
 product, the sigma_3/sigma_5 series and the wp series -- runs on pairs
 (re, im) of Python integers that stand for (re + i*im) * 2^-W, with
@@ -34,8 +62,9 @@ Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
 than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
 modulus below 1, so their error stays below 1/(1 - |q|) <= 4 units, and an
 M-term loop adds a few units per step: about 2^14 units for M ~ 3000 (1536
-bits at Im tau = 0.05).  The remaining 18 guard bits let the result's
-modulus fall to 2^-18 before that error reaches its last bit at ``bits``.
+bits at Im tau = 0.05, for a point built directly rather than reduced).
+The remaining 18 guard bits let the result's modulus fall to 2^-18 before
+that error reaches its last bit at ``bits``.
 Measured against the same truncated series at 2*bits, the kernels are as
 accurate as the mpmath loops (256 and 1536 bits, Im tau from 0.05 to 3.1).
 The sigma series is the exception: sigma_5(n) ~ n^5 multiplies the error of
@@ -70,7 +99,18 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (
+    from_int,
+    mpc_div,
+    mpf_abs,
+    mpf_add,
+    mpf_lt,
+    mpf_mul,
+    mpf_nint,
+    mpf_sub,
+    to_fixed,
+    to_int,
+)
 
 from .classfield import CMPoint
 from .errors import DegenerateIndex, OnLattice
@@ -86,29 +126,45 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class ModularPoint:
-    """A point tau in the upper half-plane with q = exp(2*pi*i*tau) cached.
+    """A point tau in the upper half-plane, and where its q-series are summed.
+
+    ``from_complex`` reduces tau into the standard fundamental domain F.  A
+    tau already in F (up to the margins of ``_reduce``; every CM point of a
+    reduced form is) keeps ``q`` = exp(2*pi*i*tau), and the evaluators sum
+    their series at tau.  Any other tau gets ``reduced``, the point
+    tau' = M tau in F with its own q, and ``word`` = A = M^-1 = (a, b, c, d)
+    in SL2(Z), normalized to c > 0 or c = 0 < d, so that tau = A tau'; its
+    own ``q`` is None, as no exponential is taken at tau.
+    Every value is then read from the reduced point and carried back with
+    J = c tau' + d (module docstring): eta by zeta_A sqrt(J), g2, g3 and
+    delta by J^4, J^6 and J^12, Siegel values by zeta_A^2 at the index
+    r A, and wp by J^2 at J z.  ``tau`` stays the input, for ``at`` and for
+    what callers print.
 
     It owns the values that depend on the point alone.  Each is computed on
     first use and kept, so every evaluator and caller shares one copy:
 
-    * ``terms()``, the truncation index M;
-    * ``qfx``, q in fixed point;
-    * ``euler``, the M-term Euler product, shared by eta and delta;
+    * ``terms()``, the truncation index M of the series summed for it (at
+      the reduced point, when there is one);
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
-    * ``_siegel``, the Siegel values by reduced index (s/N, t/N) in
-      [0,1)^2, keyed (N, s, t) and filled by ``siegel`` as it meets new keys;
-    * ``_tables``, the level-N tables by N, each made by ``_table(n)`` on
-      the first index of level N that ``siegel`` or ``wp`` meets, and
-      filled lazily with the powers of q^(1/(12 N^2)) and
-      exp(2*pi*i/(12 N^2)) its keys need (module docstring).
+    * at a point in F only: ``qfx``, q in fixed point; ``euler``, the M-term
+      Euler product, shared by eta and delta; ``_siegel``, the Siegel values
+      by reduced index (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by
+      ``siegel`` as it meets new keys; ``_tables``, the level-N tables by N,
+      each made by ``_table(n)`` on the first index of level N that
+      ``siegel`` or ``wp`` meets, and filled lazily with the powers of
+      q^(1/(12 N^2)) and exp(2*pi*i/(12 N^2)) its keys need (module
+      docstring).
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2.
     """
 
     tau: mp.mpc
-    q: mp.mpc
+    q: mp.mpc | None
     ctx: PrecisionContext
+    reduced: "ModularPoint | None" = None
+    word: tuple[int, int, int, int] = (1, 0, 0, 1)
 
     @classmethod
     def from_complex(cls, tau, ctx: PrecisionContext) -> "ModularPoint":
@@ -120,8 +176,13 @@ class ModularPoint:
             if not mp.isfinite(tau):
                 raise ValueError(f"tau={mp.nstr(tau, 8)} is not finite")
             check_im_floor(mp.im(tau))
-            q = mp.exp(2j * mp.pi * tau)
-        return cls(tau, q, ctx)
+            found = _reduce(tau, ctx.bits + REDUCE_GUARD)
+            if found is None:
+                return cls(tau, mp.exp(2j * mp.pi * tau), ctx)
+            word, tau_r = found
+            tau_r = +tau_r  # rounded to bits
+            reduced = cls(tau_r, mp.exp(2j * mp.pi * tau_r), ctx)
+        return cls(tau, None, ctx, reduced, word)
 
     @classmethod
     def from_quadratic(cls, a: int, b: int, d: int, ctx: PrecisionContext) -> "ModularPoint":
@@ -135,12 +196,35 @@ class ModularPoint:
         return mp.im(self.tau)
 
     def terms(self) -> int:
-        """Truncation index for q-products/series at this point."""
+        """Truncation index of the q-products/series summed for this point."""
         return self._terms
 
     @cached_property
     def _terms(self) -> int:
+        if self.reduced is not None:
+            return self.reduced.terms()
         return truncation_terms(self.im, self.ctx.eps)
+
+    @cached_property
+    def _jac(self) -> mp.mpc:
+        """J = c tau' + d, for tau = A tau' with A = word; tau' = reduced.tau."""
+        _, _, c, d = self.word
+        with self.ctx.work():
+            return c * self.reduced.tau + d
+
+    @cached_property
+    def _multiplier(self) -> int:
+        """k with zeta_A = exp(2*pi*i*k/24), A = word (``eta_multiplier``)."""
+        return eta_multiplier(*self.word)
+
+    @cached_property
+    def _weights(self) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
+        """(J^2, J^4, J^6, J^12): the factors of wp, g2, g3 and delta."""
+        with self.ctx.work():
+            j2 = self._jac ** 2
+            j4 = j2 * j2
+            j6 = j4 * j2
+            return j2, j4, j6, j6 * j6
 
     @property
     def width(self) -> int:
@@ -169,22 +253,34 @@ class ModularPoint:
 
     @cached_property
     def eta(self) -> mp.mpc:
-        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
+        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
+        eta(A tau') = zeta_A sqrt(J) eta(tau'), principal square root."""
         with self.ctx.work():
-            pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
+            if self.reduced is not None:
+                zeta = _root24(self._multiplier)
+                return zeta * mp.sqrt(self._jac) * self.reduced.eta
+            pref = _eta_prefactor(self.ctx.bits)
             return pref * mp.exp(mp.mpc(0, mp.pi) * self.tau / 12) * self.euler
 
     @cached_property
     def delta(self) -> mp.mpc:
-        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
+        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H.
+        delta(A tau') = J^12 delta(tau')."""
         with self.ctx.work():
+            if self.reduced is not None:
+                return self._weights[3] * self.reduced.delta
             return (2j * mp.pi) ** 12 * self.q * self.euler**24
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
         """(g2, g3) from the sigma_3 / sigma_5 Fourier series, with prefactors
-        (2*pi)^4/12 and (2*pi)^6/216."""
+        (2*pi)^4/12 and (2*pi)^6/216.  g2(A tau') = J^4 g2(tau') and
+        g3(A tau') = J^6 g3(tau')."""
         with self.ctx.work():
+            if self.reduced is not None:
+                g2, g3 = self.reduced.eisenstein
+                _, j4, j6, _ = self._weights
+                return j4 * g2, j6 * g3
             m = self.terms()
             # sigma_5(n) <= 1.04 n^5 multiplies the few-unit error of q^n;
             # summed up to the last term, typically n < 2M, that is under
@@ -325,6 +421,96 @@ class CuspData:
         else:
             if self.cusp is None or Fraction(a, c) != Fraction(self.cusp):
                 raise ValueError("transporter does not map infinity to the cusp")
+
+
+# Margins of the fundamental domain: tau is translated only when
+# |Re tau| > 1/2 + 2^-20 and inverted only when |tau|^2 < 1 - 2^-20, so that
+# points on its boundary (the CM points of reduced forms with b = a or
+# a = c) stay where they are.  Both bounds are exact binary numbers, kept
+# as raw mpmath values for the comparisons below.
+_HALF_WIDTH = mp.mpf(0.5 + 2.0**-20)._mpf_
+_UNIT_NORM = mp.mpf(1 - 2.0**-20)._mpf_
+_MINUS_ONE = mp.mpc(-1)._mpc_
+
+# Extra bits at which the word is found and tau' = M tau is computed, before
+# tau' is rounded to ``bits``.
+REDUCE_GUARD = 32
+
+
+def _reduce(tau: mp.mpc, prec: int) -> tuple[tuple[int, int, int, int], mp.mpc] | None:
+    """(A, tau') with tau' = A^-1 tau in the fundamental domain up to the
+    margins above, A = (a, b, c, d) in SL2(Z) normalized to c > 0 or
+    c = 0 < d; None when tau lies there already (two comparisons).
+
+    tau' is the last iterate of translating and inverting at ``prec`` bits.
+    A translation keeps the absolute error of an iterate z, and an inversion
+    multiplies it by 1/|z|^2 = Im(-1/z) / Im z.  The product of these
+    factors is Im tau' / Im tau = |c tau' + d|^2 <= 1/(c Im tau)^2, at most
+    400 above the Im floor, so the few steps lose fewer than 12 of the
+    guard bits."""
+    m11, m12, m21, m22 = 1, 0, 0, 1  # z = M tau
+    x, y = tau._mpc_
+    while True:
+        if mpf_lt(_HALF_WIDTH, mpf_abs(x)):
+            n = to_int(mpf_nint(x, prec))
+            x = mpf_sub(x, from_int(n), prec)
+            m11, m12 = m11 - n * m21, m12 - n * m22
+        if not mpf_lt(mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec), _UNIT_NORM):
+            break
+        x, y = mpc_div(_MINUS_ONE, (x, y), prec)
+        m11, m12, m21, m22 = -m21, -m22, m11, m12
+    if (m11, m12, m21, m22) == (1, 0, 0, 1):
+        return None
+    a, b, c, d = m22, -m12, -m21, m11  # A = M^-1
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return (a, b, c, d), mp.make_mpc((x, y))
+
+
+def _dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k > 0 and gcd(h, k) = 1, by the reciprocity law
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 (O(log k) steps)."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def eta_multiplier(a: int, b: int, c: int, d: int) -> int:
+    """The exponent k mod 24 of eta(A tau) = exp(2*pi*i*k/24) sqrt(c tau + d)
+    eta(tau), principal square root, for A = (a, b, c, d) in SL2(Z) with
+    c > 0 or c = 0 < d:  k/24 = (a + d)/(24 c) - s(d, c)/2 - 1/8 for c > 0
+    and b/24 for c = 0 (Kubert-Lang, Modular Units, ch. 1-2).  Exact."""
+    if c == 0:
+        return b % 24
+    k = Fraction(a + d, c) - 12 * _dedekind_sum(d, c) - 3
+    if k.denominator != 1:  # pragma: no cover
+        raise ValueError(f"({a}, {b}, {c}, {d}) is not in SL2(Z)")
+    return k.numerator % 24
+
+
+def _root24(k: int) -> mp.mpc:
+    """exp(2*pi*i*k/24) at the working precision, through ``_unit_phase``."""
+    k %= 24
+    g = math.gcd(k, 12)
+    return _unit_phase(k // g, 12 // g)
+
+
+def _times(r: "FractionPair", word: tuple[int, int, int, int]) -> "FractionPair":
+    """The index r A = (r1 a + r2 c, r1 b + r2 d), on integer residues; its
+    level is that of r."""
+    a, b, c, d = word
+    return FractionPair.from_parts(r.p1 * a + r.p2 * c, r.p1 * b + r.p2 * d, r.level)
+
+
+@lru_cache(maxsize=64)
+def _eta_prefactor(prec: int) -> mp.mpc:
+    """sqrt(2*pi) * zeta_8 at prec bits, once per precision."""
+    with mp.workprec(prec):
+        return mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
 
 
 def _fx(z: mp.mpc, w: int) -> tuple[int, int]:
@@ -519,12 +705,23 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
-    The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
+    At a point carried by the word A, g_r(A tau') = zeta_A^2 g_{rA}(tau')
+    (``ModularPoint``); the rest happens at the point of F.  There the
+    product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
     (s1, s2) = divmod of the residues by the level N, once per point (kept
     in ``pt._siegel`` under (N, s, t)); for shifted indices the value is
     corrected by the exact quasi-periodicity root of unity
     (-1)^(s1*s2+s1+s2) * exp(pi*i*(s2*s - s1*t)/N) of the Klein form.
     """
+    if pt.reduced is None:
+        return _siegel_at(r, pt)
+    val = _siegel_at(_times(r, pt.word), pt.reduced)
+    with pt.ctx.work():
+        return _root24(2 * pt._multiplier) * val
+
+
+def _siegel_at(r: FractionPair, pt: ModularPoint) -> mp.mpc:
+    """``siegel`` at a point of F."""
     n = r.level
     s1, s = divmod(r.p1, n)
     s2, t = divmod(r.p2, n)
@@ -605,12 +802,27 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     """Weierstrass wp(z; [tau, 1]) via the exponential-coordinate series.
 
     z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
-    complex number, at distance >= sqrt(eps) from the lattice.  For an index
-    the reduced coordinates are exact, and u = exp(2*pi*i*z) and q/u are
-    read from the point's level-N table; for a complex z they are computed
-    from z.  Both run the same series.  The direct lattice sum survives in
-    the test oracles only; this series is the production path.
+    complex number.  At a point carried by the word A, wp(z; tau) =
+    J^2 wp(J z; tau'), and J z is the index r A when z is the index r
+    (``ModularPoint``).  At the point of F, z must lie at distance
+    >= sqrt(eps) from the lattice [tau', 1].  For an index the reduced
+    coordinates are exact, and u = exp(2*pi*i*z) and q/u are read from the
+    point's level-N table; for a complex z they are computed from z.  Both
+    run the same series.  The direct lattice sum survives in the test
+    oracles only; this series is the production path.
     """
+    if pt.reduced is None:
+        return _wp_at(z, pt)
+    with pt.ctx.work():
+        if isinstance(z, FractionPair):
+            z = _times(z, pt.word)
+        else:
+            z = pt._jac * mp.mpc(z)
+        return pt._weights[0] * _wp_at(z, pt.reduced)
+
+
+def _wp_at(z, pt: ModularPoint) -> mp.mpc:
+    """``wp`` at a point of F."""
     ctx = pt.ctx
     w = pt.width
     with ctx.work():

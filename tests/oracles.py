@@ -10,10 +10,16 @@ Two kinds live here:
   doubling and the transformation laws take care of that).
 * Reference loops (``*_loop``).  They sum the same truncated
   products and series as the fixed-point kernels of ``rayclass.qseries``,
-  term by term in mpmath at the working precision, with the same truncation
-  index, tail test and trial-division divisor sums.  They pin the kernels to
-  eps * 2^-GUARD_BITS.  ``min_pairwise_distance_loop`` is the double loop
-  over all pairs that the sorted sweep of ``rayclass.verify`` must match.
+  term by term in mpmath at the working precision, with the same tail test
+  and trial-division divisor sums.  They always sum at the input tau of the
+  point, with q = exp(2 pi i tau) and the truncation index M of that tau
+  (times ``scale``: at scale 2 they are converged), whatever point of the
+  fundamental domain the package sums at.  ``matches_loop`` is the
+  criterion the evaluators meet against them: eps * 2^-GUARD_BITS at a point
+  of the fundamental domain, and below it never farther from the converged
+  loop than the M-term loop is.  ``min_pairwise_distance_loop`` is the
+  double loop over all pairs that the sorted sweep of ``rayclass.verify``
+  must match.
 """
 
 import math
@@ -22,7 +28,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from rayclass.numerics import GUARD_BITS
+from rayclass.numerics import GUARD_BITS, truncation_terms
 from rayclass.qseries import _reduce_mod_lattice, bernoulli2
 from rayclass.verify import _pair_distance
 
@@ -71,25 +77,34 @@ def g2g3_lattice(tau: complex, radius: int = 400) -> tuple[complex, complex]:
 
 # ------------------------------------------------- reference q-series loops ---
 
-def euler_loop(pt) -> mp.mpc:
-    """prod_{n=1..M} (1 - q^n), M = pt.terms()."""
+def _q_terms(pt, scale):
+    """(q, M): q = exp(2 pi i tau) at the point's input tau and ``scale``
+    times the truncation index there."""
+    q = mp.exp(2j * mp.pi * pt.tau)
+    return q, scale * truncation_terms(pt.im, pt.ctx.eps)
+
+
+def euler_loop(pt, scale=1) -> mp.mpc:
+    """prod_{n=1..M} (1 - q^n)."""
+    q, m = _q_terms(pt, scale)
     acc = mp.mpc(1)
     qn = mp.mpc(1)
-    for _ in range(pt.terms()):
-        qn *= pt.q
+    for _ in range(m):
+        qn *= q
         acc *= 1 - qn
     return acc
 
 
-def eta_loop(pt) -> mp.mpc:
+def eta_loop(pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
         pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
-        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * euler_loop(pt)
+        return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * euler_loop(pt, scale)
 
 
-def delta_loop(pt) -> mp.mpc:
+def delta_loop(pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
-        return (2j * mp.pi) ** 12 * pt.q * euler_loop(pt) ** 24
+        q, _ = _q_terms(pt, scale)
+        return (2j * mp.pi) ** 12 * q * euler_loop(pt, scale) ** 24
 
 
 def sigma35(n: int) -> tuple[int, int]:
@@ -106,9 +121,9 @@ def sigma35(n: int) -> tuple[int, int]:
     return s3, s5
 
 
-def eisenstein_loop(pt) -> tuple[mp.mpc, mp.mpc]:
+def eisenstein_loop(pt, scale=1) -> tuple[mp.mpc, mp.mpc]:
     with pt.ctx.work():
-        m = pt.terms()
+        q, m = _q_terms(pt, scale)
         cut = pt.ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
         qn = mp.mpc(1)
         s3 = mp.mpc(0)
@@ -116,7 +131,7 @@ def eisenstein_loop(pt) -> tuple[mp.mpc, mp.mpc]:
         n = 0
         while True:
             n += 1
-            qn *= pt.q
+            qn *= q
             sig3, sig5 = sigma35(n)
             t5 = sig5 * qn
             s3 += sig3 * qn
@@ -134,8 +149,9 @@ def _phase(e: Fraction) -> mp.mpc:
     return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
 
 
-def siegel_loop(r, pt) -> mp.mpc:
+def siegel_loop(r, pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
+        q, m = _q_terms(pt, scale)
         s1, s2 = math.floor(r.r1), math.floor(r.r2)
         a1, a2 = r.r1 - s1, r.r2 - s2
         w = mp.exp(2j * mp.pi * (pt.tau * mp.mpf(a1.numerator) / a1.denominator
@@ -143,8 +159,8 @@ def siegel_loop(r, pt) -> mp.mpc:
         winv = 1 / w
         core = 1 - w
         qn = mp.mpc(1)
-        for _ in range(pt.terms()):
-            qn *= pt.q
+        for _ in range(m):
+            qn *= q
             core *= (1 - qn * w) * (1 - qn * winv)
         e = bernoulli2(a1) / 2
         qpow = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
@@ -155,20 +171,20 @@ def siegel_loop(r, pt) -> mp.mpc:
         return val
 
 
-def wp_loop(z, pt) -> mp.mpc:
+def wp_loop(z, pt, scale=1) -> mp.mpc:
     """wp(z; [tau, 1]) by the exponential-coordinate series (no lattice
     distance check)."""
     with pt.ctx.work():
+        q, m = _q_terms(pt, scale)
         y, x = _reduce_mod_lattice(mp.mpc(z), pt)
         u = mp.exp(2j * mp.pi * (y * pt.tau + x))
         cut = pt.ctx.eps * mp.mpf(2) ** (-GUARD_BITS)
         total = mp.mpf(1) / 12 + u / (1 - u) ** 2
-        m = pt.terms()
         qn = mp.mpc(1)
         n = 0
         while True:
             n += 1
-            qn *= pt.q
+            qn *= q
             a = qn * u
             b = qn / u
             term = a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
@@ -178,6 +194,28 @@ def wp_loop(z, pt) -> mp.mpc:
             if n > 100 * m + 1000:
                 raise RuntimeError("wp series failed to settle")
         return (2j * mp.pi) ** 2 * total
+
+
+def agrees(new, ref, ctx) -> bool:
+    """|new - ref| <= eps * 2^-GUARD_BITS, relative once |ref| exceeds 1."""
+    return abs(new - ref) <= ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
+
+
+# Below Im sqrt(3)/2 a point lies outside the fundamental domain, and the
+# package sums its series at the reduced point.
+IN_DOMAIN_IM = math.sqrt(3) / 2
+
+
+def matches_loop(new, loop, im, ctx) -> bool:
+    """new against loop(k), a reference loop at the input tau run to k times
+    its truncation index.  At Im tau >= sqrt(3)/2: ``agrees`` with the
+    M-term loop.  Below: at least as close to the converged loop (2M terms)
+    as the M-term loop is, and never farther than eps * 2^-GUARD_BITS
+    allows."""
+    if im >= IN_DOMAIN_IM:
+        return agrees(new, loop(1), ctx)
+    conv = loop(2)
+    return agrees(new, conv, ctx) or abs(new - conv) <= abs(loop(1) - conv)
 
 
 def min_pairwise_distance_loop(values):

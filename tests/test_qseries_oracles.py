@@ -4,7 +4,8 @@ The lattice-sum oracles (tests/oracles.py) evaluate the defining
 sums/products directly at float64; radii are fixed and a radius-doubling
 consistency check guards their own truncation level.  Tolerances against
 them are oracle-limited, not eps.  The reference loops sum the q-series term
-by term in mpmath; the fixed-point kernels must match them to eps.
+by term in mpmath at the input tau; the evaluators must match them as
+``oracles.matches_loop`` says.
 """
 
 import random
@@ -23,14 +24,15 @@ from rayclass import (
     siegel,
     wp,
 )
-from rayclass.numerics import GUARD_BITS
 
 from oracles import (
+    agrees,
     delta_loop,
     eisenstein_loop,
     eta_loop,
     g2g3_lattice,
     klein_lattice,
+    matches_loop,
     quasi_periods,
     siegel_loop,
     wp_lattice,
@@ -122,16 +124,16 @@ def _near_lattice(pt):
 AGREEMENT_CASES = {
     "eta": (eta, eta_loop),
     "delta": (delta, delta_loop),
-    "g2": (lambda pt: eisenstein(pt)[0], lambda pt: eisenstein_loop(pt)[0]),
-    "g3": (lambda pt: eisenstein(pt)[1], lambda pt: eisenstein_loop(pt)[1]),
+    "g2": (lambda pt: eisenstein(pt)[0], lambda pt, k: eisenstein_loop(pt, k)[0]),
+    "g3": (lambda pt: eisenstein(pt)[1], lambda pt, k: eisenstein_loop(pt, k)[1]),
     "siegel_reduced": (lambda pt: siegel(SIEGEL_REDUCED, pt),
-                       lambda pt: siegel_loop(SIEGEL_REDUCED, pt)),
+                       lambda pt, k: siegel_loop(SIEGEL_REDUCED, pt, k)),
     "siegel_shifted": (lambda pt: siegel(SIEGEL_SHIFTED, pt),
-                       lambda pt: siegel_loop(SIEGEL_SHIFTED, pt)),
+                       lambda pt, k: siegel_loop(SIEGEL_SHIFTED, pt, k)),
     "wp_far": (lambda pt: wp(0.37 * pt.tau + 0.61, pt),
-               lambda pt: wp_loop(0.37 * pt.tau + 0.61, pt)),
+               lambda pt, k: wp_loop(0.37 * pt.tau + 0.61, pt, k)),
     "wp_near": (lambda pt: wp(_near_lattice(pt), pt),
-                lambda pt: wp_loop(_near_lattice(pt), pt)),
+                lambda pt, k: wp_loop(_near_lattice(pt), pt, k)),
 }
 
 
@@ -139,15 +141,13 @@ AGREEMENT_CASES = {
 @pytest.mark.parametrize("tau", AGREEMENT_TAUS, ids="{0[0]},{0[1]}".format)
 @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
 def test_fixed_point_kernels_match_reference_loops(name, tau, prec):
-    """Each fixed-point kernel agrees with the term-by-term mpmath loop to
-    eps * 2^-GUARD_BITS, relative to the value once it exceeds 1."""
+    """Each evaluator agrees with the term-by-term mpmath loop at tau
+    (``matches_loop``)."""
     ctx = AGREEMENT_CTX[prec]
     kernel, loop = AGREEMENT_CASES[name]
     pt = ModularPoint.from_complex(tau, ctx)
     with ctx.work():
-        new, ref = kernel(pt), loop(pt)
-        bound = ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
-        assert abs(new - ref) <= bound
+        assert matches_loop(kernel(pt), lambda k: loop(pt, k), tau[1], ctx)
 
 
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
@@ -179,16 +179,13 @@ def _reduced_indices(n):
             for s in range(n) for t in range(n) if (s, t) != (0, 0)]
 
 
-def _agrees(new, ref, ctx):
-    return abs(new - ref) <= ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
-
-
 @pytest.mark.parametrize("tau", TABLE_TAUS, ids="{0[1]}".format)
 @pytest.mark.parametrize("n", [3, 5, 8, 12])
 def test_table_values_match_reference_loops(n, tau):
     """siegel and wp at every reduced index of level dividing N agree with
-    the reference loops (which take w and u from mpmath exponentials), and
-    so does siegel at the index shifted by (-2, 1) and at its negative.
+    the reference loops (which take w and u from mpmath exponentials;
+    ``matches_loop``), and so does siegel at the index shifted by (-2, 1)
+    and at its negative.
     The loops run ~330 mpmath terms at Im 0.05, ~55 at Im 0.3 and ~19 at
     Im 0.866, so the shifts are checked at Im 2, and below Im 0.866 a seeded
     share of the indices (TABLE_SAMPLED)."""
@@ -202,8 +199,10 @@ def test_table_values_match_reference_loops(n, tau):
         for r in indices:
             others = [FractionPair(r.r1 - 2, r.r2 + 1), r.negated()] if tau[1] > 1 else []
             for idx in [r, *others]:
-                assert _agrees(siegel(idx, pt), siegel_loop(idx, pt), ctx), idx
-            assert _agrees(wp(r, pt), wp_loop(pt.at(r), pt), ctx), r
+                assert matches_loop(siegel(idx, pt),
+                                     lambda k: siegel_loop(idx, pt, k), tau[1], ctx), idx
+            assert matches_loop(wp(r, pt), lambda k: wp_loop(pt.at(r), pt, k),
+                                 tau[1], ctx), r
 
 
 def _sampled_indices(seed, count, nmax):
@@ -224,8 +223,10 @@ def test_table_values_match_reference_loops_at_1536_bits(tau):
     pt = ModularPoint.from_complex(tau, ctx)
     with ctx.work():
         for r in _sampled_indices(97, 4, 97):
-            assert _agrees(siegel(r, pt), siegel_loop(r, pt), ctx), r
-            assert _agrees(wp(r, pt), wp_loop(pt.at(r), pt), ctx), r
+            assert matches_loop(siegel(r, pt), lambda k: siegel_loop(r, pt, k),
+                                 tau[1], ctx), r
+            assert matches_loop(wp(r, pt), lambda k: wp_loop(pt.at(r), pt, k),
+                                 tau[1], ctx), r
 
 
 @pytest.mark.parametrize("r", [FractionPair(F(0), F(1, 5)), FractionPair(F(1, 7), F(2, 7)),
