@@ -72,15 +72,7 @@ class CMPoint:
 
 
 def _squarefree(n: int) -> bool:
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return all(e == 1 for _, e in _prime_factors(abs(n)))
 
 
 def is_fundamental(d: int) -> bool:

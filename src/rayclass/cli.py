@@ -4,10 +4,16 @@ Every JSON payload embeds {dk, level, precision_bits, eps, tool_version}.
 Complex values are serialized as decimal-string pairs at full working
 precision (no binary floats), quadratic irrationals as strings like
 "(-1+sqrt(-39))/2", so identical configurations produce byte-identical
-output.  Exit codes: 0 success/pass, 1 check failed, 2 usage/validation,
-3 numerical error.
+output.  Timing is reported only in text mode; JSON stays reproducible.
 
-Timing is reported only in text mode; JSON stays reproducible.
+Each ``eval`` function and each ``check`` is named once, as a key of
+``EVALS`` (needs --r, value at (pt, r)) or ``CHECKS`` (flags it needs,
+report from (args, ctx)); the argparse choices are those keys.  Each
+``_cmd_*`` returns (header, body); the payload's dk and level come from the
+header, which for a check is its report's ``inputs``.  ``main`` alone builds
+the PrecisionContext, writes the payload and picks the exit code: 0 success,
+1 when a check reports ``pass: false``, 2 usage/validation (InputError,
+ValueError), 3 NumericalError.
 """
 
 from __future__ import annotations
@@ -70,18 +76,17 @@ def _fmt_complex(z, ctx: PrecisionContext) -> list[str]:
         return [_fmt_real(mp.re(z), ctx), _fmt_real(mp.im(z), ctx)]
 
 
-def _payload(cfg: dict, ctx: PrecisionContext, body: dict) -> dict:
+def _payload(header: dict, ctx: PrecisionContext, body: dict) -> dict:
     with ctx.work():
         eps_str = mp.nstr(ctx.eps, 12)
-    out = {
+    return {
         "tool_version": __version__,
-        "dk": cfg.get("dk"),
-        "level": cfg.get("level"),
+        "dk": header.get("dk"),
+        "level": header.get("level"),
         "precision_bits": ctx.bits,
         "eps": eps_str,
+        **body,
     }
-    out.update(body)
-    return out
 
 
 def _emit(payload: dict, args) -> None:
@@ -132,12 +137,12 @@ def _parse_real(s: str, flag: str, ctx: PrecisionContext) -> mp.mpf:
     return x
 
 
-def _parse_tau(s: str, ctx: PrecisionContext) -> ModularPoint:
+def _parse_tau(s: str, ctx: PrecisionContext) -> tuple[mp.mpf, mp.mpf]:
+    """(Re tau, Im tau) from 're,im'; the caller builds the point."""
     parts = s.split(",")
     if len(parts) != 2:
         raise InputError("--tau expects 're,im' decimal strings")
-    re, im = (_parse_real(p, "--tau", ctx) for p in parts)
-    return ModularPoint.from_complex((re, im), ctx)
+    return tuple(_parse_real(p, "--tau", ctx) for p in parts)
 
 
 def _parse_r(s: str) -> FractionPair:
@@ -167,77 +172,56 @@ def _ctx_from(args) -> PrecisionContext:
         raise InputError(str(exc)) from exc
 
 
-EVAL_NEEDS_R = {"siegel", "wp", "wp-prime", "x", "y"}
+# name -> (needs --r, value at (pt, r)).  The lambdas look the functions up
+# at call time, so a wrapper installed on this module sees every call.
+EVALS = {
+    "eta": (False, lambda pt, r: eta(pt)),
+    "g2": (False, lambda pt, r: eisenstein(pt)[0]),
+    "g3": (False, lambda pt, r: eisenstein(pt)[1]),
+    "delta": (False, lambda pt, r: delta(pt)),
+    "j": (False, lambda pt, r: j_invariant(pt)),
+    "siegel": (True, lambda pt, r: siegel(r, pt)),
+    "wp": (True, lambda pt, r: wp(r, pt)),
+    "wp-prime": (True, lambda pt, r: wp_prime(r, pt)),
+    "u": (False, lambda pt, r: u_value(pt)),
+    "v": (False, lambda pt, r: v_value(pt)),
+    "x": (True, lambda pt, r: x_value(pt, r)),
+    "y": (True, lambda pt, r: y_value(pt, r)),
+}
 
 
-def _cmd_eval(args) -> int:
-    ctx = _ctx_from(args)
-    pt = _parse_tau(args.tau, ctx)
+def _cmd_eval(args, ctx: PrecisionContext) -> tuple[dict, dict]:
+    needs_r, value = EVALS[args.fn]
+    pt = ModularPoint.from_complex(_parse_tau(args.tau, ctx), ctx)
     r = _parse_r(args.r) if args.r else None
-    fn = args.fn
-    if fn in EVAL_NEEDS_R and r is None:
-        raise InputError(f"eval {fn} requires --r")
+    if needs_r and r is None:
+        raise InputError(f"eval {args.fn} requires --r")
     with ctx.work():
-        if fn == "eta":
-            val = eta(pt)
-        elif fn == "g2":
-            val = eisenstein(pt)[0]
-        elif fn == "g3":
-            val = eisenstein(pt)[1]
-        elif fn == "delta":
-            val = delta(pt)
-        elif fn == "j":
-            val = j_invariant(pt)
-        elif fn == "siegel":
-            val = siegel(r, pt)
-        elif fn == "wp":
-            val = wp(r, pt)
-        elif fn == "wp-prime":
-            val = wp_prime(r, pt)
-        elif fn == "u":
-            val = u_value(pt)
-        elif fn == "v":
-            val = v_value(pt)
-        elif fn == "x":
-            val = x_value(pt, r)
-        else:
-            val = y_value(pt, r)
-    body = {
-        "fn": fn,
+        val = value(pt, r)
+    return {}, {
+        "fn": args.fn,
         "tau": _fmt_complex(pt.tau, ctx),
         "r": [str(r.r1), str(r.r2)] if r else None,
         "value": _fmt_complex(val, ctx),
     }
-    _emit(_payload({}, ctx, body), args)
-    return EXIT_OK
 
 
-def _cmd_field(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_field(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
-    body = {
-        "theta": f.theta_str(),
-        "h": f.h,
-        "B": f.b_theta,
-        "C": f.c_theta,
-    }
-    _emit(_payload({"dk": f.d}, ctx, body), args)
-    return EXIT_OK
+    return {"dk": f.d}, {"theta": f.theta_str(), "h": f.h, "B": f.b_theta,
+                         "C": f.c_theta}
 
 
-def _cmd_forms(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_forms(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     forms = [
         {"a": q.a, "b": q.b, "c": q.c, "theta_Q": f"({-q.b}+sqrt({f.d}))/{2 * q.a}"}
         for q in f.forms
     ]
-    _emit(_payload({"dk": f.d}, ctx, {"forms": forms, "h": f.h}), args)
-    return EXIT_OK
+    return {"dk": f.d}, {"forms": forms, "h": f.h}
 
 
-def _cmd_degree(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_degree(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     deg = ray_class_degree(f, args.level)
     fact = [
@@ -245,13 +229,11 @@ def _cmd_degree(args) -> int:
          "phi": fa.phi()}
         for fa in ideal_factorization(f.d, args.level)
     ]
-    body = {"degree": deg, "factorization": fact, "h": f.h}
-    _emit(_payload({"dk": f.d, "level": args.level}, ctx, body), args)
-    return EXIT_OK
+    return ({"dk": f.d, "level": args.level},
+            {"degree": deg, "factorization": fact, "h": f.h})
 
 
-def _cmd_conjugates(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_conjugates(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     items = []
@@ -268,8 +250,7 @@ def _cmd_conjugates(args) -> int:
             entry["value"] = _fmt_complex(val, ctx)
         items.append(entry)
     body = {"descriptor": args.descriptor, "count": len(items), "conjugates": items}
-    _emit(_payload({"dk": f.d, "level": args.level}, ctx, body), args)
-    return EXIT_OK
+    return {"dk": f.d, "level": args.level}, body
 
 
 def _poly_body(poly, ctx) -> dict:
@@ -287,79 +268,49 @@ def _poly_body(poly, ctx) -> dict:
     }
 
 
-def _cmd_minpoly(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     _check_recognition(args, ctx)
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
                    den_max=args.den_max, recog_tol=args.recog_tol)
-    body = {"descriptor": args.descriptor}
-    body.update(_poly_body(poly, ctx))
-    _emit(_payload({"dk": f.d, "level": args.level}, ctx, body), args)
-    return EXIT_OK
+    body = {"descriptor": args.descriptor, **_poly_body(poly, ctx)}
+    return {"dk": f.d, "level": args.level}, body
 
 
-def _cmd_hcp(args) -> int:
-    ctx = _ctx_from(args)
+def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     _check_recognition(args, ctx)
     f = make_field(args.dk)
     poly = hilbert_class_poly(f, ctx, den_max=args.den_max,
                               recog_tol=args.recog_tol)
-    body = {"h": f.h}
-    body.update(_poly_body(poly, ctx))
-    _emit(_payload({"dk": f.d}, ctx, body), args)
-    return EXIT_OK
+    return {"dk": f.d}, {"h": f.h, **_poly_body(poly, ctx)}
 
 
-_CHECK_NEEDS = {
-    "curve": ("dk", "level"),
-    "surface": ("tau", "level"),
-    "lemma51": ("dk", "a", "x"),
-    "lemma52": ("dk", "level"),
-    "tbound": ("dk", "level"),
-    "generation": ("dk", "level"),
-    "elliptic4": (),
+# name -> (flags it needs, report from (args, ctx)); lookups as in EVALS.
+CHECKS = {
+    "curve": (("dk", "level"), lambda a, ctx: check_curve_point(
+        make_field(a.dk), a.level, ctx, relaxed=a.relaxed)),
+    "surface": (("tau", "level"), lambda a, ctx: check_surface_point(
+        _parse_tau(a.tau, ctx), a.level, ctx)),
+    "lemma51": (("dk", "a", "x"), lambda a, ctx: check_lemma51(
+        a.dk, _parse_real(a.a, "--a", ctx), _parse_real(a.x, "--x", ctx), ctx)),
+    "lemma52": (("dk", "level"), lambda a, ctx: check_lemma52(
+        make_field(a.dk), a.level, ctx)),
+    "tbound": (("dk", "level"), lambda a, ctx: check_T_bound(
+        a.level, make_field(a.dk), ctx, majorant_range=(8, a.nmax))),
+    "generation": (("dk", "level"), lambda a, ctx: check_generation(
+        make_field(a.dk), a.level, a.descriptor, ctx)),
+    "elliptic4": ((), lambda a, ctx: check_elliptic_points(ctx)),
 }
 
 
-def _cmd_check(args) -> int:
-    ctx = _ctx_from(args)
-    which = args.which
-    missing = [k for k in _CHECK_NEEDS[which] if getattr(args, k) is None]
+def _cmd_check(args, ctx: PrecisionContext) -> tuple[dict, dict]:
+    needs, report = CHECKS[args.which]
+    missing = ", ".join(f"--{k}" for k in needs if getattr(args, k) is None)
     if missing:
-        raise InputError(
-            f"check {which} needs " + ", ".join(f"--{k}" for k in missing))
-    cfg = {}
-    if which == "curve":
-        f = make_field(args.dk)
-        rep = check_curve_point(f, args.level, ctx, relaxed=args.relaxed)
-        cfg = {"dk": f.d, "level": args.level}
-    elif which == "surface":
-        pt = _parse_tau(args.tau, ctx)
-        rep = check_surface_point(pt.tau, args.level, ctx)
-        cfg = {"level": args.level}
-    elif which == "lemma51":
-        rep = check_lemma51(args.dk, _parse_real(args.a, "--a", ctx),
-                            _parse_real(args.x, "--x", ctx), ctx)
-        cfg = {"dk": args.dk}
-    elif which == "lemma52":
-        f = make_field(args.dk)
-        rep = check_lemma52(f, args.level, ctx)
-        cfg = {"dk": f.d, "level": args.level}
-    elif which == "tbound":
-        f = make_field(args.dk)
-        rep = check_T_bound(args.level, f, ctx, majorant_range=(8, args.nmax))
-        cfg = {"dk": f.d, "level": args.level}
-    elif which == "generation":
-        f = make_field(args.dk)
-        rep = check_generation(f, args.level, args.descriptor, ctx)
-        cfg = {"dk": f.d, "level": args.level}
-    else:  # elliptic4
-        rep = check_elliptic_points(ctx)
-        cfg = {"level": 4}
-    _emit(_payload(cfg, ctx, _report_body(rep, ctx, args.output == "text")), args)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+        raise InputError(f"check {args.which} needs {missing}")
+    rep = report(args, ctx)
+    return rep.inputs, _report_body(rep, ctx, args.output == "text")
 
 
 def _add_global_flags(p, suppress: bool):
@@ -391,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate one function at tau",
                         parents=[common])
-    pe.add_argument("fn", choices=(
-        "eta", "g2", "g3", "delta", "j", "siegel", "wp", "wp-prime",
-        "u", "v", "x", "y"))
+    pe.add_argument("fn", choices=tuple(EVALS))
     pe.add_argument("--tau", required=True, help="re,im")
     pe.add_argument("--r", default=None, help="p1/N,p2/N")
     pe.set_defaults(run=_cmd_eval)
@@ -435,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("check", help="run one verification check",
                         parents=[common])
-    pk.add_argument("which", choices=(
-        "curve", "surface", "lemma51", "lemma52", "tbound", "generation",
-        "elliptic4"))
+    pk.add_argument("which", choices=tuple(CHECKS))
     pk.add_argument("--dk", type=int, default=None)
     pk.add_argument("--level", type=int, default=None)
     pk.add_argument("--tau", default=None)
@@ -452,16 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        ctx = _ctx_from(args)
+        header, body = args.run(args, ctx)
+        _emit(_payload(header, ctx, body), args)
     except NumericalError as exc:
         _error_out(args, exc)
         return EXIT_NUMERICAL
     except (InputError, ValueError) as exc:
         _error_out(args, exc)
         return EXIT_USAGE
+    return EXIT_CHECK_FAILED if body.get("pass") is False else EXIT_OK
 
 
 def _error_out(args, exc) -> None:

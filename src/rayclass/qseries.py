@@ -798,6 +798,13 @@ def _check_off_lattice(pt: ModularPoint, y, x) -> None:
         raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
 
 
+# At a point of F every nonzero vector of [tau, 1] has length >= 1 - 2^-19
+# (|tau|^2 >= 1 - 2^-20 and |Re tau| <= 1/2 + 2^-20 give |tau -+ 1|^2 >=
+# 1 - 3*2^-20), so an index of level n lies >= (1 - 2^-19)/n from the
+# lattice and clears sqrt(eps) whenever n^2 eps < 1 - 2^-18.
+_LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
+
+
 def wp(z, pt: ModularPoint) -> mp.mpc:
     """Weierstrass wp(z; [tau, 1]) via the exponential-coordinate series.
 
@@ -805,11 +812,14 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     complex number.  At a point carried by the word A, wp(z; tau) =
     J^2 wp(J z; tau'), and J z is the index r A when z is the index r
     (``ModularPoint``).  At the point of F, z must lie at distance
-    >= sqrt(eps) from the lattice [tau', 1].  For an index the reduced
-    coordinates are exact, and u = exp(2*pi*i*z) and q/u are read from the
-    point's level-N table; for a complex z they are computed from z.  Both
-    run the same series.  The direct lattice sum survives in the test
-    oracles only; this series is the production path.
+    >= sqrt(eps) from the lattice [tau', 1].  An index of level n lies at
+    least (1 - 2^-19)/n from it, so the floating-point distance test runs
+    only when n^2 eps >= 1 - 2^-18, that is for n near eps^(-1/2) or above;
+    below, the level settles it.  For an index the reduced coordinates are
+    exact, and u = exp(2*pi*i*z) and q/u are read from the point's level-N
+    table; for a complex z they are computed from z.  Both run the same
+    series.  The direct lattice sum survives in the test oracles only; this
+    series is the production path.
     """
     if pt.reduced is None:
         return _wp_at(z, pt)
@@ -829,7 +839,8 @@ def _wp_at(z, pt: ModularPoint) -> mp.mpc:
         if isinstance(z, FractionPair):
             n = z.level
             s, t = z.p1 % n, z.p2 % n
-            _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
+            if n * n * ctx.eps >= _LEVEL_CLEARS_LATTICE:
+                _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
             (ur, ui), (ar, ai), (br, bi) = pt._table(n).w_terms(s, t)
             u, b = _mpc(ur, ui, w), _mpc(br, bi, w)
         else:

@@ -77,6 +77,23 @@ def test_reduced_forms_frozen_examples():
         (1, 0, 14), (2, 0, 7), (3, -2, 5), (3, 2, 5)]
 
 
+def test_fundamental_discriminants_match_the_definition():
+    """d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree;
+    squarefree tested against every p^2 <= n."""
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+    def fundamental(d):
+        if d % 4 == 1:
+            return squarefree(-d)
+        return d % 16 in (8, 12) and squarefree(-d // 4)
+
+    expected = [d for d in range(-2000, -2) if fundamental(d)]
+    assert fundamental_discs(-2000, -3) == expected
+    assert len(expected) == 611
+    assert len([d for d in expected if d <= -7]) == 609
+
+
 def test_reduced_forms_against_brute_force():
     for d in fundamental_discs(-200, -3):
         got = {q.as_tuple() for q in reduced_forms(d)}

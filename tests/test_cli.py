@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from rayclass import cli
+from rayclass import ModularPoint, cli
 from rayclass.cli import main
 
 
@@ -173,6 +174,84 @@ def test_shared_parser_keeps_each_subcommands_defaults(capsys, monkeypatch):
     assert [doc["precision_bits"] for doc in docs] == [256, 320] + [256] * 5
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert [run_cli(argv, capsys) for argv in PARSER_SEQUENCE] == shared
+
+
+# ----------------------------------------------------------------- tables ---
+
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_choices_are_the_table_keys():
+    assert list(_choices("eval", "fn")) == list(cli.EVALS) == [
+        "eta", "g2", "g3", "delta", "j", "siegel", "wp", "wp-prime",
+        "u", "v", "x", "y"]
+    assert list(_choices("check", "which")) == list(cli.CHECKS) == [
+        "curve", "surface", "lemma51", "lemma52", "tbound", "generation",
+        "elliptic4"]
+
+
+# argv, exit code, header (dk, level); one run per table entry
+TABLE_RUNS = [
+    (["eval", fn, "--tau", "0.2,0.9", *(["--r", "1/3,1/5"] if needs_r else [])],
+     0, None, None)
+    for fn, (needs_r, _) in cli.EVALS.items()
+] + [
+    (["check", "curve", "--dk", "-39", "--level", "8"], 0, -39, 8),
+    (["check", "surface", "--tau", "0.41,0.06", "--level", "16"], 0, None, 16),
+    (["check", "lemma51", "--dk", "-39", "--a", "1", "--x", "1"], 0, -39, None),
+    (["check", "lemma52", "--dk", "-39", "--level", "8"], 0, -39, 8),
+    (["check", "tbound", "--dk", "-39", "--level", "8"], 0, -39, 8),
+    (["check", "generation", "--dk", "-163", "--level", "11",
+      "--descriptor", "y4"], 1, -163, 11),
+    (["check", "elliptic4"], 0, None, 4),
+]
+
+
+def test_table_runs_cover_every_entry():
+    assert [argv[1] for argv, *_ in TABLE_RUNS] == [*cli.EVALS, *cli.CHECKS]
+
+
+@pytest.mark.parametrize("argv, code, dk, level", TABLE_RUNS,
+                         ids=[" ".join(argv[:2]) for argv, *_ in TABLE_RUNS])
+def test_every_table_entry_runs_through_main(argv, code, dk, level, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert (got, err) == (code, "")
+    doc = json.loads(out)
+    assert (doc["dk"], doc["level"]) == (dk, level)
+    if argv[0] == "check":
+        assert doc["pass"] is (code == 0)
+    else:
+        assert doc["fn"] == argv[1] and len(doc["value"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "surface", "--tau", "0.41,0.06", "--level", "16"],
+    ["eval", "wp", "--tau", "0.41,0.06", "--r", "1/16,0"],
+])
+def test_one_point_per_tau(argv, capsys, monkeypatch):
+    body = ModularPoint.from_complex.__func__
+    seen = []
+
+    def counted(cls, tau, ctx):
+        seen.append(tau)
+        return body(cls, tau, ctx)
+
+    monkeypatch.setattr(ModularPoint, "from_complex", classmethod(counted))
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(seen) == 1
+
+
+def test_check_surface_reports_the_level_before_the_im_floor(capsys):
+    """Both 4 | N and the Im floor fail; the check tests N first."""
+    code, out, err = run_cli(
+        ["check", "surface", "--tau", "0.1,0.01", "--level", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "surface membership needs 4 | N"}
 
 
 # ------------------------------------------------------------ error paths ---

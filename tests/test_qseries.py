@@ -31,6 +31,7 @@ from rayclass import (
     y_value,
 )
 
+from rayclass import qseries
 from rayclass.qseries import _DivisorSums, _unit_phase_at, _unit_root_fx
 
 from oracles import eisenstein_loop, sigma35
@@ -533,6 +534,76 @@ def test_wp_pole_guard(ctx256):
         pt = _pt(0, 2, ctx256)
         with pytest.raises(OnLattice):
             wp(ctx256.mpc("1e-25", "0"), pt)
+
+
+@pytest.fixture
+def lattice_tests(monkeypatch):
+    """A list that records (y, x) each time wp runs the floating-point
+    lattice-distance test for the rest of the test."""
+    body = qseries._check_off_lattice
+    seen = []
+
+    def counted(pt, y, x):
+        seen.append((y, x))
+        return body(pt, y, x)
+
+    monkeypatch.setattr(qseries, "_check_off_lattice", counted)
+    return seen
+
+
+@pytest.mark.parametrize("eps, below, above", [
+    ("2e-6", 707, 708),        # eps^(-1/2) = 707.107
+    ("1e-9", 31622, 31623),    # eps^(-1/2) = 31622.777
+])
+def test_wp_index_level_decides_when_the_lattice_test_runs(
+        eps, below, above, lattice_tests):
+    """At 64 bits the index (0, 1/N) lies 1/N from the lattice: the level
+    alone clears sqrt(eps) just below eps^(-1/2), and just above it the
+    floating-point test runs and rejects the index."""
+    ctx = PrecisionContext(64, eps)
+    pt = _pt(0.3, 1.1, ctx)
+    wp(FractionPair.from_parts(0, 1, below), pt)
+    assert lattice_tests == []
+    with pytest.raises(OnLattice):
+        wp(FractionPair.from_parts(0, 1, above), pt)
+    assert len(lattice_tests) == 1
+
+
+@pytest.mark.parametrize("bits, eps, levels", [
+    (64, "1e-5", range(290, 330)),         # eps^(-1/2) = 316.2
+    # eps^(-1/2) = 1e20; the level settles it below 1e20 (1 - 2^-19)
+    (256, "1e-40", (10**20 - 2 * 10**14, 10**20 - 10**14, 10**20)),
+])
+def test_wp_level_guard_agrees_with_the_lattice_test(bits, eps, levels,
+                                                     lattice_tests):
+    """Wherever wp skips the floating-point test on an index, that test
+    passes: at the corners and sides of F, where [tau, 1] has several
+    vectors of length 1, and at reduced random points, for the indices
+    next to the lattice and random ones."""
+    ctx = PrecisionContext(bits, eps)
+    rng = random.Random(bits)
+    half = mp.sqrt(3) / 2
+    taus = [(-0.5, half), (0.5, half), (0, 1), (0.25, mp.sqrt(15) / 4)]
+    taus += [(rng.uniform(-3, 3), rng.uniform(0.06, 2)) for _ in range(4)]
+    skipped = 0
+    for tau in taus:
+        pt = _pt(*tau, ctx)
+        f = pt.reduced or pt
+        for n in levels:
+            near = [(0, 1), (1, 0), (1, 1), (1, n - 1), (n - 1, 1), (n - 1, 0)]
+            rand = [(rng.randrange(n), rng.randrange(1, n)) for _ in range(2)]
+            for s, t in near + rand:
+                before = len(lattice_tests)
+                try:
+                    wp(FractionPair.from_parts(s, t, n), f)
+                except OnLattice:
+                    assert len(lattice_tests) == before + 1
+                    continue
+                if len(lattice_tests) == before:
+                    skipped += 1
+                    with ctx.work():
+                        qseries._check_off_lattice(f, mp.mpf(s) / n, mp.mpf(t) / n)
+    assert skipped and lattice_tests
 
 
 def test_wp_cubic_residual(ctx256):
