@@ -33,6 +33,7 @@ from .qseries import (
 from .reciprocity import conjugate_values
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
+TIE_FACTOR = 1  # witnesses within TIE_FACTOR * eps * scale of the optimum tie
 
 
 @dataclass
@@ -178,9 +179,7 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         q = field.principal
         pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
         rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
-        worst = -mp.inf
-        worst_at = None
-        count = 0
+        ratios = []  # ((form, s, t), ratio) in lexicographic order
         for q in field.forms:
             if q.a < 2:
                 continue
@@ -190,12 +189,12 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
                     r = FractionPair.from_parts(s, t, n)
-                    lhs = abs(y_value(pt, r))
-                    count += 1
-                    ratio = lhs / rhs
-                    if ratio > worst:
-                        worst = ratio
-                        worst_at = (q.as_tuple(), s, t)
+                    ratios.append(((q.as_tuple(), s, t), abs(y_value(pt, r)) / rhs))
+        count = len(ratios)
+        worst = max((ratio for _, ratio in ratios), default=-mp.inf)
+        # the first candidate tied with the worst ratio (``_tie_tol``)
+        cut = worst - _tie_tol(ctx, max(1, worst))
+        worst_at = next((at for at, ratio in ratios if ratio >= cut), None)
         residual = (worst - 1) if count else mp.mpf(-1)
     return _finish(
         "lemma52",
@@ -284,42 +283,58 @@ def _scale_of(values):
     return max(mp.mpf(1), max(mags))
 
 
-def min_pairwise_distance(values):
+def min_pairwise_distance(values, tol=0):
     """(d, (i, j)): the smallest ``_pair_distance(values[i], values[j])`` over
-    i < j and the first pair (in (i, j) order) attaining it; (inf, None) for
-    fewer than two values.  Values are mpmath numbers or tuples of them.
+    i < j, and the lexicographically first pair whose distance lies within
+    ``tol`` of it; (inf, None) for fewer than two values.  Values are mpmath
+    numbers or tuples of them.  With tol = 0 the pair is the first one
+    attaining the minimum; a positive tol makes the reported pair blind to
+    rounding noise among tied candidates (``_distinctness``), while d stays
+    the exact minimum.
 
     Sorted sweep: indices go in order of the real part (of the first
     component for tuples), and the scan from i stops once that gap strictly
-    exceeds the best distance so far.  No pair attaining the minimum is
-    skipped, because the rounded gap is the rounded |Re| of the difference
-    the distance is taken of, and abs of a complex number is never below its
-    real part; so the result is the double loop's, bit for bit.
+    exceeds best + tol, best the smallest distance so far.  No pair within
+    tol of the minimum is skipped, because the rounded gap is the rounded
+    |Re| of the difference the distance is taken of, and abs of a complex
+    number is never below its real part; so the result is the double
+    loop's, bit for bit.
     """
     re = [mp.re(v[0] if isinstance(v, tuple) else v) for v in values]
     order = sorted((k for k in range(len(values)) if not mp.isnan(re[k])),
                    key=re.__getitem__)
-    best = mp.inf
-    at = None
+    best = limit = mp.inf
+    near = []  # (pair, distance) within tol of the best distance when seen
     for a, i in enumerate(order):
         for j in order[a + 1:]:
-            if re[j] - re[i] > best:
+            if re[j] - re[i] > limit:
                 break
             pair = (i, j) if i < j else (j, i)
             d = _pair_distance(values[pair[0]], values[pair[1]])
-            if d < best or (d == best and at is not None and pair < at):
-                best = d
-                at = pair
-    return best, at
+            if d <= limit:
+                near.append((pair, d))
+                if d < best:
+                    best = d
+                    limit = best + tol
+    return best, min((p for p, d in near if d <= limit), default=None)
+
+
+def _tie_tol(ctx: PrecisionContext, scale) -> mp.mpf:
+    """Tolerance within which reported witnesses count as tied:
+    TIE_FACTOR * eps * scale, far above the rounding noise of values
+    accurate to eps * 2^-16 and far below the distinctness threshold."""
+    return TIE_FACTOR * ctx.eps * scale
 
 
 def _distinctness(values, ctx: PrecisionContext):
     """(min distance, closest pair, threshold) of the one distinctness test:
     values count as distinct when every pairwise distance exceeds
-    DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|)."""
+    DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|).  The
+    closest pair is the first within ``_tie_tol`` of the minimum."""
     with ctx.work():
-        threshold = DISTINCTNESS_FACTOR * ctx.eps * _scale_of(values)
-        dmin, at = min_pairwise_distance(values)
+        scale = _scale_of(values)
+        threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
+        dmin, at = min_pairwise_distance(values, _tie_tol(ctx, scale))
     return dmin, at, threshold
 
 

@@ -19,7 +19,7 @@ Two kinds live here:
   of the fundamental domain, and below it never farther from the converged
   loop than the M-term loop is.  ``min_pairwise_distance_loop`` is the
   double loop over all pairs that the sorted sweep of ``rayclass.verify``
-  must match.
+  must match, tie rule included.
 """
 
 import math
@@ -218,15 +218,12 @@ def matches_loop(new, loop, im, ctx) -> bool:
     return agrees(new, conv, ctx) or abs(new - conv) <= abs(loop(1) - conv)
 
 
-def min_pairwise_distance_loop(values):
-    """(smallest distance, first pair (i, j), i < j, attaining it) over all
-    n(n-1)/2 pairs; (inf, None) for fewer than two values."""
-    best = mp.inf
-    at = None
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            d = _pair_distance(values[i], values[j])
-            if d < best:
-                best = d
-                at = (i, j)
-    return best, at
+def min_pairwise_distance_loop(values, tol=0):
+    """(smallest distance, first pair (i, j), i < j, whose distance lies
+    within tol of it) over all n(n-1)/2 pairs; (inf, None) for fewer than
+    two values."""
+    dist = {(i, j): _pair_distance(values[i], values[j])
+            for i in range(len(values)) for j in range(i + 1, len(values))}
+    best = min((d for d in dist.values() if not mp.isnan(d)), default=mp.inf)
+    limit = best + tol
+    return best, next((p for p, d in dist.items() if d <= limit), None)

@@ -316,16 +316,89 @@ def _closest_pair_cases(ctx):
         yield [_random_mpc(rng), _random_mpc(rng)]
 
 
+@pytest.mark.parametrize("tol", ["0", "2**-190", "0.05"])
 @pytest.mark.parametrize("bits", [256, 24])
-def test_min_pairwise_distance_matches_the_double_loop(ctx256, bits):
+def test_min_pairwise_distance_matches_the_double_loop(ctx256, bits, tol):
     """The sorted sweep returns the double loop's (distance, pair) exactly,
-    also when arithmetic rounds at fewer bits than the values carry."""
+    tie rule included, also when arithmetic rounds at fewer bits than the
+    values carry."""
     for values in _closest_pair_cases(ctx256):
         with mp.workprec(bits):
-            got = min_pairwise_distance(values)
-            want = min_pairwise_distance_loop(values)
+            t = mp.mpf(2) ** -190 if tol == "2**-190" else mp.mpf(tol)
+            got = min_pairwise_distance(values, t)
+            want = min_pairwise_distance_loop(values, t)
         assert got == want
         assert (got[1] is None) == (len(values) < 2)
+
+
+def test_tie_rule_reports_the_first_pair_near_the_minimum(ctx256):
+    """The distance is the exact minimum; the pair is the lexicographically
+    first one within tol of it."""
+    with ctx256.work():
+        delta = mp.mpf(2) ** -100
+        values = [mp.mpc(0), mp.mpc(1 + delta), mp.mpc(3), mp.mpc(4)]
+        assert min_pairwise_distance(values) == (1, (2, 3))
+        assert min_pairwise_distance(values, delta / 2) == (1, (2, 3))
+        assert min_pairwise_distance(values, 2 * delta) == (1, (0, 1))
+
+
+def _perturbed(v, rng, size):
+    """v * (1 + size * u), |u| <= 1 seeded; componentwise for tuples."""
+    if isinstance(v, tuple):
+        return tuple(_perturbed(c, rng, size) for c in v)
+    return v * (1 + size * mp.mpc(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
+
+
+# Orbits and sweeps whose witness has exactly tied rivals: the x and y12N
+# orbits are closed under complex conjugation, so a closest pair comes with
+# its mirror pair, and lemma 5.2's ratios repeat across (s, t).
+TIED_GENERATION = [(-7, 3, "x"), (-7, 3, "pair"), (-7, 9, "x"), (-7, 9, "pair"),
+                   (-39, 9, "x")]
+
+
+@pytest.mark.parametrize("d,n,descriptor", TIED_GENERATION)
+def test_generation_witness_survives_perturbation(ctx256, monkeypatch, d, n, descriptor):
+    """Moving every orbit value by eps * 2^-20 (relative) leaves the reported
+    closest pair in place, although it moves the minimum distance."""
+    from rayclass import verify
+
+    f = make_field(d)
+    base = check_generation(f, n, descriptor, ctx256).details
+    orig = verify.conjugate_values
+    for seed in range(3):
+        rng = random.Random(seed)
+
+        def shaken(*args):
+            with ctx256.work():
+                return [(lab, _perturbed(v, rng, ctx256.eps * 2.0**-20))
+                        for lab, v in orig(*args)]
+
+        monkeypatch.setattr(verify, "conjugate_values", shaken)
+        got = check_generation(f, n, descriptor, ctx256).details
+        assert got["closest_pair"] == base["closest_pair"]
+        assert got["min_distance"] != base["min_distance"]
+        assert abs(got["min_distance"] - base["min_distance"]) < base["threshold"] / 1000
+
+
+def test_lemma52_witness_survives_perturbation(ctx256, monkeypatch):
+    """(-95, 12) has exactly tied worst ratios; moving every y value by
+    eps * 2^-20 (relative) leaves worst_at in place."""
+    from rayclass import verify
+
+    f = make_field(-95)
+    base = check_lemma52(f, 12, ctx256).details
+    orig = verify.y_value
+    for seed in range(2):
+        rng = random.Random(seed)
+
+        def shaken(pt, r):
+            with ctx256.work():
+                return _perturbed(orig(pt, r), rng, ctx256.eps * 2.0**-20)
+
+        monkeypatch.setattr(verify, "y_value", shaken)
+        got = check_lemma52(f, 12, ctx256).details
+        assert got["worst_at"] == base["worst_at"]
+        assert got["worst_ratio"] != base["worst_ratio"]
 
 
 def test_minpoly_single_value(ctx256):
