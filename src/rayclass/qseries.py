@@ -46,29 +46,37 @@ never lowers Im, so |J|^2 = Im tau' / Im tau >= 1, and A tau' lies within
 |tau' - M tau| / |J|^2, about 2^-bits |tau'|, of tau: the size of the
 rounding of tau itself.
 
-Fixed-point contract.  Every loop over n -- the Euler product, the Siegel
-product, the sigma_3/sigma_5 series and the wp series -- runs on pairs
-(re, im) of Python integers that stand for (re + i*im) * 2^-W, with
-W = bits + FX_GUARD.  Values enter by ``to_fixed`` (q exactly, since it
-carries only ``bits`` bits) and leave by ``ldexp``, rounded to ``bits``.
-The Siegel prefactor is applied in fixed point too (level-N tables, below);
-the eta and Eisenstein prefactors, the exponentials and the final quotients
-stay in mpmath, as do the wp terms that can be near their pole (see
-``wp``).  The truncation index M = ``terms()``, the tail test
-|term| < eps * 2^-GUARD_BITS (compared as squared integers) and the runaway
-guards are those of the term-by-term loops that the tests keep as reference.
+Fixed-point contract.  Every loop over n runs on pairs (re, im) of Python
+integers that stand for (re + i*im) * 2^-W, with W = bits + FX_GUARD.
+Values enter by ``to_fixed`` (q exactly, since it carries only ``bits``
+bits) and leave by ``ldexp``, rounded to ``bits``.  The Siegel prefactor is
+applied in fixed point too (level-N tables, below); the eta and Eisenstein
+prefactors, the exponentials and the final quotients stay in mpmath, as do
+the wp terms that can be near their pole (see ``wp``).
+
+Eta, delta, g2 and g3 come from lacunary sums, whose exponents grow
+quadratically: the pentagonal series (``_pentagonal``) and two theta
+half-sums (``_theta_e4_e6``).  They stop at their first term below 2^-W, so
+they give the converged functions in O(sqrt(W / Im tau)) terms, at most 12
+per sum at 1536 bits in F.  M = ``terms()`` governs only the Siegel product
+and the wp series: their tail test |term| < eps * 2^-GUARD_BITS (compared
+as squared integers) and runaway guards are those of the term-by-term
+loops that the tests keep as reference.
 
 Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
 than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
 modulus below 1, so their error stays below 1/(1 - |q|) <= 4 units, and an
 M-term loop adds a few units per step: about 2^14 units for M ~ 3000 (1536
 bits at Im tau = 0.05, for a point built directly rather than reduced).
-The remaining 18 guard bits let the result's modulus fall to 2^-18 before
-that error reaches its last bit at ``bits``.
-Measured against the same truncated series at 2*bits, the kernels are as
-accurate as the mpmath loops (256 and 1536 bits, Im tau from 0.05 to 3.1).
-The sigma series is the exception: sigma_5(n) ~ n^5 multiplies the error of
-q^n, so ``eisenstein`` widens W by 6 bits per bit of 2M (see there).
+The lacunary sums add a few units per term, and the products that turn the
+theta sums into E4 and E6 scale that by their operands, |a + b|^2 < 5 in F:
+at most 3 units for the Euler product and 530 for E6 (43 points of F, 256
+and 1536 bits, against the same sums at W + 200), so g3 = 8 pi^6/27 E6 is
+off by less than 2^-(bits + 13) even where it vanishes (tau = i).  The
+remaining guard bits let a result's modulus fall well below 1 before that
+error reaches its last bit at ``bits``.  Measured against the same series
+at 2*bits, the kernels are as accurate as the mpmath loops (256 and 1536
+bits, Im tau from 0.05 to 3.1).
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
 w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
@@ -144,12 +152,13 @@ class ModularPoint:
     It owns the values that depend on the point alone.  Each is computed on
     first use and kept, so every evaluator and caller shares one copy:
 
-    * ``terms()``, the truncation index M of the series summed for it (at
-      the reduced point, when there is one);
+    * ``terms()``, the truncation index M of the Siegel product and the wp
+      series summed for it (at the reduced point, when there is one);
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
-    * at a point in F only: ``qfx``, q in fixed point; ``euler``, the M-term
-      Euler product, shared by eta and delta; ``_siegel``, the Siegel values
+    * at a point in F only: ``qfx``, q in fixed point; ``euler``, the Euler
+      product by the pentagonal series, shared by eta and delta;
+      ``_siegel``, the Siegel values
       by reduced index (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by
       ``siegel`` as it meets new keys; ``_tables``, the level-N tables by N,
       each made by ``_table(n)`` on the first index of level N that
@@ -196,7 +205,8 @@ class ModularPoint:
         return mp.im(self.tau)
 
     def terms(self) -> int:
-        """Truncation index of the q-products/series summed for this point."""
+        """Truncation index of the Siegel product and the wp series summed
+        for this point."""
         return self._terms
 
     @cached_property
@@ -238,18 +248,10 @@ class ModularPoint:
 
     @cached_property
     def euler(self) -> mp.mpc:
-        """The truncated Euler product prod_{n=1..M} (1 - q^n), M = terms()."""
-        w = self.width
-        one = 1 << w
-        qr, qi = self.qfx
-        nr, ni = one, 0  # q^n
-        ar, ai = one, 0
-        for _ in range(self.terms()):
-            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
-            fr = one - nr
-            ar, ai = (ar * fr + ai * ni) >> w, (ai * fr - ar * ni) >> w
+        """The Euler product prod_{n>=1} (1 - q^n), by the pentagonal series
+        (``_pentagonal``)."""
         with self.ctx.work():
-            return _mpc(ar, ai, w)
+            return _mpc(*_pentagonal(self.qfx, self.width), self.width)
 
     @cached_property
     def eta(self) -> mp.mpc:
@@ -273,49 +275,17 @@ class ModularPoint:
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
-        """(g2, g3) from the sigma_3 / sigma_5 Fourier series, with prefactors
-        (2*pi)^4/12 and (2*pi)^6/216.  g2(A tau') = J^4 g2(tau') and
+        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), E4 and E6 from the theta
+        constants (``_theta_e4_e6``).  g2(A tau') = J^4 g2(tau') and
         g3(A tau') = J^6 g3(tau')."""
         with self.ctx.work():
             if self.reduced is not None:
                 g2, g3 = self.reduced.eisenstein
                 _, j4, j6, _ = self._weights
                 return j4 * g2, j6 * g3
-            m = self.terms()
-            # sigma_5(n) <= 1.04 n^5 multiplies the few-unit error of q^n;
-            # summed up to the last term, typically n < 2M, that is under
-            # (2M)^6 units.  Widening by as many bits keeps the sum, and the
-            # tail test on terms near eps * 2^-GUARD_BITS >= 2^-bits, clear of
-            # the rounding floor (at W alone the series would not settle when
-            # eps is near 2^-bits).
-            extra = 6 * (2 * m).bit_length()
-            w = self.width + extra
-            qr, qi = (x << extra for x in self.qfx)
-            cut2 = _cut_squared(self.ctx, w)
-            sig3, sig5 = _SIGMA.upto(m)
-            nr, ni = 1 << w, 0  # q^n
-            s3r = s3i = s5r = s5i = 0
-            n = 0
-            while True:
-                n += 1
-                nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
-                if n == len(sig5):
-                    sig3, sig5 = _SIGMA.upto(n)
-                c3, c5 = sig3[n], sig5[n]
-                t5r, t5i = c5 * nr, c5 * ni
-                s3r += c3 * nr
-                s3i += c3 * ni
-                s5r += t5r
-                s5i += t5i
-                # sigma_5(n) >= sigma_3(n), so t5 controls both tails
-                if n >= m and t5r * t5r + t5i * t5i < cut2:
-                    break
-                if n > 100 * m + 1000:  # pragma: no cover
-                    raise RuntimeError("eisenstein series failed to settle")
-            twopi = 2 * mp.pi
-            g2 = twopi**4 / 12 * (1 + 240 * _mpc(s3r, s3i, w))
-            g3 = twopi**6 / 216 * (1 - 504 * _mpc(s5r, s5i, w))
-            return g2, g3
+            w = self.width
+            e4, e6 = _theta_e4_e6(self.qfx, w)
+            return 4 * mp.pi**4 / 3 * _mpc(*e4, w), 8 * mp.pi**6 / 27 * _mpc(*e6, w)
 
     @cached_property
     def _siegel(self) -> dict:
@@ -524,6 +494,75 @@ def _mpc(re: int, im: int, w: int) -> mp.mpc:
     return mp.mpc(mp.ldexp(re, -w), mp.ldexp(im, -w))
 
 
+def _fx_mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
+    """a * b at width w."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
+
+
+def _negligible(a: tuple[int, int]) -> bool:
+    """Both components in {-1, 0, 1}: where a power of q below 2^-w stays,
+    as the shifts floor."""
+    return a[0] * a[0] + a[1] * a[1] <= 2
+
+
+def _pentagonal(q: tuple[int, int], w: int) -> tuple[int, int]:
+    """prod_{n>=1} (1 - q^n) = sum_{k in Z} (-1)^k q^(k(3k-1)/2) at width w.
+    Per k >= 1: q^(k(3k-1)/2), stepped by q^(3k+1), and q^(k(3k+1)/2), that
+    times q^k; it stops at the first term below 2^-w, as later ones are
+    smaller."""
+    q2 = _fx_mul(q, q, w)
+    q3, step = _fx_mul(q2, q, w), _fx_mul(q2, q2, w)  # step = q^(3k+1)
+    sr, si = 1 << w, 0
+    a = qk = q  # q^(k(3k-1)/2) and q^k
+    k = 1
+    while not _negligible(a):
+        br, bi = _fx_mul(a, qk, w)
+        sign = -1 if k % 2 else 1
+        sr, si = sr + sign * (a[0] + br), si + sign * (a[1] + bi)
+        a, step, qk = _fx_mul(a, step, w), _fx_mul(step, q3, w), _fx_mul(qk, q, w)
+        k += 1
+        if k > w:  # pragma: no cover
+            raise RuntimeError("pentagonal series failed to settle")
+    return sr, si
+
+
+def _theta_e4_e6(q: tuple[int, int], w: int):
+    """(E4, E6) at width w from theta constants at the nome e^(pi i tau),
+    via S = sum_{m>=1} q^(2m^2) and T = sum_{m>=0} q^(2m(m+1)), summed to
+    their first term below 2^-w (the terms run T_(m-1), S_m, T_m, both
+    steps q^(2m)).  A = 1 + 2S and C = 4qT^2 give theta_3,4 = A +- B with
+    B^2 = C, hence a + b = 2(A^4 + 6A^2 C + C^2) and ab = (A^2 - C)^4 for
+    a = theta_3^4, b = theta_4^4 = a - theta_2^4, and E4 = (a+b)^2 - 3ab,
+    E6 = (a+b)(9ab - 2(a+b)^2)/2 (DLMF 23.6)."""
+    one = 1 << w
+    step = q2 = _fx_mul(q, q, w)  # q^(2m)
+    t = (one, 0)  # T_(m-1)
+    sr = si = 0
+    tr, ti = t
+    m = 1
+    while True:
+        u = _fx_mul(t, step, w)  # S_m
+        if _negligible(u):
+            break
+        t = _fx_mul(u, step, w)  # T_m
+        sr, si, tr, ti = sr + u[0], si + u[1], tr + t[0], ti + t[1]
+        step = _fx_mul(step, q2, w)
+        m += 1
+        if m > w:  # pragma: no cover
+            raise RuntimeError("theta series failed to settle")
+    big_a = (one + 2 * sr, 2 * si)
+    a2 = _fx_mul(big_a, big_a, w)
+    c = tuple(4 * x for x in _fx_mul(q, _fx_mul((tr, ti), (tr, ti), w), w))
+    a4, a2c, c2 = _fx_mul(a2, a2, w), _fx_mul(a2, c, w), _fx_mul(c, c, w)
+    s = tuple(2 * (x + 6 * y + z) for x, y, z in zip(a4, a2c, c2))  # a + b
+    d = (a2[0] - c[0], a2[1] - c[1])  # A^2 - C
+    d2 = _fx_mul(d, d, w)
+    p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
+    e6r, e6i = _fx_mul(s, (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
+    return (s2[0] - 3 * p[0], s2[1] - 3 * p[1]), (e6r >> 1, e6i >> 1)
+
+
 def _cut_squared(ctx: PrecisionContext, w: int) -> int:
     """Square of the tail cut eps * 2^-GUARD_BITS at width w."""
     with ctx.work():
@@ -575,11 +614,9 @@ class _Powers:
             j, rest = 0, k
             while rest:
                 if j == len(sq):
-                    sr, si = sq[-1]
-                    sq.append(((sr * sr - si * si) >> w, (sr * si) >> (w - 1)))
+                    sq.append(_fx_mul(sq[-1], sq[-1], w))
                 if rest & 1:
-                    (vr, vi), (sr, si) = val, sq[j]
-                    val = (vr * sr - vi * si) >> w, (vr * si + vi * sr) >> w
+                    val = _fx_mul(val, sq[j], w)
                 j, rest = j + 1, rest >> 1
         self.values[k] = val
         return val
@@ -598,35 +635,26 @@ class _LevelTable:
         self.qfx = pt.qfx
         self.zwidth = pt.width + level.bit_length() + 2
         self.qwidth = self.zwidth + math.ceil(float(pt.im) * _BITS_PER_IM)
-        self._shift = self.qwidth + self.zwidth - pt.width
+        self._shift = self.qwidth + self.zwidth - pt.width  # rho^j xi^k at W
         with mp.workprec(self.qwidth + 4):
             rho = mp.exp(2j * mp.pi * pt.tau / level)
         self.q = _Powers(_fx(rho, self.qwidth), self.qwidth)
         self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
 
-    def _at_width(self, a, b) -> tuple[int, int]:
-        """a * b at width W, a a power of rho and b a power of xi."""
-        (ar, ai), (br, bi) = a, b
-        sh = self._shift
-        return (ar * br - ai * bi) >> sh, (ar * bi + ai * br) >> sh
-
     def w_terms(self, s: int, t: int):
         """(w, q*w, q/w) at width W, w = q^(s/N) zeta_N^t =
         exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t."""
-        n, wd = self.n, self.width
+        n, sh = self.n, self._shift
         zr, zi = self.z(12 * n * t)
-        wr, wi = self._at_width(self.q(12 * n * s), (zr, zi))
-        qr, qi = self.qfx
-        qw = (wr * qr - wi * qi) >> wd, (wr * qi + wi * qr) >> wd
-        return (wr, wi), qw, self._at_width(self.q(12 * n * (n - s)), (zr, -zi))
+        w = _fx_mul(self.q(12 * n * s), (zr, zi), sh)
+        qw = _fx_mul(self.q(12 * n * (n - s)), (zr, -zi), sh)
+        return w, _fx_mul(w, self.qfx, self.width), qw
 
     def prefactor(self, s: int, t: int) -> tuple[int, int]:
         """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) at width W_rho, for 0 <= s < N."""
         n = self.n
-        ar, ai = self.q(6 * s * s - 6 * s * n + n * n)
-        br, bi = self.z(6 * t * (n - s))  # conjugated below
-        zw = self.zwidth
-        return (ar * br + ai * bi) >> zw, (ai * br - ar * bi) >> zw
+        br, bi = self.z(6 * t * (n - s))
+        return _fx_mul(self.q(6 * s * s - 6 * s * n + n * n), (br, -bi), self.zwidth)
 
 
 def bernoulli2(x) -> Fraction:
@@ -653,39 +681,9 @@ def eta(pt: ModularPoint) -> mp.mpc:
     return pt.eta
 
 
-class _DivisorSums:
-    """Tables of sigma_3(n) and sigma_5(n) for 0 <= n < len, built by a
-    divisor sieve.  A table only grows, doubling from the largest n a series
-    has asked for, and its entries never change, so sharing one instance
-    changes no result."""
-
-    def __init__(self):
-        self.s3, self.s5 = [0], [0]
-
-    def upto(self, n: int) -> tuple[list[int], list[int]]:
-        """Tables with at least n + 1 entries."""
-        lo = len(self.s3)
-        if n < lo:
-            return self.s3, self.s5
-        hi = max(n + 1, 2 * lo)
-        s3 = self.s3 + [0] * (hi - lo)
-        s5 = self.s5 + [0] * (hi - lo)
-        for d in range(1, hi):
-            d3 = d**3
-            d5 = d3 * d * d
-            for k in range(max(d, -(-lo // d) * d), hi, d):
-                s3[k] += d3
-                s5[k] += d5
-        self.s3, self.s5 = s3, s5
-        return s3, s5
-
-
-_SIGMA = _DivisorSums()
-
-
 def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
-    """(g2, g3) from the sigma_3 / sigma_5 Fourier series, with prefactors
-    (2*pi)^4/12 and (2*pi)^6/216; summed once per point."""
+    """(g2, g3) = ((2*pi)^4/12 E4, (2*pi)^6/216 E6), E4 and E6 from the
+    theta constants; summed once per point."""
     return pt.eisenstein
 
 

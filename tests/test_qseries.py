@@ -32,9 +32,9 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.qseries import _DivisorSums, _unit_phase_at, _unit_root_fx
+from rayclass.qseries import _unit_phase_at, _unit_root_fx
 
-from oracles import eisenstein_loop, sigma35
+from oracles import agrees, eisenstein_loop
 
 
 def _pt(re, im, ctx):
@@ -198,8 +198,8 @@ def test_eta24_shift_invariance(ctx256):
 
 def test_eta_truncation_doubling(ctx256):
     """Doubling the truncation index moves eta(theta) by far less than eps
-    at theta of discriminant -39, and eta truncates its product at m: it
-    matches the m-term product evaluated at twice the bits to 2^-(bits-4)."""
+    at theta of discriminant -39, and eta is the converged product: it
+    matches the 2m-term product evaluated at twice the bits to 2^-(bits-4)."""
     pt = ModularPoint.from_quadratic(1, 1, -39, ctx256)
     m = pt.terms()
 
@@ -217,7 +217,7 @@ def test_eta_truncation_doubling(ctx256):
         assert abs(eta_with_terms(m) - eta_with_terms(2 * m)) < ctx256.eps
         value = eta(pt)
     with mp.workprec(2 * ctx256.bits):
-        ref = eta_with_terms(m)
+        ref = eta_with_terms(2 * m)
         assert abs(value - ref) <= mp.mpf(2) ** (4 - ctx256.bits) * abs(ref)
 
 
@@ -236,13 +236,18 @@ def test_g3_vanishes_at_i(ctx256):
         assert abs(g3) < ctx256.eps
 
 
-def test_divisor_sieve_grows_to_trial_division_values():
-    sums = _DivisorSums()
-    for n in (1, 2, 7, 40, 41, 300):
-        s3, s5 = sums.upto(n)
-        assert len(s3) == len(s5) > n
-    assert [(s3[n], s5[n]) for n in range(1, len(s3))] == \
-        [sigma35(n) for n in range(1, len(s3))]
+@pytest.mark.parametrize("tau", [(0, 1), (0.5, 0.5)])
+def test_eisenstein_matches_the_converged_series(ctx256, tau):
+    """g2 and g3 within eps * 2^-16 (relative above 1) of the sigma series
+    summed to three times its truncation index at 512 bits, also at tau = i
+    where g3 vanishes and the prefactor 8 pi^6/27 ~ 285 multiplies every
+    error of the series (0.5+0.5i is carried to i by the reduction)."""
+    pt = _pt(*tau, ctx256)
+    hi = PrecisionContext(512, ctx256.eps)
+    with hi.work():
+        ref = eisenstein_loop(ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi), 3)
+        for new, old in zip(eisenstein(pt), ref):
+            assert agrees(new, old, ctx256)
 
 
 @pytest.mark.parametrize("im", [0.05, 0.3])
