@@ -132,6 +132,8 @@ def _parse_real(s: str, flag: str, ctx: PrecisionContext) -> mp.mpf:
         x = ctx.mpf(s)
     except ZeroDivisionError:
         raise InputError(f"{flag}: zero denominator in {s!r}") from None
+    except ValueError:
+        raise InputError(f"{flag}: {s!r} is not a number") from None
     if not mp.isfinite(x):
         raise InputError(f"{flag}: {s!r} is not a finite number")
     return x
@@ -153,6 +155,8 @@ def _parse_r(s: str) -> FractionPair:
         r1, r2 = (Fraction(p.strip()) for p in parts)
     except ZeroDivisionError:
         raise InputError(f"--r: zero denominator in {s!r}") from None
+    except ValueError:
+        raise InputError(f"--r: {s!r} is not a pair of fractions") from None
     return FractionPair(r1, r2)
 
 

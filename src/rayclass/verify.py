@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import mpmath as mp
 
-from .classfield import Field, cm_point, ray_class_degree
+from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues
 from .numerics import PrecisionContext
 from .qseries import (
@@ -137,13 +137,15 @@ def _surface_residual(v, x, y, z):
 
 def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
     """Strict inequality 1/(1 - A^(X/a)) < 1 + A^(X/(1.03 a)) with
-    A = exp(-pi sqrt(-d)), for 1 <= a <= sqrt(-d/3) and X >= 1/2.
+    A = exp(-pi sqrt(-d)), for fundamental d <= -7, 1 <= a <= sqrt(-d/3)
+    and X >= 1/2.
 
     Compared as t/(1-t) < s with t = A^(X/a), s = A^(X/(1.03 a)) -- the same
     inequality with the 1 removed on both sides, so margins far below the
     working resolution of 1 + x stay visible.
     """
     t0 = time.perf_counter()
+    _validate_disc(d)
     with ctx.work():
         a = ctx.mpf(a)
         x = ctx.mpf(x)
@@ -461,6 +463,49 @@ def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
     return tol
 
 
+def _require_distinct(values, ctx: PrecisionContext) -> None:
+    """Raise DuplicateValues unless the values pass the distinctness test."""
+    dmin, at, threshold = _distinctness(list(values), ctx)
+    if dmin <= threshold:
+        raise DuplicateValues(f"values {at} coincide at distance {mp.nstr(dmin, 5)}")
+
+
+def _expand(factors) -> list:
+    """Ascending coefficients of the product of monic factors, each given by
+    its ascending coefficients (leading 1 included): (-v, 1) for X - v,
+    (c, b, 1) for X^2 + b X + c.  Real factors give real coefficients; the
+    leading one is the integer 1."""
+    coeffs = [1]
+    for f in factors:
+        deg = len(f) - 1
+        nxt = [0] * (len(coeffs) + deg)
+        for k, c in enumerate(coeffs):
+            for i in range(deg):
+                nxt[k + i] += f[i] * c
+            nxt[k + deg] += c
+        coeffs = nxt
+    return coeffs
+
+
+def _recognize(coeffs, field: Field, ctx: PrecisionContext, den_max: int, tol) -> Polynomial:
+    """The monic polynomial with these ascending coefficients, each
+    recognized in (1/den) * O_K, den <= den_max, within tol; failures are
+    recorded (coefficient left as it is), never raised."""
+    theta = field.theta.to_mpc(ctx)
+    recognized = []
+    worst = mp.mpf(0)
+    for c in coeffs[:-1]:
+        rec = _recognize_coeff(c, theta, den_max, tol)
+        recognized.append(rec)
+        if rec is None:
+            worst = mp.inf
+        else:
+            m, n, den = rec
+            worst = max(worst, abs(c - (m + n * theta) / den))
+    recognized.append((1, 0, 1))
+    return Polynomial(tuple(coeffs), tuple(recognized), worst)
+
+
 def minpoly(values, field: Field, ctx: PrecisionContext,
             den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Expand prod (X - v_i) and recognize coefficients in (1/den) * O_K.
@@ -473,43 +518,49 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
         raise ValueError("need at least one value")
     tol = _recognition_tol(den_max, recog_tol, ctx)
     with ctx.work():
-        dmin, at, threshold = _distinctness(list(values), ctx)
-        if dmin <= threshold:
-            raise DuplicateValues(
-                f"values {at} coincide at distance {mp.nstr(dmin, 5)}"
-            )
-        coeffs = [mp.mpc(1)]
-        for v in values:
-            v = mp.mpc(v)
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k] += -v * c
-                nxt[k + 1] += c
-            coeffs = nxt
-        # ascending order: coeffs[k] multiplies X^k, leading term exactly 1
+        _require_distinct(values, ctx)
+        coeffs = _expand((-mp.mpc(v), 1) for v in values)
         coeffs[-1] = mp.mpc(1)
-        theta = field.theta.to_mpc(ctx)
-        recognized = []
-        worst = mp.mpf(0)
-        for c in coeffs[:-1]:
-            rec = _recognize_coeff(c, theta, den_max, tol)
-            recognized.append(rec)
-            if rec is None:
-                worst = mp.inf
-            else:
-                m, n, den = rec
-                worst = max(worst, abs(c - (m + n * theta) / den))
-        recognized.append((1, 0, 1))
-        return Polynomial(tuple(coeffs), tuple(recognized), worst)
+        return _recognize(coeffs, field, ctx, den_max, tol)
+
+
+def _conjugate_classes(forms) -> list:
+    """(Q, partner) for each pair of reduced forms whose j values are complex
+    conjugates: Q = (a, b, c) with b > 0 and partner (a, -b, c), also
+    reduced, since j(theta_(a,-b,c)) = conj j(theta_(a,b,c)); or
+    (Q, None) for an ambiguous Q (b = 0, b = a or a = c), whose j is real.
+    Together they cover ``forms`` once each."""
+    out = []
+    for q in forms:
+        if q.b == 0 or q.b == q.a or q.a == q.c:
+            out.append((q, None))
+        elif q.b > 0:
+            out.append((q, ReducedForm(q.a, -q.b, q.c)))
+    return out
 
 
 def hilbert_class_poly(field: Field, ctx: PrecisionContext,
                        den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Minimal polynomial of j(theta): prod over reduced forms of
-    (X - j(theta_Q)); coefficients recognize as rational integers."""
-    _recognition_tol(den_max, recog_tol, ctx)  # reject before the h series sums
-    values = []
-    for q in field.forms:
-        pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
-        values.append(j_invariant(pt))
-    return minpoly(values, field, ctx, den_max=den_max, recog_tol=recog_tol)
+    (X - j(theta_Q)); coefficients recognize as rational integers.
+
+    j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
+    the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
+    so the coefficients are real by construction.  Distinctness is tested on
+    all h values, conjugates included, in the order of ``field.forms``."""
+    tol = _recognition_tol(den_max, recog_tol, ctx)  # reject before the series sums
+    j_at = {}
+    factors = []
+    with ctx.work():
+        for q, partner in _conjugate_classes(field.forms):
+            v = j_at[q] = j_invariant(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx))
+            re = mp.re(v)
+            if partner is None:
+                factors.append((-re, 1))
+            else:
+                j_at[partner] = mp.conj(v)
+                factors.append((re * re + mp.im(v) ** 2, -2 * re, 1))
+        _require_distinct([j_at[q] for q in field.forms], ctx)
+        coeffs = _expand(factors)
+        coeffs[-1] = mp.mpf(1)
+        return _recognize(coeffs, field, ctx, den_max, tol)

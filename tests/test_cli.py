@@ -329,12 +329,26 @@ def test_degenerate_index_exit_three(capsys):
     ["eval", "eta", "--tau", "0,inf"],
     ["eval", "eta", "--tau", "nan,1"],
     ["eval", "eta", "--tau", "0,nan"],
+    ["eval", "siegel", "--tau", "0,1", "--r", "a,b"],
+    ["eval", "eta", "--tau", "abc,1"],
+    ["check", "lemma51", "--dk", "-39", "--a", "one", "--x", "1"],
+    ["hcp", "--dk", "-7", "--recog-tol", "abc"],
 ])
 def test_malformed_numbers_exit_two(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("dk,error", [("-12", "NotFundamental"), ("-4", "ValueError"),
+                                      ("5", "NotImaginary")])
+def test_lemma51_validates_the_discriminant(dk, error, capsys):
+    """lemma51 rejects a non-fundamental d like every other --dk command."""
+    code, out, err = run_cli(["check", "lemma51", "--dk", dk, "--a", "1", "--x", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
 
 
 @pytest.mark.parametrize("argv", [

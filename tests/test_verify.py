@@ -9,6 +9,7 @@ from rayclass import (
     DuplicateValues,
     FractionPair,
     ModularPoint,
+    PrecisionContext,
     check_T_bound,
     check_curve_point,
     check_elliptic_points,
@@ -20,13 +21,15 @@ from rayclass import (
     conjugate_values,
     elliptic4_points,
     hilbert_class_poly,
+    j_invariant,
     make_field,
     minpoly,
     normalized,
     t_majorant,
     y_value,
 )
-from rayclass.verify import _surface_residual, min_pairwise_distance
+from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
+from rayclass.verify import _conjugate_classes, _surface_residual, min_pairwise_distance
 
 from oracles import min_pairwise_distance_loop
 
@@ -248,8 +251,6 @@ def test_generation_corollary_cases(ctx256):
 
 def test_generation_reports_failure_at_absurd_eps():
     """A coarse eps makes the distinctness threshold swallow the orbit."""
-    from rayclass import PrecisionContext
-
     coarse = PrecisionContext(256, "1e-2")
     f = make_field(-7)
     rep = check_generation(f, 3, "y4", coarse)
@@ -493,6 +494,45 @@ def test_recognition_rejects_settings_that_cannot_work(ctx256, setting):
         minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, **setting)
     with pytest.raises(ValueError):
         hilbert_class_poly(f, ctx256, **setting)
+
+
+def test_conjugate_classes_cover_every_reduced_form_once():
+    """Pairs (a, b, c), (a, -b, c) and ambiguous forms (b = 0, b = a or
+    a = c) together list each reduced form of every fundamental d in
+    [-2000, -3] exactly once; a pair's partner is itself reduced."""
+    for d in range(-3, -2001, -1):
+        if not is_fundamental(d):
+            continue
+        forms = reduced_forms(d)
+        classes = _conjugate_classes(forms)
+        covered = [q for q, _ in classes] + [p for _, p in classes if p is not None]
+        assert sorted(covered, key=ReducedForm.as_tuple) == \
+            sorted(forms, key=ReducedForm.as_tuple), d
+        for q, p in classes:
+            if p is None:
+                assert q.b == 0 or q.b == q.a or q.a == q.c
+            else:
+                assert 0 < q.b < q.a < q.c and p.as_tuple() == (q.a, -q.b, q.c)
+
+
+@pytest.mark.parametrize("d", [-199, -479, -1559])
+def test_j_at_partner_forms_is_the_conjugate(d):
+    """j(theta_(a,-b,c)) = conj j(theta_(a,b,c)) within eps * 2^-16 * |j|
+    at 1536 bits, so hcp may evaluate one of each pair."""
+    ctx = PrecisionContext(1536, "1e-400")
+    with ctx.work():
+        for q, p in _conjugate_classes(reduced_forms(d)):
+            if p is None:
+                continue
+            v = j_invariant(ModularPoint.from_quadratic(q.a, q.b, d, ctx))
+            w = j_invariant(ModularPoint.from_quadratic(p.a, p.b, d, ctx))
+            assert abs(w - mp.conj(v)) <= ctx.eps * mp.mpf(2) ** -16 * abs(v)
+
+
+def test_hcp_coefficients_are_real():
+    poly = hilbert_class_poly(make_field(-199), PrecisionContext(1024, "1e-250"))
+    assert poly.all_recognized() and poly.degree == 9
+    assert all(mp.im(c) == 0 for c in poly.coeffs)
 
 
 def test_hcp_class_number_one_values(ctx300):
