@@ -9,11 +9,11 @@ gap between ``2^-bits`` and ``eps`` (at least 16 bits, enforced) absorbs
 rounding and truncation noise, which is validated by precision-doubling
 tests and reference loops rather than by interval arithmetic.
 
-Truncation of every q-series/product is governed by :func:`truncation_terms`:
-the smallest M with |q|^M < eps * 2^-16, where |q| = exp(-2*pi*Im(tau)).  All
-series used downstream converge at least geometrically in |q| once polynomial
-coefficient growth is absorbed (the evaluators extend adaptively past M when
-needed, keeping determinism).
+Truncation of the Siegel product and the wp series is governed by
+:func:`truncation_terms`: the smallest M with |q|^M < eps * 2^-16, where
+|q| = exp(-2*pi*Im(tau)) (the wp series extends adaptively past M when
+needed, keeping determinism).  The lacunary sums behind eta, delta, g2 and
+g3 run to their first term below the fixed-point resolution instead.
 
 Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them,
 fixed-point loops included, is deterministic given (bits, operands).

@@ -54,29 +54,24 @@ applied in fixed point too (level-N tables, below); the eta and Eisenstein
 prefactors, the exponentials and the final quotients stay in mpmath, as do
 the wp terms that can be near their pole (see ``wp``).
 
-Eta, delta, g2 and g3 come from lacunary sums, whose exponents grow
-quadratically: the pentagonal series (``_pentagonal``) and two theta
-half-sums (``_theta_e4_e6``).  They stop at their first term below 2^-W, so
-they give the converged functions in O(sqrt(W / Im tau)) terms, at most 12
-per sum at 1536 bits in F.  M = ``terms()`` governs only the Siegel product
-and the wp series: their tail test |term| < eps * 2^-GUARD_BITS (compared
-as squared integers) and runaway guards are those of the term-by-term
-loops that the tests keep as reference.
+Eta, delta, g2 and g3 come from lacunary sums (``_pentagonal``,
+``_theta_e4_e6``), which stop at their first term below 2^-W: the converged
+functions, at most 12 terms per sum at 1536 bits in F.  M = ``terms()``
+governs only the Siegel product and the wp series, with the tail test
+|term| < eps * 2^-GUARD_BITS (on squared integers) and the runaway guards of
+the term-by-term loops that the tests keep as reference.
 
 Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
 than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
 modulus below 1, so their error stays below 1/(1 - |q|) <= 4 units, and an
 M-term loop adds a few units per step: about 2^14 units for M ~ 3000 (1536
 bits at Im tau = 0.05, for a point built directly rather than reduced).
-The lacunary sums add a few units per term, and the products that turn the
-theta sums into E4 and E6 scale that by their operands, |a + b|^2 < 5 in F:
-at most 3 units for the Euler product and 530 for E6 (43 points of F, 256
-and 1536 bits, against the same sums at W + 200), so g3 = 8 pi^6/27 E6 is
-off by less than 2^-(bits + 13) even where it vanishes (tau = i).  The
-remaining guard bits let a result's modulus fall well below 1 before that
-error reaches its last bit at ``bits``.  Measured against the same series
-at 2*bits, the kernels are as accurate as the mpmath loops (256 and 1536
-bits, Im tau from 0.05 to 3.1).
+The lacunary sums end at most 3 units off for the Euler product and 530 for
+E6 (43 points of F at 256 and 1536 bits), so g3 is off by less than
+2^-(bits + 13) even where it vanishes.  The remaining guard bits let a
+result's modulus fall well below 1 before that error reaches its last bit
+at ``bits``.  Measured against the same series at 2*bits, the kernels are
+as accurate as the mpmath loops (256 and 1536 bits, Im tau 0.05 to 3.1).
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
 w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and

@@ -287,12 +287,9 @@ def _scale_of(values):
 
 def min_pairwise_distance(values, tol=0):
     """(d, (i, j)): the smallest ``_pair_distance(values[i], values[j])`` over
-    i < j, and the lexicographically first pair whose distance lies within
-    ``tol`` of it; (inf, None) for fewer than two values.  Values are mpmath
-    numbers or tuples of them.  With tol = 0 the pair is the first one
-    attaining the minimum; a positive tol makes the reported pair blind to
-    rounding noise among tied candidates (``_distinctness``), while d stays
-    the exact minimum.
+    i < j, and the lexicographically first pair within ``tol`` of it, so
+    that rounding noise among tied pairs cannot move it; (inf, None) for
+    fewer than two values.  Values are mpmath numbers or tuples of them.
 
     Sorted sweep: indices go in order of the real part (of the first
     component for tuples), and the scan from i stops once that gap strictly
@@ -322,9 +319,8 @@ def min_pairwise_distance(values, tol=0):
 
 
 def _tie_tol(ctx: PrecisionContext, scale) -> mp.mpf:
-    """Tolerance within which reported witnesses count as tied:
-    TIE_FACTOR * eps * scale, far above the rounding noise of values
-    accurate to eps * 2^-16 and far below the distinctness threshold."""
+    """TIE_FACTOR * eps * scale: far above the noise of values accurate to
+    eps * 2^-16, far below the distinctness threshold."""
     return TIE_FACTOR * ctx.eps * scale
 
 
@@ -472,9 +468,8 @@ def _require_distinct(values, ctx: PrecisionContext) -> None:
 
 def _expand(factors) -> list:
     """Ascending coefficients of the product of monic factors, each given by
-    its ascending coefficients (leading 1 included): (-v, 1) for X - v,
-    (c, b, 1) for X^2 + b X + c.  Real factors give real coefficients; the
-    leading one is the integer 1."""
+    its ascending coefficients, leading 1 included: (-v, 1) for X - v,
+    (c, b, 1) for X^2 + b X + c.  The leading coefficient is the integer 1."""
     coeffs = [1]
     for f in factors:
         deg = len(f) - 1
@@ -488,9 +483,8 @@ def _expand(factors) -> list:
 
 
 def _recognize(coeffs, field: Field, ctx: PrecisionContext, den_max: int, tol) -> Polynomial:
-    """The monic polynomial with these ascending coefficients, each
-    recognized in (1/den) * O_K, den <= den_max, within tol; failures are
-    recorded (coefficient left as it is), never raised."""
+    """The monic polynomial with these coefficients, each recognized in
+    (1/den) * O_K within tol; failures are recorded, never raised."""
     theta = field.theta.to_mpc(ctx)
     recognized = []
     worst = mp.mpf(0)
@@ -525,11 +519,10 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
 
 
 def _conjugate_classes(forms) -> list:
-    """(Q, partner) for each pair of reduced forms whose j values are complex
-    conjugates: Q = (a, b, c) with b > 0 and partner (a, -b, c), also
-    reduced, since j(theta_(a,-b,c)) = conj j(theta_(a,b,c)); or
-    (Q, None) for an ambiguous Q (b = 0, b = a or a = c), whose j is real.
-    Together they cover ``forms`` once each."""
+    """(Q, (a, -b, c)) for each reduced Q = (a, b, c) with b > 0 whose
+    partner is reduced too, as j(theta_(a,-b,c)) = conj j(theta_Q), and
+    (Q, None) for an ambiguous Q (b = 0, b = a or a = c), whose j is real;
+    together they cover ``forms`` once each."""
     out = []
     for q in forms:
         if q.b == 0 or q.b == q.a or q.a == q.c:
@@ -546,8 +539,7 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
 
     j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
     the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
-    so the coefficients are real by construction.  Distinctness is tested on
-    all h values, conjugates included, in the order of ``field.forms``."""
+    so the coefficients are real.  Distinctness is tested on all h values."""
     tol = _recognition_tol(den_max, recog_tol, ctx)  # reject before the series sums
     j_at = {}
     factors = []
