@@ -181,7 +181,9 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         q = field.principal
         pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
         rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
-        ratios = []  # ((form, s, t), ratio) in lexicographic order
+        worst = cut = -mp.inf
+        near = []  # ((form, s, t), ratio) within the tie tolerance of the worst so far
+        count = 0
         for q in field.forms:
             if q.a < 2:
                 continue
@@ -191,12 +193,16 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
                     r = FractionPair.from_parts(s, t, n)
-                    ratios.append(((q.as_tuple(), s, t), abs(y_value(pt, r)) / rhs))
-        count = len(ratios)
-        worst = max((ratio for _, ratio in ratios), default=-mp.inf)
-        # the first candidate tied with the worst ratio (``_tie_tol``)
-        cut = worst - _tie_tol(ctx, max(1, worst))
-        worst_at = next((at for at, ratio in ratios if ratio >= cut), None)
+                    ratio = abs(y_value(pt, r)) / rhs
+                    count += 1
+                    if ratio >= cut:
+                        near.append(((q.as_tuple(), s, t), ratio))
+                        if ratio > worst:
+                            worst = ratio
+                            cut = worst - _tie_tol(ctx, max(1, worst))
+        # the first (form, s, t) in sweep order tied with the worst ratio; the
+        # cut only rises, so no candidate above the last one was dropped
+        worst_at = next((at for at, ratio in near if ratio >= cut), None)
         residual = (worst - 1) if count else mp.mpf(-1)
     return _finish(
         "lemma52",
