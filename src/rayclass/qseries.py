@@ -56,7 +56,7 @@ the wp terms that can be near their pole (see ``wp``).
 
 Eta, delta, g2 and g3 come from lacunary sums (``_pentagonal``,
 ``_theta_e4_e6``), which stop at their first term below 2^-W: the converged
-functions, at most 12 terms per sum at 1536 bits in F.  M = ``terms()``
+functions, at most 11 loop steps per sum at 1536 bits in F.  M = ``terms()``
 governs only the Siegel product and the wp series, with the tail test
 |term| < eps * 2^-GUARD_BITS (on squared integers) and the runaway guards of
 the term-by-term loops that the tests keep as reference.

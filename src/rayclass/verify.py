@@ -33,7 +33,6 @@ from .qseries import (
 from .reciprocity import conjugate_values
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
-TIE_FACTOR = 1  # witnesses within TIE_FACTOR * eps * scale of the optimum tie
 
 
 @dataclass
@@ -182,7 +181,7 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
         rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
         worst = cut = -mp.inf
-        near = []  # ((form, s, t), ratio) within the tie tolerance of the worst so far
+        near = []  # ((form, s, t), ratio) tied with the worst so far
         count = 0
         for q in field.forms:
             if q.a < 2:
@@ -199,9 +198,10 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                         near.append(((q.as_tuple(), s, t), ratio))
                         if ratio > worst:
                             worst = ratio
-                            cut = worst - _tie_tol(ctx, max(1, worst))
-        # the first (form, s, t) in sweep order tied with the worst ratio; the
-        # cut only rises, so no candidate above the last one was dropped
+                            cut = worst - ctx.eps * max(1, worst)
+        # the first (form, s, t) in sweep order within eps * max(1, worst) of
+        # the worst ratio; the cut only rises, so no candidate above it was
+        # dropped
         worst_at = next((at for at, ratio in near if ratio >= cut), None)
         residual = (worst - 1) if count else mp.mpf(-1)
     return _finish(
@@ -291,7 +291,7 @@ def _scale_of(values):
     return max(mp.mpf(1), max(mags))
 
 
-def min_pairwise_distance(values, tol=0):
+def min_pairwise_distance(values, tol):
     """(d, (i, j)): the smallest ``_pair_distance(values[i], values[j])`` over
     i < j, and the lexicographically first pair within ``tol`` of it, so
     that rounding noise among tied pairs cannot move it; (inf, None) for
@@ -324,21 +324,16 @@ def min_pairwise_distance(values, tol=0):
     return best, min((p for p, d in near if d <= limit), default=None)
 
 
-def _tie_tol(ctx: PrecisionContext, scale) -> mp.mpf:
-    """TIE_FACTOR * eps * scale: far above the noise of values accurate to
-    eps * 2^-16, far below the distinctness threshold."""
-    return TIE_FACTOR * ctx.eps * scale
-
-
 def _distinctness(values, ctx: PrecisionContext):
     """(min distance, closest pair, threshold) of the one distinctness test:
     values count as distinct when every pairwise distance exceeds
     DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|).  The
-    closest pair is the first within ``_tie_tol`` of the minimum."""
+    closest pair is the first within eps * scale of the minimum: far above
+    the noise of values accurate to eps * 2^-16, far below the threshold."""
     with ctx.work():
         scale = _scale_of(values)
         threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
-        dmin, at = min_pairwise_distance(values, _tie_tol(ctx, scale))
+        dmin, at = min_pairwise_distance(values, ctx.eps * scale)
     return dmin, at, threshold
 
 
@@ -417,8 +412,9 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
 
 @dataclass
 class Polynomial:
-    """Monic polynomial with complex coefficients and optional recognition of
-    each coefficient as (m + n*theta)/den with integers m, n and den bounded.
+    """Monic polynomial with complex coefficients (real ones from
+    ``hilbert_class_poly``) and optional recognition of each coefficient as
+    (m + n*theta)/den with integers m, n and den bounded.
 
     coeffs are ascending, coeffs[-1] == 1 exactly.  recognized[k] is either
     (m, n, den) or None when recognition failed at den <= den_max.

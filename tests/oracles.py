@@ -218,7 +218,7 @@ def matches_loop(new, loop, im, ctx) -> bool:
     return agrees(new, conv, ctx) or abs(new - conv) <= abs(loop(1) - conv)
 
 
-def min_pairwise_distance_loop(values, tol=0):
+def min_pairwise_distance_loop(values, tol):
     """(smallest distance, first pair (i, j), i < j, whose distance lies
     within tol of it) over all n(n-1)/2 pairs; (inf, None) for fewer than
     two values."""

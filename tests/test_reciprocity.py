@@ -258,7 +258,7 @@ def test_pair_orbit_distinct_for_main_case(ctx256):
     conj = conjugate_values(f, 8, "pair", ctx256)
     values = [v for _, v in conj]
     with ctx256.work():
-        dmin, _ = min_pairwise_distance(values)
+        dmin, _ = min_pairwise_distance(values, 0)
         assert dmin > 1000 * ctx256.eps
 
 

@@ -338,7 +338,7 @@ def test_tie_rule_reports_the_first_pair_near_the_minimum(ctx256):
     with ctx256.work():
         delta = mp.mpf(2) ** -100
         values = [mp.mpc(0), mp.mpc(1 + delta), mp.mpc(3), mp.mpc(4)]
-        assert min_pairwise_distance(values) == (1, (2, 3))
+        assert min_pairwise_distance(values, 0) == (1, (2, 3))
         assert min_pairwise_distance(values, delta / 2) == (1, (2, 3))
         assert min_pairwise_distance(values, 2 * delta) == (1, (0, 1))
 
