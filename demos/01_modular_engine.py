@@ -18,20 +18,15 @@ from rayclass import (
     j_invariant,
     siegel,
     siegel_order,
-    truncation_terms,
 )
 
 ctx = PrecisionContext(bits=256, eps="1e-40")
 
-print("== truncation control ==")
-for im in ("0.9", "1.5", "3"):
-    print(f"Im(tau) = {im:>4}: products truncate at M =",
-          truncation_terms(im, ctx.eps), "terms")
-
-print("\n== reduction into the fundamental domain ==")
+print("== reduction into the fundamental domain ==")
 low = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
 print("tau = 0.1234 + 0.06i is summed at tau' =", mp.nstr(low.reduced.tau, 12),
-      f"= A^-1 tau, A = {low.word}, with M = {low.terms()} terms")
+      f"= A^-1 tau, A = {low.word}, where |q| =", mp.nstr(abs(low.reduced.q), 5))
+print("every series there is lacunary and stops at its first term below 2^-(bits + 32)")
 
 print("\n== eta at the square lattice point ==")
 pt_i = ModularPoint.from_complex((0, 1), ctx)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -402,8 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Flags whose value may start with "-": a negative real part or residue.
+# argparse takes a token like "-0.3,0.9" for an option, so such a value is
+# joined to its flag ("--tau=-0.3,0.9") before parsing.
+_SIGNED_FLAGS = ("--tau", "--r", "--a", "--x")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         ctx = _ctx_from(args)
         header, body = args.run(args, ctx)

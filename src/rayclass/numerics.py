@@ -9,11 +9,10 @@ gap between ``2^-bits`` and ``eps`` (at least 16 bits, enforced) absorbs
 rounding and truncation noise, which is validated by precision-doubling
 tests and reference loops rather than by interval arithmetic.
 
-Truncation of the Siegel product and the wp series is governed by
-:func:`truncation_terms`: the smallest M with |q|^M < eps * 2^-16, where
-|q| = exp(-2*pi*Im(tau)) (the wp series extends adaptively past M when
-needed, keeping determinism).  The lacunary sums behind eta, delta, g2 and
-g3 run to their first term below the fixed-point resolution instead.
+Every q-series of the package is a lacunary sum that runs to its first term
+below the fixed-point resolution.  :func:`truncation_terms`, the smallest M
+with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*Im(tau)), sizes the
+term-by-term reference loops that the tests compare them with.
 
 Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them,
 fixed-point loops included, is deterministic given (bits, operands).
@@ -108,12 +107,9 @@ def check_im_floor(im) -> None:
 def truncation_terms(im_tau, eps) -> int:
     """Smallest M with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*im_tau).
 
-    Downstream products/sums truncate at index M.  Raises ImTooSmall below
-    the Im(tau) floor.  The q-series evaluators call it only at points of
-    the fundamental domain (Im >= sqrt(3)/2, see ``ModularPoint``), so
-    there the floor no longer bounds the tail: it bounds how far a point is
-    carried by the reduction, and with it the weight factors and the
-    precision of the reduced point.
+    Truncated products and sums stop at index M.  Raises ImTooSmall below
+    the Im(tau) floor.  ``ModularPoint.terms`` reads it at the point where
+    the series are summed, in the fundamental domain (Im >= sqrt(3)/2).
     """
     with mp.workprec(80):
         im = _to_mpf(im_tau)

@@ -22,9 +22,9 @@ Reduction into the fundamental domain.  ``ModularPoint.from_complex`` finds
 M in SL2(Z) with tau' = M tau in the standard fundamental domain F
 (|Re tau'| <= 1/2, |tau'| >= 1, up to margins of 2^-20 that keep boundary
 points in place), and every series is summed at tau', where Im tau' >=
-sqrt(3)/2 caps the truncation index (19 terms at eps 1e-40, 172 at
-1e-400).  With A = M^-1 = (a, b, c, d), normalized to c > 0 or c = 0 < d,
-and J = c tau' + d, the values at tau = A tau' are carried back exactly:
+sqrt(3)/2 keeps |q| <= exp(-pi sqrt(3)).  With A = M^-1 = (a, b, c, d),
+normalized to c > 0 or c = 0 < d, and J = c tau' + d, the values at
+tau = A tau' are carried back exactly:
 
 * eta(tau) = zeta_A sqrt(J) eta(tau'), principal square root, with the
   Dedekind eta multiplier zeta_A = exp(pi*i*((a + d)/(12 c) - s(d, c) -
@@ -46,32 +46,32 @@ never lowers Im, so |J|^2 = Im tau' / Im tau >= 1, and A tau' lies within
 |tau' - M tau| / |J|^2, about 2^-bits |tau'|, of tau: the size of the
 rounding of tau itself.
 
-Fixed-point contract.  Every loop over n runs on pairs (re, im) of Python
-integers that stand for (re + i*im) * 2^-W, with W = bits + FX_GUARD.
-Values enter by ``to_fixed`` (q exactly, since it carries only ``bits``
-bits) and leave by ``ldexp``, rounded to ``bits``.  The Siegel prefactor is
-applied in fixed point too (level-N tables, below); the eta and Eisenstein
-prefactors, the exponentials and the final quotients stay in mpmath, as do
-the wp terms that can be near their pole (see ``wp``).
+Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
+that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
+``to_fixed`` (q exactly, as it carries only ``bits`` bits) and leave by
+``_mpc``, rounded to ``bits``; the Siegel prefactor and the wp quotient are
+applied in fixed point too, the eta and Eisenstein prefactors and the
+exponentials in mpmath.  Each sum is lacunary and stops at its first term
+below 2^-W, so every value is the converged function: ``_pentagonal`` sums
+the Euler product E (eta, delta), ``_theta_sums`` the theta constants (g2,
+g3 and the constants of wp), and ``_triple`` the halves Ev (even n) and Od
+(odd n) of sum_n q^(n(n-1)/2) w^n at w = exp(2*pi*i*z): Ev - Od =
+E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times the Siegel product, and
+(Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
+23.6.2).  No kernel reads ``terms()``; it sizes the tests' reference loops.
 
-Eta, delta, g2 and g3 come from lacunary sums (``_pentagonal``,
-``_theta_e4_e6``), which stop at their first term below 2^-W: the converged
-functions, at most 11 loop steps per sum at 1536 bits in F.  M = ``terms()``
-governs only the Siegel product and the wp series, with the tail test
-|term| < eps * 2^-GUARD_BITS (on squared integers) and the runaway guards of
-the term-by-term loops that the tests keep as reference.
-
-Why FX_GUARD = 32 bits suffice: each fixed-point product truncates by less
-than one unit 2^-W per component.  The running powers q^n, q^n*w, q^n/w have
-modulus below 1, so their error stays below 1/(1 - |q|) <= 4 units, and an
-M-term loop adds a few units per step: about 2^14 units for M ~ 3000 (1536
-bits at Im tau = 0.05, for a point built directly rather than reduced).
-The lacunary sums end at most 3 units off for the Euler product and 530 for
-E6 (43 points of F at 256 and 1536 bits), so g3 is off by less than
-2^-(bits + 13) even where it vanishes.  The remaining guard bits let a
-result's modulus fall well below 1 before that error reaches its last bit
-at ``bits``.  Measured against the same series at 2*bits, the kernels are
-as accurate as the mpmath loops (256 and 1536 bits, Im tau 0.05 to 3.1).
+Why FX_GUARD = 32 bits suffice: each product truncates by less than one
+unit 2^-W per component, and the terms and steps of the sums have modulus
+<= 1.  At 1536 bits in F the sums take at most 11 steps (Euler), 9 (theta)
+and 20 per side (``_triple``; 9 at 256 bits), and end at most 3, 530 (E6)
+and 17 units off (43 points of F; for ``_triple`` indices of levels 2 to 97
+at 10 points, against the same inputs at twice the width), so g3 is off by
+less than 2^-(bits + 13) even where it vanishes.  The other guard bits let a
+result's modulus fall well below 1 before that error reaches its last bit:
+the factors 1 - w and 1 - q/w of the Siegel product have modulus about 1/N
+or more at an index of level N, and wp keeps the relative error of Ev - Od,
+about 2^-W / |z - lattice| (its quotient divides exact integer products),
+far below the 2^-bits / |z - lattice| left by rounding z and w to ``bits``.
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
 w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
@@ -84,8 +84,8 @@ O(log N) products, never O(N)).  Powers of xi are held at width
 W_xi = W + bitlen(L) + 2 and powers of rho at W_rho = W_xi + ceil(Im(tau) *
 pi / (6 ln 2)).  A k-th power of a base of modulus <= 1 carrying one unit
 of error carries at most k + 2 bitlen(k) < 2^(bitlen(L) + 1) units, which
-the bitlen(L) + 2 extra bits bring below one unit at W: the series loops
-start from inputs as accurate as before.  The prefactor has modulus
+the bitlen(L) + 2 extra bits bring below one unit at W: the sums start
+from inputs within one unit.  The prefactor has modulus
 >= |q|^(1/12) = 2^-(Im(tau) pi / (6 ln 2)), and the extra bits of W_rho
 keep its relative error below 2^-W too (a negative exponent is the
 reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
@@ -104,6 +104,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import (
     from_int,
+    from_man_exp,
     mpc_div,
     mpf_abs,
     mpf_add,
@@ -111,6 +112,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_nint,
     mpf_sub,
+    round_nearest,
     to_fixed,
     to_int,
 )
@@ -119,7 +121,6 @@ from .classfield import CMPoint
 from .errors import DegenerateIndex, OnLattice
 from .numerics import (
     FX_GUARD,
-    GUARD_BITS,
     PrecisionContext,
     check_im_floor,
     safe_div,
@@ -147,13 +148,11 @@ class ModularPoint:
     It owns the values that depend on the point alone.  Each is computed on
     first use and kept, so every evaluator and caller shares one copy:
 
-    * ``terms()``, the truncation index M of the Siegel product and the wp
-      series summed for it (at the reduced point, when there is one);
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
     * at a point in F only: ``qfx``, q in fixed point; ``euler``, the Euler
-      product by the pentagonal series, shared by eta and delta;
-      ``_siegel``, the Siegel values
+      product (eta, delta) and its reciprocal (Siegel values); ``_thetas``,
+      the theta constants of g2, g3 and wp; ``_siegel``, the Siegel values
       by reduced index (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by
       ``siegel`` as it meets new keys; ``_tables``, the level-N tables by N,
       each made by ``_table(n)`` on the first index of level N that
@@ -161,7 +160,8 @@ class ModularPoint:
       q^(1/(12 N^2)) and exp(2*pi*i/(12 N^2)) its keys need (module
       docstring).
 
-    ``at(r)`` is the one conversion of an index r to z = r1*tau + r2.
+    ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
+    ``terms()`` the truncation index of the tests' reference loops.
     """
 
     tau: mp.mpc
@@ -200,15 +200,9 @@ class ModularPoint:
         return mp.im(self.tau)
 
     def terms(self) -> int:
-        """Truncation index of the Siegel product and the wp series summed
-        for this point."""
-        return self._terms
-
-    @cached_property
-    def _terms(self) -> int:
-        if self.reduced is not None:
-            return self.reduced.terms()
-        return truncation_terms(self.im, self.ctx.eps)
+        """Truncation index M of the term-by-term reference loops at the point
+        where the series are summed; the lacunary kernels do not read it."""
+        return truncation_terms((self.reduced or self).im, self.ctx.eps)
 
     @cached_property
     def _jac(self) -> mp.mpc:
@@ -242,11 +236,25 @@ class ModularPoint:
         return _fx(self.q, self.width)
 
     @cached_property
+    def _euler_fx(self) -> tuple[int, int]:
+        """prod_{n>=1} (1 - q^n) at width W (``_pentagonal``)."""
+        return _pentagonal(self.qfx, self.width)
+
+    @cached_property
     def euler(self) -> mp.mpc:
-        """The Euler product prod_{n>=1} (1 - q^n), by the pentagonal series
-        (``_pentagonal``)."""
+        """The Euler product, rounded to ``bits``."""
         with self.ctx.work():
-            return _mpc(*_pentagonal(self.qfx, self.width), self.width)
+            return _mpc(*self._euler_fx, self.width)
+
+    @cached_property
+    def _euler_inv(self) -> tuple[int, int]:
+        """1 / prod_{n>=1} (1 - q^n) at width W (``_siegel_reduced``)."""
+        return _fx_inv(self._euler_fx, self.width)
+
+    @cached_property
+    def _thetas(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width W."""
+        return _theta_sums(self.qfx, self.width)
 
     @cached_property
     def eta(self) -> mp.mpc:
@@ -270,17 +278,31 @@ class ModularPoint:
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
-        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), E4 and E6 from the theta
-        constants (``_theta_e4_e6``).  g2(A tau') = J^4 g2(tau') and
-        g3(A tau') = J^6 g3(tau')."""
+        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), with E4 = (a+b)^2 - 3ab and
+        E6 = (a+b)(9ab - 2(a+b)^2)/2 for a, b = theta_3^4, theta_4^4 (DLMF
+        23.6).  g2(A tau') = J^4 g2(tau') and g3(A tau') = J^6 g3(tau')."""
         with self.ctx.work():
             if self.reduced is not None:
                 g2, g3 = self.reduced.eisenstein
                 _, j4, j6, _ = self._weights
                 return j4 * g2, j6 * g3
             w = self.width
-            e4, e6 = _theta_e4_e6(self.qfx, w)
-            return 4 * mp.pi**4 / 3 * _mpc(*e4, w), 8 * mp.pi**6 / 27 * _mpc(*e6, w)
+            s, d2 = self._thetas
+            p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
+            e6r, e6i = _fx_mul(s, (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
+            e4 = _mpc(s2[0] - 3 * p[0], s2[1] - 3 * p[1], w)
+            return 4 * mp.pi**4 / 3 * e4, 8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w)
+
+    @cached_property
+    def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(e1, pi^2 (theta_3 theta_4)^2) at width W, e1 = wp(1/2) =
+        (pi^2/3)(theta_3^4 + theta_4^4) (DLMF 23.6.2 with 2 omega_1 = 1)."""
+        s, d2 = self._thetas
+        w = self.width
+        with mp.workprec(w + 8):
+            pi2 = (to_fixed((mp.pi ** 2)._mpf_, w), 0)
+        e1r, e1i = _fx_mul(pi2, s, w)
+        return (e1r // 3, e1i // 3), _fx_mul(pi2, d2, w)
 
     @cached_property
     def _siegel(self) -> dict:
@@ -486,7 +508,9 @@ def _fx(z: mp.mpc, w: int) -> tuple[int, int]:
 
 def _mpc(re: int, im: int, w: int) -> mp.mpc:
     """(re + i*im) * 2^-w rounded to the working precision."""
-    return mp.mpc(mp.ldexp(re, -w), mp.ldexp(im, -w))
+    prec = mp.mp.prec
+    return mp.make_mpc((from_man_exp(re, -w, prec, round_nearest),
+                        from_man_exp(im, -w, prec, round_nearest)))
 
 
 def _fx_mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
@@ -522,14 +546,21 @@ def _pentagonal(q: tuple[int, int], w: int) -> tuple[int, int]:
     return sr, si
 
 
-def _theta_e4_e6(q: tuple[int, int], w: int):
-    """(E4, E6) at width w from theta constants at the nome e^(pi i tau),
-    via S = sum_{m>=1} q^(2m^2) and T = sum_{m>=0} q^(2m(m+1)), summed to
-    their first term below 2^-w (the terms run T_(m-1), S_m, T_m, both
-    steps q^(2m)).  A = 1 + 2S and C = 4qT^2 give theta_3,4 = A +- B with
-    B^2 = C, hence a + b = 2(A^4 + 6A^2 C + C^2) and ab = (A^2 - C)^4 for
-    a = theta_3^4, b = theta_4^4 = a - theta_2^4, and E4 = (a+b)^2 - 3ab,
-    E6 = (a+b)(9ab - 2(a+b)^2)/2 (DLMF 23.6)."""
+def _fx_inv(a: tuple[int, int], w: int) -> tuple[int, int]:
+    """1 / a at width w, for a away from 0."""
+    ar, ai = a
+    den = ar * ar + ai * ai
+    return (ar << 2 * w) // den, (-ai << 2 * w) // den
+
+
+def _theta_sums(q: tuple[int, int], w: int):
+    """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width w, at the nome
+    e^(pi i tau), via S = sum_{m>=1} q^(2m^2) and
+    T = sum_{m>=0} q^(2m(m+1)), summed to their first term below 2^-w (the
+    terms run T_(m-1), S_m, T_m, both steps q^(2m)).  A = 1 + 2S and
+    C = 4qT^2 give theta_3,4 = A +- B with B^2 = C, hence
+    theta_3^4 + theta_4^4 = 2(A^4 + 6A^2 C + C^2) and theta_3 theta_4 =
+    A^2 - C."""
     one = 1 << w
     step = q2 = _fx_mul(q, q, w)  # q^(2m)
     t = (one, 0)  # T_(m-1)
@@ -550,27 +581,31 @@ def _theta_e4_e6(q: tuple[int, int], w: int):
     a2 = _fx_mul(big_a, big_a, w)
     c = tuple(4 * x for x in _fx_mul(q, _fx_mul((tr, ti), (tr, ti), w), w))
     a4, a2c, c2 = _fx_mul(a2, a2, w), _fx_mul(a2, c, w), _fx_mul(c, c, w)
-    s = tuple(2 * (x + 6 * y + z) for x, y, z in zip(a4, a2c, c2))  # a + b
-    d = (a2[0] - c[0], a2[1] - c[1])  # A^2 - C
-    d2 = _fx_mul(d, d, w)
-    p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
-    e6r, e6i = _fx_mul(s, (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
-    return (s2[0] - 3 * p[0], s2[1] - 3 * p[1]), (e6r >> 1, e6i >> 1)
+    s = tuple(2 * (x + 6 * y + z) for x, y, z in zip(a4, a2c, c2))
+    d = (a2[0] - c[0], a2[1] - c[1])
+    return s, _fx_mul(d, d, w)
 
 
-def _cut_squared(ctx: PrecisionContext, w: int) -> int:
-    """Square of the tail cut eps * 2^-GUARD_BITS at width w."""
-    with ctx.work():
-        return to_fixed((ctx.eps * mp.mpf(2) ** (-GUARD_BITS))._mpf_, w) ** 2
-
-
-def _fx_lambert(ar: int, ai: int, w: int) -> tuple[int, int]:
-    """a / (1 - a)^2 at width w.  (1 - a)^2 is truncated to w bits, so
-    |1 - a| must stay away from 0."""
-    dr, di = (1 << w) - ar, -ai
-    er, ei = (dr * dr - di * di) >> w, (dr * di) >> (w - 1)
-    den = er * er + ei * ei
-    return ((ar * er + ai * ei) << w) // den, ((ai * er - ar * ei) << w) // den
+def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
+            wd: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(Ev, Od): the even-n and odd-n halves of sum_{n in Z} q^(n(n-1)/2) w^n
+    at width wd, for w and qw = q/w of modulus <= 1.  The terms step by
+    t_(n+1) = t_n q^n w and t_(-n-1) = t_(-n) q^n (q/w), n >= 1, so every
+    term has modulus <= 1, and each side stops at its first term below
+    2^-wd.  Ev -+ Od = P(+-w) prod_{n>=1} (1 - q^n) with P(w) = (1 - w)
+    prod_{n>=1} (1 - q^n w)(1 - q^n / w) (Jacobi triple product)."""
+    qr, qi = q
+    sums = [[1 << wd, 0], [0, 0]]  # even n, odd n
+    for tr, ti in (w, qw):  # t_1 and t_(-1)
+        sr, si = (tr * qr - ti * qi) >> wd, (tr * qi + ti * qr) >> wd  # the step
+        n = 1
+        while tr * tr + ti * ti > 2:  # not ``_negligible((tr, ti))``
+            acc = sums[n & 1]
+            acc[0], acc[1] = acc[0] + tr, acc[1] + ti
+            tr, ti = (tr * sr - ti * si) >> wd, (tr * si + ti * sr) >> wd
+            sr, si = (sr * qr - si * qi) >> wd, (sr * qi + si * qr) >> wd
+            n += 1
+    return tuple(sums[0]), tuple(sums[1])
 
 
 # bits in |q|^(-1/12) per unit of Im(tau): 2*pi / (12 ln 2)
@@ -600,9 +635,7 @@ class _Powers:
             return val
         w = self.w
         if k < 0:
-            xr, xi = self(-k)
-            den = xr * xr + xi * xi
-            val = (xr << 2 * w) // den, (-xi << 2 * w) // den
+            val = _fx_inv(self(-k), w)
         else:
             sq = self.squares
             val = (1 << w, 0)
@@ -626,8 +659,6 @@ class _LevelTable:
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
         self.n = n
-        self.width = pt.width
-        self.qfx = pt.qfx
         self.zwidth = pt.width + level.bit_length() + 2
         self.qwidth = self.zwidth + math.ceil(float(pt.im) * _BITS_PER_IM)
         self._shift = self.qwidth + self.zwidth - pt.width  # rho^j xi^k at W
@@ -637,13 +668,12 @@ class _LevelTable:
         self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
 
     def w_terms(self, s: int, t: int):
-        """(w, q*w, q/w) at width W, w = q^(s/N) zeta_N^t =
+        """(w, q/w) at width W, w = q^(s/N) zeta_N^t =
         exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t."""
         n, sh = self.n, self._shift
         zr, zi = self.z(12 * n * t)
         w = _fx_mul(self.q(12 * n * s), (zr, zi), sh)
-        qw = _fx_mul(self.q(12 * n * (n - s)), (zr, -zi), sh)
-        return w, _fx_mul(w, self.qfx, self.width), qw
+        return w, _fx_mul(self.q(12 * n * (n - s)), (zr, -zi), sh)
 
     def prefactor(self, s: int, t: int) -> tuple[int, int]:
         """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) at width W_rho, for 0 <= s < N."""
@@ -733,21 +763,13 @@ def _siegel_at(r: FractionPair, pt: ModularPoint) -> mp.mpc:
 
 def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> mp.mpc:
     """g_{(a1,a2)}(tau) for a reduced index (a1, a2) = (s/n, t/n) in [0,1)^2
-    of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) (1-w) prod_n (1-q^n w)(1-q^n/w) with
-    w = exp(2*pi*i*(a1*tau + a2)); w, q/w and the prefactor come from the
-    point's level-N table."""
+    of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau
+    + a2)), with P(w) = (Ev - Od) / E (``_triple``); w, q/w and the prefactor
+    come from the point's level-N table, 1/E from the point."""
     tab = pt._table(n)
     wd = pt.width
-    one = 1 << wd
-    qr, qi = pt.qfx
-    (wr, wi), (ar, ai), (br, bi) = tab.w_terms(s, t)  # w, q^n w, q^n / w
-    cr, ci = one - wr, -wi
-    for _ in range(pt.terms()):
-        ur, vr = one - ar, one - br
-        fr, fi = (ur * vr - ai * bi) >> wd, -(ur * bi + ai * vr) >> wd
-        cr, ci = (cr * fr - ci * fi) >> wd, (cr * fi + ci * fr) >> wd
-        ar, ai = (ar * qr - ai * qi) >> wd, (ar * qi + ai * qr) >> wd
-        br, bi = (br * qr - bi * qi) >> wd, (br * qi + bi * qr) >> wd
+    (er, ei), (odr, odi) = _triple(pt.qfx, *tab.w_terms(s, t), wd)
+    cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
     pr, pi_ = tab.prefactor(s, t)
     with pt.ctx.work():
         return _mpc(pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth)
@@ -799,7 +821,7 @@ _LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
 
 
 def wp(z, pt: ModularPoint) -> mp.mpc:
-    """Weierstrass wp(z; [tau, 1]) via the exponential-coordinate series.
+    """Weierstrass wp(z; [tau, 1]) from theta quotients (``_wp_at``).
 
     z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
     complex number.  At a point carried by the word A, wp(z; tau) =
@@ -810,9 +832,7 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     only when n^2 eps >= 1 - 2^-18, that is for n near eps^(-1/2) or above;
     below, the level settles it.  For an index the reduced coordinates are
     exact, and u = exp(2*pi*i*z) and q/u are read from the point's level-N
-    table; for a complex z they are computed from z.  Both run the same
-    series.  The direct lattice sum survives in the test oracles only; this
-    series is the production path.
+    table; for a complex z they are computed from z.  Both run ``_triple``.
     """
     if pt.reduced is None:
         return _wp_at(z, pt)
@@ -825,59 +845,32 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
 
 
 def _wp_at(z, pt: ModularPoint) -> mp.mpc:
-    """``wp`` at a point of F."""
-    ctx = pt.ctx
-    w = pt.width
-    with ctx.work():
+    """``wp`` at a point of F: wp(z) = e1 - pi^2 (theta_3 theta_4)^2
+    (P(-w)/P(w))^2 with w = exp(2*pi*i*z), as theta_2(pi z)/theta_1(pi z) =
+    -i P(-w)/P(w) (DLMF 23.6.2 with 2 omega_1 = 1; P as in ``_triple``).
+    The Euler product cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), which
+    is divided in exact integers: near the lattice Ev - Od is small, and a
+    shift before the division would cut its bits."""
+    wd = pt.width
+    with pt.ctx.work():
         if isinstance(z, FractionPair):
             n = z.level
             s, t = z.p1 % n, z.p2 % n
-            if n * n * ctx.eps >= _LEVEL_CLEARS_LATTICE:
+            if n * n * pt.ctx.eps >= _LEVEL_CLEARS_LATTICE:
                 _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
-            (ur, ui), (ar, ai), (br, bi) = pt._table(n).w_terms(s, t)
-            u, b = _mpc(ur, ui, w), _mpc(br, bi, w)
+            u, qu = pt._table(n).w_terms(s, t)
         else:
             y, x = _reduce_mod_lattice(mp.mpc(z), pt)
             _check_off_lattice(pt, y, x)
-            u = mp.exp(2j * mp.pi * (y * pt.tau + x))
-            ar, ai = _fx(pt.q * u, w)
-            b = pt.q / u
-            br, bi = _fx(b, w)
-        return _wp_series(pt, u, b, ar, ai, br, bi)
-
-
-def _wp_series(pt: ModularPoint, u, b, ar: int, ai: int, br: int, bi: int) -> mp.mpc:
-    """wp from u = exp(2*pi*i*z) and b = q/u, with q*u = (ar, ai) and q/u =
-    (br, bi) in fixed point at width W."""
-    with pt.ctx.work():
-        w = pt.width
-        cut2 = _cut_squared(pt.ctx, w)
-        qr, qi = nr, ni = pt.qfx  # q^n
-        # q/u is the one ratio that can come close to 1 (z near tau modulo
-        # the lattice); q^n u, q^n and q^(n+1)/u have modulus <= |q|.  The
-        # fixed-point square of a small 1 - q/u would lose the bits that
-        # floating point keeps, so this one term enters from mpmath.
-        tbr, tbi = _fx(b / (1 - b) ** 2, w)
-        sr = si = 0
-        m = pt.terms()
-        n = 0
-        while True:
-            n += 1
-            tar, tai = _fx_lambert(ar, ai, w)
-            tqr, tqi = _fx_lambert(nr, ni, w)
-            tr, ti = tar + tbr - 2 * tqr, tai + tbi - 2 * tqi
-            sr += tr
-            si += ti
-            if n >= m and tr * tr + ti * ti < cut2:
-                break
-            if n > 100 * m + 1000:  # pragma: no cover
-                raise RuntimeError("wp series failed to settle")
-            nr, ni = (nr * qr - ni * qi) >> w, (nr * qi + ni * qr) >> w
-            ar, ai = (ar * qr - ai * qi) >> w, (ar * qi + ai * qr) >> w
-            br, bi = (br * qr - bi * qi) >> w, (br * qi + bi * qr) >> w
-            tbr, tbi = _fx_lambert(br, bi, w)
-        total = mp.mpf(1) / 12 + u / (1 - u) ** 2 + _mpc(sr, si, w)
-        return (2j * mp.pi) ** 2 * total
+            e = mp.exp(2j * mp.pi * (y * pt.tau + x))
+            u, qu = _fx(e, wd), _fx(pt.q / e, wd)
+        (er, ei), (odr, odi) = _triple(pt.qfx, u, qu, wd)
+        nr, ni, dr, di = er + odr, ei + odi, er - odr, ei - odi
+        den = dr * dr + di * di
+        ratio = ((nr * dr + ni * di) << wd) // den, ((ni * dr - nr * di) << wd) // den
+        (e1r, e1i), k = pt._wp_constants
+        kr, ki = _fx_mul(k, _fx_mul(ratio, ratio, wd), wd)
+        return _mpc(e1r - kr, e1i - ki, wd)
 
 
 def wp_prime(r: FractionPair, pt: ModularPoint) -> mp.mpc:

@@ -341,6 +341,22 @@ def test_malformed_numbers_exit_two(argv, capsys):
     assert json.loads(err)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("argv, flag, code", [
+    (["eval", "eta", "--tau", "-0.3,0.9"], "--tau", 0),
+    (["eval", "siegel", "--tau", "0.1,1.2", "--r", "-1/3,1/5"], "--r", 0),
+    (["check", "lemma51", "--dk", "-39", "--a", "1", "--x", "-1/2"], "--x", 2),
+], ids=["tau", "r", "x"])
+def test_negative_values_take_either_spelling(argv, flag, code, capsys):
+    """A value starting with '-' after --tau, --r, --a or --x is that flag's
+    value, as in the '--flag=value' spelling: the same exit code, stdout and
+    stderr, and never a usage message (lemma51 rejects X < 1/2 itself)."""
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    result = run_cli(argv, capsys)
+    assert result == run_cli(joined, capsys)
+    assert result[0] == code and "usage:" not in result[2]
+
+
 @pytest.mark.parametrize("dk,error", [("-12", "NotFundamental"), ("-4", "ValueError"),
                                       ("5", "NotImaginary")])
 def test_lemma51_validates_the_discriminant(dk, error, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -532,6 +533,32 @@ def test_wp_even_and_periodic(ctx256):
         assert abs(wp(-z, pt) - w0) / abs(w0) < ctx256.eps
         assert abs(wp(z + 1, pt) - w0) / abs(w0) < ctx256.eps
         assert abs(wp(z + pt.tau, pt) - w0) / abs(w0) < ctx256.eps
+
+
+HALF_PERIODS = [FractionPair(F(1, 2), F(0)), FractionPair(F(0), F(1, 2)),
+                FractionPair(F(1, 2), F(1, 2))]
+
+
+@pytest.mark.parametrize("bits, eps", [(256, "1e-40"), (1536, "1e-400")])
+@pytest.mark.parametrize("tau", [None, (0.1234, 0.06)], ids=["cm-39", "reduced"])
+def test_wp_at_half_periods_are_the_cubic_roots(bits, eps, tau):
+    """wp at tau/2, 1/2 and (1 + tau)/2 are the three roots e_k of
+    4X^3 - g2 X - g3, and they sum to 0.  wp(1/2) = e1 pins e1 of the theta
+    expression; the other two pin the sign of the theta quotient."""
+    ctx = PrecisionContext(bits, eps)
+    if tau is None:
+        pt = ModularPoint.from_quadratic(1, 1, -39, ctx)
+    else:
+        pt = ModularPoint.from_complex(tau, ctx)
+        assert pt.reduced is not None
+    with ctx.work():
+        g2, g3 = eisenstein(pt)
+        tol = ctx.eps * max(1, abs(g2), abs(g3))
+        roots = [wp(r, pt) for r in HALF_PERIODS]
+        for e in roots:
+            assert abs(4 * e**3 - g2 * e - g3) <= tol
+        assert abs(sum(roots)) <= tol
+        assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
 
 
 def test_wp_pole_guard(ctx256):
