@@ -22,11 +22,14 @@ from rayclass import (
 
 ctx = PrecisionContext(bits=256, eps="1e-40")
 
-print("== reduction into the fundamental domain ==")
+print("== series summed at tau itself ==")
 low = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
-print("tau = 0.1234 + 0.06i is summed at tau' =", mp.nstr(low.reduced.tau, 12),
-      f"= A^-1 tau, A = {low.word}, where |q| =", mp.nstr(abs(low.reduced.q), 5))
-print("every series there is lacunary and stops at its first term below 2^-(bits + 32)")
+print("tau = 0.1234 + 0.06i, where |q| =", mp.nstr(abs(low.q), 5))
+print("every series is lacunary and stops at its first term below 2^-(bits + 32)")
+with ctx.work():
+    j_low = j_invariant(low)
+    j_inv = j_invariant(ModularPoint.from_complex(-1 / low.tau, ctx))
+    print("|j(tau) - j(-1/tau)| / |j(tau)| =", mp.nstr(abs(j_low - j_inv) / abs(j_low), 5))
 
 print("\n== eta at the square lattice point ==")
 pt_i = ModularPoint.from_complex((0, 1), ctx)

@@ -43,7 +43,6 @@ from .errors import (
 from .numerics import PrecisionContext, safe_div, truncation_terms
 from .qseries import (
     CurveCoords,
-    CuspData,
     FractionPair,
     ModularPoint,
     bernoulli2,
@@ -59,7 +58,6 @@ from .qseries import (
     wp,
     wp_prime,
     x_value,
-    y_cusp_order,
     y_value,
 )
 from .reciprocity import (

@@ -32,9 +32,8 @@ from .errors import ImTooSmall, NearZero
 
 # Floor for Im(tau), exact.  Low enough to cover every point the verification
 # layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).  The
-# series are summed at the point's image in the fundamental domain, so the
-# floor bounds the reduction (|c tau' + d|^2 = Im tau' / Im tau, hence the
-# size of the word and of its weight factors), not the length of the tail.
+# series are summed at tau itself, so the floor bounds how many steps a sum
+# takes (about sqrt(bits / Im tau); see the qseries module docstring).
 # Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
 
@@ -108,8 +107,8 @@ def truncation_terms(im_tau, eps) -> int:
     """Smallest M with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*im_tau).
 
     Truncated products and sums stop at index M.  Raises ImTooSmall below
-    the Im(tau) floor.  ``ModularPoint.terms`` reads it at the point where
-    the series are summed, in the fundamental domain (Im >= sqrt(3)/2).
+    the Im(tau) floor.  ``ModularPoint.terms`` reads it at tau, for the
+    reference loops of the tests; the package's own sums do not use it.
     """
     with mp.workprec(80):
         im = _to_mpf(im_tau)

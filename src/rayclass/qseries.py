@@ -18,33 +18,14 @@ Conventions fixed across the package:
   multiplies the value by the exact quasi-periodicity root of unity of the
   underlying Klein form, whose exponent is an integer over N.
 
-Reduction into the fundamental domain.  ``ModularPoint.from_complex`` finds
-M in SL2(Z) with tau' = M tau in the standard fundamental domain F
-(|Re tau'| <= 1/2, |tau'| >= 1, up to margins of 2^-20 that keep boundary
-points in place), and every series is summed at tau', where Im tau' >=
-sqrt(3)/2 keeps |q| <= exp(-pi sqrt(3)).  With A = M^-1 = (a, b, c, d),
-normalized to c > 0 or c = 0 < d, and J = c tau' + d, the values at
-tau = A tau' are carried back exactly:
-
-* eta(tau) = zeta_A sqrt(J) eta(tau'), principal square root, with the
-  Dedekind eta multiplier zeta_A = exp(pi*i*((a + d)/(12 c) - s(d, c) -
-  1/4)) for c > 0 and exp(pi*i*b/12) for c = 0, a 24th root of unity whose
-  exponent ``eta_multiplier`` computes exactly from the Dedekind sum s(d, c);
-* delta, g2 and g3 have weights 12, 4 and 6: J^12, J^4 and J^6;
-* g_r(tau) = zeta_A^2 g_{rA}(tau'), rA = (r1 a + r2 c, r1 b + r2 d) on the
-  integer residues (Kubert-Lang, Modular Units, ch. 1-2), so the Klein form
-  of weight -1 and eta^2 of weight 1 leave no power of J;
-* wp(z; tau) = J^2 wp(J z; tau'), and J z is the index rA when z is the
-  index r;
-* j, u, v, x, y and wp' are composed from these as at any point.
-
-A tau already in F (every CM point of a reduced form) is summed as it is.
-Error budget of tau': it is computed at ``bits`` + REDUCE_GUARD (``_reduce``
-bounds the loss) and rounded to ``bits``, and J is computed from it, so a
-carried value is the exact law applied at the point A tau'.  Reduction
-never lowers Im, so |J|^2 = Im tau' / Im tau >= 1, and A tau' lies within
-|tau' - M tau| / |J|^2, about 2^-bits |tau'|, of tau: the size of the
-rounding of tau itself.
+Summing at tau.  Every series is summed at tau itself, with no move into
+the fundamental domain first: the lacunary sums below take
+O(sqrt(bits / Im tau)) steps, so they stay short down to the Im floor 1/20
+(``numerics.MIN_IM``).  The exponentials of tau (q, eta's
+exp(pi*i*tau/12) and the level tables' q^(1/L)) are taken at their
+precision plus the bit length of floor(|Re tau|) and then rounded
+(``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases no bits;
+so is wp's exp(2*pi*i*z) at a complex z.
 
 Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
@@ -62,16 +43,22 @@ E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times the Siegel product, and
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
-<= 1.  At 1536 bits in F the sums take at most 11 steps (Euler), 9 (theta)
-and 20 per side (``_triple``; 9 at 256 bits), and end at most 3, 530 (E6)
-and 17 units off (43 points of F; for ``_triple`` indices of levels 2 to 97
-at 10 points, against the same inputs at twice the width), so g3 is off by
-less than 2^-(bits + 13) even where it vanishes.  The other guard bits let a
-result's modulus fall well below 1 before that error reaches its last bit:
-the factors 1 - w and 1 - q/w of the Siegel product have modulus about 1/N
-or more at an index of level N, and wp keeps the relative error of Ev - Od,
-about 2^-W / |z - lattice| (its quotient divides exact integer products),
-far below the 2^-bits / |z - lattice| left by rounding z and w to ``bits``.
+<= 1.  At the Im floor 1/20 the sums take at most 48 steps (Euler), 41
+(theta) and 83 per side (``_triple``) at 1536 bits, and 20, 17 and 36 at
+256 bits (in F, Im >= sqrt(3)/2, at most 11, 9 and 20 at 1536 bits).
+Against the same inputs at twice the width they end at most 7.4 (Euler)
+and 78 (``_triple``) units off; the theta constants, whose modulus grows
+to about 1/Im(tau)^2, end at most 990 units times S = |theta_3^4 +
+theta_4^4| off, and E4 and E6 at most 2.9e4 S^2 and 2.5e5 S^3, the sizes
+of their terms, so E6 stays within 2^-(bits + 14) S^3 even where it
+vanishes (21 points at Im 1/20, the images of i and rho down to Im 1/17,
+and for ``_triple`` indices of levels 2 to 97 at 7 points of Im 1/20).
+The other guard bits let a result's modulus fall well below 1 before that
+error reaches its last bit: the factors 1 - w and 1 - q/w of the Siegel
+product have modulus about 1/N or more at an index of level N, and wp
+keeps the relative error of Ev - Od, about 2^-W / |z - lattice| (its
+quotient divides exact integer products), far below the
+2^-bits / |z - lattice| left by rounding z and w to ``bits``.
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
 w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
@@ -102,20 +89,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    mpc_div,
-    mpf_abs,
-    mpf_add,
-    mpf_lt,
-    mpf_mul,
-    mpf_nint,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
-    to_int,
-)
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .classfield import CMPoint
 from .errors import DegenerateIndex, OnLattice
@@ -130,45 +104,33 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class ModularPoint:
-    """A point tau in the upper half-plane, and where its q-series are summed.
+    """A point tau in the upper half-plane, where its q-series are summed.
 
-    ``from_complex`` reduces tau into the standard fundamental domain F.  A
-    tau already in F (up to the margins of ``_reduce``; every CM point of a
-    reduced form is) keeps ``q`` = exp(2*pi*i*tau), and the evaluators sum
-    their series at tau.  Any other tau gets ``reduced``, the point
-    tau' = M tau in F with its own q, and ``word`` = A = M^-1 = (a, b, c, d)
-    in SL2(Z), normalized to c > 0 or c = 0 < d, so that tau = A tau'; its
-    own ``q`` is None, as no exponential is taken at tau.
-    Every value is then read from the reduced point and carried back with
-    J = c tau' + d (module docstring): eta by zeta_A sqrt(J), g2, g3 and
-    delta by J^4, J^6 and J^12, Siegel values by zeta_A^2 at the index
-    r A, and wp by J^2 at J z.  ``tau`` stays the input, for ``at`` and for
-    what callers print.
+    ``from_complex`` keeps tau as given, with ``q`` = exp(2*pi*i*tau), and
+    every evaluator sums its series at tau itself (module docstring).
 
     It owns the values that depend on the point alone.  Each is computed on
     first use and kept, so every evaluator and caller shares one copy:
 
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
-    * at a point in F only: ``qfx``, q in fixed point; ``euler``, the Euler
-      product (eta, delta) and its reciprocal (Siegel values); ``_thetas``,
-      the theta constants of g2, g3 and wp; ``_siegel``, the Siegel values
-      by reduced index (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by
-      ``siegel`` as it meets new keys; ``_tables``, the level-N tables by N,
-      each made by ``_table(n)`` on the first index of level N that
-      ``siegel`` or ``wp`` meets, and filled lazily with the powers of
-      q^(1/(12 N^2)) and exp(2*pi*i/(12 N^2)) its keys need (module
-      docstring).
+    * ``qfx``, q in fixed point; ``euler``, the Euler product (eta, delta)
+      and its reciprocal (Siegel values); ``_thetas``, the theta constants
+      of g2, g3 and wp; ``_siegel``, the Siegel values by reduced index
+      (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by ``siegel`` as it
+      meets new keys; ``_tables``, the level-N tables by N, each made by
+      ``_table(n)`` on the first index of level N that ``siegel`` or ``wp``
+      meets, and filled lazily with the powers of q^(1/(12 N^2)) and
+      exp(2*pi*i/(12 N^2)) its keys need (module docstring);
+      ``_lattice_clearance``, the bound of wp's level guard.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
     ``terms()`` the truncation index of the tests' reference loops.
     """
 
     tau: mp.mpc
-    q: mp.mpc | None
+    q: mp.mpc
     ctx: PrecisionContext
-    reduced: "ModularPoint | None" = None
-    word: tuple[int, int, int, int] = (1, 0, 0, 1)
 
     @classmethod
     def from_complex(cls, tau, ctx: PrecisionContext) -> "ModularPoint":
@@ -180,13 +142,7 @@ class ModularPoint:
             if not mp.isfinite(tau):
                 raise ValueError(f"tau={mp.nstr(tau, 8)} is not finite")
             check_im_floor(mp.im(tau))
-            found = _reduce(tau, ctx.bits + REDUCE_GUARD)
-            if found is None:
-                return cls(tau, mp.exp(2j * mp.pi * tau), ctx)
-            word, tau_r = found
-            tau_r = +tau_r  # rounded to bits
-            reduced = cls(tau_r, mp.exp(2j * mp.pi * tau_r), ctx)
-        return cls(tau, None, ctx, reduced, word)
+            return cls(tau, _exp_tau(tau, 1, ctx.bits), ctx)
 
     @classmethod
     def from_quadratic(cls, a: int, b: int, d: int, ctx: PrecisionContext) -> "ModularPoint":
@@ -200,30 +156,9 @@ class ModularPoint:
         return mp.im(self.tau)
 
     def terms(self) -> int:
-        """Truncation index M of the term-by-term reference loops at the point
-        where the series are summed; the lacunary kernels do not read it."""
-        return truncation_terms((self.reduced or self).im, self.ctx.eps)
-
-    @cached_property
-    def _jac(self) -> mp.mpc:
-        """J = c tau' + d, for tau = A tau' with A = word; tau' = reduced.tau."""
-        _, _, c, d = self.word
-        with self.ctx.work():
-            return c * self.reduced.tau + d
-
-    @cached_property
-    def _multiplier(self) -> int:
-        """k with zeta_A = exp(2*pi*i*k/24), A = word (``eta_multiplier``)."""
-        return eta_multiplier(*self.word)
-
-    @cached_property
-    def _weights(self) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
-        """(J^2, J^4, J^6, J^12): the factors of wp, g2, g3 and delta."""
-        with self.ctx.work():
-            j2 = self._jac ** 2
-            j4 = j2 * j2
-            j6 = j4 * j2
-            return j2, j4, j6, j6 * j6
+        """Truncation index M of the term-by-term reference loops at tau;
+        the lacunary kernels do not read it."""
+        return truncation_terms(self.im, self.ctx.eps)
 
     @property
     def width(self) -> int:
@@ -258,34 +193,23 @@ class ModularPoint:
 
     @cached_property
     def eta(self) -> mp.mpc:
-        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
-        eta(A tau') = zeta_A sqrt(J) eta(tau'), principal square root."""
+        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
+        bits = self.ctx.bits
         with self.ctx.work():
-            if self.reduced is not None:
-                zeta = _root24(self._multiplier)
-                return zeta * mp.sqrt(self._jac) * self.reduced.eta
-            pref = _eta_prefactor(self.ctx.bits)
-            return pref * mp.exp(mp.mpc(0, mp.pi) * self.tau / 12) * self.euler
+            return _eta_prefactor(bits) * _exp_tau(self.tau, 24, bits) * self.euler
 
     @cached_property
     def delta(self) -> mp.mpc:
-        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H.
-        delta(A tau') = J^12 delta(tau')."""
+        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
         with self.ctx.work():
-            if self.reduced is not None:
-                return self._weights[3] * self.reduced.delta
             return (2j * mp.pi) ** 12 * self.q * self.euler**24
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
         """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), with E4 = (a+b)^2 - 3ab and
         E6 = (a+b)(9ab - 2(a+b)^2)/2 for a, b = theta_3^4, theta_4^4 (DLMF
-        23.6).  g2(A tau') = J^4 g2(tau') and g3(A tau') = J^6 g3(tau')."""
+        23.6)."""
         with self.ctx.work():
-            if self.reduced is not None:
-                g2, g3 = self.reduced.eisenstein
-                _, j4, j6, _ = self._weights
-                return j4 * g2, j6 * g3
             w = self.width
             s, d2 = self._thetas
             p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
@@ -303,6 +227,13 @@ class ModularPoint:
             pi2 = (to_fixed((mp.pi ** 2)._mpf_, w), 0)
         e1r, e1i = _fx_mul(pi2, s, w)
         return (e1r // 3, e1i // 3), _fx_mul(pi2, d2, w)
+
+    @cached_property
+    def _lattice_clearance(self) -> mp.mpf:
+        """(1 - 2^-18) min(1, Im tau)^2: at an index of level n with n^2 eps
+        below it, ``wp`` skips the floating-point lattice test."""
+        with self.ctx.work():
+            return _LEVEL_CLEARS_LATTICE * min(1, self.im) ** 2
 
     @cached_property
     def _siegel(self) -> dict:
@@ -385,112 +316,19 @@ def _set_index(r: FractionPair, p1: int, p2: int, n: int) -> None:
     object.__setattr__(r, "level", n)
 
 
-@dataclass(frozen=True)
-class CuspData:
-    """A cusp s = a/c (None for infinity), its width, and a transporter
-
-    alpha = ((a, b), (c, d)) in SL2(Z) with alpha(infinity) = s.
-    """
-
-    cusp: Fraction | None
-    width: int
-    transporter: tuple[tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.transporter
-        if a * d - b * c != 1:
-            raise ValueError("transporter must have determinant 1")
-        if self.width < 1:
-            raise ValueError("width must be a positive integer")
-        if c == 0:
-            if self.cusp is not None:
-                raise ValueError("c = 0 transports infinity to infinity")
-        else:
-            if self.cusp is None or Fraction(a, c) != Fraction(self.cusp):
-                raise ValueError("transporter does not map infinity to the cusp")
+def _re_bits(tau: mp.mpc) -> int:
+    """The bit length of floor(|Re tau|), 0 when |Re tau| < 1: the bits that
+    rounding 2*pi*tau (or y*tau, 0 <= y < 1) to prec bits costs the phase of
+    its exponential, which is therefore taken at prec plus these bits."""
+    return int(abs(mp.re(tau))).bit_length()
 
 
-# Margins of the fundamental domain: tau is translated only when
-# |Re tau| > 1/2 + 2^-20 and inverted only when |tau|^2 < 1 - 2^-20, so that
-# points on its boundary (the CM points of reduced forms with b = a or
-# a = c) stay where they are.  Both bounds are exact binary numbers, kept
-# as raw mpmath values for the comparisons below.
-_HALF_WIDTH = mp.mpf(0.5 + 2.0**-20)._mpf_
-_UNIT_NORM = mp.mpf(1 - 2.0**-20)._mpf_
-_MINUS_ONE = mp.mpc(-1)._mpc_
-
-# Extra bits at which the word is found and tau' = M tau is computed, before
-# tau' is rounded to ``bits``.
-REDUCE_GUARD = 32
-
-
-def _reduce(tau: mp.mpc, prec: int) -> tuple[tuple[int, int, int, int], mp.mpc] | None:
-    """(A, tau') with tau' = A^-1 tau in the fundamental domain up to the
-    margins above, A = (a, b, c, d) in SL2(Z) normalized to c > 0 or
-    c = 0 < d; None when tau lies there already (two comparisons).
-
-    tau' is the last iterate of translating and inverting at ``prec`` bits.
-    A translation keeps the absolute error of an iterate z, and an inversion
-    multiplies it by 1/|z|^2 = Im(-1/z) / Im z.  The product of these
-    factors is Im tau' / Im tau = |c tau' + d|^2 <= 1/(c Im tau)^2, at most
-    400 above the Im floor, so the few steps lose fewer than 12 of the
-    guard bits."""
-    m11, m12, m21, m22 = 1, 0, 0, 1  # z = M tau
-    x, y = tau._mpc_
-    while True:
-        if mpf_lt(_HALF_WIDTH, mpf_abs(x)):
-            n = to_int(mpf_nint(x, prec))
-            x = mpf_sub(x, from_int(n), prec)
-            m11, m12 = m11 - n * m21, m12 - n * m22
-        if not mpf_lt(mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec), _UNIT_NORM):
-            break
-        x, y = mpc_div(_MINUS_ONE, (x, y), prec)
-        m11, m12, m21, m22 = -m21, -m22, m11, m12
-    if (m11, m12, m21, m22) == (1, 0, 0, 1):
-        return None
-    a, b, c, d = m22, -m12, -m21, m11  # A = M^-1
-    if c < 0 or (c == 0 and d < 0):
-        a, b, c, d = -a, -b, -c, -d
-    return (a, b, c, d), mp.make_mpc((x, y))
-
-
-def _dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) for k > 0 and gcd(h, k) = 1, by the reciprocity law
-    s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4 (O(log k) steps)."""
-    total, sign = Fraction(0), 1
-    h %= k
-    while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        sign = -sign
-        h, k = k % h, h
-    return total
-
-
-def eta_multiplier(a: int, b: int, c: int, d: int) -> int:
-    """The exponent k mod 24 of eta(A tau) = exp(2*pi*i*k/24) sqrt(c tau + d)
-    eta(tau), principal square root, for A = (a, b, c, d) in SL2(Z) with
-    c > 0 or c = 0 < d:  k/24 = (a + d)/(24 c) - s(d, c)/2 - 1/8 for c > 0
-    and b/24 for c = 0 (Kubert-Lang, Modular Units, ch. 1-2).  Exact."""
-    if c == 0:
-        return b % 24
-    k = Fraction(a + d, c) - 12 * _dedekind_sum(d, c) - 3
-    if k.denominator != 1:  # pragma: no cover
-        raise ValueError(f"({a}, {b}, {c}, {d}) is not in SL2(Z)")
-    return k.numerator % 24
-
-
-def _root24(k: int) -> mp.mpc:
-    """exp(2*pi*i*k/24) at the working precision, through ``_unit_phase``."""
-    k %= 24
-    g = math.gcd(k, 12)
-    return _unit_phase(k // g, 12 // g)
-
-
-def _times(r: "FractionPair", word: tuple[int, int, int, int]) -> "FractionPair":
-    """The index r A = (r1 a + r2 c, r1 b + r2 d), on integer residues; its
-    level is that of r."""
-    a, b, c, d = word
-    return FractionPair.from_parts(r.p1 * a + r.p2 * c, r.p1 * b + r.p2 * d, r.level)
+def _exp_tau(tau: mp.mpc, den: int, prec: int) -> mp.mpc:
+    """exp(2*pi*i*tau/den) at prec + ``_re_bits(tau)``, rounded to prec bits."""
+    with mp.workprec(prec + _re_bits(tau)):
+        val = mp.exp(2j * mp.pi * tau / den)
+    with mp.workprec(prec):
+        return +val
 
 
 @lru_cache(maxsize=64)
@@ -662,8 +500,7 @@ class _LevelTable:
         self.zwidth = pt.width + level.bit_length() + 2
         self.qwidth = self.zwidth + math.ceil(float(pt.im) * _BITS_PER_IM)
         self._shift = self.qwidth + self.zwidth - pt.width  # rho^j xi^k at W
-        with mp.workprec(self.qwidth + 4):
-            rho = mp.exp(2j * mp.pi * pt.tau / level)
+        rho = _exp_tau(pt.tau, level, self.qwidth + 4)
         self.q = _Powers(_fx(rho, self.qwidth), self.qwidth)
         self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
 
@@ -728,23 +565,12 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
-    At a point carried by the word A, g_r(A tau') = zeta_A^2 g_{rA}(tau')
-    (``ModularPoint``); the rest happens at the point of F.  There the
-    product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
+    The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
     (s1, s2) = divmod of the residues by the level N, once per point (kept
     in ``pt._siegel`` under (N, s, t)); for shifted indices the value is
     corrected by the exact quasi-periodicity root of unity
     (-1)^(s1*s2+s1+s2) * exp(pi*i*(s2*s - s1*t)/N) of the Klein form.
     """
-    if pt.reduced is None:
-        return _siegel_at(r, pt)
-    val = _siegel_at(_times(r, pt.word), pt.reduced)
-    with pt.ctx.work():
-        return _root24(2 * pt._multiplier) * val
-
-
-def _siegel_at(r: FractionPair, pt: ModularPoint) -> mp.mpc:
-    """``siegel`` at a point of F."""
     n = r.level
     s1, s = divmod(r.p1, n)
     s2, t = divmod(r.p2, n)
@@ -780,22 +606,6 @@ def siegel_order(r: FractionPair) -> Fraction:
     return bernoulli2(Fraction(r.p1 % r.level, r.level)) / 2
 
 
-def y_cusp_order(r: FractionPair, cusp: CuspData) -> Fraction:
-    """Order of y_{(0,1/N)} at a cusp of width w with transporter alpha.
-
-    Equals w*(<c/N> - 1/4) when <c/N> < 1/2 and w*(-<c/N> + 3/4) otherwise,
-    c the lower-left transporter entry.  Requires r = (0, 1/N) with N > 2.
-    """
-    n = r.level
-    if (r.p1, r.p2) != (0, 1) or n <= 2:
-        raise ValueError("cusp-order formula applies to r = (0, 1/N) with N > 2")
-    c = cusp.transporter[1][0]
-    x = Fraction(c % n, n)
-    if x < Fraction(1, 2):
-        return cusp.width * (x - Fraction(1, 4))
-    return cusp.width * (-x + Fraction(3, 4))
-
-
 def _reduce_mod_lattice(z: mp.mpc, pt: ModularPoint) -> tuple[mp.mpf, mp.mpf]:
     """Real coordinates (y, x) with z = y*tau + x reduced into [0,1)^2."""
     y = mp.im(z) / pt.im
@@ -813,56 +623,45 @@ def _check_off_lattice(pt: ModularPoint, y, x) -> None:
         raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
 
 
-# At a point of F every nonzero vector of [tau, 1] has length >= 1 - 2^-19
-# (|tau|^2 >= 1 - 2^-20 and |Re tau| <= 1/2 + 2^-20 give |tau -+ 1|^2 >=
-# 1 - 3*2^-20), so an index of level n lies >= (1 - 2^-19)/n from the
-# lattice and clears sqrt(eps) whenever n^2 eps < 1 - 2^-18.
+# A nonzero vector m*tau + k of [tau, 1] has length >= Im tau when m != 0
+# and >= 1 when m = 0, so an index of level n lies >= min(1, Im tau)/n from
+# the lattice and clears sqrt(eps) whenever n^2 eps < min(1, Im tau)^2.  The
+# factor 1 - 2^-18 leaves the floating-point test room for its rounding.
 _LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
 
 
 def wp(z, pt: ModularPoint) -> mp.mpc:
-    """Weierstrass wp(z; [tau, 1]) from theta quotients (``_wp_at``).
-
-    z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
-    complex number.  At a point carried by the word A, wp(z; tau) =
-    J^2 wp(J z; tau'), and J z is the index r A when z is the index r
-    (``ModularPoint``).  At the point of F, z must lie at distance
-    >= sqrt(eps) from the lattice [tau', 1].  An index of level n lies at
-    least (1 - 2^-19)/n from it, so the floating-point distance test runs
-    only when n^2 eps >= 1 - 2^-18, that is for n near eps^(-1/2) or above;
-    below, the level settles it.  For an index the reduced coordinates are
-    exact, and u = exp(2*pi*i*z) and q/u are read from the point's level-N
-    table; for a complex z they are computed from z.  Both run ``_triple``.
-    """
-    if pt.reduced is None:
-        return _wp_at(z, pt)
-    with pt.ctx.work():
-        if isinstance(z, FractionPair):
-            z = _times(z, pt.word)
-        else:
-            z = pt._jac * mp.mpc(z)
-        return pt._weights[0] * _wp_at(z, pt.reduced)
-
-
-def _wp_at(z, pt: ModularPoint) -> mp.mpc:
-    """``wp`` at a point of F: wp(z) = e1 - pi^2 (theta_3 theta_4)^2
+    """Weierstrass wp(z; [tau, 1]) = e1 - pi^2 (theta_3 theta_4)^2
     (P(-w)/P(w))^2 with w = exp(2*pi*i*z), as theta_2(pi z)/theta_1(pi z) =
     -i P(-w)/P(w) (DLMF 23.6.2 with 2 omega_1 = 1; P as in ``_triple``).
-    The Euler product cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), which
-    is divided in exact integers: near the lattice Ev - Od is small, and a
-    shift before the division would cut its bits."""
+
+    z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
+    complex number, at distance >= sqrt(eps) from the lattice [tau, 1].  An
+    index of level n lies at least min(1, Im tau)/n from it, so the
+    floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
+    min(1, Im tau)^2; below, the level settles it.  For an index the reduced
+    coordinates are exact, and u = exp(2*pi*i*z) and q/u are read from the
+    point's level-N table; for a complex z they are computed from z, at
+    ``_re_bits(tau)`` extra bits like the exponentials of tau.  Both run
+    ``_triple``.  The Euler product cancels from P(-w)/P(w) =
+    (Ev + Od)/(Ev - Od), which is divided in exact integers: near the
+    lattice Ev - Od is small, and a shift before the division would cut its
+    bits.
+    """
     wd = pt.width
     with pt.ctx.work():
         if isinstance(z, FractionPair):
             n = z.level
             s, t = z.p1 % n, z.p2 % n
-            if n * n * pt.ctx.eps >= _LEVEL_CLEARS_LATTICE:
+            if n * n * pt.ctx.eps >= pt._lattice_clearance:
                 _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
             u, qu = pt._table(n).w_terms(s, t)
         else:
-            y, x = _reduce_mod_lattice(mp.mpc(z), pt)
+            with mp.workprec(pt.ctx.bits + _re_bits(pt.tau)):
+                y, x = _reduce_mod_lattice(mp.mpc(z), pt)
+                e = mp.exp(2j * mp.pi * (y * pt.tau + x))
             _check_off_lattice(pt, y, x)
-            e = mp.exp(2j * mp.pi * (y * pt.tau + x))
+            e = +e
             u, qu = _fx(e, wd), _fx(pt.q / e, wd)
         (er, ei), (odr, odi) = _triple(pt.qfx, u, qu, wd)
         nr, ni, dr, di = er + odr, ei + odi, er - odr, ei - odi

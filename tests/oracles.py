@@ -11,15 +11,14 @@ Two kinds live here:
 * Reference loops (``*_loop``).  They sum the same truncated
   products and series as the fixed-point kernels of ``rayclass.qseries``,
   term by term in mpmath at the working precision, with the same tail test
-  and trial-division divisor sums.  They always sum at the input tau of the
-  point, with q = exp(2 pi i tau) and the truncation index M of that tau
-  (times ``scale``: at scale 2 they are converged), whatever point of the
-  fundamental domain the package sums at.  ``matches_loop`` is the
-  criterion the evaluators meet against them: eps * 2^-GUARD_BITS at a point
-  of the fundamental domain, and below it never farther from the converged
-  loop than the M-term loop is.  ``min_pairwise_distance_loop`` is the
-  double loop over all pairs that the sorted sweep of ``rayclass.verify``
-  must match, tie rule included.
+  and trial-division divisor sums.  Like the package, they sum at the
+  input tau of the point, with q = exp(2 pi i tau) and the truncation
+  index M of that tau (times ``scale``: at scale 2 they are converged).
+  ``matches_loop`` is the criterion the evaluators meet against them:
+  eps * 2^-GUARD_BITS at Im tau >= sqrt(3)/2, and below it never farther
+  from the converged loop than the M-term loop is.
+  ``min_pairwise_distance_loop`` is the double loop over all pairs that the
+  sorted sweep of ``rayclass.verify`` must match, tie rule included.
 """
 
 import math
@@ -201,8 +200,9 @@ def agrees(new, ref, ctx) -> bool:
     return abs(new - ref) <= ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(1, abs(ref))
 
 
-# Below Im sqrt(3)/2 a point lies outside the fundamental domain, and the
-# package sums its series at the reduced point.
+# Below Im sqrt(3)/2, the bottom of the fundamental domain, the M-term loops
+# can stop short of eps * 2^-GUARD_BITS (delta's by a factor of 21 at Im 1/20
+# and 256 bits), while the package's lacunary sums run until they converge.
 IN_DOMAIN_IM = math.sqrt(3) / 2
 
 

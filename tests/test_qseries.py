@@ -8,7 +8,6 @@ import pytest
 
 from rayclass import (
     CurveCoords,
-    CuspData,
     DegenerateIndex,
     FractionPair,
     ImTooSmall,
@@ -28,7 +27,6 @@ from rayclass import (
     wp,
     wp_prime,
     x_value,
-    y_cusp_order,
     y_value,
 )
 
@@ -492,37 +490,6 @@ def test_siegel_order_matches_decay(ctx256):
         assert abs(num / den - F(1, 12)) / F(1, 12) < mp.mpf("1e-3")
 
 
-# ------------------------------------------------------------ cusp order ---
-
-def test_y_cusp_order_cases():
-    r = FractionPair.from_parts(0, 1, 8)
-    inf_cusp = CuspData(None, 3, ((1, 0), (0, 1)))
-    assert y_cusp_order(r, inf_cusp) == F(-3, 4)  # c = 0: -w/4
-    # <c/N> = 1/2: +w/4
-    half = CuspData(F(1, 4), 2, ((1, 0), (4, 1)))
-    assert y_cusp_order(r, half) == F(1, 2)
-    # bounds -w/4 <= order <= w/4 over all residues; ((1,0),(c,1)) has det 1
-    # and sends infinity to 1/c
-    for c in range(-8, 9):
-        if c == 0:
-            continue
-        cusp = CuspData(F(1, c), 5, ((1, 0), (c, 1)))
-        order = y_cusp_order(r, cusp)
-        assert F(-5, 4) <= order <= F(5, 4)
-
-
-def test_y_cusp_order_rejects_bad_index():
-    with pytest.raises(ValueError):
-        y_cusp_order(FractionPair.from_parts(0, 1, 2), CuspData(None, 1, ((1, 0), (0, 1))))
-
-
-def test_cusp_data_validation():
-    with pytest.raises(ValueError):
-        CuspData(None, 1, ((1, 1), (1, 1)))  # det 0
-    with pytest.raises(ValueError):
-        CuspData(F(2), 1, ((1, 0), (0, 1)))  # transporter fixes infinity
-
-
 # -------------------------------------------------------------------- wp ---
 
 def test_wp_even_and_periodic(ctx256):
@@ -550,7 +517,6 @@ def test_wp_at_half_periods_are_the_cubic_roots(bits, eps, tau):
         pt = ModularPoint.from_quadratic(1, 1, -39, ctx)
     else:
         pt = ModularPoint.from_complex(tau, ctx)
-        assert pt.reduced is not None
     with ctx.work():
         g2, g3 = eisenstein(pt)
         tol = ctx.eps * max(1, abs(g2), abs(g3))
@@ -620,7 +586,7 @@ def test_wp_level_guard_agrees_with_the_lattice_test(bits, eps, levels,
     skipped = 0
     for tau in taus:
         pt = _pt(*tau, ctx)
-        f = pt.reduced or pt
+        f = pt
         for n in levels:
             near = [(0, 1), (1, 0), (1, 1), (1, n - 1), (n - 1, 1), (n - 1, 0)]
             rand = [(rng.randrange(n), rng.randrange(1, n)) for _ in range(2)]
