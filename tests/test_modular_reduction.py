@@ -1,6 +1,7 @@
 """Values at points A tau' outside the fundamental domain, where every
 series is summed at the point itself: they meet the reference loops, j is
-invariant under SL2(Z), and a large Re tau costs no bits."""
+invariant under SL2(Z), eta, delta, g2 and g3 obey their transformation
+laws, and a large Re tau costs no bits."""
 
 import math
 import random
@@ -10,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from rayclass import (
+    CMPoint,
     FractionPair,
     ModularPoint,
     PrecisionContext,
@@ -20,6 +22,7 @@ from rayclass import (
     siegel,
     wp,
 )
+from rayclass.numerics import GUARD_BITS, MIN_IM, truncation_terms
 
 from oracles import (
     delta_loop,
@@ -56,6 +59,87 @@ def _interior_tau(rng):
         re, im = rng.uniform(-0.45, 0.45), rng.uniform(0.9, 1.6)
         if re * re + im * im >= 1.1:
             return re, im
+
+
+# ---------------------------------------------------------- the domain ---
+
+def _forms_in_the_closed_domain(dmin):
+    """(a, b, d) for every form a X^2 + b X Y + c Y^2 with |b| <= a <= c
+    (primitive or not, both edges included) of discriminant d in [dmin, -3]."""
+    for d in range(-3, dmin - 1, -1):
+        if d % 4 not in (0, 1):
+            continue
+        for a in range(1, math.isqrt(-d // 3) + 1):
+            for b in range(-a, a + 1):
+                num = b * b - d
+                if num % (4 * a) == 0 and num // (4 * a) >= a:
+                    yield a, b, d
+
+
+@pytest.mark.parametrize("prec", sorted(CTX))
+def test_cm_points_of_reduced_forms_keep_the_identity_word(prec):
+    """Every CM point of a form with |b| <= a <= c, d in [-2000, -3], lies in
+    the closed fundamental domain (|Re| <= 1/2, |tau| >= 1, edges included,
+    up to one rounding), so its sums take at most the domain's terms; one in
+    97 also goes through from_quadratic, which sums at tau itself with
+    q = exp(2 pi i tau)."""
+    ctx = CTX[prec]
+    cap = truncation_terms(math.sqrt(3) / 2, ctx.eps)
+    count = 0
+    for a, b, d in _forms_in_the_closed_domain(-2000):
+        tau = CMPoint(a, b, d).to_mpc(ctx)
+        with ctx.work():
+            slack = 4 * mp.mpf(2) ** -ctx.bits
+            assert abs(mp.re(tau)) <= 0.5 and abs(tau) >= 1 - slack, (a, b, d)
+        if count % 97 == 0:
+            pt = ModularPoint.from_quadratic(a, b, d, ctx)
+            assert pt.tau == tau and pt.terms() <= cap
+            with ctx.work():
+                assert pt.q == mp.exp(2j * mp.pi * tau)
+        count += 1
+    assert count == 17090
+
+
+def test_reduced_point_takes_the_one_exponential(monkeypatch):
+    """A tau outside the domain takes one exponential in from_complex, at
+    tau itself (|Re tau| < 1 costs no extra bits), and keeps it as q."""
+    ctx = CTX["256"]
+    exps = []
+    real_exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda z: exps.append(z) or real_exp(z))
+    pt = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
+    assert len(exps) == 1
+    with ctx.work():
+        assert exps[0] == 2j * mp.pi * pt.tau
+        assert pt.q == real_exp(exps[0])
+
+
+def test_truncation_is_capped_by_the_domain():
+    """Every point from Im 0.05 to 2 has a truncation index of at most 329
+    at 256 bits and eps 1e-40, that of the Im floor (log(2^16 / eps) /
+    (2 pi / 20) < 329), and at most 19 at Im >= sqrt(3)/2."""
+    ctx = CTX["256"]
+    assert truncation_terms(MIN_IM, ctx.eps) == 329
+    rng = random.Random(8802)
+    lo, hi = math.log(0.05), math.log(2.0)
+    for _ in range(200):
+        tau = (rng.uniform(-0.5, 0.5), math.exp(rng.uniform(lo, hi)))
+        terms = ModularPoint.from_complex(tau, ctx).terms()
+        assert terms <= (19 if tau[1] >= math.sqrt(3) / 2 else 329), tau
+
+
+def test_carried_values_are_computed_once(point_value_runs):
+    """At a point outside the domain, each per-point value runs once, on the
+    point itself, however often the evaluators ask for it."""
+    runs = {name: point_value_runs(name) for name in ("eisenstein", "eta", "delta")}
+    ctx = CTX["256"]
+    pt = ModularPoint.from_complex(("0.1234", "0.3"), ctx)
+    for _ in range(2):
+        j_invariant(pt)
+        eta(pt)
+        delta(pt)
+    for seen in runs.values():
+        assert [id(p) for p in seen] == [id(pt)]
 
 
 # -------------------------------------------------------- the values' law ---
@@ -137,13 +221,66 @@ def test_j_is_invariant_under_words():
         checked += 1
 
 
-def test_large_real_part_costs_no_bits():
-    """At tau = 2^20 + 0.3 + 0.9i, 256 bits and eps 2^-240, j, eta and wp
-    match their values at tau - 2^20 (exact) through the translation laws:
+def _points_below_the_domain(seed, count):
+    """Seeded tau with |Re| <= 1/2, |tau| <= 1 and Im from 0.05 to 0.8:
+    outside the domain, and so is -1/tau's image above the Im floor."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        re, im = rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.8)
+        if re * re + im * im <= 1:
+            out.append((re, im))
+    return out
+
+
+def _close(new, ref, ctx, floor=0):
+    """|new - ref| <= eps * 2^-GUARD_BITS * max(floor, |ref|)."""
+    return abs(new - ref) <= ctx.eps * mp.mpf(2) ** (-GUARD_BITS) * max(floor, abs(ref))
+
+
+LAW_POINTS = {"256": 6, "1536": 3}
+
+
+@pytest.mark.parametrize("prec", sorted(CTX))
+def test_eta_obeys_the_generator_laws(prec):
+    """eta(tau + 1) = exp(pi i/12) eta(tau) and eta(-1/tau) = sqrt(-i tau)
+    eta(tau), each side summed at its own point, to eps * 2^-GUARD_BITS
+    relative."""
+    ctx = CTX[prec]
+    for tau_r in _points_below_the_domain(8806, LAW_POINTS[prec]):
+        with ctx.work():
+            tau = ctx.mpc(*tau_r)
+            e = eta(ModularPoint.from_complex(tau, ctx))
+            shifted = eta(ModularPoint.from_complex(tau + 1, ctx))
+            inverted = eta(ModularPoint.from_complex(-1 / tau, ctx))
+            assert _close(shifted, mp.exp(mp.mpc(0, mp.pi) / 12) * e, ctx), tau_r
+            assert _close(inverted, mp.sqrt(-1j * tau) * e, ctx), tau_r
+
+
+@pytest.mark.parametrize("prec", sorted(CTX))
+def test_delta_and_eisenstein_obey_their_weights(prec):
+    """delta, g2 and g3 at -1/tau are tau^12, tau^4 and tau^6 times their
+    values at tau, each side summed at its own point, to eps * 2^-GUARD_BITS
+    relative (g2 and g3: times max(1, |value|))."""
+    ctx = CTX[prec]
+    for tau_r in _points_below_the_domain(8807, LAW_POINTS[prec]):
+        with ctx.work():
+            tau = ctx.mpc(*tau_r)
+            pt = ModularPoint.from_complex(tau, ctx)
+            inv = ModularPoint.from_complex(-1 / tau, ctx)
+            (g2, g3), (g2_inv, g3_inv) = eisenstein(pt), eisenstein(inv)
+            assert _close(delta(inv), tau**12 * delta(pt), ctx), tau_r
+            assert _close(g2_inv, tau**4 * g2, ctx, 1), tau_r
+            assert _close(g3_inv, tau**6 * g3, ctx, 1), tau_r
+
+
+@pytest.mark.parametrize("shift", [2**20, 2**40], ids=["2^20", "2^40"])
+def test_large_real_part_costs_no_bits(shift):
+    """At tau = shift + 0.3 + 0.9i, 256 bits and eps 2^-240, j, eta and wp
+    match their values at tau - shift (exact) through the translation laws:
     j(tau + 1) = j(tau), eta(tau + 1) = exp(2 pi i/24) eta(tau), wp(z) is a
     function of the lattice alone, and z = r1 tau + r2 is the index
-    (r1, r2 + 2^20 r1) at tau - 2^20."""
-    shift = 2**20
+    (r1, r2 + shift r1) at tau - shift."""
     ctx = PrecisionContext(256, F(1, 2**240))
     with ctx.work():
         tau = mp.mpc(shift + mp.mpf("0.3"), "0.9")
