@@ -25,21 +25,22 @@ O(sqrt(bits / Im tau)) steps, so they stay short down to the Im floor 1/20
 exp(pi*i*tau/12) and the level tables' q^(1/L)) are taken at their
 precision plus the bit length of floor(|Re tau|) and then rounded
 (``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases no bits;
-so is wp's exp(2*pi*i*z) at a complex z.
+wp adds the bits of a complex z's lattice coordinates when it reduces z.
 
 Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
 ``to_fixed`` (q exactly, as it carries only ``bits`` bits) and leave by
-``_mpc``, rounded to ``bits``; the Siegel prefactor and the wp quotient are
-applied in fixed point too, the eta and Eisenstein prefactors and the
-exponentials in mpmath.  Each sum is lacunary and stops at its first term
-below 2^-W, so every value is the converged function: ``_pentagonal`` sums
-the Euler product E (eta, delta), ``_theta_sums`` the theta constants (g2,
-g3 and the constants of wp), and ``_triple`` the halves Ev (even n) and Od
-(odd n) of sum_n q^(n(n-1)/2) w^n at w = exp(2*pi*i*z): Ev - Od =
-E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times the Siegel product, and
-(Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
-23.6.2).  No kernel reads ``terms()``; it sizes the tests' reference loops.
+``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient and
+y = -g_{2r}/g_r^4 are formed in fixed point too, the eta and Eisenstein
+prefactors and the exponentials in mpmath.  Each sum is lacunary and stops
+at its first term below 2^-W, so every value is the converged function:
+``_pentagonal`` sums the Euler product E (eta, delta), ``_theta_sums`` the
+theta constants (g2, g3 and the constants of wp), and ``_triple`` the
+halves Ev (even n) and Od (odd n) of sum_n q^(n(n-1)/2) w^n at
+w = exp(2*pi*i*z): Ev - Od = E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times
+the Siegel product, and (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z)
+gives wp (DLMF 23.6.2).  No kernel reads ``terms()``; it sizes the tests'
+reference loops.
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
@@ -76,8 +77,14 @@ from inputs within one unit.  The prefactor has modulus
 >= |q|^(1/12) = 2^-(Im(tau) pi / (6 ln 2)), and the extra bits of W_rho
 keep its relative error below 2^-W too (a negative exponent is the
 reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
-exact integer product of the loop result at W and the prefactor at W_rho,
-rounded once to ``bits``.
+exact integer product of the loop result at W and the prefactor at W_rho.
+
+Siegel memo and y.  The memo keeps that product unrounded, one entry per
+reduced index (N, s, t), and ``siegel`` rounds it to ``bits``.
+``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts both entries and
+g_r^4 (two exact squarings) to W significant bits, applies the shift roots
+of unity and the sign as one power of xi and divides in exact integers,
+rounding once to ``bits``.
 """
 
 from __future__ import annotations
@@ -92,7 +99,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .classfield import CMPoint
-from .errors import DegenerateIndex, OnLattice
+from .errors import DegenerateIndex, NearZero, OnLattice
 from .numerics import (
     FX_GUARD,
     PrecisionContext,
@@ -116,13 +123,13 @@ class ModularPoint:
       evaluators of the same names return;
     * ``qfx``, q in fixed point; ``euler``, the Euler product (eta, delta)
       and its reciprocal (Siegel values); ``_thetas``, the theta constants
-      of g2, g3 and wp; ``_siegel``, the Siegel values by reduced index
-      (s/N, t/N) in [0,1)^2, keyed (N, s, t) and filled by ``siegel`` as it
-      meets new keys; ``_tables``, the level-N tables by N, each made by
-      ``_table(n)`` on the first index of level N that ``siegel`` or ``wp``
-      meets, and filled lazily with the powers of q^(1/(12 N^2)) and
-      exp(2*pi*i/(12 N^2)) its keys need (module docstring);
-      ``_lattice_clearance``, the bound of wp's level guard.
+      of g2, g3 and wp; ``_siegel``, the unrounded Siegel products (re, im,
+      w) keyed (N, s, t) by reduced index (s/N, t/N), which ``siegel``
+      rounds and ``y_quotient`` divides; ``_tables``, the level-N tables,
+      filled lazily with the powers of q^(1/(12 N^2)) and exp(2*pi*i/(12
+      N^2)) their keys need (module docstring); ``_x_factor``, g2 g3 / delta
+      for ``x``, guarded once by ``safe_div``; ``_lattice_clearance``, the
+      bound of wp's level guard.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
     ``terms()`` the truncation index of the tests' reference loops.
@@ -227,6 +234,13 @@ class ModularPoint:
             pi2 = (to_fixed((mp.pi ** 2)._mpf_, w), 0)
         e1r, e1i = _fx_mul(pi2, s, w)
         return (e1r // 3, e1i // 3), _fx_mul(pi2, d2, w)
+
+    @cached_property
+    def _x_factor(self) -> mp.mpc:
+        """g2 g3 / delta for ``x_value``; NearZero when |delta| < eps."""
+        with self.ctx.work():
+            g2, g3 = self.eisenstein
+            return safe_div(g2 * g3, self.delta, self.ctx)
 
     @cached_property
     def _lattice_clearance(self) -> mp.mpf:
@@ -344,9 +358,10 @@ def _fx(z: mp.mpc, w: int) -> tuple[int, int]:
     return to_fixed(re, w), to_fixed(im, w)
 
 
-def _mpc(re: int, im: int, w: int) -> mp.mpc:
-    """(re + i*im) * 2^-w rounded to the working precision."""
-    prec = mp.mp.prec
+def _mpc(re: int, im: int, w: int, prec: int | None = None) -> mp.mpc:
+    """(re + i*im) * 2^-w rounded to prec bits, by default the working
+    precision."""
+    prec = prec or mp.mp.prec
     return mp.make_mpc((from_man_exp(re, -w, prec, round_nearest),
                         from_man_exp(im, -w, prec, round_nearest)))
 
@@ -525,14 +540,9 @@ def bernoulli2(x) -> Fraction:
     return x * x - x + Fraction(1, 6)
 
 
-def _unit_phase(num: int, den: int) -> mp.mpc:
-    """exp(pi*i*num/den) for integers num, den > 0 in lowest terms, at the
-    working precision."""
-    return _unit_phase_at(num, den, mp.mp.prec)
-
-
 @lru_cache(maxsize=4096)
 def _unit_phase_at(num: int, den: int, prec: int) -> mp.mpc:
+    """exp(pi*i*num/den), num/den in lowest terms and den > 0, at prec bits."""
     with mp.workprec(prec):
         return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(num) / den)
 
@@ -566,39 +576,91 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
     The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
-    (s1, s2) = divmod of the residues by the level N, once per point (kept
-    in ``pt._siegel`` under (N, s, t)); for shifted indices the value is
-    corrected by the exact quasi-periodicity root of unity
+    (s1, s2) = divmod of the residues by the level N, once per point (the
+    memo entry of ``_siegel_fx``) and rounded; for shifted indices the value
+    is corrected by the exact quasi-periodicity root of unity
     (-1)^(s1*s2+s1+s2) * exp(pi*i*(s2*s - s1*t)/N) of the Klein form.
     """
     n = r.level
     s1, s = divmod(r.p1, n)
     s2, t = divmod(r.p2, n)
+    re, im, w = _siegel_fx(pt, n, s, t)
+    with pt.ctx.work():
+        val = _mpc(re, im, w)
+        if s1 or s2:
+            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
+            e = s2 * s - s1 * t
+            g = math.gcd(e, n)
+            val *= sign * _unit_phase_at(e // g, n // g, pt.ctx.bits)
+    return val
+
+
+def _siegel_fx(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
+    """The memo entry (re, im, w) of the reduced index (s/n, t/n), made by
+    ``_siegel_reduced`` on first use."""
     key = (n, s, t)
     val = pt._siegel.get(key)
     if val is None:
         val = pt._siegel[key] = _siegel_reduced(pt, n, s, t)
-    if s1 or s2:
-        with pt.ctx.work():
-            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
-            e = s2 * s - s1 * t
-            g = math.gcd(e, n)
-            val *= sign * _unit_phase(e // g, n // g)
     return val
 
 
-def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> mp.mpc:
+def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
     """g_{(a1,a2)}(tau) for a reduced index (a1, a2) = (s/n, t/n) in [0,1)^2
     of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau
     + a2)), with P(w) = (Ev - Od) / E (``_triple``); w, q/w and the prefactor
-    come from the point's level-N table, 1/E from the point."""
+    come from the point's level-N table, 1/E from the point.  Unrounded:
+    (re + i*im) * 2^-w, the exact product of loop result and prefactor."""
     tab = pt._table(n)
     wd = pt.width
     (er, ei), (odr, odi) = _triple(pt.qfx, *tab.w_terms(s, t), wd)
     cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
     pr, pi_ = tab.prefactor(s, t)
-    with pt.ctx.work():
-        return _mpc(pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth)
+    return pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth
+
+
+def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
+    """(re + i*im) * 2^-w floored to at most ``bits`` significant bits."""
+    k = max(abs(re), abs(im)).bit_length() - bits
+    return (re >> k, im >> k, w - k) if k > 0 else (re, im, w)
+
+
+def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
+    """(re, im, w, e): r's memo entry cut to W significant bits, and e mod 2n
+    for r's shift root of unity exp(pi*i*e/n) (``siegel``), n its level."""
+    n = r.level
+    s1, s = divmod(r.p1, n)
+    s2, t = divmod(r.p2, n)
+    re, im, w = _cut_bits(*_siegel_fx(pt, n, s, t), pt.width)
+    return re, im, w, (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2)) % (2 * n)
+
+
+def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
+    """y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value`` and
+    (0, 2/N)m for ``conjugate_values``; d's level divides r's.  NearZero when
+    |g_r^4| < eps: (re^2 + im^2)^4 < eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
+    n, nd = r.level, d.level
+    if n % nd:
+        raise ValueError(f"level {nd} of {d} does not divide level {n} of {r}")
+    gr, gi, w, e = _cut_entry(pt, r)
+    nr, ni, wn, ed = _cut_entry(pt, d)
+    e = (ed * (n // nd) - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
+    if e % n:  # xi^(6ne), xi = exp(2*pi*i/(12 n^2))
+        tab = pt._table(n)
+        nr, ni = _fx_mul((nr, ni), tab.z(6 * n * e), tab.zwidth)
+    elif e:
+        nr, ni = -nr, -ni
+    _, man, exp, _ = pt.ctx.eps._mpf_
+    m4, k = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
+    if (m4 < (man * man << k)) if k >= 0 else ((m4 << -k) < man * man):
+        with pt.ctx.work():
+            raise NearZero(f"division by |z|={mp.nstr(abs(_mpc(gr, gi, w) ** 4), 8)} < eps")
+    a, b = gr * gr - gi * gi, 2 * gr * gi
+    a, b, w4 = _cut_bits(a * a - b * b, 2 * a * b, 4 * w, pt.width)
+    den = a * a + b * b
+    qr, qi = nr * a + ni * b, ni * a - nr * b
+    sh = max(0, pt.width + den.bit_length() - max(abs(qr), abs(qi)).bit_length())
+    return _mpc((qr << sh) // den, (qi << sh) // den, sh + wn - w4, pt.ctx.bits)
 
 
 def siegel_order(r: FractionPair) -> Fraction:
@@ -641,8 +703,8 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
     min(1, Im tau)^2; below, the level settles it.  For an index the reduced
     coordinates are exact, and u = exp(2*pi*i*z) and q/u are read from the
-    point's level-N table; for a complex z they are computed from z, at
-    ``_re_bits(tau)`` extra bits like the exponentials of tau.  Both run
+    point's level-N table; for a complex z they are computed from z, with
+    the bits of Re tau and of z's lattice coordinates as extra bits.  Both run
     ``_triple``.  The Euler product cancels from P(-w)/P(w) =
     (Ev + Od)/(Ev - Od), which is divided in exact integers: near the
     lattice Ev - Od is small, and a shift before the division would cut its
@@ -657,7 +719,9 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
                 _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
             u, qu = pt._table(n).w_terms(s, t)
         else:
-            with mp.workprec(pt.ctx.bits + _re_bits(pt.tau)):
+            # |y| <= |z| / Im tau and |x| <= |z| + |y Re tau|: their bits
+            z_bits = int(abs(z) / min(1, pt.im)).bit_length()
+            with mp.workprec(pt.ctx.bits + _re_bits(pt.tau) + z_bits):
                 y, x = _reduce_mod_lattice(mp.mpc(z), pt)
                 e = mp.exp(2j * mp.pi * (y * pt.tau + x))
             _check_off_lattice(pt, y, x)
@@ -708,19 +772,19 @@ def v_value(pt: ModularPoint) -> mp.mpc:
 
 
 def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
-    """x = g2 * g3 * wp(r1*tau + r2) / delta (Fricke function over -2^7 3^5)."""
+    """x = g2 * g3 * wp(r1*tau + r2) / delta (Fricke function over -2^7 3^5),
+    with g2 g3 / delta from the point (``ModularPoint._x_factor``)."""
+    w = wp(r, pt)
     with pt.ctx.work():
-        g2, g3 = eisenstein(pt)
-        return safe_div(g2 * g3 * wp(r, pt), delta(pt), pt.ctx)
+        return pt._x_factor * w
 
 
 def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
-    """y = -g_{2r} / g_r^4; requires 2r outside Z^2."""
+    """y = -g_{2r} / g_r^4 (``y_quotient``); requires 2r outside Z^2."""
     d = r.doubled()
     if d is None:
         raise DegenerateIndex("y undefined at 2-torsion index (2r in Z^2)")
-    with pt.ctx.work():
-        return -safe_div(siegel(d, pt), siegel(r, pt) ** 4, pt.ctx)
+    return y_quotient(pt, r, d)
 
 
 def normalized(pt: ModularPoint, r: FractionPair) -> CurveCoords:

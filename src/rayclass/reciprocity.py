@@ -26,12 +26,13 @@ from .classfield import (
     ray_class_degree,
 )
 from .errors import UnsupportedDiscriminant
-from .numerics import PrecisionContext, safe_div
+from .numerics import PrecisionContext
 from .qseries import (
     FractionPair,
     ModularPoint,
     siegel,
     x_value,
+    y_quotient,
 )
 
 DESCRIPTORS = ("y12N", "y4", "x", "pair")
@@ -124,8 +125,9 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
 
     descriptor:
       * 'y12N': g_{(0,2/N)m}(theta_Q)^{12N} / g_{(0,1/N)m}(theta_Q)^{48N},
-        computed as (g_{r2}/g_{r1}^4)^{12N} (identical value, stable scaling);
-      * 'y4'  : (-g_{r2}/g_{r1}^4)^(4/gcd(4,N));
+        computed as y^{12N} with y = -g_{r2}/g_{r1}^4 from ``y_quotient``
+        (identical value, stable scaling), r1 = (0,1/N)m and r2 = (0,2/N)m;
+      * 'y4'  : y^(4/gcd(4,N));
       * 'x'   : Fricke-normalized x with index (0,1/N)m at theta_Q;
       * 'pair': (x, y^(4/gcd(4,N))).
 
@@ -149,7 +151,7 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     points = {q: ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
               for q in field.forms}
     # (0, 2/N) m, not the double of (0, 1/N) m: the doubled index keeps its
-    # shift, and siegel would multiply in its root of unity
+    # shift, and y_quotient would multiply in its root of unity
     base1 = FractionPair.from_parts(0, 1, n)
     base2 = FractionPair.from_parts(0, 2, n)
     out = []
@@ -157,17 +159,17 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
         pt = points[label.form]
         m = label.composite(n)
         r1, r2 = act_index(base1, m), act_index(base2, m)
+        if descriptor != "x":
+            y = y_quotient(pt, r1, r2)
         with ctx.work():
-            if descriptor != "x":
-                ratio = safe_div(siegel(r2, pt), siegel(r1, pt) ** 4, ctx)
             if descriptor == "y12N":
-                val = ratio ** (12 * n)
+                val = y ** (12 * n)
             elif descriptor == "y4":
-                val = (-ratio) ** epow
+                val = y ** epow
             elif descriptor == "x":
                 val = x_value(pt, r1)
             else:
-                val = (x_value(pt, r1), (-ratio) ** epow)
+                val = (x_value(pt, r1), y ** epow)
         out.append((label, val))
     expected = ray_class_degree(field, n)
     assert len(out) == expected, f"orbit size {len(out)} != degree {expected}"

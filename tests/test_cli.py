@@ -323,6 +323,21 @@ def test_degenerate_index_exit_three(capsys):
     assert "DegenerateIndex" in err
 
 
+@pytest.mark.parametrize("argv, modulus", [
+    (["eval", "y", "--tau", "0.1,1.5", "--r", "0,1/7"], "0.024496029"),
+    (["conjugates", "--dk", "-7", "--level", "5", "--descriptor", "y4"], "0.47783706"),
+    (["conjugates", "--dk", "-39", "--level", "8", "--descriptor", "pair"], "0.00049579571"),
+    (["eval", "x", "--tau", "0,5", "--r", "1/3,0"], "8.5979493e-5"),
+], ids=["y", "y4-orbit", "pair-orbit", "x"])
+def test_near_zero_exits_three(argv, modulus, capsys):
+    """At eps 0.5, y's |g_r^4| and x's |delta| fall below eps: exit 3 with
+    the modulus of the denominator in the message."""
+    code, out, err = run_cli(["--bits", "64", "--eps", "0.5", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "NearZero",
+                               "message": f"division by |z|={modulus} < eps"}
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "siegel", "--tau", "0,1", "--r", "1/0,1/2"],
     ["check", "lemma51", "--dk", "-39", "--a", "1/0", "--x", "1"],

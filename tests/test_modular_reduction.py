@@ -297,3 +297,18 @@ def test_large_real_part_costs_no_bits(shift):
         z = mp.mpc("0.31", "0.42")
         p = wp(z, pt)
         assert abs(p - wp(z, base)) <= ctx.eps * abs(p)
+
+
+def test_complex_z_far_from_zero_costs_no_bits():
+    """wp at z = 2^20 + 0.2 + 0.42i, tau = 0.3 + 0.9i, 256 bits and eps
+    2^-240 lies within eps of the same z at 768 bits: the lattice
+    coordinates of z and exp(2 pi i z) carry the bit length of
+    floor(|z| / min(1, Im tau)) as extra bits (without them: 209 eps off)."""
+    ctx = PrecisionContext(256, F(1, 2**240))
+    hi = PrecisionContext(768, F(1, 2**700))
+    with ctx.work():
+        tau = mp.mpc("0.3", "0.9")
+        z = mp.mpc(2**20 + mp.mpf("0.2"), "0.42")
+        p = wp(z, ModularPoint.from_complex(tau, ctx))
+    with hi.work():
+        assert abs(p - wp(z, ModularPoint.from_complex(tau, hi))) <= ctx.eps

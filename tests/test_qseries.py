@@ -12,13 +12,16 @@ from rayclass import (
     FractionPair,
     ImTooSmall,
     ModularPoint,
+    NearZero,
     OnLattice,
     PrecisionContext,
     bernoulli2,
+    conjugate_values,
     delta,
     eisenstein,
     eta,
     j_invariant,
+    make_field,
     normalized,
     siegel,
     siegel_order,
@@ -31,7 +34,8 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.qseries import _unit_phase_at, _unit_root_fx
+from rayclass.numerics import safe_div
+from rayclass.qseries import _unit_phase_at, _unit_root_fx, y_quotient
 
 from oracles import agrees, eisenstein_loop
 
@@ -432,6 +436,124 @@ def test_index_spellings_hit_one_memo_entry(ctx256, siegel_product_runs, one, ot
     s, t, n = _reference_key(a1, a2)
     assert siegel_product_runs[0][1] == (n, s, t)
     assert wp(one, pt) == wp(other, pt)
+
+
+# ------------------------------------------------- the fixed-point y kernel ---
+
+Y_INDICES = [
+    FractionPair(F(1, 8), F(3, 8)), FractionPair(F(9, 8), F(-5, 8)),
+    FractionPair(F(-7, 5), F(-2, 5)), FractionPair(F(0), F(1, 7)),
+    FractionPair(F(3), F(-6, 7)), FractionPair(F(5, 6), F(-7, 6)),
+    FractionPair(F(3, 4), F(9, 4)), FractionPair(F(-1, 4), F(1, 2)),
+]
+
+
+def test_y_on_a_warm_point_is_the_cold_value(ctx256):
+    """y from either caller's spelling, and x, on a point whose memo and
+    tables are warm, equal the values on a fresh point, bit for bit."""
+    warm = _pt(0.1234, 1.1, ctx256)
+    for r in Y_INDICES:
+        siegel(r, warm)
+        siegel(r.doubled(), warm)
+        y_value(warm, r.negated())
+        wp(r, warm)
+    for r in Y_INDICES:
+        # 2r reduced into [0,1)^2, as conjugate_values spells its numerator
+        d = FractionPair.from_parts(2 * r.p1 % r.level, 2 * r.p2 % r.level, r.level)
+        cold = _pt(0.1234, 1.1, ctx256)
+        assert y_value(warm, r) == y_value(cold, r)
+        assert y_quotient(warm, r, d) == y_quotient(_pt(0.1234, 1.1, ctx256), r, d)
+        assert x_value(warm, r) == x_value(cold, r)
+
+
+def test_y_divides_no_mpmath_numbers(ctx256, monkeypatch):
+    """y takes no safe_div, at any index or in an orbit, and x takes one per
+    point, for its factor g2 g3 / delta."""
+    calls = []
+
+    def counted(num, den, ctx):
+        calls.append(den)
+        return safe_div(num, den, ctx)
+
+    monkeypatch.setattr(qseries, "safe_div", counted)
+    pt = _pt(0.1234, 1.1, ctx256)
+    for r in Y_INDICES:
+        y_value(pt, r)
+    conjugate_values(make_field(-39), 8, "y4", ctx256)
+    assert calls == []
+    for r in Y_INDICES:
+        x_value(pt, r)
+    assert len(calls) == 1
+
+
+def _guard_sweep():
+    """Every index (p1/n, p2/n) of level n in 3..8, p1, p2 in [-n, 2n), with
+    2r outside Z^2: each reduced index in nine spellings."""
+    for n in range(3, 9):
+        for p1 in range(-n, 2 * n):
+            for p2 in range(-n, 2 * n):
+                if p1 % n or p2 % n:
+                    r = FractionPair.from_parts(p1, p2, n)
+                    if r.level == n and r.doubled() is not None:
+                        yield r
+
+
+def _raises_near_zero(f) -> bool:
+    try:
+        f()
+    except NearZero:
+        return True
+    return False
+
+
+GUARD_TAUS = [("0.1", "1.5"), ("-0.37", "2.6")]
+# The index the boundary runs through in the second sweep.  Where eps is
+# |g_r^4| there, the mpmath quotient's answer for its spellings and those of
+# its negative (|g_{-r}| = |g_r|) depends on how the shift phases and the
+# fourth power round g_r, so these may differ: 2 of them at 0.1+1.5i and 7
+# at -0.37+2.6i do.  All lie within 2^-bits relative of the boundary.
+GUARD_BOUNDARY_INDEX = FractionPair(F(1, 7), F(2, 7))
+
+
+def _boundary_spelling(r) -> bool:
+    key = (r.r1 % 1, r.r2 % 1)
+    b = GUARD_BOUNDARY_INDEX
+    return key in {(b.r1, b.r2), (-b.r1 % 1, -b.r2 % 1)}
+
+
+@pytest.mark.parametrize("tau", GUARD_TAUS, ids="{0[0]},{0[1]}".format)
+@pytest.mark.parametrize("at_boundary", [False, True], ids=["eps-0.5", "eps-boundary"])
+def test_y_guard_raises_where_the_mpmath_quotient_does(tau, at_boundary):
+    """At 64 bits and a large eps, y raises NearZero at exactly the indices
+    of the sweep where -safe_div(siegel(2r), siegel(r)^4) raises, except,
+    with eps on the boundary, spellings of the boundary index."""
+    ctx = PrecisionContext(64, "0.5")
+    pt = ModularPoint.from_complex(tau, ctx)
+    hi = PrecisionContext(128, "0.5")
+
+    def g4_hi(r):
+        with hi.work():
+            return abs(siegel(r, ModularPoint.from_complex(pt.tau, hi))) ** 4
+
+    if at_boundary:  # |g_r^4| at the index, rounded to 64 bits
+        ctx = PrecisionContext(64, g4_hi(GUARD_BOUNDARY_INDEX))
+        pt = ModularPoint.from_complex(tau, ctx)
+
+    def quotient(r):
+        with ctx.work():
+            return -safe_div(siegel(r.doubled(), pt), siegel(r, pt) ** 4, ctx)
+
+    raised, differ = 0, set()
+    for r in _guard_sweep():
+        new = _raises_near_zero(lambda: y_value(pt, r))
+        raised += new
+        if new != _raises_near_zero(lambda: quotient(r)):
+            differ.add(r)
+    assert 0 < raised < 1476
+    assert all(at_boundary and _boundary_spelling(r) for r in differ)
+    with hi.work():
+        for r in differ:
+            assert abs(g4_hi(r) / ctx.eps - 1) <= mp.mpf(2) ** -ctx.bits
 
 
 def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):

@@ -8,6 +8,7 @@ by term in mpmath at the input tau; the evaluators must match them as
 ``oracles.matches_loop`` says.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,11 +19,16 @@ from rayclass import (
     FractionPair,
     ModularPoint,
     PrecisionContext,
+    act_index,
+    conjugate_values,
     delta,
     eisenstein,
     eta,
+    make_field,
     siegel,
     wp,
+    x_value,
+    y_value,
 )
 
 from oracles import (
@@ -243,3 +249,64 @@ def test_siegel_keeps_relative_accuracy_at_large_im(r):
     with hi.work():
         ref = siegel_loop(r, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
         assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) * abs(ref)
+
+
+# ------------------------------------------------ y and x vs reference loops ---
+
+Y_TAUS = [(0.1234, 0.866), (-0.5, 2.0)]
+Y_INDICES = [
+    FractionPair(F(1, 5), F(2, 5)),  # reduced, odd level
+    FractionPair(F(0), F(1, 7)),
+    FractionPair(F(-9, 8), F(5, 8)),  # shifted, level 8: 2r has level 4
+    FractionPair(F(5, 6), F(-7, 6)),  # shifted, level 6: 2r has level 3
+    FractionPair(F(3, 4), F(9, 4)),  # shifted, level 4: 2r has level 2
+]
+
+
+def _y_loop(r, d, pt):
+    """-g_d / g_r^4 from the converged Siegel loops."""
+    return -siegel_loop(d, pt, 2) / siegel_loop(r, pt, 2) ** 4
+
+
+def _x_loop(r, pt):
+    """g2 g3 wp(r1 tau + r2) / delta from the converged loops."""
+    g2, g3 = eisenstein_loop(pt, 2)
+    return g2 * g3 * wp_loop(pt.at(r), pt, 2) / delta_loop(pt, 2)
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("tau", Y_TAUS, ids="{0[0]},{0[1]}".format)
+def test_y_and_x_match_reference_loops(tau, prec):
+    """y_value (d = 2r, also where 2r drops to level N/2) and x_value agree
+    with the converged reference loops to eps * 2^-16 * max(1, |value|)."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_complex(tau, ctx)
+    with ctx.work():
+        for r in Y_INDICES:
+            assert agrees(y_value(pt, r), _y_loop(r, r.doubled(), pt), ctx), r
+            assert agrees(x_value(pt, r), _x_loop(r, pt), ctx), r
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("d, n", [(-7, 4), (-39, 3)])
+def test_orbit_y_matches_reference_loops(d, n, prec):
+    """The y of ``conjugate_values`` (r2 = (0, 2/N)m, of level N/2 at N = 4)
+    in its y12N and pair orbits, and the pair's x, agree with the converged
+    reference loops at each label's indices."""
+    ctx = AGREEMENT_CTX[prec]
+    field = make_field(d)
+    pair = conjugate_values(field, n, "pair", ctx)
+    y12n = conjugate_values(field, n, "y12N", ctx)
+    base1, base2 = FractionPair.from_parts(0, 1, n), FractionPair.from_parts(0, 2, n)
+    epow = 4 // math.gcd(4, n)
+    points = {}
+    with ctx.work():
+        for (label, (x, y4)), (_, y) in zip(pair, y12n):
+            pt = points.setdefault(label.form, ModularPoint.from_quadratic(
+                label.form.a, label.form.b, d, ctx))
+            m = label.composite(n)
+            r1, r2 = act_index(base1, m), act_index(base2, m)
+            ref = _y_loop(r1, r2, pt)
+            assert agrees(y4, ref ** epow, ctx), label
+            assert agrees(y, ref ** (12 * n), ctx), label
+            assert agrees(x, _x_loop(r1, pt), ctx), label
