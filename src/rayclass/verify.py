@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from math import inf, isqrt
 
 import mpmath as mp
+from mpmath.libmp import fzero
 
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues
@@ -33,6 +35,7 @@ from .qseries import (
 from .reciprocity import conjugate_values
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
+GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
 
 
 @dataclass
@@ -281,14 +284,53 @@ def _pair_distance(a, b):
     return abs(a - b)
 
 
+def _grid(values):
+    """(g, rows): every value on the integer grid 2^g.  rows[k] lists Re and
+    Im of each component of values[k], (X0, Y0) for a number and (X0, Y0,
+    X1, Y1) for a pair, each floored to a multiple of 2^g, so it is exact or
+    below the part by less than one unit; None if a part is not finite.  g
+    is the largest top exponent minus the widest mantissa minus GRID_GUARD,
+    so the largest parts are exact."""
+    parts = [p for v in values for c in (v if isinstance(v, tuple) else (v,))
+             for p in (getattr(c, "_mpc_", None) or (c._mpf_, fzero))]
+    nonzero = [(e + b, b) for _, m, e, b in parts if m]  # finite and nonzero
+    g = (max(t for t, _ in nonzero) - max(b for _, b in nonzero)
+         - GRID_GUARD) if nonzero else 0
+    fixed = [None if p[3] < 0 else _floor_on_grid(p, g) for p in parts]  # None: nan, inf
+    w = len(parts) // len(values) if values else 1  # parts per value
+    rows = (fixed[k:k + w] for k in range(0, len(fixed), w))
+    return g, [None if None in r else tuple(r) for r in rows]
+
+
+def _floor_on_grid(p, g: int) -> int:
+    """floor(x / 2^g) for the finite raw mpf p = (sign, man, exp, bc) of x."""
+    s, m, e, _ = p
+    m = -m if s else m
+    return m << (e - g) if e >= g else m >> (g - e)
+
+
+def _rounding_slack(prec: int) -> tuple[int, int]:
+    """(num, den) = (1+4u)(1+u)/(1-4u), u = 2^-prec: an mpmath difference
+    and abs (or hypot) at prec bits is within a factor 1 +- 4u of the exact
+    modulus, and adding tol rounds once more.  den <= 0 below 3 bits, where
+    no factor bounds the rounding."""
+    one = 1 << prec
+    return (one + 4) * (one + 1), one * (one - 4)
+
+
 def _scale_of(values):
-    mags = []
-    for v in values:
-        if isinstance(v, tuple):
-            mags.extend(abs(c) for c in v)
-        else:
-            mags.append(abs(v))
-    return max(mp.mpf(1), max(mags))
+    """max(1, max |component|), bit for bit: mpmath abs runs only on the
+    components whose squared modulus on the grid comes within rounding of
+    the largest, on the first component and on those that are not finite,
+    in order, so Python's max meets the same maximum (and a leading nan)."""
+    comps = [c for v in values for c in (v if isinstance(v, tuple) else (v,))]
+    _, rows = _grid(comps)
+    mods = [None if r is None else r[0] ** 2 + r[1] ** 2 for r in rows]
+    num, den = _rounding_slack(mp.mp.prec)
+    top = isqrt(max((m for m in mods if m is not None), default=0))
+    cut = max(-(-top * den // num) - 4, 0) ** 2  # (isqrt(m) + 4) * F >= top
+    return max(mp.mpf(1), max(abs(c) for k, (c, m) in enumerate(zip(comps, mods))
+                              if not k or m is None or m >= cut))
 
 
 def min_pairwise_distance(values, tol):
@@ -297,31 +339,60 @@ def min_pairwise_distance(values, tol):
     that rounding noise among tied pairs cannot move it; (inf, None) for
     fewer than two values.  Values are mpmath numbers or tuples of them.
 
-    Sorted sweep: indices go in order of the real part (of the first
-    component for tuples), and the scan from i stops once that gap strictly
-    exceeds best + tol, best the smallest distance so far.  No pair within
-    tol of the minimum is skipped, because the rounded gap is the rounded
-    |Re| of the difference the distance is taken of, and abs of a complex
-    number is never below its real part; so the result is the double
-    loop's, bit for bit.
+    Integer sweep: every part is floored onto one integer grid 2^g
+    (``_grid``), and the finite values go in order of the grid real part
+    (of the first component for tuples).  A pair's squared grid distance,
+    the max over components of |difference|^2, is exact integer
+    arithmetic, and its root is within 2 units of the exact distance.  With
+    u the smallest squared grid distance seen, no pair whose mpmath
+    distance can come within tol of the minimum lies farther out on the
+    grid than the reach K = ceil((isqrt(u) + 3 + ceil(tol / 2^g)) * F) + 2,
+    F the rounding slack of mpmath at the working precision
+    (``_rounding_slack``).  The scan from i stops once the real-part gap
+    exceeds K, as the gap never exceeds a pair's grid distance.
+
+    Only the pairs left within K, and every pair with a value that is not
+    finite, get their ``_pair_distance`` in mpmath; the tie rule is applied
+    to them.  They include every pair within tol of the minimum, so the
+    result is the double loop's, bit for bit, at any working precision.
     """
-    re = [mp.re(v[0] if isinstance(v, tuple) else v) for v in values]
-    order = sorted((k for k in range(len(values)) if not mp.isnan(re[k])),
-                   key=re.__getitem__)
-    best = limit = mp.inf
-    near = []  # (pair, distance) within tol of the best distance when seen
+    g, rows = _grid(values)
+    num, den = _rounding_slack(mp.mp.prec)
+    tol_mpf = mp.mpf(tol)
+    if tol_mpf == mp.inf or den <= 0:
+        t = None  # every pair can matter: no reach
+    else:  # ceil(tol / 2^g); the rounding of tol to mpf is in the slack
+        t = -_floor_on_grid((1,) + tol_mpf._mpf_[1:], g) if tol_mpf > 0 else 0
+    order = sorted((k for k, r in enumerate(rows) if r is not None),
+                   key=lambda k: rows[k][0])
+    u = k = kk = inf  # smallest squared grid distance, reach, reach^2
+    near = []  # (squared grid distance, pair) within the reach when seen
     for a, i in enumerate(order):
+        ri = rows[i]
         for j in order[a + 1:]:
-            if re[j] - re[i] > limit:
+            rj = rows[j]
+            dx = rj[0] - ri[0]
+            if dx > k:
                 break
-            pair = (i, j) if i < j else (j, i)
-            d = _pair_distance(values[pair[0]], values[pair[1]])
-            if d <= limit:
-                near.append((pair, d))
-                if d < best:
-                    best = d
-                    limit = best + tol
-    return best, min((p for p, d in near if d <= limit), default=None)
+            dy = rj[1] - ri[1]
+            sq = dx * dx + dy * dy
+            for c in range(2, len(ri), 2):  # the second entry of a pair
+                dx, dy = rj[c] - ri[c], rj[c + 1] - ri[c + 1]
+                sq = max(sq, dx * dx + dy * dy)
+            if sq <= kk:
+                near.append((sq, (i, j) if i < j else (j, i)))
+                if sq < u and t is not None:
+                    u = sq
+                    k = -(-(isqrt(u) + 3 + t) * num // den) + 2
+                    kk = k * k
+    pairs = {p for sq, p in near if sq <= kk}
+    pairs.update((min(i, j), max(i, j))  # each pair with a value that is not finite
+                 for i, r in enumerate(rows) if r is None
+                 for j in range(len(values)) if j != i)
+    dist = [(p, _pair_distance(values[p[0]], values[p[1]])) for p in pairs]
+    best = min((d for _, d in dist if not mp.isnan(d)), default=mp.inf)
+    limit = best + tol
+    return best, min((p for p, d in dist if d <= limit), default=None)
 
 
 def _distinctness(values, ctx: PrecisionContext):
@@ -506,16 +577,19 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
             den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Expand prod (X - v_i) and recognize coefficients in (1/den) * O_K.
 
-    Values must be pairwise distinct at the generation threshold; recognition
-    failures are recorded (coefficient left complex), never raised.  Raises
-    ValueError when den_max < 1 or recog_tol is not finite and positive.
+    Values (any numbers mpmath takes) are rounded to mpc at the working
+    precision and must be pairwise distinct at the generation threshold;
+    recognition failures are recorded (coefficient left complex), never
+    raised.  Raises ValueError when den_max < 1 or recog_tol is not finite
+    and positive.
     """
     if not values:
         raise ValueError("need at least one value")
     tol = _recognition_tol(den_max, recog_tol, ctx)
     with ctx.work():
+        values = [mp.mpc(v) for v in values]
         _require_distinct(values, ctx)
-        coeffs = _expand((-mp.mpc(v), 1) for v in values)
+        coeffs = _expand((-v, 1) for v in values)
         coeffs[-1] = mp.mpc(1)
         return _recognize(coeffs, field, ctx, den_max, tol)
 

@@ -18,7 +18,9 @@ Two kinds live here:
   eps * 2^-GUARD_BITS at Im tau >= sqrt(3)/2, and below it never farther
   from the converged loop than the M-term loop is.
   ``min_pairwise_distance_loop`` is the double loop over all pairs that the
-  sorted sweep of ``rayclass.verify`` must match, tie rule included.
+  integer sweep of ``rayclass.verify`` must match, tie rule included, and
+  ``scale_loop`` the maximum modulus over every component that its scale
+  must match.
 """
 
 import math
@@ -227,3 +229,10 @@ def min_pairwise_distance_loop(values, tol):
     best = min((d for d in dist.values() if not mp.isnan(d)), default=mp.inf)
     limit = best + tol
     return best, next((p for p, d in dist.items() if d <= limit), None)
+
+
+def scale_loop(values):
+    """max(1, max |component|) over every component of every value, in
+    order."""
+    return max(mp.mpf(1), max(abs(c) for v in values
+                              for c in (v if isinstance(v, tuple) else (v,))))

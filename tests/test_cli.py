@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from rayclass import ModularPoint, cli
+from rayclass import ModularPoint, cli, verify
 from rayclass.cli import main
+
+from oracles import min_pairwise_distance_loop
 
 
 def run_cli(argv, capsys):
@@ -420,3 +422,39 @@ def test_byte_identical_runs(argv):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.encode() == out2.encode()
+
+
+# Commands that run the distinctness test, with the number of pairs whose
+# mpmath distance the closest-pair sweep takes in each of their calls: the
+# pairs within rounding of the minimum on the integer grid (the level-4
+# elliptic values lie symmetrically, so eight pairs tie there).
+SWEEP_RUNS = [
+    (["check", "generation", "--dk", "-40", "--level", "12", "--descriptor", "pair"], [1]),
+    (["check", "elliptic4"], [8]),
+    (["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"], [2]),
+    (["hcp", "--dk", "-23"], [1]),
+]
+
+
+def test_closest_pair_sweep_prints_what_the_double_loop_prints(capsys, monkeypatch):
+    """stdout is byte-identical with the double loop in place of the sweep,
+    and the sweep takes few mpmath distances per distinctness call."""
+    sweep, pair_distance = verify.min_pairwise_distance, verify._pair_distance
+    runs = []
+
+    def counted_sweep(values, tol):
+        runs.append(0)
+        return sweep(values, tol)
+
+    def counted_distance(a, b):
+        runs[-1] += 1
+        return pair_distance(a, b)
+
+    for argv, distances in SWEEP_RUNS:
+        runs.clear()
+        monkeypatch.setattr(verify, "min_pairwise_distance", counted_sweep)
+        monkeypatch.setattr(verify, "_pair_distance", counted_distance)
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, runs) == (0, distances)
+        monkeypatch.setattr(verify, "min_pairwise_distance", min_pairwise_distance_loop)
+        assert run_cli(argv, capsys) == (0, out, "")

@@ -21,7 +21,6 @@ from rayclass import (
     w_group,
     x_value,
 )
-from rayclass import reciprocity
 from rayclass.classfield import mat_mul
 from rayclass.verify import min_pairwise_distance
 
@@ -262,21 +261,16 @@ def test_pair_orbit_distinct_for_main_case(ctx256):
         assert dmin > 1000 * ctx256.eps
 
 
-def test_x_orbit_makes_no_siegel_calls(ctx256, monkeypatch):
-    """Descriptor x evaluates no Siegel ratio; its values are still the x
-    coordinates of the pair orbit and x_value at each label's index."""
+def test_x_orbit_makes_no_siegel_calls(ctx256, siegel_product_runs):
+    """Descriptor x evaluates no y, so no Siegel q-product runs for it; its
+    values are still the x coordinates of the pair orbit and x_value at each
+    label's index.  The pair orbit, which does evaluate y, runs them."""
     f = make_field(-39)
     n = 8
-    pair = conjugate_values(f, n, "pair", ctx256)
-    calls = []
-
-    def counted(r, pt):
-        calls.append(r)
-        return siegel(r, pt)
-
-    monkeypatch.setattr(reciprocity, "siegel", counted)
     conj = conjugate_values(f, n, "x", ctx256)
-    assert calls == []
+    assert siegel_product_runs == []
+    pair = conjugate_values(f, n, "pair", ctx256)
+    assert siegel_product_runs
     assert [lbl for lbl, _ in conj] == [lbl for lbl, _ in pair]
     for (lbl, v), (_, (x, _)) in zip(conj, pair):
         r1 = act_index(FractionPair.from_parts(0, 1, n), lbl.composite(n))

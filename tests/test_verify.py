@@ -29,9 +29,14 @@ from rayclass import (
     y_value,
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
-from rayclass.verify import _conjugate_classes, _surface_residual, min_pairwise_distance
+from rayclass.verify import (
+    _conjugate_classes,
+    _scale_of,
+    _surface_residual,
+    min_pairwise_distance,
+)
 
-from oracles import min_pairwise_distance_loop
+from oracles import min_pairwise_distance_loop, scale_loop
 
 
 # ------------------------------------------------------------------ curve ---
@@ -312,6 +317,32 @@ def _closest_pair_cases(ctx):
         yield [(firsts[k % 6], _random_mpc(rng)) for k in range(36)]  # pair ties
         yield [mp.mpc(1) + mp.mpc(rng.random(), rng.random()) * mp.mpf(2) ** -200
                for _ in range(50)]  # gaps at the last bits
+        big, gap = mp.mpf(10) ** 21, mp.mpf(10) ** -16
+        centers = [big * _random_mpc(rng) for _ in range(8)]
+        # clusters near 1e21 with gaps near 1e-16, as in -163/11 y4 orbits
+        yield [c + gap * _random_mpc(rng) for c in centers for _ in range(4)]
+        wide = mp.mpf(2) ** 100
+        yield [(wide * _random_mpc(rng), _random_mpc(rng)) for _ in range(30)]
+        yield [(firsts[k % 6] / wide, wide * _random_mpc(rng)) for k in range(24)]
+        # tiny parts and values below the grid of the largest ones
+        yield ([_random_mpc(rng) * mp.mpf(2) ** -300 for _ in range(12)]
+               + [mp.mpc(big * rng.random(), gap * rng.random()) for _ in range(6)]
+               + [_random_mpc(rng) * big for _ in range(3)])
+        yield [(big * _random_mpc(rng), _random_mpc(rng) * mp.mpf(2) ** -300)
+               for _ in range(10)]
+        # Im below the grid decides which modulus is largest
+        yield [mp.mpc(-2 ** 60, -2 ** 20), mp.mpc(2 ** 60, 2 ** 21), mp.mpc(3)]
+        # distances 1 + 2^-26 and 1 tie once rounded to 24 bits
+        yield [mp.mpc(0), mp.mpc(1 + mp.mpf(2) ** -26), mp.mpc(5, 3), mp.mpc(6, 3)]
+        nan, inf = mp.nan, mp.inf
+        yield [mp.mpc(nan, 0), mp.mpc(1), mp.mpc(inf, 1), mp.mpc(2, -inf),
+               mp.mpc(1.5), mp.mpc(-inf), mp.mpc(3, nan), mp.mpc(1.25, 0)]
+        yield [mp.mpc(inf), mp.mpc(1)]  # fewer than two finite values
+        yield [mp.mpc(nan), mp.mpc(-inf, 2), mp.mpc(inf)]
+        # a nan second component leaves the first one's distance
+        yield ([(_random_mpc(rng), mp.mpc(nan)) for _ in range(5)]
+               + [(_random_mpc(rng), _random_mpc(rng)) for _ in range(5)]
+               + [(_random_mpc(rng), mp.mpc(inf, 1)), (mp.mpc(nan), _random_mpc(rng))])
         yield []
         yield [_random_mpc(rng)]
         yield [_random_mpc(rng), _random_mpc(rng)]
@@ -330,6 +361,16 @@ def test_min_pairwise_distance_matches_the_double_loop(ctx256, bits, tol):
             want = min_pairwise_distance_loop(values, t)
         assert got == want
         assert (got[1] is None) == (len(values) < 2)
+
+
+@pytest.mark.parametrize("bits", [256, 24])
+def test_scale_is_the_maximum_modulus_of_every_component(ctx256, bits):
+    """The grid picks the components whose mpmath abs is taken; the scale is
+    still the maximum over all of them, bit for bit."""
+    for values in _closest_pair_cases(ctx256):
+        if values:
+            with mp.workprec(bits):
+                assert _scale_of(values) == scale_loop(values)
 
 
 def test_tie_rule_reports_the_first_pair_near_the_minimum(ctx256):
@@ -409,6 +450,15 @@ def test_minpoly_single_value(ctx256):
         poly = minpoly([v], f, ctx256)
         assert poly.degree == 1
         assert abs(poly(v)) < ctx256.eps
+
+
+def test_minpoly_takes_python_numbers(ctx256):
+    f = make_field(-7)
+    with ctx256.work():
+        poly = minpoly([1, 2.5 - 1j], f, ctx256)
+        assert poly == minpoly([mp.mpc(1), mp.mpc(2.5, -1)], f, ctx256)
+        with pytest.raises(DuplicateValues):
+            minpoly([1, 1.0, 3j], f, ctx256)
 
 
 def test_minpoly_rejects_duplicates(ctx256):
