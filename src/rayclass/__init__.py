@@ -40,7 +40,7 @@ from .errors import (
     RayclassError,
     UnsupportedDiscriminant,
 )
-from .numerics import PrecisionContext, safe_div, truncation_terms
+from .numerics import PrecisionContext, truncation_terms
 from .qseries import (
     CurveCoords,
     FractionPair,

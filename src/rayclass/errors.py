@@ -17,7 +17,8 @@ class NumericalError(RayclassError):
 
 
 class NearZero(NumericalError):
-    """Division or root extraction on an operand with |z| below eps."""
+    """y = -g_{2r} / g_r^4 at an index where |g_r^4| < eps (the guard of
+    ``qseries.y_quotient``)."""
 
 
 class ImTooSmall(NumericalError):

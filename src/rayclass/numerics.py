@@ -16,7 +16,6 @@ term-by-term reference loops that the tests compare them with.
 
 Values are plain ``mpmath.mpc``/``mpmath.mpf`` objects; arithmetic on them,
 fixed-point loops included, is deterministic given (bits, operands).
-:func:`safe_div` implements the near-zero guard of the contract.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
 
-from .errors import ImTooSmall, NearZero
+from .errors import ImTooSmall
 
 # Floor for Im(tau), exact.  Low enough to cover every point the verification
 # layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).  The
@@ -126,17 +124,3 @@ def _tail_log(eps) -> mp.mpf:
             raise ValueError("eps must be positive")
         return -mp.log(e) + GUARD_BITS * mp.log(2)
 
-
-def safe_div(num, den, ctx: PrecisionContext):
-    """num / den, rejecting denominators with |den| < ctx.eps.
-
-    The guard compares re^2 + im^2 < eps^2 on mpmath's raw values at
-    ``bits``, so no square root is taken; abs(den) is computed only for
-    the error message."""
-    with ctx.work():
-        den = mp.mpc(den)
-        re, im = den._mpc_
-        e, p = ctx.eps._mpf_, ctx.bits
-        if mpf_lt(mpf_add(mpf_mul(re, re, p), mpf_mul(im, im, p), p), mpf_mul(e, e, p)):
-            raise NearZero(f"division by |z|={mp.nstr(abs(den), 8)} < eps")
-        return num / den

@@ -3,8 +3,10 @@
 Conventions fixed across the package:
 
 * ``eta`` carries the sqrt(2*pi)*zeta_8 prefactor, so that eta(tau)^24 equals
-  the discriminant ``delta`` (both built from the one Euler product cached on
-  the point) with no stray powers of 2*pi.  Every stored value follows this
+  the discriminant ``delta`` with no stray powers of 2*pi.  eta comes from
+  the Euler product E, delta from E^12 of the theta sums (Jacobi's
+  2 eta^3 = theta_2 theta_3 theta_4), so eta^24 = delta is an identity
+  between two independent sums.  Every stored value follows this
   normalization; the curve coordinates u, v, x, y below are ratios in which
   it matters.
 * Fractional powers of q are taken on the principal branch straight from
@@ -32,10 +34,11 @@ that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
 ``to_fixed`` (q exactly, as it carries only ``bits`` bits) and leave by
 ``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient and
 y = -g_{2r}/g_r^4 are formed in fixed point too, the eta and Eisenstein
-prefactors and the exponentials in mpmath.  Each sum is lacunary and stops
-at its first term below 2^-W, so every value is the converged function:
-``_pentagonal`` sums the Euler product E (eta, delta), ``_theta_sums`` the
-theta constants (g2, g3 and the constants of wp), and ``_triple`` the
+prefactors, E^12 and the exponentials in mpmath.  Each sum is lacunary and
+stops at its first term below 2^-W, so every value is the converged
+function: ``_pentagonal`` sums the Euler product E (eta and the Siegel
+1/E), ``_theta_sums`` the theta constants (g2, g3, the constants of wp,
+and E^12 for delta, j, u and g2 g3 / delta), and ``_triple`` the
 halves Ev (even n) and Od (odd n) of sum_n q^(n(n-1)/2) w^n at
 w = exp(2*pi*i*z): Ev - Od = E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times
 the Siegel product, and (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z)
@@ -80,10 +83,12 @@ reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
 exact integer product of the loop result at W and the prefactor at W_rho.
 
 Siegel memo and y.  The memo keeps that product unrounded, one entry per
-reduced index (N, s, t), and ``siegel`` rounds it to ``bits``.
+reduced index (N, s, t), and ``siegel`` rounds it to ``bits``; at a shifted
+index it first cuts the entry to W significant bits and applies the shift
+root of unity and the sign as one power of xi (``_rotate``).
 ``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts both entries and
 g_r^4 (two exact squarings) to W significant bits, applies the shift roots
-of unity and the sign as one power of xi and divides in exact integers,
+of unity and the sign the same way and divides in exact integers,
 rounding once to ``bits``.
 """
 
@@ -100,13 +105,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .classfield import CMPoint
 from .errors import DegenerateIndex, NearZero, OnLattice
-from .numerics import (
-    FX_GUARD,
-    PrecisionContext,
-    check_im_floor,
-    safe_div,
-    truncation_terms,
-)
+from .numerics import FX_GUARD, PrecisionContext, check_im_floor, truncation_terms
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,19 @@ class ModularPoint:
 
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
       evaluators of the same names return;
-    * ``qfx``, q in fixed point; ``euler``, the Euler product (eta, delta)
-      and its reciprocal (Siegel values); ``_thetas``, the theta constants
-      of g2, g3 and wp; ``_siegel``, the unrounded Siegel products (re, im,
-      w) keyed (N, s, t) by reduced index (s/N, t/N), which ``siegel``
-      rounds and ``y_quotient`` divides; ``_tables``, the level-N tables,
-      filled lazily with the powers of q^(1/(12 N^2)) and exp(2*pi*i/(12
-      N^2)) their keys need (module docstring); ``_x_factor``, g2 g3 / delta
-      for ``x``, guarded once by ``safe_div``; ``_lattice_clearance``, the
+    * ``qfx``, q in fixed point; ``euler``, the Euler product (eta) and its
+      reciprocal (Siegel values); ``_thetas``, the theta constants of g2,
+      g3 and wp and E^12 (delta); ``_siegel``, the unrounded Siegel
+      products (re, im, w) keyed (N, s, t) by reduced index (s/N, t/N),
+      which ``siegel`` rounds and ``y_quotient`` divides; ``_tables``, the
+      level-N tables, filled lazily with the powers of q^(1/(12 N^2)) and
+      exp(2*pi*i/(12 N^2)) their keys need (module docstring);
+      ``_x_factor``, g2 g3 / delta for ``x``; ``_lattice_clearance``, the
       bound of wp's level guard.
+
+    No curve constant takes a guard: each divides by delta or eta^12, an
+    exact exponential q or q^(1/2) times a power of E, which is bounded
+    away from 0 for Im tau >= 1/20; mpmath's exponent does not underflow.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
     ``terms()`` the truncation index of the tests' reference loops.
@@ -194,8 +197,9 @@ class ModularPoint:
         return _fx_inv(self._euler_fx, self.width)
 
     @cached_property
-    def _thetas(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width W."""
+    def _thetas(self) -> tuple[tuple[int, int], tuple[int, int], mp.mpc]:
+        """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width W and E^12
+        at W bits (``_theta_sums``)."""
         return _theta_sums(self.qfx, self.width)
 
     @cached_property
@@ -207,9 +211,10 @@ class ModularPoint:
 
     @cached_property
     def delta(self) -> mp.mpc:
-        """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H."""
+        """Discriminant (2*pi)^12 q E^24, E^12 from the theta sums; never
+        zero on H."""
         with self.ctx.work():
-            return (2j * mp.pi) ** 12 * self.q * self.euler**24
+            return (2 * mp.pi) ** 12 * self.q * self._thetas[2] ** 2
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
@@ -218,7 +223,7 @@ class ModularPoint:
         23.6)."""
         with self.ctx.work():
             w = self.width
-            s, d2 = self._thetas
+            s, d2, _ = self._thetas
             p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
             e6r, e6i = _fx_mul(s, (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
             e4 = _mpc(s2[0] - 3 * p[0], s2[1] - 3 * p[1], w)
@@ -228,7 +233,7 @@ class ModularPoint:
     def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """(e1, pi^2 (theta_3 theta_4)^2) at width W, e1 = wp(1/2) =
         (pi^2/3)(theta_3^4 + theta_4^4) (DLMF 23.6.2 with 2 omega_1 = 1)."""
-        s, d2 = self._thetas
+        s, d2, _ = self._thetas
         w = self.width
         with mp.workprec(w + 8):
             pi2 = (to_fixed((mp.pi ** 2)._mpf_, w), 0)
@@ -237,10 +242,10 @@ class ModularPoint:
 
     @cached_property
     def _x_factor(self) -> mp.mpc:
-        """g2 g3 / delta for ``x_value``; NearZero when |delta| < eps."""
+        """g2 g3 / delta for ``x_value``."""
         with self.ctx.work():
             g2, g3 = self.eisenstein
-            return safe_div(g2 * g3, self.delta, self.ctx)
+            return g2 * g3 / self.delta
 
     @cached_property
     def _lattice_clearance(self) -> mp.mpf:
@@ -407,13 +412,19 @@ def _fx_inv(a: tuple[int, int], w: int) -> tuple[int, int]:
 
 
 def _theta_sums(q: tuple[int, int], w: int):
-    """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width w, at the nome
+    """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width w and
+    E^12 = prod_{n>=1} (1 - q^n)^12 at w bits, the thetas at the nome
     e^(pi i tau), via S = sum_{m>=1} q^(2m^2) and
     T = sum_{m>=0} q^(2m(m+1)), summed to their first term below 2^-w (the
     terms run T_(m-1), S_m, T_m, both steps q^(2m)).  A = 1 + 2S and
     C = 4qT^2 give theta_3,4 = A +- B with B^2 = C, hence
-    theta_3^4 + theta_4^4 = 2(A^4 + 6A^2 C + C^2) and theta_3 theta_4 =
-    A^2 - C."""
+    theta_3^4 + theta_4^4 = 2(A^4 + 6A^2 C + C^2), theta_3 theta_4 =
+    A^2 - C and theta_2^8 = (theta_3^4 - theta_4^4)^2 = 64 A^2 C (A^2 + C)^2.
+    Jacobi's 2 eta^3 = theta_2 theta_3 theta_4 (DLMF 20.4, 23.6), with
+    eta^24 = q E^24, then gives E^12 = A T (A^2 + C) (theta_3 theta_4)^4
+    (the sign from q -> 0).  That product is formed in mpmath: at the Im
+    floor (theta_3 theta_4)^4 is about 1e-21, below which a fixed-point
+    product would lose relative bits."""
     one = 1 << w
     step = q2 = _fx_mul(q, q, w)  # q^(2m)
     t = (one, 0)  # T_(m-1)
@@ -436,7 +447,10 @@ def _theta_sums(q: tuple[int, int], w: int):
     a4, a2c, c2 = _fx_mul(a2, a2, w), _fx_mul(a2, c, w), _fx_mul(c, c, w)
     s = tuple(2 * (x + 6 * y + z) for x, y, z in zip(a4, a2c, c2))
     d = (a2[0] - c[0], a2[1] - c[1])
-    return s, _fx_mul(d, d, w)
+    with mp.workprec(w):
+        e12 = (_mpc(*big_a, w) * _mpc(tr, ti, w)
+               * _mpc(a2[0] + c[0], a2[1] + c[1], w) * _mpc(*d, w) ** 4)
+    return s, _fx_mul(d, d, w), e12
 
 
 def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
@@ -540,13 +554,6 @@ def bernoulli2(x) -> Fraction:
     return x * x - x + Fraction(1, 6)
 
 
-@lru_cache(maxsize=4096)
-def _unit_phase_at(num: int, den: int, prec: int) -> mp.mpc:
-    """exp(pi*i*num/den), num/den in lowest terms and den > 0, at prec bits."""
-    with mp.workprec(prec):
-        return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(num) / den)
-
-
 def eta(pt: ModularPoint) -> mp.mpc:
     """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
     Computed once per point."""
@@ -560,16 +567,15 @@ def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
 
 
 def delta(pt: ModularPoint) -> mp.mpc:
-    """Discriminant (2*pi*i)^12 * q * prod (1-q^n)^24; never zero on H.
-    Computed once per point."""
+    """Discriminant (2*pi)^12 q E^24, E^12 from the theta sums; never zero
+    on H.  Computed once per point."""
     return pt.delta
 
 
 def j_invariant(pt: ModularPoint) -> mp.mpc:
-    """j = 2^6 3^3 g2^3 / delta."""
+    """j = 2^6 3^3 g2^3 / delta = 1728 u (``u_value``)."""
     with pt.ctx.work():
-        g2, _ = eisenstein(pt)
-        return safe_div(1728 * g2**3, delta(pt), pt.ctx)
+        return 1728 * u_value(pt)
 
 
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
@@ -577,22 +583,20 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
 
     The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
     (s1, s2) = divmod of the residues by the level N, once per point (the
-    memo entry of ``_siegel_fx``) and rounded; for shifted indices the value
-    is corrected by the exact quasi-periodicity root of unity
-    (-1)^(s1*s2+s1+s2) * exp(pi*i*(s2*s - s1*t)/N) of the Klein form.
+    memo entry of ``_siegel_fx``) and rounded; for shifted indices the entry
+    is first cut to W significant bits and multiplied by the exact
+    quasi-periodicity root of unity (-1)^(s1*s2+s1+s2) *
+    exp(pi*i*(s2*s - s1*t)/N) of the Klein form, from the level table
+    (``_cut_entry``, ``_rotate``).
     """
     n = r.level
-    s1, s = divmod(r.p1, n)
-    s2, t = divmod(r.p2, n)
-    re, im, w = _siegel_fx(pt, n, s, t)
+    if 0 <= r.p1 < n and 0 <= r.p2 < n:
+        re, im, w = _siegel_fx(pt, n, r.p1, r.p2)
+    else:
+        re, im, w, e = _cut_entry(pt, r)
+        re, im = _rotate(pt, n, (re, im), e)
     with pt.ctx.work():
-        val = _mpc(re, im, w)
-        if s1 or s2:
-            sign = -1 if (s1 * s2 + s1 + s2) % 2 else 1
-            e = s2 * s - s1 * t
-            g = math.gcd(e, n)
-            val *= sign * _unit_phase_at(e // g, n // g, pt.ctx.bits)
-    return val
+        return _mpc(re, im, w)
 
 
 def _siegel_fx(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
@@ -635,6 +639,15 @@ def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
     return re, im, w, (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2)) % (2 * n)
 
 
+def _rotate(pt: ModularPoint, n: int, z: tuple[int, int], e: int) -> tuple[int, int]:
+    """z exp(pi*i*e/n), 0 <= e < 2n, at z's width: a sign, or xi^(6ne) from
+    the level-n table, xi = exp(2*pi*i/(12 n^2))."""
+    if e % n:
+        tab = pt._table(n)
+        return _fx_mul(z, tab.z(6 * n * e), tab.zwidth)
+    return (-z[0], -z[1]) if e else z
+
+
 def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
     """y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value`` and
     (0, 2/N)m for ``conjugate_values``; d's level divides r's.  NearZero when
@@ -645,11 +658,7 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
     gr, gi, w, e = _cut_entry(pt, r)
     nr, ni, wn, ed = _cut_entry(pt, d)
     e = (ed * (n // nd) - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
-    if e % n:  # xi^(6ne), xi = exp(2*pi*i/(12 n^2))
-        tab = pt._table(n)
-        nr, ni = _fx_mul((nr, ni), tab.z(6 * n * e), tab.zwidth)
-    elif e:
-        nr, ni = -nr, -ni
+    nr, ni = _rotate(pt, n, (nr, ni), e)
     _, man, exp, _ = pt.ctx.eps._mpf_
     m4, k = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
     if (m4 < (man * man << k)) if k >= 0 else ((m4 << -k) < man * man):
@@ -757,18 +766,17 @@ class CurveCoords(NamedTuple):
 
 
 def u_value(pt: ModularPoint) -> mp.mpc:
-    """u = g2^3 / eta^24."""
+    """u = g2^3 / eta^24 = g2^3 / delta."""
     with pt.ctx.work():
         g2, _ = eisenstein(pt)
-        e12 = eta(pt) ** 12
-        return safe_div(g2**3, e12 * e12, pt.ctx)
+        return g2**3 / delta(pt)
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:
     """v = g3 / eta^12."""
     with pt.ctx.work():
         _, g3 = eisenstein(pt)
-        return safe_div(g3, eta(pt) ** 12, pt.ctx)
+        return g3 / eta(pt) ** 12
 
 
 def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:

@@ -329,15 +329,38 @@ def test_degenerate_index_exit_three(capsys):
     (["eval", "y", "--tau", "0.1,1.5", "--r", "0,1/7"], "0.024496029"),
     (["conjugates", "--dk", "-7", "--level", "5", "--descriptor", "y4"], "0.47783706"),
     (["conjugates", "--dk", "-39", "--level", "8", "--descriptor", "pair"], "0.00049579571"),
-    (["eval", "x", "--tau", "0,5", "--r", "1/3,0"], "8.5979493e-5"),
-], ids=["y", "y4-orbit", "pair-orbit", "x"])
+], ids=["y", "y4-orbit", "pair-orbit"])
 def test_near_zero_exits_three(argv, modulus, capsys):
-    """At eps 0.5, y's |g_r^4| and x's |delta| fall below eps: exit 3 with
-    the modulus of the denominator in the message."""
+    """At eps 0.5, y's |g_r^4| falls below eps: exit 3 with the modulus of
+    the denominator in the message."""
     code, out, err = run_cli(["--bits", "64", "--eps", "0.5", *argv], capsys)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "NearZero",
                                "message": f"division by |z|={modulus} < eps"}
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["eval", "j", "--tau", "0,20"], "3758842716698661712241372734394341106254386957876998785.4"),
+    (["eval", "u", "--tau", "0,20"], "2175256201793207009398942554626354806860177637660300.2"),
+    (["eval", "x", "--tau", "0,20", "--r", "1/3,0"],
+     "-120847566766289279232625064022954029103005809238622.6"),
+], ids=["j", "u", "x"])
+def test_curve_constants_take_no_guard_on_delta(argv, value, capsys):
+    """At tau = 20i, |delta| = 1.0e-45 lies below eps = 1e-40 at 256 bits;
+    j, u and x divide by it without a guard and print their values (j near
+    exp(40 pi) + 744)."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    re, im = json.loads(out)["value"]
+    assert re.startswith(value) and im == "0.0"
+
+
+def test_hcp_takes_no_near_zero_where_delta_is_below_eps(capsys):
+    """At the CM points of -1559, |delta| falls to about 5.1e-45 < eps at
+    256 bits; j takes no guard on it, so no NearZero (exit 3).  What hcp
+    then recognizes is not pinned here."""
+    code, _, err = run_cli(["hcp", "--dk", "-1559"], capsys)
+    assert code != 3 and "NearZero" not in err
 
 
 @pytest.mark.parametrize("argv", [

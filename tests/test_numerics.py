@@ -3,13 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from rayclass import (
-    ImTooSmall,
-    NearZero,
-    PrecisionContext,
-    safe_div,
-    truncation_terms,
-)
+from rayclass import ImTooSmall, PrecisionContext, truncation_terms
 
 
 def test_truncation_closed_form_example():
@@ -53,26 +47,6 @@ def test_context_validation():
         PrecisionContext(256, "-1e-3")
     ctx = PrecisionContext(256, "1e-40")
     assert ctx.eps > 0 and ctx.dps >= 77
-
-
-def test_safe_div_guard(ctx256):
-    with pytest.raises(NearZero):
-        safe_div(1, ctx256.mpf("1e-60"), ctx256)
-    assert safe_div(1, 4, ctx256) == 0.25
-
-
-@pytest.mark.parametrize("phase", ["0", "0.3", "1.5707963267948966", "2.5", "-1.2"])
-def test_safe_div_guard_edge(ctx256, phase):
-    """|den| = eps * (1 + 2^-20) divides, with the plain quotient;
-    |den| = eps * (1 - 2^-20) is rejected, in every direction."""
-    with ctx256.work():
-        unit = mp.expj(mp.mpf(phase))
-        num = mp.mpc("0.7", "-1.9")
-        above = ctx256.eps * (1 + mp.mpf(2) ** -20) * unit
-        below = ctx256.eps * (1 - mp.mpf(2) ** -20) * unit
-        assert safe_div(num, above, ctx256) == num / above
-    with pytest.raises(NearZero, match="< eps"):
-        safe_div(num, below, ctx256)
 
 
 def test_abs_exp_consistency(ctx256):

@@ -34,10 +34,9 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.numerics import safe_div
-from rayclass.qseries import _unit_phase_at, _unit_root_fx, y_quotient
+from rayclass.qseries import _unit_root_fx, y_quotient
 
-from oracles import agrees, eisenstein_loop
+from oracles import agrees, eisenstein_loop, guarded_quotient
 
 
 def _pt(re, im, ctx):
@@ -403,7 +402,6 @@ def test_siegel_memo_returns_the_fresh_value(ctx256):
         siegel(r, warm)
     assert len(warm._siegel) < len(SIEGEL_MEMO_INDICES)  # shared reduced keys
     for r in SIEGEL_MEMO_INDICES:
-        _unit_phase_at.cache_clear()
         assert siegel(r, warm) == siegel(r, _pt(0.1234, 1.1, ctx256))
 
 
@@ -467,23 +465,28 @@ def test_y_on_a_warm_point_is_the_cold_value(ctx256):
 
 
 def test_y_divides_no_mpmath_numbers(ctx256, monkeypatch):
-    """y takes no safe_div, at any index or in an orbit, and x takes one per
-    point, for its factor g2 g3 / delta."""
-    calls = []
+    """y divides by no mpmath number, at any index or in an orbit, and x
+    divides by one per point: g2 g3 by delta, for its factor."""
+    divisors = []
+    for cls in (mp.mpf, mp.mpc):
+        for name in ("__truediv__", "__rtruediv__"):
+            body = getattr(cls, name)
 
-    def counted(num, den, ctx):
-        calls.append(den)
-        return safe_div(num, den, ctx)
+            def counted(a, b, body=body, right=name == "__rtruediv__"):
+                den = a if right else b
+                if isinstance(den, (mp.mpf, mp.mpc)):
+                    divisors.append(den)
+                return body(a, b)
 
-    monkeypatch.setattr(qseries, "safe_div", counted)
+            monkeypatch.setattr(cls, name, counted)
     pt = _pt(0.1234, 1.1, ctx256)
     for r in Y_INDICES:
         y_value(pt, r)
     conjugate_values(make_field(-39), 8, "y4", ctx256)
-    assert calls == []
+    assert divisors == []
     for r in Y_INDICES:
         x_value(pt, r)
-    assert len(calls) == 1
+    assert len(divisors) == 1 and divisors[0] is delta(pt)
 
 
 def _guard_sweep():
@@ -525,8 +528,10 @@ def _boundary_spelling(r) -> bool:
 @pytest.mark.parametrize("at_boundary", [False, True], ids=["eps-0.5", "eps-boundary"])
 def test_y_guard_raises_where_the_mpmath_quotient_does(tau, at_boundary):
     """At 64 bits and a large eps, y raises NearZero at exactly the indices
-    of the sweep where -safe_div(siegel(2r), siegel(r)^4) raises, except,
-    with eps on the boundary, spellings of the boundary index."""
+    of the sweep where the mpmath quotient -siegel(2r) / siegel(r)^4 with an
+    absolute |siegel(r)^4| < eps guard (``oracles.guarded_quotient``)
+    raises, except, with eps on the boundary, spellings of the boundary
+    index."""
     ctx = PrecisionContext(64, "0.5")
     pt = ModularPoint.from_complex(tau, ctx)
     hi = PrecisionContext(128, "0.5")
@@ -541,7 +546,7 @@ def test_y_guard_raises_where_the_mpmath_quotient_does(tau, at_boundary):
 
     def quotient(r):
         with ctx.work():
-            return -safe_div(siegel(r.doubled(), pt), siegel(r, pt) ** 4, ctx)
+            return -guarded_quotient(siegel(r.doubled(), pt), siegel(r, pt) ** 4, ctx)
 
     raised, differ = 0, set()
     for r in _guard_sweep():

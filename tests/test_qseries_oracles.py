@@ -24,8 +24,11 @@ from rayclass import (
     delta,
     eisenstein,
     eta,
+    j_invariant,
     make_field,
     siegel,
+    u_value,
+    v_value,
     wp,
     x_value,
     y_value,
@@ -118,6 +121,7 @@ AGREEMENT_TAUS = [(re, im) for im in (0.05, 0.06, 0.3, 0.866, 2.0)
                   for re in (-0.5, 0.1234, 0.5)]
 SIEGEL_REDUCED = FractionPair(F(7, 8), F(1, 3))
 SIEGEL_SHIFTED = FractionPair(F(-9, 8), F(4, 3))  # same reduced index
+X_INDEX = FractionPair(F(1, 3), F(0))
 
 
 def _near_lattice(pt):
@@ -125,6 +129,12 @@ def _near_lattice(pt):
     (Any evaluation there keeps only 2^-bits / 1e-10 relative accuracy, as
     1 - q/u cancels; nearer points would test that loss, not the kernel.)"""
     return pt.tau - mp.mpc(0.6, 0.8) * mp.mpf("1e-10")
+
+
+def _x_ref(r, pt, k):
+    """g2 g3 wp(r1 tau + r2) / delta from the reference loops."""
+    g2, g3 = eisenstein_loop(pt, k)
+    return g2 * g3 * wp_loop(pt.at(r), pt, k) / delta_loop(pt, k)
 
 
 AGREEMENT_CASES = {
@@ -140,6 +150,11 @@ AGREEMENT_CASES = {
                lambda pt, k: wp_loop(0.37 * pt.tau + 0.61, pt, k)),
     "wp_near": (lambda pt: wp(_near_lattice(pt), pt),
                 lambda pt, k: wp_loop(_near_lattice(pt), pt, k)),
+    "j": (j_invariant,
+          lambda pt, k: 1728 * eisenstein_loop(pt, k)[0] ** 3 / delta_loop(pt, k)),
+    "u": (u_value, lambda pt, k: eisenstein_loop(pt, k)[0] ** 3 / eta_loop(pt, k) ** 24),
+    "v": (v_value, lambda pt, k: eisenstein_loop(pt, k)[1] / eta_loop(pt, k) ** 12),
+    "x": (lambda pt: x_value(pt, X_INDEX), lambda pt, k: _x_ref(X_INDEX, pt, k)),
 }
 
 
@@ -154,6 +169,21 @@ def test_fixed_point_kernels_match_reference_loops(name, tau, prec):
     pt = ModularPoint.from_complex(tau, ctx)
     with ctx.work():
         assert matches_loop(kernel(pt), lambda k: loop(pt, k), tau[1], ctx)
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("tau", AGREEMENT_TAUS + [(0, 0.05)], ids="{0[0]},{0[1]}".format)
+def test_eta24_is_delta_between_independent_sums(tau, prec):
+    """eta (the pentagonal sum) and delta (E^12 from the theta sums) meet in
+    eta^24 = delta, within 2^-(bits - 8) |delta|; and j = 1728 u exactly.
+    At i/20, (theta_3 theta_4)^4 is about 1e-21, so E^12 keeps its relative
+    bits only if that product is not formed in fixed point."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_complex(tau, ctx)
+    with ctx.work():
+        d = delta(pt)
+        assert abs(eta(pt) ** 24 - d) <= mp.mpf(2) ** (8 - ctx.bits) * abs(d)
+        assert j_invariant(pt) == 1728 * u_value(pt)
 
 
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
@@ -268,12 +298,6 @@ def _y_loop(r, d, pt):
     return -siegel_loop(d, pt, 2) / siegel_loop(r, pt, 2) ** 4
 
 
-def _x_loop(r, pt):
-    """g2 g3 wp(r1 tau + r2) / delta from the converged loops."""
-    g2, g3 = eisenstein_loop(pt, 2)
-    return g2 * g3 * wp_loop(pt.at(r), pt, 2) / delta_loop(pt, 2)
-
-
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
 @pytest.mark.parametrize("tau", Y_TAUS, ids="{0[0]},{0[1]}".format)
 def test_y_and_x_match_reference_loops(tau, prec):
@@ -284,7 +308,7 @@ def test_y_and_x_match_reference_loops(tau, prec):
     with ctx.work():
         for r in Y_INDICES:
             assert agrees(y_value(pt, r), _y_loop(r, r.doubled(), pt), ctx), r
-            assert agrees(x_value(pt, r), _x_loop(r, pt), ctx), r
+            assert agrees(x_value(pt, r), _x_ref(r, pt, 2), ctx), r
 
 
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
@@ -309,4 +333,4 @@ def test_orbit_y_matches_reference_loops(d, n, prec):
             ref = _y_loop(r1, r2, pt)
             assert agrees(y4, ref ** epow, ctx), label
             assert agrees(y, ref ** (12 * n), ctx), label
-            assert agrees(x, _x_loop(r1, pt), ctx), label
+            assert agrees(x, _x_ref(r1, pt, 2), ctx), label
