@@ -32,6 +32,7 @@ from .errors import (
     ImTooSmall,
     InputError,
     NearZero,
+    NonFinite,
     NonInvertible,
     NotFundamental,
     NotImaginary,

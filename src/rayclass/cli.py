@@ -9,11 +9,13 @@ output.  Timing is reported only in text mode; JSON stays reproducible.
 Each ``eval`` function and each ``check`` is named once, as a key of
 ``EVALS`` (needs --r, value at (pt, r)) or ``CHECKS`` (flags it needs,
 report from (args, ctx)); the argparse choices are those keys.  Each
-``_cmd_*`` returns (header, body); the payload's dk and level come from the
-header, which for a check is its report's ``inputs``.  ``main`` alone builds
-the PrecisionContext, writes the payload and picks the exit code: 0 success,
-1 when a check reports ``pass: false``, 2 usage/validation (InputError,
-ValueError), 3 NumericalError.
+``_cmd_*`` returns (header, body), the body holding raw values: mpf, mpc,
+tuples of them, Fractions and ints.  The payload's dk and level come from
+the header, which for a check is its report's ``inputs``.  ``main`` alone
+builds the PrecisionContext, formats the payload (``_payload`` converts
+every number once, under one switch to the working precision), writes it
+and picks the exit code: 0 success, 1 when a check reports ``pass:
+false``, 2 usage/validation (InputError, ValueError), 3 NumericalError.
 """
 
 from __future__ import annotations
@@ -66,28 +68,16 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt_real(x, ctx: PrecisionContext) -> str:
-    with ctx.work():
-        return mp.nstr(mp.mpf(x), ctx.dps, strip_zeros=True)
-
-
-def _fmt_complex(z, ctx: PrecisionContext) -> list[str]:
-    with ctx.work():
-        z = mp.mpc(z)
-        return [_fmt_real(mp.re(z), ctx), _fmt_real(mp.im(z), ctx)]
-
-
 def _payload(header: dict, ctx: PrecisionContext, body: dict) -> dict:
     with ctx.work():
-        eps_str = mp.nstr(ctx.eps, 12)
-    return {
-        "tool_version": __version__,
-        "dk": header.get("dk"),
-        "level": header.get("level"),
-        "precision_bits": ctx.bits,
-        "eps": eps_str,
-        **body,
-    }
+        return {
+            "tool_version": __version__,
+            "dk": header.get("dk"),
+            "level": header.get("level"),
+            "precision_bits": ctx.bits,
+            "eps": mp.nstr(ctx.eps, 12),
+            **_jsonable(body, ctx.dps),
+        }
 
 
 def _emit(payload: dict, args) -> None:
@@ -98,31 +88,35 @@ def _emit(payload: dict, args) -> None:
             sys.stdout.write(f"{k}: {v}\n")
 
 
-def _report_body(rep: CheckReport, ctx: PrecisionContext, text_mode: bool) -> dict:
+def _report_body(rep: CheckReport, text_mode: bool) -> dict:
     body = {
         "check": rep.name,
         "pass": rep.passed,
-        "inputs": {k: _jsonable(v, ctx) for k, v in rep.inputs.items()},
-        "residuals": {k: _fmt_real(v, ctx) for k, v in rep.residuals.items()},
-        "tolerance": _fmt_real(rep.tolerance, ctx),
-        "details": {k: _jsonable(v, ctx) for k, v in rep.details.items()},
+        "inputs": rep.inputs,
+        "residuals": rep.residuals,
+        "tolerance": mp.mpf(rep.tolerance),
+        "details": rep.details,
     }
     if text_mode:
         body["elapsed_s"] = f"{rep.elapsed:.3f}"
     return body
 
 
-def _jsonable(v, ctx):
-    if isinstance(v, (mp.mpf,)):
-        return _fmt_real(v, ctx)
-    if isinstance(v, (mp.mpc,)):
-        return _fmt_complex(v, ctx)
+def _jsonable(v, dps: int):
+    """v with its numbers made JSON, at the caller's working precision: an
+    mpf as its decimal string of dps digits, an mpc as the pair of its
+    parts, a tuple as a list and a Fraction as its str; dicts and lists
+    are converted entry by entry."""
+    if isinstance(v, mp.mpf):
+        return mp.nstr(+v, dps, strip_zeros=True)
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, tuple):
-        return [_jsonable(x, ctx) for x in v]
+    if isinstance(v, mp.mpc):
+        v = (v.real, v.imag)
+    if isinstance(v, (tuple, list)):
+        return [_jsonable(x, dps) for x in v]
     if isinstance(v, dict):
-        return {k: _jsonable(x, ctx) for k, x in v.items()}
+        return {k: _jsonable(x, dps) for k, x in v.items()}
     return v
 
 
@@ -203,12 +197,8 @@ def _cmd_eval(args, ctx: PrecisionContext) -> tuple[dict, dict]:
         raise InputError(f"eval {args.fn} requires --r")
     with ctx.work():
         val = value(pt, r)
-    return {}, {
-        "fn": args.fn,
-        "tau": _fmt_complex(pt.tau, ctx),
-        "r": [str(r.r1), str(r.r2)] if r else None,
-        "value": _fmt_complex(val, ctx),
-    }
+    return {}, {"fn": args.fn, "tau": pt.tau, "r": (r.r1, r.r2) if r else None,
+                "value": (mp.re(val), mp.im(val))}
 
 
 def _cmd_field(args, ctx: PrecisionContext) -> tuple[dict, dict]:
@@ -249,17 +239,16 @@ def _cmd_conjugates(args, ctx: PrecisionContext) -> tuple[dict, dict]:
             "form": [label.form.a, label.form.b, label.form.c],
         }
         if isinstance(val, tuple):
-            entry["x"] = _fmt_complex(val[0], ctx)
-            entry["y_pow"] = _fmt_complex(val[1], ctx)
+            entry["x"], entry["y_pow"] = val
         else:
-            entry["value"] = _fmt_complex(val, ctx)
+            entry["value"] = val
         items.append(entry)
     body = {"descriptor": args.descriptor, "count": len(items), "conjugates": items}
     return {"dk": f.d, "level": args.level}, body
 
 
-def _poly_body(poly, ctx) -> dict:
-    coeffs = [_fmt_complex(c, ctx) for c in poly.coeffs]
+def _poly_body(poly) -> dict:
+    coeffs = [(mp.re(c), mp.im(c)) for c in poly.coeffs]
     rec = [
         None if r is None else {"m": r[0], "n": r[1], "den": r[2]}
         for r in poly.recognized
@@ -268,7 +257,7 @@ def _poly_body(poly, ctx) -> dict:
         "degree": poly.degree,
         "coefficients_ascending": coeffs,
         "recognized": rec,
-        "recognition_residual": _fmt_real(poly.residual, ctx)
+        "recognition_residual": poly.residual
         if mp.isfinite(poly.residual) else "inf",
     }
 
@@ -279,7 +268,7 @@ def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
                    den_max=args.den_max, recog_tol=args.recog_tol)
-    body = {"descriptor": args.descriptor, **_poly_body(poly, ctx)}
+    body = {"descriptor": args.descriptor, **_poly_body(poly)}
     return {"dk": f.d, "level": args.level}, body
 
 
@@ -288,7 +277,7 @@ def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     poly = hilbert_class_poly(f, ctx, den_max=args.den_max,
                               recog_tol=args.recog_tol)
-    return {"dk": f.d}, {"h": f.h, **_poly_body(poly, ctx)}
+    return {"dk": f.d}, {"h": f.h, **_poly_body(poly)}
 
 
 # name -> (flags it needs, report from (args, ctx)); lookups as in EVALS.
@@ -315,7 +304,7 @@ def _cmd_check(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     if missing:
         raise InputError(f"check {args.which} needs {missing}")
     rep = report(args, ctx)
-    return rep.inputs, _report_body(rep, ctx, args.output == "text")
+    return rep.inputs, _report_body(rep, args.output == "text")
 
 
 def _add_global_flags(p, suppress: bool):

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Numerical errors (NearZero, ImTooSmall, OnLattice, DegenerateIndex) signal
-that an evaluation cannot proceed at the requested point/precision; input
+Numerical errors (NearZero, ImTooSmall, OnLattice, DegenerateIndex,
+NonFinite) signal that an evaluation cannot proceed at the requested
+point/precision, or produced a value that is not finite; input
 errors signal invalid arithmetic data (bad discriminant, non-invertible
 matrix, duplicate roots).  The CLI maps the two groups onto distinct exit
 codes.
@@ -31,6 +32,11 @@ class OnLattice(NumericalError):
 
 class DegenerateIndex(NumericalError):
     """A function index (r1, r2) landed in Z^2 where it must not."""
+
+
+class NonFinite(NumericalError):
+    """A value handed to the distinctness test has a component that is
+    nan or infinite, so no distance to it means anything."""
 
 
 class InputError(RayclassError):

@@ -22,7 +22,7 @@ import mpmath as mp
 from mpmath.libmp import fzero
 
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
-from .errors import DuplicateValues
+from .errors import DuplicateValues, NonFinite
 from .numerics import PrecisionContext
 from .qseries import (
     FractionPair,
@@ -242,8 +242,8 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
     t0 = time.perf_counter()
     if n < 8:
         raise ValueError("bound stated for N >= 8")
-    slack = mp.mpf("1e-30")  # s=0, t=+-1 attains T = 1 exactly
     with ctx.work():
+        slack = mp.mpf("1e-30")  # s=0, t=+-1 attains T = 1 exactly
         max_s0 = -mp.inf
         max_s1 = -mp.inf
         count = 0
@@ -400,7 +400,11 @@ def _distinctness(values, ctx: PrecisionContext):
     values count as distinct when every pairwise distance exceeds
     DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|).  The
     closest pair is the first within eps * scale of the minimum: far above
-    the noise of values accurate to eps * 2^-16, far below the threshold."""
+    the noise of values accurate to eps * 2^-16, far below the threshold.
+    Raises NonFinite for a value with a nan or infinite component."""
+    for k, v in enumerate(values):
+        if not all(mp.isfinite(c) for c in (v if isinstance(v, tuple) else (v,))):
+            raise NonFinite(f"value {k} of {len(values)} is not finite")
     with ctx.work():
         scale = _scale_of(values)
         threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
@@ -471,11 +475,12 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
             y_value(ModularPoint.from_complex(tau, ctx), r)
             for tau in elliptic4_points(ctx)
         ]
-    dmin, at, threshold = _distinctness(values, ctx)
+        dmin, at, threshold = _distinctness(values, ctx)
+        residual = threshold - dmin
     return _finish(
         "elliptic4",
         {"level": 4, "points": len(values)},
-        {"threshold_minus_min_distance": threshold - dmin},
+        {"threshold_minus_min_distance": residual},
         t0,
         {"min_distance": dmin, "closest_pair": at, "threshold": threshold},
     )
@@ -533,7 +538,8 @@ def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
 
 
 def _require_distinct(values, ctx: PrecisionContext) -> None:
-    """Raise DuplicateValues unless the values pass the distinctness test."""
+    """Raise DuplicateValues unless the values pass the distinctness test
+    (NonFinite if one of them is not finite)."""
     dmin, at, threshold = _distinctness(list(values), ctx)
     if dmin <= threshold:
         raise DuplicateValues(f"values {at} coincide at distance {mp.nstr(dmin, 5)}")

@@ -3,9 +3,23 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
-from rayclass import ModularPoint, cli, verify
+from rayclass import (
+    FractionPair,
+    ModularPoint,
+    PrecisionContext,
+    check_T_bound,
+    check_elliptic_points,
+    cli,
+    conjugate_values,
+    hilbert_class_poly,
+    make_field,
+    minpoly,
+    siegel,
+    verify,
+)
 from rayclass.cli import main
 
 from oracles import min_pairwise_distance_loop
@@ -178,6 +192,85 @@ def test_shared_parser_keeps_each_subcommands_defaults(capsys, monkeypatch):
     assert [run_cli(argv, capsys) for argv in PARSER_SEQUENCE] == shared
 
 
+# ------------------------------------------------------ printed precision ---
+
+# Not the default 256 bits, so that a number printed at another precision
+# shows in its digits.
+PREC = PrecisionContext(320, "1e-40")
+
+
+def _nstr(x):
+    """x as the CLI prints it: mp.nstr at PREC.dps, at the working precision."""
+    with PREC.work():
+        return mp.nstr(+x, PREC.dps, strip_zeros=True)
+
+
+def _parts(z):
+    return [_nstr(mp.re(z)), _nstr(mp.im(z))]
+
+
+def _eval_digits(doc):
+    pt = ModularPoint.from_complex((PREC.mpf("0.25"), PREC.mpf("1.5")), PREC)
+    with PREC.work():
+        val = siegel(FractionPair.from_parts(1, 3, 8), pt)
+    return [doc["tau"], doc["value"]], [_parts(pt.tau), _parts(val)]
+
+
+def _pair_digits(doc):
+    conj = conjugate_values(make_field(-39), 8, "pair", PREC)
+    return ([[c["x"], c["y_pow"]] for c in doc["conjugates"]],
+            [[_parts(x), _parts(y)] for _, (x, y) in conj])
+
+
+def _poly_digits(doc, poly):
+    return ([doc["coefficients_ascending"], doc["recognition_residual"]],
+            [[_parts(c) for c in poly.coeffs],
+             _nstr(poly.residual) if mp.isfinite(poly.residual) else "inf"])
+
+
+def _minpoly_digits(doc):
+    f = make_field(-7)
+    return _poly_digits(doc, minpoly(
+        [v for _, v in conjugate_values(f, 3, "x", PREC)], f, PREC))
+
+
+def _report_digits(doc, rep):
+    numbers = {k: v for k, v in rep.details.items() if isinstance(v, mp.mpf)}
+    return ([doc["residuals"], {k: doc["details"][k] for k in numbers},
+             doc["tolerance"]],
+            [{k: _nstr(v) for k, v in rep.residuals.items()},
+             {k: _nstr(v) for k, v in numbers.items()}, "0.0"])
+
+
+PRECISION_RUNS = {
+    "eval": (["eval", "siegel", "--tau", "0.25,1.5", "--r", "1/8,3/8"], _eval_digits),
+    "conjugates": (["conjugates", "--dk", "-39", "--level", "8", "--descriptor", "pair"],
+                   _pair_digits),
+    "minpoly": (["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"],
+                _minpoly_digits),
+    "hcp": (["hcp", "--dk", "-23"],
+            lambda doc: _poly_digits(doc, hilbert_class_poly(make_field(-23), PREC))),
+    "tbound": (["check", "tbound", "--dk", "-39", "--level", "8"],
+               lambda doc: _report_digits(doc, check_T_bound(8, make_field(-39), PREC))),
+    "elliptic4": (["check", "elliptic4"],
+                  lambda doc: _report_digits(doc, check_elliptic_points(PREC))),
+}
+
+
+@pytest.mark.parametrize("family", PRECISION_RUNS)
+def test_printed_numbers_carry_the_working_precision(family, capsys):
+    """Every number a command prints is the library's value at the working
+    precision, printed by mp.nstr to ctx.dps digits; hcp's real coefficients
+    too, as [re, im] pairs."""
+    argv, digits = PRECISION_RUNS[family]
+    code, out, err = run_cli(["--bits", str(PREC.bits), *argv], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    got, want = digits(doc)
+    assert got == want
+    assert doc["eps"] == "1.0e-40"
+
+
 # ----------------------------------------------------------------- tables ---
 
 def _choices(command, dest):
@@ -337,6 +430,18 @@ def test_near_zero_exits_three(argv, modulus, capsys):
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "NearZero",
                                "message": f"division by |z|={modulus} < eps"}
+
+
+def test_a_value_that_is_not_finite_exits_three(capsys, monkeypatch):
+    """A nan in an orbit fails the distinctness test with NonFinite."""
+    monkeypatch.setattr(verify, "conjugate_values",
+                        lambda *args: [(None, mp.mpc(1)), (None, mp.mpc(mp.nan))])
+    code, out, err = run_cli(
+        ["check", "generation", "--dk", "-7", "--level", "3", "--descriptor", "y4"],
+        capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "NonFinite",
+                               "message": "value 1 of 2 is not finite"}
 
 
 @pytest.mark.parametrize("argv, value", [
