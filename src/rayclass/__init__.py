@@ -83,7 +83,6 @@ from .verify import (
     check_surface_point,
     elliptic4_points,
     hilbert_class_poly,
-    min_pairwise_distance,
     minpoly,
     t_majorant,
 )

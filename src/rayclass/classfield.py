@@ -298,30 +298,22 @@ def check_hypothesis(field: Field, n: int) -> HypothesisReport:
 def beta_matrices(q: ReducedForm, d: int, primes: list[int]) -> dict[int, Mat]:
     """Per-prime matrices encoding the form's class, by the three-case rule.
 
-    The b/2-type entries are exact: b is even iff d = 0 mod 4.
+    The b/2-type entries are exact: b = d mod 2, so with B = d mod 2 both
+    b - B and b + B are even.
     """
     if not primes:
         raise ValueError("primes list must be nonempty")
     a, b, c = q.a, q.b, q.c
+    B = d % 2
+    assert (b - B) % 2 == 0
     out = {}
     for p in primes:
-        if d % 4 == 0:
-            assert b % 2 == 0
-            if a % p:
-                m = ((a, b // 2), (0, 1))
-            elif c % p:
-                m = ((-b // 2, -c), (1, 0))
-            else:
-                m = ((-b // 2 - a, -b // 2 - c), (1, -1))
+        if a % p:
+            out[p] = ((a, (b - B) // 2), (0, 1))
+        elif c % p:
+            out[p] = ((-(b + B) // 2, -c), (1, 0))
         else:
-            assert b % 2 == 1
-            if a % p:
-                m = ((a, (b - 1) // 2), (0, 1))
-            elif c % p:
-                m = (((-b - 1) // 2, -c), (1, 0))
-            else:
-                m = (((-b - 1) // 2 - a, (1 - b) // 2 - c), (1, -1))
-        out[p] = m
+            out[p] = ((-(b + B) // 2 - a, -(b - B) // 2 - c), (1, -1))
     return out
 
 

@@ -92,13 +92,13 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
         scale = max(mp.mpf(1), abs(4 * x**3))
         res_curve = abs(lhs - rhs) / scale
         res_unit = abs(u - 27 * v**2 - 1) / scale
-    return _finish(
-        "curve_point",
-        {"dk": field.d, "level": n, "relaxed": relaxed},
-        {"curve": res_curve - tol, "unit_relation": res_unit - tol},
-        t0,
-        {"curve_residual": res_curve, "unit_residual": res_unit, "tol": tol},
-    )
+        return _finish(
+            "curve_point",
+            {"dk": field.d, "level": n, "relaxed": relaxed},
+            {"curve": res_curve - tol, "unit_relation": res_unit - tol},
+            t0,
+            {"curve_residual": res_curve, "unit_residual": res_unit, "tol": tol},
+        )
 
 
 def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckReport:
@@ -116,13 +116,13 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
     with ctx.work():
         u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
         res = _surface_residual(v, x, y, mp.mpc(1))
-    return _finish(
-        "surface_point",
-        {"tau": mp.nstr(pt.tau, 17), "level": n},
-        {"surface": res - tol},
-        t0,
-        {"surface_residual": res, "tol": tol},
-    )
+        return _finish(
+            "surface_point",
+            {"tau": mp.nstr(pt.tau, 17), "level": n},
+            {"surface": res - tol},
+            t0,
+            {"surface_residual": res, "tol": tol},
+        )
 
 
 def _surface_residual(v, x, y, z):
@@ -163,13 +163,13 @@ def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
         s = biga ** (x / (mp.mpf("1.03") * a))
         lhs = t / (1 - t)
         margin = s - lhs
-    return _finish(
-        "lemma51",
-        {"dk": d, "a": mp.nstr(a, 10), "X": mp.nstr(x, 10)},
-        {"inequality": lhs - s},
-        t0,
-        {"lhs_minus_1": lhs, "rhs_minus_1": s, "margin": margin},
-    )
+        return _finish(
+            "lemma51",
+            {"dk": d, "a": mp.nstr(a, 10), "X": mp.nstr(x, 10)},
+            {"inequality": lhs - s},
+            t0,
+            {"lhs_minus_1": lhs, "rhs_minus_1": s, "margin": margin},
+        )
 
 
 def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
@@ -312,59 +312,51 @@ def _floor_on_grid(p, g: int) -> int:
 def _rounding_slack(prec: int) -> tuple[int, int]:
     """(num, den) = (1+4u)(1+u)/(1-4u), u = 2^-prec: an mpmath difference
     and abs (or hypot) at prec bits is within a factor 1 +- 4u of the exact
-    modulus, and adding tol rounds once more.  den <= 0 below 3 bits, where
-    no factor bounds the rounding."""
+    modulus, and adding tol rounds once more."""
     one = 1 << prec
     return (one + 4) * (one + 1), one * (one - 4)
 
 
-def _scale_of(values):
-    """max(1, max |component|), bit for bit: mpmath abs runs only on the
-    components whose squared modulus on the grid comes within rounding of
-    the largest, on the first component and on those that are not finite,
-    in order, so Python's max meets the same maximum (and a leading nan)."""
+def _scale(values, rows):
+    """max(1, max |component|) of the finite values on their grid rows, bit
+    for bit: mpmath abs runs only on the components whose squared modulus
+    on the grid comes within rounding of the largest, so Python's max meets
+    the same maximum."""
     comps = [c for v in values for c in (v if isinstance(v, tuple) else (v,))]
-    _, rows = _grid(comps)
-    mods = [None if r is None else r[0] ** 2 + r[1] ** 2 for r in rows]
+    mods = [r[c] ** 2 + r[c + 1] ** 2 for r in rows for c in range(0, len(r), 2)]
     num, den = _rounding_slack(mp.mp.prec)
-    top = isqrt(max((m for m in mods if m is not None), default=0))
+    top = isqrt(max(mods))
     cut = max(-(-top * den // num) - 4, 0) ** 2  # (isqrt(m) + 4) * F >= top
-    return max(mp.mpf(1), max(abs(c) for k, (c, m) in enumerate(zip(comps, mods))
-                              if not k or m is None or m >= cut))
+    return max(mp.mpf(1), max(abs(c) for c, m in zip(comps, mods) if m >= cut))
 
 
-def min_pairwise_distance(values, tol):
+def _closest_pair(values, g, rows, tol):
     """(d, (i, j)): the smallest ``_pair_distance(values[i], values[j])`` over
     i < j, and the lexicographically first pair within ``tol`` of it, so
     that rounding noise among tied pairs cannot move it; (inf, None) for
-    fewer than two values.  Values are mpmath numbers or tuples of them.
+    fewer than two values.  Values are finite mpmath numbers or tuples of
+    them, (g, rows) their ``_grid``, and tol is finite and >= 0.
 
-    Integer sweep: every part is floored onto one integer grid 2^g
-    (``_grid``), and the finite values go in order of the grid real part
-    (of the first component for tuples).  A pair's squared grid distance,
-    the max over components of |difference|^2, is exact integer
-    arithmetic, and its root is within 2 units of the exact distance.  With
-    u the smallest squared grid distance seen, no pair whose mpmath
-    distance can come within tol of the minimum lies farther out on the
-    grid than the reach K = ceil((isqrt(u) + 3 + ceil(tol / 2^g)) * F) + 2,
-    F the rounding slack of mpmath at the working precision
-    (``_rounding_slack``).  The scan from i stops once the real-part gap
-    exceeds K, as the gap never exceeds a pair's grid distance.
+    Integer sweep: the values go in order of the grid real part (of the
+    first component for tuples).  A pair's squared grid distance, the max
+    over components of |difference|^2, is exact integer arithmetic, and its
+    root is within 2 units of the exact distance.  With u the smallest
+    squared grid distance seen, no pair whose mpmath distance can come
+    within tol of the minimum lies farther out on the grid than the reach
+    K = ceil((isqrt(u) + 3 + ceil(tol / 2^g)) * F) + 2, F the rounding slack
+    of mpmath at the working precision (``_rounding_slack``).  The scan from
+    i stops once the real-part gap exceeds K, as the gap never exceeds a
+    pair's grid distance.
 
-    Only the pairs left within K, and every pair with a value that is not
-    finite, get their ``_pair_distance`` in mpmath; the tie rule is applied
-    to them.  They include every pair within tol of the minimum, so the
-    result is the double loop's, bit for bit, at any working precision.
+    Only the pairs left within K get their ``_pair_distance`` in mpmath; the
+    tie rule is applied to them.  They include every pair within tol of the
+    minimum, so the result is the double loop's, bit for bit, at any working
+    precision.
     """
-    g, rows = _grid(values)
     num, den = _rounding_slack(mp.mp.prec)
-    tol_mpf = mp.mpf(tol)
-    if tol_mpf == mp.inf or den <= 0:
-        t = None  # every pair can matter: no reach
-    else:  # ceil(tol / 2^g); the rounding of tol to mpf is in the slack
-        t = -_floor_on_grid((1,) + tol_mpf._mpf_[1:], g) if tol_mpf > 0 else 0
-    order = sorted((k for k, r in enumerate(rows) if r is not None),
-                   key=lambda k: rows[k][0])
+    tol_mpf = mp.mpf(tol)  # t = ceil(tol / 2^g); the rounding of tol is in the slack
+    t = -_floor_on_grid((1,) + tol_mpf._mpf_[1:], g) if tol_mpf > 0 else 0
+    order = sorted(range(len(rows)), key=lambda k: rows[k][0])
     u = k = kk = inf  # smallest squared grid distance, reach, reach^2
     near = []  # (squared grid distance, pair) within the reach when seen
     for a, i in enumerate(order):
@@ -381,16 +373,12 @@ def min_pairwise_distance(values, tol):
                 sq = max(sq, dx * dx + dy * dy)
             if sq <= kk:
                 near.append((sq, (i, j) if i < j else (j, i)))
-                if sq < u and t is not None:
+                if sq < u:
                     u = sq
                     k = -(-(isqrt(u) + 3 + t) * num // den) + 2
                     kk = k * k
-    pairs = {p for sq, p in near if sq <= kk}
-    pairs.update((min(i, j), max(i, j))  # each pair with a value that is not finite
-                 for i, r in enumerate(rows) if r is None
-                 for j in range(len(values)) if j != i)
-    dist = [(p, _pair_distance(values[p[0]], values[p[1]])) for p in pairs]
-    best = min((d for _, d in dist if not mp.isnan(d)), default=mp.inf)
+    dist = [(p, _pair_distance(values[p[0]], values[p[1]])) for sq, p in near if sq <= kk]
+    best = min((d for _, d in dist), default=mp.inf)
     limit = best + tol
     return best, min((p for p, d in dist if d <= limit), default=None)
 
@@ -401,14 +389,15 @@ def _distinctness(values, ctx: PrecisionContext):
     DISTINCTNESS_FACTOR * eps * scale, scale = max(1, max |value|).  The
     closest pair is the first within eps * scale of the minimum: far above
     the noise of values accurate to eps * 2^-16, far below the threshold.
-    Raises NonFinite for a value with a nan or infinite component."""
-    for k, v in enumerate(values):
-        if not all(mp.isfinite(c) for c in (v if isinstance(v, tuple) else (v,))):
-            raise NonFinite(f"value {k} of {len(values)} is not finite")
+    One grid gives the finiteness, the scale and the sweep.  Raises
+    NonFinite for a value with a nan or infinite component."""
+    g, rows = _grid(values)
+    if None in rows:
+        raise NonFinite(f"value {rows.index(None)} of {len(values)} is not finite")
     with ctx.work():
-        scale = _scale_of(values)
+        scale = _scale(values, rows)
         threshold = DISTINCTNESS_FACTOR * ctx.eps * scale
-        dmin, at = min_pairwise_distance(values, ctx.eps * scale)
+        dmin, at = _closest_pair(values, g, rows, ctx.eps * scale)
     return dmin, at, threshold
 
 

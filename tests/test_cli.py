@@ -567,12 +567,12 @@ SWEEP_RUNS = [
 def test_closest_pair_sweep_prints_what_the_double_loop_prints(capsys, monkeypatch):
     """stdout is byte-identical with the double loop in place of the sweep,
     and the sweep takes few mpmath distances per distinctness call."""
-    sweep, pair_distance = verify.min_pairwise_distance, verify._pair_distance
+    sweep, pair_distance = verify._closest_pair, verify._pair_distance
     runs = []
 
-    def counted_sweep(values, tol):
+    def counted_sweep(values, g, rows, tol):
         runs.append(0)
-        return sweep(values, tol)
+        return sweep(values, g, rows, tol)
 
     def counted_distance(a, b):
         runs[-1] += 1
@@ -580,9 +580,10 @@ def test_closest_pair_sweep_prints_what_the_double_loop_prints(capsys, monkeypat
 
     for argv, distances in SWEEP_RUNS:
         runs.clear()
-        monkeypatch.setattr(verify, "min_pairwise_distance", counted_sweep)
+        monkeypatch.setattr(verify, "_closest_pair", counted_sweep)
         monkeypatch.setattr(verify, "_pair_distance", counted_distance)
         code, out, _ = run_cli(argv, capsys)
         assert (code, runs) == (0, distances)
-        monkeypatch.setattr(verify, "min_pairwise_distance", min_pairwise_distance_loop)
+        monkeypatch.setattr(verify, "_closest_pair",
+                            lambda values, g, rows, tol: min_pairwise_distance_loop(values, tol))
         assert run_cli(argv, capsys) == (0, out, "")

@@ -22,7 +22,7 @@ from rayclass import (
     x_value,
 )
 from rayclass.classfield import mat_mul
-from rayclass.verify import min_pairwise_distance
+from rayclass.verify import _closest_pair, _grid
 
 
 # ---------------------------------------------------------------- w group ---
@@ -257,7 +257,7 @@ def test_pair_orbit_distinct_for_main_case(ctx256):
     conj = conjugate_values(f, 8, "pair", ctx256)
     values = [v for _, v in conj]
     with ctx256.work():
-        dmin, _ = min_pairwise_distance(values, 0)
+        dmin, _ = _closest_pair(values, *_grid(values), 0)
         assert dmin > 1000 * ctx256.eps
 
 

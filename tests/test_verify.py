@@ -31,10 +31,11 @@ from rayclass import (
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
 from rayclass.verify import (
+    _closest_pair,
     _conjugate_classes,
-    _scale_of,
+    _grid,
+    _scale,
     _surface_residual,
-    min_pairwise_distance,
 )
 
 from oracles import min_pairwise_distance_loop, scale_loop
@@ -316,15 +317,7 @@ def _raw(v):
     return getattr(v, "_mpf_", None) or getattr(v, "_mpc_", None) or v
 
 
-# curve, surface and lemma51 still subtract tol (or s) from their residual
-# in the call to _finish, outside the working precision.
-_AMBIENT_OPEN = pytest.mark.xfail(
-    strict=True, reason="residual formed at the caller's precision")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_AMBIENT_OPEN) if name in ("curve", "surface", "lemma51")
-    else name for name in AMBIENT_CHECKS])
+@pytest.mark.parametrize("name", AMBIENT_CHECKS)
 def test_reports_do_not_depend_on_the_callers_precision(ctx256, name):
     """A report is formed at the working precision: the same bits whether
     the caller holds 53 or 300 bits."""
@@ -389,15 +382,6 @@ def _closest_pair_cases(ctx):
         yield [mp.mpc(-2 ** 60, -2 ** 20), mp.mpc(2 ** 60, 2 ** 21), mp.mpc(3)]
         # distances 1 + 2^-26 and 1 tie once rounded to 24 bits
         yield [mp.mpc(0), mp.mpc(1 + mp.mpf(2) ** -26), mp.mpc(5, 3), mp.mpc(6, 3)]
-        nan, inf = mp.nan, mp.inf
-        yield [mp.mpc(nan, 0), mp.mpc(1), mp.mpc(inf, 1), mp.mpc(2, -inf),
-               mp.mpc(1.5), mp.mpc(-inf), mp.mpc(3, nan), mp.mpc(1.25, 0)]
-        yield [mp.mpc(inf), mp.mpc(1)]  # fewer than two finite values
-        yield [mp.mpc(nan), mp.mpc(-inf, 2), mp.mpc(inf)]
-        # a nan second component leaves the first one's distance
-        yield ([(_random_mpc(rng), mp.mpc(nan)) for _ in range(5)]
-               + [(_random_mpc(rng), _random_mpc(rng)) for _ in range(5)]
-               + [(_random_mpc(rng), mp.mpc(inf, 1)), (mp.mpc(nan), _random_mpc(rng))])
         yield []
         yield [_random_mpc(rng)]
         yield [_random_mpc(rng), _random_mpc(rng)]
@@ -412,7 +396,7 @@ def test_min_pairwise_distance_matches_the_double_loop(ctx256, bits, tol):
     for values in _closest_pair_cases(ctx256):
         with mp.workprec(bits):
             t = mp.mpf(2) ** -190 if tol == "2**-190" else mp.mpf(tol)
-            got = min_pairwise_distance(values, t)
+            got = _closest_pair(values, *_grid(values), t)
             want = min_pairwise_distance_loop(values, t)
         assert got == want
         assert (got[1] is None) == (len(values) < 2)
@@ -425,7 +409,7 @@ def test_scale_is_the_maximum_modulus_of_every_component(ctx256, bits):
     for values in _closest_pair_cases(ctx256):
         if values:
             with mp.workprec(bits):
-                assert _scale_of(values) == scale_loop(values)
+                assert _scale(values, _grid(values)[1]) == scale_loop(values)
 
 
 def test_tie_rule_reports_the_first_pair_near_the_minimum(ctx256):
@@ -434,9 +418,10 @@ def test_tie_rule_reports_the_first_pair_near_the_minimum(ctx256):
     with ctx256.work():
         delta = mp.mpf(2) ** -100
         values = [mp.mpc(0), mp.mpc(1 + delta), mp.mpc(3), mp.mpc(4)]
-        assert min_pairwise_distance(values, 0) == (1, (2, 3))
-        assert min_pairwise_distance(values, delta / 2) == (1, (2, 3))
-        assert min_pairwise_distance(values, 2 * delta) == (1, (0, 1))
+        grid = _grid(values)
+        assert _closest_pair(values, *grid, 0) == (1, (2, 3))
+        assert _closest_pair(values, *grid, delta / 2) == (1, (2, 3))
+        assert _closest_pair(values, *grid, 2 * delta) == (1, (0, 1))
 
 
 def _perturbed(v, rng, size):
@@ -521,13 +506,15 @@ NON_FINITE = {
     "nan later": [mp.mpc(1, 2), mp.mpc(3, 1), mp.mpc(0, mp.nan)],
     "inf": [mp.mpc(1, 2), mp.mpc(mp.inf, 1), mp.mpc(3, 1)],
 }
+# the index the NonFinite message names, the first value that is not finite
+NON_FINITE_AT = {"nan first": 0, "nan later": 2, "inf": 1, "nan in a pair": 1}
 
 
 @pytest.mark.parametrize("case", NON_FINITE)
 def test_minpoly_rejects_a_value_that_is_not_finite(ctx256, case):
     """A nan or inf anywhere in the list fails the distinctness test with
     NonFinite, before any distance or recognition is taken."""
-    with pytest.raises(NonFinite, match="is not finite"):
+    with pytest.raises(NonFinite, match=f"^value {NON_FINITE_AT[case]} of 3 is not finite$"):
         minpoly(NON_FINITE[case], make_field(-7), ctx256)
 
 
@@ -542,7 +529,7 @@ def test_generation_rejects_a_value_that_is_not_finite(ctx256, monkeypatch, case
         values = NON_FINITE[case]
     monkeypatch.setattr(verify, "conjugate_values",
                         lambda *args: [(None, v) for v in values])
-    with pytest.raises(NonFinite, match="is not finite"):
+    with pytest.raises(NonFinite, match=f"^value {NON_FINITE_AT[case]} of 3 is not finite$"):
         check_generation(make_field(-7), 3, "y4", ctx256)
 
 
