@@ -82,10 +82,13 @@ keep its relative error below 2^-W too (a negative exponent is the
 reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
 exact integer product of the loop result at W and the prefactor at W_rho.
 
-Siegel memo and y.  The memo keeps that product unrounded, one entry per
-reduced index (N, s, t), and ``siegel`` rounds it to ``bits``; at a shifted
-index it first cuts the entry to W significant bits and applies the shift
-root of unity and the sign as one power of xi (``_rotate``).
+Siegel memo and y.  Two memos on the point are keyed by the reduced index
+(N, s, t).  The first keeps ``_triple``'s (Ev, Od) at w and q/w from the
+level-N table, so the Siegel product and ``wp`` at an index share one sum.
+The second keeps the Siegel product unrounded, and ``siegel`` rounds it to
+``bits``; at a shifted index it first cuts the entry to W significant bits
+and applies the shift root of unity and the sign as one power of xi
+(``_rotate``).
 ``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts both entries and
 g_r^4 (two exact squarings) to W significant bits, applies the shift roots
 of unity and the sign the same way and divides in exact integers,
@@ -122,9 +125,11 @@ class ModularPoint:
       evaluators of the same names return;
     * ``qfx``, q in fixed point; ``euler``, the Euler product (eta) and its
       reciprocal (Siegel values); ``_thetas``, the theta constants of g2,
-      g3 and wp and E^12 (delta); ``_siegel``, the unrounded Siegel
-      products (re, im, w) keyed (N, s, t) by reduced index (s/N, t/N),
-      which ``siegel`` rounds and ``y_quotient`` divides; ``_tables``, the
+      g3 and wp and E^12 (delta); ``_triples``, the triple-product halves
+      (Ev, Od) keyed (N, s, t) by reduced index (s/N, t/N), which the
+      Siegel product and ``wp`` at an index read; ``_siegel``, the
+      unrounded Siegel products (re, im, w) under the same keys, which
+      ``siegel`` rounds and ``y_quotient`` divides; ``_tables``, the
       level-N tables, filled lazily with the powers of q^(1/(12 N^2)) and
       exp(2*pi*i/(12 N^2)) their keys need (module docstring);
       ``_x_factor``, g2 g3 / delta for ``x``; ``_lattice_clearance``, the
@@ -256,6 +261,10 @@ class ModularPoint:
 
     @cached_property
     def _siegel(self) -> dict:
+        return {}
+
+    @cached_property
+    def _triples(self) -> dict:
         return {}
 
     @cached_property
@@ -609,15 +618,26 @@ def _siegel_fx(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]
     return val
 
 
+def _triple_at(pt: ModularPoint, n: int, s: int, t: int
+               ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The memo entry (Ev, Od) of the reduced index (s/n, t/n): ``_triple``
+    at w and q/w from the point's level-n table, summed on first use."""
+    key = (n, s, t)
+    val = pt._triples.get(key)
+    if val is None:
+        val = pt._triples[key] = _triple(pt.qfx, *pt._table(n).w_terms(s, t), pt.width)
+    return val
+
+
 def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
     """g_{(a1,a2)}(tau) for a reduced index (a1, a2) = (s/n, t/n) in [0,1)^2
     of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau
-    + a2)), with P(w) = (Ev - Od) / E (``_triple``); w, q/w and the prefactor
-    come from the point's level-N table, 1/E from the point.  Unrounded:
+    + a2)), with P(w) = (Ev - Od) / E (``_triple_at``); the prefactor comes
+    from the point's level-N table, 1/E from the point.  Unrounded:
     (re + i*im) * 2^-w, the exact product of loop result and prefactor."""
     tab = pt._table(n)
     wd = pt.width
-    (er, ei), (odr, odi) = _triple(pt.qfx, *tab.w_terms(s, t), wd)
+    (er, ei), (odr, odi) = _triple_at(pt, n, s, t)
     cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
     pr, pi_ = tab.prefactor(s, t)
     return pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth
@@ -711,10 +731,11 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     index of level n lies at least min(1, Im tau)/n from it, so the
     floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
     min(1, Im tau)^2; below, the level settles it.  For an index the reduced
-    coordinates are exact, and u = exp(2*pi*i*z) and q/u are read from the
-    point's level-N table; for a complex z they are computed from z, with
-    the bits of Re tau and of z's lattice coordinates as extra bits.  Both run
-    ``_triple``.  The Euler product cancels from P(-w)/P(w) =
+    coordinates are exact, and (Ev, Od) is the point's memo entry of the
+    reduced index (``_triple_at``), which the Siegel value there shares; for
+    a complex z, u = exp(2*pi*i*z) and q/u are computed from z, with the bits
+    of Re tau and of z's lattice coordinates as extra bits, and ``_triple``
+    runs on them.  The Euler product cancels from P(-w)/P(w) =
     (Ev + Od)/(Ev - Od), which is divided in exact integers: near the
     lattice Ev - Od is small, and a shift before the division would cut its
     bits.
@@ -726,7 +747,7 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
             s, t = z.p1 % n, z.p2 % n
             if n * n * pt.ctx.eps >= pt._lattice_clearance:
                 _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
-            u, qu = pt._table(n).w_terms(s, t)
+            (er, ei), (odr, odi) = _triple_at(pt, n, s, t)
         else:
             # |y| <= |z| / Im tau and |x| <= |z| + |y Re tau|: their bits
             z_bits = int(abs(z) / min(1, pt.im)).bit_length()
@@ -735,8 +756,7 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
                 e = mp.exp(2j * mp.pi * (y * pt.tau + x))
             _check_off_lattice(pt, y, x)
             e = +e
-            u, qu = _fx(e, wd), _fx(pt.q / e, wd)
-        (er, ei), (odr, odi) = _triple(pt.qfx, u, qu, wd)
+            (er, ei), (odr, odi) = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
         nr, ni, dr, di = er + odr, ei + odi, er - odr, ei - odi
         den = dr * dr + di * di
         ratio = ((nr * dr + ni * di) << wd) // den, ((ni * dr - nr * di) << wd) // den

@@ -175,7 +175,16 @@ def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
 def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     """Exhaustive sweep of |g_{(2s/N,2t/N)}(theta_Q) / g_{(s/N,t/N)}(theta_Q)^4|
     < |g_{(0,2/N)}(theta) / g_{(0,1/N)}(theta)^4| over reduced forms with
-    a >= 2 and (s, t) in [0,N)^2 with (2s, 2t) outside N*Z^2."""
+    a >= 2 and (s, t) in [0,N)^2 with (2s, 2t) outside N*Z^2.
+
+    The ratio is equal on the class {(Q, s, t), (Q, -s, -t), (Q', s, -t),
+    (Q', -s, t)}, Q' = (a, -b, c) the partner of ``_conjugate_classes``, as
+    g_{-r} = -g_r and g_{(a1,a2)}(-conj tau) = conj g_{(a1,-a2)}(tau); an
+    ambiguous Q has the class {(Q, s, t), (Q, -s, -t)}.  Each class is
+    evaluated once, on the point of Q, and filed under its first key in
+    sweep order: forms run by (a, b), so Q' precedes Q, and of (s, t) and
+    (-s, -t) the lexicographically smaller comes first.  ``pairs_checked``
+    counts every member."""
     t0 = time.perf_counter()
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
@@ -186,17 +195,22 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         worst = cut = -mp.inf
         near = []  # ((form, s, t), ratio) tied with the worst so far
         count = 0
+        classes = dict(_conjugate_classes(field.forms))  # Q -> Q' or None
+        homes = {p: q for q, p in classes.items() if p is not None}  # Q' -> Q
         for q in field.forms:
-            if q.a < 2:
+            if q.a < 2 or classes.get(q) is not None:  # filed under Q'
                 continue
-            pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+            home = homes.get(q, q)
+            pt = ModularPoint.from_quadratic(home.a, home.b, field.d, ctx)
             for s in range(n):
                 for t in range(n):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
-                    r = FractionPair.from_parts(s, t, n)
+                    if (s, t) > (-s % n, -t % n):  # filed under (-s, -t)
+                        continue
+                    r = FractionPair.from_parts(s, t if home is q else -t % n, n)
                     ratio = abs(y_value(pt, r)) / rhs
-                    count += 1
+                    count += 2 if home is q else 4
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))
                         if ratio > worst:

@@ -22,6 +22,8 @@ Two kinds live here:
   ``scale_loop`` the maximum modulus over every component that its scale
   must match.  ``guarded_quotient`` is the mpmath quotient with an absolute
   |den| < eps guard that y's exact integer guard must reproduce.
+  ``lemma52_loop`` is the lemma 5.2 sweep over every (form, s, t), which
+  the one-ratio-per-class sweep of ``rayclass.verify`` must match.
 """
 
 import math
@@ -34,7 +36,13 @@ from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
 
 from rayclass.errors import NearZero
 from rayclass.numerics import GUARD_BITS, truncation_terms
-from rayclass.qseries import _reduce_mod_lattice, bernoulli2
+from rayclass.qseries import (
+    FractionPair,
+    ModularPoint,
+    _reduce_mod_lattice,
+    bernoulli2,
+    y_value,
+)
 from rayclass.verify import _pair_distance
 
 
@@ -253,3 +261,36 @@ def guarded_quotient(num, den, ctx):
         if mpf_lt(mpf_add(mpf_mul(re, re, p), mpf_mul(im, im, p), p), mpf_mul(e, e, p)):
             raise NearZero(f"division by |z|={mp.nstr(abs(den), 8)} < eps")
         return num / den
+
+
+def lemma52_loop(field, n, ctx):
+    """(residuals, details) of ``check_lemma52`` from one ratio per
+    (form, s, t), every form with a >= 2 on its own point, same tie rule."""
+    with ctx.work():
+        q = field.principal
+        pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+        rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
+        worst = cut = -mp.inf
+        near = []  # ((form, s, t), ratio) tied with the worst so far
+        count = 0
+        for q in field.forms:
+            if q.a < 2:
+                continue
+            pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+            for s in range(n):
+                for t in range(n):
+                    if (2 * s) % n == 0 and (2 * t) % n == 0:
+                        continue
+                    r = FractionPair.from_parts(s, t, n)
+                    ratio = abs(y_value(pt, r)) / rhs
+                    count += 1
+                    if ratio >= cut:
+                        near.append(((q.as_tuple(), s, t), ratio))
+                        if ratio > worst:
+                            worst = ratio
+                            cut = worst - ctx.eps * max(1, worst)
+        worst_at = next((at for at, ratio in near if ratio >= cut), None)
+        residual = (worst - 1) if count else mp.mpf(-1)
+    return ({"max_ratio_minus_1": residual},
+            {"pairs_checked": count, "worst_ratio": worst if count else None,
+             "worst_at": worst_at, "rhs_abs": rhs})

@@ -20,6 +20,7 @@ from rayclass import (
     siegel,
     verify,
 )
+from rayclass import qseries
 from rayclass.cli import main
 
 from oracles import min_pairwise_distance_loop
@@ -338,6 +339,23 @@ def test_one_point_per_tau(argv, capsys, monkeypatch):
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert len(seen) == 1
+
+
+def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
+    """x (through wp) and y (through the Siegel values) at an index read one
+    triple-product sum per reduced index and point."""
+    body = qseries._triple
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(qseries, "_triple", counted)
+    code, _, _ = run_cli(["conjugates", "--dk", "-39", "--level", "8",
+                          "--descriptor", "pair"], capsys)
+    assert code == 0
+    assert len(runs) == 48
 
 
 def test_check_surface_reports_the_level_before_the_im_floor(capsys):

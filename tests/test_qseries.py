@@ -436,6 +436,18 @@ def test_index_spellings_hit_one_memo_entry(ctx256, siegel_product_runs, one, ot
     assert wp(one, pt) == wp(other, pt)
 
 
+def test_wp_on_a_point_warmed_by_siegel_is_the_cold_value(ctx256, monkeypatch):
+    """wp at an index reads the triple-product sum that siegel left in the
+    point's memo, runs no sum of its own, and returns what a cold point
+    computes, bit for bit."""
+    warm = _pt(0.1234, 1.1, ctx256)
+    for r in SIEGEL_MEMO_INDICES:
+        siegel(r, warm)
+    cold = [wp(r, _pt(0.1234, 1.1, ctx256)) for r in SIEGEL_MEMO_INDICES]
+    monkeypatch.setattr(qseries, "_triple", None)
+    assert [wp(r, warm) for r in SIEGEL_MEMO_INDICES] == cold
+
+
 # ------------------------------------------------- the fixed-point y kernel ---
 
 Y_INDICES = [

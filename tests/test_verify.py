@@ -38,7 +38,7 @@ from rayclass.verify import (
     _surface_residual,
 )
 
-from oracles import min_pairwise_distance_loop, scale_loop
+from oracles import lemma52_loop, min_pairwise_distance_loop, scale_loop
 
 
 # ------------------------------------------------------------------ curve ---
@@ -151,12 +151,53 @@ def _reduced_key(a1, a2):
     return n, int(a1 * n), int(a2 * n)
 
 
+def _lemma52_classes(f, n):
+    """The lemma 5.2 sweep's (form, s, t) keys grouped into classes of equal
+    |y|: (Q, s, t) with (Q, -s, -t), and with (Q', s, -t) and (Q', -s, t)
+    when Q' = (a, -b, c) != Q is reduced too."""
+    forms = set(f.forms)
+    partner = {q: ReducedForm(q.a, -q.b, q.c) for q in f.forms
+               if q.b != 0 and ReducedForm(q.a, -q.b, q.c) in forms}
+    classes = {}
+    for q in f.forms:
+        if q.a < 2:
+            continue
+        for s in range(n):
+            for t in range(n):
+                if (2 * s) % n == 0 and (2 * t) % n == 0:
+                    continue
+                members = {(q, s, t), (q, -s % n, -t % n)}
+                if q in partner:
+                    p = partner[q]
+                    members |= {(p, s, -t % n), (p, -s % n, t)}
+                classes[frozenset(members)] = None
+    return list(classes), partner
+
+
 def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
+    """The sweep evaluates each class once, at its first key in sweep order,
+    on the point of the form with b >= 0 (t negated from a partner's key),
+    and runs each Siegel product at most once per point."""
     f, n = make_field(-39), 8
     rep = check_lemma52(f, n, ctx256)
     keys = [(id(pt), k) for pt, k in siegel_product_runs]
     assert len(keys) == len(set(keys))
-    expected = 2  # (0, 1/N) and (0, 2/N) at theta
+    form_at = {ModularPoint.from_quadratic(q.a, q.b, f.d, ctx256).tau: q for q in f.forms}
+    got = {(form_at[pt.tau], k) for pt, k in siegel_product_runs}
+    classes, partner = _lemma52_classes(f, n)
+    order = {q: i for i, q in enumerate(f.forms)}
+    expected = {(f.principal, _reduced_key(F(0), F(1, n))),
+                (f.principal, _reduced_key(F(0), F(2, n)))}
+    for members in classes:
+        q, s, t = min(members, key=lambda m: (order[m[0]], m[1], m[2]))
+        if q.b < 0:
+            q, t = partner[q], -t % n
+        expected |= {(q, _reduced_key(F(s, n), F(t, n))),
+                     (q, _reduced_key(F(2 * s, n) % 1, F(2 * t, n) % 1))}
+    assert got == expected
+    assert rep.details["pairs_checked"] == sum(len(m) for m in classes) == 180
+    # the sweep over every (form, s, t) ran one product per key of each form
+    full = 2
     for q in f.forms:
         if q.a < 2:
             continue
@@ -166,8 +207,20 @@ def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs
                 if (2 * s) % n or (2 * t) % n:
                     seen |= {_reduced_key(F(s, n), F(t, n)),
                              _reduced_key(F(2 * s, n) % 1, F(2 * t, n) % 1)}
-        expected += len(seen)
-    assert len(keys) == expected < 2 * rep.details["pairs_checked"] + 2
+        full += len(seen)
+    assert len(keys) < full
+
+
+@pytest.mark.parametrize("d, n", [
+    (-39, 8), (-40, 8), (-43, 9), (-56, 8), (-71, 12), (-84, 10), (-95, 12), (-199, 9),
+], ids=["-39", "-40", "-43-vacuous", "-56", "-71-partners", "-84-ambiguous",
+        "-95-ties", "-199"])
+def test_lemma52_class_sweep_reports_what_the_full_sweep_reports(ctx256, d, n):
+    f = make_field(d)
+    rep = check_lemma52(f, n, ctx256)
+    residuals, details = lemma52_loop(f, n, ctx256)
+    assert rep.details == details
+    assert rep.residuals == residuals
 
 
 def test_lemma52_symmetry_equal_moduli(ctx256):
@@ -187,6 +240,28 @@ def test_lemma52_symmetry_equal_moduli(ctx256):
         for s, t in ((1, 2), (3, 5), (2, 7)):
             a, b = ratio(s, t), ratio(n - s, n - t)
             assert abs(a - b) / a < ctx256.eps
+
+
+@pytest.mark.parametrize("d", [-71, -95, -199])
+def test_lemma52_partner_forms_have_conjugate_moduli(ctx256, d):
+    """|y| at theta_(a,-b,c) and (s, t) equals |y| at theta_(a,b,c) and
+    (s, -t), as g_{(a1,a2)}(-conj tau) = conj g_{(a1,-a2)}(tau)."""
+    f = make_field(d)
+    pairs = [(q, p) for q, p in _conjugate_classes(f.forms) if p is not None]
+    assert pairs
+    tol = ctx256.eps * mp.mpf(2) ** -16
+    for q, p in pairs:
+        pt = ModularPoint.from_quadratic(q.a, q.b, d, ctx256)
+        pp = ModularPoint.from_quadratic(p.a, p.b, d, ctx256)
+        for n in (8, 9, 12):
+            for s in range(n):
+                for t in range(n):
+                    if (2 * s) % n == 0 and (2 * t) % n == 0:
+                        continue
+                    with ctx256.work():
+                        a = abs(y_value(pp, FractionPair.from_parts(s, t, n)))
+                        b = abs(y_value(pt, FractionPair.from_parts(s, -t % n, n)))
+                        assert abs(a - b) <= tol * b
 
 
 def test_lemma52_margins_grow_with_disc(ctx256):
