@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -62,13 +63,21 @@ class CMPoint:
     d: int
 
     def to_mpc(self, ctx: PrecisionContext) -> mp.mpc:
+        """The point at ``ctx.bits``, with sqrt(|d|) taken once per (d, bits)."""
         with ctx.work():
-            return (mp.mpf(-self.b) + mp.sqrt(mp.mpf(-self.d)) * mp.mpc(0, 1)) / (2 * self.a)
+            return (mp.mpf(-self.b) + _sqrt_abs(self.d, ctx.bits) * mp.mpc(0, 1)) / (2 * self.a)
 
     def __str__(self) -> str:
         if self.b == 0 and self.a == 1:
             return f"sqrt({self.d})/2" if self.d % 4 == 0 else f"sqrt({self.d})"
         return f"({-self.b}+sqrt({self.d}))/{2 * self.a}"
+
+
+@lru_cache(maxsize=64)
+def _sqrt_abs(d: int, prec: int) -> mp.mpf:
+    """sqrt(|d|) at prec bits for d < 0, once per (d, prec)."""
+    with mp.workprec(prec):
+        return mp.sqrt(mp.mpf(-d))
 
 
 def _squarefree(n: int) -> bool:

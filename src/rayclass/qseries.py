@@ -32,18 +32,19 @@ wp adds the bits of a complex z's lattice coordinates when it reduces z.
 Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
 ``to_fixed`` (q exactly, as it carries only ``bits`` bits) and leave by
-``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient and
-y = -g_{2r}/g_r^4 are formed in fixed point too, the eta and Eisenstein
-prefactors, E^12 and the exponentials in mpmath.  Each sum is lacunary and
-stops at its first term below 2^-W, so every value is the converged
-function: ``_pentagonal`` sums the Euler product E (eta and the Siegel
-1/E), ``_theta_sums`` the theta constants (g2, g3, the constants of wp,
-and E^12 for delta, j, u and g2 g3 / delta), and ``_triple`` the
-halves Ev (even n) and Od (odd n) of sum_n q^(n(n-1)/2) w^n at
-w = exp(2*pi*i*z): Ev - Od = E (1-w) prod_n (1-q^n w)(1-q^n/w) is E times
-the Siegel product, and (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z)
-gives wp (DLMF 23.6.2).  No kernel reads ``terms()``; it sizes the tests'
-reference loops.
+``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient,
+y = -g_{2r}/g_r^4 and u = E4^3 / (1728 q E^24) are formed in fixed point
+too, the eta and Eisenstein prefactors, E^12 (for delta only) and the
+exponentials in mpmath.  Each sum is
+lacunary and stops at its first term below 2^-W, so every value is the
+converged function: ``_pentagonal`` sums the Euler product E (eta and the
+Siegel 1/E), ``_theta_sums`` the theta constants (g2, g3, the constants of
+wp, and the factors of E^12 for delta, j, u and g2 g3 / delta), and
+``_triple`` the halves Ev (even n) and Od (odd n) of sum_n q^(n(n-1)/2) w^n
+at w = exp(2*pi*i*z): Ev - Od = E (1-w) prod_n (1-q^n w)(1-q^n/w) is E
+times the Siegel product, and (Ev + Od)/(Ev - Od) =
+i theta_2(pi z)/theta_1(pi z) gives wp (DLMF 23.6.2).  No kernel reads
+``terms()``; it sizes the tests' reference loops.
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
@@ -91,8 +92,20 @@ and applies the shift root of unity and the sign as one power of xi
 (``_rotate``).
 ``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts both entries and
 g_r^4 (two exact squarings) to W significant bits, applies the shift roots
-of unity and the sign the same way and divides in exact integers,
-rounding once to ``bits``.
+of unity and the sign the same way and divides in exact integers
+(``_quotient``), rounding once to ``bits``.
+
+u and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
+quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
+(a, b = theta_3^4, theta_4^4) and E^24 = (A T (A^2 + C))^2
+(theta_3 theta_4)^8 (``_theta_sums``).  Every product is exact and cut to
+W significant bits (``_cut_mul``, ``_cut_sq``), so theta_3 theta_4 is
+never shifted in fixed point, where (theta_3 theta_4)^8, about 1e-42 at the
+Im floor, would lose its relative bits.  q enters the denominator at width
+W + log2(1/|q|), so it keeps W significant bits however small it is, and
+``_quotient`` divides once, rounding to ``bits``.  j = 1728 u.  Neither
+forms g2, g3, a power of pi or delta; E^12 is multiplied out only for
+delta.
 """
 
 from __future__ import annotations
@@ -122,12 +135,17 @@ class ModularPoint:
     first use and kept, so every evaluator and caller shares one copy:
 
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
-      evaluators of the same names return;
+      evaluators of the same names return, and ``u``, which ``u_value``
+      returns (the exact integer quotient of the module docstring, with no
+      g2 or delta);
     * ``qfx``, q in fixed point; ``euler``, the Euler product (eta) and its
       reciprocal (Siegel values); ``_thetas``, the theta constants of g2,
-      g3 and wp and E^12 (delta); ``_triples``, the triple-product halves
-      (Ev, Od) keyed (N, s, t) by reduced index (s/N, t/N), which the
-      Siegel product and ``wp`` at an index read; ``_siegel``, the
+      g3 and wp and the four factors of E^12, which ``delta`` multiplies
+      out in mpmath and ``u`` in exact integers; ``_e4``, E4 in fixed
+      point with the two squares E6 reuses; ``_triples``, the
+      triple-product halves (Ev, Od) keyed (N, s, t) by reduced index
+      (s/N, t/N), which the Siegel product and ``wp`` at an index read;
+      ``_siegel``, the
       unrounded Siegel products (re, im, w) under the same keys, which
       ``siegel`` rounds and ``y_quotient`` divides; ``_tables``, the
       level-N tables, filled lazily with the powers of q^(1/(12 N^2)) and
@@ -202,9 +220,9 @@ class ModularPoint:
         return _fx_inv(self._euler_fx, self.width)
 
     @cached_property
-    def _thetas(self) -> tuple[tuple[int, int], tuple[int, int], mp.mpc]:
-        """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width W and E^12
-        at W bits (``_theta_sums``)."""
+    def _thetas(self):
+        """theta_3^4 + theta_4^4, (theta_3 theta_4)^2 and the four factors
+        of E^12 at width W (``_theta_sums``)."""
         return _theta_sums(self.qfx, self.width)
 
     @cached_property
@@ -216,23 +234,51 @@ class ModularPoint:
 
     @cached_property
     def delta(self) -> mp.mpc:
-        """Discriminant (2*pi)^12 q E^24, E^12 from the theta sums; never
-        zero on H."""
+        """Discriminant (2*pi)^12 q E^24, E^12 = A T (A^2 + C)
+        (theta_3 theta_4)^4 formed in mpmath from the theta sums' factors
+        (``_theta_sums``); never zero on H."""
+        w = self.width
+        big_a, t, apc, d = self._thetas[2]
+        with mp.workprec(w):
+            e12 = _mpc(*big_a, w) * _mpc(*t, w) * _mpc(*apc, w) * _mpc(*d, w) ** 4
         with self.ctx.work():
-            return (2 * mp.pi) ** 12 * self.q * self._thetas[2] ** 2
+            return (2 * mp.pi) ** 12 * self.q * e12 ** 2
+
+    @cached_property
+    def _e4(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+        """(E4, ab, (a+b)^2) at width W for a, b = theta_3^4, theta_4^4, with
+        E4 = (a+b)^2 - 3ab (DLMF 23.6)."""
+        w = self.width
+        s, d2, _ = self._thetas
+        p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)
+        return (s2[0] - 3 * p[0], s2[1] - 3 * p[1]), p, s2
 
     @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
-        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), with E4 = (a+b)^2 - 3ab and
-        E6 = (a+b)(9ab - 2(a+b)^2)/2 for a, b = theta_3^4, theta_4^4 (DLMF
-        23.6)."""
+        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), with E6 = (a+b)(9ab -
+        2(a+b)^2)/2 for a, b = theta_3^4, theta_4^4 (DLMF 23.6; E4 from
+        ``_e4``)."""
         with self.ctx.work():
             w = self.width
-            s, d2, _ = self._thetas
-            p, s2 = _fx_mul(d2, d2, w), _fx_mul(s, s, w)  # ab and (a + b)^2
-            e6r, e6i = _fx_mul(s, (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
-            e4 = _mpc(s2[0] - 3 * p[0], s2[1] - 3 * p[1], w)
-            return 4 * mp.pi**4 / 3 * e4, 8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w)
+            e4, p, s2 = self._e4
+            e6r, e6i = _fx_mul(self._thetas[0], (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
+            return (4 * mp.pi**4 / 3 * _mpc(*e4, w),
+                    8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w))
+
+    @cached_property
+    def u(self) -> mp.mpc:
+        """u = g2^3 / delta = E4^3 / (1728 q E^24), one exact integer
+        quotient of E4, q and the factors of E^12 (module docstring, "u
+        and j"); no Eisenstein prefactor, power of pi or delta is formed."""
+        w = self.width
+        big_a, t, apc, d = ((*x, w) for x in self._thetas[2])
+        e4 = (*self._e4[0], w)
+        num = _cut_mul(_cut_sq(e4, w), e4, w)
+        e12 = _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
+        qw = w + math.ceil(12 * float(self.im) * _BITS_PER_IM)  # |q| >= 2^(w - qw)
+        qr, qi = _fx(self.q, qw)
+        den = _cut_mul(_cut_sq(e12, w), (1728 * qr, 1728 * qi, qw), w)
+        return _quotient(num, den, w, self.ctx.bits)
 
     @cached_property
     def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -421,8 +467,9 @@ def _fx_inv(a: tuple[int, int], w: int) -> tuple[int, int]:
 
 
 def _theta_sums(q: tuple[int, int], w: int):
-    """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2) at width w and
-    E^12 = prod_{n>=1} (1 - q^n)^12 at w bits, the thetas at the nome
+    """(theta_3^4 + theta_4^4, (theta_3 theta_4)^2, (A, T, A^2 + C,
+    theta_3 theta_4)) at width w, the last four the factors of
+    E^12 = prod_{n>=1} (1 - q^n)^12, the thetas at the nome
     e^(pi i tau), via S = sum_{m>=1} q^(2m^2) and
     T = sum_{m>=0} q^(2m(m+1)), summed to their first term below 2^-w (the
     terms run T_(m-1), S_m, T_m, both steps q^(2m)).  A = 1 + 2S and
@@ -431,9 +478,10 @@ def _theta_sums(q: tuple[int, int], w: int):
     A^2 - C and theta_2^8 = (theta_3^4 - theta_4^4)^2 = 64 A^2 C (A^2 + C)^2.
     Jacobi's 2 eta^3 = theta_2 theta_3 theta_4 (DLMF 20.4, 23.6), with
     eta^24 = q E^24, then gives E^12 = A T (A^2 + C) (theta_3 theta_4)^4
-    (the sign from q -> 0).  That product is formed in mpmath: at the Im
-    floor (theta_3 theta_4)^4 is about 1e-21, below which a fixed-point
-    product would lose relative bits."""
+    (the sign from q -> 0).  Its factors are returned, not multiplied out:
+    at the Im floor (theta_3 theta_4)^4 is about 1e-21, below which a
+    fixed-point product would lose relative bits, so ``delta`` forms E^12
+    in mpmath and ``u`` forms E^24 in exact integers."""
     one = 1 << w
     step = q2 = _fx_mul(q, q, w)  # q^(2m)
     t = (one, 0)  # T_(m-1)
@@ -456,10 +504,7 @@ def _theta_sums(q: tuple[int, int], w: int):
     a4, a2c, c2 = _fx_mul(a2, a2, w), _fx_mul(a2, c, w), _fx_mul(c, c, w)
     s = tuple(2 * (x + 6 * y + z) for x, y, z in zip(a4, a2c, c2))
     d = (a2[0] - c[0], a2[1] - c[1])
-    with mp.workprec(w):
-        e12 = (_mpc(*big_a, w) * _mpc(tr, ti, w)
-               * _mpc(a2[0] + c[0], a2[1] + c[1], w) * _mpc(*d, w) ** 4)
-    return s, _fx_mul(d, d, w), e12
+    return s, _fx_mul(d, d, w), (big_a, (tr, ti), (a2[0] + c[0], a2[1] + c[1]), d)
 
 
 def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
@@ -582,7 +627,8 @@ def delta(pt: ModularPoint) -> mp.mpc:
 
 
 def j_invariant(pt: ModularPoint) -> mp.mpc:
-    """j = 2^6 3^3 g2^3 / delta = 1728 u (``u_value``)."""
+    """j = 2^6 3^3 g2^3 / delta = 1728 u (``u_value``): no Eisenstein
+    series or delta is formed."""
     with pt.ctx.work():
         return 1728 * u_value(pt)
 
@@ -649,6 +695,33 @@ def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
     return (re >> k, im >> k, w - k) if k > 0 else (re, im, w)
 
 
+def _cut_mul(x: tuple[int, int, int], y: tuple[int, int, int], bits: int
+             ) -> tuple[int, int, int]:
+    """x * y for x, y = (re, im, w) standing for (re + i*im) * 2^-w, the
+    exact integer product cut to ``bits`` significant bits (``_cut_bits``)."""
+    (ar, ai, aw), (br, bi, bw) = x, y
+    return _cut_bits(ar * br - ai * bi, ar * bi + ai * br, aw + bw, bits)
+
+
+def _cut_sq(x: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
+    """x^2 for x = (re, im, w), as ``_cut_mul(x, x, bits)`` with two integer
+    products."""
+    re, im, w = x
+    return _cut_bits((re + im) * (re - im), 2 * re * im, 2 * w, bits)
+
+
+def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int,
+              prec: int) -> mp.mpc:
+    """num / den for num, den = (re, im, w) standing for (re + i*im) * 2^-w,
+    den nonzero: one exact integer division carrying ``bits`` significant
+    bits, rounded once to prec bits."""
+    (nr, ni, wn), (a, b, wd) = num, den
+    mod2 = a * a + b * b
+    qr, qi = nr * a + ni * b, ni * a - nr * b
+    sh = max(0, bits + mod2.bit_length() - max(abs(qr), abs(qi)).bit_length())
+    return _mpc((qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd, prec)
+
+
 def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
     """(re, im, w, e): r's memo entry cut to W significant bits, and e mod 2n
     for r's shift root of unity exp(pi*i*e/n) (``siegel``), n its level."""
@@ -684,12 +757,8 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
     if (m4 < (man * man << k)) if k >= 0 else ((m4 << -k) < man * man):
         with pt.ctx.work():
             raise NearZero(f"division by |z|={mp.nstr(abs(_mpc(gr, gi, w) ** 4), 8)} < eps")
-    a, b = gr * gr - gi * gi, 2 * gr * gi
-    a, b, w4 = _cut_bits(a * a - b * b, 2 * a * b, 4 * w, pt.width)
-    den = a * a + b * b
-    qr, qi = nr * a + ni * b, ni * a - nr * b
-    sh = max(0, pt.width + den.bit_length() - max(abs(qr), abs(qi)).bit_length())
-    return _mpc((qr << sh) // den, (qi << sh) // den, sh + wn - w4, pt.ctx.bits)
+    g2 = (gr + gi) * (gr - gi), 2 * gr * gi, 2 * w
+    return _quotient((nr, ni, wn), _cut_sq(g2, pt.width), pt.width, pt.ctx.bits)
 
 
 def siegel_order(r: FractionPair) -> Fraction:
@@ -786,10 +855,9 @@ class CurveCoords(NamedTuple):
 
 
 def u_value(pt: ModularPoint) -> mp.mpc:
-    """u = g2^3 / eta^24 = g2^3 / delta."""
-    with pt.ctx.work():
-        g2, _ = eisenstein(pt)
-        return g2**3 / delta(pt)
+    """u = g2^3 / eta^24 = g2^3 / delta, as one exact integer quotient of
+    the theta sums (``ModularPoint.u``); computed once per point."""
+    return pt.u
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:

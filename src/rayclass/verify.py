@@ -518,14 +518,16 @@ class Polynomial:
 
 
 def _recognize_coeff(c, theta, den_max: int, tol):
+    """((m, n, den), |c - (m + n*theta)/den|) for the first den <= den_max
+    whose nearest candidate lies within tol of c, or None."""
     y = mp.im(c) / mp.im(theta)
     x = mp.re(c) - y * mp.re(theta)
     for den in range(1, den_max + 1):
         m = int(mp.nint(x * den))
         n = int(mp.nint(y * den))
-        cand = (m + n * theta) / den
-        if abs(c - cand) < tol:
-            return (m, n, den)
+        err = abs(c - (m + n * theta) / den)
+        if err < tol:
+            return (m, n, den), err
     return None
 
 
@@ -571,13 +573,13 @@ def _recognize(coeffs, field: Field, ctx: PrecisionContext, den_max: int, tol) -
     recognized = []
     worst = mp.mpf(0)
     for c in coeffs[:-1]:
-        rec = _recognize_coeff(c, theta, den_max, tol)
-        recognized.append(rec)
-        if rec is None:
+        hit = _recognize_coeff(c, theta, den_max, tol)
+        if hit is None:
+            recognized.append(None)
             worst = mp.inf
         else:
-            m, n, den = rec
-            worst = max(worst, abs(c - (m + n * theta) / den))
+            recognized.append(hit[0])
+            worst = max(worst, hit[1])
     recognized.append((1, 0, 1))
     return Polynomial(tuple(coeffs), tuple(recognized), worst)
 

@@ -6,6 +6,7 @@ import pytest
 from rayclass import (
     NotFundamental,
     NotImaginary,
+    PrecisionContext,
     ReducedForm,
     UnsupportedDiscriminant,
     beta_lift,
@@ -19,6 +20,7 @@ from rayclass import (
     reduced_forms,
     splitting,
 )
+from rayclass import classfield
 from rayclass.classfield import mat_det
 
 
@@ -140,6 +142,23 @@ def test_cm_point_examples(ctx256):
     for d in (-39, -84, -163):
         for q in reduced_forms(d):
             assert (-d) >= 3 * q.a * q.a  # Im = sqrt(-d)/(2a) >= sqrt(3)/2
+
+
+def test_cm_points_take_sqrt_once_per_discriminant_and_precision():
+    """Every form of -1999 at 1536 bits reads one sqrt(1999), and each point
+    is bit for bit (-b + sqrt(1999) i) / (2a) at that precision."""
+    import mpmath as mp
+
+    ctx = PrecisionContext(1536, "1e-400")
+    classfield._sqrt_abs.cache_clear()
+    for q in reduced_forms(-1999):
+        z = cm_point(q, -1999).to_mpc(ctx)
+        with ctx.work():
+            direct = (mp.mpf(-q.b) + mp.sqrt(mp.mpf(1999)) * mp.mpc(0, 1)) / (2 * q.a)
+        assert z._mpc_ == direct._mpc_
+    assert classfield._sqrt_abs.cache_info().misses == 1
+    cm_point(reduced_forms(-1999)[0], -1999).to_mpc(PrecisionContext(256, "1e-40"))
+    assert classfield._sqrt_abs.cache_info().misses == 2
 
 
 # ---------------------------------------------------------- beta matrices ---

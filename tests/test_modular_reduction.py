@@ -20,6 +20,7 @@ from rayclass import (
     eta,
     j_invariant,
     siegel,
+    u_value,
     wp,
 )
 from rayclass.numerics import GUARD_BITS, MIN_IM, truncation_terms
@@ -130,12 +131,17 @@ def test_truncation_is_capped_by_the_domain():
 
 def test_carried_values_are_computed_once(point_value_runs):
     """At a point outside the domain, each per-point value runs once, on the
-    point itself, however often the evaluators ask for it."""
-    runs = {name: point_value_runs(name) for name in ("eisenstein", "eta", "delta")}
+    point itself, however often the evaluators ask for it; j and u run
+    neither the Eisenstein series nor delta."""
+    runs = {name: point_value_runs(name) for name in ("_thetas", "u", "eta", "delta")}
+    sums = point_value_runs("eisenstein")
     ctx = CTX["256"]
     pt = ModularPoint.from_complex(("0.1234", "0.3"), ctx)
     for _ in range(2):
         j_invariant(pt)
+        u_value(pt)
+    assert runs["delta"] == [] and sums == []
+    for _ in range(2):
         eta(pt)
         delta(pt)
     for seen in runs.values():

@@ -76,23 +76,26 @@ def test_modular_point_accepts_the_floor_itself(bits, eps):
 
 
 def test_per_point_values_are_computed_once(ctx256, point_value_runs):
+    thetas = point_value_runs("_thetas")
     sums = point_value_runs("eisenstein")
     etas = point_value_runs("eta")
     deltas = point_value_runs("delta")
+    us = point_value_runs("u")
     pt = _pt(0.1234, 1.3, ctx256)
     r = FractionPair.from_parts(0, 1, 8)
     coords = normalized(pt, r)
     j = j_invariant(pt)
-    assert u_value(pt) == coords.u
+    assert u_value(pt) is coords.u
     assert eisenstein(pt) is eisenstein(pt)
     assert eta(pt) is eta(pt) and delta(pt) is delta(pt)
-    assert [id(p) for p in sums] == [id(pt)]
-    assert [id(p) for p in etas] == [id(pt)]
-    assert [id(p) for p in deltas] == [id(pt)]
-    # a second point sums its own series
+    for seen in (thetas, sums, etas, deltas, us):
+        assert [id(p) for p in seen] == [id(pt)]
+    # a second point sums its own theta series, and j there runs neither
+    # the Eisenstein series nor delta
     other = _pt(0.1234, 1.31, ctx256)
     assert j_invariant(other) != j
-    assert len(sums) == 2
+    assert [id(p) for p in thetas] == [id(pt), id(other)]
+    assert len(sums) == len(deltas) == 1
 
 
 def test_fraction_pair_rejects_integral():

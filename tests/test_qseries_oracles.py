@@ -171,6 +171,45 @@ def test_fixed_point_kernels_match_reference_loops(name, tau, prec):
         assert matches_loop(kernel(pt), lambda k: loop(pt, k), tau[1], ctx)
 
 
+# Where the quotient of j and u is extreme: i/20, where (theta_3 theta_4)^8
+# is about 1e-42, and hcp's extreme CM points in d in [-2000, -7], the form
+# (1, 1, 500) of -1999 (Im tau 22.4, |q| about 1e-61 or 2^-203) and
+# (25, 24, 25) of -1924, the largest a (Im tau 0.877).
+J_U_EXTREMES = {
+    "i/20": lambda ctx: ModularPoint.from_complex((0, 0.05), ctx),
+    "1,1,-1999": lambda ctx: ModularPoint.from_quadratic(1, 1, -1999, ctx),
+    "25,24,-1924": lambda ctx: ModularPoint.from_quadratic(25, 24, -1924, ctx),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("where", sorted(J_U_EXTREMES))
+@pytest.mark.parametrize("name", ["j", "u"])
+def test_j_and_u_match_reference_loops_at_extremes(name, where, prec):
+    """j and u, one exact integer quotient of the theta sums and q, agree
+    with g2^3 / delta from the term-by-term loops (``matches_loop``), and
+    within 2^(10 - bits) relative of themselves at 2 bits + 64: no factor
+    loses relative bits where it is small."""
+    ctx = AGREEMENT_CTX[prec]
+    kernel, loop = AGREEMENT_CASES[name]
+    pt = J_U_EXTREMES[where](ctx)
+    ref = kernel(J_U_EXTREMES[where](PrecisionContext(2 * ctx.bits + 64, ctx.eps)))
+    with ctx.work():
+        assert matches_loop(kernel(pt), lambda k: loop(pt, k), pt.im, ctx)
+    with mp.workprec(2 * ctx.bits + 64):
+        assert abs(kernel(pt) - ref) <= mp.mpf(2) ** (10 - ctx.bits) * abs(ref)
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+def test_j_vanishes_at_zeta3(prec):
+    """At zeta_3 = (-1 + sqrt(-3))/2, E4 and so j vanish; the quotient
+    keeps j within 1e-30 of 0."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_quadratic(1, 1, -3, ctx)
+    with ctx.work():
+        assert abs(j_invariant(pt)) < mp.mpf("1e-30")
+
+
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
 @pytest.mark.parametrize("tau", AGREEMENT_TAUS + [(0, 0.05)], ids="{0[0]},{0[1]}".format)
 def test_eta24_is_delta_between_independent_sums(tau, prec):

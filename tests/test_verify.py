@@ -755,6 +755,38 @@ def test_hcp_minus23(ctx300):
     assert poly.residual < ctx300.mpf("1e-10")
 
 
+def _is_cube(n: int) -> bool:
+    lo, hi = 0, 1 << (abs(n).bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid ** 3 < abs(n) else (lo, mid)
+    return lo ** 3 == abs(n)
+
+
+@pytest.mark.parametrize("d", [-1679, -1799, -1895])
+def test_hcp_recognises_large_discriminants_at_1536_bits(d):
+    """At 1536 bits / 1e-400 every coefficient of H_d recognises as a
+    rational integer, and the constant term is a cube (3 does not divide
+    d, so it is N(gamma_2)^3)."""
+    f = make_field(d)
+    poly = hilbert_class_poly(f, PrecisionContext(1536, "1e-400"))
+    assert poly.degree == f.h and poly.all_recognized()
+    assert all(n == 0 and den == 1 for _, n, den in poly.recognized)
+    assert d % 3 and _is_cube(poly.recognized[0][0])
+
+
+def test_hcp_residual_is_the_largest_recognition_error(ctx300):
+    """The reported residual is max |c - (m + n theta)/den| over the
+    coefficients below the leading 1."""
+    f = make_field(-23)
+    poly = hilbert_class_poly(f, ctx300)
+    with ctx300.work():
+        theta = f.theta.to_mpc(ctx300)
+        errs = [abs(c - (m + n * theta) / den)
+                for c, (m, n, den) in zip(poly.coeffs[:-1], poly.recognized)]
+    assert poly.residual == max(errs)
+
+
 def test_hcp_degree_matches_h(ctx300):
     for d in (-7, -8, -11, -15, -19, -20, -23, -24, -31, -39, -40):
         f = make_field(d)
