@@ -220,7 +220,7 @@ class ModularPoint:
         return _fx_inv(self._euler_fx, self.width)
 
     @cached_property
-    def _thetas(self):
+    def _thetas(self) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
         """theta_3^4 + theta_4^4, (theta_3 theta_4)^2 and the four factors
         of E^12 at width W (``_theta_sums``)."""
         return _theta_sums(self.qfx, self.width)
