@@ -17,8 +17,8 @@ from rayclass import (
     eta,
     j_invariant,
     siegel,
-    siegel_order,
 )
+from rayclass.qseries import siegel_order
 
 ctx = PrecisionContext(bits=256, eps="1e-40")
 

@@ -9,12 +9,14 @@ class degree.
 import mpmath as mp
 
 from rayclass import (
+    FractionPair,
+    ModularPoint,
     PrecisionContext,
     conjugate_values,
     make_field,
     minpoly,
     ray_class_degree,
-    siegel_ramachandra_unit,
+    siegel,
     w_group,
 )
 
@@ -42,8 +44,10 @@ with ctx.work():
         print(f"   X^{k}: {mp.nstr(c, 12)}")
 
 print("\n== unit-class invariant ==")
+q = f.principal
+pt = ModularPoint.from_quadratic(q.a, q.b, f.d, ctx)
 with ctx.work():
-    unit = siegel_ramachandra_unit(f, n, ctx)
+    unit = siegel(FractionPair.from_parts(0, 1, n), pt) ** (12 * n)
     print("   g_f(C0) =", mp.nstr(unit, 15))
 
 print("\n== a bigger orbit: d_K = -39, N = 8, (x, y) pairs ==")

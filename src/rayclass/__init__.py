@@ -6,25 +6,18 @@ Siegel functions, Weierstrass wp), enumerates reduced quadratic forms and
 explicit Galois conjugation labels for ray class fields, and ships a
 verification harness that checks the underlying identities, inequalities and
 generation statements numerically at controlled precision.
+
+``__all__`` is the public surface (README, "Public API").  Everything else
+lives in the submodules, which stay attributes of the package.
 """
 
 __version__ = "0.1.0"
 
 from .classfield import (
-    CMPoint,
-    Field,
-    IdealFactor,
-    ReducedForm,
-    beta_lift,
-    beta_matrices,
     check_hypothesis,
-    cm_point,
     ideal_factorization,
-    is_fundamental,
     make_field,
     ray_class_degree,
-    reduced_forms,
-    splitting,
 )
 from .errors import (
     DegenerateIndex,
@@ -41,19 +34,16 @@ from .errors import (
     RayclassError,
     UnsupportedDiscriminant,
 )
-from .numerics import PrecisionContext, truncation_terms
+from .numerics import PrecisionContext
 from .qseries import (
-    CurveCoords,
     FractionPair,
     ModularPoint,
-    bernoulli2,
     delta,
     eisenstein,
     eta,
     j_invariant,
     normalized,
     siegel,
-    siegel_order,
     u_value,
     v_value,
     wp,
@@ -61,19 +51,9 @@ from .qseries import (
     x_value,
     y_value,
 )
-from .reciprocity import (
-    DESCRIPTORS,
-    GaloisLabel,
-    WElement,
-    act_index,
-    conjugate_values,
-    labels,
-    siegel_ramachandra_unit,
-    w_group,
-)
+from .reciprocity import conjugate_values, w_group
 from .verify import (
     CheckReport,
-    Polynomial,
     check_T_bound,
     check_curve_point,
     check_elliptic_points,
@@ -81,8 +61,25 @@ from .verify import (
     check_lemma51,
     check_lemma52,
     check_surface_point,
-    elliptic4_points,
     hilbert_class_poly,
     minpoly,
-    t_majorant,
 )
+
+__all__ = [
+    # points, indices and precision
+    "PrecisionContext", "ModularPoint", "FractionPair",
+    # evaluators at a point
+    "eta", "eisenstein", "delta", "j_invariant", "siegel", "wp", "wp_prime",
+    "u_value", "v_value", "x_value", "y_value", "normalized",
+    # class field data and Galois orbits
+    "make_field", "ray_class_degree", "ideal_factorization", "check_hypothesis",
+    "w_group", "conjugate_values", "minpoly", "hilbert_class_poly",
+    # checks
+    "CheckReport", "check_curve_point", "check_surface_point", "check_lemma51",
+    "check_lemma52", "check_T_bound", "check_generation", "check_elliptic_points",
+    # errors
+    "RayclassError", "InputError", "NotFundamental", "NotImaginary",
+    "UnsupportedDiscriminant", "DegenerateIndex", "NonInvertible",
+    "NumericalError", "NearZero", "ImTooSmall", "OnLattice", "NonFinite",
+    "DuplicateValues",
+]

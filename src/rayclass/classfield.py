@@ -22,16 +22,12 @@ from .numerics import PrecisionContext
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
 
-def mat_mod(m: Mat, n: int) -> Mat:
-    return tuple(tuple(e % n for e in row) for row in m)
-
-
 def mat_mul(a: Mat, b: Mat, n: int | None = None) -> Mat:
     c = (
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
         (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
-    return mat_mod(c, n) if n else c
+    return tuple(tuple(e % n for e in row) for row in c) if n else c
 
 
 def mat_det(m: Mat) -> int:
@@ -304,7 +300,7 @@ def check_hypothesis(field: Field, n: int) -> HypothesisReport:
     return HypothesisReport(ok, lhs, tuple(subs), tuple(factors), alt_ok, alt_sum)
 
 
-def beta_matrices(q: ReducedForm, d: int, primes: list[int]) -> dict[int, Mat]:
+def _beta_matrices(q: ReducedForm, d: int, primes: list[int]) -> dict[int, Mat]:
     """Per-prime matrices encoding the form's class, by the three-case rule.
 
     The b/2-type entries are exact: b = d mod 2, so with B = d mod 2 both
@@ -345,7 +341,7 @@ def beta_lift(q: ReducedForm, d: int, n: int) -> Mat:
     pf = _prime_factors(n)
     primes = [p for p, _ in pf]
     moduli = [p**e for p, e in pf]
-    per_p = beta_matrices(q, d, primes)
+    per_p = _beta_matrices(q, d, primes)
     rows = []
     for i in range(2):
         row = []

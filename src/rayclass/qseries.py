@@ -602,12 +602,6 @@ class _LevelTable:
         return _fx_mul(self.q(6 * s * s - 6 * s * n + n * n), (br, -bi), self.zwidth)
 
 
-def bernoulli2(x) -> Fraction:
-    """Second Bernoulli polynomial X^2 - X + 1/6, exact."""
-    x = Fraction(x)
-    return x * x - x + Fraction(1, 6)
-
-
 def eta(pt: ModularPoint) -> mp.mpc:
     """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
     Computed once per point."""
@@ -762,8 +756,9 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
 
 
 def siegel_order(r: FractionPair) -> Fraction:
-    """q-order of g_r: (1/2) B2(<r1>), exact."""
-    return bernoulli2(Fraction(r.p1 % r.level, r.level)) / 2
+    """q-order of g_r: (1/2) B2(<r1>), B2(x) = x^2 - x + 1/6, exact."""
+    x = Fraction(r.p1 % r.level, r.level)
+    return (x * x - x + Fraction(1, 6)) / 2
 
 
 def _reduce_mod_lattice(z: mp.mpc, pt: ModularPoint) -> tuple[mp.mpf, mp.mpf]:

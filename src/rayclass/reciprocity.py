@@ -14,26 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
-from .classfield import (
-    Field,
-    Mat,
-    ReducedForm,
-    beta_lift,
-    mat_det,
-    mat_mul,
-    ray_class_degree,
-)
+from .classfield import Field, Mat, ReducedForm, beta_lift, mat_mul, ray_class_degree
 from .errors import UnsupportedDiscriminant
 from .numerics import PrecisionContext
-from .qseries import (
-    FractionPair,
-    ModularPoint,
-    siegel,
-    x_value,
-    y_quotient,
-)
+from .qseries import FractionPair, ModularPoint, x_value, y_quotient
 
 DESCRIPTORS = ("y12N", "y4", "x", "pair")
 
@@ -56,14 +40,6 @@ class WElement:
             t, s = (-t) % n, (-s) % n
         m = (((t - b * s) % n, (-c * s) % n), (s, t))
         return cls(t, s, n, m)
-
-    @property
-    def det(self) -> int:
-        return mat_det(self.matrix) % self.n
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.t, self.s) == (1, 0)
 
 
 def w_group(field: Field, n: int) -> list[WElement]:
@@ -174,17 +150,3 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     expected = ray_class_degree(field, n)
     assert len(out) == expected, f"orbit size {len(out)} != degree {expected}"
     return out
-
-
-def siegel_ramachandra_unit(field: Field, n: int, ctx: PrecisionContext) -> mp.mpc:
-    """Unit-class invariant g_{(0,1/N)}(theta)^{12N} for f = N*O_K.
-
-    Other classes follow from conjugate_values; the invariant transforms by
-    the Artin map under label composition.
-    """
-    if n < 2:
-        raise ValueError("level must be >= 2")
-    q = field.principal
-    pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
-    with ctx.work():
-        return siegel(FractionPair.from_parts(0, 1, n), pt) ** (12 * n)

@@ -30,6 +30,8 @@ from .qseries import (
     j_invariant,
     normalized,
     siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
+    v_value,
+    x_value,
     y_value,
 )
 from .reciprocity import conjugate_values
@@ -42,13 +44,12 @@ GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
 class CheckReport:
     """Outcome of one named check.
 
-    Invariant: passed iff every residual < tolerance.
+    Invariant: passed iff every residual < 0.
     """
 
     name: str
     inputs: dict
     residuals: dict
-    tolerance: float
     passed: bool
     elapsed: float
     details: dict = dc_field(default_factory=dict)
@@ -60,7 +61,6 @@ def _finish(name, inputs, residuals, t0, details=None) -> CheckReport:
         name=name,
         inputs=inputs,
         residuals=residuals,
-        tolerance=0.0,
         passed=passed,
         elapsed=time.perf_counter() - t0,
         details=details or {},
@@ -106,16 +106,17 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
 
     (Z^2 + 27 V^2) V^3 Y^2 = 4 X^3 Z^4 - (Z^2+27V^2) V^2 X Z^2 - (Z^2+27V^2) V^4 Z
 
-    for any tau in H (identity in tau); requires 4 | N.
+    for any tau in H (identity in tau); requires 4 | N.  u is not part of
+    it, so v, x and y are evaluated alone.
     """
     t0 = time.perf_counter()
     if n % 4:
         raise ValueError("surface membership needs 4 | N")
     tol = ctx.eps if tol is None else ctx.mpf(tol)
     pt = ModularPoint.from_complex(tau, ctx)
+    r = FractionPair.from_parts(0, 1, n)
     with ctx.work():
-        u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
-        res = _surface_residual(v, x, y, mp.mpc(1))
+        res = _surface_residual(v_value(pt), x_value(pt, r), y_value(pt, r), mp.mpc(1))
         return _finish(
             "surface_point",
             {"tau": mp.nstr(pt.tau, 17), "level": n},
@@ -231,17 +232,20 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     )
 
 
-def _t_value(n: int, s: int, t: int, theta_q, ctx) -> mp.mpf:
-    """T(N,s,t) = |(1-z)^4/(1-z^2)| * |1-w^2|/|1-w|^4, z = zeta_N,
-    w = exp(2 pi i (s theta_Q + t)/N)."""
+def _zeta_factor(n: int) -> mp.mpf:
+    """|(1-z)^4/(1-z^2)|, z = zeta_N: the factor of T(N,s,t) set by N alone."""
     z = mp.exp(2j * mp.pi / n)
+    return abs((1 - z) ** 4 / (1 - z * z))
+
+
+def _t_value(n: int, s: int, t: int, theta_q, f1) -> mp.mpf:
+    """T(N,s,t) = f1 * |1-w^2|/|1-w|^4, f1 = ``_zeta_factor(n)``,
+    w = exp(2 pi i (s theta_Q + t)/N)."""
     w = mp.exp(2j * mp.pi * (s * theta_q + t) / n)
-    f1 = abs((1 - z) ** 4 / (1 - z * z))
-    f2 = abs(1 - w * w) / abs(1 - w) ** 4
-    return f1 * f2
+    return f1 * (abs(1 - w * w) / abs(1 - w) ** 4)
 
 
-def t_majorant(n: int, ctx: PrecisionContext) -> mp.mpf:
+def _t_majorant(n: int, ctx: PrecisionContext) -> mp.mpf:
     """4 sin^3(pi/N)/cos(pi/N) * (1+E)/(1-E)^3 with E = exp(-pi sqrt(3)/N)."""
     with ctx.work():
         e = mp.exp(-mp.pi * mp.sqrt(3) / n)
@@ -261,6 +265,7 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
         max_s0 = -mp.inf
         max_s1 = -mp.inf
         count = 0
+        f1 = _zeta_factor(n)
         forms = [q for q in field.forms if q.a >= 2]
         for q in forms:
             theta_q = cm_point(q, field.d).to_mpc(ctx)
@@ -268,14 +273,14 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
                 for t in range(n):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
-                    val = _t_value(n, s, t, theta_q, ctx)
+                    val = _t_value(n, s, t, theta_q, f1)
                     count += 1
                     if s == 0:
                         max_s0 = max(max_s0, val)
                     else:
                         max_s1 = max(max_s1, val)
         lo, hi = majorant_range
-        max_maj = max(t_majorant(m, ctx) for m in range(lo, hi + 1))
+        max_maj = max(_t_majorant(m, ctx) for m in range(lo, hi + 1))
         residuals = {
             "s_zero_minus_1": (max_s0 - 1 - slack) if count else mp.mpf(-1),
             "s_nonzero_minus_3.05": (max_s1 - mp.mpf("3.05")) if count else mp.mpf(-1),
@@ -458,7 +463,7 @@ ELLIPTIC4_TRANSFORMS = (
 )
 
 
-def elliptic4_points(ctx: PrecisionContext) -> list[mp.mpc]:
+def _elliptic4_points(ctx: PrecisionContext) -> list[mp.mpc]:
     with ctx.work():
         zt3 = mp.exp(2j * mp.pi / 3)
         zt4 = mp.mpc(0, 1)
@@ -476,7 +481,7 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
     with ctx.work():
         values = [
             y_value(ModularPoint.from_complex(tau, ctx), r)
-            for tau in elliptic4_points(ctx)
+            for tau in _elliptic4_points(ctx)
         ]
         dmin, at, threshold = _distinctness(values, ctx)
         residual = threshold - dmin
@@ -506,15 +511,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def all_recognized(self) -> bool:
-        return all(r is not None for r in self.recognized)
 
 
 def _recognize_coeff(c, theta, den_max: int, tol):

@@ -40,7 +40,7 @@ from rayclass.qseries import (
     FractionPair,
     ModularPoint,
     _reduce_mod_lattice,
-    bernoulli2,
+    siegel_order,
     y_value,
 )
 from rayclass.verify import _pair_distance
@@ -175,7 +175,7 @@ def siegel_loop(r, pt, scale=1) -> mp.mpc:
         for _ in range(m):
             qn *= q
             core *= (1 - qn * w) * (1 - qn * winv)
-        e = bernoulli2(a1) / 2
+        e = siegel_order(r)
         qpow = mp.exp(2j * mp.pi * pt.tau * mp.mpf(e.numerator) / e.denominator)
         val = -qpow * _phase(a2 * (a1 - 1)) * core
         if (s1, s2) != (0, 0):

@@ -7,21 +7,23 @@ from rayclass import (
     NotFundamental,
     NotImaginary,
     PrecisionContext,
-    ReducedForm,
     UnsupportedDiscriminant,
-    beta_lift,
-    beta_matrices,
     check_hypothesis,
-    cm_point,
     ideal_factorization,
-    is_fundamental,
     make_field,
     ray_class_degree,
+)
+from rayclass import classfield
+from rayclass.classfield import (
+    ReducedForm,
+    _beta_matrices,
+    beta_lift,
+    cm_point,
+    is_fundamental,
+    mat_det,
     reduced_forms,
     splitting,
 )
-from rayclass import classfield
-from rayclass.classfield import mat_det
 
 
 def fundamental_discs(lo, hi):
@@ -165,15 +167,15 @@ def test_cm_points_take_sqrt_once_per_discriminant_and_precision():
 
 def test_beta_matrices_cases():
     # p not dividing a: ((a, (b-1)/2), (0, 1)) for odd discriminants
-    m = beta_matrices(ReducedForm(1, 1, 10), -39, [3])[3]
+    m = _beta_matrices(ReducedForm(1, 1, 10), -39, [3])[3]
     assert m == ((1, 0), (0, 1))
     # p | a, p not | c
-    m = beta_matrices(ReducedForm(2, 1, 5), -39, [2])[2]
+    m = _beta_matrices(ReducedForm(2, 1, 5), -39, [2])[2]
     assert m == ((-1, -5), (1, 0))
     # even discriminant, p | a and p | c
-    m = beta_matrices(ReducedForm(2, 0, 7), -56, [7])[7]
+    m = _beta_matrices(ReducedForm(2, 0, 7), -56, [7])[7]
     assert m == ((2, 0), (0, 1))
-    m2 = beta_matrices(ReducedForm(2, 0, 7), -56, [2])[2]
+    m2 = _beta_matrices(ReducedForm(2, 0, 7), -56, [2])[2]
     assert m2 == ((0, -7), (1, 0))
     # third case needs p | a and p | c: (3, 0, c) with 3 | c, d = -4*3*c
     # d = -84: forms include (3, 0, 7); p = 3 divides a but not c -> case 2;
@@ -181,7 +183,7 @@ def test_beta_matrices_cases():
     # construct case 3 via (2, 0, 4): not primitive; use d=-4, Q=(1,0,1), p=2:
     # p | a fails (a=1). Take d=-24, Q=(2,0,3), p=2: c odd. Case 3 arises for
     # p dividing gcd(a, c), e.g. d=-36 is not fundamental; use the raw rule:
-    m3 = beta_matrices(ReducedForm(2, 0, 2), -16, [2])[2]
+    m3 = _beta_matrices(ReducedForm(2, 0, 2), -16, [2])[2]
     assert m3 == ((-2, -2), (1, -1))
 
 
@@ -192,7 +194,7 @@ def test_beta_lift_examples():
     # composite level: residues agree with the per-prime matrices
     q = ReducedForm(2, 1, 5)
     lift = beta_lift(q, -39, 12)
-    per = beta_matrices(q, -39, [2, 3])
+    per = _beta_matrices(q, -39, [2, 3])
     for i in range(2):
         for jj in range(2):
             assert lift[i][jj] % 4 == per[2][i][jj] % 4

@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from rayclass import (
-    CMPoint,
     FractionPair,
     ModularPoint,
     PrecisionContext,
@@ -23,6 +22,7 @@ from rayclass import (
     u_value,
     wp,
 )
+from rayclass.classfield import CMPoint
 from rayclass.numerics import GUARD_BITS, MIN_IM, truncation_terms
 
 from oracles import (

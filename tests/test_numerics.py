@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import pytest
 
-from rayclass import ImTooSmall, PrecisionContext, truncation_terms
+from rayclass import ImTooSmall, PrecisionContext
+from rayclass.numerics import truncation_terms
 
 
 def test_truncation_closed_form_example():

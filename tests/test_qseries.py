@@ -7,7 +7,6 @@ import mpmath as mp
 import pytest
 
 from rayclass import (
-    CurveCoords,
     DegenerateIndex,
     FractionPair,
     ImTooSmall,
@@ -15,7 +14,6 @@ from rayclass import (
     NearZero,
     OnLattice,
     PrecisionContext,
-    bernoulli2,
     conjugate_values,
     delta,
     eisenstein,
@@ -24,7 +22,6 @@ from rayclass import (
     make_field,
     normalized,
     siegel,
-    siegel_order,
     u_value,
     v_value,
     wp,
@@ -34,7 +31,7 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.qseries import _unit_root_fx, y_quotient
+from rayclass.qseries import CurveCoords, _unit_root_fx, siegel_order, y_quotient
 
 from oracles import agrees, eisenstein_loop, guarded_quotient
 
@@ -326,15 +323,6 @@ def test_j_modular_invariance(ctx256):
         assert abs(a - c) < ctx256.eps * max(1, abs(a))
 
 
-# ------------------------------------------------------------ bernoulli2 ---
-
-def test_bernoulli2_values():
-    assert bernoulli2(0) == F(1, 6)
-    assert bernoulli2(F(1, 2)) == F(-1, 12)
-    for x in (F(1, 3), F(2, 7), F(-5, 4)):
-        assert bernoulli2(x) == bernoulli2(1 - x)
-
-
 # ---------------------------------------------------------------- siegel ---
 
 def test_siegel_transformation_laws(ctx256):
@@ -615,6 +603,8 @@ def test_level_table_fills_only_what_a_key_needs(ctx256):
 def test_siegel_order_examples():
     assert siegel_order(FractionPair.from_parts(0, 1, 7)) == F(1, 12)
     assert siegel_order(FractionPair(F(1, 2), F(1, 3))) == F(-1, 24)
+    for x in (F(1, 3), F(2, 7), F(-5, 4)):  # B2(<x>) = B2(<1 - x>)
+        assert siegel_order(FractionPair(x, 0)) == siegel_order(FractionPair(1 - x, 0))
 
 
 def test_siegel_order_matches_decay(ctx256):

@@ -19,7 +19,6 @@ from rayclass import (
     FractionPair,
     ModularPoint,
     PrecisionContext,
-    act_index,
     conjugate_values,
     delta,
     eisenstein,
@@ -33,6 +32,7 @@ from rayclass import (
     x_value,
     y_value,
 )
+from rayclass.reciprocity import act_index
 
 from oracles import (
     agrees,
