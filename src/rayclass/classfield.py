@@ -149,13 +149,13 @@ class Field:
 
 
 def make_field(d: int) -> Field:
-    """Validate d and assemble theta data, reduced forms and h."""
-    _validate_disc(d)
+    """Validate d (``reduced_forms``) and assemble theta data, reduced forms
+    and h."""
+    forms = tuple(reduced_forms(d))
     if d % 4 == 0:
         b, c = 0, -d // 4
     else:
         b, c = 1, (1 - d) // 4
-    forms = tuple(reduced_forms(d))
     assert forms[0].a == 1, "principal form must come first"
     return Field(d, b, c, forms)
 

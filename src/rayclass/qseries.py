@@ -69,7 +69,8 @@ Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
 w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
 exp(pi*i*t*(s-N)/N^2).  With L = 12 N^2 each is an integer
 power, of exponent at most L, of rho = q^(1/L) or xi = exp(2*pi*i/L).  The
-point keeps one table per N: the two exponentials, computed once, and the
+point keeps one table per N (``_LevelTable``), the home of everything keyed
+by a reduced index of level N: the two exponentials, computed once, and the
 powers asked for so far, made by binary powering from squares that are
 themselves made only as far as an exponent needs them (one key costs
 O(log N) products, never O(N)).  Powers of xi are held at width
@@ -82,18 +83,20 @@ from inputs within one unit.  The prefactor has modulus
 keep its relative error below 2^-W too (a negative exponent is the
 reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
 exact integer product of the loop result at W and the prefactor at W_rho.
+The table also decides once whether its level keeps every index off the
+lattice (``off_lattice``, ``wp``).  It holds no reference to the point:
+its methods take the point as an argument, so no cycle outlives a point.
 
-Siegel memo and y.  Two memos on the point are keyed by the reduced index
-(N, s, t).  The first keeps ``_triple``'s (Ev, Od) at w and q/w from the
-level-N table, so the Siegel product and ``wp`` at an index share one sum.
-The second keeps the Siegel product unrounded, and ``siegel`` rounds it to
-``bits``; at a shifted index it first cuts the entry to W significant bits
-and applies the shift root of unity and the sign as one power of xi
-(``_rotate``).
-``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts both entries and
-g_r^4 (two exact squarings) to W significant bits, applies the shift roots
-of unity and the sign the same way and divides in exact integers
-(``_quotient``), rounding once to ``bits``.
+Siegel memo and y.  The level-N table keeps two memos keyed by the reduced
+index (s, t).  The first keeps ``_triple``'s (Ev, Od) at w and q/w, so the
+Siegel product and ``wp`` at an index share one sum.  The second keeps the
+Siegel product, cut once to W significant bits.  ``siegel`` applies the
+shift root of unity and the sign as one power of xi (``rotate``; nothing at
+a reduced index) and rounds to ``bits``.
+``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts g_r^4 (two exact
+squarings) to W significant bits, applies the shift roots of unity and the
+sign the same way and divides in exact integers (``_quotient``), rounding
+once to ``bits``.
 
 u and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
 quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
@@ -138,20 +141,18 @@ class ModularPoint:
       evaluators of the same names return, and ``u``, which ``u_value``
       returns (the exact integer quotient of the module docstring, with no
       g2 or delta);
-    * ``qfx``, q in fixed point; ``euler``, the Euler product (eta) and its
-      reciprocal (Siegel values); ``_thetas``, the theta constants of g2,
-      g3 and wp and the four factors of E^12, which ``delta`` multiplies
-      out in mpmath and ``u`` in exact integers; ``_e4``, E4 in fixed
-      point with the two squares E6 reuses; ``_triples``, the
-      triple-product halves (Ev, Od) keyed (N, s, t) by reduced index
-      (s/N, t/N), which the Siegel product and ``wp`` at an index read;
-      ``_siegel``, the
-      unrounded Siegel products (re, im, w) under the same keys, which
-      ``siegel`` rounds and ``y_quotient`` divides; ``_tables``, the
-      level-N tables, filled lazily with the powers of q^(1/(12 N^2)) and
-      exp(2*pi*i/(12 N^2)) their keys need (module docstring);
-      ``_x_factor``, g2 g3 / delta for ``x``; ``_lattice_clearance``, the
-      bound of wp's level guard.
+    * ``qfx``, q in fixed point; ``_euler_fx``, the Euler product (eta),
+      and ``_euler_inv``, its reciprocal (Siegel values); ``_thetas``, the
+      theta constants of g2, g3 and wp and the four factors of E^12, which
+      ``delta`` multiplies out in mpmath and ``u`` in exact integers;
+      ``_e4``, E4 in fixed point with the two squares E6 reuses;
+      ``_x_factor``, g2 g3 / delta for ``x``; ``_tables``, one
+      ``_LevelTable`` per level N, which keeps all data keyed by a reduced
+      index (s/N, t/N): the powers of q^(1/(12 N^2)) and
+      exp(2*pi*i/(12 N^2)) its keys need, the triple-product halves
+      (Ev, Od) that the Siegel product and ``wp`` read, the Siegel products
+      at W significant bits that ``siegel`` rounds and ``y_quotient``
+      divides, and wp's level guard (module docstring).
 
     No curve constant takes a guard: each divides by delta or eta^12, an
     exact exponential q or q^(1/2) times a power of E, which is bounded
@@ -209,14 +210,8 @@ class ModularPoint:
         return _pentagonal(self.qfx, self.width)
 
     @cached_property
-    def euler(self) -> mp.mpc:
-        """The Euler product, rounded to ``bits``."""
-        with self.ctx.work():
-            return _mpc(*self._euler_fx, self.width)
-
-    @cached_property
     def _euler_inv(self) -> tuple[int, int]:
-        """1 / prod_{n>=1} (1 - q^n) at width W (``_siegel_reduced``)."""
+        """1 / prod_{n>=1} (1 - q^n) at width W (``_LevelTable.siegel``)."""
         return _fx_inv(self._euler_fx, self.width)
 
     @cached_property
@@ -230,7 +225,8 @@ class ModularPoint:
         """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
         bits = self.ctx.bits
         with self.ctx.work():
-            return _eta_prefactor(bits) * _exp_tau(self.tau, 24, bits) * self.euler
+            return (_eta_prefactor(bits) * _exp_tau(self.tau, 24, bits)
+                    * _mpc(*self._euler_fx, self.width))
 
     @cached_property
     def delta(self) -> mp.mpc:
@@ -297,21 +293,6 @@ class ModularPoint:
         with self.ctx.work():
             g2, g3 = self.eisenstein
             return g2 * g3 / self.delta
-
-    @cached_property
-    def _lattice_clearance(self) -> mp.mpf:
-        """(1 - 2^-18) min(1, Im tau)^2: at an index of level n with n^2 eps
-        below it, ``wp`` skips the floating-point lattice test."""
-        with self.ctx.work():
-            return _LEVEL_CLEARS_LATTICE * min(1, self.im) ** 2
-
-    @cached_property
-    def _siegel(self) -> dict:
-        return {}
-
-    @cached_property
-    def _triples(self) -> dict:
-        return {}
 
     @cached_property
     def _tables(self) -> dict:
@@ -571,11 +552,20 @@ class _Powers:
         return val
 
 
+# A nonzero vector m*tau + k of [tau, 1] has length >= Im tau when m != 0
+# and >= 1 when m = 0, so an index of level n lies >= min(1, Im tau)/n from
+# the lattice and clears sqrt(eps) whenever n^2 eps < min(1, Im tau)^2.  The
+# factor 1 - 2^-18 leaves the floating-point test room for its rounding.
+_LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
+
+
 class _LevelTable:
-    """Powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, at one
-    point: every fractional power of q and root of unity that a Siegel value
-    or wp at an index (s/N, t/N) needs.  Widths and error budget are in the
-    module docstring."""
+    """Everything at one point keyed by a reduced index (s/N, t/N) of level
+    N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, the
+    (Ev, Od) and Siegel memos, and ``off_lattice``, true when every index of
+    level N clears the lattice by the level alone (``wp``).  Widths and error
+    budget are in the module docstring.  The table keeps no reference to its
+    point, so a point is freed as soon as it is dropped; methods take it."""
 
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
@@ -586,6 +576,10 @@ class _LevelTable:
         rho = _exp_tau(pt.tau, level, self.qwidth + 4)
         self.q = _Powers(_fx(rho, self.qwidth), self.qwidth)
         self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
+        with pt.ctx.work():
+            self.off_lattice = n * n * pt.ctx.eps < _LEVEL_CLEARS_LATTICE * min(1, pt.im) ** 2
+        self.triples = {}
+        self.siegels = {}
 
     def w_terms(self, s: int, t: int):
         """(w, q/w) at width W, w = q^(s/N) zeta_N^t =
@@ -600,6 +594,38 @@ class _LevelTable:
         n = self.n
         br, bi = self.z(6 * t * (n - s))
         return _fx_mul(self.q(6 * s * s - 6 * s * n + n * n), (br, -bi), self.zwidth)
+
+    def triple(self, pt: ModularPoint, s: int, t: int
+               ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(Ev, Od) at (s/N, t/N): ``_triple`` at w and q/w, summed on first
+        use."""
+        val = self.triples.get((s, t))
+        if val is None:
+            val = self.triples[s, t] = _triple(pt.qfx, *self.w_terms(s, t), pt.width)
+        return val
+
+    def siegel(self, pt: ModularPoint, s: int, t: int) -> tuple[int, int, int]:
+        """g_{(a1,a2)}(tau) at (a1, a2) = (s/N, t/N) in [0,1)^2:
+        -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau + a2)),
+        with P(w) = (Ev - Od) / E (``triple``), 1/E from the point.  Made on
+        first use as (re, im, w) standing for (re + i*im) * 2^-w: the exact
+        product of loop result and prefactor, cut once to W significant bits."""
+        val = self.siegels.get((s, t))
+        if val is None:
+            wd = pt.width
+            (er, ei), (odr, odi) = self.triple(pt, s, t)
+            cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
+            pr, pi_ = self.prefactor(s, t)
+            val = self.siegels[s, t] = _cut_bits(
+                pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + self.qwidth, wd)
+        return val
+
+    def rotate(self, z: tuple[int, int], e: int) -> tuple[int, int]:
+        """z exp(pi*i*e/N), 0 <= e < 2N, at z's width: a sign, or xi^(6Ne)."""
+        n = self.n
+        if e % n:
+            return _fx_mul(z, self.z(6 * n * e), self.zwidth)
+        return (-z[0], -z[1]) if e else z
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
@@ -632,55 +658,14 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
 
     The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
     (s1, s2) = divmod of the residues by the level N, once per point (the
-    memo entry of ``_siegel_fx``) and rounded; for shifted indices the entry
-    is first cut to W significant bits and multiplied by the exact
-    quasi-periodicity root of unity (-1)^(s1*s2+s1+s2) *
-    exp(pi*i*(s2*s - s1*t)/N) of the Klein form, from the level table
-    (``_cut_entry``, ``_rotate``).
+    memo entry of the level-N table, ``_LevelTable.siegel``), multiplied by
+    the exact quasi-periodicity root of unity (-1)^(s1*s2+s1+s2) *
+    exp(pi*i*(s2*s - s1*t)/N) of the Klein form, 1 at a reduced index
+    (``_cut_entry``, ``_LevelTable.rotate``), and rounded.
     """
-    n = r.level
-    if 0 <= r.p1 < n and 0 <= r.p2 < n:
-        re, im, w = _siegel_fx(pt, n, r.p1, r.p2)
-    else:
-        re, im, w, e = _cut_entry(pt, r)
-        re, im = _rotate(pt, n, (re, im), e)
+    re, im, w, e = _cut_entry(pt, r)
     with pt.ctx.work():
-        return _mpc(re, im, w)
-
-
-def _siegel_fx(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
-    """The memo entry (re, im, w) of the reduced index (s/n, t/n), made by
-    ``_siegel_reduced`` on first use."""
-    key = (n, s, t)
-    val = pt._siegel.get(key)
-    if val is None:
-        val = pt._siegel[key] = _siegel_reduced(pt, n, s, t)
-    return val
-
-
-def _triple_at(pt: ModularPoint, n: int, s: int, t: int
-               ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The memo entry (Ev, Od) of the reduced index (s/n, t/n): ``_triple``
-    at w and q/w from the point's level-n table, summed on first use."""
-    key = (n, s, t)
-    val = pt._triples.get(key)
-    if val is None:
-        val = pt._triples[key] = _triple(pt.qfx, *pt._table(n).w_terms(s, t), pt.width)
-    return val
-
-
-def _siegel_reduced(pt: ModularPoint, n: int, s: int, t: int) -> tuple[int, int, int]:
-    """g_{(a1,a2)}(tau) for a reduced index (a1, a2) = (s/n, t/n) in [0,1)^2
-    of level n: -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau
-    + a2)), with P(w) = (Ev - Od) / E (``_triple_at``); the prefactor comes
-    from the point's level-N table, 1/E from the point.  Unrounded:
-    (re + i*im) * 2^-w, the exact product of loop result and prefactor."""
-    tab = pt._table(n)
-    wd = pt.width
-    (er, ei), (odr, odi) = _triple_at(pt, n, s, t)
-    cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
-    pr, pi_ = tab.prefactor(s, t)
-    return pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + tab.qwidth
+        return _mpc(*pt._table(r.level).rotate((re, im), e), w)
 
 
 def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
@@ -717,22 +702,14 @@ def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int,
 
 
 def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
-    """(re, im, w, e): r's memo entry cut to W significant bits, and e mod 2n
-    for r's shift root of unity exp(pi*i*e/n) (``siegel``), n its level."""
+    """(re, im, w, e): the Siegel memo entry of r's reduced index, at W
+    significant bits, and e mod 2n for r's shift root of unity
+    exp(pi*i*e/n) (``siegel``), n its level."""
     n = r.level
     s1, s = divmod(r.p1, n)
     s2, t = divmod(r.p2, n)
-    re, im, w = _cut_bits(*_siegel_fx(pt, n, s, t), pt.width)
-    return re, im, w, (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2)) % (2 * n)
-
-
-def _rotate(pt: ModularPoint, n: int, z: tuple[int, int], e: int) -> tuple[int, int]:
-    """z exp(pi*i*e/n), 0 <= e < 2n, at z's width: a sign, or xi^(6ne) from
-    the level-n table, xi = exp(2*pi*i/(12 n^2))."""
-    if e % n:
-        tab = pt._table(n)
-        return _fx_mul(z, tab.z(6 * n * e), tab.zwidth)
-    return (-z[0], -z[1]) if e else z
+    return (*pt._table(n).siegel(pt, s, t),
+            (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2)) % (2 * n))
 
 
 def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
@@ -745,7 +722,7 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
     gr, gi, w, e = _cut_entry(pt, r)
     nr, ni, wn, ed = _cut_entry(pt, d)
     e = (ed * (n // nd) - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
-    nr, ni = _rotate(pt, n, (nr, ni), e)
+    nr, ni = pt._table(n).rotate((nr, ni), e)
     _, man, exp, _ = pt.ctx.eps._mpf_
     m4, k = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
     if (m4 < (man * man << k)) if k >= 0 else ((m4 << -k) < man * man):
@@ -778,13 +755,6 @@ def _check_off_lattice(pt: ModularPoint, y, x) -> None:
         raise OnLattice(f"z within {mp.nstr(dist, 5)} of the lattice")
 
 
-# A nonzero vector m*tau + k of [tau, 1] has length >= Im tau when m != 0
-# and >= 1 when m = 0, so an index of level n lies >= min(1, Im tau)/n from
-# the lattice and clears sqrt(eps) whenever n^2 eps < min(1, Im tau)^2.  The
-# factor 1 - 2^-18 leaves the floating-point test room for its rounding.
-_LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
-
-
 def wp(z, pt: ModularPoint) -> mp.mpc:
     """Weierstrass wp(z; [tau, 1]) = e1 - pi^2 (theta_3 theta_4)^2
     (P(-w)/P(w))^2 with w = exp(2*pi*i*z), as theta_2(pi z)/theta_1(pi z) =
@@ -794,24 +764,24 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     complex number, at distance >= sqrt(eps) from the lattice [tau, 1].  An
     index of level n lies at least min(1, Im tau)/n from it, so the
     floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
-    min(1, Im tau)^2; below, the level settles it.  For an index the reduced
-    coordinates are exact, and (Ev, Od) is the point's memo entry of the
-    reduced index (``_triple_at``), which the Siegel value there shares; for
-    a complex z, u = exp(2*pi*i*z) and q/u are computed from z, with the bits
-    of Re tau and of z's lattice coordinates as extra bits, and ``_triple``
-    runs on them.  The Euler product cancels from P(-w)/P(w) =
-    (Ev + Od)/(Ev - Od), which is divided in exact integers: near the
-    lattice Ev - Od is small, and a shift before the division would cut its
-    bits.
+    min(1, Im tau)^2; below, the level settles it (``_LevelTable``'s
+    ``off_lattice``).  For an index the reduced coordinates are exact, and
+    (Ev, Od) is the level-n table's memo entry (``_LevelTable.triple``),
+    which the Siegel value there shares; for a complex z, u = exp(2*pi*i*z)
+    and q/u are computed from z, with the bits of Re tau and of z's lattice
+    coordinates as extra bits, and ``_triple`` runs on them.  The Euler
+    product cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), which is divided
+    in exact integers: near the lattice Ev - Od is small, and a shift before
+    the division would cut its bits.
     """
     wd = pt.width
     with pt.ctx.work():
         if isinstance(z, FractionPair):
-            n = z.level
+            n, tab = z.level, pt._table(z.level)
             s, t = z.p1 % n, z.p2 % n
-            if n * n * pt.ctx.eps >= pt._lattice_clearance:
+            if not tab.off_lattice:
                 _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
-            (er, ei), (odr, odi) = _triple_at(pt, n, s, t)
+            (er, ei), (odr, odi) = tab.triple(pt, s, t)
         else:
             # |y| <= |z| / Im tau and |x| <= |z| + |y Re tau|: their bits
             z_bits = int(abs(z) / min(1, pt.im)).bit_length()

@@ -260,6 +260,9 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
     t0 = time.perf_counter()
     if n < 8:
         raise ValueError("bound stated for N >= 8")
+    lo, hi = majorant_range
+    if not 8 <= lo <= hi:
+        raise ValueError(f"majorant range [{lo}, {hi}] needs 8 <= lo <= hi")
     with ctx.work():
         slack = mp.mpf("1e-30")  # s=0, t=+-1 attains T = 1 exactly
         max_s0 = -mp.inf
@@ -279,7 +282,6 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
                         max_s0 = max(max_s0, val)
                     else:
                         max_s1 = max(max_s1, val)
-        lo, hi = majorant_range
         max_maj = max(_t_majorant(m, ctx) for m in range(lo, hi + 1))
         residuals = {
             "s_zero_minus_1": (max_s0 - 1 - slack) if count else mp.mpf(-1),

@@ -41,13 +41,15 @@ def point_value_runs(monkeypatch):
 @pytest.fixture
 def siegel_product_runs(monkeypatch):
     """A list that records (point, (N, s, t)) each time the Siegel q-product
-    runs on the reduced index (s/N, t/N) for the rest of the test."""
-    body = qseries._siegel_reduced
+    runs on the reduced index (s/N, t/N), a miss of the level-N table's
+    memo, for the rest of the test."""
+    body = qseries._LevelTable.siegel
     seen = []
 
-    def counted(pt, n, s, t):
-        seen.append((pt, (n, s, t)))
-        return body(pt, n, s, t)
+    def counted(tab, pt, s, t):
+        if (s, t) not in tab.siegels:
+            seen.append((pt, (tab.n, s, t)))
+        return body(tab, pt, s, t)
 
-    monkeypatch.setattr(qseries, "_siegel_reduced", counted)
+    monkeypatch.setattr(qseries._LevelTable, "siegel", counted)
     return seen

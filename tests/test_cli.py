@@ -423,6 +423,14 @@ def test_check_surface_passes(capsys):
     assert doc["level"] == 4
 
 
+def test_tbound_empty_majorant_range_exits_two(capsys):
+    code, out, err = run_cli(
+        ["check", "tbound", "--dk", "-39", "--level", "8", "--nmax", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "majorant range [8, 7] needs 8 <= lo <= hi"}
+
+
 def test_bad_eps_exit_two(capsys):
     code, _, err = run_cli(["--bits", "64", "--eps", "1e-40",
                             "field", "--dk", "-7"], capsys)

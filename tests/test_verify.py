@@ -303,6 +303,13 @@ def test_tbound_main(ctx256):
     assert rep.details["max_majorant"] < mp.mpf("3.05")
 
 
+@pytest.mark.parametrize("majorant_range", [(8, 7), (7, 200), (2, 2)])
+def test_tbound_rejects_a_majorant_range_outside_8_lo_hi(ctx256, majorant_range):
+    lo, hi = majorant_range
+    with pytest.raises(ValueError, match=rf"majorant range \[{lo}, {hi}\]"):
+        check_T_bound(8, make_field(-39), ctx256, majorant_range=majorant_range)
+
+
 def test_tbound_s0_closed_form(ctx256):
     """For s = 0 the T value reduces to the sine/cosine expression."""
     n = 8
