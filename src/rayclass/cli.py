@@ -60,6 +60,7 @@ from .verify import (
     check_surface_point,
     hilbert_class_poly,
     minpoly,
+    _recognition_tol,
 )
 
 EXIT_OK = 0
@@ -156,12 +157,15 @@ def _parse_r(s: str) -> FractionPair:
 
 
 def _check_recognition(args, ctx: PrecisionContext) -> None:
-    """Reject --den-max and --recog-tol values under which no coefficient,
-    or every coefficient, would count as recognized."""
-    if args.den_max < 1:
-        raise InputError(f"--den-max must be >= 1, got {args.den_max}")
-    if not _parse_real(args.recog_tol, "--recog-tol", ctx) > 0:
-        raise InputError(f"--recog-tol must be positive, got {args.recog_tol!r}")
+    """Reject, before any series is summed, --den-max and --recog-tol values
+    under which no coefficient could count as recognized or two candidates
+    could not be told apart (``verify._recognition_tol``)."""
+    tol = _parse_real(args.recog_tol, "--recog-tol", ctx)
+    try:
+        _recognition_tol(args.den_max, tol, ctx)
+    except ValueError as exc:
+        raise InputError(f"--den-max {args.den_max}, --recog-tol "
+                         f"{args.recog_tol}: {exc}") from None
 
 
 def _ctx_from(args) -> PrecisionContext:
@@ -259,6 +263,7 @@ def _poly_body(poly) -> dict:
         "recognized": rec,
         "recognition_residual": poly.residual
         if mp.isfinite(poly.residual) else "inf",
+        "recognition_bound": poly.bound,
     }
 
 
@@ -277,7 +282,7 @@ def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     poly = hilbert_class_poly(f, ctx, den_max=args.den_max,
                               recog_tol=args.recog_tol)
-    return {"dk": f.d}, {"h": f.h, **_poly_body(poly)}
+    return {"dk": f.d}, {"h": f.h, "working_bits": poly.bits, **_poly_body(poly)}
 
 
 # name -> (flags it needs, report from (args, ctx)); lookups as in EVALS.

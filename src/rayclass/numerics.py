@@ -35,6 +35,9 @@ from .errors import ImTooSmall
 # Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
 
+# Smallest working precision a PrecisionContext accepts.
+MIN_BITS = 64
+
 # Tail guard: series tails are pushed below eps * 2^-GUARD_BITS.
 GUARD_BITS = 16
 
@@ -54,7 +57,7 @@ def _to_mpf(x) -> mp.mpf:
 class PrecisionContext:
     """Working precision (bits) plus target absolute error (eps).
 
-    Invariants: bits >= 64 and eps >= 2^(-bits+16), so at least 16 guard bits
+    Invariants: bits >= MIN_BITS = 64 and eps >= 2^(-bits+16), so at least 16 guard bits
     separate the target accuracy from the raw arithmetic accuracy.
     """
 
@@ -62,8 +65,8 @@ class PrecisionContext:
     eps: object = "1e-40"
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or self.bits < 64:
-            raise ValueError(f"bits must be an integer >= 64, got {self.bits!r}")
+        if not isinstance(self.bits, int) or self.bits < MIN_BITS:
+            raise ValueError(f"bits must be an integer >= {MIN_BITS}, got {self.bits!r}")
         with mp.workprec(self.bits):
             eps = _to_mpf(self.eps)
             if not eps > 0:

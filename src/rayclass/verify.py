@@ -14,6 +14,7 @@ checks label their outcome as numerical evidence, not proof.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from math import inf, isqrt
@@ -23,7 +24,7 @@ from mpmath.libmp import fzero
 
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues, NonFinite
-from .numerics import PrecisionContext
+from .numerics import GUARD_BITS, MIN_BITS, PrecisionContext
 from .qseries import (
     FractionPair,
     ModularPoint,
@@ -38,6 +39,19 @@ from .reciprocity import conjugate_values
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
 GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
+
+# Each value that ``minpoly`` and ``hilbert_class_poly`` expand lies within
+# 2^(VALUE_ERROR_BITS - bits) * max(1, |v|) of the exact one.  Measured
+# against the same evaluator at 2 bits + 64: j at every CM point of the
+# fundamental d in [-2000, -3] at 64 to 1024 bits, at most 254 * 2^-bits;
+# the x, y4 and y12N orbits of twelve (d, N) with N from 3 to 16, at most
+# 90 * 2^-bits at 256 bits.  2^10 leaves four times the worst of them.
+VALUE_ERROR_BITS = 10
+# |j(tau) - 1/q| <= 2079 on the fundamental domain (``_log2_height``), so
+# 1 + ceil(max(1, |j(theta_Q)|)) <= e^(pi sqrt|d| / a_Q) + J_TAIL.
+J_TAIL = 2081
+# Precision of the moduli and bounds of ``_error_bounds``.
+BOUND_BITS = 53
 
 
 @dataclass
@@ -502,13 +516,17 @@ class Polynomial:
     ``hilbert_class_poly``) and optional recognition of each coefficient as
     (m + n*theta)/den with integers m, n and den bounded.
 
-    coeffs are ascending, coeffs[-1] == 1 exactly.  recognized[k] is either
-    (m, n, den) or None when recognition failed at den <= den_max.
+    coeffs are ascending, coeffs[-1] == 1 exactly, computed at ``bits``.
+    recognized[k] is either (m, n, den) or None when the coefficient's error
+    bound is not below the tolerance or no candidate with den <= den_max
+    lies within it (``_recognize``).
     """
 
     coeffs: tuple
     recognized: tuple
     residual: mp.mpf  # max |coeff - recognized value|; inf if any failed
+    bound: mp.mpf  # largest error bound B_k of a coefficient below the leading 1
+    bits: int  # working precision of the values and the expansion
 
     @property
     def degree(self) -> int:
@@ -531,12 +549,23 @@ def _recognize_coeff(c, theta, den_max: int, tol):
 
 def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
     """recog_tol at the working precision, after rejecting settings that can
-    recognize no coefficient (den_max < 1, tol <= 0 or nan) or any (tol inf)."""
+    recognize no coefficient (den_max < 1, tol <= 0 or nan) or cannot tell
+    two candidates apart (2 tol > 1/den_max^2, inf included).  Distinct
+    candidates a/d1 and b/d2, a and b in O_K and d1, d2 <= den_max, lie at
+    least 1/(d1 d2) >= 1/den_max^2 apart, as a nonzero element of O_K has
+    modulus >= 1; so a coefficient within 2 tol of a candidate is no other
+    candidate."""
     if den_max < 1:
         raise ValueError(f"den_max must be >= 1, got {den_max}")
     tol = ctx.mpf(recog_tol)
-    if not (mp.isfinite(tol) and tol > 0):
-        raise ValueError(f"recog_tol must be finite and positive, got {recog_tol}")
+    if not tol > 0:
+        raise ValueError(f"recog_tol must be positive, got {recog_tol}")
+    with ctx.work():
+        if not 2 * tol * den_max ** 2 <= 1:
+            raise ValueError(
+                f"recog_tol {recog_tol} cannot tell apart candidates with "
+                f"denominators up to den_max = {den_max}: needs 2 recog_tol "
+                f"<= 1/den_max^2")
     return tol
 
 
@@ -564,14 +593,43 @@ def _expand(factors) -> list:
     return coeffs
 
 
-def _recognize(coeffs, field: Field, ctx: PrecisionContext, den_max: int, tol) -> Polynomial:
+def _guard_bits(count: int) -> int:
+    """g = ceil(log2(count + 1)) + VALUE_ERROR_BITS + 2 for a product of
+    ``count`` linear factors (or real quadratic ones, two values each).
+
+    With u = 2^-bits and m_i = max(1, |v_i|), the values' errors move the
+    coefficient e_k of the exact values by at most about k 2^VALUE_ERROR_BITS
+    u e_k(m), and rounding the quadratic factors and the expansion adds at
+    most about 5 count u e_k(m); both together stay below (count + 1)
+    2^(VALUE_ERROR_BITS + 1) u e_k(m).  The last bit covers the rounding of
+    the moduli and of the bounds to BOUND_BITS (``_error_bounds``)."""
+    return count.bit_length() + VALUE_ERROR_BITS + 2
+
+
+def _error_bounds(values, bits: int) -> list:
+    """B_k = 2^(g - bits) e_(h-k)(M_1, ..., M_h), g = ``_guard_bits(h)`` and
+    M_i = ceil(max(1, |v_i|)): a bound on the error of the ascending
+    coefficient k < h of prod (X - v_i) expanded at ``bits``.  The e_k are
+    the coefficients of prod (X + M_i), expanded by ``_expand`` in exact
+    integers."""
+    with mp.workprec(BOUND_BITS):
+        majorant = _expand((max(1, int(mp.ceil(abs(v)))), 1) for v in values)
+        return [mp.ldexp(e, _guard_bits(len(values)) - bits) for e in majorant[:-1]]
+
+
+def _recognize(coeffs, bounds, field: Field, ctx: PrecisionContext,
+               den_max: int, tol) -> Polynomial:
     """The monic polynomial with these coefficients, each recognized in
-    (1/den) * O_K within tol; failures are recorded, never raised."""
+    (1/den) * O_K when it is certified: its error bound bounds[k] is below
+    tol and a candidate lies within tol of it.  The exact coefficient then
+    lies within 2 tol of that candidate, so it is that candidate if it lies
+    in (1/den) * O_K for some den <= den_max (``_recognition_tol``; H_D's
+    coefficients are integers).  Failures are recorded, never raised."""
     theta = field.theta.to_mpc(ctx)
     recognized = []
     worst = mp.mpf(0)
-    for c in coeffs[:-1]:
-        hit = _recognize_coeff(c, theta, den_max, tol)
+    for c, bound in zip(coeffs[:-1], bounds):
+        hit = _recognize_coeff(c, theta, den_max, tol) if bound < tol else None
         if hit is None:
             recognized.append(None)
             worst = mp.inf
@@ -579,7 +637,7 @@ def _recognize(coeffs, field: Field, ctx: PrecisionContext, den_max: int, tol) -
             recognized.append(hit[0])
             worst = max(worst, hit[1])
     recognized.append((1, 0, 1))
-    return Polynomial(tuple(coeffs), tuple(recognized), worst)
+    return Polynomial(tuple(coeffs), tuple(recognized), worst, max(bounds), ctx.bits)
 
 
 def minpoly(values, field: Field, ctx: PrecisionContext,
@@ -588,9 +646,10 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
 
     Values (any numbers mpmath takes) are rounded to mpc at the working
     precision and must be pairwise distinct at the generation threshold;
-    recognition failures are recorded (coefficient left complex), never
-    raised.  Raises ValueError when den_max < 1 or recog_tol is not finite
-    and positive.
+    recognition is certified by ``_error_bounds`` as in ``_recognize``, and
+    its failures are recorded (coefficient left complex), never raised.  The
+    precision is ctx.bits, unplanned.  Raises ValueError when den_max < 1 or
+    recog_tol is not positive or too wide (``_recognition_tol``).
     """
     if not values:
         raise ValueError("need at least one value")
@@ -600,7 +659,8 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
         _require_distinct(values, ctx)
         coeffs = _expand((-v, 1) for v in values)
         coeffs[-1] = mp.mpc(1)
-        return _recognize(coeffs, field, ctx, den_max, tol)
+        return _recognize(coeffs, _error_bounds(values, ctx.bits), field, ctx,
+                          den_max, tol)
 
 
 def _conjugate_classes(forms) -> list:
@@ -617,6 +677,35 @@ def _conjugate_classes(forms) -> list:
     return out
 
 
+def _log2_height(field: Field) -> float:
+    """log2 U, in floats, for the height bound (A. Enge, Math. Comp. 78
+    (2009))
+
+        U = prod over reduced forms Q of (e^(pi sqrt|d| / a_Q) + J_TAIL).
+
+    U bounds every coefficient of H_D and every e_k(M) of ``_error_bounds``
+    at its j values: theta_Q lies in the fundamental domain, where |q| <= r
+    = e^(-pi sqrt 3), and the coefficients c_n of j - 1/q = 744 + 196884 q
+    + ... are positive, so |j - 1/q| <= sum c_n r^n = j(i sqrt(3)/2) -
+    e^(pi sqrt 3) = 2078.81...  Hence 1 + ceil(max(1, |j(theta_Q)|)) <
+    |1/q| + 2078.82 + 2 < e^(pi sqrt|d| / a_Q) + J_TAIL, and e_k(M) <=
+    prod (1 + M_i) - 1 < U."""
+    xs = (math.pi * math.sqrt(-field.d) / q.a for q in field.forms)
+    return math.fsum(x / math.log(2) + math.log2(1 + J_TAIL * math.exp(-x)) for x in xs)
+
+
+def _planned_bits(field: Field, tol) -> int:
+    """The precision at which every coefficient of H_D certifies:
+    max(MIN_BITS, g + ceil(log2 U + log2(1/tol) + 2^-30)), g =
+    ``_guard_bits(h)`` and U from ``_log2_height``.  There every B_k of
+    ``_error_bounds`` is 2^(g - bits) e_k(M) <= e_k(M) tol / U < tol, the
+    2^-30 covering the rounding of the floats and of the bounds to
+    BOUND_BITS: the plan and the certificate are one inequality."""
+    with mp.workprec(BOUND_BITS):
+        need = math.ceil(_log2_height(field) - float(mp.log(tol, 2)) + 2.0**-30)
+    return max(MIN_BITS, _guard_bits(field.h) + need)
+
+
 def hilbert_class_poly(field: Field, ctx: PrecisionContext,
                        den_max: int = 48, recog_tol="1e-10") -> Polynomial:
     """Minimal polynomial of j(theta): prod over reduced forms of
@@ -624,8 +713,16 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
 
     j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
     the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
-    so the coefficients are real.  Distinctness is tested on all h values."""
+    so the coefficients are real.  Distinctness is tested on all h values.
+
+    Everything runs at working = min(``_planned_bits``, ctx.bits) bits with
+    eps = max(ctx.eps, 2^(GUARD_BITS - working)): ctx.bits is a cap, and
+    ``Polynomial.bits`` reports the working precision.  Below the plan, the
+    coefficients whose error bound reaches tol stay unrecognized."""
     tol = _recognition_tol(den_max, recog_tol, ctx)  # reject before the series sums
+    bits = min(_planned_bits(field, tol), ctx.bits)
+    if bits < ctx.bits:
+        ctx = PrecisionContext(bits, max(ctx.eps, mp.ldexp(1, GUARD_BITS - bits)))
     j_at = {}
     factors = []
     with ctx.work():
@@ -637,7 +734,9 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
             else:
                 j_at[partner] = mp.conj(v)
                 factors.append((re * re + mp.im(v) ** 2, -2 * re, 1))
-        _require_distinct([j_at[q] for q in field.forms], ctx)
+        values = [j_at[q] for q in field.forms]
+        _require_distinct(values, ctx)
         coeffs = _expand(factors)
         coeffs[-1] = mp.mpf(1)
-        return _recognize(coeffs, field, ctx, den_max, tol)
+        return _recognize(coeffs, _error_bounds(values, bits), field, ctx,
+                          den_max, tol)

@@ -24,6 +24,9 @@ Two kinds live here:
   |den| < eps guard that y's exact integer guard must reproduce.
   ``lemma52_loop`` is the lemma 5.2 sweep over every (form, s, t), which
   the one-ratio-per-class sweep of ``rayclass.verify`` must match.
+* ``hcp_oracle``: the Hilbert class polynomial from mpmath's own
+  ``kleinj`` at reduced forms found by brute force, which
+  ``rayclass.verify.hilbert_class_poly`` must match at its planned bits.
 """
 
 import math
@@ -294,3 +297,23 @@ def lemma52_loop(field, n, ctx):
     return ({"max_ratio_minus_1": residual},
             {"pairs_checked": count, "worst_ratio": worst if count else None,
              "worst_at": worst_at, "rhs_abs": rhs})
+
+
+def hcp_oracle(d, bits):
+    """The integer coefficients of H_d, ascending with the leading 1: the
+    product of X - 1728 kleinj(theta_Q) over the reduced forms (a, b, c) of
+    d, found by trying every |b| <= a <= sqrt(|d|/3), expanded in mpmath at
+    ``bits`` and rounded by mp.nint.  ``bits`` must exceed the height of H_d
+    with room to spare: twice the planned bits of ``hilbert_class_poly``."""
+    with mp.workprec(bits):
+        root = mp.sqrt(-d)
+        coeffs = [mp.mpc(1)]
+        for a in range(1, math.isqrt(-d // 3) + 1):
+            for b in range(1 - a, a + 1):
+                c, rest = divmod(b * b - d, 4 * a)
+                if rest or c < a or (c == a and b < 0) or math.gcd(a, b, c) != 1:
+                    continue
+                j = 1728 * mp.kleinj(mp.mpc(-b, root) / (2 * a))
+                coeffs = [(coeffs[k - 1] if k else 0) - (j * coeffs[k] if k < len(coeffs) else 0)
+                          for k in range(len(coeffs) + 1)]
+        return [int(mp.nint(mp.re(c))) for c in coeffs]

@@ -149,6 +149,32 @@ def test_minpoly_x_descriptor(capsys):
     assert doc["degree"] == 4
 
 
+def test_hcp_reports_its_working_bits_and_recognition_bound(capsys):
+    """hcp runs at its planned bits below --bits and prints them, with the
+    largest error bound, below --recog-tol when every coefficient certifies;
+    minpoly prints its bound too."""
+    code, out, _ = run_cli(["hcp", "--dk", "-23"], capsys)
+    doc = json.loads(out)
+    assert (code, doc["precision_bits"], doc["working_bits"]) == (0, 256, 93)
+    assert 0 < float(doc["recognition_bound"]) < 1e-10
+    assert None not in doc["recognized"]
+    code, out, _ = run_cli(
+        ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"], capsys)
+    doc = json.loads(out)
+    assert "working_bits" not in doc and 0 < float(doc["recognition_bound"]) < 1e-10
+
+
+def test_hcp_below_its_plan_leaves_uncertified_coefficients_null(capsys):
+    """--bits caps the working precision; at 64 bits the two large
+    coefficients of H_-23 (12771880859375 and -5151296875) cannot be
+    certified and print null, with exit 0."""
+    code, out, _ = run_cli(["hcp", "--dk", "-23", "--bits", "64", "--eps", "1e-10"], capsys)
+    doc = json.loads(out)
+    assert (code, doc["working_bits"]) == (0, 64)
+    assert doc["recognized"][:2] == [None, None]
+    assert doc["recognition_residual"] == "inf" and float(doc["recognition_bound"]) > 1e-10
+
+
 def test_text_output_mode(capsys):
     code, out, _ = run_cli(
         ["--output", "text", "degree", "--dk", "-7", "--level", "3"], capsys)
@@ -545,7 +571,10 @@ def test_lemma51_validates_the_discriminant(dk, error, capsys):
     ["hcp", "--dk", "-7", "--recog-tol", "-1"],
     ["hcp", "--dk", "-7", "--recog-tol", "nan"],
     ["hcp", "--dk", "-7", "--recog-tol", "inf"],
+    ["hcp", "--dk", "-23", "--bits", "64", "--eps", "1e-10", "--recog-tol", "0.9"],
+    ["hcp", "--dk", "-7", "--den-max", "1", "--recog-tol", "0.6"],
     ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--den-max", "0"],
+    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--recog-tol", "1e-3"],
 ])
 def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
     code, out, err = run_cli(argv, capsys)

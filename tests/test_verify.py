@@ -39,9 +39,12 @@ from rayclass.verify import (
     _t_majorant,
     _t_value,
     _zeta_factor,
+    _error_bounds,
+    _log2_height,
+    _planned_bits,
 )
 
-from oracles import lemma52_loop, min_pairwise_distance_loop, scale_loop
+from oracles import hcp_oracle, lemma52_loop, min_pairwise_distance_loop, scale_loop
 
 
 # ------------------------------------------------------------------ curve ---
@@ -701,14 +704,25 @@ def test_minpoly_x_orbit_has_rational_coefficients(ctx300):
 
 @pytest.mark.parametrize("setting", [
     {"den_max": 0}, {"den_max": -5}, {"recog_tol": "0"}, {"recog_tol": "-1"},
-    {"recog_tol": "nan"}, {"recog_tol": "inf"},
+    {"recog_tol": "nan"}, {"recog_tol": "inf"}, {"recog_tol": "0.9"},
+    {"den_max": 1, "recog_tol": "0.6"}, {"recog_tol": "2.2e-4"},
+    {"den_max": 32, "recog_tol": 2.0**-11 * (1 + 2.0**-20)},
 ])
 def test_recognition_rejects_settings_that_cannot_work(ctx256, setting):
+    """Settings that recognize nothing, or whose tolerance could take a
+    coefficient for either of two candidates (2 tol > 1/den_max^2; 1/48^2
+    = 4.34e-4 at the default den_max), raise before anything is summed."""
     f = make_field(-7)
     with pytest.raises(ValueError):
         minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, **setting)
     with pytest.raises(ValueError):
         hilbert_class_poly(f, ctx256, **setting)
+
+
+def test_recognition_takes_the_widest_tolerance_that_separates_candidates(ctx256):
+    """2 tol = 1/den_max^2 exactly still tells candidates apart."""
+    poly = hilbert_class_poly(make_field(-7), ctx256, den_max=32, recog_tol=2.0**-11)
+    assert poly.recognized == ((3375, 0, 1), (1, 0, 1))
 
 
 def test_conjugate_classes_cover_every_reduced_form_once():
@@ -803,6 +817,113 @@ def test_hcp_residual_is_the_largest_recognition_error(ctx300):
         errs = [abs(c - (m + n * theta) / den)
                 for c, (m, n, den) in zip(poly.coeffs[:-1], poly.recognized)]
     assert poly.residual == max(errs)
+
+
+def test_recognition_rejects_an_integer_above_the_working_precision():
+    """At 64 bits 2^70 + 1 rounds to 2^70, so the constant coefficient
+    3 * 2^70 of (X - 2^70 - 1)(X - 3) is an integer that lies within tol
+    of itself; its error bound, about 2^(g - 64) 3 * 2^70, leaves it
+    unrecognized."""
+    ctx = PrecisionContext(64, "1e-10")
+    poly = minpoly([2**70 + 1, 3], make_field(-7), ctx)
+    assert poly.recognized[0] is None and poly.bound > 2**6
+    assert not mp.isfinite(poly.residual)
+
+
+def test_error_bounds_expand_the_value_moduli():
+    """B_k is 2^(g - bits) times e_(h-k) of max(1, |v|), g = ceil(log2(h +
+    1)) + 12, and the polynomial reports the largest."""
+    ctx = PrecisionContext(128, "1e-30")
+    values = [mp.mpc(3, 4), mp.mpc("0.5"), mp.mpc(-2)]  # moduli 5, 1, 2
+    assert _error_bounds(values, 128) == [mp.ldexp(e, 14 - 128) for e in (10, 17, 8)]
+    poly = minpoly(values, make_field(-7), ctx)
+    assert poly.bound == mp.ldexp(17, 14 - 128) and poly.bits == 128
+
+
+def test_hcp_at_the_default_precision_rejects_the_wrong_coefficients_of_minus_632(ctx256):
+    """H_-632 has coefficients up to 2^311.  At 256 bits, without the error
+    bound, five of its eight are within tol of wrong integers
+    (...1999999998477...) and one of m/29; the certificate leaves such
+    coefficients unrecognized, and whatever it accepts is the oracle's
+    integer."""
+    f = make_field(-632)
+    poly = hilbert_class_poly(f, ctx256)
+    assert poly.bits == 256 and None in poly.recognized
+    assert all(r[1:] == (0, 1) for r in poly.recognized if r is not None)
+    exact = hcp_oracle(-632, 2 * _planned_bits(f, ctx256.mpf("1e-10")))
+    assert all(r[0] == m for r, m in zip(poly.recognized, exact) if r is not None)
+
+
+def _fundamental(lo, hi):
+    return [d for d in range(hi, lo - 1, -1) if is_fundamental(d)]
+
+
+def test_hcp_at_256_bits_accepts_only_the_integers_of_1536_bits(ctx256):
+    """Over every fundamental d in [-900, -500] (at 256 bits, without the
+    error bound, 17 of them, from -543 to -872, have every coefficient
+    within tol of an integer and some of those integers wrong) every
+    integer accepted at 256 bits is the one accepted at 1536 bits, where
+    all are (the plan stays below 1536 bits there)."""
+    fine = PrecisionContext(1536, "1e-400")
+    accepted = 0
+    for d in _fundamental(-900, -500):
+        f = make_field(d)
+        exact = hilbert_class_poly(f, fine).recognized
+        assert None not in exact, d
+        try:
+            coarse = hilbert_class_poly(f, ctx256).recognized
+        except DuplicateValues:
+            continue
+        for r, e in zip(coarse, exact):
+            if r is not None:
+                assert r == e, d
+                accepted += 1
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("d", [-3, -4, -23, -199, -479, -632, -991])
+def test_hcp_at_its_planned_bits_matches_the_kleinj_oracle(d):
+    """At the planned bits H_d is mpmath's kleinj product at twice those
+    bits, integer for integer."""
+    f = make_field(d)
+    ctx = PrecisionContext(2048, "1e-500")
+    poly = hilbert_class_poly(f, ctx)
+    assert poly.bits == _planned_bits(f, ctx.mpf("1e-10"))
+    assert all(r is not None and r[1:] == (0, 1) for r in poly.recognized)
+    assert [r[0] for r in poly.recognized] == hcp_oracle(d, 2 * poly.bits)
+
+
+def test_height_bound_bounds_every_coefficient():
+    """For every fundamental d in [-500, -3], log2 of the largest |coefficient|
+    of H_d is at most log2 U, and at the planned bits every coefficient
+    certifies: the largest error bound is below recog_tol."""
+    ctx = PrecisionContext(2048, "1e-500")
+    for d in _fundamental(-500, -3):
+        f = make_field(d)
+        poly = hilbert_class_poly(f, ctx)
+        assert None not in poly.recognized, d
+        assert poly.bound < mp.mpf("1e-10"), d
+        top = max(abs(m) for m, _, _ in poly.recognized)
+        assert math.log2(top) <= _log2_height(f), d
+
+
+@pytest.mark.parametrize("d, bits", [(-7, 64), (-7, 256), (-23, 64), (-23, 93), (-23, 94),
+                                     (-199, 256), (-199, 1024), (-632, 256), (-632, 512)])
+def test_working_bits_is_the_plan_capped_by_the_context(d, bits):
+    f = make_field(d)
+    ctx = PrecisionContext(bits, mp.ldexp(1, 16 - bits))
+    poly = hilbert_class_poly(f, ctx)
+    assert poly.bits == min(_planned_bits(f, ctx.mpf("1e-10")), bits)
+
+
+def test_hcp_above_its_plan_computes_at_the_cap():
+    """-1991 plans 1580 bits (its H_D reaches 2^1500), so at 1536 bits it
+    computes at 1536 and leaves coefficients unrecognized."""
+    f = make_field(-1991)
+    ctx = PrecisionContext(1536, "1e-400")
+    assert _planned_bits(f, ctx.mpf("1e-10")) == 1580
+    poly = hilbert_class_poly(f, ctx)
+    assert poly.bits == 1536 and None in poly.recognized
 
 
 def test_hcp_degree_matches_h(ctx300):
