@@ -25,6 +25,7 @@ import functools
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -89,8 +90,8 @@ def _emit(payload: dict, args) -> None:
             sys.stdout.write(f"{k}: {v}\n")
 
 
-def _report_body(rep: CheckReport, text_mode: bool) -> dict:
-    body = {
+def _report_body(rep: CheckReport) -> dict:
+    return {
         "check": rep.name,
         "pass": rep.passed,
         "inputs": rep.inputs,
@@ -98,9 +99,6 @@ def _report_body(rep: CheckReport, text_mode: bool) -> dict:
         "tolerance": mp.mpf(0),  # a report passes iff every residual < 0
         "details": rep.details,
     }
-    if text_mode:
-        body["elapsed_s"] = f"{rep.elapsed:.3f}"
-    return body
 
 
 def _jsonable(v, dps: int):
@@ -308,8 +306,12 @@ def _cmd_check(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     missing = ", ".join(f"--{k}" for k in needs if getattr(args, k) is None)
     if missing:
         raise InputError(f"check {args.which} needs {missing}")
+    t0 = time.perf_counter()
     rep = report(args, ctx)
-    return rep.inputs, _report_body(rep, args.output == "text")
+    body = _report_body(rep)
+    if args.output == "text":
+        body["elapsed_s"] = f"{time.perf_counter() - t0:.3f}"
+    return rep.inputs, body
 
 
 def _add_global_flags(p, suppress: bool):

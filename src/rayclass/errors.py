@@ -60,4 +60,5 @@ class NonInvertible(InputError):
 
 
 class DuplicateValues(InputError):
-    """Polynomial construction received coincident roots."""
+    """``minpoly`` received values that coincide at the distinctness
+    threshold."""

@@ -15,7 +15,6 @@ checks label their outcome as numerical evidence, not proof.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from math import inf, isqrt
 
@@ -65,18 +64,16 @@ class CheckReport:
     inputs: dict
     residuals: dict
     passed: bool
-    elapsed: float
     details: dict = dc_field(default_factory=dict)
 
 
-def _finish(name, inputs, residuals, t0, details=None) -> CheckReport:
+def _finish(name, inputs, residuals, details=None) -> CheckReport:
     passed = all(r < 0 for r in residuals.values())
     return CheckReport(
         name=name,
         inputs=inputs,
         residuals=residuals,
         passed=passed,
-        elapsed=time.perf_counter() - t0,
         details=details or {},
     )
 
@@ -89,7 +86,6 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
     u - 27 v^2 = 1.  Strict mode enforces d_K <= -39, N >= 8, 4 | N; relaxed
     mode allows any d_K <= -7, N >= 3 (the equations hold identically).
     """
-    t0 = time.perf_counter()
     if relaxed:
         if field.d > -7 or n < 3:
             raise ValueError("relaxed mode needs d_K <= -7 and N >= 3")
@@ -110,7 +106,6 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
             "curve_point",
             {"dk": field.d, "level": n, "relaxed": relaxed},
             {"curve": res_curve - tol, "unit_relation": res_unit - tol},
-            t0,
             {"curve_residual": res_curve, "unit_residual": res_unit, "tol": tol},
         )
 
@@ -123,7 +118,6 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
     for any tau in H (identity in tau); requires 4 | N.  u is not part of
     it, so v, x and y are evaluated alone.
     """
-    t0 = time.perf_counter()
     if n % 4:
         raise ValueError("surface membership needs 4 | N")
     tol = ctx.eps if tol is None else ctx.mpf(tol)
@@ -135,7 +129,6 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
             "surface_point",
             {"tau": mp.nstr(pt.tau, 17), "level": n},
             {"surface": res - tol},
-            t0,
             {"surface_residual": res, "tol": tol},
         )
 
@@ -161,7 +154,6 @@ def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
     inequality with the 1 removed on both sides, so margins far below the
     working resolution of 1 + x stay visible.
     """
-    t0 = time.perf_counter()
     _validate_disc(d)
     with ctx.work():
         a = ctx.mpf(a)
@@ -182,7 +174,6 @@ def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
             "lemma51",
             {"dk": d, "a": mp.nstr(a, 10), "X": mp.nstr(x, 10)},
             {"inequality": lhs - s},
-            t0,
             {"lhs_minus_1": lhs, "rhs_minus_1": s, "margin": margin},
         )
 
@@ -200,7 +191,6 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     sweep order: forms run by (a, b), so Q' precedes Q, and of (s, t) and
     (-s, -t) the lexicographically smaller comes first.  ``pairs_checked``
     counts every member."""
-    t0 = time.perf_counter()
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
     with ctx.work():
@@ -240,7 +230,6 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         "lemma52",
         {"dk": field.d, "level": n},
         {"max_ratio_minus_1": residual},
-        t0,
         {"pairs_checked": count, "worst_ratio": worst if count else None,
          "worst_at": worst_at, "rhs_abs": rhs},
     )
@@ -271,7 +260,6 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
     """T <= 1 for s = 0 and T < 3.05 for s != 0 (s in [1, N/2], as in the
     reduction the sweep mirrors), over reduced forms with a >= 2; plus the
     closed-form majorant < 3.05 on the given N range."""
-    t0 = time.perf_counter()
     if n < 8:
         raise ValueError("bound stated for N >= 8")
     lo, hi = majorant_range
@@ -306,7 +294,6 @@ def check_T_bound(n: int, field: Field, ctx: PrecisionContext,
         "t_bound",
         {"dk": field.d, "level": n, "majorant_range": list(majorant_range)},
         residuals,
-        t0,
         {"max_T_s0": max_s0 if count else None,
          "max_T_s_nonzero": max_s1 if count else None,
          "max_majorant": max_maj, "pairs_checked": count},
@@ -442,7 +429,6 @@ def check_generation(field: Field, n: int, descriptor: str,
     ray_class_degree(field, n) pairwise-distinct values at threshold
     1000 * eps * scale.  A pass is numerical evidence of primitivity
     (trivial stabilizer), not a proof."""
-    t0 = time.perf_counter()
     conj = conjugate_values(field, n, descriptor, ctx)
     values = [v for _, v in conj]
     degree = ray_class_degree(field, n)
@@ -456,7 +442,6 @@ def check_generation(field: Field, n: int, descriptor: str,
         "generation",
         {"dk": field.d, "level": n, "descriptor": descriptor},
         residuals,
-        t0,
         {"orbit_size": len(values), "degree": degree,
          "min_distance": dmin, "closest_pair": at,
          "threshold": threshold, "evidence": "numerical witness"},
@@ -492,7 +477,6 @@ def _elliptic4_points(ctx: PrecisionContext) -> list[mp.mpc]:
 
 def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
     """Distinctness of y_{(0,1/4)} at the 20 level-4 elliptic-orbit points."""
-    t0 = time.perf_counter()
     r = FractionPair.from_parts(0, 1, 4)
     with ctx.work():
         values = [
@@ -505,7 +489,6 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
         "elliptic4",
         {"level": 4, "points": len(values)},
         {"threshold_minus_min_distance": residual},
-        t0,
         {"min_distance": dmin, "closest_pair": at, "threshold": threshold},
     )
 
@@ -569,14 +552,6 @@ def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
     return tol
 
 
-def _require_distinct(values, ctx: PrecisionContext) -> None:
-    """Raise DuplicateValues unless the values pass the distinctness test
-    (NonFinite if one of them is not finite)."""
-    dmin, at, threshold = _distinctness(list(values), ctx)
-    if dmin <= threshold:
-        raise DuplicateValues(f"values {at} coincide at distance {mp.nstr(dmin, 5)}")
-
-
 def _expand(factors) -> list:
     """Ascending coefficients of the product of monic factors, each given by
     its ascending coefficients, leading 1 included: (-v, 1) for X - v,
@@ -611,7 +586,7 @@ def _error_bounds(values, bits: int) -> list:
     M_i = ceil(max(1, |v_i|)): a bound on the error of the ascending
     coefficient k < h of prod (X - v_i) expanded at ``bits``.  The e_k are
     the coefficients of prod (X + M_i), expanded by ``_expand`` in exact
-    integers."""
+    integers, so only the moduli enter, in any order."""
     with mp.workprec(BOUND_BITS):
         majorant = _expand((max(1, int(mp.ceil(abs(v)))), 1) for v in values)
         return [mp.ldexp(e, _guard_bits(len(values)) - bits) for e in majorant[:-1]]
@@ -645,18 +620,23 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
     """Expand prod (X - v_i) and recognize coefficients in (1/den) * O_K.
 
     Values (any numbers mpmath takes) are rounded to mpc at the working
-    precision and must be pairwise distinct at the generation threshold;
-    recognition is certified by ``_error_bounds`` as in ``_recognize``, and
-    its failures are recorded (coefficient left complex), never raised.  The
-    precision is ctx.bits, unplanned.  Raises ValueError when den_max < 1 or
-    recog_tol is not positive or too wide (``_recognition_tol``).
+    precision and must be pairwise distinct at the generation threshold
+    (DuplicateValues, or NonFinite for a value that is not finite): a
+    repeated value would make the product a power of the minimal
+    polynomial.  Recognition is certified by ``_error_bounds`` as in
+    ``_recognize``, and its failures are recorded (coefficient left
+    complex), never raised.  The precision is ctx.bits, unplanned.  Raises
+    ValueError when den_max < 1 or recog_tol is not positive or too wide
+    (``_recognition_tol``).
     """
     if not values:
         raise ValueError("need at least one value")
     tol = _recognition_tol(den_max, recog_tol, ctx)
     with ctx.work():
         values = [mp.mpc(v) for v in values]
-        _require_distinct(values, ctx)
+        dmin, at, threshold = _distinctness(values, ctx)
+        if dmin <= threshold:
+            raise DuplicateValues(f"values {at} coincide at distance {mp.nstr(dmin, 5)}")
         coeffs = _expand((-v, 1) for v in values)
         coeffs[-1] = mp.mpc(1)
         return _recognize(coeffs, _error_bounds(values, ctx.bits), field, ctx,
@@ -713,29 +693,33 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
 
     j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
     the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
-    so the coefficients are real.  Distinctness is tested on all h values.
+    so the coefficients are real.  No distinctness test runs: distinct
+    reduced forms are distinct points of the fundamental domain, where j is
+    injective, and each integer is accepted on its certificate alone.
 
-    Everything runs at working = min(``_planned_bits``, ctx.bits) bits with
-    eps = max(ctx.eps, 2^(GUARD_BITS - working)): ctx.bits is a cap, and
-    ``Polynomial.bits`` reports the working precision.  Below the plan, the
-    coefficients whose error bound reaches tol stay unrecognized."""
+    Everything runs at working = min(``_planned_bits``, ctx.bits) bits:
+    ctx.bits is a cap, and ``Polynomial.bits`` reports the working
+    precision.  Below the plan, the coefficients whose error bound reaches
+    tol stay unrecognized.  Nothing reads ctx.eps, so the result depends
+    only on d, the working bits, recog_tol and den_max; the context is
+    rebuilt at working bits with eps = max(ctx.eps, 2^(GUARD_BITS -
+    working)) only because a context needs eps >= 2^(GUARD_BITS - bits)."""
     tol = _recognition_tol(den_max, recog_tol, ctx)  # reject before the series sums
     bits = min(_planned_bits(field, tol), ctx.bits)
     if bits < ctx.bits:
         ctx = PrecisionContext(bits, max(ctx.eps, mp.ldexp(1, GUARD_BITS - bits)))
-    j_at = {}
     factors = []
+    values = []  # v once per ambiguous form, twice per pair: ``_error_bounds`` reads |v|
     with ctx.work():
         for q, partner in _conjugate_classes(field.forms):
-            v = j_at[q] = j_invariant(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx))
+            v = j_invariant(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx))
             re = mp.re(v)
             if partner is None:
                 factors.append((-re, 1))
+                values.append(v)
             else:
-                j_at[partner] = mp.conj(v)
                 factors.append((re * re + mp.im(v) ** 2, -2 * re, 1))
-        values = [j_at[q] for q in field.forms]
-        _require_distinct(values, ctx)
+                values += (v, v)
         coeffs = _expand(factors)
         coeffs[-1] = mp.mpf(1)
         return _recognize(coeffs, _error_bounds(values, bits), field, ctx,

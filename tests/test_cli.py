@@ -115,6 +115,14 @@ def test_check_pass_exit_zero(capsys):
     assert "elapsed_s" not in doc  # timing only in text mode
 
 
+def test_check_text_output_reports_elapsed_seconds(capsys):
+    code, out, _ = run_cli(
+        ["--output", "text", "check", "curve", "--dk", "-39", "--level", "8"], capsys)
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("elapsed_s: ")]
+    assert float(line.split()[1]) >= 0 and len(line.split(".")[1]) == 3
+
+
 def test_check_fail_exit_one(capsys):
     # a deliberately coarse eps makes the orbit distinctness threshold
     # swallow genuinely distinct values: the check reports failure honestly
@@ -520,6 +528,17 @@ def test_hcp_takes_no_near_zero_where_delta_is_below_eps(capsys):
     assert code != 3 and "NearZero" not in err
 
 
+def test_hcp_of_minus_1559_at_the_default_bits_exits_zero(capsys):
+    """hcp runs no distinctness test, so close j values of -1559 at 256 bits
+    raise no DuplicateValues: all 51 coefficients print, the uncertified
+    ones as null."""
+    code, out, err = run_cli(["hcp", "--dk", "-1559"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["degree"] == 51 and doc["working_bits"] == 256
+    assert None in doc["recognized"]
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "siegel", "--tau", "0,1", "--r", "1/0,1/2"],
     ["check", "lemma51", "--dk", "-39", "--a", "1/0", "--x", "1"],
@@ -615,7 +634,7 @@ SWEEP_RUNS = [
     (["check", "generation", "--dk", "-40", "--level", "12", "--descriptor", "pair"], [1]),
     (["check", "elliptic4"], [8]),
     (["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"], [2]),
-    (["hcp", "--dk", "-23"], [1]),
+    (["hcp", "--dk", "-23"], []),  # hcp runs no distinctness test
 ]
 
 

@@ -870,15 +870,34 @@ def test_hcp_at_256_bits_accepts_only_the_integers_of_1536_bits(ctx256):
         f = make_field(d)
         exact = hilbert_class_poly(f, fine).recognized
         assert None not in exact, d
-        try:
-            coarse = hilbert_class_poly(f, ctx256).recognized
-        except DuplicateValues:
-            continue
+        coarse = hilbert_class_poly(f, ctx256).recognized
         for r, e in zip(coarse, exact):
             if r is not None:
                 assert r == e, d
                 accepted += 1
     assert accepted > 0
+
+
+def test_hcp_of_minus_1559_at_256_bits_accepts_only_the_integers_of_1536_bits(ctx256):
+    """No distinctness test stands between hcp and its certificate: at 256
+    bits two j values of -1559 lie closer than the global threshold
+    1000 eps max|j|, and hcp still returns all 51 coefficients, accepting
+    only the integers it certifies."""
+    f = make_field(-1559)
+    exact = hilbert_class_poly(f, PrecisionContext(1536, "1e-400")).recognized
+    coarse = hilbert_class_poly(f, ctx256)
+    assert coarse.degree == 51 and None not in exact
+    accepted = [(r, e) for r, e in zip(coarse.recognized[:-1], exact) if r is not None]
+    assert accepted and all(r == e for r, e in accepted)
+
+
+@pytest.mark.parametrize("d", [-23, -632, -1559])
+def test_hcp_does_not_read_eps(d):
+    """hcp depends on d, the working bits, recog_tol and den_max alone: a
+    coarse eps gives the same polynomial at 256 bits."""
+    f = make_field(d)
+    assert (hilbert_class_poly(f, PrecisionContext(256, "1e-40"))
+            == hilbert_class_poly(f, PrecisionContext(256, "1e-3")))
 
 
 @pytest.mark.parametrize("d", [-3, -4, -23, -199, -479, -632, -991])
