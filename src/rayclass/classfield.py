@@ -189,14 +189,13 @@ class IdealFactor:
     """One prime ideal dividing N*O_K: rational prime p, splitting type,
     prime-ideal exponent e in N*O_K, and the ideal norm (p or p^2).
 
-    Split primes contribute two conjugate factors, tagged conj = 0, 1.
+    A split prime contributes two conjugate factors, which compare equal.
     """
 
     p: int
     splitting: str
     e: int
     norm: int
-    conj: int = 0
 
     def phi(self) -> int:
         """(N(p) - 1) * N(p)^(e-1) for this prime power."""
@@ -227,8 +226,7 @@ def ideal_factorization(d: int, n: int) -> list[IdealFactor]:
     for p, e in _prime_factors(n):
         s = splitting(p, d)
         if s == "split":
-            out.append(IdealFactor(p, s, e, p, 0))
-            out.append(IdealFactor(p, s, e, p, 1))
+            out += [IdealFactor(p, s, e, p)] * 2
         elif s == "inert":
             out.append(IdealFactor(p, s, e, p * p))
         else:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import ImTooSmall
+from .errors import ImTooSmall, NumericalError
 
 # Floor for Im(tau), exact.  Low enough to cover every point the verification
 # layer evaluates (the level-4 elliptic-point sweep reaches Im = 1/13).  The
@@ -34,6 +34,13 @@ from .errors import ImTooSmall
 # takes (about sqrt(bits / Im tau); see the qseries module docstring).
 # Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
+
+# Ceiling for Im(tau), exact.  Widths grow with Im tau (u's denominator
+# carries q at W + 12 Im(tau) pi / (6 ln 2) bits, a level table's powers of
+# q^(1/L) at W + Im(tau) pi / (6 ln 2)), so a huge Im tau would ask for
+# integers no float or fixed-point conversion can size.  Up to 10^6 every
+# evaluator still runs, the Siegel values slowly.
+MAX_IM = 10 ** 6
 
 # Smallest working precision a PrecisionContext accepts.
 MIN_BITS = 64
@@ -95,25 +102,29 @@ class PrecisionContext:
             return mp.mpc(_to_mpf(re), _to_mpf(im))
 
 
-def check_im_floor(im) -> None:
+def check_im_range(im) -> None:
     """Raise ImTooSmall when im < MIN_IM, with the floor rounded to the
-    current precision like im itself (so Im(tau) = 0.05 passes)."""
+    current precision like im itself (so Im(tau) = 0.05 passes), and
+    NumericalError when im > MAX_IM."""
     floor = _to_mpf(MIN_IM)
     if not im >= floor:
         raise ImTooSmall(
             f"Im(tau)={mp.nstr(im, 8)} below floor {mp.nstr(floor, 8)}")
+    if im > MAX_IM:
+        raise NumericalError(f"Im(tau)={mp.nstr(im, 8)} above ceiling {MAX_IM}")
 
 
 def truncation_terms(im_tau, eps) -> int:
     """Smallest M with |q|^M < eps * 2^-16 for |q| = exp(-2*pi*im_tau).
 
     Truncated products and sums stop at index M.  Raises ImTooSmall below
-    the Im(tau) floor.  ``ModularPoint.terms`` reads it at tau, for the
-    reference loops of the tests; the package's own sums do not use it.
+    the Im(tau) floor and NumericalError above its ceiling.
+    ``ModularPoint.terms`` reads it at tau, for the reference loops of the
+    tests; the package's own sums do not use it.
     """
     with mp.workprec(80):
         im = _to_mpf(im_tau)
-        check_im_floor(im)
+        check_im_range(im)
         x = _tail_log(eps) / (2 * mp.pi * im)
         return max(1, int(mp.floor(x)) + 1)
 

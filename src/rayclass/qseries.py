@@ -31,38 +31,41 @@ wp adds the bits of a complex z's lattice coordinates when it reduces z.
 
 Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
-``to_fixed`` (q exactly, as it carries only ``bits`` bits) and leave by
+``to_fixed`` (q floored, exact while |q| >= 2^-32) and leave by
 ``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient,
 y = -g_{2r}/g_r^4 and u = E4^3 / (1728 q E^24) are formed in fixed point
 too, the eta and Eisenstein prefactors, E^12 (for delta only) and the
-exponentials in mpmath.  Each sum is
-lacunary and stops at its first term below 2^-W, so every value is the
-converged function: ``_pentagonal`` sums the Euler product E (eta and the
-Siegel 1/E), ``_theta_sums`` the theta constants (g2, g3, the constants of
-wp, and the factors of E^12 for delta, j, u and g2 g3 / delta), and
-``_triple`` the halves Ev (even n) and Od (odd n) of sum_n q^(n(n-1)/2) w^n
-at w = exp(2*pi*i*z): Ev - Od = E (1-w) prod_n (1-q^n w)(1-q^n/w) is E
-times the Siegel product, and (Ev + Od)/(Ev - Od) =
-i theta_2(pi z)/theta_1(pi z) gives wp (DLMF 23.6.2).  No kernel reads
-``terms()``; it sizes the tests' reference loops.
+exponentials in mpmath.  Each sum is lacunary and stops at its first term
+below 2^-W, so every value is the converged function.  Two loops sum them.
+``_triple`` sums the halves Ev (even n) and Od (odd n) of
+sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
+P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
+Q = q^3, w = q it is the Euler product E (eta and the Siegel 1/E), as
+E(q^3) P(q) = E(q) (Euler's pentagonal theorem); at Q = q,
+w = exp(2*pi*i*z), Ev - Od is E times the Siegel product, and
+(Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
+23.6.2).  ``_theta_sums`` sums the theta constants (g2, g3, the constants
+of wp, and the factors of E^12 for delta, j, u and g2 g3 / delta).  Every
+quotient in fixed point is one exact integer division (``_fx_div``).  No
+kernel reads ``terms()``; it sizes the tests' reference loops.
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
-<= 1.  At the Im floor 1/20 the sums take at most 48 steps (Euler), 41
-(theta) and 83 per side (``_triple``) at 1536 bits, and 20, 17 and 36 at
-256 bits (in F, Im >= sqrt(3)/2, at most 11, 9 and 20 at 1536 bits).
-Against the same inputs at twice the width they end at most 7.4 (Euler)
-and 78 (``_triple``) units off; the theta constants, whose modulus grows
-to about 1/Im(tau)^2, end at most 990 units times S = |theta_3^4 +
-theta_4^4| off, and E4 and E6 at most 2.9e4 S^2 and 2.5e5 S^3, the sizes
-of their terms, so E6 stays within 2^-(bits + 14) S^3 even where it
-vanishes (21 points at Im 1/20, the images of i and rho down to Im 1/17,
-and for ``_triple`` indices of levels 2 to 97 at 7 points of Im 1/20).
-The other guard bits let a result's modulus fall well below 1 before that
-error reaches its last bit: the factors 1 - w and 1 - q/w of the Siegel
-product have modulus about 1/N or more at an index of level N, and wp
-keeps the relative error of Ev - Od, about 2^-W / |z - lattice| (its
-quotient divides exact integer products), far below the
+<= 1.  At the Im floor 1/20 the sums take at most 48 steps per side
+(Euler), 41 (theta) and 83 per side (``_triple`` at an index) at 1536
+bits, and 20, 17 and 36 at 256 bits (in F, Im >= sqrt(3)/2, at most 11, 9
+and 20 at 1536 bits).  Against the same inputs at twice the width they end
+at most 11 (Euler) and 78 (``_triple`` at an index) units off; the theta
+constants, whose modulus grows to about 1/Im(tau)^2, end at most 990 units
+times S = |theta_3^4 + theta_4^4| off, and E4 and E6 at most 2.9e4 S^2 and
+2.5e5 S^3, the sizes of their terms, so E6 stays within 2^-(bits + 14) S^3
+even where it vanishes (21 points at Im 1/20, the images of i and rho down
+to Im 1/17, and for ``_triple`` indices of levels 2 to 97 at 7 points of
+Im 1/20).  The other guard bits let a result's modulus fall well below 1
+before that error reaches its last bit: the factors 1 - w and 1 - q/w of
+the Siegel product have modulus about 1/N or more at an index of level N,
+and wp keeps the relative error of Ev - Od, about 2^-W / |z - lattice|
+(its quotient divides exact integer products), far below the
 2^-bits / |z - lattice| left by rounding z and w to ``bits``.
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
@@ -124,7 +127,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .classfield import CMPoint
 from .errors import DegenerateIndex, NearZero, OnLattice
-from .numerics import FX_GUARD, PrecisionContext, check_im_floor, truncation_terms
+from .numerics import FX_GUARD, PrecisionContext, check_im_range, truncation_terms
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class ModularPoint:
                 tau = mp.mpc(tau)
             if not mp.isfinite(tau):
                 raise ValueError(f"tau={mp.nstr(tau, 8)} is not finite")
-            check_im_floor(mp.im(tau))
+            check_im_range(mp.im(tau))
             return cls(tau, _exp_tau(tau, 1, ctx.bits), ctx)
 
     @classmethod
@@ -201,18 +204,22 @@ class ModularPoint:
 
     @cached_property
     def qfx(self) -> tuple[int, int]:
-        """q as fixed-point integers (re, im) at width W (exact)."""
+        """q as fixed-point integers (re, im) at width W, floored (exact while |q| >= 2^-32)."""
         return _fx(self.q, self.width)
 
     @cached_property
     def _euler_fx(self) -> tuple[int, int]:
-        """prod_{n>=1} (1 - q^n) at width W (``_pentagonal``)."""
-        return _pentagonal(self.qfx, self.width)
+        """E = prod_{n>=1} (1 - q^n) = (1 - q) prod_{n>=1} (1 - q^(3n+1))
+        (1 - q^(3n-1)) (1 - q^(3n)) at width W: ``_triple`` at (q^3, q)."""
+        w, q = self.width, self.qfx
+        q2 = _fx_mul(q, q, w)
+        (er, ei), (odr, odi) = _triple(_fx_mul(q2, q, w), q, q2, w)
+        return er - odr, ei - odi
 
     @cached_property
     def _euler_inv(self) -> tuple[int, int]:
         """1 / prod_{n>=1} (1 - q^n) at width W (``_LevelTable.siegel``)."""
-        return _fx_inv(self._euler_fx, self.width)
+        return _fx_div((1 << self.width, 0), self._euler_fx, self.width)
 
     @cached_property
     def _thetas(self) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -413,38 +420,11 @@ def _fx_mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
     return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
 
 
-def _negligible(a: tuple[int, int]) -> bool:
-    """Both components in {-1, 0, 1}: where a power of q below 2^-w stays,
-    as the shifts floor."""
-    return a[0] * a[0] + a[1] * a[1] <= 2
-
-
-def _pentagonal(q: tuple[int, int], w: int) -> tuple[int, int]:
-    """prod_{n>=1} (1 - q^n) = sum_{k in Z} (-1)^k q^(k(3k-1)/2) at width w.
-    Per k >= 1: q^(k(3k-1)/2), stepped by q^(3k+1), and q^(k(3k+1)/2), that
-    times q^k; it stops at the first term below 2^-w, as later ones are
-    smaller."""
-    q2 = _fx_mul(q, q, w)
-    q3, step = _fx_mul(q2, q, w), _fx_mul(q2, q2, w)  # step = q^(3k+1)
-    sr, si = 1 << w, 0
-    a = qk = q  # q^(k(3k-1)/2) and q^k
-    k = 1
-    while not _negligible(a):
-        br, bi = _fx_mul(a, qk, w)
-        sign = -1 if k % 2 else 1
-        sr, si = sr + sign * (a[0] + br), si + sign * (a[1] + bi)
-        a, step, qk = _fx_mul(a, step, w), _fx_mul(step, q3, w), _fx_mul(qk, q, w)
-        k += 1
-        if k > w:  # pragma: no cover
-            raise RuntimeError("pentagonal series failed to settle")
-    return sr, si
-
-
-def _fx_inv(a: tuple[int, int], w: int) -> tuple[int, int]:
-    """1 / a at width w, for a away from 0."""
-    ar, ai = a
-    den = ar * ar + ai * ai
-    return (ar << 2 * w) // den, (-ai << 2 * w) // den
+def _fx_div(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
+    """a / b at width w, b away from 0: one exact integer division a part."""
+    (ar, ai), (br, bi) = a, b
+    den = br * br + bi * bi
+    return ((ar * br + ai * bi) << w) // den, ((ai * br - ar * bi) << w) // den
 
 
 def _theta_sums(q: tuple[int, int], w: int):
@@ -471,7 +451,7 @@ def _theta_sums(q: tuple[int, int], w: int):
     m = 1
     while True:
         u = _fx_mul(t, step, w)  # S_m
-        if _negligible(u):
+        if u[0] * u[0] + u[1] * u[1] <= 2:  # parts in {-1, 0, 1}: below 2^-w
             break
         t = _fx_mul(u, step, w)  # T_m
         sr, si, tr, ti = sr + u[0], si + u[1], tr + t[0], ti + t[1]
@@ -495,13 +475,14 @@ def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
     t_(n+1) = t_n q^n w and t_(-n-1) = t_(-n) q^n (q/w), n >= 1, so every
     term has modulus <= 1, and each side stops at its first term below
     2^-wd.  Ev -+ Od = P(+-w) prod_{n>=1} (1 - q^n) with P(w) = (1 - w)
-    prod_{n>=1} (1 - q^n w)(1 - q^n / w) (Jacobi triple product)."""
+    prod_{n>=1} (1 - q^n w)(1 - q^n / w) (Jacobi triple product); at q^3,
+    w = q, Ev - Od is E (``ModularPoint._euler_fx``)."""
     qr, qi = q
     sums = [[1 << wd, 0], [0, 0]]  # even n, odd n
     for tr, ti in (w, qw):  # t_1 and t_(-1)
         sr, si = (tr * qr - ti * qi) >> wd, (tr * qi + ti * qr) >> wd  # the step
         n = 1
-        while tr * tr + ti * ti > 2:  # not ``_negligible((tr, ti))``
+        while tr * tr + ti * ti > 2:  # a component outside {-1, 0, 1}
             acc = sums[n & 1]
             acc[0], acc[1] = acc[0] + tr, acc[1] + ti
             tr, ti = (tr * sr - ti * si) >> wd, (tr * si + ti * sr) >> wd
@@ -537,7 +518,7 @@ class _Powers:
             return val
         w = self.w
         if k < 0:
-            val = _fx_inv(self(-k), w)
+            val = _fx_div((1 << w, 0), self(-k), w)
         else:
             sq = self.squares
             val = (1 << w, 0)
@@ -791,9 +772,7 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
             _check_off_lattice(pt, y, x)
             e = +e
             (er, ei), (odr, odi) = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
-        nr, ni, dr, di = er + odr, ei + odi, er - odr, ei - odi
-        den = dr * dr + di * di
-        ratio = ((nr * dr + ni * di) << wd) // den, ((ni * dr - nr * di) << wd) // den
+        ratio = _fx_div((er + odr, ei + odi), (er - odr, ei - odi), wd)
         (e1r, e1i), k = pt._wp_constants
         kr, ki = _fx_mul(k, _fx_mul(ratio, ratio, wd), wd)
         return _mpc(e1r - kr, e1i - ki, wd)

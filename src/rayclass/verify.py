@@ -79,7 +79,7 @@ def _finish(name, inputs, residuals, details=None) -> CheckReport:
 
 
 def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
-                      relaxed: bool = False, tol=None) -> CheckReport:
+                      relaxed: bool = False) -> CheckReport:
     """Curve membership of the level-N point at theta.
 
     Scaled residuals of u v^3 y^2 = 4 x^3 - u v^2 x - u v^4 and
@@ -92,7 +92,6 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
     else:
         if field.d > -39 or n < 8 or n % 4:
             raise ValueError("strict mode needs d_K <= -39, N >= 8, 4 | N")
-    tol = ctx.eps if tol is None else ctx.mpf(tol)
     q = field.principal
     pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
@@ -105,12 +104,12 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
         return _finish(
             "curve_point",
             {"dk": field.d, "level": n, "relaxed": relaxed},
-            {"curve": res_curve - tol, "unit_relation": res_unit - tol},
-            {"curve_residual": res_curve, "unit_residual": res_unit, "tol": tol},
+            {"curve": res_curve - ctx.eps, "unit_relation": res_unit - ctx.eps},
+            {"curve_residual": res_curve, "unit_residual": res_unit, "tol": ctx.eps},
         )
 
 
-def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckReport:
+def check_surface_point(tau, n: int, ctx: PrecisionContext) -> CheckReport:
     """Membership of [v : x : y : 1] on the homogeneous surface
 
     (Z^2 + 27 V^2) V^3 Y^2 = 4 X^3 Z^4 - (Z^2+27V^2) V^2 X Z^2 - (Z^2+27V^2) V^4 Z
@@ -120,7 +119,6 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
     """
     if n % 4:
         raise ValueError("surface membership needs 4 | N")
-    tol = ctx.eps if tol is None else ctx.mpf(tol)
     pt = ModularPoint.from_complex(tau, ctx)
     r = FractionPair.from_parts(0, 1, n)
     with ctx.work():
@@ -128,8 +126,8 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext, tol=None) -> CheckRe
         return _finish(
             "surface_point",
             {"tau": mp.nstr(pt.tau, 17), "level": n},
-            {"surface": res - tol},
-            {"surface_residual": res, "tol": tol},
+            {"surface": res - ctx.eps},
+            {"surface_residual": res, "tol": ctx.eps},
         )
 
 

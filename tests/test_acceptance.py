@@ -128,11 +128,12 @@ def test_criterion_4_curve_and_surface():
     at two non-CM tau, relative residuals below 1e-30."""
     t0 = time.perf_counter()
     ok = True
+    ctx = PrecisionContext(256, "1e-30")
     for d, n in ((-39, 8), (-40, 8), (-52, 12)):
-        rep = check_curve_point(make_field(d), n, CTX, tol="1e-30")
+        rep = check_curve_point(make_field(d), n, ctx)
         ok &= rep.passed
     for tau, n in ((("0.3", "1.7"), 4), (("-0.4", "2.3"), 8)):
-        rep = check_surface_point(CTX.mpc(*tau), n, CTX, tol="1e-30")
+        rep = check_surface_point(ctx.mpc(*tau), n, ctx)
         ok &= rep.passed
     _report(4, "curve/surface identities", ok, t0)
 

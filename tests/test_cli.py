@@ -377,15 +377,17 @@ def test_one_point_per_tau(argv, capsys, monkeypatch):
 
 def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
     """x (through wp) and y (through the Siegel values) at an index read one
-    triple-product sum per reduced index and point."""
-    body = qseries._triple
+    triple-product sum per reduced index and point: the misses of the
+    level-N table's (Ev, Od) memo, not the point's Euler sum."""
+    body = qseries._LevelTable.triple
     runs = []
 
-    def counted(*args):
-        runs.append(args)
-        return body(*args)
+    def counted(tab, pt, s, t):
+        if (s, t) not in tab.triples:
+            runs.append((pt, tab.n, s, t))
+        return body(tab, pt, s, t)
 
-    monkeypatch.setattr(qseries, "_triple", counted)
+    monkeypatch.setattr(qseries._LevelTable, "triple", counted)
     code, _, _ = run_cli(["conjugates", "--dk", "-39", "--level", "8",
                           "--descriptor", "pair"], capsys)
     assert code == 0
@@ -422,6 +424,30 @@ def test_im_floor_is_inclusive(capsys):
     code, _, err = run_cli(["eval", "eta", "--tau", "0,0.0499"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "ImTooSmall"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "j", "--tau", "0,1e400"],
+    ["eval", "j", "--tau", "0,1e300"],
+    ["eval", "siegel", "--tau", "0,1e400", "--r", "1/3,0"],
+    ["eval", "y", "--tau", "0,1e300", "--r", "1/3,0"],
+    ["check", "surface", "--tau", "0,1e400", "--level", "4"],
+])
+def test_im_above_the_ceiling_exits_three(argv, capsys):
+    """A huge Im tau is a NumericalError (exit 3), not an overflow in a
+    width computed from it."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "NumericalError"
+    assert "above ceiling 1000000" in json.loads(err)["message"]
+
+
+def test_im_ceiling_is_inclusive(capsys):
+    code, out, _ = run_cli(["eval", "eta", "--tau", "0,1e6"], capsys)
+    assert code == 0
+    assert json.loads(out)["fn"] == "eta"
+    code, out, err = run_cli(["eval", "eta", "--tau", "0,1000000.001"], capsys)
+    assert (code, out, json.loads(err)["error"]) == (3, "", "NumericalError")
 
 
 def test_threads_flag_is_gone(capsys):

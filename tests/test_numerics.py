@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from rayclass import ImTooSmall, PrecisionContext
+from rayclass import ImTooSmall, NumericalError, PrecisionContext
 from rayclass.numerics import truncation_terms
 
 
@@ -29,6 +29,11 @@ def test_truncation_matches_direct_inequality():
 def test_truncation_rejects_small_im():
     with pytest.raises(ImTooSmall):
         truncation_terms(0.01, "1e-40")
+
+
+def test_truncation_rejects_im_above_the_ceiling():
+    with pytest.raises(NumericalError, match="above ceiling"):
+        truncation_terms("1e400", "1e-40")
 
 
 def test_truncation_accepts_the_floor_itself():

@@ -184,6 +184,24 @@ def test_eta_tail_tends_to_prefactor(ctx256):
         assert abs(eta(pt) / (pref * q24) - 1) < ctx256.eps
 
 
+@pytest.mark.parametrize("bits, eps", [(64, "1e-10"), (256, "1e-40"), (1536, "1e-400")])
+def test_euler_sum_within_its_budget_of_twice_the_width(bits, eps):
+    """The Euler product (``_triple`` at (q^3, q)) lies within 11 units
+    2^-W of the same sum over the same q at width 2W (the bound the qseries
+    module docstring states): at the Im floor, in F and at a large Re tau."""
+    ctx = PrecisionContext(bits, eps)
+    w = ctx.bits + qseries.FX_GUARD
+    wide = PrecisionContext(2 * w - qseries.FX_GUARD, eps)
+    taus = [(0, "0.05"), ("0.5", "0.05"), ("-0.5", "0.05"), (0, 1),
+            ("-0.5", "0.8660254037844386"), ("0.3", "1.2"), ("0.17", "3.5"),
+            ("12345.25", "0.05"), ("1000000.5", "0.7")]
+    for tau in taus:
+        pt = _pt(*tau, ctx)
+        er, ei = pt._euler_fx
+        fr, fi = ModularPoint(pt.tau, pt.q, wide)._euler_fx
+        assert pt.width == w and abs(complex(er - (fr >> w), ei - (fi >> w))) <= 11
+
+
 def test_eta24_equals_delta_random(ctx256):
     with ctx256.work():
         for re, im in _random_taus(20):

@@ -49,9 +49,10 @@ from oracles import hcp_oracle, lemma52_loop, min_pairwise_distance_loop, scale_
 
 # ------------------------------------------------------------------ curve ---
 
-def test_curve_point_strict_cases(ctx256):
+def test_curve_point_strict_cases():
+    ctx = PrecisionContext(256, "1e-30")
     for d, n in ((-39, 8), (-40, 8), (-52, 12)):
-        rep = check_curve_point(make_field(d), n, ctx256, tol="1e-30")
+        rep = check_curve_point(make_field(d), n, ctx)
         assert rep.passed
         assert rep.details["curve_residual"] < mp.mpf("1e-30")
         assert rep.details["unit_residual"] < mp.mpf("1e-30")
@@ -71,9 +72,10 @@ def test_curve_report_invariant(ctx256):
 
 # ---------------------------------------------------------------- surface ---
 
-def test_surface_point_non_cm(ctx256):
+def test_surface_point_non_cm():
+    ctx = PrecisionContext(256, "1e-30")
     for tau, n in ((mp.mpc("0.3", "1.7"), 4), (mp.mpc("-0.4", "2.3"), 8)):
-        rep = check_surface_point(tau, n, ctx256, tol="1e-30")
+        rep = check_surface_point(tau, n, ctx)
         assert rep.passed
         assert rep.details["surface_residual"] < mp.mpf("1e-30")
 
