@@ -12,10 +12,12 @@ report from (args, ctx)); the argparse choices are those keys.  Each
 ``_cmd_*`` returns (header, body), the body holding raw values: mpf, mpc,
 tuples of them, Fractions and ints.  The payload's dk and level come from
 the header, which for a check is its report's ``inputs``.  ``main`` alone
-builds the PrecisionContext, formats the payload (``_payload`` converts
-every number once, under one switch to the working precision), writes it
-and picks the exit code: 0 success, 1 when a check reports ``pass:
-false``, 2 usage/validation (InputError, ValueError), 3 NumericalError.
+builds the PrecisionContext, writes the payload and picks the exit code:
+0 success, 1 when a check reports ``pass: false``, 2 usage/validation
+(InputError, ValueError), 3 NumericalError.  JSON is written in one pass
+over the raw payload (``_json_text``), each number rounded to the working
+precision and printed as it is met, in the layout of ``json.dumps(...,
+sort_keys=True, indent=2)``; text mode prints ``_jsonable``'s strings.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import mpmath as mp
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from . import __version__
 from .classfield import ideal_factorization, make_field, ray_class_degree
@@ -71,21 +75,24 @@ EXIT_NUMERICAL = 3
 
 
 def _payload(header: dict, ctx: PrecisionContext, body: dict) -> dict:
-    with ctx.work():
-        return {
-            "tool_version": __version__,
-            "dk": header.get("dk"),
-            "level": header.get("level"),
-            "precision_bits": ctx.bits,
-            "eps": mp.nstr(ctx.eps, 12),
-            **_jsonable(body, ctx.dps),
-        }
+    """The payload with its numbers still raw: the common header fields
+    and the body."""
+    return {
+        "tool_version": __version__,
+        "dk": header.get("dk"),
+        "level": header.get("level"),
+        "precision_bits": ctx.bits,
+        "eps": mp.nstr(ctx.eps, 12),
+        **body,
+    }
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, ctx: PrecisionContext, args) -> None:
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload, ctx.dps, ctx.bits) + "\n")
     else:
+        with ctx.work():
+            payload = _jsonable(payload, ctx.dps)
         for k, v in payload.items():
             sys.stdout.write(f"{k}: {v}\n")
 
@@ -117,6 +124,66 @@ def _jsonable(v, dps: int):
     if isinstance(v, dict):
         return {k: _jsonable(x, dps) for k, x in v.items()}
     return v
+
+
+def _json_text(v, dps: int, prec: int) -> str:
+    """``json.dumps(_jsonable(v, dps), sort_keys=True, indent=2)`` at
+    precision prec, written in one pass (``_write_json``)."""
+    out = []
+    _write_json(v, "", out.append, dps, prec)
+    return "".join(out)
+
+
+def _write_json(x, pad: str, put, dps: int, prec: int) -> None:
+    """Pass the JSON text of x, indented from pad, to put: an mpf rounded
+    to prec bits and printed by mpmath's ``to_str`` at dps digits, as
+    ``mp.nstr(+v, dps, strip_zeros=True)`` prints it, an mpc as the list
+    of its parts, and every other node laid out as the json module lays it
+    out with sort_keys=True and indent=2."""
+    if isinstance(x, mp.mpf):
+        put('"%s"' % to_str(mpf_pos(x._mpf_, prec, round_nearest), dps))
+    elif isinstance(x, str):
+        put(encode_basestring_ascii(x))
+    elif isinstance(x, mp.mpc):
+        re, im = x._mpc_
+        inner = pad + "  "
+        put('[\n%s"%s",\n%s"%s"\n%s]' % (
+            inner, to_str(mpf_pos(re, prec, round_nearest), dps),
+            inner, to_str(mpf_pos(im, prec, round_nearest), dps), pad))
+    elif isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, item in sorted(x.items()):
+            put(sep)
+            put(encode_basestring_ascii(k))
+            put(": ")
+            _write_json(item, inner, put, dps, prec)
+            sep = ",\n" + inner
+        put("\n" + pad + "}")
+    elif isinstance(x, (tuple, list)):
+        if not x:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in x:
+            put(sep)
+            _write_json(item, inner, put, dps, prec)
+            sep = ",\n" + inner
+        put("\n" + pad + "]")
+    elif x is None:
+        put("null")
+    elif isinstance(x, bool):
+        put("true" if x else "false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, Fraction):
+        put(encode_basestring_ascii(str(x)))
+    else:
+        put(json.dumps(x))
 
 
 def _parse_real(s: str, flag: str, ctx: PrecisionContext) -> mp.mpf:
@@ -422,7 +489,7 @@ def main(argv=None) -> int:
     try:
         ctx = _ctx_from(args)
         header, body = args.run(args, ctx)
-        _emit(_payload(header, ctx, body), args)
+        _emit(_payload(header, ctx, body), ctx, args)
     except NumericalError as exc:
         _error_out(args, exc)
         return EXIT_NUMERICAL

@@ -33,10 +33,11 @@ Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
 ``to_fixed`` (q floored, exact while |q| >= 2^-32) and leave by
 ``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient,
-y = -g_{2r}/g_r^4 and u = E4^3 / (1728 q E^24) are formed in fixed point
-too, the eta and Eisenstein prefactors, E^12 (for delta only) and the
-exponentials in mpmath.  Each sum is lacunary and stops at its first term
-below 2^-W, so every value is the converged function.  Two loops sum them.
+y = -g_{2r}/g_r^4 and its powers, x and u = E4^3 / (1728 q E^24) are
+formed in fixed point too, the eta and Eisenstein prefactors, E^12 (for
+delta only) and the exponentials in mpmath.  Each sum is lacunary and stops
+at its first term below 2^-W, so every value is the converged function.
+Two loops sum them.
 ``_triple`` sums the halves Ev (even n) and Od (odd n) of
 sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
 P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
@@ -45,7 +46,7 @@ E(q^3) P(q) = E(q) (Euler's pentagonal theorem); at Q = q,
 w = exp(2*pi*i*z), Ev - Od is E times the Siegel product, and
 (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
 23.6.2).  ``_theta_sums`` sums the theta constants (g2, g3, the constants
-of wp, and the factors of E^12 for delta, j, u and g2 g3 / delta).  Every
+of wp, and the factors of E^12 for delta, j, u and x).  Every
 quotient in fixed point is one exact integer division (``_fx_div``).  No
 kernel reads ``terms()``; it sizes the tests' reference loops.
 
@@ -90,18 +91,25 @@ The table also decides once whether its level keeps every index off the
 lattice (``off_lattice``, ``wp``).  It holds no reference to the point:
 its methods take the point as an argument, so no cycle outlives a point.
 
-Siegel memo and y.  The level-N table keeps two memos keyed by the reduced
-index (s, t).  The first keeps ``_triple``'s (Ev, Od) at w and q/w, so the
-Siegel product and ``wp`` at an index share one sum.  The second keeps the
-Siegel product, cut once to W significant bits.  ``siegel`` applies the
-shift root of unity and the sign as one power of xi (``rotate``; nothing at
-a reduced index) and rounds to ``bits``.
-``y_quotient``, the one evaluator of y = -g_d/g_r^4, cuts g_r^4 (two exact
-squarings) to W significant bits, applies the shift roots of unity and the
-sign the same way and divides in exact integers (``_quotient``), rounding
-once to ``bits``.
+Siegel memo and y.  The level-N table keeps two memos, keyed by canonical
+reduced indices only: of (s, t) and (-s mod N, -t mod N), the
+lexicographically smaller (``_fold``).  An index whose key is not canonical
+is evaluated through -r, as g_{-r} = -g_r, and the sign joins the shift
+root of unity as a half turn.  The first memo keeps ``_triple``'s (Ev, Od)
+at w and q/w, so the Siegel product and ``wp`` at an index share one sum;
+wp reads it at the canonical key of its index, as it depends on
+((Ev + Od)/(Ev - Od))^2 alone, which is the same at r and -r.  The Siegel
+product itself folds only through -r: at s = 0 the two keys' sums differ,
+P(1/w) = -P(w)/w.  The second memo keeps the Siegel product, cut once to W
+significant bits.  ``siegel`` applies the root of unity as one power of xi
+and a sign (``rotate``, which makes g_{-r} = -g_r hold bit for bit) and
+rounds to ``bits``.  ``y_quotient``, the one evaluator of y = -g_d/g_r^4,
+cuts g_r^4 (two exact squarings) to W significant bits, applies the roots
+of unity the same way and divides in exact integers (``_quotient``).  It
+raises that W-bit quotient to the power k that an orbit asks for (y^epow,
+y^12N) by cut products and rounds once to ``bits``.
 
-u and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
+u, x and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
 quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
 (a, b = theta_3^4, theta_4^4) and E^24 = (A T (A^2 + C))^2
 (theta_3 theta_4)^8 (``_theta_sums``).  Every product is exact and cut to
@@ -109,9 +117,12 @@ W significant bits (``_cut_mul``, ``_cut_sq``), so theta_3 theta_4 is
 never shifted in fixed point, where (theta_3 theta_4)^8, about 1e-42 at the
 Im floor, would lose its relative bits.  q enters the denominator at width
 W + log2(1/|q|), so it keeps W significant bits however small it is, and
-``_quotient`` divides once, rounding to ``bits``.  j = 1728 u.  Neither
-forms g2, g3, a power of pi or delta; E^12 is multiplied out only for
-delta.
+``_quotient`` divides once; u is rounded once to ``bits``.  j = 1728 u.
+x = g2 g3 wp / delta at an index is one such quotient too: with
+P, M = Ev +- Od at the index, S = a + b and D = theta_3^2 theta_4^2,
+wp = pi^2 (S/3 - D (P/M)^2), so x = E4 E6 (S M^2 - 3 D P^2) /
+(31104 q E^24 M^2) and pi cancels.  None of them forms g2, g3, a power of
+pi or delta; E^12 is multiplied out only for delta.
 """
 
 from __future__ import annotations
@@ -148,14 +159,16 @@ class ModularPoint:
       and ``_euler_inv``, its reciprocal (Siegel values); ``_thetas``, the
       theta constants of g2, g3 and wp and the four factors of E^12, which
       ``delta`` multiplies out in mpmath and ``u`` in exact integers;
-      ``_e4``, E4 in fixed point with the two squares E6 reuses;
-      ``_x_factor``, g2 g3 / delta for ``x``; ``_tables``, one
+      ``_e4``, E4 in fixed point with the two squares ``_e6`` reuses;
+      ``_e24``, E^24 and q as cut integers, which ``u`` and ``_x_scale``
+      (E4 E6 and 31104 q E^24 for ``x_value``) share; ``_tables``, one
       ``_LevelTable`` per level N, which keeps all data keyed by a reduced
       index (s/N, t/N): the powers of q^(1/(12 N^2)) and
       exp(2*pi*i/(12 N^2)) its keys need, the triple-product halves
-      (Ev, Od) that the Siegel product and ``wp`` read, the Siegel products
-      at W significant bits that ``siegel`` rounds and ``y_quotient``
-      divides, and wp's level guard (module docstring).
+      (Ev, Od) that the Siegel product, ``wp`` and ``x_value`` read, the
+      Siegel products at W significant bits that ``siegel`` rounds and
+      ``y_quotient`` divides, both at canonical keys only, and wp's level
+      guard (module docstring).
 
     No curve constant takes a guard: each divides by delta or eta^12, an
     exact exponential q or q^(1/2) times a power of E, which is bounded
@@ -257,31 +270,46 @@ class ModularPoint:
         return (s2[0] - 3 * p[0], s2[1] - 3 * p[1]), p, s2
 
     @cached_property
+    def _e6(self) -> tuple[int, int]:
+        """2 E6 = (a+b)(9ab - 2(a+b)^2) at width W for a, b = theta_3^4,
+        theta_4^4 (DLMF 23.6), from the squares of ``_e4``."""
+        _, p, s2 = self._e4
+        return _fx_mul(self._thetas[0], (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), self.width)
+
+    @cached_property
     def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
-        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), with E6 = (a+b)(9ab -
-        2(a+b)^2)/2 for a, b = theta_3^4, theta_4^4 (DLMF 23.6; E4 from
-        ``_e4``)."""
+        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), E4 from ``_e4`` and E6
+        from ``_e6``."""
         with self.ctx.work():
             w = self.width
-            e4, p, s2 = self._e4
-            e6r, e6i = _fx_mul(self._thetas[0], (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), w)
-            return (4 * mp.pi**4 / 3 * _mpc(*e4, w),
+            e6r, e6i = self._e6
+            return (4 * mp.pi**4 / 3 * _mpc(*self._e4[0], w),
                     8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w))
+
+    @cached_property
+    def _e24(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(E^24, q) as (re, im, w) triples: E^24 = (A T (A^2 + C)
+        (theta_3 theta_4)^4)^2 from the factors of ``_thetas``, each product
+        cut to W significant bits, and q at width W + log2(1/|q|), so that
+        it keeps W significant bits however small it is (module docstring,
+        "u, x and j")."""
+        w = self.width
+        big_a, t, apc, d = ((*x, w) for x in self._thetas[2])
+        e12 = _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
+        qw = w + math.ceil(12 * float(self.im) * _BITS_PER_IM)  # |q| >= 2^(w - qw)
+        return _cut_sq(e12, w), (*_fx(self.q, qw), qw)
 
     @cached_property
     def u(self) -> mp.mpc:
         """u = g2^3 / delta = E4^3 / (1728 q E^24), one exact integer
-        quotient of E4, q and the factors of E^12 (module docstring, "u
-        and j"); no Eisenstein prefactor, power of pi or delta is formed."""
+        quotient of E4, q and the factors of E^12 (module docstring, "u,
+        x and j"); no Eisenstein prefactor, power of pi or delta is formed."""
         w = self.width
-        big_a, t, apc, d = ((*x, w) for x in self._thetas[2])
         e4 = (*self._e4[0], w)
         num = _cut_mul(_cut_sq(e4, w), e4, w)
-        e12 = _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
-        qw = w + math.ceil(12 * float(self.im) * _BITS_PER_IM)  # |q| >= 2^(w - qw)
-        qr, qi = _fx(self.q, qw)
-        den = _cut_mul(_cut_sq(e12, w), (1728 * qr, 1728 * qi, qw), w)
-        return _quotient(num, den, w, self.ctx.bits)
+        e24, (qr, qi, qw) = self._e24
+        den = _cut_mul(e24, (1728 * qr, 1728 * qi, qw), w)
+        return _mpc(*_quotient(num, den, w), self.ctx.bits)
 
     @cached_property
     def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -295,11 +323,15 @@ class ModularPoint:
         return (e1r // 3, e1i // 3), _fx_mul(pi2, d2, w)
 
     @cached_property
-    def _x_factor(self) -> mp.mpc:
-        """g2 g3 / delta for ``x_value``."""
-        with self.ctx.work():
-            g2, g3 = self.eisenstein
-            return g2 * g3 / self.delta
+    def _x_scale(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(E4 E6, 31104 q E^24), each cut to W significant bits: the
+        numerator and denominator of x / (S M^2 - 3 D P^2) at every index
+        (``x_value``)."""
+        w = self.width
+        e6r, e6i = self._e6
+        e24, (qr, qi, qw) = self._e24
+        return (_cut_mul((*self._e4[0], w), (e6r, e6i, w + 1), w),
+                _cut_mul(e24, (31104 * qr, 31104 * qi, qw), w))
 
     @cached_property
     def _tables(self) -> dict:
@@ -451,7 +483,7 @@ def _theta_sums(q: tuple[int, int], w: int):
     m = 1
     while True:
         u = _fx_mul(t, step, w)  # S_m
-        if u[0] * u[0] + u[1] * u[1] <= 2:  # parts in {-1, 0, 1}: below 2^-w
+        if -2 < u[0] < 2 and -2 < u[1] < 2:  # parts in {-1, 0, 1}: below 2^-w
             break
         t = _fx_mul(u, step, w)  # T_m
         sr, si, tr, ti = sr + u[0], si + u[1], tr + t[0], ti + t[1]
@@ -482,7 +514,7 @@ def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
     for tr, ti in (w, qw):  # t_1 and t_(-1)
         sr, si = (tr * qr - ti * qi) >> wd, (tr * qi + ti * qr) >> wd  # the step
         n = 1
-        while tr * tr + ti * ti > 2:  # a component outside {-1, 0, 1}
+        while tr > 1 or tr < -1 or ti > 1 or ti < -1:  # a part outside {-1, 0, 1}
             acc = sums[n & 1]
             acc[0], acc[1] = acc[0] + tr, acc[1] + ti
             tr, ti = (tr * sr - ti * si) >> wd, (tr * si + ti * sr) >> wd
@@ -543,10 +575,11 @@ _LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
 class _LevelTable:
     """Everything at one point keyed by a reduced index (s/N, t/N) of level
     N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, the
-    (Ev, Od) and Siegel memos, and ``off_lattice``, true when every index of
-    level N clears the lattice by the level alone (``wp``).  Widths and error
-    budget are in the module docstring.  The table keeps no reference to its
-    point, so a point is freed as soon as it is dropped; methods take it."""
+    (Ev, Od) and Siegel memos (at canonical keys, ``_fold``), and
+    ``off_lattice``, true when every index of level N clears the lattice by
+    the level alone (``wp``).  Widths and error budget are in the module
+    docstring.  The table keeps no reference to its point, so a point is
+    freed as soon as it is dropped; methods take it."""
 
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
@@ -602,11 +635,13 @@ class _LevelTable:
         return val
 
     def rotate(self, z: tuple[int, int], e: int) -> tuple[int, int]:
-        """z exp(pi*i*e/N), 0 <= e < 2N, at z's width: a sign, or xi^(6Ne)."""
+        """z exp(pi*i*e/N), 0 <= e < 2N, at z's width: z xi^(6N(e mod N)),
+        negated when e >= N, so that rotate(z, e + N) = -rotate(z, e) bit
+        for bit."""
         n = self.n
         if e % n:
-            return _fx_mul(z, self.z(6 * n * e), self.zwidth)
-        return (-z[0], -z[1]) if e else z
+            z = _fx_mul(z, self.z(6 * n * (e % n)), self.zwidth)
+        return (-z[0], -z[1]) if e >= n else z
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
@@ -637,16 +672,16 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     """Siegel function g_{(r1,r2)}(tau) via its q-product; nonzero on H.
 
-    The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2,
-    (s1, s2) = divmod of the residues by the level N, once per point (the
+    The product is evaluated on the reduced index (s/N, t/N) in [0,1)^2 of
+    r, or of -r when that has the canonical key (``_fold``), (s1, s2) =
+    divmod of the residues by the level N, once per point and pair +-r (the
     memo entry of the level-N table, ``_LevelTable.siegel``), multiplied by
     the exact quasi-periodicity root of unity (-1)^(s1*s2+s1+s2) *
-    exp(pi*i*(s2*s - s1*t)/N) of the Klein form, 1 at a reduced index
-    (``_cut_entry``, ``_LevelTable.rotate``), and rounded.
+    exp(pi*i*(s2*s - s1*t)/N) of the Klein form, 1 at a reduced index, and
+    by -1 for -r (``_cut_entry``, ``_LevelTable.rotate``), and rounded.
     """
     re, im, w, e = _cut_entry(pt, r)
-    with pt.ctx.work():
-        return _mpc(*pt._table(r.level).rotate((re, im), e), w)
+    return _mpc(*pt._table(r.level).rotate((re, im), e), w, pt.ctx.bits)
 
 
 def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
@@ -670,32 +705,72 @@ def _cut_sq(x: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
     return _cut_bits((re + im) * (re - im), 2 * re * im, 2 * w, bits)
 
 
-def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int,
-              prec: int) -> mp.mpc:
+def _exact_sub(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x - y for x, y = (re, im, w), exact, at the larger of their widths."""
+    (ar, ai, aw), (br, bi, bw) = x, y
+    if aw < bw:
+        ar, ai, aw = ar << (bw - aw), ai << (bw - aw), bw
+    else:
+        br, bi = br << (aw - bw), bi << (aw - bw)
+    return ar - br, ai - bi, aw
+
+
+def _cut_pow(x: tuple[int, int, int], k: int, bits: int) -> tuple[int, int, int]:
+    """x^k, k >= 1, for x = (re, im, w), by binary powering over the squares
+    x^(2^j), every product cut to ``bits`` significant bits (``_cut_bits``)."""
+    val = None
+    while True:
+        if k & 1:
+            val = x if val is None else _cut_mul(val, x, bits)
+        k >>= 1
+        if not k:
+            return val
+        x = _cut_sq(x, bits)
+
+
+def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int
+              ) -> tuple[int, int, int]:
     """num / den for num, den = (re, im, w) standing for (re + i*im) * 2^-w,
     den nonzero: one exact integer division carrying ``bits`` significant
-    bits, rounded once to prec bits."""
+    bits, as (re, im, w)."""
     (nr, ni, wn), (a, b, wd) = num, den
     mod2 = a * a + b * b
     qr, qi = nr * a + ni * b, ni * a - nr * b
     sh = max(0, bits + mod2.bit_length() - max(abs(qr), abs(qi)).bit_length())
-    return _mpc((qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd, prec)
+    return (qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd
+
+
+def _fold(r: FractionPair) -> tuple[int, int, bool]:
+    """(p1, p2, flip): the residues of r, or of -r when flip, whichever has
+    the canonical reduced key (s, t), the lexicographically smaller of
+    (s, t) and (-s mod N, -t mod N).  As g_{-r} = -g_r and wp is even, the
+    level table keeps entries at canonical keys only."""
+    n, p1, p2 = r.level, r.p1, r.p2
+    s, t = p1 % n, p2 % n
+    if (-s % n, -t % n) < (s, t):
+        return -p1, -p2, True
+    return p1, p2, False
 
 
 def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
-    """(re, im, w, e): the Siegel memo entry of r's reduced index, at W
-    significant bits, and e mod 2n for r's shift root of unity
-    exp(pi*i*e/n) (``siegel``), n its level."""
+    """(re, im, w, e): the Siegel memo entry of r's canonical reduced key,
+    at W significant bits, and e mod 2n for the root of unity
+    exp(pi*i*e/n) that turns it into g_r (``siegel``), n the level: the
+    shift root of the index r or -r that ``_fold`` picks, and the sign of
+    g_r = -g_{-r} as e + n when it picks -r."""
     n = r.level
-    s1, s = divmod(r.p1, n)
-    s2, t = divmod(r.p2, n)
+    p1, p2, flip = _fold(r)
+    s1, s = divmod(p1, n)
+    s2, t = divmod(p2, n)
     return (*pt._table(n).siegel(pt, s, t),
-            (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2)) % (2 * n))
+            (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2 + flip)) % (2 * n))
 
 
-def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
-    """y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value`` and
-    (0, 2/N)m for ``conjugate_values``; d's level divides r's.  NearZero when
+def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1) -> mp.mpc:
+    """y^k for y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value``
+    and (0, 2/N)m for ``conjugate_values``; d's level divides r's.  The
+    quotient at W significant bits is raised to the power k >= 1 by cut
+    products (``_cut_pow``) and rounded once to ``bits``.  NearZero when
     |g_r^4| < eps: (re^2 + im^2)^4 < eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
     n, nd = r.level, d.level
     if n % nd:
@@ -705,12 +780,14 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair) -> mp.mpc:
     e = (ed * (n // nd) - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
     nr, ni = pt._table(n).rotate((nr, ni), e)
     _, man, exp, _ = pt.ctx.eps._mpf_
-    m4, k = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
-    if (m4 < (man * man << k)) if k >= 0 else ((m4 << -k) < man * man):
+    m4, sh = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
+    if (m4 < (man * man << sh)) if sh >= 0 else ((m4 << -sh) < man * man):
         with pt.ctx.work():
             raise NearZero(f"division by |z|={mp.nstr(abs(_mpc(gr, gi, w) ** 4), 8)} < eps")
+    wd = pt.width
     g2 = (gr + gi) * (gr - gi), 2 * gr * gi, 2 * w
-    return _quotient((nr, ni, wn), _cut_sq(g2, pt.width), pt.width, pt.ctx.bits)
+    y = _quotient((nr, ni, wn), _cut_sq(g2, wd), wd)
+    return _mpc(*_cut_pow(y, k, wd), pt.ctx.bits)
 
 
 def siegel_order(r: FractionPair) -> Fraction:
@@ -747,8 +824,9 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
     min(1, Im tau)^2; below, the level settles it (``_LevelTable``'s
     ``off_lattice``).  For an index the reduced coordinates are exact, and
-    (Ev, Od) is the level-n table's memo entry (``_LevelTable.triple``),
-    which the Siegel value there shares; for a complex z, u = exp(2*pi*i*z)
+    (Ev, Od) is the level-n table's memo entry at the canonical key of the
+    index (``_index_triple``), which the Siegel value there shares, so
+    wp(-r) = wp(r) bit for bit; for a complex z, u = exp(2*pi*i*z)
     and q/u are computed from z, with the bits of Re tau and of z's lattice
     coordinates as extra bits, and ``_triple`` runs on them.  The Euler
     product cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), which is divided
@@ -756,14 +834,10 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     the division would cut its bits.
     """
     wd = pt.width
-    with pt.ctx.work():
-        if isinstance(z, FractionPair):
-            n, tab = z.level, pt._table(z.level)
-            s, t = z.p1 % n, z.p2 % n
-            if not tab.off_lattice:
-                _check_off_lattice(pt, mp.mpf(s) / n, mp.mpf(t) / n)
-            (er, ei), (odr, odi) = tab.triple(pt, s, t)
-        else:
+    if isinstance(z, FractionPair):
+        (er, ei), (odr, odi) = _index_triple(pt, z)
+    else:
+        with pt.ctx.work():
             # |y| <= |z| / Im tau and |x| <= |z| + |y Re tau|: their bits
             z_bits = int(abs(z) / min(1, pt.im)).bit_length()
             with mp.workprec(pt.ctx.bits + _re_bits(pt.tau) + z_bits):
@@ -772,10 +846,24 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
             _check_off_lattice(pt, y, x)
             e = +e
             (er, ei), (odr, odi) = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
-        ratio = _fx_div((er + odr, ei + odi), (er - odr, ei - odi), wd)
-        (e1r, e1i), k = pt._wp_constants
-        kr, ki = _fx_mul(k, _fx_mul(ratio, ratio, wd), wd)
-        return _mpc(e1r - kr, e1i - ki, wd)
+    ratio = _fx_div((er + odr, ei + odi), (er - odr, ei - odi), wd)
+    (e1r, e1i), k = pt._wp_constants
+    kr, ki = _fx_mul(k, _fx_mul(ratio, ratio, wd), wd)
+    return _mpc(e1r - kr, e1i - ki, wd, pt.ctx.bits)
+
+
+def _index_triple(pt: ModularPoint, r: FractionPair
+                  ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(Ev, Od) at the index r for ``wp`` and ``x_value``: the level table's
+    memo entry at the canonical key of r (``_fold``), after the lattice
+    test, which runs only when the level does not settle it.  wp reads
+    ((Ev + Od)/(Ev - Od))^2 alone, which is the same at r and -r."""
+    n, tab = r.level, pt._table(r.level)
+    if not tab.off_lattice:
+        with pt.ctx.work():
+            _check_off_lattice(pt, mp.mpf(r.p1 % n) / n, mp.mpf(r.p2 % n) / n)
+    p1, p2, _ = _fold(r)
+    return tab.triple(pt, p1 % n, p2 % n)
 
 
 def wp_prime(r: FractionPair, pt: ModularPoint) -> mp.mpc:
@@ -813,10 +901,22 @@ def v_value(pt: ModularPoint) -> mp.mpc:
 
 def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     """x = g2 * g3 * wp(r1*tau + r2) / delta (Fricke function over -2^7 3^5),
-    with g2 g3 / delta from the point (``ModularPoint._x_factor``)."""
-    w = wp(r, pt)
-    with pt.ctx.work():
-        return pt._x_factor * w
+    one exact integer quotient.  With P, M = Ev +- Od at r
+    (``_index_triple``), S = theta_3^4 + theta_4^4 and D = (theta_3
+    theta_4)^2, wp = pi^2 (S/3 - D (P/M)^2) (``wp``), so pi cancels and
+
+        x = E4 E6 (S M^2 - 3 D P^2) / (31104 q E^24 M^2),
+
+    every product cut to W significant bits, E4 E6 and 31104 q E^24 from
+    the point (``ModularPoint._x_scale``), rounded once to ``bits``."""
+    (er, ei), (odr, odi) = _index_triple(pt, r)
+    w = pt.width
+    s, d2, _ = pt._thetas
+    m2 = _cut_sq((er - odr, ei - odi, w), w)
+    diff = _exact_sub(_cut_mul((*s, w), m2, w),
+                      _cut_mul((3 * d2[0], 3 * d2[1], w), _cut_sq((er + odr, ei + odi, w), w), w))
+    num, den = pt._x_scale
+    return _mpc(*_quotient(_cut_mul(num, diff, w), _cut_mul(den, m2, w), w), pt.ctx.bits)
 
 
 def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:

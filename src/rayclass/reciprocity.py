@@ -101,7 +101,7 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
 
     descriptor:
       * 'y12N': g_{(0,2/N)m}(theta_Q)^{12N} / g_{(0,1/N)m}(theta_Q)^{48N},
-        computed as y^{12N} with y = -g_{r2}/g_{r1}^4 from ``y_quotient``
+        computed as y^{12N} with y = -g_{r2}/g_{r1}^4 by ``y_quotient``
         (identical value, stable scaling), r1 = (0,1/N)m and r2 = (0,2/N)m;
       * 'y4'  : y^(4/gcd(4,N));
       * 'x'   : Fricke-normalized x with index (0,1/N)m at theta_Q;
@@ -114,6 +114,10 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     12N/epow-th powers reproduce the exact y12N orbit, and their moduli are
     exact), which is what the distinctness witnesses consume.
 
+    Every power of y is taken in exact integers and rounded once
+    (``y_quotient``), and x is one exact quotient (``x_value``), so no
+    mpmath arithmetic runs per label; in 'pair', y comes before x.
+
     Returns [(GaloisLabel, value-or-pair)] in deterministic label order, of
     length ray_class_degree(field, n).
     """
@@ -123,7 +127,7 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
         raise UnsupportedDiscriminant("conjugation labels need d_K <= -7")
     if n < 3:
         raise ValueError("descriptor evaluation needs N >= 3")
-    epow = _y_power_exponent(n)
+    k = 12 * n if descriptor == "y12N" else _y_power_exponent(n)  # y's power
     points = {q: ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
               for q in field.forms}
     # (0, 2/N) m, not the double of (0, 1/N) m: the doubled index keeps its
@@ -134,18 +138,12 @@ def conjugate_values(field: Field, n: int, descriptor: str, ctx: PrecisionContex
     for label in labels(field, n):
         pt = points[label.form]
         m = label.composite(n)
-        r1, r2 = act_index(base1, m), act_index(base2, m)
-        if descriptor != "x":
-            y = y_quotient(pt, r1, r2)
-        with ctx.work():
-            if descriptor == "y12N":
-                val = y ** (12 * n)
-            elif descriptor == "y4":
-                val = y ** epow
-            elif descriptor == "x":
-                val = x_value(pt, r1)
-            else:
-                val = (x_value(pt, r1), y ** epow)
+        r1 = act_index(base1, m)
+        if descriptor == "x":
+            val = x_value(pt, r1)
+        else:
+            y = y_quotient(pt, r1, act_index(base2, m), k)
+            val = (x_value(pt, r1), y) if descriptor == "pair" else y
         out.append((label, val))
     expected = ray_class_degree(field, n)
     assert len(out) == expected, f"orbit size {len(out)} != degree {expected}"

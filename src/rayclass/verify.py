@@ -553,15 +553,18 @@ def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
 def _expand(factors) -> list:
     """Ascending coefficients of the product of monic factors, each given by
     its ascending coefficients, leading 1 included: (-v, 1) for X - v,
-    (c, b, 1) for X^2 + b X + c.  The leading coefficient is the integer 1."""
+    (c, b, 1) for X^2 + b X + c.  The leading coefficient is the integer 1.
+
+    Each entry starts from 0 and takes its terms f[i] * c_k in order of
+    rising k, so the slices run from the leading 1 of f down to f[0], each
+    formed by one list comprehension."""
     coeffs = [1]
     for f in factors:
-        deg = len(f) - 1
-        nxt = [0] * (len(coeffs) + deg)
-        for k, c in enumerate(coeffs):
-            for i in range(deg):
-                nxt[k + i] += f[i] * c
-            nxt[k + deg] += c
+        deg, n = len(f) - 1, len(coeffs)
+        nxt = [0] * deg + [0 + c for c in coeffs]
+        for i in range(deg - 1, -1, -1):
+            fi = f[i]
+            nxt[i:i + n] = [a + fi * c for a, c in zip(nxt[i:i + n], coeffs)]
         coeffs = nxt
     return coeffs
 

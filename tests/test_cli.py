@@ -1,7 +1,12 @@
 import argparse
 import json
+import random
+import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -376,9 +381,10 @@ def test_one_point_per_tau(argv, capsys, monkeypatch):
 
 
 def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
-    """x (through wp) and y (through the Siegel values) at an index read one
-    triple-product sum per reduced index and point: the misses of the
-    level-N table's (Ev, Od) memo, not the point's Euler sum."""
+    """x and y (through the Siegel values) at an index read one
+    triple-product sum per pair +-r of reduced indices and point: the misses
+    of the level-N table's (Ev, Od) memo, not the point's Euler sum.  The
+    orbit's indices name 48 reduced keys and 40 pairs."""
     body = qseries._LevelTable.triple
     runs = []
 
@@ -391,7 +397,8 @@ def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
     code, _, _ = run_cli(["conjugates", "--dk", "-39", "--level", "8",
                           "--descriptor", "pair"], capsys)
     assert code == 0
-    assert len(runs) == 48
+    assert len(runs) == 40
+    assert all((s, t) <= (-s % n, -t % n) for _, n, s, t in runs)
 
 
 def test_check_surface_reports_the_level_before_the_im_floor(capsys):
@@ -650,6 +657,84 @@ def test_byte_identical_runs(argv):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.encode() == out2.encode()
+
+
+# ------------------------------------------------------- the JSON writer ---
+
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(r"^```sh\n(.*?)^```$",
+                            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                            re.S | re.M)
+    for line in block.splitlines() if line.startswith("rayclass ")
+]
+
+
+def _json_reference(payload, dps, prec):
+    """What the payload printed before the one-pass writer: every number
+    made a string by ``_jsonable`` at prec bits, then the json module's
+    ``dumps(sort_keys=True, indent=2)``."""
+    with mp.workprec(prec):
+        return json.dumps(cli._jsonable(payload, dps), sort_keys=True, indent=2)
+
+
+def _random_real(rng, prec, dps):
+    """An mpf at twice prec bits, so that printing rounds it: random
+    mantissa, sign and binary exponent in [-3000, 3000], or an edge case:
+    0, +-1, +-2^+-3000, or +-10^k (1 - 10^-(dps + 1)), which often prints
+    as a power of ten, its nines rounded up."""
+    with mp.workprec(2 * prec):
+        pick = rng.randrange(8)
+        sign = rng.choice([1, -1])
+        if pick == 0:
+            return mp.mpf(0)
+        if pick == 1:
+            return sign * mp.mpf(2) ** rng.choice([3000, -3000, 0])
+        if pick == 2:
+            return sign * mp.mpf(10) ** rng.randrange(-300, 300) * (1 - mp.mpf(10) ** -(dps + 1))
+        man = rng.getrandbits(2 * prec) | 1
+        return sign * mp.ldexp(man, rng.randrange(-3000, 3000) - 2 * prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1536])
+def test_writer_prints_what_json_dumps_printed_on_random_values(prec):
+    rng = random.Random(prec)
+    ctx = PrecisionContext(prec, mp.ldexp(1, 16 - prec))
+    tens = 0  # values printed as a power of ten from below
+    for _ in range(40):
+        reals = [_random_real(rng, prec, ctx.dps) for _ in range(12)]
+        with mp.workprec(2 * prec):
+            pairs = [mp.mpc(a, b) for a, b in zip(reals[::2], reals[1::2])]
+        body = {
+            "values": reals, "pairs": pairs, "tuples": [tuple(pairs[:2]), (reals[0],)],
+            "nested": {"z": {}, "a": [], "m": [[], {"k": None}], "label": "\u00e9\"\n"},
+            "flags": [True, False, None, 0, -17, 2 ** 70, F(-3, 7), 0.5, "inf"],
+        }
+        payload = cli._payload({"dk": -7, "level": 3}, ctx, body)
+        text = cli._json_text(payload, ctx.dps, ctx.bits)
+        assert text == _json_reference(payload, ctx.dps, ctx.bits)
+        printed = json.loads(text)["values"]
+        tens += sum(p.lstrip("-").split("e")[0].replace(".", "").strip("0") == "1"
+                    and abs(v) != 1 for p, v in zip(printed, reals))
+    assert tens > 0
+
+
+def test_writer_prints_what_json_dumps_printed_on_the_readme_commands(capsys, monkeypatch):
+    """Every README command writes, byte for byte, what ``_jsonable`` and
+    ``json.dumps`` wrote, and its stdout re-dumps to itself."""
+    writer, seen = cli._json_text, []
+
+    def spied(payload, dps, prec):
+        out = writer(payload, dps, prec)
+        seen.append(out == _json_reference(payload, dps, prec))
+        return out
+
+    monkeypatch.setattr(cli, "_json_text", spied)
+    assert len(README_COMMANDS) > 20
+    for argv in README_COMMANDS:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and seen.pop() is True, argv
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # Commands that run the distinctness test, with the number of pairs whose

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import mpf_neg
 
 from rayclass import (
     DegenerateIndex,
@@ -33,7 +34,8 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.qseries import CurveCoords, _unit_root_fx, siegel_order, y_quotient
+from rayclass.qseries import CurveCoords, _cut_entry, _unit_root_fx, siegel_order, y_quotient
+from rayclass.reciprocity import act_index
 
 from oracles import agrees, eisenstein_loop, guarded_quotient
 
@@ -111,6 +113,13 @@ def _reference_key(r1: F, r2: F) -> tuple[int, int, int]:
     denominators, by Fraction arithmetic."""
     n = math.lcm(r1.denominator, r2.denominator)
     return int(r1 * n), int(r2 * n), n
+
+
+def _folded_key(s: int, t: int, n: int) -> tuple[int, int, int]:
+    """(N, s, t) of the canonical key of the reduced index (s/N, t/N): the
+    lexicographically smaller of (s, t) and (-s mod N, -t mod N), on which
+    the level table keeps the entry of both."""
+    return (n, *min((s, t), (-s % n, -t % n)))
 
 
 def _integral(a: F, b: F) -> bool:
@@ -418,6 +427,8 @@ def test_siegel_memo_returns_the_fresh_value(ctx256):
 
 
 def test_siegel_product_runs_once_per_reduced_index(ctx256, siegel_product_runs):
+    """One Siegel product per pair of reduced indices +-r, at the canonical
+    key, however often and in whichever spelling the indices are asked for."""
     pt = _pt(-0.3, 1.1, ctx256)
     for _ in range(2):
         for r in SIEGEL_MEMO_INDICES:
@@ -425,8 +436,7 @@ def test_siegel_product_runs_once_per_reduced_index(ctx256, siegel_product_runs)
     reduced = set()
     for r in SIEGEL_MEMO_INDICES:
         a1, a2 = r.r1 % 1, r.r2 % 1
-        s, t, n = _reference_key(a1, a2)
-        reduced.add((n, s, t))
+        reduced.add(_folded_key(*_reference_key(a1, a2)))
     assert sorted(k for _, k in siegel_product_runs) == sorted(reduced)
 
 
@@ -443,9 +453,34 @@ def test_index_spellings_hit_one_memo_entry(ctx256, siegel_product_runs, one, ot
     assert siegel(one, pt) == siegel(other, pt)
     assert len(siegel_product_runs) == 1
     a1, a2 = one.r1 % 1, one.r2 % 1
-    s, t, n = _reference_key(a1, a2)
-    assert siegel_product_runs[0][1] == (n, s, t)
+    assert siegel_product_runs[0][1] == _folded_key(*_reference_key(a1, a2))
     assert wp(one, pt) == wp(other, pt)
+
+
+def _sweep_indices(levels):
+    """Every index (p1/n, p2/n) outside Z^2 with p1, p2 in [-n, 2n), n in
+    levels: each reduced index in nine spellings, (0, t/n) included."""
+    for n in levels:
+        for p1 in range(-n, 2 * n):
+            for p2 in range(-n, 2 * n):
+                if p1 % n or p2 % n:
+                    yield FractionPair.from_parts(p1, p2, n)
+
+
+@pytest.mark.parametrize("tau", [(0.1234, 1.1), (-0.41, 0.06)])
+def test_negated_index_negates_siegel_and_keeps_wp_bit_for_bit(ctx256, tau):
+    """g_{-r} = -g_r and wp(-z) = wp(z) hold bit for bit: r and -r read one
+    entry of the level table, at the canonical key, and the sign enters as
+    a half turn of the root of unity."""
+    pt = _pt(*tau, ctx256)
+    for r in _sweep_indices(range(2, 9)):
+        re, im = siegel(r, pt)._mpc_
+        assert siegel(r.negated(), pt)._mpc_ == (mpf_neg(re), mpf_neg(im)), r
+        assert wp(r.negated(), pt)._mpc_ == wp(r, pt)._mpc_, r
+        # before rounding too: the W-bit integers are exact negatives
+        tab = pt._table(r.level)
+        (gr, gi, w, e), (hr, hi, v, f) = _cut_entry(pt, r), _cut_entry(pt, r.negated())
+        assert (w, tab.rotate((hr, hi), f)) == (v, tuple(-x for x in tab.rotate((gr, gi), e))), r
 
 
 def test_wp_on_a_point_warmed_by_siegel_is_the_cold_value(ctx256, monkeypatch):
@@ -478,6 +513,7 @@ def test_y_on_a_warm_point_is_the_cold_value(ctx256):
         siegel(r, warm)
         siegel(r.doubled(), warm)
         y_value(warm, r.negated())
+        x_value(warm, r.negated())
         wp(r, warm)
     for r in Y_INDICES:
         # 2r reduced into [0,1)^2, as conjugate_values spells its numerator
@@ -489,8 +525,8 @@ def test_y_on_a_warm_point_is_the_cold_value(ctx256):
 
 
 def test_y_divides_no_mpmath_numbers(ctx256, monkeypatch):
-    """y divides by no mpmath number, at any index or in an orbit, and x
-    divides by one per point: g2 g3 by delta, for its factor."""
+    """Neither y nor x divides by an mpmath number, at any index or in an
+    orbit: each is one exact integer quotient."""
     divisors = []
     for cls in (mp.mpf, mp.mpc):
         for name in ("__truediv__", "__rtruediv__"):
@@ -507,10 +543,40 @@ def test_y_divides_no_mpmath_numbers(ctx256, monkeypatch):
     for r in Y_INDICES:
         y_value(pt, r)
     conjugate_values(make_field(-39), 8, "y4", ctx256)
-    assert divisors == []
     for r in Y_INDICES:
         x_value(pt, r)
-    assert len(divisors) == 1 and divisors[0] is delta(pt)
+    conjugate_values(make_field(-39), 8, "pair", ctx256)
+    assert divisors == []
+
+
+@pytest.mark.parametrize("descriptor", ["y12N", "y4", "pair"])
+def test_orbits_raise_y_to_no_mpmath_power(ctx256, monkeypatch, descriptor):
+    """The powers y^(4/gcd(4, N)) and y^(12N) of an orbit are taken in
+    exact integers and rounded once (``y_quotient``): no mpmath power runs,
+    and each value is the fixed-point quotient's power, rounded."""
+    powers = []
+    for cls in (mp.mpf, mp.mpc):
+        body = cls.__pow__
+
+        def counted(a, b, body=body):
+            powers.append(b)
+            return body(a, b)
+
+        monkeypatch.setattr(cls, "__pow__", counted)
+    f, n = make_field(-39), 5
+    orbit = conjugate_values(f, n, descriptor, ctx256)
+    assert powers == []
+    monkeypatch.undo()
+    k = 12 * n if descriptor == "y12N" else 4
+    base1, base2 = FractionPair.from_parts(0, 1, n), FractionPair.from_parts(0, 2, n)
+    for label, v in orbit[:6]:
+        pt = ModularPoint.from_quadratic(label.form.a, label.form.b, f.d, ctx256)
+        m = label.composite(n)
+        y = y_quotient(pt, act_index(base1, m), act_index(base2, m), k)
+        assert (v[1] if descriptor == "pair" else v) == y
+        with ctx256.work():
+            y1 = y_quotient(pt, act_index(base1, m), act_index(base2, m))
+            assert abs(y1 ** k - y) <= mp.ldexp(4 * k, -ctx256.bits) * abs(y)
 
 
 def _guard_sweep():

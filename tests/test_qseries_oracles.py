@@ -373,3 +373,29 @@ def test_orbit_y_matches_reference_loops(d, n, prec):
             assert agrees(y4, ref ** epow, ctx), label
             assert agrees(y, ref ** (12 * n), ctx), label
             assert agrees(x, _x_ref(r1, pt, 2), ctx), label
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("descriptor", ["y4", "y12N", "x"])
+def test_level_16_orbits_match_reference_loops(descriptor, prec):
+    """The y4, y12N and x orbits of (-7, 16) agree with the converged
+    reference loops at each label's indices, to eps * 2^-16 * max(1,
+    |value|): y^192 raised in exact integers and rounded once, and x as one
+    exact quotient."""
+    ctx = AGREEMENT_CTX[prec]
+    d, n = -7, 16
+    orbit = conjugate_values(make_field(d), n, descriptor, ctx)
+    base1, base2 = FractionPair.from_parts(0, 1, n), FractionPair.from_parts(0, 2, n)
+    k = 12 * n if descriptor == "y12N" else 4 // math.gcd(4, n)
+    points = {}
+    with ctx.work():
+        for label, v in orbit:
+            pt = points.setdefault(label.form, ModularPoint.from_quadratic(
+                label.form.a, label.form.b, d, ctx))
+            m = label.composite(n)
+            r1 = act_index(base1, m)
+            if descriptor == "x":
+                ref = _x_ref(r1, pt, 2)
+            else:
+                ref = _y_loop(r1, act_index(base2, m), pt) ** k
+            assert agrees(v, ref, ctx), label

@@ -258,9 +258,9 @@ def test_x_orbit_makes_no_siegel_calls(ctx256, siegel_product_runs):
 
 
 def test_x_orbit_sums_each_point_once(ctx256, point_value_runs):
-    """One sigma-series summation per CM point, i.e. h for a whole orbit."""
+    """One theta-series summation per CM point, i.e. h for a whole orbit."""
     f = make_field(-39)
-    runs = point_value_runs("eisenstein")
+    runs = point_value_runs("_thetas")
     conj = conjugate_values(f, 8, "x", ctx256)
     assert len(conj) == ray_class_degree(f, 8) > f.h
     assert len(runs) == f.h == len({p.tau for p in runs})

@@ -163,10 +163,13 @@ def test_lemma52_main_cases(ctx256):
 
 
 def _reduced_key(a1, a2):
-    """(N, s, t) of a reduced index (a1, a2) = (s/N, t/N), N the lcm of the
-    denominators."""
+    """(N, s, t) of the canonical key of the reduced index (a1, a2) =
+    (s/N, t/N), N the lcm of the denominators: the lexicographically
+    smaller of (s, t) and (-s mod N, -t mod N), on which the level table
+    keeps the Siegel product of both."""
     n = math.lcm(a1.denominator, a2.denominator)
-    return n, int(a1 * n), int(a2 * n)
+    s, t = int(a1 * n), int(a2 * n)
+    return (n, *min((s, t), (-s % n, -t % n)))
 
 
 def _lemma52_classes(f, n):
@@ -195,7 +198,7 @@ def _lemma52_classes(f, n):
 def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
     """The sweep evaluates each class once, at its first key in sweep order,
     on the point of the form with b >= 0 (t negated from a partner's key),
-    and runs each Siegel product at most once per point."""
+    and runs each Siegel product at most once per point and pair +-r."""
     f, n = make_field(-39), 8
     rep = check_lemma52(f, n, ctx256)
     keys = [(id(pt), k) for pt, k in siegel_product_runs]
