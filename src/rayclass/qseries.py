@@ -23,7 +23,7 @@ Conventions fixed across the package:
 Summing at tau.  Every series is summed at tau itself, with no move into
 the fundamental domain first: the lacunary sums below take
 O(sqrt(bits / Im tau)) steps, so they stay short down to the Im floor 1/20
-(``numerics.MIN_IM``).  The exponentials of tau (q, eta's
+(``numerics.MIN_IM``).  The exponentials of tau (q, v's q^(1/2), eta's
 exp(pi*i*tau/12) and the level tables' q^(1/L)) are taken at their
 precision plus the bit length of floor(|Re tau|) and then rounded
 (``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases no bits;
@@ -33,9 +33,9 @@ Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
 that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
 ``to_fixed`` (q floored, exact while |q| >= 2^-32) and leave by
 ``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient,
-y = -g_{2r}/g_r^4 and its powers, x and u = E4^3 / (1728 q E^24) are
-formed in fixed point too, the eta and Eisenstein prefactors, E^12 (for
-delta only) and the exponentials in mpmath.  Each sum is lacunary and stops
+y = -g_{2r}/g_r^4 and its powers, u, v, x and delta's product q E^24 are
+formed in fixed point too, the eta and Eisenstein prefactors, delta's
+(2*pi)^12 and the exponentials in mpmath.  Each sum is lacunary and stops
 at its first term below 2^-W, so every value is the converged function.
 Two loops sum them.
 ``_triple`` sums the halves Ev (even n) and Od (odd n) of
@@ -87,8 +87,12 @@ from inputs within one unit.  The prefactor has modulus
 keep its relative error below 2^-W too (a negative exponent is the
 reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
 exact integer product of the loop result at W and the prefactor at W_rho.
-The table also decides once whether its level keeps every index off the
-lattice (``off_lattice``, ``wp``).  It holds no reference to the point:
+A table is made for each level at which the point is evaluated, not for
+each level of an index: y reads both of its Siegel products from r's
+table, and the lemma 5.2 sweep evaluates every (s, t) at level N, so each
+such point keeps one table and one rho exponential.  The table also
+decides once whether its level keeps every index off the lattice
+(``off_lattice``, ``wp``).  It holds no reference to the point:
 its methods take the point as an argument, so no cycle outlives a point.
 
 Siegel memo and y.  The level-N table keeps two memos, keyed by canonical
@@ -104,25 +108,37 @@ P(1/w) = -P(w)/w.  The second memo keeps the Siegel product, cut once to W
 significant bits.  ``siegel`` applies the root of unity as one power of xi
 and a sign (``rotate``, which makes g_{-r} = -g_r hold bit for bit) and
 rounds to ``bits``.  ``y_quotient``, the one evaluator of y = -g_d/g_r^4,
-cuts g_r^4 (two exact squarings) to W significant bits, applies the roots
-of unity the same way and divides in exact integers (``_quotient``).  It
-raises that W-bit quotient to the power k that an orbit asks for (y^epow,
+reads g_r and g_d from one table, r's own level-N table (or that of a
+multiple N of r's level): d's residues are lifted to level N and d is
+keyed at (2s, 2t) mod N for d = 2r, through the same ``_fold``, with its
+root-of-unity exponent taken at level N.  It cuts g_r^4 (two exact
+squarings) to W significant bits, applies the roots of unity the same way
+and divides in exact integers (``_quotient``).  It raises that W-bit
+quotient to the power k that an orbit asks for (y^epow,
 y^12N) by cut products and rounds once to ``bits``.
 
-u, x and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
+u, v, x and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
 quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
 (a, b = theta_3^4, theta_4^4) and E^24 = (A T (A^2 + C))^2
-(theta_3 theta_4)^8 (``_theta_sums``).  Every product is exact and cut to
-W significant bits (``_cut_mul``, ``_cut_sq``), so theta_3 theta_4 is
+(theta_3 theta_4)^8 (``_theta_sums``), E^12 formed once (``_e12``) and
+squared once (``_e24``).  Every product is exact and cut to W significant
+bits (``_cut_mul``, ``_cut_sq``), so theta_3 theta_4 is
 never shifted in fixed point, where (theta_3 theta_4)^8, about 1e-42 at the
 Im floor, would lose its relative bits.  q enters the denominator at width
 W + log2(1/|q|), so it keeps W significant bits however small it is, and
 ``_quotient`` divides once; u is rounded once to ``bits``.  j = 1728 u.
+v = g3 / eta^12 = -E6 / (216 q^(1/2) E^12) is one such quotient too, as
+eta^12 = (2*pi)^6 zeta_8^12 q^(1/2) E^12 = -(2*pi)^6 q^(1/2) E^12 and
+g3 = (2*pi)^6 E6 / 216: q^(1/2) = exp(pi*i*tau) is an exponential at W
+bits placed at width W + log2(1/|q^(1/2)|), as q is.  On the imaginary
+axis every factor is real, so u, v and delta are exactly real.
 x = g2 g3 wp / delta at an index is one such quotient too: with
 P, M = Ev +- Od at the index, S = a + b and D = theta_3^2 theta_4^2,
 wp = pi^2 (S/3 - D (P/M)^2), so x = E4 E6 (S M^2 - 3 D P^2) /
-(31104 q E^24 M^2) and pi cancels.  None of them forms g2, g3, a power of
-pi or delta; E^12 is multiplied out only for delta.
+(31104 q E^24 M^2) and pi cancels.  None of them forms g2, g3, eta, a
+power of pi or delta.  delta itself is (2*pi)^12 times the cut product of
+the same E^24 and q, rounded once; eta^24 = delta stays a check between
+the Euler sum and the theta sums.
 """
 
 from __future__ import annotations
@@ -152,26 +168,26 @@ class ModularPoint:
     first use and kept, so every evaluator and caller shares one copy:
 
     * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
-      evaluators of the same names return, and ``u``, which ``u_value``
-      returns (the exact integer quotient of the module docstring, with no
-      g2 or delta);
+      evaluators of the same names return, and ``u`` and ``v``, which
+      ``u_value`` and ``v_value`` return (the exact integer quotients of the
+      module docstring, with no g2, g3, eta or delta);
     * ``qfx``, q in fixed point; ``_euler_fx``, the Euler product (eta),
       and ``_euler_inv``, its reciprocal (Siegel values); ``_thetas``, the
-      theta constants of g2, g3 and wp and the four factors of E^12, which
-      ``delta`` multiplies out in mpmath and ``u`` in exact integers;
+      theta constants of g2, g3 and wp and the four factors of E^12;
       ``_e4``, E4 in fixed point with the two squares ``_e6`` reuses;
-      ``_e24``, E^24 and q as cut integers, which ``u`` and ``_x_scale``
-      (E4 E6 and 31104 q E^24 for ``x_value``) share; ``_tables``, one
-      ``_LevelTable`` per level N, which keeps all data keyed by a reduced
-      index (s/N, t/N): the powers of q^(1/(12 N^2)) and
-      exp(2*pi*i/(12 N^2)) its keys need, the triple-product halves
-      (Ev, Od) that the Siegel product, ``wp`` and ``x_value`` read, the
-      Siegel products at W significant bits that ``siegel`` rounds and
-      ``y_quotient`` divides, both at canonical keys only, and wp's level
-      guard (module docstring).
+      ``_e12``, E^12 as cut integers, which ``v`` divides by and ``_e24``
+      squares; ``_e24``, E^24 and q as cut integers, which ``u``,
+      ``delta`` and ``_x_scale`` (E4 E6 and 31104 q E^24 for ``x_value``)
+      share; ``_tables``, one ``_LevelTable`` per evaluation level N, which
+      keeps all data keyed by an index (s/N, t/N) in [0,1)^2: the powers of
+      q^(1/(12 N^2)) and exp(2*pi*i/(12 N^2)) its keys need, the
+      triple-product halves (Ev, Od) that the Siegel product, ``wp`` and
+      ``x_value`` read, the Siegel products at W significant bits that
+      ``siegel`` rounds and ``y_quotient`` divides, both at canonical keys
+      only, and wp's level guard (module docstring).
 
-    No curve constant takes a guard: each divides by delta or eta^12, an
-    exact exponential q or q^(1/2) times a power of E, which is bounded
+    No curve constant takes a guard: each divides by q E^24 or
+    q^(1/2) E^12, an exact exponential times a power of E, which is bounded
     away from 0 for Im tau >= 1/20; mpmath's exponent does not underflow.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
@@ -250,15 +266,11 @@ class ModularPoint:
 
     @cached_property
     def delta(self) -> mp.mpc:
-        """Discriminant (2*pi)^12 q E^24, E^12 = A T (A^2 + C)
-        (theta_3 theta_4)^4 formed in mpmath from the theta sums' factors
-        (``_theta_sums``); never zero on H."""
-        w = self.width
-        big_a, t, apc, d = self._thetas[2]
-        with mp.workprec(w):
-            e12 = _mpc(*big_a, w) * _mpc(*t, w) * _mpc(*apc, w) * _mpc(*d, w) ** 4
+        """Discriminant (2*pi)^12 q E^24: the cut product of ``_e24``'s E^24
+        and q, rounded once and times (2*pi)^12; never zero on H."""
+        e24, q = self._e24
         with self.ctx.work():
-            return (2 * mp.pi) ** 12 * self.q * e12 ** 2
+            return (2 * mp.pi) ** 12 * _mpc(*_cut_mul(e24, q, self.width))
 
     @cached_property
     def _e4(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -287,17 +299,22 @@ class ModularPoint:
                     8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w))
 
     @cached_property
-    def _e24(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """(E^24, q) as (re, im, w) triples: E^24 = (A T (A^2 + C)
-        (theta_3 theta_4)^4)^2 from the factors of ``_thetas``, each product
-        cut to W significant bits, and q at width W + log2(1/|q|), so that
-        it keeps W significant bits however small it is (module docstring,
-        "u, x and j")."""
+    def _e12(self) -> tuple[int, int, int]:
+        """E^12 = A T (A^2 + C) (theta_3 theta_4)^4 as an (re, im, w) triple
+        from the factors of ``_thetas``, each product cut to W significant
+        bits (module docstring, "u, v, x and j")."""
         w = self.width
         big_a, t, apc, d = ((*x, w) for x in self._thetas[2])
-        e12 = _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
+        return _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
+
+    @cached_property
+    def _e24(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(E^24, q) as (re, im, w) triples: the cut square of ``_e12``, and
+        q at width W + log2(1/|q|), so that it keeps W significant bits
+        however small it is (module docstring, "u, v, x and j")."""
+        w = self.width
         qw = w + math.ceil(12 * float(self.im) * _BITS_PER_IM)  # |q| >= 2^(w - qw)
-        return _cut_sq(e12, w), (*_fx(self.q, qw), qw)
+        return _cut_sq(self._e12, w), (*_fx(self.q, qw), qw)
 
     @cached_property
     def u(self) -> mp.mpc:
@@ -310,6 +327,21 @@ class ModularPoint:
         e24, (qr, qi, qw) = self._e24
         den = _cut_mul(e24, (1728 * qr, 1728 * qi, qw), w)
         return _mpc(*_quotient(num, den, w), self.ctx.bits)
+
+    @cached_property
+    def v(self) -> mp.mpc:
+        """v = g3 / eta^12 = -E6 / (216 q^(1/2) E^12), one exact integer
+        quotient of 2 E6 (``_e6``), E^12 (``_e12``) and q^(1/2) =
+        exp(pi*i*tau): eta^12 = (2*pi)^6 zeta_8^12 q^(1/2) E^12 =
+        -(2*pi)^6 q^(1/2) E^12 and g3 = (2*pi)^6 E6 / 216, so pi cancels.
+        q^(1/2) is an exponential at W bits, placed at width
+        W + log2(1/|q^(1/2)|) as ``_e24`` places q."""
+        w = self.width
+        hw = w + math.ceil(6 * float(self.im) * _BITS_PER_IM)  # |q^(1/2)| >= 2^(w - hw)
+        hr, hi = _fx(_exp_tau(self.tau, 2, w), hw)
+        e6r, e6i = self._e6
+        den = _cut_mul(self._e12, (432 * hr, 432 * hi, hw), w)
+        return _mpc(*_quotient((-e6r, -e6i, w), den, w), self.ctx.bits)
 
     @cached_property
     def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -740,44 +772,53 @@ def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int
     return (qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd
 
 
-def _fold(r: FractionPair) -> tuple[int, int, bool]:
-    """(p1, p2, flip): the residues of r, or of -r when flip, whichever has
-    the canonical reduced key (s, t), the lexicographically smaller of
-    (s, t) and (-s mod N, -t mod N).  As g_{-r} = -g_r and wp is even, the
-    level table keeps entries at canonical keys only."""
-    n, p1, p2 = r.level, r.p1, r.p2
+def _fold(p1: int, p2: int, n: int) -> tuple[int, int, bool]:
+    """(p1, p2, flip): the residues of the index (p1/n, p2/n), or of its
+    negative when flip, whichever has the canonical reduced key (s, t), the
+    lexicographically smaller of (s, t) and (-s mod n, -t mod n).  As
+    g_{-r} = -g_r and wp is even, the level table keeps entries at canonical
+    keys only."""
     s, t = p1 % n, p2 % n
     if (-s % n, -t % n) < (s, t):
         return -p1, -p2, True
     return p1, p2, False
 
 
-def _cut_entry(pt: ModularPoint, r: FractionPair) -> tuple[int, int, int, int]:
-    """(re, im, w, e): the Siegel memo entry of r's canonical reduced key,
-    at W significant bits, and e mod 2n for the root of unity
-    exp(pi*i*e/n) that turns it into g_r (``siegel``), n the level: the
-    shift root of the index r or -r that ``_fold`` picks, and the sign of
-    g_r = -g_{-r} as e + n when it picks -r."""
-    n = r.level
-    p1, p2, flip = _fold(r)
+def _cut_entry(pt: ModularPoint, r: FractionPair, n: int | None = None
+               ) -> tuple[int, int, int, int]:
+    """(re, im, w, e): the level-n Siegel memo entry of r's canonical
+    reduced key, at W significant bits, and e mod 2n for the root of unity
+    exp(pi*i*e/n) that turns it into g_r (``siegel``): the shift root of
+    the index r or -r that ``_fold`` picks, and the sign of g_r = -g_{-r}
+    as e + n when it picks -r.  n is a multiple of r's level, by default
+    the level itself; r's residues are lifted to it."""
+    if n is None:
+        n = r.level
+    m = n // r.level
+    p1, p2, flip = _fold(m * r.p1, m * r.p2, n)
     s1, s = divmod(p1, n)
     s2, t = divmod(p2, n)
     return (*pt._table(n).siegel(pt, s, t),
             (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2 + flip)) % (2 * n))
 
 
-def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1) -> mp.mpc:
+def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
+               level: int | None = None) -> mp.mpc:
     """y^k for y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value``
-    and (0, 2/N)m for ``conjugate_values``; d's level divides r's.  The
-    quotient at W significant bits is raised to the power k >= 1 by cut
-    products (``_cut_pow``) and rounded once to ``bits``.  NearZero when
-    |g_r^4| < eps: (re^2 + im^2)^4 < eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
-    n, nd = r.level, d.level
-    if n % nd:
-        raise ValueError(f"level {nd} of {d} does not divide level {n} of {r}")
-    gr, gi, w, e = _cut_entry(pt, r)
-    nr, ni, wn, ed = _cut_entry(pt, d)
-    e = (ed * (n // nd) - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
+    and (0, 2/N)m for ``conjugate_values``.  Both Siegel products are read
+    from one table, of level N = ``level`` (by default r's level), which
+    r's and d's levels must divide: d's key and the exponent of its root of
+    unity are taken at level N.  The quotient at W significant bits is
+    raised to the power k >= 1 by cut products (``_cut_pow``) and rounded
+    once to ``bits``.  NearZero when |g_r^4| < eps: (re^2 + im^2)^4 <
+    eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
+    n = level or r.level
+    for x in (r, d):
+        if n % x.level:
+            raise ValueError(f"level {x.level} of {x} does not divide level {n}")
+    gr, gi, w, e = _cut_entry(pt, r, n)
+    nr, ni, wn, ed = _cut_entry(pt, d, n)
+    e = (ed - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
     nr, ni = pt._table(n).rotate((nr, ni), e)
     _, man, exp, _ = pt.ctx.eps._mpf_
     m4, sh = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
@@ -862,7 +903,7 @@ def _index_triple(pt: ModularPoint, r: FractionPair
     if not tab.off_lattice:
         with pt.ctx.work():
             _check_off_lattice(pt, mp.mpf(r.p1 % n) / n, mp.mpf(r.p2 % n) / n)
-    p1, p2, _ = _fold(r)
+    p1, p2, _ = _fold(r.p1, r.p2, n)
     return tab.triple(pt, p1 % n, p2 % n)
 
 
@@ -893,10 +934,9 @@ def u_value(pt: ModularPoint) -> mp.mpc:
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:
-    """v = g3 / eta^12."""
-    with pt.ctx.work():
-        _, g3 = eisenstein(pt)
-        return g3 / eta(pt) ** 12
+    """v = g3 / eta^12, as one exact integer quotient of E6, E^12 and
+    q^(1/2) (``ModularPoint.v``); computed once per point."""
+    return pt.v
 
 
 def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
@@ -919,19 +959,22 @@ def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     return _mpc(*_quotient(_cut_mul(num, diff, w), _cut_mul(den, m2, w), w), pt.ctx.bits)
 
 
-def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
-    """y = -g_{2r} / g_r^4 (``y_quotient``); requires 2r outside Z^2."""
+def y_value(pt: ModularPoint, r: FractionPair, level: int | None = None) -> mp.mpc:
+    """y = -g_{2r} / g_r^4 (``y_quotient``), both Siegel products read from
+    the table of level ``level``, a multiple of r's level (by default the
+    level itself); requires 2r outside Z^2."""
     d = r.doubled()
     if d is None:
         raise DegenerateIndex("y undefined at 2-torsion index (2r in Z^2)")
-    return y_quotient(pt, r, d)
+    return y_quotient(pt, r, d, level=level)
 
 
 def normalized(pt: ModularPoint, r: FractionPair) -> CurveCoords:
     """Normalized curve data (u, v, x, y) at tau for index r.
 
-    Composes ``u_value``, ``v_value``, ``x_value`` and ``y_value``; eta, delta
-    and (g2, g3) are computed once on the point and shared.  Satisfies
+    Composes ``u_value``, ``v_value``, ``x_value`` and ``y_value``, each an
+    exact integer quotient of fixed-point data that the point computes once
+    and shares; no eta, delta or (g2, g3) is formed.  Satisfies
     u - 27 v^2 = 1 and u v^3 y^2 = 4 x^3 - u v^2 x - u v^4 identically in tau.
     """
     if r.doubled() is None:

@@ -135,12 +135,9 @@ def _surface_residual(v, x, y, z):
     """Scaled residual of the homogeneous surface equation at [v:x:y:z]."""
     w = z * z + 27 * v * v
     lhs = w * v**3 * y**2
-    rhs = 4 * x**3 * z**4 - w * v**2 * x * z**2 - w * v**4 * z
-    scale = max(
-        mp.mpf(1), abs(lhs), abs(4 * x**3 * z**4),
-        abs(w * v**2 * x * z**2), abs(w * v**4 * z),
-    )
-    return abs(lhs - rhs) / scale
+    cubic, linear, const = 4 * x**3 * z**4, w * v**2 * x * z**2, w * v**4 * z
+    scale = max(mp.mpf(1), abs(lhs), abs(cubic), abs(linear), abs(const))
+    return abs(lhs - (cubic - linear - const)) / scale
 
 
 def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
@@ -188,7 +185,9 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     evaluated once, on the point of Q, and filed under its first key in
     sweep order: forms run by (a, b), so Q' precedes Q, and of (s, t) and
     (-s, -t) the lexicographically smaller comes first.  ``pairs_checked``
-    counts every member."""
+    counts every member.  Every (s, t) is evaluated at level N, its level
+    not reduced first, so each point reads both Siegel products of every
+    ratio from its one level-N table."""
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
     with ctx.work():
@@ -212,7 +211,7 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                     if (s, t) > (-s % n, -t % n):  # filed under (-s, -t)
                         continue
                     r = FractionPair.from_parts(s, t if home is q else -t % n, n)
-                    ratio = abs(y_value(pt, r)) / rhs
+                    ratio = abs(y_value(pt, r, level=n)) / rhs
                     count += 2 if home is q else 4
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))

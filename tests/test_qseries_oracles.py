@@ -225,6 +225,38 @@ def test_eta24_is_delta_between_independent_sums(tau, prec):
         assert j_invariant(pt) == 1728 * u_value(pt)
 
 
+# Next to i, where E6 and so v vanish, and next to rho, where E4 does; the
+# floor; and the Im ceiling 10^6, where |q^(1/2)| is about 2^(-4.5e6).
+V_TAUS = AGREEMENT_TAUS + [(0, 0.05), ("0.001", "1.0"), ("-0.499", "0.867"),
+                           (0, "1e6"), ("0.3", "1e6")]
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("tau", V_TAUS, ids="{0[0]},{0[1]}".format)
+def test_v_quotient_is_g3_over_eta12(tau, prec):
+    """v, one exact quotient of E6, E^12 and q^(1/2), agrees with g3 / eta^12
+    from the Eisenstein series and the Euler product within 2^-(bits - 8)
+    relative, times Im tau above 1: both sides carry the pi Im tau 2^-bits
+    relative error of their exponentials."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_complex(tau, ctx)
+    with ctx.work():
+        ref = eisenstein(pt)[1] / eta(pt) ** 12
+    with mp.workprec(2 * ctx.bits):
+        bound = mp.mpf(2) ** (8 - ctx.bits) * max(1, pt.im)
+        assert abs(v_value(pt) - ref) <= bound * abs(ref)
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("im", ["0.05", "0.5", "2", "1e6"])
+def test_u_v_delta_are_real_on_the_imaginary_axis(im, prec):
+    """At Re tau = 0, q and q^(1/2) are real, so u, v and delta, quotients
+    and products of real integers, have an imaginary part of exactly 0."""
+    pt = ModularPoint.from_complex((0, im), AGREEMENT_CTX[prec])
+    for value in (u_value(pt), v_value(pt), delta(pt)):
+        assert mp.im(value) == 0 and mp.re(value) != 0
+
+
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
 def test_wp_at_the_lattice_guard_keeps_the_loop_accuracy(prec):
     """At 2^10 sqrt(eps) from tau only about 2^-bits / distance of relative

@@ -89,13 +89,35 @@ def test_surface_point_at_zeta3(ctx256):
 
 
 def test_surface_point_evaluates_no_u(ctx256, monkeypatch):
-    """The surface equation has no u, so the check never computes it."""
-    def boom(pt):
-        raise AssertionError("check_surface_point computed u")
+    """The surface equation has no u, so the check never computes it; nor
+    eta or the Eisenstein series, as v is one exact quotient.  The point
+    ends with one level table, of level N, and takes three exponentials:
+    q, rho_N = q^(1/(12 N^2)) and q^(1/2)."""
+    def boom(name):
+        def body(pt):
+            raise AssertionError(f"check_surface_point computed {name}")
+        return property(body)
 
-    monkeypatch.setattr(qseries.ModularPoint, "u", property(boom))
-    rep = check_surface_point(mp.mpc("0.41", "0.06"), 16, ctx256)
+    for name in ("u", "eta", "eisenstein"):
+        monkeypatch.setattr(qseries.ModularPoint, name, boom(name))
+    exps = []
+    real_exp_tau = qseries._exp_tau
+    monkeypatch.setattr(qseries, "_exp_tau",
+                        lambda tau, den, prec: exps.append(den) or real_exp_tau(tau, den, prec))
+    points = []
+    real_from_complex = qseries.ModularPoint.from_complex.__func__
+
+    def from_complex(cls, tau, ctx):
+        points.append(real_from_complex(cls, tau, ctx))
+        return points[-1]
+
+    monkeypatch.setattr(qseries.ModularPoint, "from_complex", classmethod(from_complex))
+    n = 16
+    rep = check_surface_point(mp.mpc("0.41", "0.06"), n, ctx256)
     assert rep.passed
+    (pt,) = points
+    assert sorted(pt._tables) == [n]
+    assert sorted(exps) == [1, 2, 12 * n * n]
 
 
 def test_surface_scale_invariance(ctx256):
@@ -162,13 +184,11 @@ def test_lemma52_main_cases(ctx256):
             assert rep.details["worst_ratio"] < 1
 
 
-def _reduced_key(a1, a2):
-    """(N, s, t) of the canonical key of the reduced index (a1, a2) =
-    (s/N, t/N), N the lcm of the denominators: the lexicographically
-    smaller of (s, t) and (-s mod N, -t mod N), on which the level table
-    keeps the Siegel product of both."""
-    n = math.lcm(a1.denominator, a2.denominator)
-    s, t = int(a1 * n), int(a2 * n)
+def _level_key(s, t, n):
+    """(N, s, t) of the canonical key at level N of the index (s/N, t/N),
+    its level not reduced: the lexicographically smaller of (s, t) and
+    (-s mod N, -t mod N) for s, t taken mod N."""
+    s, t = s % n, t % n
     return (n, *min((s, t), (-s % n, -t % n)))
 
 
@@ -198,7 +218,9 @@ def _lemma52_classes(f, n):
 def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
     """The sweep evaluates each class once, at its first key in sweep order,
     on the point of the form with b >= 0 (t negated from a partner's key),
-    and runs each Siegel product at most once per point and pair +-r."""
+    reads both Siegel products of each ratio from the level-N table at the
+    canonical keys of (s, t) and (2s, 2t) mod N, and runs each Siegel
+    product at most once per point and pair +-r."""
     f, n = make_field(-39), 8
     rep = check_lemma52(f, n, ctx256)
     keys = [(id(pt), k) for pt, k in siegel_product_runs]
@@ -207,14 +229,12 @@ def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs
     got = {(form_at[pt.tau], k) for pt, k in siegel_product_runs}
     classes, partner = _lemma52_classes(f, n)
     order = {q: i for i, q in enumerate(f.forms)}
-    expected = {(f.principal, _reduced_key(F(0), F(1, n))),
-                (f.principal, _reduced_key(F(0), F(2, n)))}
+    expected = {(f.principal, _level_key(0, 1, n)), (f.principal, _level_key(0, 2, n))}
     for members in classes:
         q, s, t = min(members, key=lambda m: (order[m[0]], m[1], m[2]))
         if q.b < 0:
             q, t = partner[q], -t % n
-        expected |= {(q, _reduced_key(F(s, n), F(t, n))),
-                     (q, _reduced_key(F(2 * s, n) % 1, F(2 * t, n) % 1))}
+        expected |= {(q, _level_key(s, t, n)), (q, _level_key(2 * s, 2 * t, n))}
     assert got == expected
     assert rep.details["pairs_checked"] == sum(len(m) for m in classes) == 180
     # the sweep over every (form, s, t) ran one product per key of each form
@@ -226,8 +246,7 @@ def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs
         for s in range(n):
             for t in range(n):
                 if (2 * s) % n or (2 * t) % n:
-                    seen |= {_reduced_key(F(s, n), F(t, n)),
-                             _reduced_key(F(2 * s, n) % 1, F(2 * t, n) % 1)}
+                    seen |= {_level_key(s, t, n), _level_key(2 * s, 2 * t, n)}
         full += len(seen)
     assert len(keys) < full
 
@@ -574,9 +593,9 @@ def test_lemma52_witness_survives_perturbation(ctx256, monkeypatch):
     for seed in range(2):
         rng = random.Random(seed)
 
-        def shaken(pt, r):
+        def shaken(pt, r, level=None):
             with ctx256.work():
-                return _perturbed(orig(pt, r), rng, ctx256.eps * 2.0**-20)
+                return _perturbed(orig(pt, r, level), rng, ctx256.eps * 2.0**-20)
 
         monkeypatch.setattr(verify, "y_value", shaken)
         got = check_lemma52(f, 12, ctx256).details
