@@ -221,16 +221,16 @@ def _parse_r(s: str) -> FractionPair:
     return FractionPair(r1, r2)
 
 
-def _check_recognition(args, ctx: PrecisionContext) -> None:
-    """Reject, before any series is summed, --den-max and --recog-tol values
-    under which no coefficient could count as recognized or two candidates
-    could not be told apart (``verify._recognition_tol``)."""
+def _check_recognition(args, ctx: PrecisionContext, den_max: int) -> None:
+    """Reject, before any series is summed, a --recog-tol (with ``den_max``:
+    --den-max for minpoly, 1 for hcp) under which no coefficient could count
+    as recognized or two candidates could not be told apart
+    (``verify._recognition_tol``)."""
     tol = _parse_real(args.recog_tol, "--recog-tol", ctx)
     try:
-        _recognition_tol(args.den_max, tol, ctx)
+        _recognition_tol(den_max, tol, ctx)
     except ValueError as exc:
-        raise InputError(f"--den-max {args.den_max}, --recog-tol "
-                         f"{args.recog_tol}: {exc}") from None
+        raise InputError(f"--recog-tol {args.recog_tol}: {exc}") from None
 
 
 def _ctx_from(args) -> PrecisionContext:
@@ -333,7 +333,7 @@ def _poly_body(poly) -> dict:
 
 
 def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
-    _check_recognition(args, ctx)
+    _check_recognition(args, ctx, args.den_max)
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
@@ -343,10 +343,9 @@ def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
 
 
 def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
-    _check_recognition(args, ctx)
+    _check_recognition(args, ctx, 1)
     f = make_field(args.dk)
-    poly = hilbert_class_poly(f, ctx, den_max=args.den_max,
-                              recog_tol=args.recog_tol)
+    poly = hilbert_class_poly(f, ctx, recog_tol=args.recog_tol)
     return {"dk": f.d}, {"h": f.h, "working_bits": poly.bits, **_poly_body(poly)}
 
 

@@ -35,11 +35,12 @@ from .errors import ImTooSmall, NumericalError
 # Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
 
-# Ceiling for Im(tau), exact.  Widths grow with Im tau (u's denominator
-# carries q at W + 12 Im(tau) pi / (6 ln 2) bits, a level table's powers of
-# q^(1/L) at W + Im(tau) pi / (6 ln 2)), so a huge Im tau would ask for
-# integers no float or fixed-point conversion can size.  Up to 10^6 every
-# evaluator still runs, the Siegel values slowly.
+# Ceiling for Im(tau), exact.  A level table's powers of q^(1/L) sit at
+# width W + Im(tau) pi / (6 ln 2), so a huge Im tau would ask for integers
+# no float or fixed-point conversion can size; and the point's exponential
+# q^(1/24), taken at bits + 40, loses about log2(2 pi Im tau) of those
+# bits (22.6 at 10^6).  Up to 10^6 every evaluator still runs, the Siegel
+# values slowly.
 MAX_IM = 10 ** 6
 
 # Smallest working precision a PrecisionContext accepts.

@@ -10,9 +10,10 @@ Conventions fixed across the package:
   normalization; the curve coordinates u, v, x, y below are ratios in which
   it matters.
 * Fractional powers of q are taken on the principal branch straight from
-  tau, never as roots of q.  At an index of level N they are integer powers
-  of q^(1/L) = exp(2*pi*i*tau/L), L = 12 N^2, read from the point's level-N
-  table (below).
+  tau, never as roots of q: q^(1/2) and q are integer powers of
+  q^(1/24) = exp(2*pi*i*tau/24), and at an index of level N they are
+  integer powers of q^(1/L) = exp(2*pi*i*tau/L), L = 12 N^2, read from the
+  point's level-N table (below).
 * Index bookkeeping is exact integer arithmetic.  An index is held as
   residues over its level, (r1, r2) = (p1/N, p2/N) with N the lcm of the
   denominators and gcd(p1, p2, N) = 1 (``FractionPair``).  Its reduction
@@ -23,21 +24,29 @@ Conventions fixed across the package:
 Summing at tau.  Every series is summed at tau itself, with no move into
 the fundamental domain first: the lacunary sums below take
 O(sqrt(bits / Im tau)) steps, so they stay short down to the Im floor 1/20
-(``numerics.MIN_IM``).  The exponentials of tau (q, v's q^(1/2), eta's
-exp(pi*i*tau/12) and the level tables' q^(1/L)) are taken at their
-precision plus the bit length of floor(|Re tau|) and then rounded
-(``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases no bits;
-wp adds the bits of a complex z's lattice coordinates when it reduces z.
+(``numerics.MIN_IM``).  A point takes one exponential of tau,
+q^(1/24) = exp(2*pi*i*tau/24) at W + 8 significant bits; q^(1/2) is its
+cut 12th power and q the cut square of that (``ModularPoint._q_powers``),
+so eta, u, v, x and delta read one set of powers, each with W + 8
+significant bits however small it is, and q enters the sums floored to
+width W (``qfx``).  Rounding 2*pi*tau/24 to p bits moves q by about
+2*pi |tau| 2^-p relative, 2^22.6 2^-p at the Im ceiling 10^6, which the
+40 bits of W + 8 above ``bits`` absorb.  The level tables take their own
+root q^(1/L), a root of q and not a power.  Both exponentials are taken
+at their precision plus the bit length of floor(|Re tau|) and then
+rounded (``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases
+no bits; wp adds the bits of a complex z's lattice coordinates when it
+reduces z.
 
 Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
-that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter by
-``to_fixed`` (q floored, exact while |q| >= 2^-32) and leave by
-``_mpc``, rounded to ``bits``; the Siegel prefactor, the wp quotient,
-y = -g_{2r}/g_r^4 and its powers, u, v, x and delta's product q E^24 are
-formed in fixed point too, the eta and Eisenstein prefactors, delta's
-(2*pi)^12 and the exponentials in mpmath.  Each sum is lacunary and stops
-at its first term below 2^-W, so every value is the converged function.
-Two loops sum them.
+that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter
+floored to W, by ``to_fixed`` or, as q does, from more significant bits,
+each within one unit, and leave by ``_mpc``, rounded to ``bits``; the
+Siegel prefactor, the wp quotient, y = -g_{2r}/g_r^4 and its powers, u, v,
+x, delta's product q E^24 and eta's q^(1/24) E are formed in fixed point
+too, the eta and Eisenstein prefactors, delta's (2*pi)^12 and the
+exponentials in mpmath.  Each sum is lacunary and stops at its first term
+below 2^-W, so every value is the converged function.  Two loops sum them.
 ``_triple`` sums the halves Ev (even n) and Od (odd n) of
 sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
 P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
@@ -124,21 +133,22 @@ quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
 squared once (``_e24``).  Every product is exact and cut to W significant
 bits (``_cut_mul``, ``_cut_sq``), so theta_3 theta_4 is
 never shifted in fixed point, where (theta_3 theta_4)^8, about 1e-42 at the
-Im floor, would lose its relative bits.  q enters the denominator at width
-W + log2(1/|q|), so it keeps W significant bits however small it is, and
-``_quotient`` divides once; u is rounded once to ``bits``.  j = 1728 u.
+Im floor, would lose its relative bits.  q enters the denominator as the
+cut integers of ``_q_powers``, so it keeps its significant bits however
+small it is, and ``_quotient`` divides once; u is rounded once to
+``bits``.  j = 1728 u.
 v = g3 / eta^12 = -E6 / (216 q^(1/2) E^12) is one such quotient too, as
 eta^12 = (2*pi)^6 zeta_8^12 q^(1/2) E^12 = -(2*pi)^6 q^(1/2) E^12 and
-g3 = (2*pi)^6 E6 / 216: q^(1/2) = exp(pi*i*tau) is an exponential at W
-bits placed at width W + log2(1/|q^(1/2)|), as q is.  On the imaginary
-axis every factor is real, so u, v and delta are exactly real.
+g3 = (2*pi)^6 E6 / 216, with q^(1/2) from ``_q_powers`` as q is.  On the
+imaginary axis every factor is real, so u, v and delta are exactly real.
 x = g2 g3 wp / delta at an index is one such quotient too: with
 P, M = Ev +- Od at the index, S = a + b and D = theta_3^2 theta_4^2,
 wp = pi^2 (S/3 - D (P/M)^2), so x = E4 E6 (S M^2 - 3 D P^2) /
 (31104 q E^24 M^2) and pi cancels.  None of them forms g2, g3, eta, a
 power of pi or delta.  delta itself is (2*pi)^12 times the cut product of
-the same E^24 and q, rounded once; eta^24 = delta stays a check between
-the Euler sum and the theta sums.
+the same E^24 and q, rounded once, and eta the cut product of q^(1/24)
+and the Euler sum, rounded once and times sqrt(2*pi) zeta_8; eta^24 =
+delta stays a check between the Euler sum and the theta sums.
 """
 
 from __future__ import annotations
@@ -161,41 +171,32 @@ from .numerics import FX_GUARD, PrecisionContext, check_im_range, truncation_ter
 class ModularPoint:
     """A point tau in the upper half-plane, where its q-series are summed.
 
-    ``from_complex`` keeps tau as given, with ``q`` = exp(2*pi*i*tau), and
-    every evaluator sums its series at tau itself (module docstring).
+    Its fields are ``tau``, kept as given, and ``ctx``; every evaluator sums
+    its series at tau itself (module docstring).  The point keeps only
+    fixed-point data, each piece computed on first use and shared by every
+    evaluator; the values (eta, delta, g2 and g3, u, v, ...) are formed by
+    the module-level evaluators:
 
-    It owns the values that depend on the point alone.  Each is computed on
-    first use and kept, so every evaluator and caller shares one copy:
-
-    * ``eta``, ``delta`` and ``eisenstein`` = (g2, g3), which the module-level
-      evaluators of the same names return, and ``u`` and ``v``, which
-      ``u_value`` and ``v_value`` return (the exact integer quotients of the
-      module docstring, with no g2, g3, eta or delta);
-    * ``qfx``, q in fixed point; ``_euler_fx``, the Euler product (eta),
-      and ``_euler_inv``, its reciprocal (Siegel values); ``_thetas``, the
-      theta constants of g2, g3 and wp and the four factors of E^12;
-      ``_e4``, E4 in fixed point with the two squares ``_e6`` reuses;
-      ``_e12``, E^12 as cut integers, which ``v`` divides by and ``_e24``
-      squares; ``_e24``, E^24 and q as cut integers, which ``u``,
-      ``delta`` and ``_x_scale`` (E4 E6 and 31104 q E^24 for ``x_value``)
-      share; ``_tables``, one ``_LevelTable`` per evaluation level N, which
-      keeps all data keyed by an index (s/N, t/N) in [0,1)^2: the powers of
-      q^(1/(12 N^2)) and exp(2*pi*i/(12 N^2)) its keys need, the
-      triple-product halves (Ev, Od) that the Siegel product, ``wp`` and
-      ``x_value`` read, the Siegel products at W significant bits that
-      ``siegel`` rounds and ``y_quotient`` divides, both at canonical keys
-      only, and wp's level guard (module docstring).
+    * ``_q_powers``, q^(1/24), q^(1/2) and q as cut integers from the one
+      exponential exp(2*pi*i*tau/24); ``qfx``, q at width W; ``q``, q
+      rounded to ``bits`` (``wp`` at a complex z);
+    * ``_euler_fx`` and ``_euler_inv``, the Euler product E and 1/E;
+      ``_thetas``, the theta constants and the four factors of E^12;
+      ``_e4`` and ``_e6``, E4 and 2 E6; ``_e12`` and ``_e24``, E^12 and
+      E^24 as cut integers; ``_wp_constants`` and ``_x_scale``, the
+      constants of ``wp`` and ``x_value``;
+    * ``_tables``, one ``_LevelTable`` per evaluation level N, which keeps
+      all data keyed by an index (s/N, t/N) in [0,1)^2 (module docstring).
 
     No curve constant takes a guard: each divides by q E^24 or
-    q^(1/2) E^12, an exact exponential times a power of E, which is bounded
-    away from 0 for Im tau >= 1/20; mpmath's exponent does not underflow.
+    q^(1/2) E^12, a power of q times a power of E, which is bounded away
+    from 0 for Im tau >= 1/20; mpmath's exponent does not underflow.
 
     ``at(r)`` is the one conversion of an index r to z = r1*tau + r2, and
     ``terms()`` the truncation index of the tests' reference loops.
     """
 
     tau: mp.mpc
-    q: mp.mpc
     ctx: PrecisionContext
 
     @classmethod
@@ -208,7 +209,7 @@ class ModularPoint:
             if not mp.isfinite(tau):
                 raise ValueError(f"tau={mp.nstr(tau, 8)} is not finite")
             check_im_range(mp.im(tau))
-            return cls(tau, _exp_tau(tau, 1, ctx.bits), ctx)
+            return cls(tau, ctx)
 
     @classmethod
     def from_quadratic(cls, a: int, b: int, d: int, ctx: PrecisionContext) -> "ModularPoint":
@@ -232,9 +233,29 @@ class ModularPoint:
         return self.ctx.bits + FX_GUARD
 
     @cached_property
+    def _q_powers(self) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:
+        """(q^(1/24), q^(1/2), q) as (re, im, w) triples of W + 8 significant
+        bits: exp(2*pi*i*tau/24) from ``_exp_tau``, placed by the top binary
+        exponent of its parts, its cut 12th power and the cut square of that
+        (module docstring, "Summing at tau")."""
+        bits = self.width + 8
+        e = _exp_tau(self.tau, 24, bits)
+        w = bits - max(x[2] + x[3] for x in e._mpc_ if x[1])  # the larger part exact
+        q24 = (*_fx(e, w), w)
+        half = _cut_pow(q24, 12, bits)
+        return q24, half, _cut_sq(half, bits)
+
+    @cached_property
     def qfx(self) -> tuple[int, int]:
-        """q as fixed-point integers (re, im) at width W, floored (exact while |q| >= 2^-32)."""
-        return _fx(self.q, self.width)
+        """q as fixed-point integers (re, im) at width W, floored from
+        ``_q_powers``."""
+        re, im, w = self._q_powers[2]
+        return re >> (w - self.width), im >> (w - self.width)
+
+    @cached_property
+    def q(self) -> mp.mpc:
+        """q = exp(2*pi*i*tau) from ``_q_powers``, rounded to ``bits``."""
+        return _mpc(*self._q_powers[2], self.ctx.bits)
 
     @cached_property
     def _euler_fx(self) -> tuple[int, int]:
@@ -257,22 +278,6 @@ class ModularPoint:
         return _theta_sums(self.qfx, self.width)
 
     @cached_property
-    def eta(self) -> mp.mpc:
-        """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H."""
-        bits = self.ctx.bits
-        with self.ctx.work():
-            return (_eta_prefactor(bits) * _exp_tau(self.tau, 24, bits)
-                    * _mpc(*self._euler_fx, self.width))
-
-    @cached_property
-    def delta(self) -> mp.mpc:
-        """Discriminant (2*pi)^12 q E^24: the cut product of ``_e24``'s E^24
-        and q, rounded once and times (2*pi)^12; never zero on H."""
-        e24, q = self._e24
-        with self.ctx.work():
-            return (2 * mp.pi) ** 12 * _mpc(*_cut_mul(e24, q, self.width))
-
-    @cached_property
     def _e4(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """(E4, ab, (a+b)^2) at width W for a, b = theta_3^4, theta_4^4, with
         E4 = (a+b)^2 - 3ab (DLMF 23.6)."""
@@ -289,16 +294,6 @@ class ModularPoint:
         return _fx_mul(self._thetas[0], (9 * p[0] - 2 * s2[0], 9 * p[1] - 2 * s2[1]), self.width)
 
     @cached_property
-    def eisenstein(self) -> tuple[mp.mpc, mp.mpc]:
-        """(g2, g3) = (4 pi^4/3 E4, 8 pi^6/27 E6), E4 from ``_e4`` and E6
-        from ``_e6``."""
-        with self.ctx.work():
-            w = self.width
-            e6r, e6i = self._e6
-            return (4 * mp.pi**4 / 3 * _mpc(*self._e4[0], w),
-                    8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w))
-
-    @cached_property
     def _e12(self) -> tuple[int, int, int]:
         """E^12 = A T (A^2 + C) (theta_3 theta_4)^4 as an (re, im, w) triple
         from the factors of ``_thetas``, each product cut to W significant
@@ -308,40 +303,9 @@ class ModularPoint:
         return _cut_mul(_cut_mul(_cut_mul(big_a, t, w), apc, w), _cut_sq(_cut_sq(d, w), w), w)
 
     @cached_property
-    def _e24(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """(E^24, q) as (re, im, w) triples: the cut square of ``_e12``, and
-        q at width W + log2(1/|q|), so that it keeps W significant bits
-        however small it is (module docstring, "u, v, x and j")."""
-        w = self.width
-        qw = w + math.ceil(12 * float(self.im) * _BITS_PER_IM)  # |q| >= 2^(w - qw)
-        return _cut_sq(self._e12, w), (*_fx(self.q, qw), qw)
-
-    @cached_property
-    def u(self) -> mp.mpc:
-        """u = g2^3 / delta = E4^3 / (1728 q E^24), one exact integer
-        quotient of E4, q and the factors of E^12 (module docstring, "u,
-        x and j"); no Eisenstein prefactor, power of pi or delta is formed."""
-        w = self.width
-        e4 = (*self._e4[0], w)
-        num = _cut_mul(_cut_sq(e4, w), e4, w)
-        e24, (qr, qi, qw) = self._e24
-        den = _cut_mul(e24, (1728 * qr, 1728 * qi, qw), w)
-        return _mpc(*_quotient(num, den, w), self.ctx.bits)
-
-    @cached_property
-    def v(self) -> mp.mpc:
-        """v = g3 / eta^12 = -E6 / (216 q^(1/2) E^12), one exact integer
-        quotient of 2 E6 (``_e6``), E^12 (``_e12``) and q^(1/2) =
-        exp(pi*i*tau): eta^12 = (2*pi)^6 zeta_8^12 q^(1/2) E^12 =
-        -(2*pi)^6 q^(1/2) E^12 and g3 = (2*pi)^6 E6 / 216, so pi cancels.
-        q^(1/2) is an exponential at W bits, placed at width
-        W + log2(1/|q^(1/2)|) as ``_e24`` places q."""
-        w = self.width
-        hw = w + math.ceil(6 * float(self.im) * _BITS_PER_IM)  # |q^(1/2)| >= 2^(w - hw)
-        hr, hi = _fx(_exp_tau(self.tau, 2, w), hw)
-        e6r, e6i = self._e6
-        den = _cut_mul(self._e12, (432 * hr, 432 * hi, hw), w)
-        return _mpc(*_quotient((-e6r, -e6i, w), den, w), self.ctx.bits)
+    def _e24(self) -> tuple[int, int, int]:
+        """E^24 as an (re, im, w) triple: the cut square of ``_e12``."""
+        return _cut_sq(self._e12, self.width)
 
     @cached_property
     def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -361,9 +325,9 @@ class ModularPoint:
         (``x_value``)."""
         w = self.width
         e6r, e6i = self._e6
-        e24, (qr, qi, qw) = self._e24
+        qr, qi, qw = self._q_powers[2]
         return (_cut_mul((*self._e4[0], w), (e6r, e6i, w + 1), w),
-                _cut_mul(e24, (31104 * qr, 31104 * qi, qw), w))
+                _cut_mul(self._e24, (31104 * qr, 31104 * qi, qw), w))
 
     @cached_property
     def _tables(self) -> dict:
@@ -505,8 +469,8 @@ def _theta_sums(q: tuple[int, int], w: int):
     eta^24 = q E^24, then gives E^12 = A T (A^2 + C) (theta_3 theta_4)^4
     (the sign from q -> 0).  Its factors are returned, not multiplied out:
     at the Im floor (theta_3 theta_4)^4 is about 1e-21, below which a
-    fixed-point product would lose relative bits, so ``delta`` forms E^12
-    in mpmath and ``u`` forms E^24 in exact integers."""
+    fixed-point product would lose relative bits, so ``ModularPoint._e12``
+    multiplies them out in exact integers cut to W significant bits."""
     one = 1 << w
     step = q2 = _fx_mul(q, q, w)  # q^(2m)
     t = (one, 0)  # T_(m-1)
@@ -677,21 +641,31 @@ class _LevelTable:
 
 
 def eta(pt: ModularPoint) -> mp.mpc:
-    """Dedekind eta with the sqrt(2*pi)*zeta_8 prefactor; nonzero on H.
-    Computed once per point."""
-    return pt.eta
+    """Dedekind eta = sqrt(2*pi) zeta_8 q^(1/24) E, with the
+    sqrt(2*pi)*zeta_8 prefactor; nonzero on H.  q^(1/24) E is the cut
+    product of the point's q^(1/24) and Euler product."""
+    w = pt.width
+    with pt.ctx.work():
+        return (_eta_prefactor(pt.ctx.bits)
+                * _mpc(*_cut_mul(pt._q_powers[0], (*pt._euler_fx, w), w)))
 
 
 def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
     """(g2, g3) = ((2*pi)^4/12 E4, (2*pi)^6/216 E6), E4 and E6 from the
-    theta constants; summed once per point."""
-    return pt.eisenstein
+    theta constants (``ModularPoint._e4``, ``_e6``)."""
+    w = pt.width
+    e6r, e6i = pt._e6
+    with pt.ctx.work():
+        return (4 * mp.pi**4 / 3 * _mpc(*pt._e4[0], w),
+                8 * mp.pi**6 / 27 * _mpc(e6r >> 1, e6i >> 1, w))
 
 
 def delta(pt: ModularPoint) -> mp.mpc:
-    """Discriminant (2*pi)^12 q E^24, E^12 from the theta sums; never zero
-    on H.  Computed once per point."""
-    return pt.delta
+    """Discriminant (2*pi)^12 q E^24: the cut product of the point's E^24
+    and q, rounded once and times (2*pi)^12; never zero on H."""
+    prod = _cut_mul(pt._e24, pt._q_powers[2], pt.width)
+    with pt.ctx.work():
+        return (2 * mp.pi) ** 12 * _mpc(*prod)
 
 
 def j_invariant(pt: ModularPoint) -> mp.mpc:
@@ -928,15 +902,26 @@ class CurveCoords(NamedTuple):
 
 
 def u_value(pt: ModularPoint) -> mp.mpc:
-    """u = g2^3 / eta^24 = g2^3 / delta, as one exact integer quotient of
-    the theta sums (``ModularPoint.u``); computed once per point."""
-    return pt.u
+    """u = g2^3 / delta = E4^3 / (1728 q E^24), one exact integer quotient
+    of E4, q and E^24 (module docstring, "u, v, x and j"); no Eisenstein
+    prefactor, power of pi or delta is formed."""
+    w = pt.width
+    e4 = (*pt._e4[0], w)
+    qr, qi, qw = pt._q_powers[2]
+    den = _cut_mul(pt._e24, (1728 * qr, 1728 * qi, qw), w)
+    return _mpc(*_quotient(_cut_mul(_cut_sq(e4, w), e4, w), den, w), pt.ctx.bits)
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:
-    """v = g3 / eta^12, as one exact integer quotient of E6, E^12 and
-    q^(1/2) (``ModularPoint.v``); computed once per point."""
-    return pt.v
+    """v = g3 / eta^12 = -E6 / (216 q^(1/2) E^12), one exact integer
+    quotient of 2 E6, E^12 and q^(1/2): eta^12 = (2*pi)^6 zeta_8^12
+    q^(1/2) E^12 = -(2*pi)^6 q^(1/2) E^12 and g3 = (2*pi)^6 E6 / 216, so pi
+    cancels."""
+    w = pt.width
+    hr, hi, hw = pt._q_powers[1]
+    e6r, e6i = pt._e6
+    den = _cut_mul(pt._e12, (432 * hr, 432 * hi, hw), w)
+    return _mpc(*_quotient((-e6r, -e6i, w), den, w), pt.ctx.bits)
 
 
 def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:

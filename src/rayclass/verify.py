@@ -42,9 +42,9 @@ GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
 # Each value that ``minpoly`` and ``hilbert_class_poly`` expand lies within
 # 2^(VALUE_ERROR_BITS - bits) * max(1, |v|) of the exact one.  Measured
 # against the same evaluator at 2 bits + 64: j at every CM point of the
-# fundamental d in [-2000, -3] at 64 to 1024 bits, at most 254 * 2^-bits;
+# fundamental d in [-2000, -3] at 64 to 1024 bits, at most 1.8 * 2^-bits;
 # the x, y4 and y12N orbits of twelve (d, N) with N from 3 to 16, at most
-# 90 * 2^-bits at 256 bits.  2^10 leaves four times the worst of them.
+# 90 * 2^-bits at 256 bits.  2^10 leaves eleven times the worst of them.
 VALUE_ERROR_BITS = 10
 # |j(tau) - 1/q| <= 2079 on the fundamental domain (``_log2_height``), so
 # 1 + ceil(max(1, |j(theta_Q)|)) <= e^(pi sqrt|d| / a_Q) + J_TAIL.
@@ -687,9 +687,11 @@ def _planned_bits(field: Field, tol) -> int:
 
 
 def hilbert_class_poly(field: Field, ctx: PrecisionContext,
-                       den_max: int = 48, recog_tol="1e-10") -> Polynomial:
+                       recog_tol="1e-10") -> Polynomial:
     """Minimal polynomial of j(theta): prod over reduced forms of
     (X - j(theta_Q)); coefficients recognize as rational integers.
+    A certified coefficient is real and within B_k < tol of an integer, so
+    recognition takes den_max = 1 (``_recognition_tol``, ``_recognize``).
 
     j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
     the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
@@ -701,10 +703,10 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
     ctx.bits is a cap, and ``Polynomial.bits`` reports the working
     precision.  Below the plan, the coefficients whose error bound reaches
     tol stay unrecognized.  Nothing reads ctx.eps, so the result depends
-    only on d, the working bits, recog_tol and den_max; the context is
+    only on d, the working bits and recog_tol; the context is
     rebuilt at working bits with eps = max(ctx.eps, 2^(GUARD_BITS -
     working)) only because a context needs eps >= 2^(GUARD_BITS - bits)."""
-    tol = _recognition_tol(den_max, recog_tol, ctx)  # reject before the series sums
+    tol = _recognition_tol(1, recog_tol, ctx)  # reject before the series sums
     bits = min(_planned_bits(field, tol), ctx.bits)
     if bits < ctx.bits:
         ctx = PrecisionContext(bits, max(ctx.eps, mp.ldexp(1, GUARD_BITS - bits)))
@@ -722,5 +724,4 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
                 values += (v, v)
         coeffs = _expand(factors)
         coeffs[-1] = mp.mpf(1)
-        return _recognize(coeffs, _error_bounds(values, bits), field, ctx,
-                          den_max, tol)
+        return _recognize(coeffs, _error_bounds(values, bits), field, ctx, 1, tol)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rayclass import ModularPoint, PrecisionContext, qseries
@@ -36,6 +38,28 @@ def point_value_runs(monkeypatch):
         return seen
 
     return runs
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """calls(name) returns a list that records the point of each call of the
+    module evaluator qseries.<name> (eta, delta, u_value, ...), through any
+    rayclass module that binds it, for the rest of the test."""
+
+    def calls(name):
+        body = getattr(qseries, name)
+        seen = []
+
+        def counted(pt, *args):
+            seen.append(pt)
+            return body(pt, *args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "rayclass" and getattr(mod, name, None) is body:
+                monkeypatch.setattr(mod, name, counted)
+        return seen
+
+    return calls
 
 
 @pytest.fixture

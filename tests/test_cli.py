@@ -616,23 +616,39 @@ def test_lemma51_validates_the_discriminant(dk, error, capsys):
     assert json.loads(err)["error"] == error
 
 
+MINPOLY_X = ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["hcp", "--dk", "-7", "--den-max", "0"],
-    ["hcp", "--dk", "-7", "--den-max", "-5"],
     ["hcp", "--dk", "-7", "--recog-tol", "0"],
     ["hcp", "--dk", "-7", "--recog-tol", "-1"],
     ["hcp", "--dk", "-7", "--recog-tol", "nan"],
     ["hcp", "--dk", "-7", "--recog-tol", "inf"],
     ["hcp", "--dk", "-23", "--bits", "64", "--eps", "1e-10", "--recog-tol", "0.9"],
     ["hcp", "--dk", "-7", "--den-max", "1", "--recog-tol", "0.6"],
-    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--den-max", "0"],
-    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--recog-tol", "1e-3"],
+    MINPOLY_X + ["--den-max", "0"],
+    MINPOLY_X + ["--den-max", "-5"],
+    MINPOLY_X + ["--recog-tol", "0"],
+    MINPOLY_X + ["--recog-tol", "-1"],
+    MINPOLY_X + ["--recog-tol", "nan"],
+    MINPOLY_X + ["--recog-tol", "inf"],
+    MINPOLY_X + ["--recog-tol", "0.9"],
+    MINPOLY_X + ["--den-max", "1", "--recog-tol", "0.6"],
+    MINPOLY_X + ["--recog-tol", "1e-3"],
 ])
 def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("den_max", ["0", "1", "48"])
+def test_hcp_reads_no_den_max(den_max, capsys):
+    """hcp recognizes integers only, so --den-max, even one minpoly
+    rejects, leaves it unchanged."""
+    assert (run_cli(["hcp", "--dk", "-23", "--den-max", den_max], capsys)
+            == run_cli(["hcp", "--dk", "-23"], capsys))
 
 
 def test_minpoly_rejects_pair_descriptor(capsys):

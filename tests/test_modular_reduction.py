@@ -18,8 +18,10 @@ from rayclass import (
     eisenstein,
     eta,
     j_invariant,
+    qseries,
     siegel,
     u_value,
+    v_value,
     wp,
 )
 from rayclass.classfield import CMPoint
@@ -83,7 +85,7 @@ def test_cm_points_of_reduced_forms_keep_the_identity_word(prec):
     the closed fundamental domain (|Re| <= 1/2, |tau| >= 1, edges included,
     up to one rounding), so its sums take at most the domain's terms; one in
     97 also goes through from_quadratic, which sums at tau itself with
-    q = exp(2 pi i tau)."""
+    q = exp(2 pi i tau) as taken at twice the bits and rounded."""
     ctx = CTX[prec]
     cap = truncation_terms(math.sqrt(3) / 2, ctx.eps)
     count = 0
@@ -95,24 +97,43 @@ def test_cm_points_of_reduced_forms_keep_the_identity_word(prec):
         if count % 97 == 0:
             pt = ModularPoint.from_quadratic(a, b, d, ctx)
             assert pt.tau == tau and pt.terms() <= cap
-            with ctx.work():
-                assert pt.q == mp.exp(2j * mp.pi * tau)
+            assert _is_q_at_twice_the_bits(pt.q, tau, ctx)
         count += 1
     assert count == 17090
 
 
-def test_reduced_point_takes_the_one_exponential(monkeypatch):
-    """A tau outside the domain takes one exponential in from_complex, at
-    tau itself (|Re tau| < 1 costs no extra bits), and keeps it as q."""
-    ctx = CTX["256"]
-    exps = []
-    real_exp = mp.exp
-    monkeypatch.setattr(mp, "exp", lambda z: exps.append(z) or real_exp(z))
-    pt = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
-    assert len(exps) == 1
+def _is_q_at_twice_the_bits(q, tau, ctx) -> bool:
+    """q equals exp(2 pi i tau) taken at 2 bits and rounded to bits, part by
+    part.  A part below 2^-bits |q| on both sides is rounding noise (q is
+    real at Re tau = 1/2) and is only held to that size."""
+    with mp.workprec(2 * ctx.bits):
+        ref = mp.exp(2j * mp.pi * tau)
     with ctx.work():
-        assert exps[0] == 2j * mp.pi * pt.tau
-        assert pt.q == real_exp(exps[0])
+        ref = +ref
+        noise = abs(ref) * mp.mpf(2) ** -ctx.bits
+        return all(a == b or abs(a) < noise > abs(b)
+                   for a, b in ((q.real, ref.real), (q.imag, ref.imag)))
+
+
+def test_reduced_point_takes_the_one_exponential(monkeypatch):
+    """A tau outside the domain takes one exponential, exp(2 pi i tau/24)
+    at tau itself (|Re tau| < 1 costs no extra bits), on the first value
+    asked for, not in from_complex; eta, delta, u, v and q all read it, and
+    q is exp(2 pi i tau) at twice the bits, rounded."""
+    ctx = CTX["256"]
+    qseries._eta_prefactor(ctx.bits)  # a constant, kept per precision
+    exps, calls = [], []
+    real_exp, real_exp_tau = mp.exp, qseries._exp_tau
+    monkeypatch.setattr(mp, "exp", lambda z: exps.append(z) or real_exp(z))
+    monkeypatch.setattr(qseries, "_exp_tau",
+                        lambda *args: calls.append(args) or real_exp_tau(*args))
+    pt = ModularPoint.from_complex(("0.1234", "0.06"), ctx)
+    assert exps == []
+    eta(pt), delta(pt), u_value(pt), v_value(pt)
+    assert len(exps) == 1
+    assert calls == [(pt.tau, 24, pt.width + 8)]
+    monkeypatch.setattr(mp, "exp", real_exp)
+    assert _is_q_at_twice_the_bits(pt.q, pt.tau, ctx)
 
 
 def test_truncation_is_capped_by_the_domain():
@@ -129,18 +150,18 @@ def test_truncation_is_capped_by_the_domain():
         assert terms <= (19 if tau[1] >= math.sqrt(3) / 2 else 329), tau
 
 
-def test_carried_values_are_computed_once(point_value_runs):
-    """At a point outside the domain, each per-point value runs once, on the
-    point itself, however often the evaluators ask for it; j and u run
+def test_carried_values_are_computed_once(point_value_runs, evaluator_calls):
+    """At a point outside the domain, each cached piece runs once, on the
+    point itself, however often the evaluators ask for it; j and u call
     neither the Eisenstein series nor delta."""
-    runs = {name: point_value_runs(name) for name in ("_thetas", "u", "eta", "delta")}
-    sums = point_value_runs("eisenstein")
+    runs = {name: point_value_runs(name) for name in ("_q_powers", "_thetas", "_e24", "_euler_fx")}
+    sums, deltas = evaluator_calls("eisenstein"), evaluator_calls("delta")
     ctx = CTX["256"]
     pt = ModularPoint.from_complex(("0.1234", "0.3"), ctx)
     for _ in range(2):
         j_invariant(pt)
         u_value(pt)
-    assert runs["delta"] == [] and sums == []
+    assert deltas == [] and sums == []
     for _ in range(2):
         eta(pt)
         delta(pt)

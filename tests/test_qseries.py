@@ -76,27 +76,26 @@ def test_modular_point_accepts_the_floor_itself(bits, eps):
         ModularPoint.from_complex(("0", "0.0499"), ctx)
 
 
-def test_per_point_values_are_computed_once(ctx256, point_value_runs):
-    thetas = point_value_runs("_thetas")
-    sums = point_value_runs("eisenstein")
-    etas = point_value_runs("eta")
-    deltas = point_value_runs("delta")
-    us = point_value_runs("u")
+def test_per_point_values_are_computed_once(ctx256, point_value_runs, evaluator_calls):
+    """The point's cached pieces each run once, however often the
+    evaluators read them; a second point runs its own, and j there calls
+    neither the Eisenstein series nor delta."""
+    pieces = ("_q_powers", "_thetas", "_euler_fx", "_e4", "_e6", "_e12", "_e24", "_x_scale")
+    runs = {name: point_value_runs(name) for name in pieces}
     pt = _pt(0.1234, 1.3, ctx256)
     r = FractionPair.from_parts(0, 1, 8)
     coords = normalized(pt, r)
     j = j_invariant(pt)
-    assert u_value(pt) is coords.u
-    assert eisenstein(pt) is eisenstein(pt)
-    assert eta(pt) is eta(pt) and delta(pt) is delta(pt)
-    for seen in (thetas, sums, etas, deltas, us):
+    assert u_value(pt) == coords.u and v_value(pt) == coords.v
+    assert eisenstein(pt) == eisenstein(pt)
+    assert eta(pt) == eta(pt) and delta(pt) == delta(pt)
+    for seen in runs.values():
         assert [id(p) for p in seen] == [id(pt)]
-    # a second point sums its own theta series, and j there runs neither
-    # the Eisenstein series nor delta
+    sums, deltas = evaluator_calls("eisenstein"), evaluator_calls("delta")
     other = _pt(0.1234, 1.31, ctx256)
     assert j_invariant(other) != j
-    assert [id(p) for p in thetas] == [id(pt), id(other)]
-    assert len(sums) == len(deltas) == 1
+    assert [id(p) for p in runs["_thetas"]] == [id(pt), id(other)]
+    assert sums == deltas == []
 
 
 def test_fraction_pair_rejects_integral():
@@ -207,7 +206,7 @@ def test_euler_sum_within_its_budget_of_twice_the_width(bits, eps):
     for tau in taus:
         pt = _pt(*tau, ctx)
         er, ei = pt._euler_fx
-        fr, fi = ModularPoint(pt.tau, pt.q, wide)._euler_fx
+        fr, fi = ModularPoint.from_complex(pt.tau, wide)._euler_fx
         assert pt.width == w and abs(complex(er - (fr >> w), ei - (fi >> w))) <= 11
 
 
@@ -276,7 +275,7 @@ def test_eisenstein_matches_the_converged_series(ctx256, tau):
     pt = _pt(*tau, ctx256)
     hi = PrecisionContext(512, ctx256.eps)
     with hi.work():
-        ref = eisenstein_loop(ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi), 3)
+        ref = eisenstein_loop(ModularPoint.from_complex(pt.tau, hi), 3)
         for new, old in zip(eisenstein(pt), ref):
             assert agrees(new, old, ctx256)
 
@@ -290,7 +289,7 @@ def test_eisenstein_settles_without_spare_guard_bits(im):
     g2, g3 = eisenstein(pt)
     hi = PrecisionContext(512, ctx.eps)
     with hi.work():
-        ref = eisenstein_loop(ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        ref = eisenstein_loop(ModularPoint.from_complex(pt.tau, hi))
         for new, old in zip((g2, g3), ref):
             assert abs(new - old) <= mp.mpf(2) ** (4 - ctx.bits) * max(1, abs(old))
 
@@ -653,12 +652,15 @@ def test_y_guard_raises_where_the_mpmath_quotient_does(tau, at_boundary):
 
 def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
     """siegel and wp at every index in (1/12)Z^2 make one table per level of
-    the reduced index, each from two exponentials, and a second sweep
-    builds no table and takes no exponential."""
+    the reduced index, each from two exponentials, next to the point's one,
+    exp(2 pi i tau/24); a second sweep builds no table and takes no
+    exponential."""
     pt = _pt(0.1234, 1.1, ctx256)
-    exps = []
-    real_exp = mp.exp
+    exps, dens = [], []
+    real_exp, real_exp_tau = mp.exp, qseries._exp_tau
     monkeypatch.setattr(mp, "exp", lambda z: exps.append(z) or real_exp(z))
+    monkeypatch.setattr(qseries, "_exp_tau",
+                        lambda tau, den, prec: dens.append(den) or real_exp_tau(tau, den, prec))
     _unit_root_fx.cache_clear()
     indices = [FractionPair.from_parts(s, t, 12)
                for s in range(12) for t in range(12) if (s, t) != (0, 0)]
@@ -667,11 +669,12 @@ def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
         wp(r, pt)
     tables = dict(pt._tables)
     assert sorted(tables) == [2, 3, 4, 6, 12]
-    assert len(exps) == 2 * len(tables)
+    assert len(exps) == 1 + 2 * len(tables)
+    assert sorted(dens) == [24] + [12 * n * n for n in sorted(tables)]
     for r in indices:
         siegel(r, pt)
         wp(r, pt)
-    assert len(exps) == 2 * len(tables)
+    assert len(exps) == 1 + 2 * len(tables) and len(dens) == 1 + len(tables)
     assert all(pt._tables[n] is tab for n, tab in tables.items())
     assert len(pt._tables) == len(tables)
 

@@ -226,9 +226,28 @@ def test_eta24_is_delta_between_independent_sums(tau, prec):
 
 
 # Next to i, where E6 and so v vanish, and next to rho, where E4 does; the
-# floor; and the Im ceiling 10^6, where |q^(1/2)| is about 2^(-4.5e6).
+# floor; Im 10^3; and the Im ceiling 10^6, where |q^(1/2)| is about
+# 2^(-4.5e6).
 V_TAUS = AGREEMENT_TAUS + [(0, 0.05), ("0.001", "1.0"), ("-0.499", "0.867"),
-                           (0, "1e6"), ("0.3", "1e6")]
+                           (0, "1e3"), ("0.3", "1e3"), (0, "1e6"), ("0.3", "1e6")]
+
+
+@pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
+@pytest.mark.parametrize("tau", V_TAUS, ids="{0[0]},{0[1]}".format)
+def test_curve_constants_keep_their_bits_against_twice_the_precision(tau, prec):
+    """u, j, delta and eta lie within 2^-(bits - 8) relative of the same
+    evaluators at the same tau at 2 bits + 64, also at Im tau = 10^3 and
+    10^6, where an exponential of tau taken at ``bits`` alone would lose
+    log2(2 pi Im tau) bits."""
+    ctx = AGREEMENT_CTX[prec]
+    pt = ModularPoint.from_complex(tau, ctx)
+    hi = PrecisionContext(2 * ctx.bits + 64, ctx.eps)
+    ref = ModularPoint.from_complex(pt.tau, hi)
+    with hi.work():
+        bound = mp.mpf(2) ** (8 - ctx.bits)
+        for value in (u_value, j_invariant, delta, eta):
+            want = value(ref)
+            assert abs(value(pt) - want) <= bound * abs(want), value.__name__
 
 
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
@@ -236,8 +255,8 @@ V_TAUS = AGREEMENT_TAUS + [(0, 0.05), ("0.001", "1.0"), ("-0.499", "0.867"),
 def test_v_quotient_is_g3_over_eta12(tau, prec):
     """v, one exact quotient of E6, E^12 and q^(1/2), agrees with g3 / eta^12
     from the Eisenstein series and the Euler product within 2^-(bits - 8)
-    relative, times Im tau above 1: both sides carry the pi Im tau 2^-bits
-    relative error of their exponentials."""
+    relative, times Im tau above 1: mpmath's power eta^12 at ``bits``
+    carries about 12 |log eta| 2^-bits = pi Im tau 2^-bits relative error."""
     ctx = AGREEMENT_CTX[prec]
     pt = ModularPoint.from_complex(tau, ctx)
     with ctx.work():
@@ -270,7 +289,7 @@ def test_wp_at_the_lattice_guard_keeps_the_loop_accuracy(prec):
         new = wp(z, pt)
     hi = PrecisionContext(2 * ctx.bits, ctx.eps)
     with hi.work():
-        ref = wp_loop(z, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        ref = wp_loop(z, ModularPoint.from_complex(pt.tau, hi))
         assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) / dist * abs(ref)
 
 
@@ -348,7 +367,7 @@ def test_siegel_keeps_relative_accuracy_at_large_im(r):
         new = siegel(r, pt)
     hi = PrecisionContext(2 * ctx.bits, ctx.eps)
     with hi.work():
-        ref = siegel_loop(r, ModularPoint(pt.tau, mp.exp(2j * mp.pi * pt.tau), hi))
+        ref = siegel_loop(r, ModularPoint.from_complex(pt.tau, hi))
         assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) * abs(ref)
 
 

@@ -88,18 +88,12 @@ def test_surface_point_at_zeta3(ctx256):
     assert rep.passed
 
 
-def test_surface_point_evaluates_no_u(ctx256, monkeypatch):
+def test_surface_point_evaluates_no_u(ctx256, monkeypatch, evaluator_calls):
     """The surface equation has no u, so the check never computes it; nor
-    eta or the Eisenstein series, as v is one exact quotient.  The point
-    ends with one level table, of level N, and takes three exponentials:
-    q, rho_N = q^(1/(12 N^2)) and q^(1/2)."""
-    def boom(name):
-        def body(pt):
-            raise AssertionError(f"check_surface_point computed {name}")
-        return property(body)
-
-    for name in ("u", "eta", "eisenstein"):
-        monkeypatch.setattr(qseries.ModularPoint, name, boom(name))
+    eta, delta or the Eisenstein series, as v is one exact quotient.  The
+    point ends with one level table, of level N, and takes two
+    exponentials: exp(2 pi i tau/24) and rho_N = q^(1/(12 N^2))."""
+    calls = [evaluator_calls(name) for name in ("u_value", "eta", "delta", "eisenstein")]
     exps = []
     real_exp_tau = qseries._exp_tau
     monkeypatch.setattr(qseries, "_exp_tau",
@@ -117,7 +111,8 @@ def test_surface_point_evaluates_no_u(ctx256, monkeypatch):
     assert rep.passed
     (pt,) = points
     assert sorted(pt._tables) == [n]
-    assert sorted(exps) == [1, 2, 12 * n * n]
+    assert sorted(exps) == [24, 12 * n * n]
+    assert calls == [[], [], [], []]
 
 
 def test_surface_scale_invariance(ctx256):
@@ -736,17 +731,26 @@ def test_recognition_rejects_settings_that_cannot_work(ctx256, setting):
     """Settings that recognize nothing, or whose tolerance could take a
     coefficient for either of two candidates (2 tol > 1/den_max^2; 1/48^2
     = 4.34e-4 at the default den_max), raise before anything is summed."""
-    f = make_field(-7)
     with pytest.raises(ValueError):
-        minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, **setting)
+        minpoly([mp.mpc(1), mp.mpc(2)], make_field(-7), ctx256, **setting)
+
+
+@pytest.mark.parametrize("recog_tol", ["0", "-1", "nan", "inf", "0.9", "0.6",
+                                       0.5 * (1 + 2.0**-20)])
+def test_hcp_rejects_tolerances_that_cannot_work(ctx256, recog_tol):
+    """hcp recognizes integers only, so it rejects a tolerance as minpoly
+    does at den_max = 1 (2 tol > 1), before anything is summed."""
     with pytest.raises(ValueError):
-        hilbert_class_poly(f, ctx256, **setting)
+        hilbert_class_poly(make_field(-7), ctx256, recog_tol=recog_tol)
 
 
 def test_recognition_takes_the_widest_tolerance_that_separates_candidates(ctx256):
-    """2 tol = 1/den_max^2 exactly still tells candidates apart."""
-    poly = hilbert_class_poly(make_field(-7), ctx256, den_max=32, recog_tol=2.0**-11)
-    assert poly.recognized == ((3375, 0, 1), (1, 0, 1))
+    """2 tol = 1/den_max^2 exactly still tells candidates apart: 1/32^2 for
+    minpoly, 1 for hcp, whose den_max is 1."""
+    f = make_field(-7)
+    poly = minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, den_max=32, recog_tol=2.0**-11)
+    assert poly.recognized == ((2, 0, 1), (-3, 0, 1), (1, 0, 1))
+    assert hilbert_class_poly(f, ctx256, recog_tol=0.5).recognized == ((3375, 0, 1), (1, 0, 1))
 
 
 def test_conjugate_classes_cover_every_reduced_form_once():
@@ -917,7 +921,7 @@ def test_hcp_of_minus_1559_at_256_bits_accepts_only_the_integers_of_1536_bits(ct
 
 @pytest.mark.parametrize("d", [-23, -632, -1559])
 def test_hcp_does_not_read_eps(d):
-    """hcp depends on d, the working bits, recog_tol and den_max alone: a
+    """hcp depends on d, the working bits and recog_tol alone: a
     coarse eps gives the same polynomial at 256 bits."""
     f = make_field(d)
     assert (hilbert_class_poly(f, PrecisionContext(256, "1e-40"))
