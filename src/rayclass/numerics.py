@@ -35,12 +35,12 @@ from .errors import ImTooSmall, NumericalError
 # Removing it waits for precision planning from the size of the answer.
 MIN_IM = Fraction(1, 20)
 
-# Ceiling for Im(tau), exact.  A level table's powers of q^(1/L) sit at
-# width W + Im(tau) pi / (6 ln 2), so a huge Im tau would ask for integers
-# no float or fixed-point conversion can size; and the point's exponential
-# q^(1/24), taken at bits + 40, loses about log2(2 pi Im tau) of those
-# bits (22.6 at 10^6).  Up to 10^6 every evaluator still runs, the Siegel
-# values slowly.
+# Ceiling for Im(tau), exact.  Every power of q and of its roots keeps its
+# significant bits however small it is, but each exponential of tau is
+# rounded in its exponent: the point's q^(1/24), taken at bits + 40, loses
+# about log2(2 pi Im tau) of those guard bits (22.6 at 10^6), as do the
+# level tables' roots, taken at bits + 42 + bitlen(L).  Up to 10^6 every
+# evaluator keeps its bits.
 MAX_IM = 10 ** 6
 
 # Smallest working precision a PrecisionContext accepts.

@@ -35,18 +35,22 @@ width W (``qfx``).  Rounding 2*pi*tau/24 to p bits moves q by about
 root q^(1/L), a root of q and not a power.  Both exponentials are taken
 at their precision plus the bit length of floor(|Re tau|) and then
 rounded (``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases
-no bits; wp adds the bits of a complex z's lattice coordinates when it
-reduces z.
+no bits (``_exp_placed``); wp adds the bits of a complex z's lattice
+coordinates when it reduces z.
 
-Fixed-point contract.  Every loop runs on pairs (re, im) of Python integers
-that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD.  Values enter
-floored to W, by ``to_fixed`` or, as q does, from more significant bits,
-each within one unit, and leave by ``_mpc``, rounded to ``bits``; the
-Siegel prefactor, the wp quotient, y = -g_{2r}/g_r^4 and its powers, u, v,
-x, delta's product q E^24 and eta's q^(1/24) E are formed in fixed point
-too, the eta and Eisenstein prefactors, delta's (2*pi)^12 and the
-exponentials in mpmath.  Each sum is lacunary and stops at its first term
-below 2^-W, so every value is the converged function.  Two loops sum them.
+Fixed-point contract.  The two sum loops run on pairs (re, im) of Python
+integers that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD; their
+inputs enter floored to W, each within one unit.  Every power and
+quotient outside them (the powers of q^(1/24) and of the level tables'
+roots, the Siegel prefactor and product, the wp quotient, y and its
+powers, u, v, x, delta's q E^24 and eta's q^(1/24) E) is an (re, im, w)
+triple for (re + i*im) * 2^-w cut to a number of significant bits, so it
+keeps its relative bits however small it is: one binary powering
+(``_Powers``), one exact integer division (``_quotient``).  Values leave
+by ``_mpc``, rounded to ``bits``; the eta and Eisenstein prefactors,
+delta's (2*pi)^12 and the exponentials are mpmath numbers.  Each sum is
+lacunary and stops at its first term below 2^-W, so every value is the
+converged function.  Two loops sum them.
 ``_triple`` sums the halves Ev (even n) and Od (odd n) of
 sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
 P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
@@ -55,9 +59,8 @@ E(q^3) P(q) = E(q) (Euler's pentagonal theorem); at Q = q,
 w = exp(2*pi*i*z), Ev - Od is E times the Siegel product, and
 (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
 23.6.2).  ``_theta_sums`` sums the theta constants (g2, g3, the constants
-of wp, and the factors of E^12 for delta, j, u and x).  Every
-quotient in fixed point is one exact integer division (``_fx_div``).  No
-kernel reads ``terms()``; it sizes the tests' reference loops.
+of wp, and the factors of E^12 for delta, j, u and x).  No kernel reads
+``terms()``; it sizes the tests' reference loops.
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
@@ -86,16 +89,15 @@ point keeps one table per N (``_LevelTable``), the home of everything keyed
 by a reduced index of level N: the two exponentials, computed once, and the
 powers asked for so far, made by binary powering from squares that are
 themselves made only as far as an exponent needs them (one key costs
-O(log N) products, never O(N)).  Powers of xi are held at width
-W_xi = W + bitlen(L) + 2 and powers of rho at W_rho = W_xi + ceil(Im(tau) *
-pi / (6 ln 2)).  A k-th power of a base of modulus <= 1 carrying one unit
-of error carries at most k + 2 bitlen(k) < 2^(bitlen(L) + 1) units, which
-the bitlen(L) + 2 extra bits bring below one unit at W: the sums start
-from inputs within one unit.  The prefactor has modulus
->= |q|^(1/12) = 2^-(Im(tau) pi / (6 ln 2)), and the extra bits of W_rho
-keep its relative error below 2^-W too (a negative exponent is the
-reciprocal of a power of modulus >= |q|^(1/24)).  The Siegel value is the
-exact integer product of the loop result at W and the prefactor at W_rho.
+O(log N) products, never O(N)).  Every power of rho and xi is a triple of
+Z = W + bitlen(L) + 2 significant bits.  A k-th power of a base with one
+unit of relative error carries at most k + 2 bitlen(k) < 2^(bitlen(L) + 1)
+units, which the bitlen(L) + 2 extra bits bring below one unit at W: w and
+q/w are floored to W from them, and the prefactor, of modulus between
+|q|^(1/12) and |q|^(-1/24) (a negative exponent is 1 / rho^-k), keeps its
+relative bits.  rho is taken at Z + 8 bits: rounding 2*pi*tau/L moves
+rho^k, k <= L, as rounding 2*pi*tau/24 moves q (above).  The Siegel value
+is the cut product of (Od - Ev) 1/E and the prefactor.
 A table is made for each level at which the point is evaluated, not for
 each level of an index: y reads both of its Siegel products from r's
 table, and the lemma 5.2 sweep evaluates every (s, t) at level N, so each
@@ -124,7 +126,7 @@ root-of-unity exponent taken at level N.  It cuts g_r^4 (two exact
 squarings) to W significant bits, applies the roots of unity the same way
 and divides in exact integers (``_quotient``).  It raises that W-bit
 quotient to the power k that an orbit asks for (y^epow,
-y^12N) by cut products and rounds once to ``bits``.
+y^12N) by cut products (``_Powers``) and rounds once to ``bits``.
 
 u, v, x and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
 quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
@@ -143,12 +145,13 @@ g3 = (2*pi)^6 E6 / 216, with q^(1/2) from ``_q_powers`` as q is.  On the
 imaginary axis every factor is real, so u, v and delta are exactly real.
 x = g2 g3 wp / delta at an index is one such quotient too: with
 P, M = Ev +- Od at the index, S = a + b and D = theta_3^2 theta_4^2,
-wp = pi^2 (S/3 - D (P/M)^2), so x = E4 E6 (S M^2 - 3 D P^2) /
-(31104 q E^24 M^2) and pi cancels.  None of them forms g2, g3, eta, a
-power of pi or delta.  delta itself is (2*pi)^12 times the cut product of
-the same E^24 and q, rounded once, and eta the cut product of q^(1/24)
-and the Euler sum, rounded once and times sqrt(2*pi) zeta_8; eta^24 =
-delta stays a check between the Euler sum and the theta sums.
+wp = (pi^2/3) (S M^2 - 3 D P^2) / M^2, so x = E4 E6 (S M^2 - 3 D P^2) /
+(31104 q E^24 M^2) and pi cancels (``_wp_parts`` serves both).  None of
+them forms g2, g3, eta, a power of pi or delta.  delta itself is
+(2*pi)^12 times the cut product of the same E^24 and q, rounded once,
+and eta the cut product of q^(1/24) and the Euler sum, rounded once and
+times sqrt(2*pi) zeta_8; eta^24 = delta stays a check between the Euler
+sum and the theta sums.
 """
 
 from __future__ import annotations
@@ -180,11 +183,11 @@ class ModularPoint:
     * ``_q_powers``, q^(1/24), q^(1/2) and q as cut integers from the one
       exponential exp(2*pi*i*tau/24); ``qfx``, q at width W; ``q``, q
       rounded to ``bits`` (``wp`` at a complex z);
-    * ``_euler_fx`` and ``_euler_inv``, the Euler product E and 1/E;
-      ``_thetas``, the theta constants and the four factors of E^12;
-      ``_e4`` and ``_e6``, E4 and 2 E6; ``_e12`` and ``_e24``, E^12 and
-      E^24 as cut integers; ``_wp_constants`` and ``_x_scale``, the
-      constants of ``wp`` and ``x_value``;
+    * ``_euler_fx``, the Euler product E at width W, and ``_euler_inv``,
+      1/E as a cut triple; ``_thetas``, the theta constants and the four
+      factors of E^12; ``_e4`` and ``_e6``, E4 and 2 E6; ``_e12`` and
+      ``_e24``, E^12 and E^24 as cut integers; ``_x_scale``, the constants
+      of ``x_value``;
     * ``_tables``, one ``_LevelTable`` per evaluation level N, which keeps
       all data keyed by an index (s/N, t/N) in [0,1)^2 (module docstring).
 
@@ -239,10 +242,8 @@ class ModularPoint:
         exponent of its parts, its cut 12th power and the cut square of that
         (module docstring, "Summing at tau")."""
         bits = self.width + 8
-        e = _exp_tau(self.tau, 24, bits)
-        w = bits - max(x[2] + x[3] for x in e._mpc_ if x[1])  # the larger part exact
-        q24 = (*_fx(e, w), w)
-        half = _cut_pow(q24, 12, bits)
+        q24 = _exp_placed(self.tau, 24, bits)
+        half = _Powers(q24, bits)(12)
         return q24, half, _cut_sq(half, bits)
 
     @cached_property
@@ -267,9 +268,10 @@ class ModularPoint:
         return er - odr, ei - odi
 
     @cached_property
-    def _euler_inv(self) -> tuple[int, int]:
-        """1 / prod_{n>=1} (1 - q^n) at width W (``_LevelTable.siegel``)."""
-        return _fx_div((1 << self.width, 0), self._euler_fx, self.width)
+    def _euler_inv(self) -> tuple[int, int, int]:
+        """1 / prod_{n>=1} (1 - q^n) as an (re, im, w) triple of W
+        significant bits (``_LevelTable.siegel``)."""
+        return _quotient((1, 0, 0), (*self._euler_fx, self.width), self.width)
 
     @cached_property
     def _thetas(self) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -306,17 +308,6 @@ class ModularPoint:
     def _e24(self) -> tuple[int, int, int]:
         """E^24 as an (re, im, w) triple: the cut square of ``_e12``."""
         return _cut_sq(self._e12, self.width)
-
-    @cached_property
-    def _wp_constants(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(e1, pi^2 (theta_3 theta_4)^2) at width W, e1 = wp(1/2) =
-        (pi^2/3)(theta_3^4 + theta_4^4) (DLMF 23.6.2 with 2 omega_1 = 1)."""
-        s, d2, _ = self._thetas
-        w = self.width
-        with mp.workprec(w + 8):
-            pi2 = (to_fixed((mp.pi ** 2)._mpf_, w), 0)
-        e1r, e1i = _fx_mul(pi2, s, w)
-        return (e1r // 3, e1i // 3), _fx_mul(pi2, d2, w)
 
     @cached_property
     def _x_scale(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -421,6 +412,23 @@ def _exp_tau(tau: mp.mpc, den: int, prec: int) -> mp.mpc:
         return +val
 
 
+def _exp_placed(tau: mp.mpc, den: int, bits: int) -> tuple[int, int, int]:
+    """exp(2*pi*i*tau/den) from ``_exp_tau`` at ``bits``, as an (re, im, w)
+    triple placed by the top binary exponent of its parts, so that the
+    larger part is exact and the triple has ``bits`` significant bits
+    however small the value is."""
+    e = _exp_tau(tau, den, bits)
+    w = bits - max(x[2] + x[3] for x in e._mpc_ if x[1])
+    return (*_fx(e, w), w)
+
+
+@lru_cache(maxsize=64)
+def _pi_squared(w: int) -> tuple[int, int, int]:
+    """pi^2 as an (re, im, w) triple at width w, within one unit."""
+    with mp.workprec(w + 8):
+        return to_fixed((mp.pi ** 2)._mpf_, w), 0, w
+
+
 @lru_cache(maxsize=64)
 def _eta_prefactor(prec: int) -> mp.mpc:
     """sqrt(2*pi) * zeta_8 at prec bits, once per precision."""
@@ -446,13 +454,6 @@ def _fx_mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
     """a * b at width w."""
     (ar, ai), (br, bi) = a, b
     return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
-
-
-def _fx_div(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
-    """a / b at width w, b away from 0: one exact integer division a part."""
-    (ar, ai), (br, bi) = a, b
-    den = br * br + bi * bi
-    return ((ar * br + ai * bi) << w) // den, ((ai * br - ar * bi) << w) // den
 
 
 def _theta_sums(q: tuple[int, int], w: int):
@@ -519,10 +520,6 @@ def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
     return tuple(sums[0]), tuple(sums[1])
 
 
-# bits in |q|^(-1/12) per unit of Im(tau): 2*pi / (12 ln 2)
-_BITS_PER_IM = math.pi / (6 * math.log(2))
-
-
 @lru_cache(maxsize=256)
 def _unit_root_fx(level: int, w: int) -> tuple[int, int]:
     """exp(2*pi*i/level) as fixed-point integers at width w, within one unit."""
@@ -531,31 +528,32 @@ def _unit_root_fx(level: int, w: int) -> tuple[int, int]:
 
 
 class _Powers:
-    """x^k at width w for integers k, from x at width w: binary powering over
-    the squares x^(2^j), made only as far as a k needs them.  Each k asked
-    for is kept; a negative k is the reciprocal of x^-k."""
+    """x^k for integers k, from x = (re, im, w): binary powering over the
+    squares x^(2^j), made only as far as a k needs them, from the lowest set
+    bit of k up, every product cut to ``bits`` significant bits
+    (``_cut_mul``, ``_cut_sq``).  Each k asked for is kept; x^0 is the exact
+    (1, 0, 0) and a negative k the quotient 1 / x^-k (``_quotient``)."""
 
-    def __init__(self, x: tuple[int, int], w: int):
-        self.w = w
+    def __init__(self, x: tuple[int, int, int], bits: int):
+        self.bits = bits
         self.squares = [x]
-        self.values = {}
+        self.values = {0: (1, 0, 0)}
 
-    def __call__(self, k: int) -> tuple[int, int]:
+    def __call__(self, k: int) -> tuple[int, int, int]:
         val = self.values.get(k)
         if val is not None:
             return val
-        w = self.w
+        bits = self.bits
         if k < 0:
-            val = _fx_div((1 << w, 0), self(-k), w)
+            val = _quotient((1, 0, 0), self(-k), bits)
         else:
             sq = self.squares
-            val = (1 << w, 0)
             j, rest = 0, k
             while rest:
                 if j == len(sq):
-                    sq.append(_fx_mul(sq[-1], sq[-1], w))
+                    sq.append(_cut_sq(sq[-1], bits))
                 if rest & 1:
-                    val = _fx_mul(val, sq[j], w)
+                    val = sq[j] if val is None else _cut_mul(val, sq[j], bits)
                 j, rest = j + 1, rest >> 1
         self.values[k] = val
         return val
@@ -580,30 +578,32 @@ class _LevelTable:
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
         self.n = n
-        self.zwidth = pt.width + level.bit_length() + 2
-        self.qwidth = self.zwidth + math.ceil(float(pt.im) * _BITS_PER_IM)
-        self._shift = self.qwidth + self.zwidth - pt.width  # rho^j xi^k at W
-        rho = _exp_tau(pt.tau, level, self.qwidth + 4)
-        self.q = _Powers(_fx(rho, self.qwidth), self.qwidth)
-        self.z = _Powers(_unit_root_fx(level, self.zwidth), self.zwidth)
+        bits = pt.width + level.bit_length() + 2
+        self.q = _Powers(_exp_placed(pt.tau, level, bits + 8), bits)
+        self.z = _Powers((*_unit_root_fx(level, bits), bits), bits)
         with pt.ctx.work():
             self.off_lattice = n * n * pt.ctx.eps < _LEVEL_CLEARS_LATTICE * min(1, pt.im) ** 2
         self.triples = {}
         self.siegels = {}
 
-    def w_terms(self, s: int, t: int):
-        """(w, q/w) at width W, w = q^(s/N) zeta_N^t =
-        exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t."""
-        n, sh = self.n, self._shift
-        zr, zi = self.z(12 * n * t)
-        w = _fx_mul(self.q(12 * n * s), (zr, zi), sh)
-        return w, _fx_mul(self.q(12 * n * (n - s)), (zr, -zi), sh)
-
-    def prefactor(self, s: int, t: int) -> tuple[int, int]:
-        """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) at width W_rho, for 0 <= s < N."""
+    def w_terms(self, s: int, t: int, wd: int):
+        """(w, q/w) at width wd, w = q^(s/N) zeta_N^t =
+        exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t, each one
+        product of a power of rho and one of xi floored to width wd."""
         n = self.n
-        br, bi = self.z(6 * t * (n - s))
-        return _fx_mul(self.q(6 * s * s - 6 * s * n + n * n), (br, -bi), self.zwidth)
+        zr, zi, zw = self.z(12 * n * t)
+        ar, ai, aw = self.q(12 * n * s)
+        br, bi, bw = self.q(12 * n * (n - s))
+        return (_fx_mul((ar, ai), (zr, zi), aw + zw - wd),
+                _fx_mul((br, bi), (zr, -zi), bw + zw - wd))
+
+    def prefactor(self, s: int, t: int) -> tuple[int, int, int]:
+        """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) as an (re, im, w) triple, for
+        0 <= s < N: the cut product of a power of rho and of the conjugate
+        of a power of xi."""
+        n = self.n
+        br, bi, bw = self.z(6 * t * (n - s))
+        return _cut_mul(self.q(6 * s * s - 6 * s * n + n * n), (br, -bi, bw), self.q.bits)
 
     def triple(self, pt: ModularPoint, s: int, t: int
                ) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -611,23 +611,22 @@ class _LevelTable:
         use."""
         val = self.triples.get((s, t))
         if val is None:
-            val = self.triples[s, t] = _triple(pt.qfx, *self.w_terms(s, t), pt.width)
+            val = self.triples[s, t] = _triple(pt.qfx, *self.w_terms(s, t, pt.width), pt.width)
         return val
 
     def siegel(self, pt: ModularPoint, s: int, t: int) -> tuple[int, int, int]:
         """g_{(a1,a2)}(tau) at (a1, a2) = (s/N, t/N) in [0,1)^2:
         -q^(B2(a1)/2) exp(pi*i*a2*(a1-1)) P(w), w = exp(2*pi*i*(a1*tau + a2)),
         with P(w) = (Ev - Od) / E (``triple``), 1/E from the point.  Made on
-        first use as (re, im, w) standing for (re + i*im) * 2^-w: the exact
-        product of loop result and prefactor, cut once to W significant bits."""
+        first use as (re, im, w) standing for (re + i*im) * 2^-w: the cut
+        product of (Od - Ev) 1/E and the prefactor, each product cut to W
+        significant bits."""
         val = self.siegels.get((s, t))
         if val is None:
             wd = pt.width
             (er, ei), (odr, odi) = self.triple(pt, s, t)
-            cr, ci = _fx_mul((er - odr, ei - odi), pt._euler_inv, wd)
-            pr, pi_ = self.prefactor(s, t)
-            val = self.siegels[s, t] = _cut_bits(
-                pi_ * ci - pr * cr, -(pr * ci + pi_ * cr), wd + self.qwidth, wd)
+            val = self.siegels[s, t] = _cut_mul(
+                _cut_mul((odr - er, odi - ei, wd), pt._euler_inv, wd), self.prefactor(s, t), wd)
         return val
 
     def rotate(self, z: tuple[int, int], e: int) -> tuple[int, int]:
@@ -636,7 +635,8 @@ class _LevelTable:
         for bit."""
         n = self.n
         if e % n:
-            z = _fx_mul(z, self.z(6 * n * (e % n)), self.zwidth)
+            xr, xi, xw = self.z(6 * n * (e % n))
+            z = _fx_mul(z, (xr, xi), xw)
         return (-z[0], -z[1]) if e >= n else z
 
 
@@ -692,7 +692,7 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
 
 def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
     """(re + i*im) * 2^-w floored to at most ``bits`` significant bits."""
-    k = max(abs(re), abs(im)).bit_length() - bits
+    k = max(re.bit_length(), im.bit_length()) - bits
     return (re >> k, im >> k, w - k) if k > 0 else (re, im, w)
 
 
@@ -721,19 +721,6 @@ def _exact_sub(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, i
     return ar - br, ai - bi, aw
 
 
-def _cut_pow(x: tuple[int, int, int], k: int, bits: int) -> tuple[int, int, int]:
-    """x^k, k >= 1, for x = (re, im, w), by binary powering over the squares
-    x^(2^j), every product cut to ``bits`` significant bits (``_cut_bits``)."""
-    val = None
-    while True:
-        if k & 1:
-            val = x if val is None else _cut_mul(val, x, bits)
-        k >>= 1
-        if not k:
-            return val
-        x = _cut_sq(x, bits)
-
-
 def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int
               ) -> tuple[int, int, int]:
     """num / den for num, den = (re, im, w) standing for (re + i*im) * 2^-w,
@@ -742,7 +729,7 @@ def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int
     (nr, ni, wn), (a, b, wd) = num, den
     mod2 = a * a + b * b
     qr, qi = nr * a + ni * b, ni * a - nr * b
-    sh = max(0, bits + mod2.bit_length() - max(abs(qr), abs(qi)).bit_length())
+    sh = max(0, bits + mod2.bit_length() - max(qr.bit_length(), qi.bit_length()))
     return (qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd
 
 
@@ -783,7 +770,7 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
     from one table, of level N = ``level`` (by default r's level), which
     r's and d's levels must divide: d's key and the exponent of its root of
     unity are taken at level N.  The quotient at W significant bits is
-    raised to the power k >= 1 by cut products (``_cut_pow``) and rounded
+    raised to the power k >= 1 by cut products (``_Powers``) and rounded
     once to ``bits``.  NearZero when |g_r^4| < eps: (re^2 + im^2)^4 <
     eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
     n = level or r.level
@@ -802,7 +789,7 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
     wd = pt.width
     g2 = (gr + gi) * (gr - gi), 2 * gr * gi, 2 * w
     y = _quotient((nr, ni, wn), _cut_sq(g2, wd), wd)
-    return _mpc(*_cut_pow(y, k, wd), pt.ctx.bits)
+    return _mpc(*_Powers(y, wd)(k), pt.ctx.bits)
 
 
 def siegel_order(r: FractionPair) -> Fraction:
@@ -831,7 +818,10 @@ def _check_off_lattice(pt: ModularPoint, y, x) -> None:
 def wp(z, pt: ModularPoint) -> mp.mpc:
     """Weierstrass wp(z; [tau, 1]) = e1 - pi^2 (theta_3 theta_4)^2
     (P(-w)/P(w))^2 with w = exp(2*pi*i*z), as theta_2(pi z)/theta_1(pi z) =
-    -i P(-w)/P(w) (DLMF 23.6.2 with 2 omega_1 = 1; P as in ``_triple``).
+    -i P(-w)/P(w) and e1 = wp(1/2) = (pi^2/3)(theta_3^4 + theta_4^4) (DLMF
+    23.6.2 with 2 omega_1 = 1; P as in ``_triple``).  The Euler product
+    cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), so wp is pi^2/3 times
+    the one exact quotient of ``_wp_parts``, which ``x_value`` shares.
 
     z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
     complex number, at distance >= sqrt(eps) from the lattice [tau, 1].  An
@@ -843,14 +833,13 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     index (``_index_triple``), which the Siegel value there shares, so
     wp(-r) = wp(r) bit for bit; for a complex z, u = exp(2*pi*i*z)
     and q/u are computed from z, with the bits of Re tau and of z's lattice
-    coordinates as extra bits, and ``_triple`` runs on them.  The Euler
-    product cancels from P(-w)/P(w) = (Ev + Od)/(Ev - Od), which is divided
-    in exact integers: near the lattice Ev - Od is small, and a shift before
-    the division would cut its bits.
+    coordinates as extra bits, and ``_triple`` runs on them.  The quotient
+    is divided in exact integers: near the lattice Ev - Od is small, and a
+    shift before the division would cut its bits.
     """
     wd = pt.width
     if isinstance(z, FractionPair):
-        (er, ei), (odr, odi) = _index_triple(pt, z)
+        sums = _index_triple(pt, z)
     else:
         with pt.ctx.work():
             # |y| <= |z| / Im tau and |x| <= |z| + |y Re tau|: their bits
@@ -860,11 +849,25 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
                 e = mp.exp(2j * mp.pi * (y * pt.tau + x))
             _check_off_lattice(pt, y, x)
             e = +e
-            (er, ei), (odr, odi) = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
-    ratio = _fx_div((er + odr, ei + odi), (er - odr, ei - odi), wd)
-    (e1r, e1i), k = pt._wp_constants
-    kr, ki = _fx_mul(k, _fx_mul(ratio, ratio, wd), wd)
-    return _mpc(e1r - kr, e1i - ki, wd, pt.ctx.bits)
+            sums = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
+    diff, (mr, mi, mw) = _wp_parts(pt, sums)
+    num = _cut_mul(_pi_squared(wd), diff, wd)
+    return _mpc(*_quotient(num, (3 * mr, 3 * mi, mw), wd), pt.ctx.bits)
+
+
+def _wp_parts(pt: ModularPoint, sums: tuple[tuple[int, int], tuple[int, int]]
+              ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(S M^2 - 3 D P^2, M^2) as (re, im, w) triples, for (Ev, Od) =
+    ``sums``, P, M = Ev +- Od, S = theta_3^4 + theta_4^4 and D = (theta_3
+    theta_4)^2, every product cut to W significant bits: wp = (pi^2/3)
+    (S M^2 - 3 D P^2) / M^2 (``wp``, ``x_value``)."""
+    (er, ei), (odr, odi) = sums
+    w = pt.width
+    s, d2, _ = pt._thetas
+    m2 = _cut_sq((er - odr, ei - odi, w), w)
+    diff = _exact_sub(_cut_mul((*s, w), m2, w),
+                      _cut_mul((3 * d2[0], 3 * d2[1], w), _cut_sq((er + odr, ei + odi, w), w), w))
+    return diff, m2
 
 
 def _index_triple(pt: ModularPoint, r: FractionPair
@@ -934,13 +937,9 @@ def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
 
     every product cut to W significant bits, E4 E6 and 31104 q E^24 from
     the point (``ModularPoint._x_scale``), rounded once to ``bits``."""
-    (er, ei), (odr, odi) = _index_triple(pt, r)
-    w = pt.width
-    s, d2, _ = pt._thetas
-    m2 = _cut_sq((er - odr, ei - odi, w), w)
-    diff = _exact_sub(_cut_mul((*s, w), m2, w),
-                      _cut_mul((3 * d2[0], 3 * d2[1], w), _cut_sq((er + odr, ei + odi, w), w), w))
+    diff, m2 = _wp_parts(pt, _index_triple(pt, r))
     num, den = pt._x_scale
+    w = pt.width
     return _mpc(*_quotient(_cut_mul(num, diff, w), _cut_mul(den, m2, w), w), pt.ctx.bits)
 
 

@@ -690,6 +690,43 @@ def test_level_table_fills_only_what_a_key_needs(ctx256):
     assert entries <= 4 * (12 * n * n).bit_length()
 
 
+def _held_ints(obj):
+    """Every int held by obj, through tuples, lists, dicts and the
+    attributes of plain objects."""
+    if isinstance(obj, int):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _held_ints(x)
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _held_ints(k)
+            yield from _held_ints(v)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_ints(vars(obj))
+
+
+def test_level_tables_keep_significant_bits_at_the_im_ceiling(ctx256):
+    """At tau = 0.3 + 10^6 i, |rho| = |q|^(1/L) is as small as 2^-755000 at
+    level 3, yet every integer that the tables of levels 3, 8 and 16 hold
+    (the powers of rho and xi, their squares, the (Ev, Od) and Siegel
+    memos) has at most bits + 2 bits, bits = W + bitlen(L) + 10 being the
+    precision rho is taken at: a table's width is set by significant bits,
+    not by Im tau."""
+    pt = _pt(0.3, 10**6, ctx256)
+    for n in (3, 8, 16):
+        for s in (0, n // 2):
+            r = FractionPair.from_parts(s, 1, n)
+            siegel(r, pt)
+            wp(r, pt)
+            x_value(pt, r)
+        y_value(pt, r)  # r1 = 1/3 or 1/2, where |g_r| >= 1
+        bits = pt.width + (12 * n * n).bit_length() + 10
+        held = list(_held_ints(pt._tables[n]))
+        assert len(held) > 20
+        assert max(x.bit_length() for x in held) <= bits + 2, n
+
+
 def test_point_is_freed_without_the_cycle_collector(ctx256):
     """The level tables hold no reference to their point: a point used by
     siegel, wp and y at levels 2, 3, 4, 6 and 12 is freed as soon as its

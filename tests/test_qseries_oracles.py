@@ -255,15 +255,17 @@ def test_curve_constants_keep_their_bits_against_twice_the_precision(tau, prec):
 def test_v_quotient_is_g3_over_eta12(tau, prec):
     """v, one exact quotient of E6, E^12 and q^(1/2), agrees with g3 / eta^12
     from the Eisenstein series and the Euler product within 2^-(bits - 8)
-    relative, times Im tau above 1: mpmath's power eta^12 at ``bits``
-    carries about 12 |log eta| 2^-bits = pi Im tau 2^-bits relative error."""
+    relative, also at the Im ceiling.  The reference is formed at
+    2 bits + 64, where mpmath's power eta^12, which carries about
+    12 |log eta| = pi Im tau units of its last bit, stays far below
+    2^-bits."""
     ctx = AGREEMENT_CTX[prec]
     pt = ModularPoint.from_complex(tau, ctx)
-    with ctx.work():
-        ref = eisenstein(pt)[1] / eta(pt) ** 12
-    with mp.workprec(2 * ctx.bits):
-        bound = mp.mpf(2) ** (8 - ctx.bits) * max(1, pt.im)
-        assert abs(v_value(pt) - ref) <= bound * abs(ref)
+    hi = PrecisionContext(2 * ctx.bits + 64, ctx.eps)
+    ref_pt = ModularPoint.from_complex(pt.tau, hi)
+    with hi.work():
+        ref = eisenstein(ref_pt)[1] / eta(ref_pt) ** 12
+        assert abs(v_value(pt) - ref) <= mp.mpf(2) ** (8 - ctx.bits) * abs(ref)
 
 
 @pytest.mark.parametrize("prec", sorted(AGREEMENT_CTX))
@@ -355,20 +357,30 @@ def test_table_values_match_reference_loops_at_1536_bits(tau):
                                  tau[1], ctx), r
 
 
+@pytest.mark.parametrize("im", [100, 10**3, 10**6])
 @pytest.mark.parametrize("r", [FractionPair(F(0), F(1, 5)), FractionPair(F(1, 7), F(2, 7)),
-                               FractionPair(F(13, 14), F(-1, 3))], ids=str)
-def test_siegel_keeps_relative_accuracy_at_large_im(r):
-    """At Im(tau) = 100 the Siegel values are as small as |q|^(1/12) ~ 2^-75;
-    the fixed-point prefactor still leaves them within a few units of their
-    last bit, against the reference loop at twice the bits."""
+                               FractionPair(F(13, 14), F(-1, 3)), FractionPair(F(1, 2), F(1, 8))],
+                         ids=str)
+def test_siegel_keeps_relative_accuracy_at_large_im(r, im):
+    """At Im(tau) = 100, 10^3 and 10^6 the Siegel values are as small as
+    |q|^(1/12) = 2^-(Im(tau) pi / (6 ln 2)), and at r1 = 1/2 as large as
+    |q|^(-1/24); the level tables keep significant bits, so siegel, wp and x
+    stay within a few units of their last bit, against the reference loops
+    at twice the bits.  So does y at r1 = 1/2, where |g_r| >= 1: at the
+    other indices |g_r^4| falls below eps and y raises NearZero."""
     ctx = AGREEMENT_CTX["256"]
-    pt = ModularPoint.from_complex((0.1234, 100), ctx)
-    with ctx.work():
-        new = siegel(r, pt)
+    pt = ModularPoint.from_complex((0.1234, im), ctx)
     hi = PrecisionContext(2 * ctx.bits, ctx.eps)
+    ref = ModularPoint.from_complex(pt.tau, hi)
+    cases = [(siegel(r, pt), lambda: siegel_loop(r, ref)),
+             (wp(r, pt), lambda: wp_loop(ref.at(r), ref)),
+             (x_value(pt, r), lambda: _x_ref(r, ref, 1))]
+    if r.r1 == F(1, 2):
+        cases.append((y_value(pt, r), lambda: _y_loop(r, r.doubled(), ref)))
     with hi.work():
-        ref = siegel_loop(r, ModularPoint.from_complex(pt.tau, hi))
-        assert abs(new - ref) <= mp.mpf(2) ** (4 - ctx.bits) * abs(ref)
+        for new, loop in cases:
+            want = loop()
+            assert abs(new - want) <= mp.mpf(2) ** (4 - ctx.bits) * abs(want)
 
 
 # ------------------------------------------------ y and x vs reference loops ---
