@@ -221,18 +221,6 @@ def _parse_r(s: str) -> FractionPair:
     return FractionPair(r1, r2)
 
 
-def _check_recognition(args, ctx: PrecisionContext, den_max: int) -> None:
-    """Reject, before any series is summed, a --recog-tol (with ``den_max``:
-    --den-max for minpoly, 1 for hcp) under which no coefficient could count
-    as recognized or two candidates could not be told apart
-    (``verify._recognition_tol``)."""
-    tol = _parse_real(args.recog_tol, "--recog-tol", ctx)
-    try:
-        _recognition_tol(den_max, tol, ctx)
-    except ValueError as exc:
-        raise InputError(f"--recog-tol {args.recog_tol}: {exc}") from None
-
-
 def _ctx_from(args) -> PrecisionContext:
     try:
         return PrecisionContext(args.bits, args.eps)
@@ -333,19 +321,25 @@ def _poly_body(poly) -> dict:
 
 
 def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
-    _check_recognition(args, ctx, args.den_max)
+    # reject, before any series is summed, settings under which no
+    # coefficient could count as recognized or two candidates could not be
+    # told apart (``verify._recognition_tol``)
+    tol = _parse_real(args.recog_tol, "--recog-tol", ctx)
+    try:
+        _recognition_tol(args.den_max, tol, ctx)
+    except ValueError as exc:
+        raise InputError(f"--recog-tol {args.recog_tol}: {exc}") from None
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,
-                   den_max=args.den_max, recog_tol=args.recog_tol)
+                   den_max=args.den_max, recog_tol=tol)
     body = {"descriptor": args.descriptor, **_poly_body(poly)}
     return {"dk": f.d, "level": args.level}, body
 
 
 def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
-    _check_recognition(args, ctx, 1)
     f = make_field(args.dk)
-    poly = hilbert_class_poly(f, ctx, recog_tol=args.recog_tol)
+    poly = hilbert_class_poly(f, ctx)
     return {"dk": f.d}, {"h": f.h, "working_bits": poly.bits, **_poly_body(poly)}
 
 
@@ -388,8 +382,6 @@ def _add_global_flags(p, suppress: bool):
     p.add_argument("--bits", type=int, default=d(256),
                    help="working precision bits")
     p.add_argument("--eps", default=d("1e-40"), help="target absolute error")
-    p.add_argument("--den-max", dest="den_max", type=int, default=d(48))
-    p.add_argument("--recog-tol", dest="recog_tol", default=d("1e-10"))
     p.add_argument("--output", choices=("json", "text"), default=d("json"))
 
 
@@ -442,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dk", type=int, required=True)
     pm.add_argument("--level", type=int, required=True)
     pm.add_argument("--descriptor", choices=("y12N", "y4", "x"), default="y4")
+    pm.add_argument("--den-max", dest="den_max", type=int, default=48)
+    pm.add_argument("--recog-tol", dest="recog_tol", default="1e-10")
     pm.set_defaults(run=_cmd_minpoly)
 
     ph = sub.add_parser("hcp", help="Hilbert class polynomial",

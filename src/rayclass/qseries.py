@@ -766,10 +766,10 @@ def _cut_entry(pt: ModularPoint, r: FractionPair, n: int | None = None
 def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
                level: int | None = None) -> mp.mpc:
     """y^k for y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value``
-    and (0, 2/N)m for ``conjugate_values``.  Both Siegel products are read
-    from one table, of level N = ``level`` (by default r's level), which
-    r's and d's levels must divide: d's key and the exponent of its root of
-    unity are taken at level N.  The quotient at W significant bits is
+    and ``check_lemma52``, and (0, 2/N)m for ``conjugate_values``.  Both
+    Siegel products are read from one table, of level N = ``level`` (by
+    default r's level), which r's and d's levels must divide: d's key and
+    the exponent of its root of unity are taken at level N.  The quotient at W significant bits is
     raised to the power k >= 1 by cut products (``_Powers``) and rounded
     once to ``bits``.  NearZero when |g_r^4| < eps: (re^2 + im^2)^4 <
     eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
@@ -943,14 +943,13 @@ def x_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     return _mpc(*_quotient(_cut_mul(num, diff, w), _cut_mul(den, m2, w), w), pt.ctx.bits)
 
 
-def y_value(pt: ModularPoint, r: FractionPair, level: int | None = None) -> mp.mpc:
+def y_value(pt: ModularPoint, r: FractionPair) -> mp.mpc:
     """y = -g_{2r} / g_r^4 (``y_quotient``), both Siegel products read from
-    the table of level ``level``, a multiple of r's level (by default the
-    level itself); requires 2r outside Z^2."""
+    the table of r's level; requires 2r outside Z^2."""
     d = r.doubled()
     if d is None:
         raise DegenerateIndex("y undefined at 2-torsion index (2r in Z^2)")
-    return y_quotient(pt, r, d, level=level)
+    return y_quotient(pt, r, d)
 
 
 def normalized(pt: ModularPoint, r: FractionPair) -> CurveCoords:

@@ -32,6 +32,7 @@ from .qseries import (
     siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
     v_value,
     x_value,
+    y_quotient,
     y_value,
 )
 from .reciprocity import conjugate_values
@@ -51,6 +52,10 @@ VALUE_ERROR_BITS = 10
 J_TAIL = 2081
 # Precision of the moduli and bounds of ``_error_bounds``.
 BOUND_BITS = 53
+# ``hilbert_class_poly``'s recognition tolerance, read by its plan and its
+# certificate: an integer within it of a coefficient is the only one, as
+# 2 * HCP_TOL <= 1.
+HCP_TOL = "1e-10"
 
 
 @dataclass
@@ -114,11 +119,11 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext) -> CheckReport:
 
     (Z^2 + 27 V^2) V^3 Y^2 = 4 X^3 Z^4 - (Z^2+27V^2) V^2 X Z^2 - (Z^2+27V^2) V^4 Z
 
-    for any tau in H (identity in tau); requires 4 | N.  u is not part of
-    it, so v, x and y are evaluated alone.
+    for any tau in H (identity in tau); requires N >= 4 with 4 | N.  u is
+    not part of it, so v, x and y are evaluated alone.
     """
-    if n % 4:
-        raise ValueError("surface membership needs 4 | N")
+    if n < 4 or n % 4:
+        raise ValueError(f"surface membership needs N >= 4 with 4 | N, got N = {n}")
     pt = ModularPoint.from_complex(tau, ctx)
     r = FractionPair.from_parts(0, 1, n)
     with ctx.work():
@@ -211,7 +216,7 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                     if (s, t) > (-s % n, -t % n):  # filed under (-s, -t)
                         continue
                     r = FractionPair.from_parts(s, t if home is q else -t % n, n)
-                    ratio = abs(y_value(pt, r, level=n)) / rhs
+                    ratio = abs(y_quotient(pt, r, r.doubled(), level=n)) / rhs
                     count += 2 if home is q else 4
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))
@@ -528,13 +533,13 @@ def _recognize_coeff(c, theta, den_max: int, tol):
 
 
 def _recognition_tol(den_max: int, recog_tol, ctx: PrecisionContext) -> mp.mpf:
-    """recog_tol at the working precision, after rejecting settings that can
-    recognize no coefficient (den_max < 1, tol <= 0 or nan) or cannot tell
-    two candidates apart (2 tol > 1/den_max^2, inf included).  Distinct
-    candidates a/d1 and b/d2, a and b in O_K and d1, d2 <= den_max, lie at
-    least 1/(d1 d2) >= 1/den_max^2 apart, as a nonzero element of O_K has
-    modulus >= 1; so a coefficient within 2 tol of a candidate is no other
-    candidate."""
+    """``minpoly``'s recog_tol at the working precision, after rejecting
+    settings that can recognize no coefficient (den_max < 1, tol <= 0 or
+    nan) or cannot tell two candidates apart (2 tol > 1/den_max^2, inf
+    included).  Distinct candidates a/d1 and b/d2, a and b in O_K and d1,
+    d2 <= den_max, lie at least 1/(d1 d2) >= 1/den_max^2 apart, as a
+    nonzero element of O_K has modulus >= 1; so a coefficient within 2 tol
+    of a candidate is no other candidate."""
     if den_max < 1:
         raise ValueError(f"den_max must be >= 1, got {den_max}")
     tol = ctx.mpf(recog_tol)
@@ -583,10 +588,12 @@ def _guard_bits(count: int) -> int:
 
 def _error_bounds(values, bits: int) -> list:
     """B_k = 2^(g - bits) e_(h-k)(M_1, ..., M_h), g = ``_guard_bits(h)`` and
-    M_i = ceil(max(1, |v_i|)): a bound on the error of the ascending
-    coefficient k < h of prod (X - v_i) expanded at ``bits``.  The e_k are
-    the coefficients of prod (X + M_i), expanded by ``_expand`` in exact
-    integers, so only the moduli enter, in any order."""
+    M_i = max(1, ceil(|v_i|)) with |v_i| rounded to nearest at BOUND_BITS
+    first, so M_i >= (1 - 2^-52) max(1, |v_i|), a shortfall the last bit of
+    g covers: a bound on the error of the ascending coefficient k < h of
+    prod (X - v_i) expanded at ``bits``.  The e_k are the coefficients of
+    prod (X + M_i), expanded by ``_expand`` in exact integers, so only the
+    moduli enter, in any order."""
     with mp.workprec(BOUND_BITS):
         majorant = _expand((max(1, int(mp.ceil(abs(v)))), 1) for v in values)
         return [mp.ldexp(e, _guard_bits(len(values)) - bits) for e in majorant[:-1]]
@@ -674,24 +681,23 @@ def _log2_height(field: Field) -> float:
     return math.fsum(x / math.log(2) + math.log2(1 + J_TAIL * math.exp(-x)) for x in xs)
 
 
-def _planned_bits(field: Field, tol) -> int:
+def _planned_bits(field: Field) -> int:
     """The precision at which every coefficient of H_D certifies:
-    max(MIN_BITS, g + ceil(log2 U + log2(1/tol) + 2^-30)), g =
-    ``_guard_bits(h)`` and U from ``_log2_height``.  There every B_k of
+    max(MIN_BITS, g + ceil(log2 U + log2(1/tol) + 2^-30)), tol = HCP_TOL,
+    g = ``_guard_bits(h)`` and U from ``_log2_height``.  There every B_k of
     ``_error_bounds`` is 2^(g - bits) e_k(M) <= e_k(M) tol / U < tol, the
     2^-30 covering the rounding of the floats and of the bounds to
     BOUND_BITS: the plan and the certificate are one inequality."""
     with mp.workprec(BOUND_BITS):
-        need = math.ceil(_log2_height(field) - float(mp.log(tol, 2)) + 2.0**-30)
+        need = math.ceil(_log2_height(field) - float(mp.log(HCP_TOL, 2)) + 2.0**-30)
     return max(MIN_BITS, _guard_bits(field.h) + need)
 
 
-def hilbert_class_poly(field: Field, ctx: PrecisionContext,
-                       recog_tol="1e-10") -> Polynomial:
+def hilbert_class_poly(field: Field, ctx: PrecisionContext) -> Polynomial:
     """Minimal polynomial of j(theta): prod over reduced forms of
     (X - j(theta_Q)); coefficients recognize as rational integers.
-    A certified coefficient is real and within B_k < tol of an integer, so
-    recognition takes den_max = 1 (``_recognition_tol``, ``_recognize``).
+    A certified coefficient is real and within B_k < HCP_TOL of an integer,
+    so recognition takes den_max = 1 (``_recognize``).
 
     j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
     the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
@@ -702,14 +708,11 @@ def hilbert_class_poly(field: Field, ctx: PrecisionContext,
     Everything runs at working = min(``_planned_bits``, ctx.bits) bits:
     ctx.bits is a cap, and ``Polynomial.bits`` reports the working
     precision.  Below the plan, the coefficients whose error bound reaches
-    tol stay unrecognized.  Nothing reads ctx.eps, so the result depends
-    only on d, the working bits and recog_tol; the context is
-    rebuilt at working bits with eps = max(ctx.eps, 2^(GUARD_BITS -
-    working)) only because a context needs eps >= 2^(GUARD_BITS - bits)."""
-    tol = _recognition_tol(1, recog_tol, ctx)  # reject before the series sums
-    bits = min(_planned_bits(field, tol), ctx.bits)
-    if bits < ctx.bits:
-        ctx = PrecisionContext(bits, max(ctx.eps, mp.ldexp(1, GUARD_BITS - bits)))
+    HCP_TOL stay unrecognized.  Nothing reads ctx.eps, so the result
+    depends only on d and the working bits."""
+    bits = min(_planned_bits(field), ctx.bits)
+    ctx = PrecisionContext(bits, mp.ldexp(1, GUARD_BITS - bits))
+    tol = ctx.mpf(HCP_TOL)
     factors = []
     values = []  # v once per ambiguous form, twice per pair: ``_error_bounds`` reads |v|
     with ctx.work():

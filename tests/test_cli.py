@@ -407,7 +407,20 @@ def test_check_surface_reports_the_level_before_the_im_floor(capsys):
         ["check", "surface", "--tau", "0.1,0.01", "--level", "3"], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err) == {
-        "error": "ValueError", "message": "surface membership needs 4 | N"}
+        "error": "ValueError",
+        "message": "surface membership needs N >= 4 with 4 | N, got N = 3"}
+
+
+@pytest.mark.parametrize("level", ["0", "-4"])
+def test_check_surface_rejects_levels_below_four(level, capsys):
+    """A level that 4 divides but that is below 4 is rejected by the check,
+    which names it, not by FractionPair."""
+    code, out, err = run_cli(
+        ["check", "surface", "--tau", "0.1,1.2", "--level", level], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"surface membership needs N >= 4 with 4 | N, got N = {level}"}
 
 
 # ------------------------------------------------------------ error paths ---
@@ -581,7 +594,7 @@ def test_hcp_of_minus_1559_at_the_default_bits_exits_zero(capsys):
     ["eval", "siegel", "--tau", "0,1", "--r", "a,b"],
     ["eval", "eta", "--tau", "abc,1"],
     ["check", "lemma51", "--dk", "-39", "--a", "one", "--x", "1"],
-    ["hcp", "--dk", "-7", "--recog-tol", "abc"],
+    ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x", "--recog-tol", "abc"],
 ])
 def test_malformed_numbers_exit_two(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -620,12 +633,6 @@ MINPOLY_X = ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["hcp", "--dk", "-7", "--recog-tol", "0"],
-    ["hcp", "--dk", "-7", "--recog-tol", "-1"],
-    ["hcp", "--dk", "-7", "--recog-tol", "nan"],
-    ["hcp", "--dk", "-7", "--recog-tol", "inf"],
-    ["hcp", "--dk", "-23", "--bits", "64", "--eps", "1e-10", "--recog-tol", "0.9"],
-    ["hcp", "--dk", "-7", "--den-max", "1", "--recog-tol", "0.6"],
     MINPOLY_X + ["--den-max", "0"],
     MINPOLY_X + ["--den-max", "-5"],
     MINPOLY_X + ["--recog-tol", "0"],
@@ -643,12 +650,36 @@ def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
     assert json.loads(err)["error"] == "InputError"
 
 
-@pytest.mark.parametrize("den_max", ["0", "1", "48"])
-def test_hcp_reads_no_den_max(den_max, capsys):
-    """hcp recognizes integers only, so --den-max, even one minpoly
-    rejects, leaves it unchanged."""
-    assert (run_cli(["hcp", "--dk", "-23", "--den-max", den_max], capsys)
-            == run_cli(["hcp", "--dk", "-23"], capsys))
+@pytest.mark.parametrize("argv", [
+    ["hcp", "--dk", "-23", "--recog-tol", "1e-10"],
+    ["hcp", "--dk", "-23", "--den-max", "1"],
+    ["eval", "j", "--tau", "0,1", "--den-max", "5"],
+    ["conjugates", "--dk", "-7", "--level", "3", "--recog-tol", "1e-12"],
+    ["--den-max=24"] + MINPOLY_X,
+    ["--recog-tol=1e-12"] + MINPOLY_X,
+])
+def test_recognition_flags_belong_to_minpoly_alone(argv, capsys):
+    """--den-max and --recog-tol are minpoly options, taken after the
+    subcommand; every other command, hcp included, and the main parser
+    reject them as they reject any flag they do not take."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a.startswith(("--den-max", "--recog-tol")))
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+def test_minpoly_takes_its_recognition_flags_after_the_subcommand(capsys):
+    """minpoly's --den-max and --recog-tol reach the library's minpoly."""
+    code, out, _ = run_cli(MINPOLY_X + ["--den-max", "24", "--recog-tol", "1e-12"], capsys)
+    ctx = PrecisionContext(256, "1e-40")
+    f = make_field(-7)
+    conj = conjugate_values(f, 3, "x", ctx)
+    poly = minpoly([v for _, v in conj], f, ctx, den_max=24, recog_tol="1e-12")
+    doc = json.loads(out)
+    with ctx.work():
+        expected = cli._jsonable(cli._poly_body(poly), ctx.dps)
+    assert code == 0 and {k: doc[k] for k in expected} == expected
 
 
 def test_minpoly_rejects_pair_descriptor(capsys):
