@@ -655,6 +655,10 @@ def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
     ["hcp", "--dk", "-23", "--den-max", "1"],
     ["eval", "j", "--tau", "0,1", "--den-max", "5"],
     ["conjugates", "--dk", "-7", "--level", "3", "--recog-tol", "1e-12"],
+    ["field", "--dk", "-7", "--den-max", "24"],
+    ["forms", "--dk", "-7", "--recog-tol", "1e-10"],
+    ["degree", "--dk", "-7", "--level", "3", "--den-max", "48"],
+    ["check", "lemma52", "--dk", "-95", "--level", "12", "--recog-tol", "1e-10"],
     ["--den-max=24"] + MINPOLY_X,
     ["--recog-tol=1e-12"] + MINPOLY_X,
 ])
@@ -667,6 +671,21 @@ def test_recognition_flags_belong_to_minpoly_alone(argv, capsys):
     assert exc.value.code == 2
     flag = next(a for a in argv if a.startswith(("--den-max", "--recog-tol")))
     assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--den-max", "0"],
+    ["--recog-tol", "nan"],
+    ["--den-max", "1", "--recog-tol", "0.6"],
+])
+def test_minpoly_rejects_recognition_settings_before_summing_the_orbit(
+        flags, capsys, monkeypatch):
+    """A setting that cannot work exits 2 before any conjugate is computed."""
+    calls = []
+    monkeypatch.setattr(cli, "conjugate_values", lambda *a: calls.append(a))
+    code, out, err = run_cli(MINPOLY_X + flags, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert json.loads(err)["error"] == "InputError"
 
 
 def test_minpoly_takes_its_recognition_flags_after_the_subcommand(capsys):

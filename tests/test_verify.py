@@ -28,7 +28,7 @@ from rayclass import (
     y_value,
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
-from rayclass import qseries
+from rayclass import qseries, verify
 from rayclass.verify import (
     _closest_pair,
     _conjugate_classes,
@@ -726,6 +726,7 @@ def test_minpoly_x_orbit_has_rational_coefficients(ctx300):
     {"recog_tol": "nan"}, {"recog_tol": "inf"}, {"recog_tol": "0.9"},
     {"den_max": 1, "recog_tol": "0.6"}, {"recog_tol": "2.2e-4"},
     {"den_max": 32, "recog_tol": 2.0**-11 * (1 + 2.0**-20)},
+    {"den_max": 1, "recog_tol": 0.5 * (1 + 2.0**-20)},
 ])
 def test_recognition_rejects_settings_that_cannot_work(ctx256, setting):
     """Settings that recognize nothing, or whose tolerance could take a
@@ -739,6 +740,13 @@ def test_recognition_takes_the_widest_tolerance_that_separates_candidates(ctx256
     """2 tol = 1/den_max^2 exactly still tells candidates apart."""
     f = make_field(-7)
     poly = minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, den_max=32, recog_tol=2.0**-11)
+    assert poly.recognized == ((2, 0, 1), (-3, 0, 1), (1, 0, 1))
+
+
+def test_integer_recognition_takes_tolerances_up_to_one_half(ctx256):
+    """At den_max = 1 the widest tolerance is 1/2: candidates are integers."""
+    f = make_field(-7)
+    poly = minpoly([mp.mpc(1), mp.mpc(2)], f, ctx256, den_max=1, recog_tol=0.5)
     assert poly.recognized == ((2, 0, 1), (-3, 0, 1), (1, 0, 1))
 
 
@@ -950,6 +958,21 @@ def test_working_bits_is_the_plan_capped_by_the_context(d, bits):
     ctx = PrecisionContext(bits, mp.ldexp(1, 16 - bits))
     poly = hilbert_class_poly(f, ctx)
     assert poly.bits == min(_planned_bits(f), bits)
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-30"])
+def test_hcp_plan_and_certificate_read_one_tolerance(tol, monkeypatch):
+    """HCP_TOL moves the plan by log2 of its ratio to 1e-10, and at the
+    planned bits every coefficient certifies within it."""
+    f = make_field(-632)
+    base = _planned_bits(f)
+    monkeypatch.setattr(verify, "HCP_TOL", tol)
+    planned = _planned_bits(f)
+    assert abs(planned - base - math.log2(1e-10 / float(tol))) <= 1
+    poly = hilbert_class_poly(f, PrecisionContext(2048, "1e-500"))
+    assert poly.bits == planned and poly.bound < mp.mpf(tol)
+    assert all(r is not None and r[1:] == (0, 1) for r in poly.recognized)
+    assert [r[0] for r in poly.recognized] == hcp_oracle(-632, 2 * planned)
 
 
 def test_hcp_above_its_plan_computes_at_the_cap():
