@@ -24,7 +24,6 @@ from .errors import (
     DuplicateValues,
     ImTooSmall,
     InputError,
-    NearZero,
     NonFinite,
     NonInvertible,
     NotFundamental,
@@ -80,6 +79,6 @@ __all__ = [
     # errors
     "RayclassError", "InputError", "NotFundamental", "NotImaginary",
     "UnsupportedDiscriminant", "DegenerateIndex", "NonInvertible",
-    "NumericalError", "NearZero", "ImTooSmall", "OnLattice", "NonFinite",
+    "NumericalError", "ImTooSmall", "OnLattice", "NonFinite",
     "DuplicateValues",
 ]

@@ -248,6 +248,8 @@ EVALS = {
 
 def _cmd_eval(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     needs_r, value = EVALS[args.fn]
+    if args.r is not None and not needs_r:
+        raise InputError(f"eval {args.fn} takes no --r: it depends on tau alone")
     pt = ModularPoint.from_complex(_parse_tau(args.tau, ctx), ctx)
     r = _parse_r(args.r) if args.r else None
     if needs_r and r is None:

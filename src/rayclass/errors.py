@@ -1,11 +1,10 @@
 """Exception types shared across the package.
 
-Numerical errors (NearZero, ImTooSmall, OnLattice, DegenerateIndex,
-NonFinite) signal that an evaluation cannot proceed at the requested
-point/precision, or produced a value that is not finite; input
-errors signal invalid arithmetic data (bad discriminant, non-invertible
-matrix, duplicate roots).  The CLI maps the two groups onto distinct exit
-codes.
+Numerical errors (ImTooSmall, OnLattice, DegenerateIndex, NonFinite)
+signal that an evaluation cannot proceed at the requested point/precision,
+or produced a value that is not finite; input errors signal invalid
+arithmetic data (bad discriminant, non-invertible matrix, duplicate
+roots).  The CLI maps the two groups onto distinct exit codes.
 """
 
 
@@ -17,17 +16,14 @@ class NumericalError(RayclassError):
     """An evaluation hit a singular/ill-conditioned configuration."""
 
 
-class NearZero(NumericalError):
-    """y = -g_{2r} / g_r^4 at an index where |g_r^4| < eps (the guard of
-    ``qseries.y_quotient``)."""
-
-
 class ImTooSmall(NumericalError):
     """Im(tau) below the supported floor; |q| too close to 1."""
 
 
 class OnLattice(NumericalError):
-    """Argument within tolerance of a lattice point (pole of wp)."""
+    """An argument too near the lattice: an index whose sum Ev - Od keeps
+    fewer than bits + 8 significant bits (``qseries._LevelTable.triple``),
+    or a complex z within sqrt(eps) of it (a pole of wp)."""
 
 
 class DegenerateIndex(NumericalError):

@@ -75,10 +75,8 @@ times S = |theta_3^4 + theta_4^4| off, and E4 and E6 at most 2.9e4 S^2 and
 even where it vanishes (21 points at Im 1/20, the images of i and rho down
 to Im 1/17, and for ``_triple`` indices of levels 2 to 97 at 7 points of
 Im 1/20).  The other guard bits let a result's modulus fall well below 1
-before that error reaches its last bit: the factors 1 - w and 1 - q/w of
-the Siegel product have modulus about 1/N or more at an index of level N,
-and wp keeps the relative error of Ev - Od, about 2^-W / |z - lattice|
-(its quotient divides exact integer products), far below the
+before that error reaches its last bit ("Index guard" below); at a complex
+z, wp's relative error 2^-W / |z - lattice| stays far below the
 2^-bits / |z - lattice| left by rounding z and w to ``bits``.
 
 Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
@@ -101,10 +99,21 @@ is the cut product of (Od - Ev) 1/E and the prefactor.
 A table is made for each level at which the point is evaluated, not for
 each level of an index: y reads both of its Siegel products from r's
 table, and the lemma 5.2 sweep evaluates every (s, t) at level N, so each
-such point keeps one table and one rho exponential.  The table also
-decides once whether its level keeps every index off the lattice
-(``off_lattice``, ``wp``).  It holds no reference to the point:
-its methods take the point as an argument, so no cycle outlives a point.
+such point keeps one table and one rho exponential.  It holds no reference
+to the point: its methods take the point as an argument, so no cycle
+outlives a point.
+
+Index guard.  Every value at an index (siegel, wp, x and y) reads the
+(Ev, Od) entry of its canonical key, where only the factors 1 - w and
+1 - q/w of P(w) can come near 0 (near the lattice), so one exact test
+where the entry is summed guards them all (``_LevelTable.triple``): Ev -
+Od, at most 78 units of 2^-W off, must keep bits + INDEX_MARGIN
+significant bits, or the index raises OnLattice.  It reads no eps, and
+what it refuses does not depend on bits: |Ev - Od| is about
+2 pi |E|^3 dist(z, lattice) there, so (0, 1/N) is refused from N = 2^28.
+Against the same evaluators at 2 bits + 64 (64 and 256 bits, six tau of
+Im 1/20 to 1000, indices of levels 2^16 to 2^39 next to the lattice),
+every value kept was within 3.9 2^-bits relative.
 
 Siegel memo and y.  The level-N table keeps two memos, keyed by canonical
 reduced indices only: of (s, t) and (-s mod N, -t mod N), the
@@ -166,7 +175,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .classfield import CMPoint
-from .errors import DegenerateIndex, NearZero, OnLattice
+from .errors import DegenerateIndex, OnLattice
 from .numerics import FX_GUARD, PrecisionContext, check_im_range, truncation_terms
 
 
@@ -559,21 +568,17 @@ class _Powers:
         return val
 
 
-# A nonzero vector m*tau + k of [tau, 1] has length >= Im tau when m != 0
-# and >= 1 when m = 0, so an index of level n lies >= min(1, Im tau)/n from
-# the lattice and clears sqrt(eps) whenever n^2 eps < min(1, Im tau)^2.  The
-# factor 1 - 2^-18 leaves the floating-point test room for its rounding.
-_LEVEL_CLEARS_LATTICE = mp.mpf(1) - mp.mpf(2) ** -18
+# Significant bits above ``bits`` that Ev - Od at an index keeps at width W,
+# or the index counts as on the lattice (``_LevelTable.triple``).
+INDEX_MARGIN = 8
 
 
 class _LevelTable:
     """Everything at one point keyed by a reduced index (s/N, t/N) of level
-    N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, the
-    (Ev, Od) and Siegel memos (at canonical keys, ``_fold``), and
-    ``off_lattice``, true when every index of level N clears the lattice by
-    the level alone (``wp``).  Widths and error budget are in the module
-    docstring.  The table keeps no reference to its point, so a point is
-    freed as soon as it is dropped; methods take it."""
+    N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, and the
+    guarded (Ev, Od) and Siegel memos (at canonical keys, ``_fold``), as
+    the module docstring sets out.  The table keeps no reference to its
+    point, so a point is freed as soon as it is dropped; methods take it."""
 
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
@@ -581,8 +586,6 @@ class _LevelTable:
         bits = pt.width + level.bit_length() + 2
         self.q = _Powers(_exp_placed(pt.tau, level, bits + 8), bits)
         self.z = _Powers((*_unit_root_fx(level, bits), bits), bits)
-        with pt.ctx.work():
-            self.off_lattice = n * n * pt.ctx.eps < _LEVEL_CLEARS_LATTICE * min(1, pt.im) ** 2
         self.triples = {}
         self.siegels = {}
 
@@ -608,10 +611,18 @@ class _LevelTable:
     def triple(self, pt: ModularPoint, s: int, t: int
                ) -> tuple[tuple[int, int], tuple[int, int]]:
         """(Ev, Od) at (s/N, t/N): ``_triple`` at w and q/w, summed on first
-        use."""
+        use; OnLattice when Ev - Od keeps fewer than bits + INDEX_MARGIN
+        significant bits (module docstring, "Index guard")."""
         val = self.triples.get((s, t))
         if val is None:
-            val = self.triples[s, t] = _triple(pt.qfx, *self.w_terms(s, t, pt.width), pt.width)
+            wd = pt.width
+            val = _triple(pt.qfx, *self.w_terms(s, t, wd), wd)
+            (er, ei), (odr, odi) = val
+            kept = max(abs(er - odr), abs(ei - odi)).bit_length()
+            if kept < pt.ctx.bits + INDEX_MARGIN:
+                raise OnLattice(f"index ({s}/{self.n}, {t}/{self.n}) lies too near the lattice: "
+                                f"Ev - Od keeps {kept} of {pt.ctx.bits + INDEX_MARGIN} bits")
+            self.triples[s, t] = val
         return val
 
     def siegel(self, pt: ModularPoint, s: int, t: int) -> tuple[int, int, int]:
@@ -769,10 +780,10 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
     and ``check_lemma52``, and (0, 2/N)m for ``conjugate_values``.  Both
     Siegel products are read from one table, of level N = ``level`` (by
     default r's level), which r's and d's levels must divide: d's key and
-    the exponent of its root of unity are taken at level N.  The quotient at W significant bits is
-    raised to the power k >= 1 by cut products (``_Powers``) and rounded
-    once to ``bits``.  NearZero when |g_r^4| < eps: (re^2 + im^2)^4 <
-    eps^2 2^(8w) for g_r = (re + i*im) 2^-w."""
+    the exponent of its root of unity are taken at level N.  The quotient
+    at W significant bits is raised to the power k >= 1 by cut products
+    (``_Powers``) and rounded once to ``bits``.  Its one guard is that of
+    the index sums (``_LevelTable.triple``)."""
     n = level or r.level
     for x in (r, d):
         if n % x.level:
@@ -781,11 +792,6 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
     nr, ni, wn, ed = _cut_entry(pt, d, n)
     e = (ed - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
     nr, ni = pt._table(n).rotate((nr, ni), e)
-    _, man, exp, _ = pt.ctx.eps._mpf_
-    m4, sh = (gr * gr + gi * gi) ** 4, 2 * exp + 8 * w
-    if (m4 < (man * man << sh)) if sh >= 0 else ((m4 << -sh) < man * man):
-        with pt.ctx.work():
-            raise NearZero(f"division by |z|={mp.nstr(abs(_mpc(gr, gi, w) ** 4), 8)} < eps")
     wd = pt.width
     g2 = (gr + gi) * (gr - gi), 2 * gr * gi, 2 * w
     y = _quotient((nr, ni, wn), _cut_sq(g2, wd), wd)
@@ -824,18 +830,14 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
     the one exact quotient of ``_wp_parts``, which ``x_value`` shares.
 
     z is an index r (a ``FractionPair``, naming z = r1*tau + r2) or any
-    complex number, at distance >= sqrt(eps) from the lattice [tau, 1].  An
-    index of level n lies at least min(1, Im tau)/n from it, so the
-    floating-point distance test runs only when n^2 eps >= (1 - 2^-18)
-    min(1, Im tau)^2; below, the level settles it (``_LevelTable``'s
-    ``off_lattice``).  For an index the reduced coordinates are exact, and
-    (Ev, Od) is the level-n table's memo entry at the canonical key of the
-    index (``_index_triple``), which the Siegel value there shares, so
-    wp(-r) = wp(r) bit for bit; for a complex z, u = exp(2*pi*i*z)
-    and q/u are computed from z, with the bits of Re tau and of z's lattice
-    coordinates as extra bits, and ``_triple`` runs on them.  The quotient
-    is divided in exact integers: near the lattice Ev - Od is small, and a
-    shift before the division would cut its bits.
+    complex number.  For an index, (Ev, Od) is the guarded memo entry of
+    the Siegel value at its canonical key (``_index_triple``), so wp(-r) =
+    wp(r) bit for bit.  A complex z must lie >= sqrt(eps) from the lattice
+    [tau, 1] (``_check_off_lattice``); u = exp(2*pi*i*z) and q/u are
+    computed from z, with the bits of Re tau and of z's lattice coordinates
+    as extra bits, and ``_triple`` runs on them.  The quotient is divided
+    in exact integers: near the lattice Ev - Od is small, and a shift
+    before the division would cut its bits.
     """
     wd = pt.width
     if isinstance(z, FractionPair):
@@ -873,15 +875,11 @@ def _wp_parts(pt: ModularPoint, sums: tuple[tuple[int, int], tuple[int, int]]
 def _index_triple(pt: ModularPoint, r: FractionPair
                   ) -> tuple[tuple[int, int], tuple[int, int]]:
     """(Ev, Od) at the index r for ``wp`` and ``x_value``: the level table's
-    memo entry at the canonical key of r (``_fold``), after the lattice
-    test, which runs only when the level does not settle it.  wp reads
+    guarded memo entry at the canonical key of r (``_fold``), as wp reads
     ((Ev + Od)/(Ev - Od))^2 alone, which is the same at r and -r."""
-    n, tab = r.level, pt._table(r.level)
-    if not tab.off_lattice:
-        with pt.ctx.work():
-            _check_off_lattice(pt, mp.mpf(r.p1 % n) / n, mp.mpf(r.p2 % n) / n)
+    n = r.level
     p1, p2, _ = _fold(r.p1, r.p2, n)
-    return tab.triple(pt, p1 % n, p2 % n)
+    return pt._table(n).triple(pt, p1 % n, p2 % n)
 
 
 def wp_prime(r: FractionPair, pt: ModularPoint) -> mp.mpc:

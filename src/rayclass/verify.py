@@ -504,7 +504,7 @@ class Polynomial:
     coeffs are ascending, coeffs[-1] == 1 exactly, computed at ``bits``.
     recognized[k] is either (m, n, den) or None when the coefficient's error
     bound is not below the tolerance or no candidate with den <= den_max
-    lies within it (``_recognize``).
+    lies within it and within the bound (``_recognize``).
     """
 
     coeffs: tuple
@@ -518,17 +518,19 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-def _recognize_coeff(c, theta, den_max: int, tol):
-    """((m, n, den), |c - (m + n*theta)/den|) for the first den <= den_max
-    whose nearest candidate lies within tol of c, or None."""
+def _recognize_coeff(c, theta, den_max: int, tol, bound):
+    """((m, n, den), |c - a|) for the nearest a = (m + n*theta)/den of the
+    first den <= den_max with a within tol of c, or None; None too when a
+    lies farther from c than bound plus its rounding, 2^(2 - prec) |a|."""
     y = mp.im(c) / mp.im(theta)
     x = mp.re(c) - y * mp.re(theta)
     for den in range(1, den_max + 1):
         m = int(mp.nint(x * den))
         n = int(mp.nint(y * den))
-        err = abs(c - (m + n * theta) / den)
+        a = (m + n * theta) / den
+        err = abs(c - a)
         if err < tol:
-            return (m, n, den), err
+            return ((m, n, den), err) if err <= bound + mp.ldexp(abs(a), 2 - mp.mp.prec) else None
     return None
 
 
@@ -606,12 +608,14 @@ def _recognize(coeffs, bounds, field: Field, ctx: PrecisionContext,
     tol and a candidate lies within tol of it.  The exact coefficient then
     lies within 2 tol of that candidate, so it is that candidate if it lies
     in (1/den) * O_K for some den <= den_max (``_recognition_tol``; H_D's
-    coefficients are integers).  Failures are recorded, never raised."""
+    coefficients are integers).  A candidate outside bounds[k] plus its
+    rounding cannot be the coefficient and is dropped (``_recognize_coeff``).
+    Failures are recorded, never raised."""
     theta = field.theta.to_mpc(ctx)
     recognized = []
     worst = mp.mpf(0)
     for c, bound in zip(coeffs[:-1], bounds):
-        hit = _recognize_coeff(c, theta, den_max, tol) if bound < tol else None
+        hit = _recognize_coeff(c, theta, den_max, tol, bound) if bound < tol else None
         if hit is None:
             recognized.append(None)
             worst = mp.inf

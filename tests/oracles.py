@@ -20,8 +20,7 @@ Two kinds live here:
   ``min_pairwise_distance_loop`` is the double loop over all pairs that the
   integer sweep of ``rayclass.verify`` must match, tie rule included, and
   ``scale_loop`` the maximum modulus over every component that its scale
-  must match.  ``guarded_quotient`` is the mpmath quotient with an absolute
-  |den| < eps guard that y's exact integer guard must reproduce.
+  must match.
   ``lemma52_loop`` is the lemma 5.2 sweep over every (form, s, t), which
   the one-ratio-per-class sweep of ``rayclass.verify`` must match.
 * ``hcp_oracle``: the Hilbert class polynomial from mpmath's own
@@ -35,9 +34,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from mpmath.libmp import mpf_add, mpf_lt, mpf_mul
-
-from rayclass.errors import NearZero
 from rayclass.numerics import GUARD_BITS, truncation_terms
 from rayclass.qseries import (
     FractionPair,
@@ -251,19 +247,6 @@ def scale_loop(values):
     order."""
     return max(mp.mpf(1), max(abs(c) for v in values
                               for c in (v if isinstance(v, tuple) else (v,))))
-
-
-def guarded_quotient(num, den, ctx):
-    """num / den at ``ctx``, raising NearZero when |den| < ctx.eps.  The
-    guard compares re^2 + im^2 < eps^2 on mpmath's raw values at ``bits``,
-    so no square root is taken."""
-    with ctx.work():
-        den = mp.mpc(den)
-        re, im = den._mpc_
-        e, p = ctx.eps._mpf_, ctx.bits
-        if mpf_lt(mpf_add(mpf_mul(re, re, p), mpf_mul(im, im, p), p), mpf_mul(e, e, p)):
-            raise NearZero(f"division by |z|={mp.nstr(abs(den), 8)} < eps")
-        return num / den
 
 
 def lemma52_loop(field, n, ctx):

@@ -91,6 +91,16 @@ def test_eval_siegel_requires_r(capsys):
     assert "requires --r" in err
 
 
+@pytest.mark.parametrize("fn", ["eta", "g2", "g3", "delta", "j", "u", "v"])
+def test_eval_of_a_point_only_function_rejects_r(fn, capsys):
+    """A function of tau alone reads no index, so an --r is a usage error,
+    not an input echoed back unread."""
+    code, out, err = run_cli(["eval", fn, "--tau", "0,1", "--r", "1/2,1/3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError",
+                               "message": f"eval {fn} takes no --r: it depends on tau alone"}
+
+
 def test_eval_y_with_r(capsys):
     code, out, _ = run_cli(
         ["eval", "y", "--tau", "0.5,0.8660254037844386467637231", "--r", "0/4,1/4"],
@@ -160,6 +170,21 @@ def test_minpoly_x_descriptor(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["degree"] == 4
+
+
+def test_minpoly_leaves_coefficients_that_contradict_their_bound_null(capsys):
+    """The y12N polynomial of -7 at level 3 has c0 ~ 1.7e-26 and
+    c1 ~ 5.4e-13, each within --recog-tol of 0, but each within a bound
+    below 1e-60 of the exact coefficient, which is therefore not 0: both
+    print null."""
+    code, out, err = run_cli(
+        ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "y12N"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert float(doc["recognition_bound"]) < 1e-60
+    assert doc["recognized"][:2] == [None, None] and doc["recognition_residual"] == "inf"
+    for re, im in doc["coefficients_ascending"][:2]:
+        assert 1e-30 < abs(complex(float(re), float(im))) < 1e-10
 
 
 def test_hcp_reports_its_working_bits_and_recognition_bound(capsys):
@@ -524,18 +549,29 @@ def test_degenerate_index_exit_three(capsys):
     assert "DegenerateIndex" in err
 
 
-@pytest.mark.parametrize("argv, modulus", [
-    (["eval", "y", "--tau", "0.1,1.5", "--r", "0,1/7"], "0.024496029"),
-    (["conjugates", "--dk", "-7", "--level", "5", "--descriptor", "y4"], "0.47783706"),
-    (["conjugates", "--dk", "-39", "--level", "8", "--descriptor", "pair"], "0.00049579571"),
-], ids=["y", "y4-orbit", "pair-orbit"])
-def test_near_zero_exits_three(argv, modulus, capsys):
-    """At eps 0.5, y's |g_r^4| falls below eps: exit 3 with the modulus of
-    the denominator in the message."""
-    code, out, err = run_cli(["--bits", "64", "--eps", "0.5", *argv], capsys)
+@pytest.mark.parametrize("argv", [
+    ["check", "surface", "--tau", "0.1,50", "--level", "4"],
+    ["check", "surface", "--tau", "0.1,1e6", "--level", "4"],
+    ["conjugates", "--dk", "-9067", "--level", "3", "--descriptor", "y4"],
+    ["--bits", "64", "--eps", "0.5", "eval", "y", "--tau", "0.1,1.5", "--r", "0,1/7"],
+    ["--bits", "64", "--eps", "1e-5", "eval", "wp", "--tau", "0.3,1.1", "--r", "0,1/400"],
+], ids=["surface-50", "surface-1e6", "y4-9067", "y-eps-0.5", "wp-eps-1e-5"])
+def test_index_values_take_no_eps_guard(argv, capsys):
+    """y and wp at an index keep their relative bits however small |g_r^4|
+    is against eps, or however near sqrt(eps) the index lies to the
+    lattice, so these exit 0."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out).get("pass", True) is True
+
+
+def test_an_index_too_near_the_lattice_exits_three(capsys):
+    """At level 2^36, (0, 1/N) lies 2^-36 from the lattice: Ev - Od keeps
+    fewer than bits + 8 significant bits, and wp raises OnLattice."""
+    code, out, err = run_cli(
+        ["eval", "wp", "--tau", "0.3,1.1", "--r", "0,1/68719476736"], capsys)
     assert (code, out) == (3, "")
-    assert json.loads(err) == {"error": "NearZero",
-                               "message": f"division by |z|={modulus} < eps"}
+    assert json.loads(err)["error"] == "OnLattice"
 
 
 def test_a_value_that_is_not_finite_exits_three(capsys, monkeypatch):
@@ -568,10 +604,10 @@ def test_curve_constants_take_no_guard_on_delta(argv, value, capsys):
 
 def test_hcp_takes_no_near_zero_where_delta_is_below_eps(capsys):
     """At the CM points of -1559, |delta| falls to about 5.1e-45 < eps at
-    256 bits; j takes no guard on it, so no NearZero (exit 3).  What hcp
-    then recognizes is not pinned here."""
+    256 bits; j takes no guard on it, so no numerical error (exit 3).  What
+    hcp then recognizes is not pinned here."""
     code, _, err = run_cli(["hcp", "--dk", "-1559"], capsys)
-    assert code != 3 and "NearZero" not in err
+    assert code != 3 and err == ""
 
 
 def test_hcp_of_minus_1559_at_the_default_bits_exits_zero(capsys):

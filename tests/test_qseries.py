@@ -14,7 +14,6 @@ from rayclass import (
     FractionPair,
     ImTooSmall,
     ModularPoint,
-    NearZero,
     OnLattice,
     PrecisionContext,
     conjugate_values,
@@ -37,7 +36,7 @@ from rayclass import qseries
 from rayclass.qseries import CurveCoords, _cut_entry, _unit_root_fx, siegel_order, y_quotient
 from rayclass.reciprocity import act_index
 
-from oracles import agrees, eisenstein_loop, guarded_quotient
+from oracles import agrees, eisenstein_loop
 
 
 def _pt(re, im, ctx):
@@ -578,78 +577,6 @@ def test_orbits_raise_y_to_no_mpmath_power(ctx256, monkeypatch, descriptor):
             assert abs(y1 ** k - y) <= mp.ldexp(4 * k, -ctx256.bits) * abs(y)
 
 
-def _guard_sweep():
-    """Every index (p1/n, p2/n) of level n in 3..8, p1, p2 in [-n, 2n), with
-    2r outside Z^2: each reduced index in nine spellings."""
-    for n in range(3, 9):
-        for p1 in range(-n, 2 * n):
-            for p2 in range(-n, 2 * n):
-                if p1 % n or p2 % n:
-                    r = FractionPair.from_parts(p1, p2, n)
-                    if r.level == n and r.doubled() is not None:
-                        yield r
-
-
-def _raises_near_zero(f) -> bool:
-    try:
-        f()
-    except NearZero:
-        return True
-    return False
-
-
-GUARD_TAUS = [("0.1", "1.5"), ("-0.37", "2.6")]
-# The index the boundary runs through in the second sweep.  Where eps is
-# |g_r^4| there, the mpmath quotient's answer for its spellings and those of
-# its negative (|g_{-r}| = |g_r|) depends on how the shift phases and the
-# fourth power round g_r, so these may differ: 2 of them at 0.1+1.5i and 7
-# at -0.37+2.6i do.  All lie within 2^-bits relative of the boundary.
-GUARD_BOUNDARY_INDEX = FractionPair(F(1, 7), F(2, 7))
-
-
-def _boundary_spelling(r) -> bool:
-    key = (r.r1 % 1, r.r2 % 1)
-    b = GUARD_BOUNDARY_INDEX
-    return key in {(b.r1, b.r2), (-b.r1 % 1, -b.r2 % 1)}
-
-
-@pytest.mark.parametrize("tau", GUARD_TAUS, ids="{0[0]},{0[1]}".format)
-@pytest.mark.parametrize("at_boundary", [False, True], ids=["eps-0.5", "eps-boundary"])
-def test_y_guard_raises_where_the_mpmath_quotient_does(tau, at_boundary):
-    """At 64 bits and a large eps, y raises NearZero at exactly the indices
-    of the sweep where the mpmath quotient -siegel(2r) / siegel(r)^4 with an
-    absolute |siegel(r)^4| < eps guard (``oracles.guarded_quotient``)
-    raises, except, with eps on the boundary, spellings of the boundary
-    index."""
-    ctx = PrecisionContext(64, "0.5")
-    pt = ModularPoint.from_complex(tau, ctx)
-    hi = PrecisionContext(128, "0.5")
-
-    def g4_hi(r):
-        with hi.work():
-            return abs(siegel(r, ModularPoint.from_complex(pt.tau, hi))) ** 4
-
-    if at_boundary:  # |g_r^4| at the index, rounded to 64 bits
-        ctx = PrecisionContext(64, g4_hi(GUARD_BOUNDARY_INDEX))
-        pt = ModularPoint.from_complex(tau, ctx)
-
-    def quotient(r):
-        with ctx.work():
-            return -guarded_quotient(siegel(r.doubled(), pt), siegel(r, pt) ** 4, ctx)
-
-    raised, differ = 0, set()
-    for r in _guard_sweep():
-        new = _raises_near_zero(lambda: y_value(pt, r))
-        raised += new
-        if new != _raises_near_zero(lambda: quotient(r)):
-            differ.add(r)
-    assert 0 < raised < 1476
-    assert all(at_boundary and _boundary_spelling(r) for r in differ)
-    with hi.work():
-        for r in differ:
-            assert abs(g4_hi(r) / ctx.eps - 1) <= mp.mpf(2) ** -ctx.bits
-
-
 def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
     """siegel and wp at every index in (1/12)Z^2 make one table per level of
     the reduced index, each from two exponentials, next to the point's one,
@@ -817,74 +744,36 @@ def test_wp_pole_guard(ctx256):
             wp(ctx256.mpc("1e-25", "0"), pt)
 
 
-@pytest.fixture
-def lattice_tests(monkeypatch):
-    """A list that records (y, x) each time wp runs the floating-point
-    lattice-distance test for the rest of the test."""
-    body = qseries._check_off_lattice
-    seen = []
-
-    def counted(pt, y, x):
-        seen.append((y, x))
-        return body(pt, y, x)
-
-    monkeypatch.setattr(qseries, "_check_off_lattice", counted)
-    return seen
+# (tau, (p1, p2), N): the largest level N at which the index (p1/N, p2/N)
+# keeps its Ev - Od sum to bits + 8 significant bits, found by bisection.
+# The level does not depend on bits: |Ev - Od| at width bits + 32 is about
+# 2 pi |E|^3 dist(z, lattice), and (1/N, 0) lies |tau|/N from the lattice.
+INDEX_GUARD_EDGES = [
+    ((0.3, 1.1), (0, 1), 211023432),
+    ((0.1, 0.05), (1, 0), 25200991),
+]
 
 
-@pytest.mark.parametrize("eps, below, above", [
-    ("2e-6", 707, 708),        # eps^(-1/2) = 707.107
-    ("1e-9", 31622, 31623),    # eps^(-1/2) = 31622.777
-])
-def test_wp_index_level_decides_when_the_lattice_test_runs(
-        eps, below, above, lattice_tests):
-    """At 64 bits the index (0, 1/N) lies 1/N from the lattice: the level
-    alone clears sqrt(eps) just below eps^(-1/2), and just above it the
-    floating-point test runs and rejects the index."""
-    ctx = PrecisionContext(64, eps)
-    pt = _pt(0.3, 1.1, ctx)
-    wp(FractionPair.from_parts(0, 1, below), pt)
-    assert lattice_tests == []
-    with pytest.raises(OnLattice):
-        wp(FractionPair.from_parts(0, 1, above), pt)
-    assert len(lattice_tests) == 1
-
-
-@pytest.mark.parametrize("bits, eps, levels", [
-    (64, "1e-5", range(290, 330)),         # eps^(-1/2) = 316.2
-    # eps^(-1/2) = 1e20; the level settles it below 1e20 (1 - 2^-19)
-    (256, "1e-40", (10**20 - 2 * 10**14, 10**20 - 10**14, 10**20)),
-])
-def test_wp_level_guard_agrees_with_the_lattice_test(bits, eps, levels,
-                                                     lattice_tests):
-    """Wherever wp skips the floating-point test on an index, that test
-    passes: at the corners and sides of F, where [tau, 1] has several
-    vectors of length 1, and at reduced random points, for the indices
-    next to the lattice and random ones."""
-    ctx = PrecisionContext(bits, eps)
-    rng = random.Random(bits)
-    half = mp.sqrt(3) / 2
-    taus = [(-0.5, half), (0.5, half), (0, 1), (0.25, mp.sqrt(15) / 4)]
-    taus += [(rng.uniform(-3, 3), rng.uniform(0.06, 2)) for _ in range(4)]
-    skipped = 0
-    for tau in taus:
-        pt = _pt(*tau, ctx)
-        f = pt
-        for n in levels:
-            near = [(0, 1), (1, 0), (1, 1), (1, n - 1), (n - 1, 1), (n - 1, 0)]
-            rand = [(rng.randrange(n), rng.randrange(1, n)) for _ in range(2)]
-            for s, t in near + rand:
-                before = len(lattice_tests)
-                try:
-                    wp(FractionPair.from_parts(s, t, n), f)
-                except OnLattice:
-                    assert len(lattice_tests) == before + 1
-                    continue
-                if len(lattice_tests) == before:
-                    skipped += 1
-                    with ctx.work():
-                        qseries._check_off_lattice(f, mp.mpf(s) / n, mp.mpf(t) / n)
-    assert skipped and lattice_tests
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("tau, p, n", INDEX_GUARD_EDGES, ids=["0.3,1.1", "0.1,0.05"])
+def test_index_guard_keeps_relative_bits_up_to_its_edge(bits, tau, p, n):
+    """Just inside the edge siegel, wp, x and y match the same evaluators at
+    2 bits + 64 to 2^(4 - bits) relative; one level out each raises
+    OnLattice, whatever eps is."""
+    ctx = PrecisionContext(bits, "0.5")
+    hi = PrecisionContext(2 * bits + 64, "0.5")
+    evaluators = [lambda r, pt: siegel(r, pt), lambda r, pt: wp(r, pt),
+                  lambda r, pt: x_value(pt, r), lambda r, pt: y_value(pt, r)]
+    r = FractionPair.from_parts(*p, n)
+    pt, ref = _pt(*tau, ctx), _pt(*tau, hi)
+    with hi.work():
+        for f in evaluators:
+            want = f(r, ref)
+            assert abs(f(r, pt) - want) <= mp.ldexp(abs(want), 4 - bits)
+    out = FractionPair.from_parts(*p, n + 1)
+    for f in evaluators:
+        with pytest.raises(OnLattice):
+            f(out, _pt(*tau, ctx))
 
 
 def test_wp_cubic_residual(ctx256):

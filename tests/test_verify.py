@@ -855,6 +855,20 @@ def test_recognition_rejects_an_integer_above_the_working_precision():
     assert not mp.isfinite(poly.residual)
 
 
+@pytest.mark.parametrize("factor, hit", [("0.99", (3, 0, 1)), ("1.01", None)],
+                         ids=["inside", "outside"])
+def test_recognition_drops_a_candidate_outside_the_bound(ctx256, factor, hit):
+    """A coefficient 3 + 1.01 B lies within tol of the integer 3, but its
+    certificate puts the exact coefficient within B of it, so it is not 3
+    and prints null; at 3 + 0.99 B it is recognized as 3."""
+    bound = mp.mpf("1e-30")
+    with ctx256.work():
+        c = mp.mpc(3 + bound * mp.mpf(factor))
+        poly = verify._recognize([c, mp.mpc(1)], [bound], make_field(-7), ctx256,
+                                 48, ctx256.mpf("1e-10"))
+    assert poly.recognized == (hit, (1, 0, 1))
+
+
 def test_error_bounds_expand_the_value_moduli():
     """B_k is 2^(g - bits) times e_(h-k) of max(1, |v|), g = ceil(log2(h +
     1)) + 12, and the polynomial reports the largest."""
