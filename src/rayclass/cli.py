@@ -32,12 +32,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import mpmath as mp
-from mpmath.libmp import mpf_pos, round_nearest, to_str
+from mpmath.libmp import mpf_pos, prec_to_dps, round_nearest, to_str
 
 from . import __version__
 from .classfield import ideal_factorization, make_field, ray_class_degree
 from .errors import InputError, NumericalError
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, decimal_digits
 from .qseries import (
     FractionPair,
     ModularPoint,
@@ -55,6 +55,7 @@ from .qseries import (
 )
 from .reciprocity import DESCRIPTORS, conjugate_values
 from .verify import (
+    BOUND_BITS,
     CheckReport,
     check_T_bound,
     check_curve_point,
@@ -134,22 +135,26 @@ def _json_text(v, dps: int, prec: int) -> str:
     return "".join(out)
 
 
+def _real_text(x, prec: int, dps: int) -> str:
+    """The raw mpf x rounded to prec bits and printed by mpmath's ``to_str``
+    at dps digits, as ``mp.nstr(+v, dps, strip_zeros=True)`` prints it."""
+    return to_str(mpf_pos(x, prec, round_nearest), dps)
+
+
 def _write_json(x, pad: str, put, dps: int, prec: int) -> None:
-    """Pass the JSON text of x, indented from pad, to put: an mpf rounded
-    to prec bits and printed by mpmath's ``to_str`` at dps digits, as
-    ``mp.nstr(+v, dps, strip_zeros=True)`` prints it, an mpc as the list
-    of its parts, and every other node laid out as the json module lays it
+    """Pass the JSON text of x, indented from pad, to put: an mpf as
+    ``_real_text`` prints it at prec bits and dps digits, an mpc as the
+    list of its parts, and every other node laid out as the json module lays it
     out with sort_keys=True and indent=2."""
     if isinstance(x, mp.mpf):
-        put('"%s"' % to_str(mpf_pos(x._mpf_, prec, round_nearest), dps))
+        put('"%s"' % _real_text(x._mpf_, prec, dps))
     elif isinstance(x, str):
         put(encode_basestring_ascii(x))
     elif isinstance(x, mp.mpc):
         re, im = x._mpc_
         inner = pad + "  "
         put('[\n%s"%s",\n%s"%s"\n%s]' % (
-            inner, to_str(mpf_pos(re, prec, round_nearest), dps),
-            inner, to_str(mpf_pos(im, prec, round_nearest), dps), pad))
+            inner, _real_text(re, prec, dps), inner, _real_text(im, prec, dps), pad))
     elif isinstance(x, dict):
         if not x:
             put("{}")
@@ -307,18 +312,29 @@ def _cmd_conjugates(args, ctx: PrecisionContext) -> tuple[dict, dict]:
 
 
 def _poly_body(poly) -> dict:
-    coeffs = [(mp.re(c), mp.im(c)) for c in poly.coeffs]
+    """The polynomial's payload fields, its numbers printed here, each with
+    the digits of its own precision: the coefficients, as [re, im], and
+    the residual with those of the working bits ``poly.bits``, an exact
+    integer coefficient (hcp's H_D from gamma_2) in full, and the bound
+    with the 15 of BOUND_BITS."""
+    prec, dps = poly.bits, decimal_digits(poly.bits)
+
+    def text(x):
+        return f"{x}.0" if isinstance(x, int) else _real_text(x._mpf_, prec, dps)
+
     rec = [
         None if r is None else {"m": r[0], "n": r[1], "den": r[2]}
         for r in poly.recognized
     ]
     return {
         "degree": poly.degree,
-        "coefficients_ascending": coeffs,
+        "coefficients_ascending": [
+            [text(c), "0.0"] if isinstance(c, int) else [text(mp.re(c)), text(mp.im(c))]
+            for c in poly.coeffs],
         "recognized": rec,
-        "recognition_residual": poly.residual
+        "recognition_residual": text(poly.residual)
         if mp.isfinite(poly.residual) else "inf",
-        "recognition_bound": poly.bound,
+        "recognition_bound": _real_text(poly.bound._mpf_, BOUND_BITS, prec_to_dps(BOUND_BITS)),
     }
 
 
@@ -342,7 +358,8 @@ def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
 def _cmd_hcp(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     f = make_field(args.dk)
     poly = hilbert_class_poly(f, ctx)
-    return {"dk": f.d}, {"h": f.h, "working_bits": poly.bits, **_poly_body(poly)}
+    return {"dk": f.d}, {"h": f.h, "working_bits": poly.bits, "invariant": poly.invariant,
+                         **_poly_body(poly)}
 
 
 # name -> (flags it needs, report from (args, ctx)); lookups as in EVALS.

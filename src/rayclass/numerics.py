@@ -91,8 +91,8 @@ class PrecisionContext:
 
     @property
     def dps(self) -> int:
-        """Decimal digits carried at this precision."""
-        return int(self.bits / 3.3219280948873626) + 2
+        """Decimal digits carried at this precision (``decimal_digits``)."""
+        return decimal_digits(self.bits)
 
     def mpf(self, x) -> mp.mpf:
         with self.work():
@@ -101,6 +101,11 @@ class PrecisionContext:
     def mpc(self, re, im=0) -> mp.mpc:
         with self.work():
             return mp.mpc(_to_mpf(re), _to_mpf(im))
+
+
+def decimal_digits(bits: int) -> int:
+    """Decimal digits that the CLI prints a value of ``bits`` bits with."""
+    return int(bits / 3.3219280948873626) + 2
 
 
 def check_im_range(im) -> None:

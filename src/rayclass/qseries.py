@@ -651,14 +651,19 @@ class _LevelTable:
         return (-z[0], -z[1]) if e >= n else z
 
 
+def _q24_euler(pt: ModularPoint) -> tuple[int, int, int]:
+    """q^(1/24) E as an (re, im, w) triple: the cut product of the point's
+    q^(1/24) and Euler product (``eta``, ``_gamma2_fx``)."""
+    w = pt.width
+    return _cut_mul(pt._q_powers[0], (*pt._euler_fx, w), w)
+
+
 def eta(pt: ModularPoint) -> mp.mpc:
     """Dedekind eta = sqrt(2*pi) zeta_8 q^(1/24) E, with the
     sqrt(2*pi)*zeta_8 prefactor; nonzero on H.  q^(1/24) E is the cut
     product of the point's q^(1/24) and Euler product."""
-    w = pt.width
     with pt.ctx.work():
-        return (_eta_prefactor(pt.ctx.bits)
-                * _mpc(*_cut_mul(pt._q_powers[0], (*pt._euler_fx, w), w)))
+        return _eta_prefactor(pt.ctx.bits) * _mpc(*_q24_euler(pt))
 
 
 def eisenstein(pt: ModularPoint) -> tuple[mp.mpc, mp.mpc]:
@@ -684,6 +689,33 @@ def j_invariant(pt: ModularPoint) -> mp.mpc:
     series or delta is formed."""
     with pt.ctx.work():
         return 1728 * u_value(pt)
+
+
+def _j_fx(pt: ModularPoint) -> tuple[int, int, int]:
+    """j = E4^3 / (q E^24) as an (re, im, w) triple: 1728 times the
+    integers of u's quotient (``_u_fx``), exact, so ``u_value`` and this
+    read one quotient.  ``verify.hilbert_class_poly`` expands it unrounded;
+    ``j_invariant`` is 1728 ``u_value`` at ``bits``."""
+    re, im, w = _u_fx(pt)
+    return 1728 * re, 1728 * im, w
+
+
+def _gamma2_fx(pt: ModularPoint, turn: int = 0) -> tuple[int, int, int]:
+    """gamma_2 = E4 / (q^(1/24) E)^8 = E4 / (q^(1/3) E^8), the cube root
+    of j = E4^3 / (q E^24) that is holomorphic on H, times
+    exp(2*pi*i*turn/3), as an (re, im, w) triple: (q^(1/24) E)^8 by three
+    cut squarings of ``_q24_euler``, one exact quotient of E4 by it at W
+    significant bits, and for turn not divisible by 3 one cut product with
+    the cube root of unity at width W.  gamma_2 is invariant under
+    tau -> -1/tau and picks up exp(-2*pi*i/3) under tau -> tau + 1, so a
+    turn carries it to any point SL2(Z)-equivalent to tau."""
+    w = pt.width
+    e8 = _cut_sq(_cut_sq(_cut_sq(_q24_euler(pt), w), w), w)
+    val = _quotient((*pt._e4[0], w), e8, w)
+    if turn % 3:
+        zr, zi = _unit_root_fx(3, w)
+        val = _cut_mul(val, (zr, zi if turn % 3 == 1 else -zi, w), w)
+    return val
 
 
 def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
@@ -902,15 +934,21 @@ class CurveCoords(NamedTuple):
     y: mp.mpc
 
 
-def u_value(pt: ModularPoint) -> mp.mpc:
-    """u = g2^3 / delta = E4^3 / (1728 q E^24), one exact integer quotient
-    of E4, q and E^24 (module docstring, "u, v, x and j"); no Eisenstein
-    prefactor, power of pi or delta is formed."""
+def _u_fx(pt: ModularPoint) -> tuple[int, int, int]:
+    """u = E4^3 / (1728 q E^24) as an (re, im, w) triple of W significant
+    bits: one exact integer quotient of E4, q and E^24 (module docstring,
+    "u, v, x and j")."""
     w = pt.width
     e4 = (*pt._e4[0], w)
     qr, qi, qw = pt._q_powers[2]
     den = _cut_mul(pt._e24, (1728 * qr, 1728 * qi, qw), w)
-    return _mpc(*_quotient(_cut_mul(_cut_sq(e4, w), e4, w), den, w), pt.ctx.bits)
+    return _quotient(_cut_mul(_cut_sq(e4, w), e4, w), den, w)
+
+
+def u_value(pt: ModularPoint) -> mp.mpc:
+    """u = g2^3 / delta = E4^3 / (1728 q E^24), ``_u_fx`` rounded once to
+    ``bits``; no Eisenstein prefactor, power of pi or delta is formed."""
+    return _mpc(*_u_fx(pt), pt.ctx.bits)
 
 
 def v_value(pt: ModularPoint) -> mp.mpc:

@@ -19,15 +19,17 @@ from dataclasses import dataclass, field as dc_field
 from math import inf, isqrt
 
 import mpmath as mp
-from mpmath.libmp import fzero
+from mpmath.libmp import from_man_exp, fzero
 
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues, NonFinite
-from .numerics import GUARD_BITS, MIN_BITS, PrecisionContext
+from .numerics import FX_GUARD, GUARD_BITS, MIN_BITS, PrecisionContext
 from .qseries import (
     FractionPair,
     ModularPoint,
-    j_invariant,
+    _gamma2_fx,
+    _j_fx,
+    _mpc,
     normalized,
     siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
     v_value,
@@ -42,14 +44,19 @@ GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
 
 # Each value that ``minpoly`` and ``hilbert_class_poly`` expand lies within
 # 2^(VALUE_ERROR_BITS - bits) * max(1, |v|) of the exact one.  Measured
-# against the same evaluator at 2 bits + 64: j at every CM point of the
-# fundamental d in [-2000, -3] at 64 to 1024 bits, at most 1.8 * 2^-bits;
-# the x, y4 and y12N orbits of twelve (d, N) with N from 3 to 16, at most
-# 90 * 2^-bits at 256 bits.  2^10 leaves eleven times the worst of them.
+# against the same evaluator at 2 bits + 64, at 64, 128, 256, 512 and 1024
+# bits, at the point of every entry of ``_conjugate_classes`` of the
+# fundamental d in [-2000, -3]: hcp's j (``qseries._j_fx``), at most 112 *
+# 2^-bits, where rounding tau to bits moves e^(-2 pi i tau) (Im tau up to
+# 22) or next to rho, where E4 and j nearly vanish; hcp's gamma_2 for the
+# d that 3 does not divide, at most 38 * 2^-bits, a third of j's as
+# j = gamma_2^3.  The x, y4 and y12N orbits of twelve (d, N) with N from 3
+# to 16, at most 90 * 2^-bits at 256 bits.  2^10 leaves nine times the
+# worst of them.
 VALUE_ERROR_BITS = 10
-# |j(tau) - 1/q| <= 2079 on the fundamental domain (``_log2_height``), so
-# 1 + ceil(max(1, |j(theta_Q)|)) <= e^(pi sqrt|d| / a_Q) + J_TAIL.
-J_TAIL = 2081
+# |j(tau) - 1/q| <= 2078.82 < J_TAIL on the fundamental domain, so
+# |j(theta_Q)| < e^(pi sqrt|d| / a_Q) + J_TAIL (``_log2_height``).
+J_TAIL = 2079
 # Precision of the moduli and bounds of ``_error_bounds``.
 BOUND_BITS = 53
 # ``hilbert_class_poly``'s recognition tolerance, read by its plan and its
@@ -497,14 +504,19 @@ def check_elliptic_points(ctx: PrecisionContext) -> CheckReport:
 
 @dataclass
 class Polynomial:
-    """Monic polynomial with complex coefficients (real ones from
-    ``hilbert_class_poly``) and optional recognition of each coefficient as
-    (m + n*theta)/den with integers m, n and den bounded.
+    """Monic polynomial with its coefficients recognized where certified.
 
-    coeffs are ascending, coeffs[-1] == 1 exactly, computed at ``bits``.
-    recognized[k] is either (m, n, den) or None when the coefficient's error
-    bound is not below the tolerance or no candidate with den <= den_max
-    lies within it and within the bound (``_recognize``).
+    coeffs are ascending with coeffs[-1] == 1 exactly.  ``minpoly`` gives
+    complex coefficients at ``bits`` and recognizes each as
+    (m + n*theta)/den with integers m, n and den <= den_max.
+    ``hilbert_class_poly`` gives H_D: for invariant "j" the exact values
+    of its fixed-point coefficients at width bits + FX_GUARD, real, each
+    recognized as the nearest integer (m, 0, 1); for invariant "gamma2"
+    H_D's exact integers, found from the polynomial P of gamma_2, whose
+    residual, bound and working bits it reports.  recognized[k] is None
+    when the coefficient's error bound is not below the tolerance or no
+    candidate lies within it and within the bound (``_recognize``,
+    ``_class_poly``).
     """
 
     coeffs: tuple
@@ -512,6 +524,7 @@ class Polynomial:
     residual: mp.mpf  # max |coeff - recognized value|; inf if any failed
     bound: mp.mpf  # largest error bound B_k of a coefficient below the leading 1
     bits: int  # working precision of the values and the expansion
+    invariant: str | None = None  # hcp's class invariant: "gamma2" or "j"
 
     @property
     def degree(self) -> int:
@@ -581,10 +594,19 @@ def _guard_bits(count: int) -> int:
 
     With u = 2^-bits and m_i = max(1, |v_i|), the values' errors move the
     coefficient e_k of the exact values by at most about k 2^VALUE_ERROR_BITS
-    u e_k(m), and rounding the quadratic factors and the expansion adds at
-    most about 5 count u e_k(m); both together stay below (count + 1)
-    2^(VALUE_ERROR_BITS + 1) u e_k(m).  The last bit covers the rounding of
-    the moduli and of the bounds to BOUND_BITS (``_error_bounds``)."""
+    u e_k(m).  The expansion adds less.  ``minpoly`` rounds the quadratic
+    factors and the expansion in floating point, at most about 5 count u
+    e_k(m).  ``hilbert_class_poly`` floors every product to the fixed-point
+    width bits + FX_GUARD (``_expand_fx``), below one unit 2^-FX_GUARD u
+    each: a factor X + f with |f| <= m_i carries the flooring error E of
+    the partial product into (X + m_i) E plus one unit per coefficient (two
+    per quadratic factor, which counts as two values), and every
+    coefficient of prod (X + m_i) is at least 1, so after all factors the
+    error is at most count 2^-FX_GUARD u e_k(m); flooring each value and
+    |v|^2 to the width adds one unit more, inside the values' error.
+    Either way both together stay below (count + 1) 2^(VALUE_ERROR_BITS + 1)
+    u e_k(m).  The last bit covers the rounding of the moduli and of the
+    bounds to BOUND_BITS (``_error_bounds``)."""
     return count.bit_length() + VALUE_ERROR_BITS + 2
 
 
@@ -607,10 +629,10 @@ def _recognize(coeffs, bounds, field: Field, ctx: PrecisionContext,
     (1/den) * O_K when it is certified: its error bound bounds[k] is below
     tol and a candidate lies within tol of it.  The exact coefficient then
     lies within 2 tol of that candidate, so it is that candidate if it lies
-    in (1/den) * O_K for some den <= den_max (``_recognition_tol``; H_D's
-    coefficients are integers).  A candidate outside bounds[k] plus its
-    rounding cannot be the coefficient and is dropped (``_recognize_coeff``).
-    Failures are recorded, never raised."""
+    in (1/den) * O_K for some den <= den_max (``_recognition_tol``).  A
+    candidate outside bounds[k] plus its rounding cannot be the coefficient
+    and is dropped (``_recognize_coeff``).  Failures are recorded, never
+    raised."""
     theta = field.theta.to_mpc(ctx)
     recognized = []
     worst = mp.mpf(0)
@@ -668,67 +690,216 @@ def _conjugate_classes(forms) -> list:
     return out
 
 
-def _log2_height(field: Field) -> float:
+def _gamma2_form(q: ReducedForm) -> tuple[int, int, int]:
+    """(a, b, e): a form (a, b, c') properly equivalent to the reduced form
+    q = (a_Q, b_Q, c_Q) of a d that 3 does not divide, with 3 not dividing
+    a and 3 dividing b, and the exponent e with gamma_2 at its point tau' =
+    (-b + sqrt d)/(2a) equal to exp(2*pi*i*e/3) gamma_2(theta_Q).
+    gamma_2(tau') is the conjugate of gamma_2(theta) under the class of q
+    (A. Enge and F. Morain, "Comparing invariants for class fields of
+    imaginary quadratic fields", ANTS V, 2002).
+
+    First S, (a, b, c) -> (c, -b, a), tau -> -1/tau, when 3 | a, which
+    keeps gamma_2; then (a + b + c, b + 2c, c), tau -> tau / (1 - tau) =
+    S T S tau, which turns it by exp(-2*pi*i/3), if 3 still divides a:
+    with 3 | a and 3 | c, a + b + c = b mod 3, and 3 does not divide b, as
+    b^2 = d mod 3.  Last the translations b -> b + 2a, tau -> tau - 1,
+    each turning it by exp(2*pi*i/3), until 3 | b, at most two as 3 does
+    not divide 2a.  S and the second map lower Im tau, so gamma_2 is
+    evaluated at theta_Q and turned (``qseries._gamma2_fx``)."""
+    a, b, c = q.a, q.b, q.c
+    e = 0
+    if a % 3 == 0:
+        a, b, c = c, -b, a
+    if a % 3 == 0:
+        a, b, e = a + b + c, b + 2 * c, -1
+    while b % 3:
+        b, e = b + 2 * a, e + 1
+    return a, b, e
+
+
+# hcp's class invariants, name -> (k, value): the k-th root of j that it
+# expands and its fixed-point value at the point of a reduced form q, an
+# (re, im, w) triple of W significant bits; gamma_2 is taken at the point
+# of ``_gamma2_form(q)``.
+INVARIANTS = {
+    "j": (1, lambda pt, q: _j_fx(pt)),
+    "gamma2": (3, lambda pt, q: _gamma2_fx(pt, _gamma2_form(q)[2])),
+}
+
+
+def _log2_height(field: Field, invariant: str = "j") -> float:
     """log2 U, in floats, for the height bound (A. Enge, Math. Comp. 78
-    (2009))
+    (2009)) of the polynomial of the invariant j^(1/k), k from
+    ``INVARIANTS`` (1 for j, 3 for gamma_2):
 
-        U = prod over reduced forms Q of (e^(pi sqrt|d| / a_Q) + J_TAIL).
+        U = prod over reduced forms Q of
+            ((e^(pi sqrt|d| / a_Q) + J_TAIL)^(1/k) + 2).
 
-    U bounds every coefficient of H_D and every e_k(M) of ``_error_bounds``
-    at its j values: theta_Q lies in the fundamental domain, where |q| <= r
-    = e^(-pi sqrt 3), and the coefficients c_n of j - 1/q = 744 + 196884 q
-    + ... are positive, so |j - 1/q| <= sum c_n r^n = j(i sqrt(3)/2) -
-    e^(pi sqrt 3) = 2078.81...  Hence 1 + ceil(max(1, |j(theta_Q)|)) <
-    |1/q| + 2078.82 + 2 < e^(pi sqrt|d| / a_Q) + J_TAIL, and e_k(M) <=
-    prod (1 + M_i) - 1 < U."""
+    U bounds every coefficient of that polynomial and every e_k(M) of
+    ``_error_bounds`` at its values: theta_Q lies in the fundamental
+    domain, where |q| <= r = e^(-pi sqrt 3), and the coefficients c_n of
+    j - 1/q = 744 + 196884 q + ... are positive, so |j - 1/q| <= sum c_n
+    r^n = j(i sqrt(3)/2) - e^(pi sqrt 3) = 2078.81..., and |j(theta_Q)| <
+    e^(pi sqrt|d| / a_Q) + J_TAIL.  gamma_2 is evaluated at a point
+    SL2(Z)-equivalent to theta_Q (``_gamma2_form``), where j is the same,
+    so |gamma_2| = |j(theta_Q)|^(1/3) as gamma_2^3 = j.  With v the value
+    and M = max(1, ceil |v|), 1 + M < |v| + 2 < (e^(pi sqrt|d| / a_Q) +
+    J_TAIL)^(1/k) + 2, and e_k(M) <= prod (1 + M_i) - 1 < U, which bounds
+    the coefficients e_k of the values too."""
+    k = INVARIANTS[invariant][0]
     xs = (math.pi * math.sqrt(-field.d) / q.a for q in field.forms)
-    return math.fsum(x / math.log(2) + math.log2(1 + J_TAIL * math.exp(-x)) for x in xs)
+    return math.fsum(x / (k * math.log(2))
+                     + math.log2((1 + J_TAIL * math.exp(-x)) ** (1 / k) + 2 * math.exp(-x / k))
+                     for x in xs)
 
 
-def _planned_bits(field: Field) -> int:
-    """The precision at which every coefficient of H_D certifies:
-    max(MIN_BITS, g + ceil(log2 U + log2(1/tol) + 2^-30)), tol = HCP_TOL,
-    g = ``_guard_bits(h)`` and U from ``_log2_height``.  There every B_k of
-    ``_error_bounds`` is 2^(g - bits) e_k(M) <= e_k(M) tol / U < tol, the
-    2^-30 covering the rounding of the floats and of the bounds to
-    BOUND_BITS: the plan and the certificate are one inequality."""
+def _planned_bits(field: Field, invariant: str = "j") -> int:
+    """The precision at which every coefficient of the invariant's
+    polynomial certifies: max(MIN_BITS, g + ceil(log2 U + log2(1/tol) +
+    2^-30)), tol = HCP_TOL, g = ``_guard_bits(h)`` and U from
+    ``_log2_height``.  There every B_k of ``_error_bounds`` is
+    2^(g - bits) e_k(M) <= e_k(M) tol / U < tol, the 2^-30 covering the
+    rounding of the floats and of the bounds to BOUND_BITS: the plan and
+    the certificate are one inequality."""
     with mp.workprec(BOUND_BITS):
-        need = math.ceil(_log2_height(field) - float(mp.log(HCP_TOL, 2)) + 2.0**-30)
+        need = math.ceil(_log2_height(field, invariant) - float(mp.log(HCP_TOL, 2)) + 2.0**-30)
     return max(MIN_BITS, _guard_bits(field.h) + need)
 
 
-def hilbert_class_poly(field: Field, ctx: PrecisionContext) -> Polynomial:
-    """Minimal polynomial of j(theta): prod over reduced forms of
-    (X - j(theta_Q)); coefficients recognize as rational integers.
-    A certified coefficient is real and within B_k < HCP_TOL of an integer,
-    so recognition takes den_max = 1 (``_recognize``).
+def _expand_fx(factors, w: int) -> list:
+    """Ascending coefficients of the product of monic factors as
+    fixed-point integers at width w, each factor given by its ascending
+    coefficients below the leading 1 at width w: (-v,) for X - v, (c, b)
+    for X^2 + b X + c.  The leading coefficient is 1 << w.  The leading 1s
+    multiply exactly; every other product is floored to width w
+    (``_guard_bits``).  The slices run as in ``_expand``."""
+    coeffs = [1 << w]
+    for f in factors:
+        deg, n = len(f), len(coeffs)
+        nxt = [0] * deg + coeffs
+        for i in range(deg - 1, -1, -1):
+            fi = f[i]
+            nxt[i:i + n] = [a + ((fi * c) >> w) for a, c in zip(nxt[i:i + n], coeffs)]
+        coeffs = nxt
+    return coeffs
 
-    j is evaluated once per entry of ``_conjugate_classes``: a pair enters as
-    the real factor X^2 - 2 Re(v) X + |v|^2, an ambiguous form as X - Re(v),
-    so the coefficients are real.  No distinctness test runs: distinct
-    reduced forms are distinct points of the fundamental domain, where j is
-    injective, and each integer is accepted on its certificate alone.
 
-    Everything runs at working = min(``_planned_bits``, ctx.bits) bits:
-    ctx.bits is a cap, and ``Polynomial.bits`` reports the working
-    precision.  Below the plan, the coefficients whose error bound reaches
-    HCP_TOL stay unrecognized.  Nothing reads ctx.eps, so the result
-    depends only on d and the working bits."""
-    bits = min(_planned_bits(field), ctx.bits)
+def _within(err: int, w: int, bound: mp.mpf) -> bool:
+    """err * 2^-w <= bound, exactly, for integers err >= 0 and bound > 0."""
+    man, e = bound.man_exp
+    e += w
+    return err <= man << e if e >= 0 else err << -e <= man
+
+
+def _class_poly(field: Field, invariant: str, bits: int) -> Polynomial:
+    """The polynomial of an invariant's values (``INVARIANTS``) at
+    ``bits``, expanded and recognized in fixed point at width W = bits +
+    FX_GUARD.
+
+    The invariant is evaluated once per entry of ``_conjugate_classes``, at
+    the point of the class's form, and its (re, im, w) triple is read at
+    width W: a pair enters as the real factor X^2 - 2 Re(v) X + |v|^2, an
+    ambiguous form as X - Re(v), so the coefficients are real.  The
+    partner of a pair takes the conjugate value, as its class is the
+    conjugate class.  No distinctness test runs: distinct reduced forms are
+    distinct points of the fundamental domain, where j is injective, and so
+    is gamma_2; each integer is accepted on its certificate alone.
+
+    The factors are expanded by ``_expand_fx``.  Coefficient k < h, C_k at
+    width W, is recognized as the nearest integer m when its bound B_k
+    (``_error_bounds`` of the values rounded to ``bits``) is below HCP_TOL
+    and |C_k 2^-W - m| <= B_k.  m is exact in fixed point, so no rounding
+    of the candidate enters the test, and as 2 HCP_TOL <= 1 no other
+    integer lies within the bound.  The residual is the largest such
+    distance, exact, and the coefficients are the exact values of the C_k."""
     ctx = PrecisionContext(bits, mp.ldexp(1, GUARD_BITS - bits))
-    tol = ctx.mpf(HCP_TOL)
+    value = INVARIANTS[invariant][1]
+    wd = bits + FX_GUARD
     factors = []
     values = []  # v once per ambiguous form, twice per pair: ``_error_bounds`` reads |v|
-    with ctx.work():
-        for q, partner in _conjugate_classes(field.forms):
-            v = j_invariant(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx))
-            re = mp.re(v)
-            if partner is None:
-                factors.append((-re, 1))
-                values.append(v)
-            else:
-                factors.append((re * re + mp.im(v) ** 2, -2 * re, 1))
-                values += (v, v)
-        coeffs = _expand(factors)
-        coeffs[-1] = mp.mpf(1)
-        return _recognize(coeffs, _error_bounds(values, bits), field, ctx, 1, tol)
+    for q, partner in _conjugate_classes(field.forms):
+        re, im, w = value(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx), q)
+        re, im = (re << (wd - w), im << (wd - w)) if w <= wd else (re >> (w - wd), im >> (w - wd))
+        v = _mpc(re, im, wd, bits)
+        if partner is None:
+            factors.append((-re,))
+            values.append(v)
+        else:
+            factors.append(((re * re + im * im) >> wd, -2 * re))
+            values += (v, v)
+    coeffs = _expand_fx(factors, wd)
+    bounds = _error_bounds(values, bits)
+    tol = ctx.mpf(HCP_TOL)
+    recognized, worst = [], 0
+    for c, bound in zip(coeffs, bounds):
+        m = (c + (1 << (wd - 1))) >> wd
+        err = abs(c - (m << wd))
+        if bound < tol and _within(err, wd, bound):
+            recognized.append((m, 0, 1))
+            worst = max(worst, err)
+        else:
+            recognized.append(None)
+            worst = inf
+    recognized.append((1, 0, 1))
+    residual = mp.inf if worst == inf else mp.make_mpf(from_man_exp(worst, -wd))
+    return Polynomial(tuple(mp.make_mpf(from_man_exp(c, -wd)) for c in coeffs),
+                      tuple(recognized), residual, max(bounds), bits, invariant)
+
+
+def _poly_mul(f: list, g: list) -> list:
+    """The ascending coefficients of f g, for integer lists f and g."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, x in enumerate(f):
+        for k, y in enumerate(g):
+            out[i + k] += x * y
+    return out
+
+
+def _from_gamma2(p: Polynomial) -> Polynomial:
+    """H_D from the recognized polynomial P of gamma_2 = j^(1/3): with
+    P(Y) = A(Y^3) + Y B(Y^3) + Y^2 C(Y^3), H_D(Y^3) = P(Y) P(w Y)
+    P(w^2 Y) for w = e^(2 pi i / 3), so
+
+        H_D(X) = A^3 + X B^3 + X^2 C^3 - 3 X A B C,
+
+    in exact integers, monic of P's degree.  It keeps P's residual, bound
+    and working bits."""
+    coeffs = [m for m, _, _ in p.recognized]
+    a, b, c = coeffs[0::3], coeffs[1::3], coeffs[2::3]
+    h = [0] * len(coeffs)
+    for shift, scale, (f, g, e) in ((0, 1, (a, a, a)), (1, 1, (b, b, b)),
+                                    (2, 1, (c, c, c)), (1, -3, (a, b, c))):
+        for k, x in enumerate(_poly_mul(_poly_mul(f, g), e)):
+            h[k + shift] += scale * x
+    return Polynomial(tuple(h), tuple((m, 0, 1) for m in h), p.residual, p.bound,
+                      p.bits, "gamma2")
+
+
+def hilbert_class_poly(field: Field, ctx: PrecisionContext) -> Polynomial:
+    """H_D, the minimal polynomial of j(theta): prod over reduced forms of
+    (X - j(theta_Q)), whose coefficients are rational integers.
+
+    Which invariant.  For 3 not dividing d, gamma_2 = j^(1/3) is a class
+    invariant (``_gamma2_form``), and its polynomial P has integer
+    coefficients of a third of H_D's height (``_log2_height``).  When its
+    plan ``_planned_bits(field, "gamma2")`` is at most ctx.bits, P is
+    recognized at that plan and H_D follows in exact integers
+    (``_from_gamma2``), reported with P's residual, bound and working bits.
+    Otherwise, and for 3 dividing d, j is expanded at working =
+    min(``_planned_bits(field)``, ctx.bits) bits: ctx.bits is a cap.  The
+    choice reads d and ctx.bits alone.  Both run ``_class_poly``.
+
+    Below the plan, the coefficients whose error bound reaches HCP_TOL stay
+    unrecognized.  Should P leave a coefficient unrecognized at its plan,
+    which only a wrong error model can cause, j runs instead.
+    ``Polynomial.bits`` reports the working precision and
+    ``Polynomial.invariant`` the invariant.  Nothing reads ctx.eps, so the
+    result depends only on d and ctx.bits."""
+    if field.d % 3:
+        bits = _planned_bits(field, "gamma2")
+        if bits <= ctx.bits:
+            p = _class_poly(field, "gamma2", bits)
+            if None not in p.recognized:
+                return _from_gamma2(p)
+    return _class_poly(field, "j", min(_planned_bits(field), ctx.bits))

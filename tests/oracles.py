@@ -287,7 +287,8 @@ def hcp_oracle(d, bits):
     product of X - 1728 kleinj(theta_Q) over the reduced forms (a, b, c) of
     d, found by trying every |b| <= a <= sqrt(|d|/3), expanded in mpmath at
     ``bits`` and rounded by mp.nint.  ``bits`` must exceed the height of H_d
-    with room to spare: twice the planned bits of ``hilbert_class_poly``."""
+    with room to spare: twice the plan of j, ``verify._planned_bits(field)``
+    (the gamma_2 plan is about a third of it)."""
     with mp.workprec(bits):
         root = mp.sqrt(-d)
         coeffs = [mp.mpc(1)]

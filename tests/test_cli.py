@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from rayclass import (
 )
 from rayclass import qseries
 from rayclass.cli import main
+from rayclass.numerics import decimal_digits
 
 from oracles import min_pairwise_distance_loop
 
@@ -187,30 +189,63 @@ def test_minpoly_leaves_coefficients_that_contradict_their_bound_null(capsys):
         assert 1e-30 < abs(complex(float(re), float(im))) < 1e-10
 
 
-def test_hcp_reports_its_working_bits_and_recognition_bound(capsys):
-    """hcp runs at its planned bits below --bits and prints them, with the
-    largest error bound, below --recog-tol when every coefficient certifies;
-    minpoly prints its bound too."""
-    code, out, _ = run_cli(["hcp", "--dk", "-23"], capsys)
+def _significant_digits(s):
+    return len(s.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
+
+
+@pytest.mark.parametrize("dk, invariant, bits", [("-23", "gamma2", 64), ("-39", "j", 117)])
+def test_hcp_reports_its_working_bits_and_recognition_bound(capsys, dk, invariant, bits):
+    """hcp runs at its planned bits below --bits and prints them and its
+    invariant, with the largest error bound, below 1e-10 when every
+    coefficient certifies, in the 15 digits of its 53 bits; minpoly prints
+    its bound so too."""
+    code, out, _ = run_cli(["hcp", "--dk", dk], capsys)
     doc = json.loads(out)
-    assert (code, doc["precision_bits"], doc["working_bits"]) == (0, 256, 93)
+    assert (code, doc["precision_bits"], doc["working_bits"]) == (0, 256, bits)
+    assert doc["invariant"] == invariant
     assert 0 < float(doc["recognition_bound"]) < 1e-10
+    assert _significant_digits(doc["recognition_bound"]) <= 15
     assert None not in doc["recognized"]
     code, out, _ = run_cli(
         ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"], capsys)
     doc = json.loads(out)
-    assert "working_bits" not in doc and 0 < float(doc["recognition_bound"]) < 1e-10
+    assert "working_bits" not in doc and "invariant" not in doc
+    assert 0 < float(doc["recognition_bound"]) < 1e-10
+    assert _significant_digits(doc["recognition_bound"]) <= 15
 
 
 def test_hcp_below_its_plan_leaves_uncertified_coefficients_null(capsys):
-    """--bits caps the working precision; at 64 bits the two large
-    coefficients of H_-23 (12771880859375 and -5151296875) cannot be
-    certified and print null, with exit 0."""
-    code, out, _ = run_cli(["hcp", "--dk", "-23", "--bits", "64", "--eps", "1e-10"], capsys)
+    """--bits caps the working precision; at 96 bits, below its plan of
+    117, the two large coefficients of H_-39 (20919104368024767633 and
+    109873509788637459) cannot be certified and print null, with exit 0."""
+    code, out, _ = run_cli(["hcp", "--dk", "-39", "--bits", "96", "--eps", "1e-10"], capsys)
     doc = json.loads(out)
-    assert (code, doc["working_bits"]) == (0, 64)
-    assert doc["recognized"][:2] == [None, None]
+    assert (code, doc["working_bits"], doc["invariant"]) == (0, 96, "j")
+    assert doc["recognized"][:2] == [None, None] and None not in doc["recognized"][2:]
     assert doc["recognition_residual"] == "inf" and float(doc["recognition_bound"]) > 1e-10
+
+
+def test_hcp_prints_what_it_knows(capsys):
+    """hcp prints H_D's exact integers when it comes from gamma_2, and
+    otherwise each coefficient and the residual with the digits of its
+    working bits, not of --bits, in JSON and in text alike."""
+    code, out, _ = run_cli(["hcp", "--dk", "-23", "--bits", "1024"], capsys)
+    doc = json.loads(out)
+    assert [c[0] for c in doc["coefficients_ascending"]] == [
+        "12771880859375.0", "-5151296875.0", "3491750.0", "1.0"]
+    assert all(c[1] == "0.0" for c in doc["coefficients_ascending"])
+    code, out, _ = run_cli(["hcp", "--dk", "-39", "--bits", "1024"], capsys)
+    doc = json.loads(out)
+    dps = decimal_digits(doc["working_bits"])
+    assert _significant_digits(doc["recognition_residual"]) <= dps
+    for (re, im), r in zip(doc["coefficients_ascending"][:-1], doc["recognized"]):
+        assert _significant_digits(re) == dps and im == "0.0"
+        assert abs(Decimal(re) - r["m"]) < Decimal("1e-12")
+    code, text, _ = run_cli(["--output", "text", "hcp", "--dk", "-39", "--bits", "1024"], capsys)
+    lines = dict(line.split(": ", 1) for line in text.splitlines())
+    assert lines["coefficients_ascending"] == str(doc["coefficients_ascending"])
+    assert lines["recognition_residual"] == doc["recognition_residual"]
+    assert lines["recognition_bound"] == doc["recognition_bound"]
 
 
 def test_text_output_mode(capsys):
@@ -293,6 +328,23 @@ def _poly_digits(doc, poly):
              _nstr(poly.residual) if mp.isfinite(poly.residual) else "inf"])
 
 
+def _hcp_digits(doc):
+    """hcp's coefficients and residual as it prints them: the library's
+    values at the working bits, printed with that precision's digits, and
+    H_D's integers in full when it comes from gamma_2."""
+    poly = hilbert_class_poly(make_field(doc["dk"]), PREC)
+    dps = decimal_digits(poly.bits)
+
+    def text(x):
+        if isinstance(x, int):
+            return f"{x}.0"
+        with mp.workprec(poly.bits):
+            return mp.nstr(+x, dps, strip_zeros=True)
+
+    return ([doc["coefficients_ascending"], doc["recognition_residual"]],
+            [[[text(c), "0.0"] for c in poly.coeffs], text(poly.residual)])
+
+
 def _minpoly_digits(doc):
     f = make_field(-7)
     return _poly_digits(doc, minpoly(
@@ -313,8 +365,8 @@ PRECISION_RUNS = {
                    _pair_digits),
     "minpoly": (["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"],
                 _minpoly_digits),
-    "hcp": (["hcp", "--dk", "-23"],
-            lambda doc: _poly_digits(doc, hilbert_class_poly(make_field(-23), PREC))),
+    "hcp": (["hcp", "--dk", "-39"], _hcp_digits),
+    "hcp-gamma2": (["hcp", "--dk", "-23"], _hcp_digits),
     "tbound": (["check", "tbound", "--dk", "-39", "--level", "8"],
                lambda doc: _report_digits(doc, check_T_bound(8, make_field(-39), PREC))),
     "elliptic4": (["check", "elliptic4"],
@@ -326,7 +378,8 @@ PRECISION_RUNS = {
 def test_printed_numbers_carry_the_working_precision(family, capsys):
     """Every number a command prints is the library's value at the working
     precision, printed by mp.nstr to ctx.dps digits; hcp's real coefficients
-    too, as [re, im] pairs."""
+    and residual at its working precision and with its digits, as [re, im]
+    pairs, and H_D's exact integers from gamma_2 in full."""
     argv, digits = PRECISION_RUNS[family]
     code, out, err = run_cli(["--bits", str(PREC.bits), *argv], capsys)
     assert (code, err) == (0, "")

@@ -39,9 +39,14 @@ from rayclass.verify import (
     _t_majorant,
     _t_value,
     _zeta_factor,
+    _class_poly,
     _error_bounds,
+    _from_gamma2,
+    _gamma2_form,
     _log2_height,
     _planned_bits,
+    INVARIANTS,
+    VALUE_ERROR_BITS,
 )
 
 from oracles import hcp_oracle, lemma52_loop, min_pairwise_distance_loop, scale_loop
@@ -783,6 +788,58 @@ def test_j_at_partner_forms_is_the_conjugate(d):
             assert abs(w - mp.conj(v)) <= ctx.eps * mp.mpf(2) ** -16 * abs(v)
 
 
+@pytest.mark.parametrize("d", [-23, -199, -479, -1559])
+def test_gamma2_at_partner_forms_is_the_conjugate(d):
+    """gamma_2 at the point of ``_gamma2_form`` of (a, -b, c) is the
+    conjugate of its value for (a, b, c), and real for an ambiguous form,
+    within 2^(VALUE_ERROR_BITS - bits) max(1, |gamma_2|) at 256 bits, so
+    hcp may evaluate one of each pair."""
+    ctx = PrecisionContext(256, "1e-60")
+    value = INVARIANTS["gamma2"][1]
+    with ctx.work():
+        for q, p in _conjugate_classes(reduced_forms(d)):
+            v = qseries._mpc(*value(ModularPoint.from_quadratic(q.a, q.b, d, ctx), q))
+            w = mp.conj(v) if p is None else qseries._mpc(
+                *value(ModularPoint.from_quadratic(p.a, p.b, d, ctx), p))
+            assert abs(w - mp.conj(v)) <= mp.ldexp(max(1, abs(v)), VALUE_ERROR_BITS - 256)
+            if p is None:
+                assert abs(mp.im(v)) <= mp.ldexp(max(1, abs(v)), VALUE_ERROR_BITS - 256)
+
+
+def test_gamma2_forms_have_3_dividing_b_and_not_a():
+    """For every fundamental d in [-2000, -4] that 3 does not divide and
+    every reduced form (a, b, c), ``_gamma2_form`` gives a form of
+    discriminant d with 3 not dividing a and 3 dividing b, at
+    Im tau >= 0.12."""
+    for d in _fundamental(-2000, -4):
+        if d % 3 == 0:
+            continue
+        for q in reduced_forms(d):
+            a, b, _ = _gamma2_form(q)
+            assert a % 3 and b % 3 == 0 and (b * b - d) % (4 * a) == 0, (d, q)
+            assert math.sqrt(-d) / (2 * a) >= 0.12, (d, q)
+
+
+@pytest.mark.parametrize("d", [-23, -199, -479, -1559, -1991])
+def test_gamma2_keeps_its_bits_at_the_normalised_points(d):
+    """hcp's gamma_2 at 256 bits (evaluated at theta_Q and turned by its
+    cube root of unity, ``_gamma2_form``) lies within 2^(VALUE_ERROR_BITS
+    - bits) max(1, |gamma_2|) of ``qseries._gamma2_fx`` summed at the
+    normalised point itself at 2 bits + 64, and its cube is
+    ``j_invariant`` at the reduced point within the same bound."""
+    bits = 256
+    ctx, fine = PrecisionContext(bits, "1e-60"), PrecisionContext(2 * bits + 64, "1e-150")
+    value = INVARIANTS["gamma2"][1]
+    with fine.work():
+        for q in reduced_forms(d):
+            a, b, _ = _gamma2_form(q)
+            v = qseries._mpc(*value(ModularPoint.from_quadratic(q.a, q.b, d, ctx), q))
+            ref = qseries._mpc(*qseries._gamma2_fx(ModularPoint.from_quadratic(a, b, d, fine)))
+            assert abs(v - ref) <= mp.ldexp(max(1, abs(ref)), VALUE_ERROR_BITS - bits), (d, q)
+            j = j_invariant(ModularPoint.from_quadratic(q.a, q.b, d, ctx))
+            assert abs(v ** 3 - j) <= mp.ldexp(max(1, abs(j)), VALUE_ERROR_BITS - bits), (d, q)
+
+
 def test_hcp_coefficients_are_real():
     poly = hilbert_class_poly(make_field(-199), PrecisionContext(1024, "1e-250"))
     assert None not in poly.recognized and poly.degree == 9
@@ -820,28 +877,36 @@ def _is_cube(n: int) -> bool:
     return lo ** 3 == abs(n)
 
 
-@pytest.mark.parametrize("d", [-1679, -1799, -1895])
+@pytest.mark.parametrize("d", [-1679, -1799, -1895, -1991])
 def test_hcp_recognises_large_discriminants_at_1536_bits(d):
     """At 1536 bits / 1e-400 every coefficient of H_d recognises as a
     rational integer, and the constant term is a cube (3 does not divide
-    d, so it is N(gamma_2)^3)."""
+    d, so it is N(gamma_2)^3).  -1991, whose j plan is 1580 bits, is
+    recognized through gamma_2 and equals the kleinj oracle at 2 * 1536
+    bits."""
     f = make_field(d)
     poly = hilbert_class_poly(f, PrecisionContext(1536, "1e-400"))
     assert poly.degree == f.h and None not in poly.recognized
     assert all(n == 0 and den == 1 for _, n, den in poly.recognized)
     assert d % 3 and _is_cube(poly.recognized[0][0])
+    if d == -1991:
+        assert poly.invariant == "gamma2" and poly.bits == _planned_bits(f, "gamma2") < 1536
+        assert [r[0] for r in poly.recognized] == hcp_oracle(d, 2 * 1536)
 
 
-def test_hcp_residual_is_the_largest_recognition_error(ctx300):
-    """The reported residual is max |c - (m + n theta)/den| over the
-    coefficients below the leading 1."""
-    f = make_field(-23)
+@pytest.mark.parametrize("d, invariant", [(-87, "j"), (-23, "gamma2")])
+def test_hcp_residual_is_the_largest_recognition_error(ctx300, d, invariant):
+    """The reported residual is max |c - m| over the fixed-point
+    coefficients c below the leading 1 of the polynomial recognized, each
+    m its nearest integer: H_D's for j, the gamma_2 polynomial P's for
+    gamma_2, whose H_D is exact."""
+    f = make_field(d)
     poly = hilbert_class_poly(f, ctx300)
-    with ctx300.work():
-        theta = f.theta.to_mpc(ctx300)
-        errs = [abs(c - (m + n * theta) / den)
-                for c, (m, n, den) in zip(poly.coeffs[:-1], poly.recognized)]
-    assert poly.residual == max(errs)
+    assert poly.invariant == invariant
+    p = _class_poly(f, invariant, poly.bits)
+    with mp.workprec(4 * ctx300.bits):
+        errs = [abs(c - m) for c, (m, _, _) in zip(p.coeffs[:-1], p.recognized)]
+    assert poly.residual == p.residual == max(errs) > 0
 
 
 def test_recognition_rejects_an_integer_above_the_working_precision():
@@ -880,17 +945,21 @@ def test_error_bounds_expand_the_value_moduli():
 
 
 def test_hcp_at_the_default_precision_rejects_the_wrong_coefficients_of_minus_632(ctx256):
-    """H_-632 has coefficients up to 2^311.  At 256 bits, without the error
-    bound, five of its eight are within tol of wrong integers
-    (...1999999998477...) and one of m/29; the certificate leaves such
-    coefficients unrecognized, and whatever it accepts is the oracle's
-    integer."""
+    """H_-632 has coefficients up to 2^311.  Expanding j at 256 bits,
+    without the error bound, five of its eight are within tol of wrong
+    integers (...1999999998477...) and one of m/29; the certificate leaves
+    such coefficients unrecognized, and whatever it accepts is the
+    oracle's integer.  hcp itself takes gamma_2, whose plan is 154 bits,
+    and certifies all eight."""
     f = make_field(-632)
-    poly = hilbert_class_poly(f, ctx256)
+    poly = _class_poly(f, "j", 256)
     assert poly.bits == 256 and None in poly.recognized
     assert all(r[1:] == (0, 1) for r in poly.recognized if r is not None)
     exact = hcp_oracle(-632, 2 * _planned_bits(f))
     assert all(r[0] == m for r, m in zip(poly.recognized, exact) if r is not None)
+    poly = hilbert_class_poly(f, ctx256)
+    assert (poly.invariant, poly.bits) == ("gamma2", 154)
+    assert [r[0] for r in poly.recognized] == exact
 
 
 def _fundamental(lo, hi):
@@ -930,6 +999,53 @@ def test_hcp_of_minus_1559_at_256_bits_accepts_only_the_integers_of_1536_bits(ct
     assert accepted and all(r == e for r, e in accepted)
 
 
+def test_hcp_takes_j_where_the_gamma2_plan_exceeds_the_bits(ctx256):
+    """-1559's gamma_2 plan, 498 bits, exceeds 256, so hcp expands j at 256
+    bits, as before gamma_2: it certifies coefficient 50 alone (and the
+    leading 1), the 1536-bit integer."""
+    f = make_field(-1559)
+    assert _planned_bits(f, "gamma2") == 498
+    poly = hilbert_class_poly(f, ctx256)
+    assert (poly.invariant, poly.bits) == ("j", 256)
+    assert [k for k, r in enumerate(poly.recognized) if r is not None] == [50, 51]
+    exact = hilbert_class_poly(f, PrecisionContext(1536, "1e-400"))
+    assert exact.invariant == "gamma2" and poly.recognized[50] == exact.recognized[50]
+
+
+@pytest.mark.parametrize("d, bits", [(-4, 64), (-7, 64), (-23, 64), (-199, 119), (-199, 120),
+                                     (-199, 1024), (-632, 153), (-632, 154), (-1559, 256),
+                                     (-1559, 498), (-15, 64), (-39, 256)])
+def test_hcp_selects_gamma2_when_its_plan_fits(d, bits):
+    """For 3 not dividing d, hcp works at the gamma_2 plan when that is at
+    most the bits; otherwise, and for 3 dividing d, at the j plan capped by
+    the bits."""
+    f = make_field(d)
+    poly = hilbert_class_poly(f, PrecisionContext(bits, mp.ldexp(1, 16 - bits)))
+    if d % 3 and _planned_bits(f, "gamma2") <= bits:
+        assert (poly.invariant, poly.bits) == ("gamma2", _planned_bits(f, "gamma2"))
+        assert None not in poly.recognized
+    else:
+        assert (poly.invariant, poly.bits) == ("j", min(_planned_bits(f), bits))
+
+
+def test_hcp_falls_back_to_j_when_gamma2_misses_a_coefficient(monkeypatch):
+    """A gamma_2 polynomial with a coefficient left unrecognized at its plan
+    (here its values moved by 2^-60 relative) cannot give H_D, so hcp
+    expands j instead."""
+    k, value = INVARIANTS["gamma2"]
+
+    def moved(pt, q):
+        re, im, w = value(pt, q)
+        return re + (re >> 60), im, w
+
+    monkeypatch.setitem(INVARIANTS, "gamma2", (k, moved))
+    f = make_field(-199)
+    poly = hilbert_class_poly(f, PrecisionContext(512, "1e-100"))
+    assert None in _class_poly(f, "gamma2", _planned_bits(f, "gamma2")).recognized
+    assert (poly.invariant, poly.bits) == ("j", _planned_bits(f))
+    assert [r[0] for r in poly.recognized] == hcp_oracle(-199, 2 * _planned_bits(f))
+
+
 @pytest.mark.parametrize("d", [-23, -632, -1559])
 def test_hcp_does_not_read_eps(d):
     """hcp depends on d and the working bits alone: a
@@ -939,63 +1055,91 @@ def test_hcp_does_not_read_eps(d):
             == hilbert_class_poly(f, PrecisionContext(256, "1e-3")))
 
 
-@pytest.mark.parametrize("d", [-3, -4, -23, -199, -479, -632, -991])
+@pytest.mark.parametrize("d", [-3, -4, -15, -23, -87, -199, -479, -632, -771, -991])
 def test_hcp_at_its_planned_bits_matches_the_kleinj_oracle(d):
-    """At the planned bits H_d is mpmath's kleinj product at twice those
-    bits, integer for integer."""
+    """At its planned bits, of gamma_2 for 3 not dividing d and of j
+    otherwise, H_d is mpmath's kleinj product at twice the j plan, integer
+    for integer; so is j expanded at its own plan."""
     f = make_field(d)
     ctx = PrecisionContext(2048, "1e-500")
     poly = hilbert_class_poly(f, ctx)
-    assert poly.bits == _planned_bits(f)
+    assert poly.bits == _planned_bits(f, poly.invariant)
+    assert poly.invariant == ("gamma2" if d % 3 else "j")
     assert all(r is not None and r[1:] == (0, 1) for r in poly.recognized)
-    assert [r[0] for r in poly.recognized] == hcp_oracle(d, 2 * poly.bits)
+    exact = hcp_oracle(d, 2 * _planned_bits(f))
+    assert [r[0] for r in poly.recognized] == exact
+    assert [r[0] for r in _class_poly(f, "j", _planned_bits(f)).recognized] == exact
 
 
 def test_height_bound_bounds_every_coefficient():
     """For every fundamental d in [-500, -3], log2 of the largest |coefficient|
-    of H_d is at most log2 U, and at the planned bits every coefficient
-    certifies: the largest error bound is below HCP_TOL."""
-    ctx = PrecisionContext(2048, "1e-500")
+    of H_d is at most log2 U, and j expanded at its planned bits certifies
+    every coefficient: the largest error bound is below HCP_TOL."""
     for d in _fundamental(-500, -3):
         f = make_field(d)
-        poly = hilbert_class_poly(f, ctx)
+        poly = _class_poly(f, "j", _planned_bits(f))
         assert None not in poly.recognized, d
         assert poly.bound < mp.mpf("1e-10"), d
         top = max(abs(m) for m, _, _ in poly.recognized)
         assert math.log2(top) <= _log2_height(f), d
 
 
-@pytest.mark.parametrize("d, bits", [(-7, 64), (-7, 256), (-23, 64), (-23, 93), (-23, 94),
-                                     (-199, 256), (-199, 1024), (-632, 256), (-632, 512)])
+def test_gamma2_height_bound_bounds_every_coefficient():
+    """For every fundamental d in [-500, -4] that 3 does not divide, every
+    coefficient of the gamma_2 polynomial P lies below its height bound
+    U_3, at P's plan every coefficient certifies below HCP_TOL, and the H_D
+    it gives is j's, integer for integer."""
+    for d in _fundamental(-500, -4):
+        if d % 3 == 0:
+            continue
+        f = make_field(d)
+        p = _class_poly(f, "gamma2", _planned_bits(f, "gamma2"))
+        assert None not in p.recognized, d
+        assert p.bound < mp.mpf("1e-10"), d
+        top = max(abs(m) for m, _, _ in p.recognized)
+        assert math.log2(top) < _log2_height(f, "gamma2"), d
+        assert (_from_gamma2(p).recognized
+                == _class_poly(f, "j", _planned_bits(f)).recognized), d
+
+
+@pytest.mark.parametrize("d, bits", [(-15, 64), (-15, 76), (-15, 77), (-15, 256), (-39, 116),
+                                     (-39, 117), (-87, 128), (-87, 1024), (-183, 256)])
 def test_working_bits_is_the_plan_capped_by_the_context(d, bits):
+    """For 3 dividing d, hcp expands j at its plan capped by the bits."""
     f = make_field(d)
     ctx = PrecisionContext(bits, mp.ldexp(1, 16 - bits))
     poly = hilbert_class_poly(f, ctx)
-    assert poly.bits == min(_planned_bits(f), bits)
+    assert (poly.invariant, poly.bits) == ("j", min(_planned_bits(f), bits))
 
 
 @pytest.mark.parametrize("tol", ["1e-3", "1e-30"])
-def test_hcp_plan_and_certificate_read_one_tolerance(tol, monkeypatch):
-    """HCP_TOL moves the plan by log2 of its ratio to 1e-10, and at the
-    planned bits every coefficient certifies within it."""
-    f = make_field(-632)
-    base = _planned_bits(f)
+@pytest.mark.parametrize("d, invariant", [(-183, "j"), (-632, "gamma2")])
+def test_hcp_plan_and_certificate_read_one_tolerance(tol, d, invariant, monkeypatch):
+    """HCP_TOL moves the plan of either invariant by log2 of its ratio to
+    1e-10, and at the planned bits every coefficient certifies within it."""
+    f = make_field(d)
+    base = _planned_bits(f, invariant)
     monkeypatch.setattr(verify, "HCP_TOL", tol)
-    planned = _planned_bits(f)
+    planned = _planned_bits(f, invariant)
     assert abs(planned - base - math.log2(1e-10 / float(tol))) <= 1
     poly = hilbert_class_poly(f, PrecisionContext(2048, "1e-500"))
-    assert poly.bits == planned and poly.bound < mp.mpf(tol)
+    assert (poly.invariant, poly.bits) == (invariant, planned)
+    assert poly.bound < mp.mpf(tol)
     assert all(r is not None and r[1:] == (0, 1) for r in poly.recognized)
-    assert [r[0] for r in poly.recognized] == hcp_oracle(-632, 2 * planned)
+    assert [r[0] for r in poly.recognized] == hcp_oracle(d, 2 * _planned_bits(f))
 
 
 def test_hcp_above_its_plan_computes_at_the_cap():
-    """-1991 plans 1580 bits (its H_D reaches 2^1500), so at 1536 bits it
-    computes at 1536 and leaves coefficients unrecognized."""
+    """-1959 (3 divides it) plans 1271 bits, so at 1024 bits hcp expands j
+    at 1024 and leaves coefficients unrecognized; so does j for -1991,
+    whose plan is 1580 bits (its H_D reaches 2^1500), at 1536."""
+    f = make_field(-1959)
+    assert _planned_bits(f) == 1271
+    poly = hilbert_class_poly(f, PrecisionContext(1024, "1e-300"))
+    assert (poly.invariant, poly.bits) == ("j", 1024) and None in poly.recognized
     f = make_field(-1991)
-    ctx = PrecisionContext(1536, "1e-400")
     assert _planned_bits(f) == 1580
-    poly = hilbert_class_poly(f, ctx)
+    poly = _class_poly(f, "j", 1536)
     assert poly.bits == 1536 and None in poly.recognized
 
 
