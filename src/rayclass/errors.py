@@ -31,8 +31,9 @@ class DegenerateIndex(NumericalError):
 
 
 class NonFinite(NumericalError):
-    """A value handed to the distinctness test has a component that is
-    nan or infinite, so no distance to it means anything."""
+    """A value handed to the distinctness test or to an exact check
+    residual has a component that is nan or infinite, so no distance or
+    residual of it means anything."""
 
 
 class InputError(RayclassError):

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cmp_to_key
 from math import inf, isqrt
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import fone, from_man_exp, fzero, mpf_cmp, round_nearest
 
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues, NonFinite
@@ -95,8 +96,11 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
     """Curve membership of the level-N point at theta.
 
     Scaled residuals of u v^3 y^2 = 4 x^3 - u v^2 x - u v^4 and
-    u - 27 v^2 = 1.  Strict mode enforces d_K <= -39, N >= 8, 4 | N; relaxed
-    mode allows any d_K <= -7, N >= 3 (the equations hold identically).
+    u - 27 v^2 = 1, both over max(1, |4 x^3|): the surface polynomial at
+    z = 1 with the evaluated u in place of z^2 + 27 v^2 (``_surface_parts``),
+    exact in the values read and rounded once (``_scaled_modulus``).  Strict mode
+    enforces d_K <= -39, N >= 8, 4 | N; relaxed mode allows any d_K <= -7,
+    N >= 3 (the equations hold identically).
     """
     if relaxed:
         if field.d > -7 or n < 3:
@@ -107,12 +111,10 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
     q = field.principal
     pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
-        u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
-        lhs = u * v**3 * y**2
-        rhs = 4 * x**3 - u * v**2 * x - u * v**4
-        scale = max(mp.mpf(1), abs(4 * x**3))
-        res_curve = abs(lhs - rhs) / scale
-        res_unit = abs(u - 27 * v**2 - 1) / scale
+        u, v, x, y = map(_exact, normalized(pt, FractionPair.from_parts(0, 1, n)))
+        diff, (_, cubic, _, _) = _surface_parts(v, x, y, _ONE, u)
+        res_curve = _scaled_modulus(diff, (cubic,), ctx.bits)
+        res_unit = _scaled_modulus(_sum(u, _mul((-27, 0, 0), v, v), (-1, 0, 0)), (cubic,), ctx.bits)
         return _finish(
             "curve_point",
             {"dk": field.d, "level": n, "relaxed": relaxed},
@@ -127,7 +129,10 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext) -> CheckReport:
     (Z^2 + 27 V^2) V^3 Y^2 = 4 X^3 Z^4 - (Z^2+27V^2) V^2 X Z^2 - (Z^2+27V^2) V^4 Z
 
     for any tau in H (identity in tau); requires N >= 4 with 4 | N.  u is
-    not part of it, so v, x and y are evaluated alone.
+    not part of it, so v, x and y are evaluated alone, all from the point's
+    one exponential q^(1/24): the indices (0, 1/N) and (0, 2/N) of x and y
+    take no power of rho (``qseries._LevelTable.power``).  The residual is
+    ``_surface_residual``'s, exact in the values read.
     """
     if n < 4 or n % 4:
         raise ValueError(f"surface membership needs N >= 4 with 4 | N, got N = {n}")
@@ -144,12 +149,119 @@ def check_surface_point(tau, n: int, ctx: PrecisionContext) -> CheckReport:
 
 
 def _surface_residual(v, x, y, z):
-    """Scaled residual of the homogeneous surface equation at [v:x:y:z]."""
-    w = z * z + 27 * v * v
-    lhs = w * v**3 * y**2
-    cubic, linear, const = 4 * x**3 * z**4, w * v**2 * x * z**2, w * v**4 * z
-    scale = max(mp.mpf(1), abs(lhs), abs(cubic), abs(linear), abs(const))
-    return abs(lhs - (cubic - linear - const)) / scale
+    """Scaled residual of the homogeneous surface equation at [v:x:y:z],
+    for mpmath numbers: |lhs - (cubic - linear - const)| over
+    max(1, |lhs|, |cubic|, |linear|, |const|), every term exact in the
+    inputs' mantissas (``_surface_parts``), rounded once to the working
+    precision (``_scaled_modulus``).  The polynomial is homogeneous of
+    degree 7, so (2v, 2x, 2y, 2z) has the same residual bit for bit
+    wherever every term has modulus >= 1."""
+    diff, terms = _surface_parts(*map(_exact, (v, x, y, z)))
+    return _scaled_modulus(diff, terms, mp.mp.prec)
+
+
+_ONE = (1, 0, 0)
+
+
+def _exact(z) -> tuple[int, int, int]:
+    """An mpmath complex or real number z as (re, im, w) with
+    z = (re + i*im) * 2^-w exactly, read from its raw mantissas and
+    exponents; NonFinite for a nan or infinite part."""
+    parts = []
+    for sign, man, exp, _ in getattr(z, "_mpc_", None) or (z._mpf_, fzero):
+        if not man and exp:  # mpmath's inf and nan
+            raise NonFinite(f"{z} is not finite")
+        parts.append((-man if sign else man, exp))
+    w = -min((e for m, e in parts if m), default=0)
+    (re, er), (im, ei) = parts
+    return re << (er + w) if re else 0, im << (ei + w) if im else 0, w
+
+
+def _mul(x, *xs) -> tuple[int, int, int]:
+    """The exact product of (re, im, w) triples, left to right."""
+    re, im, w = x
+    for ar, ai, aw in xs:
+        re, im, w = re * ar - im * ai, re * ai + im * ar, w + aw
+    return re, im, w
+
+
+def _sum(*xs) -> tuple[int, int, int]:
+    """The exact sum of (re, im, w) triples, at the largest of their widths."""
+    w = max(x[2] for x in xs)
+    re = im = 0
+    for xr, xi, xw in xs:
+        re, im = re + (xr << (w - xw)), im + (xi << (w - xw))
+    return re, im, w
+
+
+def _surface_parts(v, x, y, z, u=None):
+    """(lhs - (cubic - linear - const), (lhs, cubic, linear, const)) for
+    lhs = u v^3 y^2, cubic = 4 x^3 z^4, linear = u v^2 x z^2 and
+    const = u v^4 z, u = z^2 + 27 v^2 unless given, all exact (re, im, w)
+    triples of the exact inputs.  At z = 1 with the evaluated u they are
+    the terms of the curve u v^3 y^2 = 4 x^3 - u v^2 x - u v^4.
+    z^2 + 27 v^2 multiplies as its two terms, each product summed exactly:
+    at Im tau = 10^6 they lie 2^(9 10^6) apart, so their sum has that many
+    bits, which a product would multiply and a sum only shifts."""
+    v2, z2 = _mul(v, v), _mul(z, z)
+    us = (z2, _mul((27, 0, 0), v2)) if u is None else (u,)
+    lhs, linear, const = (_sum(*(_mul(m, t) for t in us))
+                          for m in (_mul(v2, v, y, y), _mul(v2, x, z2), _mul(v2, v2, z)))
+    cubic = _mul((4, 0, 0), x, x, x, z2, z2)
+    return _sum(lhs, (-cubic[0], -cubic[1], cubic[2]), linear, const), (lhs, cubic, linear, const)
+
+
+_MPF_ORDER = cmp_to_key(mpf_cmp)
+
+
+def _scaled_modulus(num, terms, prec: int) -> mp.mpf:
+    """|num| / max(1, |t| over terms) for exact (re, im, w) triples,
+    rounded once to nearest at prec bits (``_sqrt_ratio``).  The squared
+    moduli are exact while their parts have at most 16 prec bits, which the
+    surface terms keep up to about Im tau = prec.  Wider parts, as the
+    9 10^6 bits of those at Im tau = 10^6, are cut to that width first
+    (``_mod2_bounds``): the max is bounded by the bounds' maxima, and when
+    both ends of the quotient round alike (rounding is monotone) that is the
+    value, else the cut doubles until it cuts nothing."""
+    cap = 16 * prec
+    while True:
+        (nlo, nhi), *mods = (_mod2_bounds(t, cap) for t in (num, *terms))
+        slo = max(fone, *(lo for lo, _ in mods), key=_MPF_ORDER)
+        if nlo is nhi and all(lo is hi for lo, hi in mods):  # nothing was cut
+            return mp.make_mpf(_sqrt_ratio(nlo, slo, prec))
+        shi = max(fone, *(hi for _, hi in mods), key=_MPF_ORDER)
+        lo = _sqrt_ratio(nlo, shi, prec)
+        if lo == _sqrt_ratio(nhi, slo, prec):
+            return mp.make_mpf(lo)
+        cap *= 2
+
+
+def _mod2_bounds(x, cap: int) -> tuple[tuple, tuple]:
+    """Raw mpf bounds (lo, hi) of |x|^2 for x = (re, im, w), from the
+    magnitudes of its parts cut to cap bits; lo == hi, exact, when the cut
+    drops no set bit."""
+    re, im, w = x
+    a, b = abs(re), abs(im)
+    k = max(0, max(a, b).bit_length() - cap)
+    lo = from_man_exp((a >> k) ** 2 + (b >> k) ** 2, 2 * (k - w))
+    if not (a | b) & ((1 << k) - 1):
+        return lo, lo
+    return lo, from_man_exp(((a >> k) + 1) ** 2 + ((b >> k) + 1) ** 2, 2 * (k - w))
+
+
+def _sqrt_ratio(n: tuple, d: tuple, prec: int) -> tuple:
+    """sqrt(n / d) for raw mpf n >= 0 and d > 0, rounded to nearest at prec
+    bits: one integer division and one integer square root of at least
+    prec + 2 bits, their remainders kept as a sticky bit."""
+    _, nm, ne, nbc = n
+    _, dm, de, dbc = d
+    if not nm:
+        return fzero
+    s = (2 * prec + 6 - nbc + dbc - ne + de) // 2  # the root is r 2^-s
+    sh = ne - de + 2 * s
+    q, rem = divmod(nm << sh, dm) if sh >= 0 else divmod(nm, dm << -sh)
+    r = isqrt(q)
+    return from_man_exp(2 * r + bool(rem or r * r != q), -s - 1, prec, round_nearest)
 
 
 def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:

@@ -577,11 +577,15 @@ def test_orbits_raise_y_to_no_mpmath_power(ctx256, monkeypatch, descriptor):
             assert abs(y1 ** k - y) <= mp.ldexp(4 * k, -ctx256.bits) * abs(y)
 
 
-def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
+def test_level_tables_take_rho_only_for_powers_q24_cannot_give(ctx256, monkeypatch):
     """siegel and wp at every index in (1/12)Z^2 make one table per level of
-    the reduced index, each from two exponentials, next to the point's one,
-    exp(2 pi i tau/24); a second sweep builds no table and takes no
-    exponential."""
+    the reduced index.  A table takes rho = q^(1/12 N^2) only for a power
+    rho^k with N^2 not dividing 2k; the others are powers of the point's
+    one exponential, exp(2 pi i tau/24).  Every w-term of levels dividing 24
+    is such a power, and the prefactor q^(B2(s/N)/2) is one for N^2 | 12 s^2:
+    always at level 2, which takes no rho, and at s = 1 nowhere else.  Each
+    table also takes xi = exp(2 pi i/(12 N^2)).  A second sweep builds no
+    table and takes no exponential."""
     pt = _pt(0.1234, 1.1, ctx256)
     exps, dens = [], []
     real_exp, real_exp_tau = mp.exp, qseries._exp_tau
@@ -596,24 +600,57 @@ def test_level_tables_take_two_exponentials_each(ctx256, monkeypatch):
         wp(r, pt)
     tables = dict(pt._tables)
     assert sorted(tables) == [2, 3, 4, 6, 12]
-    assert len(exps) == 1 + 2 * len(tables)
-    assert sorted(dens) == [24] + [12 * n * n for n in sorted(tables)]
+    with_rho = [n for n in sorted(tables) if tables[n].rho is not None]
+    assert with_rho == [3, 4, 6, 12]
+    assert len(exps) == 1 + len(with_rho) + len(tables)
+    assert sorted(dens) == [24] + [12 * n * n for n in with_rho]
     for r in indices:
         siegel(r, pt)
         wp(r, pt)
-    assert len(exps) == 1 + 2 * len(tables) and len(dens) == 1 + len(tables)
+    assert len(exps) == 1 + len(with_rho) + len(tables) and len(dens) == 1 + len(with_rho)
     assert all(pt._tables[n] is tab for n, tab in tables.items())
     assert len(pt._tables) == len(tables)
 
 
+def test_level_table_power_source_does_not_depend_on_request_order(ctx256):
+    """rho^k comes from q^(1/24) exactly when N^2 | 2k, whichever keys came
+    first: two points at one tau, swept in opposite orders, give the same
+    siegel, wp, x and y bit for bit.  At level 8 every w-term is a power of
+    q^(1/24), and the prefactor rho^k, k = 6 s^2 - 48 s + 64, is one only
+    for s = 0 and 4, where 64 | 12 s^2: only the other keys take rho."""
+    n = 8
+    keys = [(s, t) for s in range(n) for t in range(n) if (s, t) != (0, 0)]
+    values = []
+    for order in (keys, keys[::-1]):
+        pt = _pt(0.41, 0.06, ctx256)
+        got = {}
+        for s, t in order:
+            r = FractionPair.from_parts(s, t, n)
+            got[s, t] = [siegel(r, pt), wp(r, pt), x_value(pt, r)]
+            if r.doubled() is not None:
+                got[s, t].append(y_value(pt, r))
+        values.append({k: [v._mpc_ for v in vals] for k, vals in got.items()})
+    assert values[0] == values[1]
+    pt = _pt(0.41, 0.06, ctx256)
+    tab = qseries._LevelTable(pt, n)
+    for s in range(n):
+        tab.w_terms(pt, s, 1, pt.width)
+    for s in (0, 4):
+        tab.prefactor(pt, s, 1)
+    assert tab.rho is None
+    tab.prefactor(pt, 2, 1)
+    assert tab.rho is not None
+
+
 def test_level_table_fills_only_what_a_key_needs(ctx256):
-    """One key at N = 100003 makes O(log N) table entries, not O(N)."""
+    """One key at N = 100003 makes O(log N) entries in the powers it reads
+    (rho's, xi's and the point's q^(1/24)'s), not O(N)."""
     n = 100003
     pt = _pt(0.1, 1.1, ctx256)
     siegel(FractionPair.from_parts(1, 5, n), pt)
     wp(FractionPair.from_parts(1, 5, n), pt)
     tab = pt._tables[n]
-    entries = sum(len(p.squares) + len(p.values) for p in (tab.q, tab.z))
+    entries = sum(len(p.squares) + len(p.values) for p in (tab.rho, tab.z, pt._q24))
     assert entries <= 4 * (12 * n * n).bit_length()
 
 
@@ -636,10 +673,11 @@ def _held_ints(obj):
 def test_level_tables_keep_significant_bits_at_the_im_ceiling(ctx256):
     """At tau = 0.3 + 10^6 i, |rho| = |q|^(1/L) is as small as 2^-755000 at
     level 3, yet every integer that the tables of levels 3, 8 and 16 hold
-    (the powers of rho and xi, their squares, the (Ev, Od) and Siegel
-    memos) has at most bits + 2 bits, bits = W + bitlen(L) + 10 being the
-    precision rho is taken at: a table's width is set by significant bits,
-    not by Im tau."""
+    (the powers of rho, where taken, and of xi, their squares, the (Ev, Od)
+    and Siegel memos) and every power of q^(1/24) they read has at most
+    bits + 2 bits, bits = W + bitlen(L) + 10 being the precision rho is
+    taken at: a table's width is set by significant bits, not by Im tau.
+    Level 3 takes rho at s = 1; levels 8 and 16 read only q^(1/24)."""
     pt = _pt(0.3, 10**6, ctx256)
     for n in (3, 8, 16):
         for s in (0, n // 2):
@@ -649,7 +687,8 @@ def test_level_tables_keep_significant_bits_at_the_im_ceiling(ctx256):
             x_value(pt, r)
         y_value(pt, r)  # r1 = 1/3 or 1/2, where |g_r| >= 1
         bits = pt.width + (12 * n * n).bit_length() + 10
-        held = list(_held_ints(pt._tables[n]))
+        assert (pt._tables[n].rho is None) == (n != 3)
+        held = list(_held_ints(pt._tables[n])) + list(_held_ints(pt._q24))
         assert len(held) > 20
         assert max(x.bit_length() for x in held) <= bits + 2, n
 

@@ -381,6 +381,36 @@ def test_siegel_keeps_relative_accuracy_at_large_im(r, im):
             assert abs(new - want) <= mp.mpf(2) ** (4 - ctx.bits) * abs(want)
 
 
+Q24_LEVELS = [2, 3, 4, 6, 8, 12, 16, 24]
+Q24_POINTS = {"0.41,0.06": ("0.41", "0.06"), "0.3,1e6": ("0.3", "1e6"),
+              "(1,1,390) of -1559": (1, 1, -1559)}
+
+
+@pytest.mark.parametrize("where", sorted(Q24_POINTS))
+def test_index_values_from_q24_powers_keep_the_index_accuracy(where):
+    """At the levels dividing 24 every w-term is a power of the point's
+    q^(1/24), and so is the prefactor where N^2 | 12 s^2 (at level 2
+    everything): siegel, wp, x and y at every index of levels 2, 3, 4, 6,
+    8, 12, 16 and 24 stay within 3.9 2^-bits relative of the same
+    evaluators at the same tau at 2 bits + 64 (the qseries module
+    docstring's index figure), at Im 0.06, at the Im ceiling and at the
+    point of (1, 1, 390) of -1559."""
+    ctx = AGREEMENT_CTX["256"]
+    spec = Q24_POINTS[where]
+    pt = (ModularPoint.from_quadratic(*spec, ctx) if len(spec) == 3
+          else ModularPoint.from_complex(spec, ctx))
+    hi = PrecisionContext(2 * ctx.bits + 64, ctx.eps)
+    ref = ModularPoint.from_complex(pt.tau, hi)
+    indices = {r for n in Q24_LEVELS for r in _reduced_indices(n)}
+    evaluators = [siegel, wp, lambda r, p: x_value(p, r), lambda r, p: y_value(p, r)]
+    with hi.work():
+        bound = mp.mpf("3.9") * mp.mpf(2) ** -ctx.bits
+        for r in indices:
+            for f in evaluators[:4 if r.doubled() is not None else 3]:
+                want = f(r, ref)
+                assert abs(f(r, pt) - want) <= bound * abs(want), r
+
+
 # ------------------------------------------------ y and x vs reference loops ---
 
 Y_TAUS = [(0.1234, 0.866), (-0.5, 2.0)]

@@ -25,6 +25,8 @@ from rayclass import (
     make_field,
     minpoly,
     normalized,
+    v_value,
+    x_value,
     y_value,
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
@@ -35,6 +37,9 @@ from rayclass.verify import (
     _elliptic4_points,
     _grid,
     _scale,
+    _exact,
+    _scaled_modulus,
+    _surface_parts,
     _surface_residual,
     _t_majorant,
     _t_value,
@@ -70,6 +75,17 @@ def test_curve_point_relaxed_mode(ctx256):
         check_curve_point(make_field(-7), 3, ctx256)  # strict hypotheses fail
 
 
+def test_curve_point_takes_one_exponential(ctx256, monkeypatch):
+    """u, v, x and y at (0, 1/N) read every power of q from the point's
+    one exponential, exp(2 pi i tau/24): the level table takes no rho."""
+    dens = []
+    real_exp_tau = qseries._exp_tau
+    monkeypatch.setattr(qseries, "_exp_tau",
+                        lambda tau, den, prec: dens.append(den) or real_exp_tau(tau, den, prec))
+    assert check_curve_point(make_field(-39), 8, ctx256).passed
+    assert dens == [24]
+
+
 def test_curve_report_invariant(ctx256):
     rep = check_curve_point(make_field(-39), 8, ctx256)
     assert rep.passed == all(r < 0 for r in rep.residuals.values())
@@ -96,8 +112,10 @@ def test_surface_point_at_zeta3(ctx256):
 def test_surface_point_evaluates_no_u(ctx256, monkeypatch, evaluator_calls):
     """The surface equation has no u, so the check never computes it; nor
     eta, delta or the Eisenstein series, as v is one exact quotient.  The
-    point ends with one level table, of level N, and takes two
-    exponentials: exp(2 pi i tau/24) and rho_N = q^(1/(12 N^2))."""
+    point ends with one level table, of level N, and takes one exponential,
+    exp(2 pi i tau/24): at the indices (0, 1/N) and (0, 2/N) both w-terms
+    and the prefactor q^(1/12) are its powers, so the table takes no
+    rho_N = q^(1/(12 N^2))."""
     calls = [evaluator_calls(name) for name in ("u_value", "eta", "delta", "eisenstein")]
     exps = []
     real_exp_tau = qseries._exp_tau
@@ -116,17 +134,99 @@ def test_surface_point_evaluates_no_u(ctx256, monkeypatch, evaluator_calls):
     assert rep.passed
     (pt,) = points
     assert sorted(pt._tables) == [n]
-    assert sorted(exps) == [24, 12 * n * n]
+    assert pt._tables[n].rho is None
+    assert exps == [24]
     assert calls == [[], [], [], []]
 
 
+def _at_least_one(t):
+    """|t| >= 1 for an exact (re, im, w) triple."""
+    re, im, w = t
+    return re * re + im * im >= 1 << 2 * w if w > 0 else bool(re or im)
+
+
 def test_surface_scale_invariance(ctx256):
+    """The surface polynomial is homogeneous of degree 7 and its terms are
+    exact, so wherever every term has modulus >= 1 (the scale is then the
+    largest term), (2v, 2x, 2y, 2) has the residual of (v, x, y, 1) bit for
+    bit: at Im tau = 1.7, 10, 10^3 and 10^6."""
+    for tau, n in ((("0.3", "1.7"), 4), (("0.3", "10"), 8), (("-0.2", "1e3"), 16),
+                   (("0.1", "1e6"), 4)):
+        pt = ModularPoint.from_complex(tau, ctx256)
+        r = FractionPair.from_parts(0, 1, n)
+        with ctx256.work():
+            v, x, y = v_value(pt), x_value(pt, r), y_value(pt, r)
+            _, terms = _surface_parts(*map(_exact, (v, x, y, mp.mpc(1))))
+            assert all(map(_at_least_one, terms)), tau
+            base = _surface_residual(v, x, y, mp.mpc(1))
+            scaled = _surface_residual(2 * v, 2 * x, 2 * y, mp.mpc(2))
+        assert base._mpf_ == scaled._mpf_, tau
+        assert base < ctx256.eps, tau
+
+
+def test_surface_residual_refuses_a_value_that_is_not_finite(ctx256):
     with ctx256.work():
-        pt = ModularPoint.from_complex(("0.3", "1.7"), ctx256)
-        u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, 4))
-        base = _surface_residual(v, x, y, mp.mpc(1))
-        scaled = _surface_residual(2 * v, 2 * x, 2 * y, mp.mpc(2))
-        assert base < ctx256.eps and scaled < ctx256.eps
+        for bad in (mp.mpc(mp.inf, 0), mp.mpc(0, mp.nan), mp.mpf(mp.inf)):
+            with pytest.raises(NonFinite):
+                _surface_residual(mp.mpc(1), bad, mp.mpc(1), mp.mpc(1))
+
+
+def _polynomial_reference(v, x, y, z, w=None):
+    """(|lhs - (cubic - linear - const)|, (lhs, cubic, linear, const)) of
+    the surface polynomial, or at z = 1 with w = u of the curve, by mpmath
+    at the working precision."""
+    if w is None:
+        w = z * z + 27 * v * v
+    terms = (w * v**3 * y**2, 4 * x**3 * z**4, w * v**2 * x * z**2, w * v**4 * z)
+    lhs, cubic, linear, const = terms
+    return abs(lhs - (cubic - linear - const)), terms
+
+
+EXACT_RESIDUAL_TAUS = [("0.3", "0.05"), ("0.3", "0.06"), ("-0.5", "0.866"), ("0.3", "1"),
+                       ("0.3", "10"), ("0.3", "1e3"), ("0.3", "1e6")]
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("tau", EXACT_RESIDUAL_TAUS, ids="{0[0]},{0[1]}".format)
+def test_exact_residuals_match_mpmath_at_four_times_the_bits(tau, bits):
+    """The surface residual and the curve residual (z = 1, w = u, scale
+    max(1, |4 x^3|)) of the values the checks read equal the same
+    polynomials evaluated by mpmath at 4 bits + 64 on the same inputs,
+    within one rounding at bits, for N = 4 to 64 and Im tau = 0.05 to
+    10^6."""
+    ctx = PrecisionContext(bits, "1e-30")
+    pt = ModularPoint.from_complex(tau, ctx)
+    for n in (4, 8, 16, 32, 64):
+        with ctx.work():
+            u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
+            surface = _surface_residual(v, x, y, mp.mpc(1))
+            diff, (_, cubic, _, _) = _surface_parts(*map(_exact, (v, x, y, mp.mpc(1), u)))
+            curve = _scaled_modulus(diff, (cubic,), bits)
+        with mp.workprec(4 * bits + 64):
+            ref, terms = _polynomial_reference(v, x, y, mp.mpc(1))
+            ref /= max(1, *map(abs, terms))
+            assert abs(surface - ref) <= mp.ldexp(ref, -bits), n
+            ref, (_, cubic, _, _) = _polynomial_reference(v, x, y, mp.mpc(1), u)
+            ref /= max(1, abs(cubic))
+            assert abs(curve - ref) <= mp.ldexp(ref, -bits), n
+
+
+@pytest.mark.parametrize("d, n", [(-39, 8), (-40, 8), (-52, 12)])
+def test_curve_residuals_are_exact_in_the_values_read(ctx256, d, n):
+    """check_curve_point's residuals are those of the values it reads:
+    |u v^3 y^2 - (4 x^3 - u v^2 x - u v^4)| and |u - 27 v^2 - 1|, each over
+    max(1, |4 x^3|), by mpmath at 4 bits + 64 within one rounding at bits."""
+    f = make_field(d)
+    rep = check_curve_point(f, n, ctx256)
+    pt = ModularPoint.from_quadratic(f.principal.a, f.principal.b, d, ctx256)
+    u, v, x, y = normalized(pt, FractionPair.from_parts(0, 1, n))
+    with mp.workprec(4 * ctx256.bits + 64):
+        diff, (_, cubic, _, _) = _polynomial_reference(v, x, y, mp.mpc(1), u)
+        scale = max(1, abs(cubic))
+        for name, want in (("curve_residual", diff / scale),
+                           ("unit_residual", abs(u - 27 * v * v - 1) / scale)):
+            got = rep.details[name]
+            assert abs(got - want) <= mp.ldexp(want, -ctx256.bits), name
 
 
 def test_surface_rejects_bad_level(ctx256):
