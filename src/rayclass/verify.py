@@ -38,7 +38,7 @@ from .qseries import (
     y_quotient,
     y_value,
 )
-from .reciprocity import conjugate_values
+from .reciprocity import conjugate_values, mirror
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
 GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
@@ -302,16 +302,21 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     < |g_{(0,2/N)}(theta) / g_{(0,1/N)}(theta)^4| over reduced forms with
     a >= 2 and (s, t) in [0,N)^2 with (2s, 2t) outside N*Z^2.
 
-    The ratio is equal on the class {(Q, s, t), (Q, -s, -t), (Q', s, -t),
-    (Q', -s, t)}, Q' = (a, -b, c) the partner of ``_conjugate_classes``, as
-    g_{-r} = -g_r and g_{(a1,a2)}(-conj tau) = conj g_{(a1,-a2)}(tau); an
-    ambiguous Q has the class {(Q, s, t), (Q, -s, -t)}.  Each class is
-    evaluated once, on the point of Q, and filed under its first key in
-    sweep order: forms run by (a, b), so Q' precedes Q, and of (s, t) and
-    (-s, -t) the lexicographically smaller comes first.  ``pairs_checked``
-    counts every member.  Every (s, t) is evaluated at level N, its level
-    not reduced first, so each point reads both Siegel products of every
-    ratio from its one level-N table."""
+    The ratio is equal on the mirror class {(Q, +-r), (Q*, +-rM)} of
+    r = (s/N, t/N), Q* and M the mirror form and matrix of Q (``Mirror``),
+    as g_{-r} = -g_r and |y| at (Q, r) is |y| at (Q*, rM): four keys of
+    two forms for a form with a partner, and two or four keys of Q for a
+    form that is its own mirror.  Each class is filed under its first key
+    in sweep order, forms by (a, b) and then (s, t), and evaluated once:
+    at that key when its form has b >= 0, else at its mirror key rM
+    reduced mod N on the partner's point, as |y| does not see the shift
+    roots of unity.  So no point is made for a form with b < 0, and the
+    member evaluated is the one ``reflection`` picks, up to +- and shift.
+    ``pairs_checked`` counts every member, so ``pairs_checked``,
+    ``worst_ratio`` and ``worst_at`` are those of the sweep over every key.
+    Every (s, t) is evaluated at level N, its level not reduced first, so
+    each point reads both Siegel products of every ratio from its one
+    level-N table."""
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
     with ctx.work():
@@ -321,22 +326,35 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
         worst = cut = -mp.inf
         near = []  # ((form, s, t), ratio) tied with the worst so far
         count = 0
-        classes = dict(_conjugate_classes(field.forms))  # Q -> Q' or None
-        homes = {p: q for q, p in classes.items() if p is not None}  # Q' -> Q
+        order = {q: i for i, q in enumerate(field.forms)}
+        points = {q: ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
+                  for q in field.forms if q.a >= 2 and q.b >= 0}
         for q in field.forms:
-            if q.a < 2 or classes.get(q) is not None:  # filed under Q'
+            if q.a < 2:
                 continue
-            home = homes.get(q, q)
-            pt = ModularPoint.from_quadratic(home.a, home.b, field.d, ctx)
+            mir = mirror(q)
+            here, there = order[q], order[mir.form]
+            if there < here:  # every class of Q is filed under its partner
+                continue
+            (a, b), (c, d) = mir.matrix
+            home = q if q.b >= 0 else mir.form
             for s in range(n):
                 for t in range(n):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
                     if (s, t) > (-s % n, -t % n):  # filed under (-s, -t)
                         continue
-                    r = FractionPair.from_parts(s, t if home is q else -t % n, n)
-                    ratio = abs(y_quotient(pt, r, r.doubled(), level=n)) / rhs
-                    count += 2 if home is q else 4
+                    u, v = (s * a + t * c) % n, (s * b + t * d) % n  # rM
+                    size = 4
+                    if there == here:  # Q is its own mirror: rM is a key of Q
+                        key = min((u, v), (-u % n, -v % n))
+                        if key < (s, t):  # filed under rM
+                            continue
+                        if key == (s, t):
+                            size = 2
+                    r = FractionPair.from_parts(*((s, t) if home is q else (u, v)), n)
+                    ratio = abs(y_quotient(points[home], r, r.doubled(), level=n)) / rhs
+                    count += size
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))
                         if ratio > worst:
@@ -789,16 +807,17 @@ def minpoly(values, field: Field, ctx: PrecisionContext,
 
 
 def _conjugate_classes(forms) -> list:
-    """(Q, (a, -b, c)) for each reduced Q = (a, b, c) with b > 0 whose
-    partner is reduced too, as j(theta_(a,-b,c)) = conj j(theta_Q), and
-    (Q, None) for an ambiguous Q (b = 0, b = a or a = c), whose j is real;
-    together they cover ``forms`` once each."""
+    """(Q, Q*) for each reduced Q with b > 0 whose mirror Q* (``Mirror``)
+    is another form, (a, -b, c), as j(theta_Q*) = conj j(theta_Q), and
+    (Q, None) for a Q that is its own mirror (b = 0, b = a or a = c), whose
+    j is real; together they cover ``forms`` once each."""
     out = []
     for q in forms:
-        if q.b == 0 or q.b == q.a or q.a == q.c:
+        partner = mirror(q).form
+        if partner == q:
             out.append((q, None))
         elif q.b > 0:
-            out.append((q, ReducedForm(q.a, -q.b, q.c)))
+            out.append((q, partner))
     return out
 
 

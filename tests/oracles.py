@@ -22,7 +22,12 @@ Two kinds live here:
   ``scale_loop`` the maximum modulus over every component that its scale
   must match.
   ``lemma52_loop`` is the lemma 5.2 sweep over every (form, s, t), which
-  the one-ratio-per-class sweep of ``rayclass.verify`` must match.
+  the one-ratio-per-class sweep of ``rayclass.verify`` must match, and
+  ``lemma52_siegel_loop`` the same sweep with each ratio formed in mpmath
+  from ``siegel`` values.
+* ``mirror_member``: the key that complex conjugation sends (form, p1, p2)
+  to, written out from the four kinds of reduced form, against which
+  ``rayclass.reciprocity.mirror`` and the classes built on it are checked.
 * ``hcp_oracle``: the Hilbert class polynomial from mpmath's own
   ``kleinj`` at reduced forms found by brute force, which
   ``rayclass.verify.hilbert_class_poly`` must match at its planned bits.
@@ -34,11 +39,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from rayclass.classfield import ReducedForm
 from rayclass.numerics import GUARD_BITS, truncation_terms
 from rayclass.qseries import (
     FractionPair,
     ModularPoint,
     _reduce_mod_lattice,
+    siegel,
     siegel_order,
     y_value,
 )
@@ -249,13 +256,23 @@ def scale_loop(values):
                               for c in (v if isinstance(v, tuple) else (v,))))
 
 
-def lemma52_loop(field, n, ctx):
+def _y_abs(pt, r):
+    return abs(y_value(pt, r))
+
+
+def _siegel_y_abs(pt, r):
+    """|g_{2r} / g_r^4| from two ``siegel`` values, in mpmath."""
+    return abs(siegel(r.doubled(), pt) / siegel(r, pt) ** 4)
+
+
+def lemma52_loop(field, n, ctx, y_abs=_y_abs):
     """(residuals, details) of ``check_lemma52`` from one ratio per
-    (form, s, t), every form with a >= 2 on its own point, same tie rule."""
+    (form, s, t), every form with a >= 2 on its own point, same tie rule.
+    ``y_abs(pt, r)`` is |y| at the index r, ``y_value`` by default."""
     with ctx.work():
         q = field.principal
         pt0 = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
-        rhs = abs(y_value(pt0, FractionPair.from_parts(0, 1, n)))
+        rhs = y_abs(pt0, FractionPair.from_parts(0, 1, n))
         worst = cut = -mp.inf
         near = []  # ((form, s, t), ratio) tied with the worst so far
         count = 0
@@ -268,7 +285,7 @@ def lemma52_loop(field, n, ctx):
                     if (2 * s) % n == 0 and (2 * t) % n == 0:
                         continue
                     r = FractionPair.from_parts(s, t, n)
-                    ratio = abs(y_value(pt, r)) / rhs
+                    ratio = y_abs(pt, r) / rhs
                     count += 1
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))
@@ -280,6 +297,26 @@ def lemma52_loop(field, n, ctx):
     return ({"max_ratio_minus_1": residual},
             {"pairs_checked": count, "worst_ratio": worst if count else None,
              "worst_at": worst_at, "rhs_abs": rhs})
+
+
+def lemma52_siegel_loop(field, n, ctx):
+    """``lemma52_loop`` with every ratio |g_{2r} / g_r^4| formed in mpmath
+    from two ``siegel`` values at the form's own point."""
+    return lemma52_loop(field, n, ctx, _siegel_y_abs)
+
+
+def mirror_member(q, p1, p2):
+    """(Q*, p1*, p2*): the form and index residues, not reduced, that
+    complex conjugation sends (Q, p1, p2) to, one row per kind of reduced
+    form Q = (a, b, c); |y| at (Q, r) equals |y| at (Q*, r*)."""
+    a, b, c = q.as_tuple()
+    if b == 0:  # -conj theta = theta
+        return q, p1, -p2
+    if b == a:  # -conj theta = theta + 1
+        return q, p1, p1 - p2
+    if a == c:  # -conj theta = -1/theta
+        return q, -p2, -p1
+    return ReducedForm(a, -b, c), p1, -p2
 
 
 def hcp_oracle(d, bits):

@@ -460,9 +460,11 @@ def test_one_point_per_tau(argv, capsys, monkeypatch):
 
 def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
     """x and y (through the Siegel values) at an index read one
-    triple-product sum per pair +-r of reduced indices and point: the misses
-    of the level-N table's (Ev, Od) memo, not the point's Euler sum.  The
-    orbit's indices name 48 reduced keys and 40 pairs."""
+    triple-product sum per mirror class of reduced indices (the misses of
+    the level-N table's (Ev, Od) memo, not the point's Euler sum): the
+    orbit's indices name 48 reduced keys, 40 pairs +-r of a form and 26
+    mirror classes (``reciprocity.Mirror``), each summed once at a
+    canonical key."""
     body = qseries._LevelTable.triple
     runs = []
 
@@ -475,7 +477,7 @@ def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
     code, _, _ = run_cli(["conjugates", "--dk", "-39", "--level", "8",
                           "--descriptor", "pair"], capsys)
     assert code == 0
-    assert len(runs) == 40
+    assert len(runs) == 26
     assert all((s, t) <= (-s % n, -t % n) for _, n, s, t in runs)
 
 

@@ -17,9 +17,13 @@ from rayclass import (
     w_group,
     x_value,
 )
+from rayclass import qseries
 from rayclass.classfield import is_fundamental, mat_det, mat_mul
-from rayclass.reciprocity import act_index, labels
+from rayclass.qseries import y_quotient
+from rayclass.reciprocity import _y_power_exponent, act_index, labels, mirror, reflected, reflection
 from rayclass.verify import _closest_pair, _grid
+
+from oracles import mirror_member
 
 
 # ---------------------------------------------------------------- w group ---
@@ -258,9 +262,177 @@ def test_x_orbit_makes_no_siegel_calls(ctx256, siegel_product_runs):
 
 
 def test_x_orbit_sums_each_point_once(ctx256, point_value_runs):
-    """One theta-series summation per CM point, i.e. h for a whole orbit."""
+    """One theta-series summation per CM point of a form with b >= 0: the
+    labels of a form with b < 0 are read from its partner's point."""
     f = make_field(-39)
     runs = point_value_runs("_thetas")
     conj = conjugate_values(f, 8, "x", ctx256)
     assert len(conj) == ray_class_degree(f, 8) > f.h
-    assert len(runs) == f.h == len({p.tau for p in runs})
+    homes = [q for q in f.forms if q.b >= 0]
+    assert len(runs) == len(homes) == len({p.tau for p in runs}) == f.h - 1
+
+
+# ----------------------------------------------------------------- mirror ---
+
+# Fields and levels whose orbits (degree <= 128) hold every kind of reduced
+# form: partners (a, +-b, c) (-39, -104, -199), b = 0 (-84, -104), b = a
+# (-39, -84, -195, -199) and a = c (-84, -195).  N odd, 2 mod 4 and 0 mod 4
+# give y4 the powers 4, 2 and 1 of y.
+MIRROR_CASES = [(-39, 6), (-84, 8), (-84, 9), (-104, 10), (-195, 7), (-195, 10),
+                (-199, 5), (-199, 8)]
+# A reflected orbit value lies within MIRROR_ULPS * k * 2^-bits of the
+# evaluation at its own point and indices, relative, for y^k (k = 1 for
+# x).  Measured at 256 bits over -39, -40, -56, -71, -84, -104, -195 and
+# -199 at every N from 3 to 12: at most 17.6 for x, at a form with a = c,
+# and 4.4 per power of y; partners and the forms with b = 0 or b = a came
+# out bit for bit or within 2^-20 units.
+MIRROR_ULPS = 64
+
+
+def _kind(q):
+    if q.b == 0:
+        return "b = 0"
+    if q.b == q.a:
+        return "b = a"
+    if q.a == q.c:
+        return "a = c"
+    return "partner"
+
+
+def _mirror_sweep(descriptor, ctx):
+    """Yield (label, values, refs, N) over the orbits of MIRROR_CASES: the
+    orbit value as a tuple of components, and for each component its
+    evaluation at the label's own form and indices with the power k of y
+    it is (1 for x).  Points are made for every form."""
+    for d, n in MIRROR_CASES:
+        f = make_field(d)
+        assert ray_class_degree(f, n) <= 128
+        points = {q: ModularPoint.from_quadratic(q.a, q.b, d, ctx) for q in f.forms}
+        k = 12 * n if descriptor == "y12N" else _y_power_exponent(n)
+        base1, base2 = FractionPair.from_parts(0, 1, n), FractionPair.from_parts(0, 2, n)
+        for label, v in conjugate_values(f, n, descriptor, ctx):
+            pt, m = points[label.form], label.composite(n)
+            r1, r2 = act_index(base1, m), act_index(base2, m)
+            comps = []
+            if descriptor in ("x", "pair"):
+                comps.append((x_value(pt, r1), 1))
+            if descriptor != "x":
+                comps.append((y_quotient(pt, r1, r2, k), k))
+            yield label, v if descriptor == "pair" else (v,), comps, n
+
+
+def test_mirror_map_is_the_table_and_an_involution():
+    """``mirror`` agrees with the table of ``oracles.mirror_member`` on
+    every form of the mirror fields and on indices with entries in
+    (-N, N); its matrix squares to 1, its form's mirror is the form again,
+    and y turns by i exactly for the forms with b = a or a = c."""
+    kinds = set()
+    for d in (-39, -84, -104, -195, -199):
+        for q in make_field(d).forms:
+            kinds.add(_kind(q))
+            m = mirror(q)
+            assert mirror(m.form).form == q
+            assert mat_mul(m.matrix, m.matrix) == ((1, 0), (0, 1))
+            assert m.turn == (_kind(q) in ("b = a", "a = c"))
+            for p1, p2 in ((0, 1), (1, 0), (3, 5), (6, 2), (1, 6)):
+                r = FractionPair.from_parts(p1, p2, 7)
+                form, u, v = mirror_member(q, p1, p2)
+                assert (m.form, m.index(r)) == (form, FractionPair.from_parts(u, v, 7))
+                assert all(-7 < e < 7 for e in (u, v))
+    assert kinds == {"partner", "b = 0", "b = a", "a = c"}
+
+
+@pytest.mark.parametrize("descriptor", ["x", "y4", "y12N", "pair"])
+def test_reflected_orbit_values_match_their_own_points(ctx256, descriptor):
+    """Every orbit value, reflected or not, equals the evaluation at its
+    own form's point and its label's indices within MIRROR_ULPS * k
+    2^-bits relative per component y^k (k = 1 for x); each kind of form is
+    reflected somewhere."""
+    reflected_kinds = set()
+    for label, got, comps, n in _mirror_sweep(descriptor, ctx256):
+        r1 = act_index(FractionPair.from_parts(0, 1, n), label.composite(n))
+        if reflection(label.form, r1) is not None:
+            reflected_kinds.add(_kind(label.form))
+        for v, (ref, k) in zip(got, comps, strict=True):
+            with mp.workprec(2 * ctx256.bits):
+                assert abs(v - ref) <= mp.ldexp(MIRROR_ULPS * k, -ctx256.bits) * abs(ref), label
+    assert reflected_kinds == {"partner", "b = 0", "b = a", "a = c"}
+
+
+def test_mirror_needs_conj_turn_and_unreduced_index(ctx256):
+    """Each of three slips in the mirror identity moves y4 values of the
+    mirror orbits far outside the bound: dropping the conjugation (every
+    kind), dropping the turn i^k (b = a and a = c, at even N) and reducing
+    rM and dM mod N, which changes their shift roots of unity (every
+    kind)."""
+    caught = {"conj": set(), "turn": set(), "reduce": set()}
+
+    def reduced(r):
+        return FractionPair.from_parts(r.p1 % r.level, r.p2 % r.level, r.level)
+
+    for d, n in MIRROR_CASES:
+        f = make_field(d)
+        points = {q: ModularPoint.from_quadratic(q.a, q.b, d, ctx256) for q in f.forms}
+        k = _y_power_exponent(n)
+        for label in labels(f, n):
+            m = label.composite(n)
+            r1 = act_index(FractionPair.from_parts(0, 1, n), m)
+            r2 = act_index(FractionPair.from_parts(0, 2, n), m)
+            mir = reflection(label.form, r1)
+            if mir is None:
+                continue
+            direct = y_quotient(points[label.form], r1, r2, k)
+            home = points[mir.form]
+            y = y_quotient(home, mir.index(r1), mir.index(r2), k)
+            slips = {"conj": reflected(reflected(y, 0), mir.turn * k),
+                     "turn": reflected(y, 0),
+                     "reduce": reflected(y_quotient(home, reduced(mir.index(r1)),
+                                                    reduced(mir.index(r2)), k), mir.turn * k)}
+            with mp.workprec(2 * ctx256.bits):
+                tol = mp.ldexp(MIRROR_ULPS * k, -ctx256.bits) * abs(direct)
+                assert abs(reflected(y, mir.turn * k) - direct) <= tol
+                for name, v in slips.items():
+                    if abs(v - direct) > tol:
+                        caught[name].add(_kind(label.form))
+    every = {"partner", "b = 0", "b = a", "a = c"}
+    assert caught == {"conj": every, "turn": {"b = a", "a = c"}, "reduce": every}
+
+
+@pytest.mark.parametrize("d, n", [(-84, 8), (-199, 8)])
+def test_orbit_reads_one_key_per_mirror_class(ctx256, monkeypatch, d, n):
+    """No point is made for a form with b < 0, and the x orbit sums the
+    triple product once per mirror class of its labels' (form, r1): the
+    classes {(Q, +-r), (Q*, +-r*)} of ``oracles.mirror_member``."""
+    made, runs = [], []
+    from_quadratic = ModularPoint.from_quadratic.__func__
+    triple = qseries._LevelTable.triple
+
+    def making(cls, a, b, d, ctx):
+        made.append((a, b))
+        return from_quadratic(cls, a, b, d, ctx)
+
+    def counted(tab, pt, s, t):
+        if (s, t) not in tab.triples:
+            runs.append((pt.tau, tab.n, s, t))
+        return triple(tab, pt, s, t)
+
+    monkeypatch.setattr(ModularPoint, "from_quadratic", classmethod(making))
+    monkeypatch.setattr(qseries._LevelTable, "triple", counted)
+    f = make_field(d)
+    conjugate_values(f, n, "x", ctx256)
+    assert made and all(b >= 0 for _, b in made)
+    assert len(runs) == len(set(runs))
+
+    def key(p1, p2):
+        s, t = p1 % n, p2 % n
+        return min((s, t), (-s % n, -t % n))
+
+    classes = set()
+    for label in labels(f, n):
+        r1 = act_index(FractionPair.from_parts(0, 1, n), label.composite(n))
+        form, u, v = mirror_member(label.form, r1.p1, r1.p2)
+        classes.add(frozenset({(label.form, key(r1.p1, r1.p2)), (form, key(u, v))}))
+    assert len(runs) == len(classes)
+    pairs = {(label.form, key(r.p1, r.p2)) for label in labels(f, n)
+             for r in [act_index(FractionPair.from_parts(0, 1, n), label.composite(n))]}
+    assert len(classes) < len(pairs)

@@ -54,7 +54,14 @@ from rayclass.verify import (
     VALUE_ERROR_BITS,
 )
 
-from oracles import hcp_oracle, lemma52_loop, min_pairwise_distance_loop, scale_loop
+from oracles import (
+    hcp_oracle,
+    lemma52_loop,
+    lemma52_siegel_loop,
+    min_pairwise_distance_loop,
+    mirror_member,
+    scale_loop,
+)
 
 
 # ------------------------------------------------------------------ curve ---
@@ -294,11 +301,9 @@ def _level_key(s, t, n):
 
 def _lemma52_classes(f, n):
     """The lemma 5.2 sweep's (form, s, t) keys grouped into classes of equal
-    |y|: (Q, s, t) with (Q, -s, -t), and with (Q', s, -t) and (Q', -s, t)
-    when Q' = (a, -b, c) != Q is reduced too."""
-    forms = set(f.forms)
-    partner = {q: ReducedForm(q.a, -q.b, q.c) for q in f.forms
-               if q.b != 0 and ReducedForm(q.a, -q.b, q.c) in forms}
+    |y|: (Q, s, t) with (Q, -s, -t), (Q*, s*, t*) and (Q*, -s*, -t*) for
+    the mirror (Q*, s*, t*) of (Q, s, t) (``oracles.mirror_member``), keys
+    taken mod N."""
     classes = {}
     for q in f.forms:
         if q.a < 2:
@@ -307,33 +312,32 @@ def _lemma52_classes(f, n):
             for t in range(n):
                 if (2 * s) % n == 0 and (2 * t) % n == 0:
                     continue
-                members = {(q, s, t), (q, -s % n, -t % n)}
-                if q in partner:
-                    p = partner[q]
-                    members |= {(p, s, -t % n), (p, -s % n, t)}
+                p, u, v = mirror_member(q, s, t)
+                members = {(q, s, t), (q, -s % n, -t % n), (p, u % n, v % n), (p, -u % n, -v % n)}
                 classes[frozenset(members)] = None
-    return list(classes), partner
+    return list(classes)
 
 
 def test_lemma52_sweep_runs_each_siegel_product_once(ctx256, siegel_product_runs):
-    """The sweep evaluates each class once, at its first key in sweep order,
-    on the point of the form with b >= 0 (t negated from a partner's key),
-    reads both Siegel products of each ratio from the level-N table at the
-    canonical keys of (s, t) and (2s, 2t) mod N, and runs each Siegel
-    product at most once per point and pair +-r."""
+    """The sweep evaluates each mirror class once, at its member of smaller
+    (b < 0, canonical key), which lies on a form with b >= 0, reads both
+    Siegel products of each ratio from the level-N table at the canonical
+    keys of (s, t) and (2s, 2t) mod N, and runs each Siegel product at most
+    once per point and pair +-r.  -39 has a pair of partners, (2, +-1, 5),
+    and the form (3, 3, 4) with b = a, whose classes have up to four keys
+    of their own."""
     f, n = make_field(-39), 8
     rep = check_lemma52(f, n, ctx256)
     keys = [(id(pt), k) for pt, k in siegel_product_runs]
     assert len(keys) == len(set(keys))
     form_at = {ModularPoint.from_quadratic(q.a, q.b, f.d, ctx256).tau: q for q in f.forms}
     got = {(form_at[pt.tau], k) for pt, k in siegel_product_runs}
-    classes, partner = _lemma52_classes(f, n)
-    order = {q: i for i, q in enumerate(f.forms)}
+    classes = _lemma52_classes(f, n)
+    assert {len(m) for m in classes} == {2, 4}
     expected = {(f.principal, _level_key(0, 1, n)), (f.principal, _level_key(0, 2, n))}
     for members in classes:
-        q, s, t = min(members, key=lambda m: (order[m[0]], m[1], m[2]))
-        if q.b < 0:
-            q, t = partner[q], -t % n
+        q, s, t = min(members, key=lambda m: (m[0].b < 0, _level_key(m[1], m[2], n)))
+        assert q.b >= 0
         expected |= {(q, _level_key(s, t, n)), (q, _level_key(2 * s, 2 * t, n))}
     assert got == expected
     assert rep.details["pairs_checked"] == sum(len(m) for m in classes) == 180
@@ -361,6 +365,24 @@ def test_lemma52_class_sweep_reports_what_the_full_sweep_reports(ctx256, d, n):
     residuals, details = lemma52_loop(f, n, ctx256)
     assert rep.details == details
     assert rep.residuals == residuals
+
+
+@pytest.mark.parametrize("d, n", [(-84, 8), (-84, 10), (-39, 8), (-195, 9)])
+def test_lemma52_mirror_classes_report_what_every_key_reports(ctx256, d, n):
+    """One ratio per mirror class against the sweep over every key with each
+    ratio formed from ``siegel`` values at the key's own point
+    (``oracles.lemma52_siegel_loop``): the same ``pairs_checked`` and
+    ``worst_at``, and ``worst_ratio`` within eps * max(1, worst).  -84 has
+    a form of each kind that is its own mirror (b = 0, b = a and a = c),
+    -195 forms with b = a and a = c, -39 partners and b = a."""
+    f = make_field(d)
+    rep = check_lemma52(f, n, ctx256)
+    _, details = lemma52_siegel_loop(f, n, ctx256)
+    assert rep.details["pairs_checked"] == details["pairs_checked"] > 0
+    worst = details["worst_ratio"]
+    assert abs(rep.details["worst_ratio"] - worst) <= ctx256.eps * max(1, worst)
+    assert rep.details["worst_at"] == details["worst_at"]
+    assert rep.passed
 
 
 def test_lemma52_symmetry_equal_moduli(ctx256):
