@@ -32,9 +32,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import mpmath as mp
-from mpmath.libmp import mpf_pos, prec_to_dps, round_nearest, to_str
 
 from . import __version__
+from ._fixed import _real_text, prec_to_dps
 from .classfield import ideal_factorization, make_field, ray_class_degree
 from .errors import InputError, NumericalError
 from .numerics import PrecisionContext, decimal_digits
@@ -135,26 +135,19 @@ def _json_text(v, dps: int, prec: int) -> str:
     return "".join(out)
 
 
-def _real_text(x, prec: int, dps: int) -> str:
-    """The raw mpf x rounded to prec bits and printed by mpmath's ``to_str``
-    at dps digits, as ``mp.nstr(+v, dps, strip_zeros=True)`` prints it."""
-    return to_str(mpf_pos(x, prec, round_nearest), dps)
-
-
 def _write_json(x, pad: str, put, dps: int, prec: int) -> None:
     """Pass the JSON text of x, indented from pad, to put: an mpf as
     ``_real_text`` prints it at prec bits and dps digits, an mpc as the
     list of its parts, and every other node laid out as the json module lays it
     out with sort_keys=True and indent=2."""
     if isinstance(x, mp.mpf):
-        put('"%s"' % _real_text(x._mpf_, prec, dps))
+        put('"%s"' % _real_text(x, prec, dps))
     elif isinstance(x, str):
         put(encode_basestring_ascii(x))
     elif isinstance(x, mp.mpc):
-        re, im = x._mpc_
+        re, im = _real_text(x, prec, dps)
         inner = pad + "  "
-        put('[\n%s"%s",\n%s"%s"\n%s]' % (
-            inner, _real_text(re, prec, dps), inner, _real_text(im, prec, dps), pad))
+        put('[\n%s"%s",\n%s"%s"\n%s]' % (inner, re, inner, im, pad))
     elif isinstance(x, dict):
         if not x:
             put("{}")
@@ -320,7 +313,7 @@ def _poly_body(poly) -> dict:
     prec, dps = poly.bits, decimal_digits(poly.bits)
 
     def text(x):
-        return f"{x}.0" if isinstance(x, int) else _real_text(x._mpf_, prec, dps)
+        return f"{x}.0" if isinstance(x, int) else _real_text(x, prec, dps)
 
     rec = [
         None if r is None else {"m": r[0], "n": r[1], "den": r[2]}
@@ -334,7 +327,7 @@ def _poly_body(poly) -> dict:
         "recognized": rec,
         "recognition_residual": text(poly.residual)
         if mp.isfinite(poly.residual) else "inf",
-        "recognition_bound": _real_text(poly.bound._mpf_, BOUND_BITS, prec_to_dps(BOUND_BITS)),
+        "recognition_bound": _real_text(poly.bound, BOUND_BITS, prec_to_dps(BOUND_BITS)),
     }
 
 
@@ -345,8 +338,9 @@ def _cmd_minpoly(args, ctx: PrecisionContext) -> tuple[dict, dict]:
     tol = _parse_real(args.recog_tol, "--recog-tol", ctx)
     try:
         _recognition_tol(args.den_max, tol, ctx)
-    except ValueError as exc:
-        raise InputError(f"--recog-tol {args.recog_tol}: {exc}") from None
+    except ValueError as exc:  # den_max is checked first
+        flag = f"--den-max {args.den_max}" if args.den_max < 1 else f"--recog-tol {args.recog_tol}"
+        raise InputError(f"{flag}: {exc}") from None
     f = make_field(args.dk)
     conj = conjugate_values(f, args.level, args.descriptor, ctx)
     poly = minpoly([v for _, v in conj], f, ctx,

@@ -39,19 +39,9 @@ rounded (``_exp_tau``, ``_re_bits``), so a large Re tau costs their phases
 no bits (``_exp_placed``); wp adds the bits of a complex z's lattice
 coordinates when it reduces z.
 
-Fixed-point contract.  The two sum loops run on pairs (re, im) of Python
-integers that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD; their
-inputs enter floored to W, each within one unit.  Every power and
-quotient outside them (the powers of q^(1/24) and of the level tables'
-roots, the Siegel prefactor and product, the wp quotient, y and its
-powers, u, v, x, delta's q E^24 and eta's q^(1/24) E) is an (re, im, w)
-triple for (re + i*im) * 2^-w cut to a number of significant bits, so it
-keeps its relative bits however small it is: one binary powering
-(``_Powers``), one exact integer division (``_quotient``).  Values leave
-by ``_mpc``, rounded to ``bits``; the eta and Eisenstein prefactors,
-delta's (2*pi)^12 and the exponentials are mpmath numbers.  Each sum is
-lacunary and stops at its first term below 2^-W, so every value is the
-converged function.  Two loops sum them.
+Sums.  Each series is summed in ``_fixed``'s fixed point (its "Fixed-point
+contract") at width W = bits + FX_GUARD, and stops at its first term below
+2^-W, so every value is the converged function.  Two loops sum them.
 ``_triple`` sums the halves Ev (even n) and Od (odd n) of
 sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
 P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
@@ -198,8 +188,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
+from ._fixed import (_Powers, _at_width, _cut_mul, _cut_sq, _fx, _fx_mul, _mpc, _pi_squared,
+                     _placed, _quotient, _sum, _unit_root_fx)
 from .classfield import CMPoint
 from .errors import DegenerateIndex, OnLattice
 from .numerics import FX_GUARD, PrecisionContext, check_im_range, truncation_terms
@@ -294,8 +285,7 @@ class ModularPoint:
     def qfx(self) -> tuple[int, int]:
         """q as fixed-point integers (re, im) at width W, floored from
         ``_q_powers``."""
-        re, im, w = self._q_powers[2]
-        return re >> (w - self.width), im >> (w - self.width)
+        return _at_width(self._q_powers[2], self.width)
 
     @cached_property
     def q(self) -> mp.mpc:
@@ -457,20 +447,8 @@ def _exp_tau(tau: mp.mpc, den: int, prec: int) -> mp.mpc:
 
 
 def _exp_placed(tau: mp.mpc, den: int, bits: int) -> tuple[int, int, int]:
-    """exp(2*pi*i*tau/den) from ``_exp_tau`` at ``bits``, as an (re, im, w)
-    triple placed by the top binary exponent of its parts, so that the
-    larger part is exact and the triple has ``bits`` significant bits
-    however small the value is."""
-    e = _exp_tau(tau, den, bits)
-    w = bits - max(x[2] + x[3] for x in e._mpc_ if x[1])
-    return (*_fx(e, w), w)
-
-
-@lru_cache(maxsize=64)
-def _pi_squared(w: int) -> tuple[int, int, int]:
-    """pi^2 as an (re, im, w) triple at width w, within one unit."""
-    with mp.workprec(w + 8):
-        return to_fixed((mp.pi ** 2)._mpf_, w), 0, w
+    """exp(2*pi*i*tau/den) from ``_exp_tau``, placed at ``bits`` (``_placed``)."""
+    return _placed(_exp_tau(tau, den, bits), bits)
 
 
 @lru_cache(maxsize=64)
@@ -478,26 +456,6 @@ def _eta_prefactor(prec: int) -> mp.mpc:
     """sqrt(2*pi) * zeta_8 at prec bits, once per precision."""
     with mp.workprec(prec):
         return mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
-
-
-def _fx(z: mp.mpc, w: int) -> tuple[int, int]:
-    """z as fixed-point integers (re, im) = floor(z * 2^w)."""
-    re, im = z._mpc_
-    return to_fixed(re, w), to_fixed(im, w)
-
-
-def _mpc(re: int, im: int, w: int, prec: int | None = None) -> mp.mpc:
-    """(re + i*im) * 2^-w rounded to prec bits, by default the working
-    precision."""
-    prec = prec or mp.mp.prec
-    return mp.make_mpc((from_man_exp(re, -w, prec, round_nearest),
-                        from_man_exp(im, -w, prec, round_nearest)))
-
-
-def _fx_mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
-    """a * b at width w."""
-    (ar, ai), (br, bi) = a, b
-    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
 
 
 def _theta_sums(q: tuple[int, int], w: int):
@@ -562,45 +520,6 @@ def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
             sr, si = (sr * qr - si * qi) >> wd, (sr * qi + si * qr) >> wd
             n += 1
     return tuple(sums[0]), tuple(sums[1])
-
-
-@lru_cache(maxsize=256)
-def _unit_root_fx(level: int, w: int) -> tuple[int, int]:
-    """exp(2*pi*i/level) as fixed-point integers at width w, within one unit."""
-    with mp.workprec(w + 4):
-        return _fx(mp.exp(2j * mp.pi / level), w)
-
-
-class _Powers:
-    """x^k for integers k, from x = (re, im, w): binary powering over the
-    squares x^(2^j), made only as far as a k needs them, from the lowest set
-    bit of k up, every product cut to ``bits`` significant bits
-    (``_cut_mul``, ``_cut_sq``).  Each k asked for is kept; x^0 is the exact
-    (1, 0, 0) and a negative k the quotient 1 / x^-k (``_quotient``)."""
-
-    def __init__(self, x: tuple[int, int, int], bits: int):
-        self.bits = bits
-        self.squares = [x]
-        self.values = {0: (1, 0, 0)}
-
-    def __call__(self, k: int) -> tuple[int, int, int]:
-        val = self.values.get(k)
-        if val is not None:
-            return val
-        bits = self.bits
-        if k < 0:
-            val = _quotient((1, 0, 0), self(-k), bits)
-        else:
-            sq = self.squares
-            j, rest = 0, k
-            while rest:
-                if j == len(sq):
-                    sq.append(_cut_sq(sq[-1], bits))
-                if rest & 1:
-                    val = sq[j] if val is None else _cut_mul(val, sq[j], bits)
-                j, rest = j + 1, rest >> 1
-        self.values[k] = val
-        return val
 
 
 # Significant bits above ``bits`` that Ev - Od at an index keeps at width W,
@@ -783,49 +702,6 @@ def siegel(r: FractionPair, pt: ModularPoint) -> mp.mpc:
     return _mpc(*pt._table(r.level).rotate((re, im), e), w, pt.ctx.bits)
 
 
-def _cut_bits(re: int, im: int, w: int, bits: int) -> tuple[int, int, int]:
-    """(re + i*im) * 2^-w floored to at most ``bits`` significant bits."""
-    k = max(re.bit_length(), im.bit_length()) - bits
-    return (re >> k, im >> k, w - k) if k > 0 else (re, im, w)
-
-
-def _cut_mul(x: tuple[int, int, int], y: tuple[int, int, int], bits: int
-             ) -> tuple[int, int, int]:
-    """x * y for x, y = (re, im, w) standing for (re + i*im) * 2^-w, the
-    exact integer product cut to ``bits`` significant bits (``_cut_bits``)."""
-    (ar, ai, aw), (br, bi, bw) = x, y
-    return _cut_bits(ar * br - ai * bi, ar * bi + ai * br, aw + bw, bits)
-
-
-def _cut_sq(x: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
-    """x^2 for x = (re, im, w), as ``_cut_mul(x, x, bits)`` with two integer
-    products."""
-    re, im, w = x
-    return _cut_bits((re + im) * (re - im), 2 * re * im, 2 * w, bits)
-
-
-def _exact_sub(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """x - y for x, y = (re, im, w), exact, at the larger of their widths."""
-    (ar, ai, aw), (br, bi, bw) = x, y
-    if aw < bw:
-        ar, ai, aw = ar << (bw - aw), ai << (bw - aw), bw
-    else:
-        br, bi = br << (aw - bw), bi << (aw - bw)
-    return ar - br, ai - bi, aw
-
-
-def _quotient(num: tuple[int, int, int], den: tuple[int, int, int], bits: int
-              ) -> tuple[int, int, int]:
-    """num / den for num, den = (re, im, w) standing for (re + i*im) * 2^-w,
-    den nonzero: one exact integer division carrying ``bits`` significant
-    bits, as (re, im, w)."""
-    (nr, ni, wn), (a, b, wd) = num, den
-    mod2 = a * a + b * b
-    qr, qi = nr * a + ni * b, ni * a - nr * b
-    sh = max(0, bits + mod2.bit_length() - max(qr.bit_length(), qi.bit_length()))
-    return (qr << sh) // mod2, (qi << sh) // mod2, sh + wn - wd
-
-
 def _fold(p1: int, p2: int, n: int) -> tuple[int, int, bool]:
     """(p1, p2, flip): the residues of the index (p1/n, p2/n), or of its
     negative when flip, whichever has the canonical reduced key (s, t), the
@@ -949,9 +825,8 @@ def _wp_parts(pt: ModularPoint, sums: tuple[tuple[int, int], tuple[int, int]]
     w = pt.width
     s, d2, _ = pt._thetas
     m2 = _cut_sq((er - odr, ei - odi, w), w)
-    diff = _exact_sub(_cut_mul((*s, w), m2, w),
-                      _cut_mul((3 * d2[0], 3 * d2[1], w), _cut_sq((er + odr, ei + odi, w), w), w))
-    return diff, m2
+    tr, ti, tw = _cut_mul((3 * d2[0], 3 * d2[1], w), _cut_sq((er + odr, ei + odi, w), w), w)
+    return _sum(_cut_mul((*s, w), m2, w), (-tr, -ti, tw)), m2
 
 
 def _index_triple(pt: ModularPoint, r: FractionPair

@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
-from mpmath.libmp import mpf_neg
-
+from ._fixed import reflected
 from .classfield import Field, Mat, ReducedForm, beta_lift, mat_mul, ray_class_degree
 from .errors import UnsupportedDiscriminant
 from .numerics import PrecisionContext
@@ -144,15 +142,6 @@ def reflection(q: ReducedForm, r: FractionPair) -> Mirror | None:
     m = mirror(q)
     rm = m.index(r)
     return m if (m.form.b < 0, _canonical_key(rm)) < (q.b < 0, _canonical_key(r)) else None
-
-
-def reflected(z: mp.mpc, turn: int) -> mp.mpc:
-    """i^turn conj(z), exact: a sign and a swap of z's parts."""
-    re, im = z._mpc_
-    im = mpf_neg(im)
-    for _ in range(turn % 4):
-        re, im = mpf_neg(im), re
-    return mp.make_mpc((re, im))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cmp_to_key
 from math import inf, isqrt
 
 import mpmath as mp
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_cmp, round_nearest
 
+from ._fixed import _at_width, _exact, _exact_real, _fx, _grid, _mpc, _mul, _scaled_modulus, _sum
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues, NonFinite
 from .numerics import FX_GUARD, GUARD_BITS, MIN_BITS, PrecisionContext
@@ -30,7 +29,6 @@ from .qseries import (
     ModularPoint,
     _gamma2_fx,
     _j_fx,
-    _mpc,
     normalized,
     siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
     v_value,
@@ -41,7 +39,6 @@ from .qseries import (
 from .reciprocity import conjugate_values, mirror
 
 DISTINCTNESS_FACTOR = 1000  # pairwise-distinctness threshold = 1000 * eps * scale
-GRID_GUARD = 8  # bits of the closest-pair grid below the widest mantissa
 
 # Each value that ``minpoly`` and ``hilbert_class_poly`` expand lies within
 # 2^(VALUE_ERROR_BITS - bits) * max(1, |v|) of the exact one.  Measured
@@ -112,7 +109,7 @@ def check_curve_point(field: Field, n: int, ctx: PrecisionContext,
     pt = ModularPoint.from_quadratic(q.a, q.b, field.d, ctx)
     with ctx.work():
         u, v, x, y = map(_exact, normalized(pt, FractionPair.from_parts(0, 1, n)))
-        diff, (_, cubic, _, _) = _surface_parts(v, x, y, _ONE, u)
+        diff, (_, cubic, _, _) = _surface_parts(v, x, y, (1, 0, 0), u)
         res_curve = _scaled_modulus(diff, (cubic,), ctx.bits)
         res_unit = _scaled_modulus(_sum(u, _mul((-27, 0, 0), v, v), (-1, 0, 0)), (cubic,), ctx.bits)
         return _finish(
@@ -160,40 +157,6 @@ def _surface_residual(v, x, y, z):
     return _scaled_modulus(diff, terms, mp.mp.prec)
 
 
-_ONE = (1, 0, 0)
-
-
-def _exact(z) -> tuple[int, int, int]:
-    """An mpmath complex or real number z as (re, im, w) with
-    z = (re + i*im) * 2^-w exactly, read from its raw mantissas and
-    exponents; NonFinite for a nan or infinite part."""
-    parts = []
-    for sign, man, exp, _ in getattr(z, "_mpc_", None) or (z._mpf_, fzero):
-        if not man and exp:  # mpmath's inf and nan
-            raise NonFinite(f"{z} is not finite")
-        parts.append((-man if sign else man, exp))
-    w = -min((e for m, e in parts if m), default=0)
-    (re, er), (im, ei) = parts
-    return re << (er + w) if re else 0, im << (ei + w) if im else 0, w
-
-
-def _mul(x, *xs) -> tuple[int, int, int]:
-    """The exact product of (re, im, w) triples, left to right."""
-    re, im, w = x
-    for ar, ai, aw in xs:
-        re, im, w = re * ar - im * ai, re * ai + im * ar, w + aw
-    return re, im, w
-
-
-def _sum(*xs) -> tuple[int, int, int]:
-    """The exact sum of (re, im, w) triples, at the largest of their widths."""
-    w = max(x[2] for x in xs)
-    re = im = 0
-    for xr, xi, xw in xs:
-        re, im = re + (xr << (w - xw)), im + (xi << (w - xw))
-    return re, im, w
-
-
 def _surface_parts(v, x, y, z, u=None):
     """(lhs - (cubic - linear - const), (lhs, cubic, linear, const)) for
     lhs = u v^3 y^2, cubic = 4 x^3 z^4, linear = u v^2 x z^2 and
@@ -209,59 +172,6 @@ def _surface_parts(v, x, y, z, u=None):
                           for m in (_mul(v2, v, y, y), _mul(v2, x, z2), _mul(v2, v2, z)))
     cubic = _mul((4, 0, 0), x, x, x, z2, z2)
     return _sum(lhs, (-cubic[0], -cubic[1], cubic[2]), linear, const), (lhs, cubic, linear, const)
-
-
-_MPF_ORDER = cmp_to_key(mpf_cmp)
-
-
-def _scaled_modulus(num, terms, prec: int) -> mp.mpf:
-    """|num| / max(1, |t| over terms) for exact (re, im, w) triples,
-    rounded once to nearest at prec bits (``_sqrt_ratio``).  The squared
-    moduli are exact while their parts have at most 16 prec bits, which the
-    surface terms keep up to about Im tau = prec.  Wider parts, as the
-    9 10^6 bits of those at Im tau = 10^6, are cut to that width first
-    (``_mod2_bounds``): the max is bounded by the bounds' maxima, and when
-    both ends of the quotient round alike (rounding is monotone) that is the
-    value, else the cut doubles until it cuts nothing."""
-    cap = 16 * prec
-    while True:
-        (nlo, nhi), *mods = (_mod2_bounds(t, cap) for t in (num, *terms))
-        slo = max(fone, *(lo for lo, _ in mods), key=_MPF_ORDER)
-        if nlo is nhi and all(lo is hi for lo, hi in mods):  # nothing was cut
-            return mp.make_mpf(_sqrt_ratio(nlo, slo, prec))
-        shi = max(fone, *(hi for _, hi in mods), key=_MPF_ORDER)
-        lo = _sqrt_ratio(nlo, shi, prec)
-        if lo == _sqrt_ratio(nhi, slo, prec):
-            return mp.make_mpf(lo)
-        cap *= 2
-
-
-def _mod2_bounds(x, cap: int) -> tuple[tuple, tuple]:
-    """Raw mpf bounds (lo, hi) of |x|^2 for x = (re, im, w), from the
-    magnitudes of its parts cut to cap bits; lo == hi, exact, when the cut
-    drops no set bit."""
-    re, im, w = x
-    a, b = abs(re), abs(im)
-    k = max(0, max(a, b).bit_length() - cap)
-    lo = from_man_exp((a >> k) ** 2 + (b >> k) ** 2, 2 * (k - w))
-    if not (a | b) & ((1 << k) - 1):
-        return lo, lo
-    return lo, from_man_exp(((a >> k) + 1) ** 2 + ((b >> k) + 1) ** 2, 2 * (k - w))
-
-
-def _sqrt_ratio(n: tuple, d: tuple, prec: int) -> tuple:
-    """sqrt(n / d) for raw mpf n >= 0 and d > 0, rounded to nearest at prec
-    bits: one integer division and one integer square root of at least
-    prec + 2 bits, their remainders kept as a sticky bit."""
-    _, nm, ne, nbc = n
-    _, dm, de, dbc = d
-    if not nm:
-        return fzero
-    s = (2 * prec + 6 - nbc + dbc - ne + de) // 2  # the root is r 2^-s
-    sh = ne - de + 2 * s
-    q, rem = divmod(nm << sh, dm) if sh >= 0 else divmod(nm, dm << -sh)
-    r = isqrt(q)
-    return from_man_exp(2 * r + bool(rem or r * r != q), -s - 1, prec, round_nearest)
 
 
 def check_lemma51(d: int, a, x, ctx: PrecisionContext) -> CheckReport:
@@ -445,31 +355,6 @@ def _pair_distance(a, b):
     return abs(a - b)
 
 
-def _grid(values):
-    """(g, rows): every value on the integer grid 2^g.  rows[k] lists Re and
-    Im of each component of values[k], (X0, Y0) for a number and (X0, Y0,
-    X1, Y1) for a pair, each floored to a multiple of 2^g, so it is exact or
-    below the part by less than one unit; None if a part is not finite.  g
-    is the largest top exponent minus the widest mantissa minus GRID_GUARD,
-    so the largest parts are exact."""
-    parts = [p for v in values for c in (v if isinstance(v, tuple) else (v,))
-             for p in (getattr(c, "_mpc_", None) or (c._mpf_, fzero))]
-    nonzero = [(e + b, b) for _, m, e, b in parts if m]  # finite and nonzero
-    g = (max(t for t, _ in nonzero) - max(b for _, b in nonzero)
-         - GRID_GUARD) if nonzero else 0
-    fixed = [None if p[3] < 0 else _floor_on_grid(p, g) for p in parts]  # None: nan, inf
-    w = len(parts) // len(values) if values else 1  # parts per value
-    rows = (fixed[k:k + w] for k in range(0, len(fixed), w))
-    return g, [None if None in r else tuple(r) for r in rows]
-
-
-def _floor_on_grid(p, g: int) -> int:
-    """floor(x / 2^g) for the finite raw mpf p = (sign, man, exp, bc) of x."""
-    s, m, e, _ = p
-    m = -m if s else m
-    return m << (e - g) if e >= g else m >> (g - e)
-
-
 def _rounding_slack(prec: int) -> tuple[int, int]:
     """(num, den) = (1+4u)(1+u)/(1-4u), u = 2^-prec: an mpmath difference
     and abs (or hypot) at prec bits is within a factor 1 +- 4u of the exact
@@ -515,8 +400,7 @@ def _closest_pair(values, g, rows, tol):
     precision.
     """
     num, den = _rounding_slack(mp.mp.prec)
-    tol_mpf = mp.mpf(tol)  # t = ceil(tol / 2^g); the rounding of tol is in the slack
-    t = -_floor_on_grid((1,) + tol_mpf._mpf_[1:], g) if tol_mpf > 0 else 0
+    t = -_fx(-mp.mpf(tol), -g)[0]  # ceil(tol / 2^g); the rounding of tol is in the slack
     order = sorted(range(len(rows)), key=lambda k: rows[k][0])
     u = k = kk = inf  # smallest squared grid distance, reach, reach^2
     near = []  # (squared grid distance, pair) within the reach when seen
@@ -916,13 +800,6 @@ def _expand_fx(factors, w: int) -> list:
     return coeffs
 
 
-def _within(err: int, w: int, bound: mp.mpf) -> bool:
-    """err * 2^-w <= bound, exactly, for integers err >= 0 and bound > 0."""
-    man, e = bound.man_exp
-    e += w
-    return err <= man << e if e >= 0 else err << -e <= man
-
-
 def _class_poly(field: Field, invariant: str, bits: int) -> Polynomial:
     """The polynomial of an invariant's values (``INVARIANTS``) at
     ``bits``, expanded and recognized in fixed point at width W = bits +
@@ -950,8 +827,7 @@ def _class_poly(field: Field, invariant: str, bits: int) -> Polynomial:
     factors = []
     values = []  # v once per ambiguous form, twice per pair: ``_error_bounds`` reads |v|
     for q, partner in _conjugate_classes(field.forms):
-        re, im, w = value(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx), q)
-        re, im = (re << (wd - w), im << (wd - w)) if w <= wd else (re >> (w - wd), im >> (w - wd))
+        re, im = _at_width(value(ModularPoint.from_quadratic(q.a, q.b, field.d, ctx), q), wd)
         v = _mpc(re, im, wd, bits)
         if partner is None:
             factors.append((-re,))
@@ -966,15 +842,15 @@ def _class_poly(field: Field, invariant: str, bits: int) -> Polynomial:
     for c, bound in zip(coeffs, bounds):
         m = (c + (1 << (wd - 1))) >> wd
         err = abs(c - (m << wd))
-        if bound < tol and _within(err, wd, bound):
+        if bound < tol and _exact_real(err, wd) <= bound:  # mpf comparison is exact
             recognized.append((m, 0, 1))
             worst = max(worst, err)
         else:
             recognized.append(None)
             worst = inf
     recognized.append((1, 0, 1))
-    residual = mp.inf if worst == inf else mp.make_mpf(from_man_exp(worst, -wd))
-    return Polynomial(tuple(mp.make_mpf(from_man_exp(c, -wd)) for c in coeffs),
+    residual = mp.inf if worst == inf else _exact_real(worst, wd)
+    return Polynomial(tuple(_exact_real(c, wd) for c in coeffs),
                       tuple(recognized), residual, max(bounds), bits, invariant)
 
 

@@ -723,22 +723,24 @@ def test_lemma51_validates_the_discriminant(dk, error, capsys):
 MINPOLY_X = ["minpoly", "--dk", "-7", "--level", "3", "--descriptor", "x"]
 
 
-@pytest.mark.parametrize("argv", [
-    MINPOLY_X + ["--den-max", "0"],
-    MINPOLY_X + ["--den-max", "-5"],
-    MINPOLY_X + ["--recog-tol", "0"],
-    MINPOLY_X + ["--recog-tol", "-1"],
-    MINPOLY_X + ["--recog-tol", "nan"],
-    MINPOLY_X + ["--recog-tol", "inf"],
-    MINPOLY_X + ["--recog-tol", "0.9"],
-    MINPOLY_X + ["--den-max", "1", "--recog-tol", "0.6"],
-    MINPOLY_X + ["--recog-tol", "1e-3"],
+@pytest.mark.parametrize("argv, flag", [
+    (MINPOLY_X + ["--den-max", "0"], "--den-max"),
+    (MINPOLY_X + ["--den-max", "-5"], "--den-max"),
+    (MINPOLY_X + ["--recog-tol", "0"], "--recog-tol"),
+    (MINPOLY_X + ["--recog-tol", "-1"], "--recog-tol"),
+    (MINPOLY_X + ["--recog-tol", "nan"], "--recog-tol"),
+    (MINPOLY_X + ["--recog-tol", "inf"], "--recog-tol"),
+    (MINPOLY_X + ["--recog-tol", "0.9"], "--recog-tol"),
+    (MINPOLY_X + ["--den-max", "1", "--recog-tol", "0.6"], "--recog-tol"),
+    (MINPOLY_X + ["--recog-tol", "1e-3"], "--recog-tol"),
 ])
-def test_recognition_settings_that_cannot_work_exit_two(argv, capsys):
+def test_recognition_settings_that_cannot_work_exit_two(argv, flag, capsys):
+    """The error message starts with the flag at fault."""
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InputError"
+    assert json.loads(err)["message"].startswith(flag)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """The public surface: ``rayclass.__all__``, the names README and the demos
-import from it, and the module-level names the benchmark harness in
-``perfbench/`` reads from the submodules."""
+import from it, the module-level names the benchmark harness in
+``perfbench/`` reads from the submodules, and the one module that reads
+mpmath's raw numbers."""
 
 import ast
 import importlib
@@ -91,3 +92,26 @@ def test_submodules_are_attributes_after_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
     assert tuple(proc.stdout.split()) == SUBMODULES
+
+
+RAW = ("_mpf_", "_mpc_")
+
+
+def _reads_raw_mpmath(node) -> bool:
+    """An import from ``mpmath.libmp``, or a read of an mpf's or mpc's raw
+    tuple, as an attribute or by name (``getattr``)."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("mpmath.libmp")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("mpmath.libmp") for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr in RAW + ("libmp",)
+    return isinstance(node, ast.Constant) and node.value in RAW
+
+
+def test_only_fixed_reads_raw_mpmath_numbers():
+    """``_fixed`` is the only module of the package that imports from
+    ``mpmath.libmp`` or reads ``_mpf_`` or ``_mpc_``."""
+    readers = {path.name for path in (ROOT / "src" / "rayclass").glob("*.py")
+               if any(map(_reads_raw_mpmath, ast.walk(ast.parse(path.read_text()))))}
+    assert readers == {"_fixed.py"}

@@ -33,7 +33,8 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass.qseries import CurveCoords, _cut_entry, _unit_root_fx, siegel_order, y_quotient
+from rayclass._fixed import _unit_root_fx
+from rayclass.qseries import CurveCoords, _cut_entry, siegel_order, y_quotient
 from rayclass.reciprocity import act_index
 
 from oracles import agrees, eisenstein_loop

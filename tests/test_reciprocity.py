@@ -20,8 +20,9 @@ from rayclass import (
 from rayclass import qseries
 from rayclass.classfield import is_fundamental, mat_det, mat_mul
 from rayclass.qseries import y_quotient
-from rayclass.reciprocity import _y_power_exponent, act_index, labels, mirror, reflected, reflection
-from rayclass.verify import _closest_pair, _grid
+from rayclass._fixed import _grid, reflected
+from rayclass.reciprocity import _y_power_exponent, act_index, labels, mirror, reflection
+from rayclass.verify import _closest_pair
 
 from oracles import mirror_member
 

@@ -31,14 +31,12 @@ from rayclass import (
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
 from rayclass import qseries, verify
+from rayclass._fixed import _exact, _grid, _scaled_modulus
 from rayclass.verify import (
     _closest_pair,
     _conjugate_classes,
     _elliptic4_points,
-    _grid,
     _scale,
-    _exact,
-    _scaled_modulus,
     _surface_parts,
     _surface_residual,
     _t_majorant,
