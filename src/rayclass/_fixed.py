@@ -1,10 +1,12 @@
 """(re, im, w) fixed point in Python integers; the one module that imports
 ``mpmath.libmp`` or reads the raw parts of an mpf or mpc (``_parts``).
 
-Fixed-point contract.  The two sum loops (``qseries._triple`` and
-``qseries._theta_sums``) run on pairs (re, im) of Python integers that
-stand for (re + i*im) * 2^-W, W = bits + FX_GUARD; their inputs enter
-floored to W, each within one unit (``_fx``, ``_at_width``).  Every
+Fixed-point contract.  The two sum loops (``qseries._triple``, which sums
+into buckets, and ``qseries._theta_sums``) run on pairs (re, im) of Python
+integers that stand for (re + i*im) * 2^-W, W = bits + FX_GUARD; their
+inputs enter floored to W, each within one unit (``_fx``, ``_at_width``).
+A level table turns a pass's buckets into a key's sums by exact products
+with roots of unity at a wider width, floored once to W.  Every
 power and quotient outside them (the powers of q^(1/24) and of the level
 tables' roots, the Siegel prefactor and product, the wp quotient, y and
 its powers, u, v, x, delta's q E^24 and eta's q^(1/24) E) is an

@@ -42,75 +42,102 @@ coordinates when it reduces z.
 Sums.  Each series is summed in ``_fixed``'s fixed point (its "Fixed-point
 contract") at width W = bits + FX_GUARD, and stops at its first term below
 2^-W, so every value is the converged function.  Two loops sum them.
-``_triple`` sums the halves Ev (even n) and Od (odd n) of
-sum_n Q^(n(n-1)/2) w^n, with Ev - Od = E(Q) P(w) and
-P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w) (Jacobi triple product).  At
-Q = q^3, w = q it is the Euler product E (eta and the Siegel 1/E), as
-E(q^3) P(q) = E(q) (Euler's pentagonal theorem); at Q = q,
-w = exp(2*pi*i*z), Ev - Od is E times the Siegel product, and
+``_triple`` sums the terms of sum_n Q^(n(n-1)/2) w^n into m buckets by
+n mod m.  At m = 2 the buckets are the halves Ev (even n) and Od (odd n),
+with Ev - Od = E(Q) P(w) and P(w) = (1-w) prod_n (1-Q^n w)(1-Q^n/w)
+(Jacobi triple product).  At Q = q^3, w = q it is the Euler product E (eta
+and the Siegel 1/E), as E(q^3) P(q) = E(q) (Euler's pentagonal theorem);
+at Q = q, w = exp(2*pi*i*z), Ev - Od is E times the Siegel product, and
 (Ev + Od)/(Ev - Od) = i theta_2(pi z)/theta_1(pi z) gives wp (DLMF
-23.6.2).  ``_theta_sums`` sums the theta constants (g2, g3, the constants
-of wp, and the factors of E^12 for delta, j, u and x).  No kernel reads
-``terms()``; it sizes the tests' reference loops.
+23.6.2).  The Euler sum and wp at a complex z sum at m = 2 (``_halves``).
+At an index, z = (s tau + t)/N, only the factor zeta_N^(nt) of a term
+depends on t, so a level table sums once per s at a larger m and forms
+each key's (Ev, Od) from the buckets ("Level-N tables").  ``_theta_sums``
+sums the theta constants (g2, g3, the constants of wp, and the factors of
+E^12 for delta, j, u and x).  No kernel reads ``terms()``; it sizes the
+tests' reference loops.
 
 Why FX_GUARD = 32 bits suffice: each product truncates by less than one
 unit 2^-W per component, and the terms and steps of the sums have modulus
 <= 1.  At the Im floor 1/20 the sums take at most 48 steps per side
 (Euler), 41 (theta) and 83 per side (``_triple`` at an index) at 1536
 bits, and 20, 17 and 36 at 256 bits (in F, Im >= sqrt(3)/2, at most 11, 9
-and 20 at 1536 bits).  Against the same inputs at twice the width they end
-at most 11 (Euler) and 78 (``_triple`` at an index) units off; the theta
+and 20 at 1536 bits).  At an index each bucket holds the terms of the
+direct sum at w = q^(s/N) zeta_N^t, with the same errors, but without
+their root of unity; the transform multiplies each bucket by a root within
+one unit (below), which moves (Ev, Od) by at most sum_n |term_n| <= 4.7
+units at the Im floor, and floors the exact sum once, one unit more.
+Against the same tau at twice the width they end at most 11 (Euler) and
+94 (an index's (Ev, Od)) units off, where the direct sum of one key ended
+96 units off (7 points of Im 1/20, every key of levels 2 to 24 and four t
+of each s at levels 25 to 97, at 256 and 1536 bits); the theta
 constants, whose modulus grows to about 1/Im(tau)^2, end at most 990 units
 times S = |theta_3^4 + theta_4^4| off, and E4 and E6 at most 2.9e4 S^2 and
 2.5e5 S^3, the sizes of their terms, so E6 stays within 2^-(bits + 14) S^3
 even where it vanishes (21 points at Im 1/20, the images of i and rho down
-to Im 1/17, and for ``_triple`` indices of levels 2 to 97 at 7 points of
-Im 1/20).  The other guard bits let a result's modulus fall well below 1
+to Im 1/17).  The other guard bits let a result's modulus fall well below 1
 before that error reaches its last bit ("Index guard" below); at a complex
 z, wp's relative error 2^-W / |z - lattice| stays far below the
 2^-bits / |z - lattice| left by rounding z and w to ``bits``.
 
-Level-N tables.  A reduced index (a1, a2) = (s/N, t/N), N its level, needs
-w = q^(s/N) zeta_N^t, q/w, the Siegel prefactor q^(B2(s/N)/2) and
-exp(pi*i*t*(s-N)/N^2).  With L = 12 N^2 each is an integer
-power, of exponent at most L, of rho = q^(1/L) or xi = exp(2*pi*i/L).
-A power rho^k with N^2 | 2k is (q^(1/24))^(2k/N^2) and is read from the
-point's powers of q^(1/24) (``ModularPoint._q24``); rho's exponential is
-taken on the first k that is not of this form, and which of the two
-serves k depends on (k, N) alone.  The w-terms' exponents 12 N s and
-12 N (N - s) give 24 s / N and 24 (N - s) / N, so every w-term of a level
-dividing 24 is a power of q^(1/24); the prefactor's exponent
-6 s^2 - 6 s N + N^2 gives 12 s^2 / N^2 - 12 s / N + 2, an integer where
-N^2 | 12 s^2: at s = 0 (q^(1/12)) and at every index of level 2.  So an
-index (0, t/N) takes no rho, level 2 never does, and the curve and
-surface checks and lemma 5.2's principal-form reference, whose indices
-are (0, 1/N) and (0, 2/N), take one exponential per point.  The
-point keeps one table per N (``_LevelTable``), the home of everything keyed
-by a reduced index of level N: rho, taken at most once, xi, and the
-powers asked for so far, made by binary powering from squares that are
-themselves made only as far as an exponent needs them (one key costs
-O(log N) products, never O(N)).  Every power of rho and xi is a triple of
-Z = W + bitlen(L) + 2 significant bits.  A k-th power of a base with one
-unit of relative error carries at most k + 2 bitlen(k) < 2^(bitlen(L) + 1)
-units, which the bitlen(L) + 2 extra bits bring below one unit at W: w and
-q/w are floored to W from them, and the prefactor, of modulus between
-|q|^(1/12) and |q|^(-1/24) (a negative exponent is 1 / rho^-k), keeps its
-relative bits.  rho is taken at Z + 8 bits: rounding 2*pi*tau/L moves
-rho^k, k <= L, as rounding 2*pi*tau/24 moves q (above).  The powers of
-q^(1/24) carry W + 8 significant bits, which is Z at level 2 and up to
-bitlen(L) - 6 bits less above it, but their exponent m = 2k/N^2 is
-small: k <= L gives m <= 24, and the prefactor's k >= -N^2/2 gives
+Level-N tables.  At a reduced index (a1, a2) = (s/N, t/N), N its level,
+the series of P(w) runs over w = q^(s/N) zeta_N^t and q/w, and the Siegel
+value needs the prefactor q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2).  With
+L = 12 N^2, q^(s/N), q^((N-s)/N), zeta_N^k and the prefactor's two factors
+are each an integer power, of exponent at most L, of rho = q^(1/L) or
+xi = exp(2*pi*i/L).  A power rho^k with N^2 | 2k is (q^(1/24))^(2k/N^2) and
+is read from the point's powers of q^(1/24) (``ModularPoint._q24``); rho's
+exponential is taken on the first k that is not of this form, and which of
+the two serves k depends on (k, N) alone.  The exponents 12 N s and
+12 N (N - s) of q^(s/N) and q^((N-s)/N) give 24 s / N and 24 (N - s) / N,
+so at a level dividing 24 every sum reads powers of q^(1/24) only; the
+prefactor's exponent 6 s^2 - 6 s N + N^2 gives 12 s^2 / N^2 - 12 s / N + 2,
+an integer where N^2 | 12 s^2: at s = 0 (q^(1/12)) and at every index of
+level 2.  So an index (0, t/N) takes no rho, level 2 never does, and the
+curve and surface checks and lemma 5.2's principal-form reference, whose
+indices are (0, 1/N) and (0, 2/N), take one exponential per point.
+
+One pass per s, one transform per key.  On the first key of an s the
+table sums one t-free pass, ``_triple`` at q^(s/N) and q^((N-s)/N) floored
+to W, with m = N buckets for even N and m = 2N for odd N: zeta_N^(nt)
+depends on n mod m alone, and each bucket holds terms of one parity of n.
+It keeps only the buckets a term lands in, j paired with m - j, whose root
+is the conjugate one and whose parity is that of j (``_LevelTable.buckets``),
+never a vector of N slots.  Each key (s, t) is then one transform:
+Ev = sum_{j even} c_j zeta_N^(jt) and Od = sum_{j odd} c_j zeta_N^(jt),
+the exact integer products summed and floored once to W
+(``_LevelTable.triple``).  The roots zeta_N^k = xi^(12 N k) are read from
+the powers of xi, floored to width Z (below) and kept per k
+(``_LevelTable.root``).  So an s costs one pass, and a key one product per
+kept pair of buckets plus O(log N) products for each root it reads first;
+at most N + 1 pairs, and never more than the pass has terms.
+
+The point keeps one table per N (``_LevelTable``), the home of everything
+keyed by a reduced index of level N: rho, taken at most once, xi, the
+passes, the roots, and the powers asked for so far, made by binary powering
+from squares that are themselves made only as far as an exponent needs
+them (a power costs O(log N) products, never O(N)).  Every power of rho
+and xi is a triple of Z = W + bitlen(L) + 2 significant bits.  A k-th power
+of a base with one unit of relative error carries at most
+k + 2 bitlen(k) < 2^(bitlen(L) + 1) units, which the bitlen(L) + 2 extra
+bits bring below one unit at W: q^(s/N) and q^((N-s)/N) are floored to W
+from them, a root of unity is within one unit at W, and the prefactor, of
+modulus between |q|^(1/12) and |q|^(-1/24) (a negative exponent is
+1 / rho^-k), keeps its relative bits.  rho is taken at Z + 8 bits: rounding
+2*pi*tau/L moves rho^k, k <= L, as rounding 2*pi*tau/24 moves q (above).
+The powers of q^(1/24) carry W + 8 significant bits, which is Z at level 2
+and up to bitlen(L) - 6 bits less above it, but their exponent m = 2k/N^2
+is small: k <= L gives m <= 24, and the prefactor's k >= -N^2/2 gives
 m >= -1, one quotient 1 / q^(1/24).  Such a power carries at most
-m + 2 bitlen(m) + 1 <= 35 < 2^6 units at W + 8, below 2^-2 units at W:
-a w-term, floored to W, keeps its unit, and the prefactor, cut to Z,
-is within 2^-(W + 2) relative, below the unit at W of the Siegel product
-it multiplies.  At the Im ceiling, (q^(1/24))^m with m <= 24 moves under
-the rounding of 2*pi*tau/24 no more than q does, which the 40 bits of
-W + 8 above ``bits`` absorb ("Summing at tau").  siegel, wp, x and y at
-every index of levels 2, 3, 4, 6, 8, 12, 16 and 24 were within
+m + 2 bitlen(m) + 1 <= 35 < 2^6 units at W + 8, below 2^-2 units at W: a
+power of q that a pass reads, floored to W, keeps its unit, and the
+prefactor, cut to Z, is within 2^-(W + 2) relative, below the unit at W of
+the Siegel product it multiplies.  At the Im ceiling, (q^(1/24))^m with
+m <= 24 moves under the rounding of 2*pi*tau/24 no more than q does, which
+the 40 bits of W + 8 above ``bits`` absorb ("Summing at tau").  siegel, wp,
+x and y at every index of levels 2, 3, 4, 6, 8, 12, 16 and 24 were within
 0.98 2^-bits relative of the same evaluators at 2 bits + 64 (256 bits,
-at 0.41 + 0.06i, 0.3 + 10^6 i and the point of (1, 1, 390) of -1559), the
-same figure as with rho serving every power.
+at 0.41 + 0.06i, 0.3 + 10^6 i and the point of (1, 1, 390) of -1559).
 The Siegel value is the cut product of (Od - Ev) 1/E and the prefactor.
 A table is made for each level at which the point is evaluated, not for
 each level of an index: y reads both of its Siegel products from r's
@@ -122,25 +149,29 @@ cycle outlives a point.
 Index guard.  Every value at an index (siegel, wp, x and y) reads the
 (Ev, Od) entry of its canonical key, where only the factors 1 - w and
 1 - q/w of P(w) can come near 0 (near the lattice), so one exact test
-where the entry is summed guards them all (``_LevelTable.triple``): Ev -
-Od, at most 78 units of 2^-W off, must keep bits + INDEX_MARGIN
+where the entry is formed guards them all (``_LevelTable.triple``): Ev -
+Od, at most 94 units of 2^-W off, must keep bits + INDEX_MARGIN
 significant bits, or the index raises OnLattice.  It reads no eps, and
 what it refuses does not depend on bits: |Ev - Od| is about
 2 pi |E|^3 dist(z, lattice) there, so (0, 1/N) is refused from N = 2^28.
 Against the same evaluators at 2 bits + 64 (64 and 256 bits, six tau of
 Im 1/20 to 1000, indices of levels 2^16 to 2^39 next to the lattice),
-every value kept was within 3.9 2^-bits relative.
+every value kept was within 3.9 2^-bits relative.  The bucket sums leave
+unchanged the levels from which (0, 1/N), (1/N, 0) and (1/N, 1/N) are
+refused at six such tau, and the values just inside those edges stay
+within 0.93 2^-bits relative, as before.
 
-Siegel memo and y.  The level-N table keeps two memos, keyed by canonical
-reduced indices only: of (s, t) and (-s mod N, -t mod N), the
-lexicographically smaller (``_fold``).  An index whose key is not canonical
-is evaluated through -r, as g_{-r} = -g_r, and the sign joins the shift
-root of unity as a half turn.  The first memo keeps ``_triple``'s (Ev, Od)
-at w and q/w, so the Siegel product and ``wp`` at an index share one sum;
-wp reads it at the canonical key of its index, as it depends on
-((Ev + Od)/(Ev - Od))^2 alone, which is the same at r and -r.  The Siegel
-product itself folds only through -r: at s = 0 the two keys' sums differ,
-P(1/w) = -P(w)/w.  The second memo keeps the Siegel product, cut once to W
+Siegel memo and y.  Besides its passes (per s) and roots (per k), the
+level-N table keeps two memos, keyed by canonical reduced indices only: of
+(s, t) and (-s mod N, -t mod N), the lexicographically smaller
+(``_fold``).  An index whose key is not canonical is evaluated through -r,
+as g_{-r} = -g_r, and the sign joins the shift root of unity as a half
+turn.  The first memo keeps the key's transformed (Ev, Od), so the Siegel
+product and ``wp`` at an index share one sum; wp reads it at the
+canonical key of its index, as it depends on ((Ev + Od)/(Ev - Od))^2
+alone, which is the same at r and -r.  The Siegel product itself folds only
+through -r: at s = 0 the two keys' sums differ, P(1/w) = -P(w)/w.  The
+second memo keeps the Siegel product, cut once to W
 significant bits.  ``siegel`` applies the root of unity as one power of xi
 and a sign (``rotate``, which makes g_{-r} = -g_r hold bit for bit) and
 rounds to ``bits``.  ``y_quotient``, the one evaluator of y = -g_d/g_r^4,
@@ -298,7 +329,7 @@ class ModularPoint:
         (1 - q^(3n-1)) (1 - q^(3n)) at width W: ``_triple`` at (q^3, q)."""
         w, q = self.width, self.qfx
         q2 = _fx_mul(q, q, w)
-        (er, ei), (odr, odi) = _triple(_fx_mul(q2, q, w), q, q2, w)
+        (er, ei), (odr, odi) = _halves(_fx_mul(q2, q, w), q, q2, w)
         return er - odr, ei - odi
 
     @cached_property
@@ -499,27 +530,41 @@ def _theta_sums(q: tuple[int, int], w: int):
     return s, _fx_mul(d, d, w), (big_a, (tr, ti), (a2[0] + c[0], a2[1] + c[1]), d)
 
 
-def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int],
-            wd: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(Ev, Od): the even-n and odd-n halves of sum_{n in Z} q^(n(n-1)/2) w^n
-    at width wd, for w and qw = q/w of modulus <= 1.  The terms step by
-    t_(n+1) = t_n q^n w and t_(-n-1) = t_(-n) q^n (q/w), n >= 1, so every
-    term has modulus <= 1, and each side stops at its first term below
-    2^-wd.  Ev -+ Od = P(+-w) prod_{n>=1} (1 - q^n) with P(w) = (1 - w)
+def _triple(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int], wd: int,
+            m: int = 2) -> dict[int, list[int]]:
+    """The buckets c_j = sum_{n = j mod m} q^(n(n-1)/2) w^n at width wd, for
+    w and qw = q/w of modulus <= 1, as a dict j -> [re, im] that holds only
+    the residues some term lands in.  The terms step by t_(n+1) = t_n q^n w
+    and t_(-n-1) = t_(-n) q^n (q/w), n >= 1, so every term has modulus <= 1,
+    and each side stops at its first term below 2^-wd.  At m = 2 the
+    buckets are (Ev, Od), the even-n and odd-n halves (``_halves``):
+    Ev -+ Od = P(+-w) prod_{n>=1} (1 - q^n) with P(w) = (1 - w)
     prod_{n>=1} (1 - q^n w)(1 - q^n / w) (Jacobi triple product); at q^3,
-    w = q, Ev - Od is E (``ModularPoint._euler_fx``)."""
+    w = q, Ev - Od is E (``ModularPoint._euler_fx``).  A level table sums
+    at an even m, so that each bucket keeps the parity of n
+    (``_LevelTable.buckets``)."""
     qr, qi = q
-    sums = [[1 << wd, 0], [0, 0]]  # even n, odd n
-    for tr, ti in (w, qw):  # t_1 and t_(-1)
+    sums = {0: [1 << wd, 0]}
+    for (tr, ti), step in ((w, 1), (qw, -1)):  # t_1 and t_(-1)
         sr, si = (tr * qr - ti * qi) >> wd, (tr * qi + ti * qr) >> wd  # the step
-        n = 1
+        j = step % m
         while tr > 1 or tr < -1 or ti > 1 or ti < -1:  # a part outside {-1, 0, 1}
-            acc = sums[n & 1]
-            acc[0], acc[1] = acc[0] + tr, acc[1] + ti
+            acc = sums.get(j)
+            if acc is None:
+                sums[j] = [tr, ti]
+            else:
+                acc[0], acc[1] = acc[0] + tr, acc[1] + ti
             tr, ti = (tr * sr - ti * si) >> wd, (tr * si + ti * sr) >> wd
             sr, si = (sr * qr - si * qi) >> wd, (sr * qi + si * qr) >> wd
-            n += 1
-    return tuple(sums[0]), tuple(sums[1])
+            j = (j + step) % m
+    return sums
+
+
+def _halves(q: tuple[int, int], w: tuple[int, int], qw: tuple[int, int], wd: int
+            ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(Ev, Od): ``_triple``'s buckets at m = 2, an empty odd half as 0."""
+    sums = _triple(q, w, qw, wd)
+    return tuple(sums[0]), tuple(sums.get(1, (0, 0)))
 
 
 # Significant bits above ``bits`` that Ev - Od at an index keeps at width W,
@@ -529,7 +574,8 @@ INDEX_MARGIN = 8
 
 class _LevelTable:
     """Everything at one point keyed by a reduced index (s/N, t/N) of level
-    N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, and the
+    N: powers of rho = q^(1/L) and xi = exp(2*pi*i/L), L = 12 N^2, the
+    roots zeta_N^k per k, one lacunary pass per s (``buckets``), and the
     guarded (Ev, Od) and Siegel memos (at canonical keys, ``_fold``), as
     the module docstring sets out.  A power rho^k with N^2 | 2k is read
     from the point's powers of q^(1/24) (``power``), so rho's exponential
@@ -540,9 +586,12 @@ class _LevelTable:
     def __init__(self, pt: ModularPoint, n: int):
         level = 12 * n * n
         self.n = n
+        self.m = n if n % 2 == 0 else 2 * n  # buckets of a pass, each of one parity of n
         self.bits = bits = pt.width + level.bit_length() + 2
         self.rho = None  # the powers of rho, made on the first k that needs them
         self.z = _Powers((*_unit_root_fx(level, bits), bits), bits)
+        self.roots = {}
+        self.passes = {}
         self.triples = {}
         self.siegels = {}
 
@@ -558,16 +607,37 @@ class _LevelTable:
             self.rho = _Powers(_exp_placed(pt.tau, 12 * self.n * self.n, self.bits + 8), self.bits)
         return self.rho(k)
 
-    def w_terms(self, pt: ModularPoint, s: int, t: int, wd: int):
-        """(w, q/w) at width wd, w = q^(s/N) zeta_N^t =
-        exp(2*pi*i*(s*tau + t)/N) and q/w = q^((N-s)/N) zeta_N^-t, each one
-        product of a power of rho and one of xi floored to width wd."""
-        n = self.n
-        zr, zi, zw = self.z(12 * n * t)
-        ar, ai, aw = self.power(pt, 12 * n * s)
-        br, bi, bw = self.power(pt, 12 * n * (n - s))
-        return (_fx_mul((ar, ai), (zr, zi), aw + zw - wd),
-                _fx_mul((br, bi), (zr, -zi), bw + zw - wd))
+    def buckets(self, pt: ModularPoint, s: int) -> list[tuple[int, int, int, int, int]]:
+        """The one t-free pass of s, made on first use: ``_triple`` at
+        w = q^(s/N) and q/w = q^((N-s)/N), powers of rho floored to width W,
+        with m buckets c_j.  As zeta_N^((m-j)t) is the conjugate of
+        zeta_N^(jt) and m - j has the parity of j, the buckets j and m - j
+        are kept as one entry (j, a + c, b - d, a - c, b + d), c_j = a + bi
+        and c_(m-j) = c + di (0 where no term lands, or when m - j = j), so
+        that c_j zeta + c_(m-j) conj(zeta) takes four integer products
+        (``triple``).  There is one entry per pair that a term lands in."""
+        val = self.passes.get(s)
+        if val is None:
+            n, m, wd = self.n, self.m, pt.width
+            w = _at_width(self.power(pt, 12 * n * s), wd)
+            qw = _at_width(self.power(pt, 12 * n * (n - s)), wd)
+            sums = _triple(pt.qfx, w, qw, wd, m)
+            val = self.passes[s] = []
+            for j, (a, b) in sums.items():
+                k = -j % m
+                if k < j and k in sums:  # kept with its partner k
+                    continue
+                c, d = sums.get(k, (0, 0)) if k != j else (0, 0)
+                val.append((j, a + c, b - d, a - c, b + d))
+        return val
+
+    def root(self, k: int) -> tuple[int, int]:
+        """zeta_N^k = xi^(12 N k), 0 <= k < N, floored to width ``bits``,
+        kept per k."""
+        val = self.roots.get(k)
+        if val is None:
+            val = self.roots[k] = _at_width(self.z(12 * self.n * k), self.bits)
+        return val
 
     def prefactor(self, pt: ModularPoint, s: int, t: int) -> tuple[int, int, int]:
         """q^(B2(s/N)/2) exp(pi*i*t*(s-N)/N^2) as an (re, im, w) triple, for
@@ -579,14 +649,23 @@ class _LevelTable:
 
     def triple(self, pt: ModularPoint, s: int, t: int
                ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(Ev, Od) at (s/N, t/N): ``_triple`` at w and q/w, summed on first
-        use; OnLattice when Ev - Od keeps fewer than bits + INDEX_MARGIN
-        significant bits (module docstring, "Index guard")."""
+        """(Ev, Od) at (s/N, t/N), made on first use from the buckets c_j
+        of s: Ev = sum_{j even} c_j zeta_N^(jt) and Od = sum_{j odd}
+        c_j zeta_N^(jt), the exact products summed and floored once to
+        width W; OnLattice when Ev - Od keeps fewer than bits +
+        INDEX_MARGIN significant bits (module docstring, "Index guard")."""
         val = self.triples.get((s, t))
         if val is None:
-            wd = pt.width
-            val = _triple(pt.qfx, *self.w_terms(pt, s, t, wd), wd)
-            (er, ei), (odr, odi) = val
+            n, zb = self.n, self.bits
+            er = ei = odr = odi = 0
+            for j, ur, ui, vr, vi in self.buckets(pt, s):
+                zr, zi = self.root(j * t % n)
+                if j & 1:
+                    odr, odi = odr + ur * zr - ui * zi, odi + vr * zi + vi * zr
+                else:
+                    er, ei = er + ur * zr - ui * zi, ei + vr * zi + vi * zr
+            er, ei, odr, odi = er >> zb, ei >> zb, odr >> zb, odi >> zb
+            val = (er, ei), (odr, odi)
             kept = max(abs(er - odr), abs(ei - odi)).bit_length()
             if kept < pt.ctx.bits + INDEX_MARGIN:
                 raise OnLattice(f"index ({s}/{self.n}, {t}/{self.n}) lies too near the lattice: "
@@ -809,7 +888,7 @@ def wp(z, pt: ModularPoint) -> mp.mpc:
                 e = mp.exp(2j * mp.pi * (y * pt.tau + x))
             _check_off_lattice(pt, y, x)
             e = +e
-            sums = _triple(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
+            sums = _halves(pt.qfx, _fx(e, wd), _fx(pt.q / e, wd), wd)
     diff, (mr, mi, mw) = _wp_parts(pt, sums)
     num = _cut_mul(_pi_squared(wd), diff, wd)
     return _mpc(*_quotient(num, (3 * mr, 3 * mi, mw), wd), pt.ctx.bits)

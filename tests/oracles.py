@@ -14,6 +14,9 @@ Two kinds live here:
   and trial-division divisor sums.  Like the package, they sum at the
   input tau of the point, with q = exp(2 pi i tau) and the truncation
   index M of that tau (times ``scale``: at scale 2 they are converged).
+  Each is summed once per session for its exact inputs
+  (``_session_memo``, ``sigma35`` by ``lru_cache``), so the many tests
+  that compare against one value share one loop.
   ``matches_loop`` is the criterion the evaluators meet against them:
   eps * 2^-GUARD_BITS at Im tau >= sqrt(3)/2, and below it never farther
   from the converged loop than the M-term loop is.
@@ -33,6 +36,8 @@ Two kinds live here:
   ``rayclass.verify.hilbert_class_poly`` must match at its planned bits.
 """
 
+import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -96,6 +101,31 @@ def g2g3_lattice(tau: complex, radius: int = 400) -> tuple[complex, complex]:
 
 # ------------------------------------------------- reference q-series loops ---
 
+def _session_memo(loop):
+    """``loop``, each value computed once per session: keyed on its exact
+    inputs, a point as its tau and precision context (tau's parts, bits and
+    eps), the other arguments (scale, z) as given, defaults filled in, and
+    the working precision, at which ``euler_loop`` runs.  The values are
+    immutable mpmath numbers or tuples of them."""
+    sig = inspect.signature(loop)
+    values = {}
+
+    def exact(x):
+        return (x.tau, x.ctx) if isinstance(x, ModularPoint) else x
+
+    @functools.wraps(loop)
+    def memoised(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (mp.mp.prec, *(exact(x) for x in bound.arguments.values()))
+        val = values.get(key)
+        if val is None:
+            val = values[key] = loop(*args, **kwargs)
+        return val
+
+    return memoised
+
+
 def _q_terms(pt, scale):
     """(q, M): q = exp(2 pi i tau) at the point's input tau and ``scale``
     times the truncation index there."""
@@ -103,6 +133,7 @@ def _q_terms(pt, scale):
     return q, scale * truncation_terms(pt.im, pt.ctx.eps)
 
 
+@_session_memo
 def euler_loop(pt, scale=1) -> mp.mpc:
     """prod_{n=1..M} (1 - q^n)."""
     q, m = _q_terms(pt, scale)
@@ -114,18 +145,21 @@ def euler_loop(pt, scale=1) -> mp.mpc:
     return acc
 
 
+@_session_memo
 def eta_loop(pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
         pref = mp.sqrt(2 * mp.pi) * mp.exp(mp.mpc(0, mp.pi) / 4)
         return pref * mp.exp(mp.mpc(0, mp.pi) * pt.tau / 12) * euler_loop(pt, scale)
 
 
+@_session_memo
 def delta_loop(pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
         q, _ = _q_terms(pt, scale)
         return (2j * mp.pi) ** 12 * q * euler_loop(pt, scale) ** 24
 
 
+@functools.lru_cache(maxsize=None)
 def sigma35(n: int) -> tuple[int, int]:
     """(sigma_3(n), sigma_5(n)) by trial division."""
     s3 = s5 = 0
@@ -140,6 +174,7 @@ def sigma35(n: int) -> tuple[int, int]:
     return s3, s5
 
 
+@_session_memo
 def eisenstein_loop(pt, scale=1) -> tuple[mp.mpc, mp.mpc]:
     with pt.ctx.work():
         q, m = _q_terms(pt, scale)
@@ -168,6 +203,7 @@ def _phase(e: Fraction) -> mp.mpc:
     return mp.exp(mp.mpc(0, mp.pi) * mp.mpf(e.numerator) / e.denominator)
 
 
+@_session_memo
 def siegel_loop(r, pt, scale=1) -> mp.mpc:
     with pt.ctx.work():
         q, m = _q_terms(pt, scale)
@@ -190,6 +226,7 @@ def siegel_loop(r, pt, scale=1) -> mp.mpc:
         return val
 
 
+@_session_memo
 def wp_loop(z, pt, scale=1) -> mp.mpc:
     """wp(z; [tau, 1]) by the exponential-coordinate series (no lattice
     distance check)."""
@@ -213,6 +250,47 @@ def wp_loop(z, pt, scale=1) -> mp.mpc:
             if n > 100 * m + 1000:
                 raise RuntimeError("wp series failed to settle")
         return (2j * mp.pi) ** 2 * total
+
+
+def triple_loop(q, w, qw, wd):
+    """((Ev, Od), terms): the even-n and odd-n halves of
+    sum_n q^(n(n-1)/2) w^n at width wd, summed directly term by term on
+    the two sides with the stop rule of ``qseries._triple``, and the number
+    of terms summed, n = 0 included."""
+    qr, qi = q
+    sums = [[1 << wd, 0], [0, 0]]  # even n, odd n
+    terms = 1
+    for tr, ti in (w, qw):  # t_1 and t_(-1)
+        sr, si = (tr * qr - ti * qi) >> wd, (tr * qi + ti * qr) >> wd
+        n = 1
+        while tr > 1 or tr < -1 or ti > 1 or ti < -1:
+            acc = sums[n & 1]
+            acc[0], acc[1] = acc[0] + tr, acc[1] + ti
+            tr, ti = (tr * sr - ti * si) >> wd, (tr * si + ti * sr) >> wd
+            sr, si = (sr * qr - si * qi) >> wd, (sr * qi + si * qr) >> wd
+            n += 1
+            terms += 1
+    return (tuple(sums[0]), tuple(sums[1])), terms
+
+
+def index_w_terms(pt, n, s, t):
+    """(w, q/w) at the reduced index (s/N, t/N), N = n, at width W:
+    w = q^(s/N) zeta_N^t and q/w = q^((N-s)/N) zeta_N^-t, each the product
+    of a power of rho (or of q^(1/24)) and a power of xi from the point's
+    level-N table, floored to W."""
+    tab, wd = pt._table(n), pt.width
+    zr, zi, zw = tab.z(12 * n * t)
+    ar, ai, aw = tab.power(pt, 12 * n * s)
+    br, bi, bw = tab.power(pt, 12 * n * (n - s))
+    return (((ar * zr - ai * zi) >> (aw + zw - wd), (ar * zi + ai * zr) >> (aw + zw - wd)),
+            ((br * zr + bi * zi) >> (bw + zw - wd), (bi * zr - br * zi) >> (bw + zw - wd)))
+
+
+def index_triple_loop(pt, n, s, t):
+    """((Ev, Od), terms) of ``triple_loop`` at the reduced index
+    (s/N, t/N): one direct sum per key, with the root of unity inside w
+    (``index_w_terms``)."""
+    return triple_loop(pt.qfx, *index_w_terms(pt, n, s, t), pt.width)
 
 
 def agrees(new, ref, ctx) -> bool:

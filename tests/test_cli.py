@@ -481,6 +481,35 @@ def test_pair_orbit_sums_one_triple_product_per_index(capsys, monkeypatch):
     assert all((s, t) <= (-s % n, -t % n) for _, n, s, t in runs)
 
 
+@pytest.mark.parametrize("argv, passes, keys", [
+    (["conjugates", "--dk", "-39", "--level", "8", "--descriptor", "pair"], 9, 26),
+    (["check", "lemma52", "--dk", "-84", "--level", "10"], 18, 100),
+], ids=["pair -39 8", "lemma52 -84 10"])
+def test_keys_of_one_point_level_and_s_share_one_pass(capsys, monkeypatch, argv, passes, keys):
+    """The level table sums the lacunary series once per (point, level, s)
+    (the misses of its pass memo) and serves every key (s, t) of that s
+    from it by one transform (the misses of its (Ev, Od) memo)."""
+    runs, sums = [], []
+    buckets, triple = qseries._LevelTable.buckets, qseries._LevelTable.triple
+
+    def counted_pass(tab, pt, s):
+        if s not in tab.passes:
+            runs.append((pt, tab.n, s))
+        return buckets(tab, pt, s)
+
+    def counted_key(tab, pt, s, t):
+        if (s, t) not in tab.triples:
+            sums.append((pt, tab.n, s))
+        return triple(tab, pt, s, t)
+
+    monkeypatch.setattr(qseries._LevelTable, "buckets", counted_pass)
+    monkeypatch.setattr(qseries._LevelTable, "triple", counted_key)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert (len(runs), len(sums)) == (passes, keys)
+    assert len(set(runs)) == passes and set(runs) == set(sums)
+
+
 def test_check_surface_reports_the_level_before_the_im_floor(capsys):
     """Both 4 | N and the Im floor fail; the check tests N first."""
     code, out, err = run_cli(

@@ -33,11 +33,11 @@ from rayclass import (
 )
 
 from rayclass import qseries
-from rayclass._fixed import _unit_root_fx
+from rayclass._fixed import _at_width, _unit_root_fx
 from rayclass.qseries import CurveCoords, _cut_entry, siegel_order, y_quotient
 from rayclass.reciprocity import act_index
 
-from oracles import agrees, eisenstein_loop
+from oracles import agrees, eisenstein_loop, triple_loop
 
 
 def _pt(re, im, ctx):
@@ -635,7 +635,7 @@ def test_level_table_power_source_does_not_depend_on_request_order(ctx256):
     pt = _pt(0.41, 0.06, ctx256)
     tab = qseries._LevelTable(pt, n)
     for s in range(n):
-        tab.w_terms(pt, s, 1, pt.width)
+        tab.buckets(pt, s)
     for s in (0, 4):
         tab.prefactor(pt, s, 1)
     assert tab.rho is None
@@ -653,6 +653,24 @@ def test_level_table_fills_only_what_a_key_needs(ctx256):
     tab = pt._tables[n]
     entries = sum(len(p.squares) + len(p.values) for p in (tab.rho, tab.z, pt._q24))
     assert entries <= 4 * (12 * n * n).bit_length()
+
+
+def test_level_table_pass_keeps_no_more_buckets_than_terms(ctx256):
+    """At level N = 2^36 a pass sums into m = N buckets by n mod m, but keeps
+    only those its terms land in (paired j with m - j), and the transform
+    reads one root of unity per kept entry: no more of either than the pass
+    has terms (``oracles.triple_loop`` counts them), never O(N)."""
+    n = 2 ** 36
+    pt = _pt(0.3, 1.1, ctx256)
+    r = FractionPair.from_parts(n // 2 + 1, 5, n)
+    siegel(r, pt)
+    wp(r, pt)
+    tab = pt._tables[n]
+    (s, entries), = tab.passes.items()
+    w, qw = (_at_width(tab.power(pt, 12 * n * k), pt.width) for k in (s, n - s))
+    _, terms = triple_loop(pt.qfx, w, qw, pt.width)
+    assert tab.m == n and 1 < len(entries) <= terms
+    assert len(tab.roots) <= len(entries)
 
 
 def _held_ints(obj):

@@ -32,6 +32,8 @@ from rayclass import (
     x_value,
     y_value,
 )
+from rayclass._fixed import _fx_mul
+from rayclass.qseries import _halves
 from rayclass.reciprocity import act_index
 
 from oracles import (
@@ -40,10 +42,12 @@ from oracles import (
     eisenstein_loop,
     eta_loop,
     g2g3_lattice,
+    index_w_terms,
     klein_lattice,
     matches_loop,
     quasi_periods,
     siegel_loop,
+    triple_loop,
     wp_lattice,
     wp_loop,
 )
@@ -490,3 +494,48 @@ def test_level_16_orbits_match_reference_loops(descriptor, prec):
             else:
                 ref = _y_loop(r1, act_index(base2, m), pt) ** k
             assert agrees(v, ref, ctx), label
+
+
+# ------------------------------------ bucket sums vs the direct sum per key ---
+
+# Units of 2^-W by which an index's (Ev, Od) may lie off the same sum at
+# twice the width (the qseries module docstring, "Sums"): the bucket sums
+# with their one transform per key, and the direct sum of one key with the
+# root of unity inside w (``oracles.index_triple_loop``).
+BUCKET_BUDGET, DIRECT_BUDGET = 94, 96
+TRIPLE_POINTS = {"0.41,0.05": ("0.41", "0.05"), "-0.5,0.866": ("-0.5", "0.8660254037844386"),
+                 "0.3,1e3": ("0.3", "1e3"), "0.3,1e6": ("0.3", "1e6"),
+                 "(1,1,390) of -1559": (1, 1, -1559)}
+
+
+@pytest.mark.parametrize("bits, eps", [(256, "1e-40"), (1024, "1e-300")])
+@pytest.mark.parametrize("where", sorted(TRIPLE_POINTS))
+def test_bucket_sums_match_the_direct_sum_at_every_key(bits, eps, where):
+    """At every canonical key of levels 2 to 24, odd and even, the level
+    table's (Ev, Od), one pass per s and one transform per key, lies within
+    BUCKET_BUDGET + DIRECT_BUDGET units of 2^-W of the direct sum at
+    w = q^(s/N) zeta_N^t (``oracles.triple_loop``).  ``_triple`` at m = 2
+    (``_halves``) is that direct sum bit for bit, at every key of levels 7
+    and 8 and at the Euler sum's (q^3, q, q^2)."""
+    ctx = PrecisionContext(bits, eps)
+    spec = TRIPLE_POINTS[where]
+    pt = (ModularPoint.from_quadratic(*spec, ctx) if len(spec) == 3
+          else ModularPoint.from_complex(spec, ctx))
+    wd, q = pt.width, pt.qfx
+    q2 = _fx_mul(q, q, wd)
+    (er, ei), (odr, odi) = triple_loop(_fx_mul(q2, q, wd), q, q2, wd)[0]
+    assert pt._euler_fx == (er - odr, ei - odi)
+    worst = 0
+    for n in range(2, 25):
+        tab = pt._table(n)
+        for s in range(n):
+            for t in range(n):
+                if (s, t) == (0, 0) or (-s % n, -t % n) < (s, t):
+                    continue
+                w, qw = index_w_terms(pt, n, s, t)
+                direct, _ = triple_loop(q, w, qw, wd)
+                if n in (7, 8):
+                    assert _halves(q, w, qw, wd) == direct
+                for (ar, ai), (br, bi) in zip(tab.triple(pt, s, t), direct):
+                    worst = max(worst, abs(complex(ar - br, ai - bi)))
+    assert worst <= BUCKET_BUDGET + DIRECT_BUDGET
