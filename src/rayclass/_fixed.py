@@ -15,6 +15,7 @@ bits, so it keeps its relative bits however small it is: one binary
 powering (``_Powers``), one exact integer division (``_quotient``).
 Values leave by ``_mpc``, rounded to ``bits``; the eta and Eisenstein
 prefactors, delta's (2*pi)^12 and the exponentials are mpmath numbers.
+A bound given in mpmath numbers enters comparisons exactly (``_square_below``).
 """
 
 from functools import cmp_to_key, lru_cache
@@ -75,6 +76,20 @@ def _exact(z) -> tuple[int, int, int]:
         raise NonFinite(f"{z} is not finite")
     w = -min((exp for _, man, exp, _ in parts if man), default=0)
     return (*_fx(z, w), w)
+
+
+def _square_below(a: int, b: int, w: int, slack: int, x: mp.mpf, y: mp.mpf) -> bool:
+    """Whether (a / b) 2^-w (1 + 2^-slack)^2 < (x y)^2, for integers a >= 0
+    and b > 0, decided in exact integers: x y is exact, the product of the
+    mpfs' mantissas times a power of 2.  False when x or y is not positive
+    and finite."""
+    (xs, xm, xe, _), (ys, ym, ye, _) = x._mpf_, y._mpf_
+    if xs or ys or not xm or not ym:  # negative, zero, inf or nan
+        return False
+    man, exp = xm * ym, xe + ye
+    lhs, rhs = a * ((1 << slack) + 1) ** 2, b * man * man
+    sh = 2 * exp + w + 2 * slack  # lhs 2^-(w + 2 slack) < rhs 2^(2 exp)
+    return lhs < rhs << sh if sh >= 0 else lhs << -sh < rhs
 
 
 def _real_text(x, prec: int, dps: int):

@@ -183,6 +183,8 @@ squarings) to W significant bits, applies the roots of unity the same way
 and divides in exact integers (``_quotient``).  It raises that W-bit
 quotient to the power k that an orbit asks for (y^epow,
 y^12N) by cut products (``_Powers``) and rounds once to ``bits``.
+``y_modulus2`` reads the same two entries and gives |g_d|^2 / |g_r|^8 as
+exact integers, which the lemma 5.2 sweep compares with its cut.
 
 u, v, x and j.  u = g2^3 / delta = E4^3 / (1728 q E^24) is one exact integer
 quotient of the theta sums' fixed-point pieces, with E4 = (a+b)^2 - 3ab
@@ -811,6 +813,18 @@ def _cut_entry(pt: ModularPoint, r: FractionPair, n: int | None = None
             (s2 * s - s1 * t + n * (s1 * s2 + s1 + s2 + flip)) % (2 * n))
 
 
+def _y_entries(pt: ModularPoint, r: FractionPair, d: FractionPair, level: int | None
+               ) -> tuple[int, tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """(N, g_r, g_d): the level N = ``level`` (by default r's level), which
+    r's and d's levels must divide, and the level-N memo entries of r and d
+    (``_cut_entry``), read in that order."""
+    n = level or r.level
+    for x in (r, d):
+        if n % x.level:
+            raise ValueError(f"level {x.level} of {x} does not divide level {n}")
+    return n, _cut_entry(pt, r, n), _cut_entry(pt, d, n)
+
+
 def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
                level: int | None = None) -> mp.mpc:
     """y^k for y = -g_d / g_r^4 (module docstring), d = 2r for ``y_value``
@@ -821,18 +835,26 @@ def y_quotient(pt: ModularPoint, r: FractionPair, d: FractionPair, k: int = 1,
     at W significant bits is raised to the power k >= 1 by cut products
     (``_Powers``) and rounded once to ``bits``.  Its one guard is that of
     the index sums (``_LevelTable.triple``)."""
-    n = level or r.level
-    for x in (r, d):
-        if n % x.level:
-            raise ValueError(f"level {x.level} of {x} does not divide level {n}")
-    gr, gi, w, e = _cut_entry(pt, r, n)
-    nr, ni, wn, ed = _cut_entry(pt, d, n)
+    n, (gr, gi, w, e), (nr, ni, wn, ed) = _y_entries(pt, r, d, level)
     e = (ed - 4 * e + n) % (2 * n)  # y's phase exp(pi*i*e/n)
     nr, ni = pt._table(n).rotate((nr, ni), e)
     wd = pt.width
     g2 = (gr + gi) * (gr - gi), 2 * gr * gi, 2 * w
     y = _quotient((nr, ni, wn), _cut_sq(g2, wd), wd)
     return _mpc(*_Powers(y, wd)(k), pt.ctx.bits)
+
+
+def y_modulus2(pt: ModularPoint, r: FractionPair, d: FractionPair, level: int | None = None
+               ) -> tuple[int, int, int]:
+    """(a, b, w) with a / b * 2^-w = |g_d|^2 / |g_r|^8 exactly, for the two
+    memo entries that ``y_quotient`` reads (``_y_entries``): |y|^2 before
+    any of its cuts, roots of unity and rounding, as a = |g_d|^2 and
+    b = |g_r|^8 in exact integers.  The roots have modulus 1, so they do not
+    enter.  ``check_lemma52`` compares it with its cut before forming y."""
+    _, (gr, gi, w, _), (nr, ni, wn, _) = _y_entries(pt, r, d, level)
+    m = gr * gr + gi * gi
+    m *= m
+    return nr * nr + ni * ni, m * m, 2 * wn - 8 * w
 
 
 def siegel_order(r: FractionPair) -> Fraction:

@@ -20,7 +20,8 @@ from math import inf, isqrt
 
 import mpmath as mp
 
-from ._fixed import _at_width, _exact, _exact_real, _fx, _grid, _mpc, _mul, _scaled_modulus, _sum
+from ._fixed import (_at_width, _exact, _exact_real, _fx, _grid, _mpc, _mul, _scaled_modulus,
+                     _square_below, _sum)
 from .classfield import Field, ReducedForm, _validate_disc, cm_point, ray_class_degree
 from .errors import DuplicateValues, NonFinite
 from .numerics import FX_GUARD, GUARD_BITS, MIN_BITS, PrecisionContext
@@ -33,6 +34,7 @@ from .qseries import (
     siegel,  # noqa: F401  (re-exported: perfbench/selftest.py traces verify.siegel)
     v_value,
     x_value,
+    y_modulus2,
     y_quotient,
     y_value,
 )
@@ -226,7 +228,31 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
     ``worst_ratio`` and ``worst_at`` are those of the sweep over every key.
     Every (s, t) is evaluated at level N, its level not reduced first, so
     each point reads both Siegel products of every ratio from its one
-    level-N table."""
+    level-N table.
+
+    While the cut is positive, each class is first tested in exact
+    integers on those two memo entries (``y_modulus2``): with
+    R = |g_d| / |g_r|^4 of the entries, d = 2r, the class is skipped when
+    R^2 (1 + 2^-(bits-8))^2 < (cut * rhs)^2, the mpfs cut and rhs
+    multiplied exactly (``_square_below``).  Such a class cannot reach the
+    cut: the ratio the loop forms exceeds R / rhs by a factor below
+    1 + 2^-(bits-3), so it lies below cut (1 + 2^-(bits-3)) /
+    (1 + 2^-(bits-8)) < cut, and the loop keeps no such class (it files
+    a ratio in ``near`` only when ratio >= cut, and the cut only rises).
+    The factor, each part relative to |y| at W = bits + FX_GUARD, bits =
+    mpmath's precision, and each part's value having W significant bits:
+    the rotation of g_d by its root of unity, a power of the table's xi
+    whose modulus is 1 within 2^-(W-1), floored to g_d's width (below
+    2^-(W-3) together); g_r^4, the exact g_r^2 squared and cut to W bits
+    (below 2^-(W-2)); the W-bit quotient (below 2^-(W-2)); its rounding
+    to bits (2^-bits); mpmath's abs, whose sum of squares is rounded at
+    bits + 4 before the square root (2^-bits + 2^-(bits+4)); and the
+    division by rhs (2^-bits).  That is below 3.1 * 2^-bits + 2^-(W-4)
+    < 2^-(bits-3).  Every other class runs the loop's body as before, so
+    ``worst_ratio``, ``worst_at``, ``pairs_checked`` and the residual, and
+    the CLI's output, are unchanged byte for byte; the test reads the
+    memo entries in the loop's order, so it runs the same Siegel products
+    and raises the same ``OnLattice``."""
     if field.d > -39 or n < 8:
         raise ValueError("sweep needs d_K <= -39 and N >= 8")
     with ctx.work():
@@ -263,8 +289,12 @@ def check_lemma52(field: Field, n: int, ctx: PrecisionContext) -> CheckReport:
                         if key == (s, t):
                             size = 2
                     r = FractionPair.from_parts(*((s, t) if home is q else (u, v)), n)
-                    ratio = abs(y_quotient(points[home], r, r.doubled(), level=n)) / rhs
+                    r2 = r.doubled()
                     count += size
+                    if cut > 0 and _square_below(*y_modulus2(points[home], r, r2, level=n),
+                                                 ctx.bits - 8, cut, rhs):
+                        continue  # below the cut (docstring)
+                    ratio = abs(y_quotient(points[home], r, r2, level=n)) / rhs
                     if ratio >= cut:
                         near.append(((q.as_tuple(), s, t), ratio))
                         if ratio > worst:

@@ -712,25 +712,33 @@ def test_level_tables_keep_significant_bits_at_the_im_ceiling(ctx256):
         assert max(x.bit_length() for x in held) <= bits + 2, n
 
 
+def _used_point(ctx):
+    """(levels, ref): the sorted levels of the tables of a point used by
+    siegel, wp and y at every index of level 12, and a weak reference to
+    it.  The point's last reference is this frame's, dropped on return, and
+    no assertion runs here: pytest's assertion-pass hook keeps the locals
+    of a frame that asserts."""
+    pt = _pt(0.1234, 1.1, ctx)
+    for s in range(12):
+        for t in range(12):
+            if (s, t) == (0, 0):
+                continue
+            r = FractionPair.from_parts(s, t, 12)
+            siegel(r, pt)
+            wp(r, pt)
+            if r.doubled() is not None:
+                y_value(pt, r)
+    return sorted(pt._tables), weakref.ref(pt)
+
+
 def test_point_is_freed_without_the_cycle_collector(ctx256):
     """The level tables hold no reference to their point: a point used by
     siegel, wp and y at levels 2, 3, 4, 6 and 12 is freed as soon as its
     last reference is dropped, with the cycle collector off."""
-    pt = _pt(0.1234, 1.1, ctx256)
     gc.disable()
     try:
-        for s in range(12):
-            for t in range(12):
-                if (s, t) == (0, 0):
-                    continue
-                r = FractionPair.from_parts(s, t, 12)
-                siegel(r, pt)
-                wp(r, pt)
-                if r.doubled() is not None:
-                    y_value(pt, r)
-        assert sorted(pt._tables) == [2, 3, 4, 6, 12]
-        ref = weakref.ref(pt)
-        del pt
+        levels, ref = _used_point(ctx256)
+        assert levels == [2, 3, 4, 6, 12]
         assert ref() is None
     finally:
         gc.enable()

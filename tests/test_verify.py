@@ -31,7 +31,7 @@ from rayclass import (
 )
 from rayclass.classfield import ReducedForm, is_fundamental, reduced_forms
 from rayclass import qseries, verify
-from rayclass._fixed import _exact, _grid, _scaled_modulus
+from rayclass._fixed import _exact, _grid, _scaled_modulus, _square_below
 from rayclass.verify import (
     _closest_pair,
     _conjugate_classes,
@@ -363,6 +363,102 @@ def test_lemma52_class_sweep_reports_what_the_full_sweep_reports(ctx256, d, n):
     residuals, details = lemma52_loop(f, n, ctx256)
     assert rep.details == details
     assert rep.residuals == residuals
+
+
+def _counted_y_quotient(monkeypatch):
+    """A list that records (tau, r) of each ratio ``check_lemma52`` forms,
+    a call of ``verify.y_quotient``, for the rest of the test."""
+    orig = verify.y_quotient
+    formed = []
+
+    def counted(pt, r, d, k=1, level=None):
+        formed.append((pt.tau, r))
+        return orig(pt, r, d, k, level)
+
+    monkeypatch.setattr(verify, "y_quotient", counted)
+    return formed
+
+
+@pytest.mark.parametrize("bits", [256, 96])
+@pytest.mark.parametrize("d, n, eps", [
+    (-47, 8, "5e-2"), (-39, 8, "5e-2"), (-52, 9, "5e-2"), (-95, 12, "0.3"),
+], ids=["-47-window", "-39-window", "-52-window", "-95-cut-not-positive"])
+def test_lemma52_exact_test_forms_every_ratio_that_reaches_the_cut(monkeypatch, d, n, eps, bits):
+    """The sweep, which skips a class when exact integers prove its ratio
+    below the cut, reports what the sweep over every key reports
+    (``oracles.lemma52_loop``), and forms the ratio of every class that
+    reaches that sweep's final cut: several classes at eps 5e-2, and every
+    class at (-95, 12), eps 0.3, where the cut never rises above 0."""
+    ctx = PrecisionContext(bits, eps)
+    f = make_field(d)
+    formed = _counted_y_quotient(monkeypatch)
+    rep = check_lemma52(f, n, ctx)
+    seen = []
+
+    def y_abs(pt, r):
+        seen.append((pt.tau, r, abs(y_value(pt, r))))
+        return seen[-1][2]
+
+    residuals, details = lemma52_loop(f, n, ctx, y_abs)
+    assert rep.details == details
+    assert rep.residuals == residuals
+    form_at = {ModularPoint.from_quadratic(q.a, q.b, f.d, ctx).tau: q for q in f.forms}
+    classes = {m: c for c in _lemma52_classes(f, n) for m in c}
+
+    def class_of(tau, r):
+        m = n // r.level
+        return classes[form_at[tau], m * r.p1 % n, m * r.p2 % n]
+
+    worst = details["worst_ratio"]
+    with ctx.work():
+        cut = worst - ctx.eps * max(1, worst)
+        reaching = {class_of(tau, r) for tau, r, val in seen[1:] if val / details["rhs_abs"] >= cut}
+    got = {class_of(tau, r) for tau, r in formed}
+    assert len(got) == len(formed)
+    assert reaching <= got
+    assert len(reaching) > 1
+    if cut <= 0:
+        assert reaching == got == set(classes.values())
+
+
+def _pow2(e):
+    return F(2) ** e
+
+
+def test_square_below_is_exact():
+    """(a / b) 2^-w (1 + 2^-slack)^2 < (x y)^2 decided as by exact
+    rationals, at the boundary too (equality is not below), for widths of
+    either sign; False for a factor that is not positive and finite."""
+    rng = random.Random(52)
+    for _ in range(200):
+        xm, ym = rng.randrange(1, 1 << 50) | 1, rng.randrange(1, 1 << 50) | 1  # exact at 53 bits
+        xe, ye = rng.randrange(-300, 300), rng.randrange(-300, 300)
+        x, y = mp.ldexp(xm, xe), mp.ldexp(ym, ye)
+        b, w, slack = rng.randrange(1, 1 << 200), rng.randrange(-900, 900), rng.randrange(0, 40)
+        bound = (F(xm * ym) * _pow2(xe + ye)) ** 2
+        scale = F(1, b) * _pow2(-w) * (1 + _pow2(-slack)) ** 2
+        a = math.floor(bound / scale)  # the largest a with a * scale <= bound
+        for k in (a - 1, a, a + 1):
+            if k >= 0:
+                assert _square_below(k, b, w, slack, x, y) == (k * scale < bound)
+    one = mp.mpf(1)
+    assert not _square_below(1, 1, 2, 0, one, one)  # 2^-2 (1 + 1)^2 = 1
+    assert _square_below(1, 1, 3, 0, one, one)
+    for bad in (mp.mpf(0), mp.mpf(-1), mp.inf, -mp.inf, mp.nan):
+        assert not _square_below(0, 1, 0, 8, bad, mp.mpf(1))
+        assert not _square_below(0, 1, 0, 8, mp.mpf(1), bad)
+
+
+def test_lemma52_forms_one_ratio_when_the_first_class_is_the_worst(ctx256, monkeypatch):
+    """(-191, 12) has 420 mirror classes, and its worst ratio sits at the
+    first, (0, 1) on (2, -1, 24): the exact test skips every other class,
+    so the sweep forms one ratio."""
+    f = make_field(-191)
+    formed = _counted_y_quotient(monkeypatch)
+    rep = check_lemma52(f, 12, ctx256)
+    assert len(_lemma52_classes(f, 12)) == 420
+    assert rep.details["worst_at"] == ((2, -1, 24), 0, 1)
+    assert len(formed) == 1
 
 
 @pytest.mark.parametrize("d, n", [(-84, 8), (-84, 10), (-39, 8), (-195, 9)])
